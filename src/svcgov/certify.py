@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .memory import EMPTY_STORE, MemoryStore, find_transportable, match_failure
 from .model import Component, Hypothesis, SemanticState, type_soundness
-from .ontology import OntologySchema, is_refinement
+from .ontology import OntologySchema
 from .transform import (
     MalformedTransformation,
     Rebind,
@@ -345,9 +345,7 @@ def certify_substitution(
         role = h.role(rid)
         assert role is not None
         for needed in sorted(role.requires):
-            if not schema.declares(needed) or not any(
-                schema.declares(p) and is_refinement(schema, p, needed) for p in c2.provides
-            ):
+            if not schema.covers(c2.provides, needed):
                 s1_ok = False
     conditions.append(
         ("S1", "function-class", s1_ok, "replacement provides the required function class or a certified refinement")
@@ -364,15 +362,11 @@ def certify_substitution(
             if edge.from_role not in touched and edge.to_role not in touched:
                 continue
             if not all(
-                any(schema.declares(c) and is_refinement(schema, c, t) for c in entities)
-                for t in edge.contract.entity_types
-                if schema.declares(t)
+                schema.covers(entities, t) for t in edge.contract.entity_types if schema.declares(t)
             ):
                 s2_ok = False
             if not all(
-                any(schema.declares(c) and is_refinement(schema, c, t) for c in events)
-                for t in edge.contract.event_types
-                if schema.declares(t)
+                schema.covers(events, t) for t in edge.contract.event_types if schema.declares(t)
             ):
                 s2_ok = False
             if not edge.contract.obligations <= honored:

@@ -26,7 +26,7 @@ from .model import (
     conditions_hold,
     type_soundness,
 )
-from .ontology import ConceptId, OntologySchema, is_refinement
+from .ontology import ConceptId, OntologySchema
 
 SAFETY_CONSTRAINT_PREFIX = "safety."
 
@@ -194,13 +194,7 @@ def _covered(h: Hypothesis, wanted: frozenset[ConceptId], schema: OntologySchema
     provided: set[ConceptId] = set()
     for _, comp in h.assignment:
         provided |= comp.provides
-    out = set()
-    for f in wanted:
-        if not schema.declares(f):
-            continue
-        if any(schema.declares(p) and is_refinement(schema, p, f) for p in provided):
-            out.add(f)
-    return frozenset(out)
+    return frozenset(f for f in wanted if schema.covers(provided, f))
 
 
 def _preserved_fraction(before: frozenset, after: frozenset) -> float:
@@ -337,12 +331,7 @@ def _pred_flag_requires_function(params: Mapping) -> PredicateFn:
     def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
         if flag not in z.safety_flags:
             return True
-        if not schema.declares(function):
-            return False
-        for _, comp in h.assignment:
-            if any(schema.declares(p) and is_refinement(schema, p, function) for p in comp.provides):
-                return True
-        return False
+        return any(schema.covers(comp.provides, function) for _, comp in h.assignment)
 
     return check
 

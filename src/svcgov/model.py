@@ -24,6 +24,7 @@ from .ontology import (
     ConceptId,
     OntologySchema,
     is_refinement,
+    kind_matches,
 )
 
 #: Regime-signal vocabulary produced by the semantic lift.  Policy guards,
@@ -247,7 +248,7 @@ def semantic_lift(x: RawPlatformState, schema: OntologySchema, k: AssertionBase)
         plain, unit = _split_unit(value)
         if unit != decl.unit:
             raise TypingError(f"request parameter {name!r} unit mismatch: {unit!r} vs declared {decl.unit!r}")
-        if not _value_fits(decl.kind, plain):
+        if not kind_matches(decl.kind, plain):
             raise TypingError(f"request parameter {name!r} value {plain!r} is not a {decl.kind}")
         typed_params.append((name, plain))
 
@@ -295,7 +296,7 @@ def semantic_lift(x: RawPlatformState, schema: OntologySchema, k: AssertionBase)
     request_individuals = sorted(
         ind
         for ind, concept in k.individuals.items()
-        if schema.declares(concept) and is_refinement(schema, concept, x.request.request_class)
+        if schema.covers((concept,), x.request.request_class)
     )
     required = _request_commitments(request_individuals, "requires", schema, k)
     outputs = _request_commitments(request_individuals, "executes", schema, k)
@@ -342,14 +343,6 @@ def _split_unit(value: object) -> tuple[object, str]:
     if isinstance(value, (list, tuple)) and len(value) == 2 and isinstance(value[1], str):
         return value[0], value[1]
     return value, ""
-
-
-def _value_fits(kind: str, value: object) -> bool:
-    if kind == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "flag":
-        return isinstance(value, bool)
-    return isinstance(value, str)
 
 
 def _lift_signals(
@@ -702,11 +695,7 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
         if not ok:
             continue
         for needed in sorted(role.requires):
-            if not schema.declares(needed):
-                continue
-            if not any(
-                schema.declares(p) and is_refinement(schema, p, needed) for p in comp.provides
-            ):
+            if schema.declares(needed) and not schema.covers(comp.provides, needed):
                 violations.append(
                     (
                         "function-unsatisfied",
@@ -793,12 +782,6 @@ def _graph_shape_violations(h: Hypothesis) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
-def _vocab_covers(vocab: frozenset[ConceptId], wanted: ConceptId, schema: OntologySchema) -> bool:
-    if not schema.declares(wanted):
-        return False
-    return any(schema.declares(c) and is_refinement(schema, c, wanted) for c in vocab)
-
-
 def interface_compatible(
     upstream: Hypothesis,
     downstream: Hypothesis,
@@ -811,9 +794,9 @@ def interface_compatible(
     for side in (upstream, downstream):
         entities = side.entity_vocabulary()
         events = side.event_vocabulary()
-        if not all(_vocab_covers(entities, t, schema) for t in contract.entity_types):
+        if not all(schema.covers(entities, t) for t in contract.entity_types):
             return False
-        if not all(_vocab_covers(events, t, schema) for t in contract.event_types):
+        if not all(schema.covers(events, t) for t in contract.event_types):
             return False
         if not contract.obligations <= side.propagated_obligations():
             return False

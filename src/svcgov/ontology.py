@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ParseError, UnknownConcept, ValidationError
 
@@ -81,13 +81,31 @@ class RelationDecl:
 
 @dataclass(frozen=True)
 class OntologySchema:
-    """Immutable typed vocabulary; safe to share across readers."""
+    """Immutable typed vocabulary; safe to share across readers.
+
+    The reflexive-transitive refinement closure is computed once, when the
+    schema is built: concepts are numbered in a topological order (parents
+    first) and each concept keeps a bitmask of its ancestors' numbers.  A
+    refinement query is then a lookup, whatever the size of the ontology,
+    and a chain of n links costs n*n/8 bytes, not n*n set entries.
+    """
 
     concepts: Mapping[ConceptId, Category]
     refinements: frozenset[tuple[ConceptId, ConceptId]]  # (child, parent)
     relations: Mapping[str, RelationDecl]
     parameter_decls: Mapping[ConceptId, tuple[ParamDecl, ...]]
     prefixes: Mapping[str, str] = field(default_factory=dict)
+    #: concepts in topological order, and per concept (number, ancestor mask)
+    _order: tuple[ConceptId, ...] = field(init=False, repr=False, compare=False)
+    _closure: Mapping[ConceptId, tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        order, closure, cycle = _refinement_closure(self.concepts, self.refinements)
+        if cycle:
+            names = ", ".join(str(c) for c in cycle)
+            raise ValidationError([f"refinement cycle through {{{names}}}"])
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_closure", closure)
 
     def category(self, concept: ConceptId) -> Category:
         try:
@@ -98,20 +116,25 @@ class OntologySchema:
     def declares(self, concept: ConceptId) -> bool:
         return concept in self.concepts
 
-    def parents(self, concept: ConceptId) -> tuple[ConceptId, ...]:
-        return tuple(sorted(p for (c, p) in self.refinements if c == concept))
-
     def ancestors(self, concept: ConceptId) -> frozenset[ConceptId]:
         """Reflexive-transitive up-closure of the refinement order."""
-        seen: set[ConceptId] = set()
-        stack = [concept]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(p for (c, p) in self.refinements if c == cur)
-        return frozenset(seen)
+        entry = self._closure.get(concept)
+        if entry is None:
+            return frozenset((concept,))
+        mask, out = entry[1], []
+        while mask:
+            low = mask & -mask
+            out.append(self._order[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    def covers(self, provided: Iterable[ConceptId], wanted: ConceptId) -> bool:
+        """True iff ``wanted`` is declared and some declared concept in
+        ``provided`` is ``wanted`` or a refinement of it."""
+        if wanted not in self.concepts:
+            return False
+        bit = 1 << self._closure[wanted][0]
+        return any(p in self.concepts and self._closure[p][1] & bit for p in provided)
 
     def concepts_in(self, category: Category) -> tuple[ConceptId, ...]:
         return tuple(sorted(c for c, cat in self.concepts.items() if cat is category))
@@ -141,20 +164,8 @@ class AssertionBase:
     relation_facts: tuple[tuple[str, str, str], ...]  # (relation, subject, object)
     parameter_facts: tuple[tuple[str, str, object], ...]  # (individual, param, value)
 
-    def typed(self, category: Category, schema: OntologySchema) -> tuple[tuple[str, ConceptId], ...]:
-        return tuple(
-            sorted(
-                (ind, c)
-                for ind, c in self.individuals.items()
-                if schema.declares(c) and schema.category(c) is category
-            )
-        )
-
     def facts_named(self, relation: str) -> tuple[tuple[str, str, str], ...]:
         return tuple(f for f in self.relation_facts if f[0] == relation)
-
-
-EMPTY_ASSERTIONS = AssertionBase(individuals={}, relation_facts=(), parameter_facts=())
 
 
 @dataclass(frozen=True)
@@ -289,54 +300,61 @@ def load_schema(document: str) -> OntologySchema:
         if cid not in concepts:
             violations.append(f"param declared on undeclared concept {cid}")
 
-    pair_set = frozenset((c, p) for _, c, p in refinements)
-    cycle = _find_refinement_cycle(pair_set)
-    if cycle:
-        names = ", ".join(str(c) for c in cycle)
-        violations.append(f"refinement cycle through {{{names}}}")
-
+    try:
+        schema = OntologySchema(
+            concepts=dict(sorted(concepts.items())),
+            refinements=frozenset((c, p) for _, c, p in refinements),
+            relations=dict(sorted(relations.items())),
+            parameter_decls={c: tuple(ps) for c, ps in sorted(params.items())},
+            prefixes=dict(sorted(prefixes.items())),
+        )
+    except ValidationError as exc:  # a refinement cycle
+        violations.extend(exc.violations)
     if violations:
         raise ValidationError(violations)
-
-    return OntologySchema(
-        concepts=dict(sorted(concepts.items())),
-        refinements=pair_set,
-        relations=dict(sorted(relations.items())),
-        parameter_decls={c: tuple(ps) for c, ps in sorted(params.items())},
-        prefixes=dict(sorted(prefixes.items())),
-    )
+    return schema
 
 
-def _find_refinement_cycle(
-    pairs: frozenset[tuple[ConceptId, ConceptId]]
-) -> tuple[ConceptId, ...]:
-    """Return the members of one refinement cycle, or () when acyclic."""
-    children: dict[ConceptId, list[ConceptId]] = {}
+def _refinement_closure(
+    concepts: Mapping[ConceptId, Category], pairs: frozenset[tuple[ConceptId, ConceptId]]
+) -> tuple[tuple[ConceptId, ...], dict[ConceptId, tuple[int, int]], tuple[ConceptId, ...]]:
+    """Number every concept and refinement end in a topological order
+    (parents first) and give each its ancestor bitmask, by one iterative
+    depth-first search over the parent links.
+
+    Returns (order, {concept: (number, mask)}, ()) when acyclic, and
+    ((), {}, members of one refinement cycle) otherwise.
+    """
+    parents: dict[ConceptId, list[ConceptId]] = {}
     for child, parent in sorted(pairs):
-        children.setdefault(child, []).append(parent)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[ConceptId, int] = {}
-
-    def visit(node: ConceptId, path: list[ConceptId]) -> tuple[ConceptId, ...]:
-        color[node] = GREY
-        path.append(node)
-        for nxt in children.get(node, ()):
-            if color.get(nxt, WHITE) == GREY:
-                return tuple(path[path.index(nxt):])
-            if color.get(nxt, WHITE) == WHITE:
-                found = visit(nxt, path)
-                if found:
-                    return found
-        path.pop()
-        color[node] = BLACK
-        return ()
-
-    for start in sorted(children):
-        if color.get(start, WHITE) == WHITE:
-            found = visit(start, [])
-            if found:
-                return found
-    return ()
+        parents.setdefault(child, []).append(parent)
+    order: list[ConceptId] = []
+    closure: dict[ConceptId, tuple[int, int]] = {}
+    on_path: dict[ConceptId, int] = {}  # node -> its depth in the stack
+    # searches start in name order, so the cycle reported is the first found
+    # from the smallest name, whatever the order of the document's lines
+    for start in [*sorted(parents), *sorted(concepts)]:
+        if start in closure:
+            continue
+        stack = [(start, iter(parents.get(start, ())))]
+        on_path[start] = 0
+        while stack:
+            node, ups = stack[-1]
+            nxt = next(ups, None)
+            if nxt is None:
+                stack.pop()
+                del on_path[node]
+                mask = 1 << len(order)
+                for p in parents.get(node, ()):
+                    mask |= closure[p][1]
+                closure[node] = (len(order), mask)
+                order.append(node)
+            elif nxt in on_path:
+                return (), {}, tuple(n for n, _ in stack[on_path[nxt]:])
+            elif nxt not in closure:
+                on_path[nxt] = len(stack)
+                stack.append((nxt, iter(parents.get(nxt, ()))))
+    return tuple(order), closure, ()
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +369,7 @@ def is_refinement(schema: OntologySchema, a: ConceptId, b: ConceptId) -> bool:
         raise UnknownConcept(f"undeclared concept {a}")
     if not schema.declares(b):
         raise UnknownConcept(f"undeclared concept {b}")
-    return b in schema.ancestors(a)
+    return schema.covers((a,), b)
 
 
 def check_consistency(schema: OntologySchema, k: AssertionBase) -> ConformanceReport:
@@ -405,7 +423,7 @@ def check_consistency(schema: OntologySchema, k: AssertionBase) -> ConformanceRe
         if decl is None:
             violations.append(("unknown-param", f"parameter {name} undeclared for {concept} (individual {ind})"))
             continue
-        if not _kind_matches(decl.kind, value):
+        if not kind_matches(decl.kind, value):
             violations.append(
                 ("param-kind-mismatch", f"parameter {name} on {ind}: value {value!r} is not a {decl.kind}")
             )
@@ -413,7 +431,8 @@ def check_consistency(schema: OntologySchema, k: AssertionBase) -> ConformanceRe
     return ConformanceReport(consistent=not violations, violations=tuple(violations))
 
 
-def _kind_matches(kind: str, value: object) -> bool:
+def kind_matches(kind: str, value: object) -> bool:
+    """True iff ``value`` is a plain value of the declared parameter kind."""
     if kind == "number":
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind == "flag":
@@ -436,15 +455,3 @@ def assertions_to_data(k: AssertionBase) -> dict:
         "params": [list(p) for p in k.parameter_facts],
     }
 
-
-def merge_assertions(base: AssertionBase, extra: AssertionBase) -> AssertionBase:
-    individuals = dict(base.individuals)
-    for ind, concept in extra.individuals.items():
-        individuals.setdefault(ind, concept)
-    facts = base.relation_facts + tuple(
-        f for f in extra.relation_facts if f not in set(base.relation_facts)
-    )
-    params = base.parameter_facts + tuple(
-        p for p in extra.parameter_facts if p not in set(base.parameter_facts)
-    )
-    return AssertionBase(individuals=individuals, relation_facts=facts, parameter_facts=params)

@@ -75,6 +75,18 @@ def cid(text: str) -> ConceptId:
     return ConceptId.parse(text)
 
 
+def chain_ontology(links: int, closed: bool = False) -> str:
+    """A refinement chain ``d:C00000 refines d:C00001 refines ...`` whose
+    child names sort before their parents', so a depth-first search from
+    the first name walks every link; ``closed`` adds the link back to it."""
+    names = [f"d:C{i:05d}" for i in range(links + 1)]
+    lines = ["prefix d urn:deep"] + [f"concept Function {n}" for n in names]
+    lines += [f"refines {child} {parent}" for child, parent in zip(names, names[1:])]
+    if closed:
+        lines.append(f"refines {names[-1]} {names[0]}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def schema():
     return load_schema(TEST_ONTOLOGY)

@@ -14,6 +14,8 @@ from svcgov.harness.packs import pack_dir
 from svcgov.harness.scenario import load_scenario, scenario_from_data
 from svcgov.orchestrator import run
 
+from conftest import chain_ontology
+
 MINIMAL_SCENARIO = {
     "name": "tiny",
     "ontology_text": """
@@ -241,6 +243,12 @@ class TestCli:
         bad.write_text("concept Wat x:y\n")
         assert cli_main(["validate", "--ontology", str(bad)]) == 3
         assert "error parse" in capsys.readouterr().err
+
+    def test_validate_deep_refinement_loop_exits_three(self, tmp_path, capsys):
+        loop = tmp_path / "loop.txt"
+        loop.write_text(chain_ontology(5000, closed=True))
+        assert cli_main(["validate", "--ontology", str(loop)]) == 3
+        assert "refinement cycle" in capsys.readouterr().err
 
     def test_run_pack_writes_trace_and_summary(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -18,7 +18,7 @@ from svcgov.ontology import (
     load_schema,
 )
 
-from conftest import TEST_ONTOLOGY, cid
+from conftest import TEST_ONTOLOGY, chain_ontology, cid
 
 
 class TestLoadSchema:
@@ -57,6 +57,18 @@ class TestLoadSchema:
         assert "cycle" in message
         for name in ("f:a", "f:b", "f:c"):
             assert name in message
+
+    def test_deep_refinement_chain_loads(self):
+        schema = load_schema(chain_ontology(5000))
+        assert is_refinement(schema, cid("d:C00000"), cid("d:C05000"))
+        assert not is_refinement(schema, cid("d:C05000"), cid("d:C00000"))
+        assert len(schema.ancestors(cid("d:C00000"))) == 5001
+
+    def test_deep_refinement_loop_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            load_schema(chain_ontology(5000, closed=True))
+        assert "cycle" in str(err.value)
+        assert "d:C00000" in str(err.value) and "d:C05000" in str(err.value)
 
     def test_cross_category_refinement_rejected(self):
         doc = """
@@ -172,6 +184,47 @@ class TestRefinement:
             for b in names:
                 expected = reachable(a, b)
                 assert is_refinement(schema, cid(f"d:{a}"), cid(f"d:{b}")) == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_closure_matches_pair_scan_on_random_dags(self, data):
+        n = data.draw(st.integers(1, 14))
+        # names are a random permutation of the topological order, so the
+        # closure cannot lean on name order
+        names = [f"d:c{i}" for i in data.draw(st.permutations(range(n)))]
+        edges = data.draw(
+            st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1]))
+        )
+        lines = ["prefix d urn:dag"] + [f"concept Function {name}" for name in names]
+        lines += [f"refines {names[c]} {names[p]}" for c, p in sorted(edges)]
+        schema = load_schema("\n".join(lines))
+        pairs = schema.refinements
+
+        def ancestors(concept):  # the pair-scanning DFS the closure replaced
+            seen, stack = set(), [concept]
+            while stack:
+                cur = stack.pop()
+                if cur in seen:
+                    continue
+                seen.add(cur)
+                stack.extend(p for (c, p) in pairs if c == cur)
+            return frozenset(seen)
+
+        def covers(provided, wanted):
+            return schema.declares(wanted) and any(
+                schema.declares(p) and wanted in ancestors(p) for p in provided
+            )
+
+        declared = [cid(name) for name in names]
+        undeclared = [cid("d:ghost"), cid("x:c0")]
+        for a in declared + undeclared:
+            assert schema.ancestors(a) == ancestors(a)
+        for a in declared:
+            for b in declared:
+                assert is_refinement(schema, a, b) == (b in ancestors(a))
+        for wanted in declared + undeclared:
+            provided = data.draw(st.sets(st.sampled_from(declared + undeclared), max_size=4))
+            assert schema.covers(provided, wanted) == covers(provided, wanted)
 
     def test_partial_order_antisymmetry(self, schema):
         concepts = list(schema.concepts)
