@@ -113,11 +113,3 @@ class Violation:
 
     def to_data(self) -> dict:
         return {"code": self.code, "message": self.message, "evidence": {k: v for k, v in self.evidence}}
-
-    @classmethod
-    def from_data(cls, data: Mapping) -> "Violation":
-        return cls(
-            code=str(data["code"]),
-            message=str(data["message"]),
-            evidence=tuple(sorted(data.get("evidence", {}).items())),
-        )

@@ -68,10 +68,6 @@ class LedgerEntry:
     def to_data(self) -> dict:
         return {"from": self.from_regime, "to": self.to_regime, "cost": self.cost, "residual": self.residual}
 
-    @classmethod
-    def from_data(cls, data: Mapping) -> "LedgerEntry":
-        return cls(str(data["from"]), str(data["to"]), float(data["cost"]), float(data["residual"]))
-
 
 @dataclass(frozen=True)
 class DriftLedger:

@@ -12,6 +12,7 @@ must lift.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -293,9 +294,27 @@ def scenario_to_data(scenario: Scenario, ontology_text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+#: Configuration keys that have no default.
+REQUIRED_CONFIG_KEYS = ("grammar", "regimes", "core", "capacity_budget", "drift_bound")
+
+
+def _number(data: Mapping, key: str, default: float | None = None, kind: type = float) -> float:
+    """The JSON number under ``key`` (``default`` when absent), as ``kind``;
+    anything else, a numeric string or a boolean included, is a config error."""
+    value = data.get(key, default)
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed) or not math.isfinite(value):
+        wanted = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"configuration key {key!r} must be {wanted}, got {value!r}")
+    return kind(value)
+
+
 def config_from_data(
     data: Mapping, schema: OntologySchema, assertions: AssertionBase
 ) -> OrchestratorConfig:
+    missing = [key for key in REQUIRED_CONFIG_KEYS if key not in data]
+    if missing:
+        raise ConfigError(f"configuration is missing required keys: {', '.join(missing)}")
     grammar = TransformationGrammar.from_data(data["grammar"])
     fallback_data = data.get("fallback")
     if fallback_data is None:
@@ -310,13 +329,13 @@ def config_from_data(
         regimes=tuple(Regime.from_data(r) for r in data["regimes"]),
         core=InvariantCore.from_data(data["core"]),
         prior=StructuralPrior.from_data(data.get("prior", {})),
-        capacity_budget=float(data["capacity_budget"]),
+        capacity_budget=_number(data, "capacity_budget"),
         switch_model=RegimeSwitchModel.from_data(data.get("switch_model", {})),
-        drift_bound=float(data["drift_bound"]),
-        reuse_bonus=float(data.get("reuse_bonus", 1.0)),
-        reuse_penalty=float(data.get("reuse_penalty", 2.0)),
-        transport_max_distance=int(data.get("transport_max_distance", 0)),
-        interface_charge=float(data.get("interface_charge", 0.0)),
+        drift_bound=_number(data, "drift_bound"),
+        reuse_bonus=_number(data, "reuse_bonus", 1.0),
+        reuse_penalty=_number(data, "reuse_penalty", 2.0),
+        transport_max_distance=_number(data, "transport_max_distance", 0, kind=int),
+        interface_charge=_number(data, "interface_charge", 0.0),
         fallback=fallback,
         flags=GateFlags.from_data(data.get("flags", {})),
     )

@@ -277,6 +277,61 @@ def match_failure(
     ]
 
 
+class _TransportTarget:
+    """Where a certificate may be transported to: ``h2`` in the current
+    regime and environment class.  Holds every transport refusal rule.
+    What does not depend on the certificate is computed once, and the edit
+    distance from each subject graph at most once."""
+
+    def __init__(
+        self,
+        store: MemoryStore,
+        h2: Hypothesis,
+        z: SemanticState,
+        max_distance: int,
+        schema: OntologySchema,
+        regime_label: str,
+    ) -> None:
+        self.h2 = h2
+        self.digest = h2.digest()
+        self.environment = environment_digest(z, schema)
+        self.regime_label = regime_label
+        self.max_distance = max_distance
+        self.graphs = store.graph_map()
+        self.distances: dict[str, int | CertRefusal] = {}
+
+    def transport(self, cert: Certificate) -> Certificate | CertRefusal:
+        if cert.kind not in TRANSPORTABLE_KINDS:
+            return CertRefusal(f"non-transportable kind {cert.kind!r}")
+        if cert.context.regime_label != self.regime_label:
+            return CertRefusal(
+                f"regime mismatch: certificate is for {cert.context.regime_label!r}, current is {self.regime_label!r}"
+            )
+        if cert.context.environment_digest != self.environment:
+            return CertRefusal("environment class mismatch")
+        distance = self.distance_from(cert.subject_digest)
+        if isinstance(distance, CertRefusal):
+            return distance
+        if distance > self.max_distance:
+            return CertRefusal(f"distance {distance} exceeds maximum {self.max_distance}")
+        return cert.as_transported(self.digest, distance)
+
+    def distance_from(self, subject_digest: str) -> int | CertRefusal:
+        if subject_digest == self.digest:
+            return 0
+        if subject_digest not in self.distances:
+            subject = self.graphs.get(subject_digest)
+            if subject is None:
+                distance: int | CertRefusal = CertRefusal("subject graph unknown; cannot measure distance")
+            else:
+                try:
+                    distance = edit_distance(subject, self.h2)
+                except NotReachable:
+                    distance = CertRefusal("target graph unreachable from subject within the grammar")
+            self.distances[subject_digest] = distance
+        return self.distances[subject_digest]
+
+
 def transport_certificate(
     store: MemoryStore,
     cert: Certificate,
@@ -291,28 +346,7 @@ def transport_certificate(
     transport."""
     if not store.has_certificate(cert):
         return CertRefusal("certificate is not present in the store")
-    if cert.kind not in TRANSPORTABLE_KINDS:
-        return CertRefusal(f"non-transportable kind {cert.kind!r}")
-    if cert.context.regime_label != regime_label:
-        return CertRefusal(
-            f"regime mismatch: certificate is for {cert.context.regime_label!r}, current is {regime_label!r}"
-        )
-    if cert.context.environment_digest != environment_digest(z, schema):
-        return CertRefusal("environment class mismatch")
-    target_digest = h2.digest()
-    if cert.subject_digest == target_digest:
-        distance = 0
-    else:
-        subject = store.graph_map().get(cert.subject_digest)
-        if subject is None:
-            return CertRefusal("subject graph unknown; cannot measure distance")
-        try:
-            distance = edit_distance(subject, h2)
-        except NotReachable:
-            return CertRefusal("target graph unreachable from subject within the grammar")
-    if distance > max_distance:
-        return CertRefusal(f"distance {distance} exceeds maximum {max_distance}")
-    return cert.as_transported(target_digest, distance)
+    return _TransportTarget(store, h2, z, max_distance, schema, regime_label).transport(cert)
 
 
 def find_transportable(
@@ -324,19 +358,17 @@ def find_transportable(
     schema: OntologySchema,
     regime_label: str,
 ) -> Certificate | None:
-    """First stored certificate of ``kind`` that transports onto ``h2``."""
+    """First stored certificate of ``kind`` that transports onto ``h2``:
+    loose certificates first, then record certificates, in log order."""
     if kind not in TRANSPORTABLE_KINDS:
         return None
-    seen: set[str] = set()
-    pool = list(store.certificates) + [r.certificate for r in store.records if r.certificate]
+    target = _TransportTarget(store, h2, z, max_distance, schema, regime_label)
+    pool = itertools.chain(store.certificates, (r.certificate for r in store.records))
     for cert in pool:
-        key = canonical_dumps(cert.to_data())
-        if cert.kind != kind or key in seen:
-            continue
-        seen.add(key)
-        moved = transport_certificate(store, cert, h2, z, max_distance, schema, regime_label)
-        if isinstance(moved, Certificate):
-            return moved
+        if cert is not None and cert.kind == kind:
+            moved = target.transport(cert)
+            if isinstance(moved, Certificate):
+                return moved
     return None
 
 

@@ -13,7 +13,7 @@ digests are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, digest_of
@@ -540,6 +540,18 @@ class PolicyRule:
         )
 
 
+def _sorted_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
+    """Edges by (from, to), parallel edges by their contract's canonical
+    text.  The text is built only when some pair of ends repeats: with
+    distinct ends it never decides the order."""
+    edges = list(edges)
+    if len({(e.from_role, e.to_role) for e in edges}) == len(edges):
+        return tuple(sorted(edges, key=lambda e: (e.from_role, e.to_role)))
+    return tuple(
+        sorted(edges, key=lambda e: (e.from_role, e.to_role, canonical_dumps(e.contract.to_data())))
+    )
+
+
 @dataclass(frozen=True)
 class Hypothesis:
     """A candidate service realization (graph, assignment, policy, constraints)."""
@@ -549,6 +561,7 @@ class Hypothesis:
     assignment: tuple[tuple[str, Component], ...]  # sorted by role id
     policy: tuple[PolicyRule, ...]  # order significant
     constraints: tuple[tuple[str, float], ...]  # sorted by name
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -561,7 +574,7 @@ class Hypothesis:
     ) -> "Hypothesis":
         return cls(
             roles=tuple(sorted(roles, key=lambda r: r.role_id)),
-            edges=tuple(sorted(edges, key=lambda e: (e.from_role, e.to_role, canonical_dumps(e.contract.to_data())))),
+            edges=_sorted_edges(edges),
             assignment=tuple(sorted((assignment or {}).items())),
             policy=tuple(policy),
             constraints=tuple(sorted((constraints or {}).items())),
@@ -645,7 +658,11 @@ class Hypothesis:
         )
 
     def digest(self) -> str:
-        return digest_of(self.to_data())
+        """Content digest of ``to_data()``, computed on first use; the
+        instance is immutable, so it never goes stale."""
+        if self._digest is None:
+            object.__setattr__(self, "_digest", digest_of(self.to_data()))
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -742,24 +759,23 @@ def _graph_shape_violations(h: Hypothesis) -> list[tuple[str, str]]:
             undirected[e.from_role].add(e.to_role)
             undirected[e.to_role].add(e.from_role)
 
-    # cycle detection on service-flow edges
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {r: WHITE for r in role_ids}
-
-    def has_cycle(node: str) -> bool:
-        color[node] = GREY
-        for nxt in sorted(adj[node]):
-            if color[nxt] == GREY:
-                return True
-            if color[nxt] == WHITE and has_cycle(nxt):
-                return True
-        color[node] = BLACK
-        return False
-
-    for r in sorted(role_ids):
-        if color[r] == WHITE and has_cycle(r):
-            out.append(("graph-cycle", "service-flow edges form a cycle"))
-            break
+    # cycle detection on service-flow edges: peel off roles with no
+    # incoming edge; a cycle is exactly what can never be peeled
+    indegree = {r: 0 for r in role_ids}
+    for targets in adj.values():
+        for nxt in targets:
+            indegree[nxt] += 1
+    ready = [r for r, d in indegree.items() if d == 0]
+    peeled = 0
+    while ready:
+        cur = ready.pop()
+        peeled += 1
+        for nxt in adj[cur]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+    if peeled != len(role_ids):
+        out.append(("graph-cycle", "service-flow edges form a cycle"))
 
     if role_ids:
         start = min(role_ids)

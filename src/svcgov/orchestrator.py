@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .canon import canonical_dumps, digest_of
+from .canon import canonical_dumps
 from .certificates import CertContext, Certificate, environment_digest
 from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, admissible
 from .errors import ConfigError, TypingError
@@ -87,7 +87,16 @@ class GateFlags:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "GateFlags":
-        return cls(**{k: bool(v) for k, v in data.items()})
+        known = cls().to_data()
+        problems = []
+        for name, value in sorted(data.items()):
+            if name not in known:
+                problems.append(f"unknown flag {name!r}")
+            elif not isinstance(value, bool):
+                problems.append(f"flag {name!r} must be true or false, got {value!r}")
+        if problems:
+            raise ConfigError("; ".join(problems))
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -515,7 +524,3 @@ def replay_deployments(
             raise ConfigError(f"trace at tick {trace.tick} does not replay to its deployed digest")
         out.append((trace.tick, h, z, regimes[trace.regime_label]))
     return out
-
-
-def digest_traces(traces: Sequence[DecisionTrace]) -> str:
-    return digest_of([t.to_data() for t in traces])

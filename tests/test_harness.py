@@ -6,12 +6,12 @@ import json
 
 import pytest
 
-from svcgov.errors import IncomparableReports, ValidationError
+from svcgov.errors import ConfigError, IncomparableReports, ValidationError
 from svcgov.harness import baselines, bench
 from svcgov.harness.cli import main as cli_main
 from svcgov.harness.demo import strict_extension
 from svcgov.harness.packs import pack_dir
-from svcgov.harness.scenario import load_scenario, scenario_from_data
+from svcgov.harness.scenario import config_from_data, load_scenario, scenario_from_data
 from svcgov.orchestrator import run
 
 from conftest import chain_ontology
@@ -105,6 +105,54 @@ class TestScenarioLoading:
     def test_pack_files_load_via_path_api(self):
         scenario = load_scenario(pack_dir("hospital") / "scenario.json")
         assert scenario.name == "hospital-delivery"
+
+
+def hospital_config_data() -> dict:
+    return json.loads((pack_dir("hospital") / "config.json").read_text(encoding="utf-8"))
+
+
+class TestConfigLoading:
+    @pytest.mark.parametrize("key", ["grammar", "regimes", "core", "capacity_budget", "drift_bound"])
+    def test_missing_required_key_is_a_config_error(self, hospital, key):
+        scenario, _ = hospital
+        data = hospital_config_data()
+        del data[key]
+        with pytest.raises(ConfigError, match=key):
+            config_from_data(data, scenario.schema, scenario.assertions)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("drift_bound", "ten"),
+            ("capacity_budget", "40.0"),
+            ("reuse_bonus", None),
+            ("reuse_penalty", True),
+            ("interface_charge", [0.5]),
+            ("transport_max_distance", 1.5),
+            ("drift_bound", float("nan")),
+        ],
+    )
+    def test_non_numeric_bound_is_a_config_error(self, hospital, key, value):
+        scenario, _ = hospital
+        data = hospital_config_data()
+        data[key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_data(data, scenario.schema, scenario.assertions)
+
+    @pytest.mark.parametrize("flags", [{"memroy": False}, {"memory": "false"}])
+    def test_bad_flags_are_a_config_error(self, hospital, flags):
+        scenario, _ = hospital
+        data = hospital_config_data()
+        data["flags"] = flags
+        with pytest.raises(ConfigError, match="flag"):
+            config_from_data(data, scenario.schema, scenario.assertions)
+
+    def test_boolean_flags_load(self, hospital):
+        scenario, _ = hospital
+        data = hospital_config_data()
+        data["flags"] = {"memory": False, "closure": True}
+        cfg = config_from_data(data, scenario.schema, scenario.assertions)
+        assert not cfg.flags.memory and cfg.flags.closure
 
 
 class TestBaselines:
@@ -249,6 +297,17 @@ class TestCli:
         loop.write_text(chain_ontology(5000, closed=True))
         assert cli_main(["validate", "--ontology", str(loop)]) == 3
         assert "refinement cycle" in capsys.readouterr().err
+
+    def test_run_with_config_missing_drift_bound_exits_four(self, tmp_path, capsys):
+        data = hospital_config_data()
+        del data["drift_bound"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        scenario = pack_dir("hospital") / "scenario.json"
+        assert cli_main(["run", "--scenario", str(scenario), "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "error config" in err and "drift_bound" in err
+        assert "Traceback" not in err
 
     def test_run_pack_writes_trace_and_summary(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -7,15 +7,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from svcgov.canon import canonical_dumps
 from svcgov.certificates import CertContext, Certificate, CertRefusal, environment_digest
 from svcgov.errors import CorruptStore, MalformedRecord
 from svcgov.memory import (
     EMPTY_STORE,
+    TRANSPORTABLE_KINDS,
     FailureSignature,
     MemoryRecord,
     MemoryStore,
     Motif,
+    find_transportable,
     load,
     match_failure,
     motif_from_hypothesis,
@@ -25,7 +30,7 @@ from svcgov.memory import (
     transport_certificate,
 )
 from svcgov.model import semantic_lift
-from svcgov.transform import Substitute, UpdateConstraint, apply
+from svcgov.transform import Substitute, UpdateConstraint, apply, edit_distance
 
 from conftest import (
     UNIT_A,
@@ -259,6 +264,115 @@ class TestTransport:
                 assert isinstance(out, Certificate)
             else:
                 assert isinstance(out, CertRefusal)
+
+
+def reference_find_transportable(store, kind, h2, z, max_distance, schema, regime_label):
+    """The pool scan that ``find_transportable`` replaced: every entry is
+    deduplicated by its canonical text and run through the full
+    ``transport_certificate``."""
+    if kind not in TRANSPORTABLE_KINDS:
+        return None
+    seen: set[str] = set()
+    pool = list(store.certificates) + [r.certificate for r in store.records if r.certificate]
+    for cert in pool:
+        key = canonical_dumps(cert.to_data())
+        if cert.kind != kind or key in seen:
+            continue
+        seen.add(key)
+        moved = transport_certificate(store, cert, h2, z, max_distance, schema, regime_label)
+        if isinstance(moved, Certificate):
+            return moved
+    return None
+
+
+def transport_graphs(simple_h):
+    """Subject and target graphs: g1 and g3 are one edit from g0, g2 two;
+    g3 carries a constraint the others lack, so nothing reaches g0, g1 or
+    g2 from it."""
+    g1 = apply(Substitute("r1", "ua", UNIT_A1), simple_h)
+    return [
+        simple_h,
+        g1,
+        apply(UpdateConstraint("latency", 5.0), g1),
+        apply(UpdateConstraint("extra", 1.0), simple_h),
+    ]
+
+
+#: One drawn certificate: (kind, regime, environment matches, subject index
+#: into the graphs plus one unknown digest, `issued_at`).  A small space, so
+#: duplicates are common, weighted so that several entries often transport
+#: and the first hit decides.
+CERT_SPECS = st.tuples(
+    st.sampled_from(["closure", "closure", "capacity", "stability"]),
+    st.sampled_from(["base", "base", "noisy"]),
+    st.sampled_from([True, True, False]),
+    st.integers(0, 4),
+    st.integers(0, 2),
+)
+
+
+class TestFindTransportable:
+    @given(
+        loose=st.lists(CERT_SPECS, max_size=8),
+        logged=st.lists(st.one_of(st.none(), CERT_SPECS), max_size=12),
+        kept=st.lists(st.booleans(), min_size=4, max_size=4),
+        target=st.integers(0, 3),
+        kind=st.sampled_from(["closure", "closure", "capacity", "stability"]),
+        regime_label=st.sampled_from(["base", "base", "noisy"]),
+        max_distance=st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_agrees_with_the_pool_scan(
+        self, schema, z, simple_h, loose, logged, kept, target, kind, regime_label, max_distance
+    ):
+        graphs = transport_graphs(simple_h)
+        subjects = [g.digest() for g in graphs] + ["0" * 64]  # the last is in no store
+        env = environment_digest(z, schema)
+
+        def cert(spec):
+            cert_kind, regime, env_matches, subject, tick = spec
+            context = CertContext(regime, env if env_matches else "elsewhere")
+            return Certificate(cert_kind, subjects[subject], context, (("ok", True),), tick)
+
+        records = tuple(
+            MemoryRecord("base", subjects[0], None if spec is None else cert(spec), "success", None)
+            for spec in logged
+        )
+        store = MemoryStore(
+            records=records,
+            graphs=tuple(sorted((g.digest(), g) for g, keep in zip(graphs, kept) if keep)),
+            certificates=tuple(cert(spec) for spec in loose),
+        )
+        args = (kind, graphs[target], z, max_distance, schema, regime_label)
+        assert find_transportable(store, *args) == reference_find_transportable(store, *args)
+
+    def test_first_hit_in_pool_order_wins(self, schema, z, simple_h):
+        g0, g1, g2, _ = transport_graphs(simple_h)
+        near = make_cert("closure", g1.digest(), z, schema, tick=1)
+        far = make_cert("closure", g2.digest(), z, schema, tick=2)
+        store = MemoryStore(
+            records=(MemoryRecord("base", g1.digest(), near, "success", None),),
+            graphs=tuple(sorted((g.digest(), g) for g in (g1, g2))),
+            certificates=(far,),
+        )
+        moved = find_transportable(store, "closure", g0, z, 2, schema, "base")
+        assert moved == far.as_transported(g0.digest(), 2)  # loose certificates come first
+
+    def test_measures_each_subject_once(self, schema, z, simple_h, monkeypatch):
+        import svcgov.memory as memory
+
+        g0, g1, g2, _ = transport_graphs(simple_h)
+        calls = []
+
+        def counting(subject, target):
+            calls.append(subject.digest())
+            return edit_distance(subject, target)
+
+        monkeypatch.setattr(memory, "edit_distance", counting)
+        certs = tuple(make_cert("closure", g.digest(), z, schema, tick=t) for t in range(3) for g in (g1, g2))
+        store = MemoryStore(graphs=tuple(sorted((g.digest(), g) for g in (g1, g2))), certificates=certs)
+        assert find_transportable(store, "closure", g0, z, 0, schema, "base") is None
+        assert sorted(calls) == sorted([g1.digest(), g2.digest()])
 
 
 class TestQuarantine:

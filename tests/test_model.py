@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svcgov.canon import digest_of
 from svcgov.errors import IncompatibleInterface, TypingError
 from svcgov.model import (
     Edge,
@@ -23,6 +25,7 @@ from svcgov.model import (
     type_soundness,
 )
 from svcgov.ontology import is_refinement
+from svcgov.transform import Substitute, apply
 
 from conftest import (
     UNIT_A,
@@ -133,6 +136,33 @@ class TestTypeSoundness:
         assert any(
             c == "graph-disconnected" for c, _ in type_soundness(disconnected, schema).violations
         )
+
+    def test_long_chain_is_sound(self, schema):
+        bindings = [(f"r{i:05d}", "t:FA", UNIT_A) for i in range(1500)]
+        assert type_soundness(chain_hypothesis(bindings), schema).sound
+
+    def test_long_chain_closed_into_a_loop_is_a_cycle(self, schema):
+        h = chain_hypothesis([(f"r{i:05d}", "t:FA", UNIT_A) for i in range(1500)])
+        loop = Hypothesis.build(h.roles, h.edges + (Edge("r01499", "r00000", contract()),), h.assignment_map())
+        assert type_soundness(loop, schema).violations == (("graph-cycle", "service-flow edges form a cycle"),)
+
+    @pytest.mark.parametrize(
+        "edges, first",
+        [
+            ([("a", "b"), ("b", "a")], ("graph-cycle", "service-flow edges form a cycle")),
+            ([("a", "a"), ("a", "b")], ("graph-cycle", "service-flow edges form a cycle")),
+            ([("b", "c"), ("c", "b")], ("graph-cycle", "service-flow edges form a cycle")),
+            ([("a", "b")], ("graph-disconnected", "roles unreachable from a: c")),
+            ([("a", "b"), ("b", "c"), ("a", "c")], None),
+        ],
+    )
+    def test_first_graph_shape_violation(self, schema, edges, first):
+        roles = [Role(r, frozenset({cid("t:FA")})) for r in "abc"]
+        h = Hypothesis.build(
+            roles, [Edge(a, b, contract()) for a, b in edges], {r: UNIT_A for r in "abc"}
+        )
+        violations = type_soundness(h, schema).violations
+        assert (violations[0] if violations else None) == first
 
     def test_policy_signal_vocabulary_enforced(self, schema):
         from svcgov.model import SignalCondition
@@ -300,9 +330,52 @@ class TestSerialization:
         assert Hypothesis.from_data(simple_h.to_data()) == simple_h
         assert Hypothesis.from_data(simple_h.to_data()).digest() == simple_h.digest()
 
+    def test_edges_sort_by_ends_then_contract_text(self):
+        roles = [Role(r, frozenset({cid("t:FA")})) for r in "abc"]
+        loud, quiet = contract(entities=("t:FB",)), contract(entities=("t:FA",))
+        edges = [Edge("b", "c", quiet), Edge("a", "b", loud), Edge("a", "b", quiet)]
+        for order in (edges, edges[::-1]):
+            h = Hypothesis.build(roles, order)
+            assert h.edges == (Edge("a", "b", quiet), Edge("a", "b", loud), Edge("b", "c", quiet))
+            distinct = Hypothesis.build(roles, [e for e in order if e.contract == quiet])
+            assert distinct.edges == (Edge("a", "b", quiet), Edge("b", "c", quiet))
+
     def test_digest_changes_with_content(self, simple_h):
         other = chain_hypothesis([("r1", "t:FA", UNIT_A1), ("r2", "t:FB", UNIT_B)])
         assert other.digest() != simple_h.digest()
+
+    def test_cached_digest_is_the_content_digest(self, schema, simple_h):
+        simple_h.digest()  # a cached digest must not leak into derived hypotheses
+        for h in (
+            chain_hypothesis([("r1", "t:FA", UNIT_A1), ("r2", "t:FB", UNIT_B)]),
+            Hypothesis.from_data(simple_h.to_data()),
+            apply(Substitute("r1", "ua", UNIT_A1), simple_h, schema),
+            replace(simple_h, constraints=(("latency", 3.0),)),
+        ):
+            assert h.digest() == digest_of(h.to_data())
+            assert h.digest() == digest_of(h.to_data())  # served from the cache
+
+    def test_cache_takes_no_part_in_equality_hash_or_repr(self, simple_h):
+        fresh = Hypothesis.from_data(simple_h.to_data())
+        cached = Hypothesis.from_data(simple_h.to_data())
+        before = (repr(cached), cached.to_data())
+        cached.digest()
+        assert fresh == cached and hash(fresh) == hash(cached)
+        assert (repr(cached), cached.to_data()) == before
+        assert "digest" not in repr(cached)
+
+    def test_store_bytes_do_not_depend_on_cached_digests(self, tmp_path, simple_h):
+        from svcgov.memory import EMPTY_STORE, MemoryRecord, persist, record
+
+        graph = Hypothesis.from_data(simple_h.to_data())
+        rec = MemoryRecord("base", simple_h.digest(), None, "success", None)
+        store = record(EMPTY_STORE, rec, graph=graph)
+        uncached = replace(store, graphs=tuple((d, Hypothesis.from_data(g.to_data())) for d, g in store.graphs))
+        persist(uncached, tmp_path / "a.store")
+        for _, g in uncached.graphs:
+            g.digest()
+        persist(uncached, tmp_path / "b.store")
+        assert (tmp_path / "a.store").read_bytes() == (tmp_path / "b.store").read_bytes()
 
     def test_semantic_state_serializes_canonically(self, z):
         assert z.digest() == z.digest()
