@@ -20,12 +20,15 @@ always reports every obligation; nothing short-circuits silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .certificates import CertContext, Certificate, Violation, environment_digest
 from .errors import ConfigError, UnknownSite
 from .evaluation import (
+    CoreReport,
+    IdentityBreakdown,
     InvariantCore,
     Regime,
     StructuralPrior,
@@ -34,7 +37,7 @@ from .evaluation import (
     prior_complexity,
 )
 from .memory import EMPTY_STORE, MemoryStore, find_transportable, match_failure
-from .model import Component, Hypothesis, SemanticState, type_soundness
+from .model import Component, Hypothesis, SemanticState, SoundnessReport, type_soundness
 from .ontology import OntologySchema
 from .transform import (
     MalformedTransformation,
@@ -182,6 +185,52 @@ def structural_charge(h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel) -
 
 
 # ---------------------------------------------------------------------------
+# Candidate facts
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class CandidateFacts:
+    """The configuration ``h2`` that a candidate reaches from ``h`` under
+    semantic state ``z``, and the facts about it that the obligations and
+    the ranking read.  Each fact is computed on first use and then kept, so
+    every reader sees the same value and a fact nobody reads costs nothing.
+
+    A certifier called on its own builds facts from its own arguments; the
+    inputs it does not take stay None, and no fact that needs them is read.
+    """
+
+    h2: Hypothesis
+    h: Hypothesis | None = None
+    z: SemanticState | None = None
+    schema: OntologySchema | None = None
+    core: InvariantCore | None = None
+    prior: StructuralPrior | None = None
+    model: RegimeSwitchModel | None = None
+
+    @cached_property
+    def soundness(self) -> SoundnessReport:
+        return type_soundness(self.h2, self.schema)
+
+    @cached_property
+    def core_report(self) -> CoreReport:
+        return core_value(self.core, self.h2, self.z, self.schema)
+
+    @cached_property
+    def identity(self) -> IdentityBreakdown:
+        return identity_breakdown(self.core.identity, self.h, self.h2, self.z, self.schema)
+
+    @cached_property
+    def charge(self) -> float:
+        """Structural charge of reaching ``h2`` from ``h``."""
+        return structural_charge(self.h, self.h2, self.model)
+
+    @cached_property
+    def complexity(self) -> float:
+        return prior_complexity(self.prior, self.h2)
+
+
+# ---------------------------------------------------------------------------
 # Obligation certifiers
 # ---------------------------------------------------------------------------
 
@@ -196,7 +245,17 @@ def certify_closure(
 ) -> Certificate | Violation:
     """A1: the transformed graph is type-sound and the transformation lies
     inside the grammar."""
-    report = type_soundness(h2, schema)
+    return _closure(CandidateFacts(h2, schema=schema), grammar, tau, context, tick)
+
+
+def _closure(
+    facts: CandidateFacts,
+    grammar: TransformationGrammar,
+    tau: Transformation,
+    context: CertContext,
+    tick: int,
+) -> Certificate | Violation:
+    report = facts.soundness
     in_grammar = grammar.allows(tau)
     evidence: dict[str, object] = {
         "sound": report.sound,
@@ -204,7 +263,7 @@ def certify_closure(
         "variant": variant_name(tau),
     }
     if report.sound and in_grammar:
-        return Certificate("closure", h2.digest(), context, tuple(sorted(evidence.items())), tick)
+        return Certificate("closure", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
     evidence["violations"] = report.messages()
     if not report.sound:
         message = f"transformed graph is not type-sound: {report.messages()[0]}"
@@ -227,7 +286,14 @@ def certify_stability(
     residual when regimes differ) fits both the cumulative bound and the
     destination regime's switching budget.  The ledger is updated only on
     certificate issue."""
-    structural = structural_charge(h, h2, model)
+    return _stability(CandidateFacts(h2, h=h, model=model), ledger, e, e2, context, tick)
+
+
+def _stability(
+    facts: CandidateFacts, ledger: DriftLedger, e: Regime, e2: Regime, context: CertContext, tick: int
+) -> tuple[Certificate | Violation, DriftLedger]:
+    model = facts.model
+    structural = facts.charge
     switch_cost = model.cost(e.label, e2.label)
     residual = model.residual(e.label, e2.label)
     cost = structural + switch_cost
@@ -247,7 +313,7 @@ def certify_stability(
     within_bound = ledger.total + charge <= ledger.bound + BOUND_EPS
     within_budget = charge <= budget + BOUND_EPS
     if within_bound and within_budget:
-        cert = Certificate("stability", h2.digest(), context, tuple(sorted(evidence.items())), tick)
+        cert = Certificate("stability", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
         return cert, ledger.charged(LedgerEntry(e.label, e2.label, cost, residual))
     if not within_bound:
         message = f"cumulative drift {ledger.total + charge:.6g} exceeds bound {ledger.bound:.6g}"
@@ -264,12 +330,18 @@ def certify_capacity(
     tick: int = 0,
 ) -> Certificate | Violation:
     """A3: structural complexity within the (inclusive) budget."""
+    return _capacity(CandidateFacts(h2, prior=prior), budget, context, tick)
+
+
+def _capacity(
+    facts: CandidateFacts, budget: float, context: CertContext, tick: int
+) -> Certificate | Violation:
     if budget <= 0:
         raise ConfigError("capacity budget must be positive")
-    complexity = prior_complexity(prior, h2)
+    complexity = facts.complexity
     evidence: dict[str, object] = {"complexity": complexity, "budget": budget}
     if complexity <= budget + BOUND_EPS:
-        return Certificate("capacity", h2.digest(), context, tuple(sorted(evidence.items())), tick)
+        return Certificate("capacity", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
     return Violation(
         "A3", f"complexity {complexity:.6g} exceeds budget {budget:.6g}", tuple(sorted(evidence.items()))
     )
@@ -287,9 +359,20 @@ def certify_invariance(
     """A4: the invariant core holds on the transformed hypothesis, and
     identity is preserved at or above the threshold whenever identity is
     part of the core."""
-    report = core_value(core, after, z, schema)
-    breakdown = identity_breakdown(core.identity, before, after, z, schema)
-    identity_ok = (not core.include_identity) or breakdown.total >= core.identity.threshold - BOUND_EPS
+    return _invariance(CandidateFacts(after, h=before, z=z, schema=schema, core=core), context, tick)
+
+
+def _identity_holds(facts: CandidateFacts) -> bool:
+    """Identity is preserved at or above the threshold, or is not part of
+    the core."""
+    core = facts.core
+    return (not core.include_identity) or facts.identity.total >= core.identity.threshold - BOUND_EPS
+
+
+def _invariance(facts: CandidateFacts, context: CertContext, tick: int) -> Certificate | Violation:
+    core = facts.core
+    report = facts.core_report
+    breakdown = facts.identity
     evidence: dict[str, object] = {
         "core_value": report.value,
         "core_passed": report.passed,
@@ -300,8 +383,8 @@ def certify_invariance(
         "identity_gated": core.include_identity,
         "absolute_identity": report.identity_value,
     }
-    if report.passed and identity_ok:
-        return Certificate("invariance", after.digest(), context, tuple(sorted(evidence.items())), tick)
+    if report.passed and _identity_holds(facts):
+        return Certificate("invariance", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
     failed = [name for name, ok in report.predicate_results if not ok]
     if failed:
         message = f"hard safety predicates failed: {', '.join(failed)}"
@@ -310,6 +393,19 @@ def certify_invariance(
             f"identity {breakdown.total:.6g} below threshold {core.identity.threshold:.6g}"
         )
     return Violation("A4", message, tuple(sorted(evidence.items())))
+
+
+def _substitution_sites(h: Hypothesis, c1: Component) -> tuple[str, ...]:
+    sites = tuple(rid for rid, comp in h.assignment if comp.component_id == c1.component_id)
+    if not sites:
+        raise UnknownSite(f"component {c1.component_id} is not assigned in the hypothesis")
+    return sites
+
+
+def _substituted(h: Hypothesis, sites: Sequence[str], c1: Component, c2: Component) -> Hypothesis:
+    for rid in sites:
+        h = apply(Substitute(rid, c1.component_id, c2), h)
+    return h
 
 
 def certify_substitution(
@@ -326,14 +422,24 @@ def certify_substitution(
     tick: int = 0,
 ) -> Certificate | Violation:
     """The five-condition typed substitution check for c1 -> c2 at every
-    role currently bound to c1.  Evidence lists each condition's result."""
-    sites = [rid for rid, comp in h.assignment if comp.component_id == c1.component_id]
-    if not sites:
-        raise UnknownSite(f"component {c1.component_id} is not assigned in the hypothesis")
-    h2 = h
-    for rid in sites:
-        h2 = apply(Substitute(rid, c1.component_id, c2), h2)
+    role currently bound to c1.  Evidence lists each condition's result.
+    S5 looks for failures in the environment class of ``context``."""
+    sites = _substitution_sites(h, c1)
+    facts = CandidateFacts(_substituted(h, sites, c1, c2), h=h, z=z, schema=schema, core=core, model=model)
+    return _substitution(c1, c2, sites, facts, store, regime, context, tick)
 
+
+def _substitution(
+    c1: Component,
+    c2: Component,
+    sites: Sequence[str],
+    facts: CandidateFacts,
+    store: MemoryStore,
+    regime: Regime,
+    context: CertContext,
+    tick: int,
+) -> Certificate | Violation:
+    h, h2, schema = facts.h, facts.h2, facts.schema
     conditions: list[tuple[str, str, bool, str]] = []
 
     s1_ok = True
@@ -348,8 +454,7 @@ def certify_substitution(
     )
 
     touched = set(sites)
-    report2 = type_soundness(h2, schema)
-    s2_ok = report2.sound
+    s2_ok = facts.soundness.sound
     if s2_ok:
         entities = h2.entity_vocabulary()
         events = h2.event_vocabulary()
@@ -369,18 +474,14 @@ def certify_substitution(
                 s2_ok = False
     conditions.append(("S2", "dependent-roles", s2_ok, "all dependent service roles remain satisfiable"))
 
-    core_report = core_value(core, h2, z, schema)
-    ident = identity_breakdown(core.identity, h, h2, z, schema).total
-    s3_ok = core_report.passed and (
-        (not core.include_identity) or ident >= core.identity.threshold - BOUND_EPS
-    )
+    s3_ok = facts.core_report.passed and _identity_holds(facts)
     conditions.append(("S3", "core-certified", s3_ok, "all invariant-core constraints remain certified"))
 
-    charge = structural_charge(h, h2, model)
+    charge = facts.charge
     s4_ok = charge <= regime.budgets.switching_cost + BOUND_EPS
     conditions.append(("S4", "transition-budget", s4_ok, "transition cost stays within the regime budget"))
 
-    contradictions = match_failure(store, h2, z, schema)
+    contradictions = match_failure(store, h2, context.environment_digest)
     s5_ok = not contradictions
     conditions.append(("S5", "memory-consistent", s5_ok, "no stored failure signature contradicts reuse here"))
 
@@ -390,7 +491,7 @@ def certify_substitution(
         "sites": sorted(sites),
         "conditions": {code: ok for code, _, ok, _ in conditions},
         "transition_charge": charge,
-        "identity_score": ident,
+        "identity_score": facts.identity.total,
         "matched_failures": len(contradictions),
     }
     if all(ok for _, _, ok, _ in conditions):
@@ -439,7 +540,12 @@ def _as_result(code: str, outcome: Certificate | Violation, gated: bool) -> Obli
 class AdmissibilityVerdict:
     """Aggregated result of the four obligation certifiers plus the
     substitution certifier and the identity check; every obligation is
-    reported whether or not it gates."""
+    reported whether or not it gates.
+
+    ``facts`` hands the candidate's facts back to the caller of
+    ``admissible``.  It is not part of the verdict's value, and a verdict
+    kept beyond its step is stored without it, so that the facts of every
+    screened candidate are not retained."""
 
     passed: bool
     obligations: tuple[tuple[str, ObligationResult], ...]
@@ -452,6 +558,7 @@ class AdmissibilityVerdict:
     before_digest: str
     after_digest: str
     error: str = ""
+    facts: CandidateFacts | None = field(default=None, compare=False, repr=False)
 
     def obligation(self, code: str) -> ObligationResult:
         for key, result in self.obligations:
@@ -464,6 +571,14 @@ class AdmissibilityVerdict:
         if self.substitution is not None and not self.substitution.certified:
             codes.append(self.substitution.code)
         return tuple(codes)
+
+    @property
+    def charge(self) -> float:
+        """The A2 charge of reaching the candidate; 0 when the
+        transformation was not applicable."""
+        a2 = self.obligation("A2")
+        source = a2.certificate or a2.violation
+        return float(source.evidence_map().get("charge", 0.0)) if source is not None else 0.0
 
     def to_data(self) -> dict:
         return {
@@ -479,6 +594,14 @@ class AdmissibilityVerdict:
         }
 
 
+def _candidate_facts(
+    h2: Hypothesis, h: Hypothesis, z: SemanticState, cfg: "OrchestratorConfig"
+) -> CandidateFacts:
+    return CandidateFacts(
+        h2, h=h, z=z, schema=cfg.schema, core=cfg.core, prior=cfg.prior, model=cfg.switch_model
+    )
+
+
 def admissible(
     tau: Transformation,
     h: Hypothesis,
@@ -489,19 +612,27 @@ def admissible(
     ledger: DriftLedger | None = None,
     from_regime: Regime | None = None,
     tick: int = 0,
+    environment: str | None = None,
 ) -> AdmissibilityVerdict:
     """Run all four certifiers (plus the substitution certifier for
-    substitution-class transformations) and aggregate.
+    substitution-class transformations) and aggregate.  ``tau`` is applied
+    once, and every obligation reads the same candidate facts.
 
     ``e`` is the destination regime; ``from_regime`` defaults to it when
-    no switch is in flight.  The returned ledger reflects the stability
-    charge and is adopted by the caller only if the candidate deploys."""
+    no switch is in flight.  ``environment`` is the environment-class
+    digest of ``z``; a caller that screens several candidates under one
+    ``z`` computes it once and passes it.  The returned ledger reflects
+    the stability charge and is adopted by the caller only if the
+    candidate deploys.  The verdict's ``facts`` describe the transformed
+    configuration, or ``h`` itself when ``tau`` is not applicable."""
     flags = cfg.flags
     if ledger is None:
         ledger = DriftLedger(bound=cfg.drift_bound)
     if from_regime is None:
         from_regime = e
-    context = CertContext(e.label, environment_digest(z, cfg.schema))
+    if environment is None:
+        environment = environment_digest(z, cfg.schema)
+    context = CertContext(e.label, environment)
     effective_store = store if flags.memory else EMPTY_STORE
 
     try:
@@ -524,59 +655,55 @@ def admissible(
             before_digest=h.digest(),
             after_digest="",
             error=str(exc),
+            facts=_candidate_facts(h, h, z, cfg),
         )
+    facts = _candidate_facts(h2, h, z, cfg)
 
     transported = 0
 
     closure_outcome: Certificate | Violation | None = None
     if flags.memory and cfg.transport_max_distance >= 0:
         moved = find_transportable(
-            effective_store, "closure", h2, z, cfg.transport_max_distance, cfg.schema, e.label
+            effective_store, "closure", h2, environment, cfg.transport_max_distance, e.label
         )
         if moved is not None:
             closure_outcome = moved
             transported += 1
     if closure_outcome is None:
-        closure_outcome = certify_closure(h2, cfg.schema, cfg.grammar, tau, context, tick)
+        closure_outcome = _closure(facts, cfg.grammar, tau, context, tick)
     a1 = _as_result("A1", closure_outcome, gated=flags.closure)
 
-    stability_outcome, new_ledger = certify_stability(
-        h, h2, ledger, cfg.switch_model, from_regime, e, context, tick
-    )
+    stability_outcome, new_ledger = _stability(facts, ledger, from_regime, e, context, tick)
     a2 = _as_result("A2", stability_outcome, gated=flags.stability)
 
     capacity_budget = min(cfg.capacity_budget, e.budgets.complexity)
     capacity_outcome: Certificate | Violation | None = None
     if flags.memory and cfg.transport_max_distance >= 0:
         moved = find_transportable(
-            effective_store, "capacity", h2, z, cfg.transport_max_distance, cfg.schema, e.label
+            effective_store, "capacity", h2, environment, cfg.transport_max_distance, e.label
         )
         if moved is not None:
             capacity_outcome = moved
             transported += 1
     if capacity_outcome is None:
-        capacity_outcome = certify_capacity(h2, cfg.prior, capacity_budget, context, tick)
+        capacity_outcome = _capacity(facts, capacity_budget, context, tick)
     a3 = _as_result("A3", capacity_outcome, gated=flags.capacity)
 
-    invariance_outcome = certify_invariance(h, h2, z, cfg.core, cfg.schema, context, tick)
-    a4 = _as_result("A4", invariance_outcome, gated=flags.invariance)
+    a4 = _as_result("A4", _invariance(facts, context, tick), gated=flags.invariance)
 
     substitution_result: ObligationResult | None = None
     if isinstance(tau, (Substitute, Rebind)):
         current = h.binding(tau.role_id)
         if current is not None:
-            outcome = certify_substitution(
-                current,
-                tau.new_component,
-                h,
-                z,
-                effective_store,
-                cfg.schema,
-                cfg.core,
-                cfg.switch_model,
-                e,
-                context,
-                tick,
+            sites = _substitution_sites(h, current)
+            # Substituting ``current`` at its only site is exactly ``tau``,
+            # so the substitution graph is h2; with more sites it is not.
+            if sites == (tau.role_id,):
+                site_facts = facts
+            else:
+                site_facts = _candidate_facts(_substituted(h, sites, current, tau.new_component), h, z, cfg)
+            outcome = _substitution(
+                current, tau.new_component, sites, site_facts, effective_store, e, context, tick
             )
             code = outcome.code if isinstance(outcome, Violation) else "S"
             substitution_result = _as_result(code, outcome, gated=flags.substitution)
@@ -586,8 +713,7 @@ def admissible(
     if substitution_result is not None:
         passed = passed and substitution_result.passed
 
-    inv_evidence = invariance_outcome.evidence_map()
-    identity_score = float(inv_evidence.get("identity_score", 0.0))
+    identity_score = facts.identity.total
     identity_passed = identity_score >= cfg.core.identity.threshold - BOUND_EPS
 
     certificates = tuple(
@@ -606,6 +732,7 @@ def admissible(
         transported=transported,
         before_digest=h.digest(),
         after_digest=h2.digest(),
+        facts=facts,
     )
 
 

@@ -15,7 +15,7 @@ obligations.  Comparing a hypothesis against itself always scores 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError
@@ -23,8 +23,8 @@ from .model import (
     Hypothesis,
     SemanticState,
     SignalCondition,
+    SoundnessReport,
     conditions_hold,
-    type_soundness,
 )
 from .ontology import ConceptId, OntologySchema
 
@@ -315,8 +315,15 @@ def _pred_components_live(params: Mapping) -> PredicateFn:
     return check
 
 
+def _text_param(params: Mapping, name: str) -> str:
+    value = params.get(name)
+    if not isinstance(value, str):
+        raise ConfigError(f"safety predicate parameter {name!r} must be a string, got {value!r}")
+    return value
+
+
 def _pred_flag_absent(params: Mapping) -> PredicateFn:
-    flag = str(params["flag"])
+    flag = _text_param(params, "flag")
 
     def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
         return flag not in z.safety_flags
@@ -325,8 +332,11 @@ def _pred_flag_absent(params: Mapping) -> PredicateFn:
 
 
 def _pred_flag_requires_function(params: Mapping) -> PredicateFn:
-    flag = str(params["flag"])
-    function = ConceptId.parse(str(params["function"]))
+    flag = _text_param(params, "flag")
+    try:
+        function = ConceptId.parse(_text_param(params, "function"))
+    except ValueError as exc:
+        raise ConfigError(f"safety predicate parameter 'function': {exc}") from exc
 
     def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
         if flag not in z.safety_flags:
@@ -346,16 +356,25 @@ PREDICATE_KINDS: dict[str, Callable[[Mapping], PredicateFn]] = {
 
 @dataclass(frozen=True)
 class SafetyPredicate:
+    """A named hard safety check.  Its parameters are validated and its
+    check function built once, when the predicate is constructed."""
+
     name: str
     kind: str
     params: tuple[tuple[str, object], ...] = ()
+    _check: PredicateFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in PREDICATE_KINDS:
             raise ConfigError(f"unknown safety predicate kind {self.kind!r}")
+        try:
+            check = PREDICATE_KINDS[self.kind](dict(self.params))
+        except ConfigError as exc:
+            raise ConfigError(f"safety predicate {self.name!r}: {exc}") from exc
+        object.__setattr__(self, "_check", check)
 
     def check(self, h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
-        return PREDICATE_KINDS[self.kind](dict(self.params))(h, z, schema)
+        return self._check(h, z, schema)
 
     def to_data(self) -> dict:
         return {"name": self.name, "kind": self.kind, "params": dict(self.params)}
@@ -488,7 +507,7 @@ def evaluate(
     h: Hypothesis,
     z: SemanticState,
     reuse_term: float,
-    schema: OntologySchema,
+    soundness: SoundnessReport,
     switching_cost: float = 0.0,
 ) -> ScoreBreakdown:
     """Score a hypothesis under a regime; the total is exactly the weighted
@@ -497,8 +516,9 @@ def evaluate(
     Pipeline latency is the sum of the policy rules' latency annotations,
     divided by the hypothesis's ``speed`` constraint when one is declared
     (an execution-rate factor, so degrading speed stretches the pipeline).
-    The reuse term comes from the memory module (0 when memoryless) and is
-    clamped to [-1, 1] before weighting.  ``switching_cost`` is the
+    ``soundness`` is ``type_soundness`` of ``h`` and grades the semantic
+    score.  The reuse term comes from the memory module (0 when
+    memoryless) and is clamped to [-1, 1] before weighting.  ``switching_cost`` is the
     stability charge of reaching ``h`` and feeds the cost score."""
     latency = float(sum(rule.latency for rule in h.policy))
     speed = h.constraint_map().get("speed", 1.0)
@@ -510,11 +530,10 @@ def evaluate(
 
     j_safety = 1.0 / (1.0 + len(z.safety_flags))
 
-    report = type_soundness(h, schema)
-    if report.sound:
+    if soundness.sound:
         j_semantic = 1.0
     else:
-        j_semantic = max(0.0, 0.5 - 0.1 * len(report.violations))
+        j_semantic = max(0.0, 0.5 - 0.1 * len(soundness.violations))
 
     size_term = 0.01 * (len(h.roles) + len(h.edges))
     j_cost = _clamp(1.0 - switching_cost / e.budgets.switching_cost - size_term)

@@ -32,11 +32,12 @@ from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from ..certificates import environment_digest
 from ..certify import DriftLedger, admissible, structural_charge
 from ..errors import GovernanceError, IncomparableReports
 from ..evaluation import core_value, detect_regime, evaluate, identity_score
 from ..memory import EMPTY_STORE, MemoryStore
-from ..model import semantic_lift
+from ..model import semantic_lift, type_soundness
 from ..orchestrator import (
     DecisionTrace,
     OrchestratorConfig,
@@ -209,6 +210,7 @@ def _tick_regret(scenario, cfg, grammar, x, h_before, h_after, z, e_true, from_t
     best: float | None = None
     achieved: float | None = None
     deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
+    environment = environment_digest(z, cfg.schema)
     for tau in candidates:
         verdict = admissible(
             tau,
@@ -220,14 +222,12 @@ def _tick_regret(scenario, cfg, grammar, x, h_before, h_after, z, e_true, from_t
             ledger=DriftLedger(bound=cfg.drift_bound),
             from_regime=from_true,
             tick=trace.tick,
+            environment=environment,
         )
         if verdict.error:
             continue
-        a2 = verdict.obligation("A2")
-        source = a2.certificate or a2.violation
-        charge = float(source.evidence_map().get("charge", 0.0)) if source else 0.0
-        candidate_h = apply(tau, h_before)
-        score = evaluate(e_true, candidate_h, z, 0.0, cfg.schema, switching_cost=charge).total
+        facts = verdict.facts
+        score = evaluate(e_true, facts.h2, z, 0.0, facts.soundness, switching_cost=verdict.charge).total
         if verdict.passed and (best is None or score > best):
             best = score
         if deployed_key is not None and transformation_key(tau) == deployed_key:
@@ -239,9 +239,11 @@ def _tick_regret(scenario, cfg, grammar, x, h_before, h_after, z, e_true, from_t
             charge = structural_charge(h_before, h_after, cfg.switch_model) + cfg.switch_model.cost(
                 from_true.label, e_true.label
             ) + cfg.switch_model.residual(from_true.label, e_true.label)
-            achieved = evaluate(e_true, h_after, z, 0.0, cfg.schema, switching_cost=charge).total
+            achieved = evaluate(
+                e_true, h_after, z, 0.0, type_soundness(h_after, cfg.schema), switching_cost=charge
+            ).total
         else:
-            achieved = evaluate(e_true, h_before, z, 0.0, cfg.schema).total
+            achieved = evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total
     return max(0.0, best - achieved)
 
 

@@ -18,10 +18,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, sha256_hex
-from .certificates import Certificate, CertRefusal, environment_digest
-from .errors import CorruptStore, MalformedRecord, NotReachable
-from .model import Hypothesis, SemanticState
-from .ontology import ConceptId, OntologySchema
+from .certificates import OBLIGATION_CODES, Certificate, CertRefusal
+from .errors import CorruptStore, GovernanceError, MalformedRecord, NotReachable
+from .model import Hypothesis
+from .ontology import ConceptId
 from .transform import edit_distance
 
 OUTCOMES = ("success", "degraded", "failed")
@@ -109,8 +109,7 @@ class FailureSignature:
     obligation_code: str
 
     def __post_init__(self) -> None:
-        allowed = {"A1", "A2", "A3", "A4", "S1", "S2", "S3", "S4", "S5", "runtime-failure"}
-        if self.obligation_code not in allowed:
+        if self.obligation_code not in OBLIGATION_CODES:
             raise MalformedRecord(f"unknown obligation code {self.obligation_code!r}")
 
     def to_data(self) -> dict:
@@ -241,45 +240,40 @@ def reuse_score(
     store: MemoryStore,
     h: Hypothesis,
     e_label: str,
-    z: SemanticState,
-    schema: OntologySchema,
+    environment: str,
     bonus: float = 1.0,
     penalty: float = 2.0,
 ) -> float:
     """Positive reuse of matching prior successes, negative reuse of
-    failure motifs present in ``h`` within the current environment class.
-    An empty store scores 0."""
+    failure motifs present in ``h`` within the current environment class
+    (``environment`` is its digest).  An empty store scores 0."""
     if not store.records:
         return 0.0
     digest = h.digest()
-    env = environment_digest(z, schema)
     score = 0.0
     for rec in store.records:
         if rec.outcome == "success" and rec.hypothesis_digest == digest and rec.regime_label == e_label:
-            if rec.certificate is None or rec.certificate.context.environment_digest == env:
+            if rec.certificate is None or rec.certificate.context.environment_digest == environment:
                 score += bonus
     for sig in store.failure_signatures():
-        if sig.environment_digest == env and sig.motif.matches(h):
+        if sig.environment_digest == environment and sig.motif.matches(h):
             score -= penalty
     return score
 
 
-def match_failure(
-    store: MemoryStore, h: Hypothesis, z: SemanticState, schema: OntologySchema
-) -> list[FailureSignature]:
+def match_failure(store: MemoryStore, h: Hypothesis, environment: str) -> list[FailureSignature]:
     """All stored signatures whose motif occurs in ``h`` and whose
-    environment class matches ``z``; log order."""
-    env = environment_digest(z, schema)
+    environment class digest is ``environment``; log order."""
     return [
         sig
         for sig in store.failure_signatures()
-        if sig.environment_digest == env and sig.motif.matches(h)
+        if sig.environment_digest == environment and sig.motif.matches(h)
     ]
 
 
 class _TransportTarget:
     """Where a certificate may be transported to: ``h2`` in the current
-    regime and environment class.  Holds every transport refusal rule.
+    regime and environment class (``environment`` is its digest).  Holds every transport refusal rule.
     What does not depend on the certificate is computed once, and the edit
     distance from each subject graph at most once."""
 
@@ -287,14 +281,13 @@ class _TransportTarget:
         self,
         store: MemoryStore,
         h2: Hypothesis,
-        z: SemanticState,
+        environment: str,
         max_distance: int,
-        schema: OntologySchema,
         regime_label: str,
     ) -> None:
         self.h2 = h2
         self.digest = h2.digest()
-        self.environment = environment_digest(z, schema)
+        self.environment = environment
         self.regime_label = regime_label
         self.max_distance = max_distance
         self.graphs = store.graph_map()
@@ -336,9 +329,8 @@ def transport_certificate(
     store: MemoryStore,
     cert: Certificate,
     h2: Hypothesis,
-    z: SemanticState,
+    environment: str,
     max_distance: int,
-    schema: OntologySchema,
     regime_label: str,
 ) -> Certificate | CertRefusal:
     """Copy a stored closure/capacity certificate onto a nearby graph in a
@@ -346,26 +338,31 @@ def transport_certificate(
     transport."""
     if not store.has_certificate(cert):
         return CertRefusal("certificate is not present in the store")
-    return _TransportTarget(store, h2, z, max_distance, schema, regime_label).transport(cert)
+    return _TransportTarget(store, h2, environment, max_distance, regime_label).transport(cert)
 
 
 def find_transportable(
     store: MemoryStore,
     kind: str,
     h2: Hypothesis,
-    z: SemanticState,
+    environment: str,
     max_distance: int,
-    schema: OntologySchema,
     regime_label: str,
 ) -> Certificate | None:
     """First stored certificate of ``kind`` that transports onto ``h2``:
-    loose certificates first, then record certificates, in log order."""
+    loose certificates first, then record certificates, in log order.
+
+    At ``max_distance`` 0 only a certificate about ``h2`` itself can
+    transport (the edit distance is 0 only between equal graphs), so no
+    other subject is measured."""
     if kind not in TRANSPORTABLE_KINDS:
         return None
-    target = _TransportTarget(store, h2, z, max_distance, schema, regime_label)
+    target = _TransportTarget(store, h2, environment, max_distance, regime_label)
     pool = itertools.chain(store.certificates, (r.certificate for r in store.records))
     for cert in pool:
         if cert is not None and cert.kind == kind:
+            if max_distance == 0 and cert.subject_digest != target.digest:
+                continue
             moved = target.transport(cert)
             if isinstance(moved, Certificate):
                 return moved
@@ -419,27 +416,31 @@ def load(path: str | Path) -> MemoryStore:
     if lines[0] != _HEADER:
         raise CorruptStore(f"unknown store header {lines[0]!r}")
 
-    store = MemoryStore()
     records: list[MemoryRecord] = []
     graphs: dict[str, Hypothesis] = {}
     certs: list[Certificate] = []
-    for line in lines[1:-1]:
+    for number, line in enumerate(lines[1:-1], start=2):
         try:
             entry = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorruptStore(f"malformed store line: {exc}") from exc
-        if "record" in entry:
-            rec = MemoryRecord.from_data(entry["record"])
-            records.append(rec)
-            if "graph" in entry:
-                graphs[rec.hypothesis_digest] = Hypothesis.from_data(entry["graph"])
-        elif "graph_only" in entry:
-            graph = Hypothesis.from_data(entry["graph_only"])
-            graphs[graph.digest()] = graph
-        elif "certificate" in entry:
-            certs.append(Certificate.from_data(entry["certificate"]))
-        else:
+            raise CorruptStore(f"malformed store line {number}: {exc}") from exc
+        if not isinstance(entry, dict):
+            raise CorruptStore(f"store line {number} is not an object")
+        if not entry.keys() & {"record", "graph_only", "certificate"}:
             raise CorruptStore(f"unknown store entry keys {sorted(entry)}")
+        try:
+            if "record" in entry:
+                rec = MemoryRecord.from_data(entry["record"])
+                records.append(rec)
+                if "graph" in entry:
+                    graphs[rec.hypothesis_digest] = Hypothesis.from_data(entry["graph"])
+            elif "graph_only" in entry:
+                graph = Hypothesis.from_data(entry["graph_only"])
+                graphs[graph.digest()] = graph
+            else:
+                certs.append(Certificate.from_data(entry["certificate"]))
+        except (KeyError, TypeError, ValueError, AttributeError, GovernanceError) as exc:
+            raise CorruptStore(f"malformed store line {number}: {type(exc).__name__}: {exc}") from exc
     return MemoryStore(
         records=tuple(records), graphs=tuple(sorted(graphs.items())), certificates=tuple(certs)
     )

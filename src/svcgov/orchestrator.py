@@ -30,7 +30,6 @@ from .evaluation import (
     StructuralPrior,
     detect_regime,
     evaluate,
-    prior_complexity,
 )
 from .memory import (
     EMPTY_STORE,
@@ -146,14 +145,6 @@ class OrchestratorConfig:
 
     def ablated(self, flags: GateFlags) -> "OrchestratorConfig":
         return replace(self, flags=flags)
-
-
-def fallback(h: Hypothesis, z: SemanticState, cfg: OrchestratorConfig) -> Transformation:
-    """The configured supervision attachment; applying it twice is a no-op
-    because the attach is idempotent."""
-    if cfg.fallback is None:
-        raise ConfigError("no fallback subservice configured")
-    return cfg.fallback
 
 
 def registry_from_state(
@@ -289,28 +280,33 @@ class Orchestrator:
 
         registry = registry_from_state(x, cfg.assertions, cfg.schema)
         candidates = generate_candidates(h, z, cfg.grammar, registry)
+        # Constant within the step; a step without candidates never reads it.
+        environment = environment_digest(z, cfg.schema) if candidates else ""
 
         def screen(tau: Transformation) -> tuple[CandidateTrace, Hypothesis]:
             verdict = admissible(
-                tau, h, z, e2, store, cfg, ledger=self.ledger, from_regime=e, tick=tick
+                tau,
+                h,
+                z,
+                e2,
+                store,
+                cfg,
+                ledger=self.ledger,
+                from_regime=e,
+                tick=tick,
+                environment=environment,
             )
-            candidate_h = h if verdict.error else apply(tau, h, cfg.schema)
+            facts = verdict.facts
+            candidate_h = facts.h2  # h itself when tau was not applicable
             reuse = (
                 reuse_score(
-                    store, candidate_h, e2.label, z, cfg.schema, cfg.reuse_bonus, cfg.reuse_penalty
+                    store, candidate_h, e2.label, environment, cfg.reuse_bonus, cfg.reuse_penalty
                 )
                 if cfg.flags.memory
                 else 0.0
             )
-            charge = 0.0
-            a2 = verdict.obligation("A2")
-            source = a2.certificate or a2.violation
-            if source is not None:
-                charge = float(source.evidence_map().get("charge", 0.0))
-            breakdown = evaluate(e2, candidate_h, z, reuse, cfg.schema, switching_cost=charge)
-            trace = CandidateTrace(
-                tau, verdict, breakdown, reuse, prior_complexity(cfg.prior, candidate_h)
-            )
+            breakdown = evaluate(e2, candidate_h, z, reuse, facts.soundness, switching_cost=verdict.charge)
+            trace = CandidateTrace(tau, replace(verdict, facts=None), breakdown, reuse, facts.complexity)
             return trace, candidate_h
 
         screened: list[CandidateTrace] = []
@@ -330,7 +326,7 @@ class Orchestrator:
         error = ""
 
         if candidates and not survivors:
-            trace_fb, candidate_h = screen(fallback(h, z, cfg))
+            trace_fb, candidate_h = screen(cfg.fallback)
             screened.append(trace_fb)
             outcomes.append(candidate_h)
             if trace_fb.verdict.passed:
@@ -356,7 +352,7 @@ class Orchestrator:
             certificates = choice.verdict.certificates
 
         if selected is not None and cfg.flags.memory:
-            context = CertContext(e2.label, environment_digest(z, cfg.schema))
+            context = CertContext(e2.label, environment)
             composite = Certificate(
                 kind="composite",
                 subject_digest=deployed.digest(),

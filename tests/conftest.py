@@ -3,8 +3,11 @@ minimal orchestrator configuration, plus the two shipped packs."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from svcgov.canon import sha256_hex
 from svcgov.evaluation import (
     EvaluatorWeights,
     IdentitySpec,
@@ -311,3 +314,10 @@ def pack_variant(name: str, events: list[dict], ticks: int):
     data["events"] = events
     data["ticks"] = ticks
     return scenario_from_data(data), cfg
+
+
+def write_checksummed_store(path, entries: list) -> None:
+    """A store file with a valid header and checksum around raw entries,
+    so that only the entries themselves can be malformed."""
+    body = "\n".join(["svcgov-memory v1", *(json.dumps(e) for e in entries)]) + "\n"
+    path.write_text(body + f"checksum sha256:{sha256_hex(body)}\n", encoding="utf-8")

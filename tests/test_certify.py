@@ -21,17 +21,19 @@ from svcgov.certify import (
     composed_drift_bound,
     structural_charge,
 )
-from svcgov.errors import ConfigError
+from svcgov.errors import ConfigError, UnknownSite
 from svcgov.evaluation import StructuralPrior, prior_complexity
 from svcgov.memory import (
     EMPTY_STORE,
     FailureSignature,
     MemoryRecord,
     Motif,
+    find_transportable,
     record,
 )
 from svcgov.model import Hypothesis, type_soundness
 from svcgov.transform import (
+    Rebind,
     Substitute,
     UpdateConstraint,
     apply,
@@ -405,3 +407,145 @@ class TestLedgerAndCapacityMeasure:
     def test_composed_bound_is_sum_plus_interface_terms(self):
         assert composed_drift_bound([2.0, 3.0, 4.0], 0.5) == pytest.approx(10.0)
         assert composed_drift_bound([2.0], 0.5) == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# Shared candidate facts against the standalone certifiers
+# ---------------------------------------------------------------------------
+
+
+def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, environment):
+    """Each obligation's outcome computed the reference way: the public
+    certifiers called one by one, each building its own facts, and the
+    transport lookup where ``admissible`` consults memory.  The environment
+    digest is recomputed from ``z``; the one passed to ``admissible`` is
+    ignored."""
+    ledger = ledger if ledger is not None else DriftLedger(bound=cfg.drift_bound)
+    from_regime = from_regime if from_regime is not None else e
+    context = CertContext(e.label, environment_digest(z, cfg.schema))
+    memory = store if cfg.flags.memory else EMPTY_STORE
+    h2 = apply(tau, h)
+
+    def transported(kind):
+        if not (cfg.flags.memory and cfg.transport_max_distance >= 0):
+            return None
+        distance = cfg.transport_max_distance
+        return find_transportable(memory, kind, h2, context.environment_digest, distance, e.label)
+
+    closure = transported("closure")
+    if closure is None:
+        closure = certify_closure(h2, cfg.schema, cfg.grammar, tau, context, tick)
+    capacity = transported("capacity")
+    if capacity is None:
+        budget = min(cfg.capacity_budget, e.budgets.complexity)
+        capacity = certify_capacity(h2, cfg.prior, budget, context, tick)
+    out = {
+        "A1": closure,
+        "A2": certify_stability(h, h2, ledger, cfg.switch_model, from_regime, e, context, tick)[0],
+        "A3": capacity,
+        "A4": certify_invariance(h, h2, z, cfg.core, cfg.schema, context, tick),
+    }
+    current = h.binding(tau.role_id) if isinstance(tau, (Substitute, Rebind)) else None
+    if current is not None:
+        out["S"] = certify_substitution(
+            current, tau.new_component, h, z, memory, cfg.schema, cfg.core, cfg.switch_model, e, context, tick
+        )
+    return out, h2
+
+
+def check_against_standalone(call, verdict) -> set[str]:
+    """Assert that every outcome in ``verdict`` equals the standalone one,
+    in full (``to_data``); return the kinds of case the call covered."""
+    covered = set()
+    if verdict.error:
+        with pytest.raises(UnknownSite) as exc:
+            apply(call["tau"], call["h"])
+        expected = Violation("A1", f"transformation not applicable: {exc.value}").to_data()
+        assert [r.violation.to_data() for _, r in verdict.obligations] == [expected] * 4
+        assert verdict.substitution is None
+        assert verdict.facts.h2 == call["h"]
+        return {"inapplicable"}
+    reference, h2 = standalone_outcomes(**call)
+    for code, result in verdict.obligations:
+        got = result.certificate or result.violation
+        assert got.to_data() == reference[code].to_data(), code
+        if result.certificate is not None and result.certificate.transported:
+            covered.add(f"transported-{code}")
+    if verdict.substitution is not None:
+        got = verdict.substitution.certificate or verdict.substitution.violation
+        assert got.to_data() == reference["S"].to_data()
+        if len(got.evidence_map()["sites"]) > 1:
+            covered.add("multi-site")
+    else:
+        assert "S" not in reference
+    facts = verdict.facts
+    assert facts.h2 == h2
+    assert facts.soundness == type_soundness(h2, call["cfg"].schema)
+    assert facts.complexity == prior_complexity(call["cfg"].prior, h2)
+    return covered
+
+
+def recorded_admissible_calls(monkeypatch, runs):
+    """Run each (scenario, cfg, store) and its replay scan, recording every
+    ``admissible`` call of the decision steps and of the regret oracle."""
+    import inspect
+
+    from svcgov import certify, orchestrator
+    from svcgov.harness import bench
+
+    calls = []
+    signature = inspect.signature(certify.admissible)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        verdict = certify.admissible(*args, **kwargs)
+        calls.append((dict(bound.arguments), verdict))
+        return verdict
+
+    monkeypatch.setattr(orchestrator, "admissible", recording)
+    monkeypatch.setattr(bench, "admissible", recording)
+    for scenario, cfg, store in runs:
+        result = orchestrator.run(scenario, cfg, store)
+        bench.scan_run(scenario, cfg, result.traces)
+    return calls
+
+
+class TestSharedFactsMatchStandaloneCertifiers:
+    def test_pack_and_family_runs(self, monkeypatch, hospital, retail):
+        from svcgov.harness import bench
+
+        runs = [(*hospital, EMPTY_STORE), (*retail, EMPTY_STORE)]
+        runs += [bench.FAMILY_GENERATORS[family](0) for family in bench.FAMILIES]
+        calls = recorded_admissible_calls(monkeypatch, runs)
+        assert len(calls) > 100
+        covered = set()
+        for call, verdict in calls:
+            covered |= check_against_standalone(call, verdict)
+        assert {"transported-A1", "transported-A3"} <= covered
+
+    def test_multi_site_substitution_and_inapplicable_transformations(self, schema, assertions, z):
+        # ua is bound at r1 and r3, so substituting it touches both sites
+        # while the candidate itself changes one role
+        h = chain_hypothesis([("r1", "t:FA", UNIT_A), ("r2", "t:FB", UNIT_B), ("r3", "t:FA", UNIT_A)])
+        cfg = make_config(schema, assertions)
+        covered = set()
+        for tau in (
+            Substitute("r1", "ua", UNIT_A1),
+            Rebind("r3", UNIT_A1),
+            Substitute("r2", "ub", UNIT_C),
+            Substitute("ghost", "ua", UNIT_A1),
+            Rebind("ghost", UNIT_A1),
+            Substitute("r2", "ua", UNIT_A1),
+        ):
+            call = dict(tau=tau, h=h, z=z, e=regime(), store=EMPTY_STORE, cfg=cfg)
+            call.update(ledger=None, from_regime=None, tick=3, environment=None)
+            verdict = admissible(**call)
+            covered |= check_against_standalone(call, verdict)
+            if tau.role_id in ("r1", "r3"):
+                # two reassignments on the substitution graph, one on h2
+                s_outcome = verdict.substitution.certificate or verdict.substitution.violation
+                a2 = verdict.obligation("A2")
+                structural = (a2.certificate or a2.violation).evidence_map()["structural"]
+                assert s_outcome.evidence_map()["transition_charge"] == 2 * structural == 2.0
+        assert {"multi-site", "inapplicable"} <= covered

@@ -23,7 +23,7 @@ from svcgov.evaluation import (
     identity_score,
     prior_complexity,
 )
-from svcgov.model import Hypothesis, PolicyRule, SignalCondition, semantic_lift
+from svcgov.model import Hypothesis, PolicyRule, SignalCondition, semantic_lift, type_soundness
 from svcgov.transform import RemoveSubservice, Substitute, UpdateConstraint, apply
 
 from conftest import (
@@ -43,7 +43,8 @@ from conftest import (
 class TestEvaluate:
     def test_total_is_exactly_the_weighted_sum(self, schema, simple_h, z):
         e = regime()
-        breakdown = evaluate(e, simple_h, z, reuse_term=0.3, schema=schema, switching_cost=1.0)
+        soundness = type_soundness(simple_h, schema)
+        breakdown = evaluate(e, simple_h, z, reuse_term=0.3, soundness=soundness, switching_cost=1.0)
         w = e.weights
         expected = (
             w.task * breakdown.j_task
@@ -56,8 +57,8 @@ class TestEvaluate:
 
     def test_equal_components_give_equal_totals(self, schema, simple_h, z):
         e = regime()
-        one = evaluate(e, simple_h, z, 0.0, schema)
-        two = evaluate(e, simple_h, z, 0.0, schema)
+        one = evaluate(e, simple_h, z, 0.0, type_soundness(simple_h, schema))
+        two = evaluate(e, simple_h, z, 0.0, type_soundness(simple_h, schema))
         assert one == two
 
     def test_task_only_weights_are_linear(self, schema, simple_h, z):
@@ -67,7 +68,7 @@ class TestEvaluate:
             weights=EvaluatorWeights(2.0, 0.0, 0.0, 0.0, 0.0),
             budgets=only_task.budgets,
         )
-        breakdown = evaluate(only_task, simple_h, z, 0.0, schema)
+        breakdown = evaluate(only_task, simple_h, z, 0.0, type_soundness(simple_h, schema))
         assert breakdown.total == pytest.approx(2.0 * breakdown.j_task)
 
     @given(st.floats(0.1, 10.0))
@@ -93,8 +94,8 @@ class TestEvaluate:
         z = semantic_lift(make_raw_state(deadline=10), schema, assertions)
         routine = regime(label="routine", task=1.0, latency=14.0)
         emergency = regime(label="emergency", task=3.0, latency=8.0)
-        r_score = evaluate(routine, slow, z, 0.0, schema)
-        e_score = evaluate(emergency, slow, z, 0.0, schema)
+        r_score = evaluate(routine, slow, z, 0.0, type_soundness(slow, schema))
+        e_score = evaluate(emergency, slow, z, 0.0, type_soundness(slow, schema))
         # hand-computed: stretched latency 4/0.5 = 8
         #   routine: effective deadline 10 -> j_task = 2/11
         #   emergency: effective deadline 8 -> j_task = 0
@@ -104,18 +105,18 @@ class TestEvaluate:
         assert e_score.total < r_score.total
         # and restoring speed buys emergency more than it buys routine
         fast = apply(UpdateConstraint("speed", 1.0), slow)
-        gap_routine = evaluate(routine, fast, z, 0.0, schema).total - r_score.total
-        gap_emergency = evaluate(emergency, fast, z, 0.0, schema).total - e_score.total
+        gap_routine = evaluate(routine, fast, z, 0.0, type_soundness(fast, schema)).total - r_score.total
+        gap_emergency = evaluate(emergency, fast, z, 0.0, type_soundness(fast, schema)).total - e_score.total
         assert gap_emergency > gap_routine
 
     def test_reuse_term_is_clamped(self, schema, simple_h, z):
         e = regime()
-        breakdown = evaluate(e, simple_h, z, reuse_term=-7.0, schema=schema)
+        breakdown = evaluate(e, simple_h, z, reuse_term=-7.0, soundness=type_soundness(simple_h, schema))
         assert breakdown.j_reuse == -1.0
 
     def test_unsound_hypothesis_grades_semantic_below_one(self, schema, z):
         unsound = chain_hypothesis([("r1", "t:FA", UNIT_B)])
-        breakdown = evaluate(regime(), unsound, z, 0.0, schema)
+        breakdown = evaluate(regime(), unsound, z, 0.0, type_soundness(unsound, schema))
         assert breakdown.j_semantic < 1.0
 
     def test_weights_must_not_be_all_zero(self):
@@ -245,6 +246,36 @@ class TestCore:
 
         supervised = apply(FALLBACK, simple_h)
         assert needs.check(supervised, z, schema) is True
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("flag-absent", ()),
+            ("flag-absent", (("flag", 3),)),
+            ("flag-requires-function", (("flag", "estop"),)),
+            ("flag-requires-function", (("flag", "estop"), ("function", ["t:FOversight"]))),
+            ("flag-requires-function", (("flag", "estop"), ("function", "FOversight"))),
+            ("flag-requires-function", (("function", "t:FOversight"),)),
+        ],
+    )
+    def test_bad_predicate_parameters_are_refused_at_construction(self, kind, params):
+        with pytest.raises(ConfigError, match="'x'"):
+            SafetyPredicate("x", kind, params)
+
+    def test_predicate_check_is_built_once(self, schema, assertions, simple_h, monkeypatch):
+        import svcgov.evaluation as evaluation
+
+        built = []
+        factory = evaluation.PREDICATE_KINDS["flag-absent"]
+        monkeypatch.setitem(
+            evaluation.PREDICATE_KINDS, "flag-absent", lambda params: built.append(params) or factory(params)
+        )
+        absent = SafetyPredicate("no-estop", "flag-absent", (("flag", "estop"),))
+        z = semantic_lift(make_raw_state(flags=("estop",)), schema, assertions)
+        assert [absent.check(simple_h, z, schema) for _ in range(3)] == [False] * 3
+        assert built == [{"flag": "estop"}]
+        assert absent == SafetyPredicate("no-estop", "flag-absent", (("flag", "estop"),))
+        assert "_check" not in repr(absent) and "_check" not in absent.to_data()
 
 
 class TestPrior:

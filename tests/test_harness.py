@@ -14,7 +14,7 @@ from svcgov.harness.packs import pack_dir
 from svcgov.harness.scenario import config_from_data, load_scenario, scenario_from_data
 from svcgov.orchestrator import run
 
-from conftest import chain_ontology
+from conftest import chain_ontology, write_checksummed_store
 
 MINIMAL_SCENARIO = {
     "name": "tiny",
@@ -307,6 +307,25 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(scenario), "--config", str(config)]) == 4
         err = capsys.readouterr().err
         assert "error config" in err and "drift_bound" in err
+        assert "Traceback" not in err
+
+    def test_run_with_predicate_missing_its_flag_exits_four(self, tmp_path, capsys):
+        data = hospital_config_data()
+        data["core"]["predicates"].append({"name": "no-estop", "kind": "flag-absent", "params": {}})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        scenario = pack_dir("hospital") / "scenario.json"
+        assert cli_main(["run", "--scenario", str(scenario), "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "error config" in err and "no-estop" in err and "'flag'" in err
+        assert "Traceback" not in err
+
+    def test_run_with_malformed_store_record_exits_five(self, tmp_path, capsys):
+        store = tmp_path / "mem.store"
+        write_checksummed_store(store, [{"record": {"regime": "r"}}])
+        assert cli_main(["run", "--pack", "hospital", "--store", str(store)]) == 5
+        err = capsys.readouterr().err
+        assert "error corrupt-store" in err and "hypothesis" in err
         assert "Traceback" not in err
 
     def test_run_pack_writes_trace_and_summary(self, tmp_path, capsys):

@@ -39,6 +39,7 @@ from conftest import (
     chain_hypothesis,
     cid,
     make_raw_state,
+    write_checksummed_store,
 )
 
 
@@ -119,13 +120,13 @@ class TestRecord:
 
 class TestReuseScore:
     def test_empty_store_scores_zero(self, schema, z, simple_h):
-        assert reuse_score(EMPTY_STORE, simple_h, "base", z, schema) == 0.0
+        assert reuse_score(EMPTY_STORE, simple_h, "base", environment_digest(z, schema)) == 0.0
 
     def test_one_prior_success_scores_plus_bonus(self, schema, z, simple_h):
         rec = MemoryRecord("base", simple_h.digest(), None, "success", None)
         store = record(EMPTY_STORE, rec)
-        assert reuse_score(store, simple_h, "base", z, schema, bonus=1.5) == 1.5
-        assert reuse_score(store, simple_h, "other", z, schema) == 0.0  # regime-qualified
+        assert reuse_score(store, simple_h, "base", environment_digest(z, schema), bonus=1.5) == 1.5
+        assert reuse_score(store, simple_h, "other", environment_digest(z, schema)) == 0.0  # regime-qualified
 
     def test_two_failures_of_a_contained_motif_score_minus_two_penalties(self, schema, z, simple_h):
         motif = Motif.build({"s": cid("t:UnitA")})
@@ -133,7 +134,7 @@ class TestReuseScore:
         for _ in range(2):
             rec = MemoryRecord("base", simple_h.digest(), None, "failed", failure(z, schema, motif))
             store = record(store, rec)
-        assert reuse_score(store, simple_h, "base", z, schema, penalty=2.0) == -4.0
+        assert reuse_score(store, simple_h, "base", environment_digest(z, schema), penalty=2.0) == -4.0
 
     def test_penalty_is_environment_qualified(self, schema, assertions, simple_h):
         noisy = semantic_lift(
@@ -143,8 +144,8 @@ class TestReuseScore:
         motif = Motif.build({"s": cid("t:UnitA")})
         rec = MemoryRecord("base", simple_h.digest(), None, "failed", failure(noisy, schema, motif))
         store = record(EMPTY_STORE, rec)
-        assert reuse_score(store, simple_h, "base", noisy, schema) == -2.0
-        assert reuse_score(store, simple_h, "base", quiet, schema) == 0.0
+        assert reuse_score(store, simple_h, "base", environment_digest(noisy, schema)) == -2.0
+        assert reuse_score(store, simple_h, "base", environment_digest(quiet, schema)) == 0.0
 
 
 def brute_force_matches(motif: Motif, h) -> bool:
@@ -165,7 +166,7 @@ def brute_force_matches(motif: Motif, h) -> bool:
 
 class TestMatchFailure:
     def test_no_failures_no_matches(self, schema, z, simple_h):
-        assert match_failure(EMPTY_STORE, simple_h, z, schema) == []
+        assert match_failure(EMPTY_STORE, simple_h, environment_digest(z, schema)) == []
 
     def test_motif_in_wrong_environment_class_does_not_match(self, schema, assertions, simple_h):
         noisy = semantic_lift(
@@ -176,8 +177,8 @@ class TestMatchFailure:
         store = record(
             EMPTY_STORE, MemoryRecord("base", simple_h.digest(), None, "failed", sig)
         )
-        assert match_failure(store, simple_h, noisy, schema) == [sig]
-        assert match_failure(store, simple_h, quiet, schema) == []
+        assert match_failure(store, simple_h, environment_digest(noisy, schema)) == [sig]
+        assert match_failure(store, simple_h, environment_digest(quiet, schema)) == []
 
     @pytest.mark.parametrize("seed", range(6))
     def test_overlapping_motifs_match_like_brute_force(self, schema, z, seed):
@@ -198,7 +199,7 @@ class TestMatchFailure:
         for motif in motifs:
             rec = MemoryRecord("base", h.digest(), None, "failed", failure(z, schema, motif))
             store = record(store, rec)
-        matched = match_failure(store, h, z, schema)
+        matched = match_failure(store, h, environment_digest(z, schema))
         expected = [
             sig for sig in store.failure_signatures() if brute_force_matches(sig.motif, h)
         ]
@@ -215,7 +216,7 @@ class TestTransport:
     def test_identical_graph_same_context_transports_at_distance_zero(self, schema, z, simple_h):
         cert = make_cert("closure", simple_h.digest(), z, schema)
         store = MemoryStore(certificates=(cert,))
-        moved = transport_certificate(store, cert, simple_h, z, 0, schema, "base")
+        moved = transport_certificate(store, cert, simple_h, environment_digest(z, schema), 0, "base")
         assert isinstance(moved, Certificate)
         assert moved.transported
         assert moved.evidence_map()["transport_distance"] == 0
@@ -224,7 +225,7 @@ class TestTransport:
     def test_stability_certificates_never_transport(self, schema, z, simple_h):
         cert = make_cert("stability", simple_h.digest(), z, schema)
         store = MemoryStore(certificates=(cert,))
-        out = transport_certificate(store, cert, simple_h, z, 99, schema, "base")
+        out = transport_certificate(store, cert, simple_h, environment_digest(z, schema), 99, "base")
         assert isinstance(out, CertRefusal)
         assert "non-transportable" in out.reason
 
@@ -233,40 +234,40 @@ class TestTransport:
         rec = MemoryRecord("base", simple_h.digest(), cert, "success", None)
         store = record(EMPTY_STORE, rec, graph=simple_h)
         nearby = apply(Substitute("r1", "ua", UNIT_A1), simple_h)
-        moved = transport_certificate(store, cert, nearby, z, 1, schema, "base")
+        moved = transport_certificate(store, cert, nearby, environment_digest(z, schema), 1, "base")
         assert isinstance(moved, Certificate)
         assert moved.evidence_map()["transport_distance"] == 1  # oracle: one-step diff
-        refused = transport_certificate(store, cert, nearby, z, 0, schema, "base")
+        refused = transport_certificate(store, cert, nearby, environment_digest(z, schema), 0, "base")
         assert isinstance(refused, CertRefusal)
 
     def test_context_mismatch_refuses(self, schema, assertions, z, simple_h):
         cert = make_cert("closure", simple_h.digest(), z, schema)
         store = MemoryStore(certificates=(cert,))
-        wrong_regime = transport_certificate(store, cert, simple_h, z, 0, schema, "noisy")
+        wrong_regime = transport_certificate(store, cert, simple_h, environment_digest(z, schema), 0, "noisy")
         assert isinstance(wrong_regime, CertRefusal)
         noisy = semantic_lift(
             make_raw_state(zone_descriptors=("t:Zone", "t:LoudZone")), schema, assertions
         )
-        wrong_env = transport_certificate(store, cert, simple_h, noisy, 0, schema, "base")
+        wrong_env = transport_certificate(store, cert, simple_h, environment_digest(noisy, schema), 0, "base")
         assert isinstance(wrong_env, CertRefusal)
 
     def test_unknown_certificate_refuses(self, schema, z, simple_h):
         cert = make_cert("closure", simple_h.digest(), z, schema)
-        out = transport_certificate(EMPTY_STORE, cert, simple_h, z, 0, schema, "base")
+        out = transport_certificate(EMPTY_STORE, cert, simple_h, environment_digest(z, schema), 0, "base")
         assert isinstance(out, CertRefusal)
 
     def test_transport_conservatism_property(self, schema, z, simple_h):
         for kind in ("closure", "stability", "capacity", "invariance", "substitution", "composite"):
             cert = make_cert(kind, simple_h.digest(), z, schema)
             store = MemoryStore(certificates=(cert,))
-            out = transport_certificate(store, cert, simple_h, z, 5, schema, "base")
+            out = transport_certificate(store, cert, simple_h, environment_digest(z, schema), 5, "base")
             if kind in ("closure", "capacity"):
                 assert isinstance(out, Certificate)
             else:
                 assert isinstance(out, CertRefusal)
 
 
-def reference_find_transportable(store, kind, h2, z, max_distance, schema, regime_label):
+def reference_find_transportable(store, kind, h2, environment, max_distance, regime_label):
     """The pool scan that ``find_transportable`` replaced: every entry is
     deduplicated by its canonical text and run through the full
     ``transport_certificate``."""
@@ -279,7 +280,7 @@ def reference_find_transportable(store, kind, h2, z, max_distance, schema, regim
         if cert.kind != kind or key in seen:
             continue
         seen.add(key)
-        moved = transport_certificate(store, cert, h2, z, max_distance, schema, regime_label)
+        moved = transport_certificate(store, cert, h2, environment, max_distance, regime_label)
         if isinstance(moved, Certificate):
             return moved
     return None
@@ -343,7 +344,7 @@ class TestFindTransportable:
             graphs=tuple(sorted((g.digest(), g) for g, keep in zip(graphs, kept) if keep)),
             certificates=tuple(cert(spec) for spec in loose),
         )
-        args = (kind, graphs[target], z, max_distance, schema, regime_label)
+        args = (kind, graphs[target], env, max_distance, regime_label)
         assert find_transportable(store, *args) == reference_find_transportable(store, *args)
 
     def test_first_hit_in_pool_order_wins(self, schema, z, simple_h):
@@ -355,13 +356,13 @@ class TestFindTransportable:
             graphs=tuple(sorted((g.digest(), g) for g in (g1, g2))),
             certificates=(far,),
         )
-        moved = find_transportable(store, "closure", g0, z, 2, schema, "base")
+        moved = find_transportable(store, "closure", g0, environment_digest(z, schema), 2, "base")
         assert moved == far.as_transported(g0.digest(), 2)  # loose certificates come first
 
     def test_measures_each_subject_once(self, schema, z, simple_h, monkeypatch):
         import svcgov.memory as memory
 
-        g0, g1, g2, _ = transport_graphs(simple_h)
+        g0, g1, g2, g3 = transport_graphs(simple_h)
         calls = []
 
         def counting(subject, target):
@@ -371,8 +372,37 @@ class TestFindTransportable:
         monkeypatch.setattr(memory, "edit_distance", counting)
         certs = tuple(make_cert("closure", g.digest(), z, schema, tick=t) for t in range(3) for g in (g1, g2))
         store = MemoryStore(graphs=tuple(sorted((g.digest(), g) for g in (g1, g2))), certificates=certs)
-        assert find_transportable(store, "closure", g0, z, 0, schema, "base") is None
+        # g3 is two edits from g1 and three from g2, so nothing transports
+        assert find_transportable(store, "closure", g3, environment_digest(z, schema), 1, "base") is None
         assert sorted(calls) == sorted([g1.digest(), g2.digest()])
+
+    def test_distance_zero_measures_no_other_subject(self, schema, z, simple_h, monkeypatch):
+        import svcgov.memory as memory
+
+        g0, g1, g2, g3 = transport_graphs(simple_h)
+        calls = []
+
+        def counting(subject, target):
+            calls.append(subject.digest())
+            return edit_distance(subject, target)
+
+        monkeypatch.setattr(memory, "edit_distance", counting)
+        env = environment_digest(z, schema)
+        other = make_cert("closure", g1.digest(), z, schema)
+        unreachable = make_cert("closure", g3.digest(), z, schema)
+        same = make_cert("closure", g0.digest(), z, schema, tick=1)
+        store = MemoryStore(
+            graphs=tuple(sorted((g.digest(), g) for g in (g0, g1, g3))),
+            certificates=(other, unreachable, same),
+        )
+        assert find_transportable(store, "closure", g0, env, 0, "base") == same.as_transported(g0.digest(), 0)
+        assert calls == []
+        # transport_certificate still measures, and gives the reason
+        refused = transport_certificate(store, other, g0, env, 0, "base")
+        assert refused == CertRefusal("distance 1 exceeds maximum 0")
+        refused = transport_certificate(store, unreachable, g0, env, 0, "base")
+        assert refused == CertRefusal("target graph unreachable from subject within the grammar")
+        assert calls == [g1.digest(), g3.digest()]
 
 
 class TestQuarantine:
@@ -401,8 +431,11 @@ class TestQuarantine:
             CertContext("base", environment_digest(z, schema)),
         )
         h2 = apply(Substitute("r1", "ua", UNIT_A1), simple_h)
-        assert match_failure(store, h2, z, schema)  # candidate is matched
+        assert match_failure(store, h2, environment_digest(z, schema))  # candidate is matched
         assert not isinstance(out, Cert)
+
+
+CONTEXT = {"regime": "r", "environment": "e"}
 
 
 class TestPersistence:
@@ -448,4 +481,38 @@ class TestPersistence:
         persist(store, path)
         path.write_text(path.read_text().replace("success", "degraded"))
         with pytest.raises(CorruptStore):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"record": {"regime": "r"}},
+            {"record": {"regime": "r", "hypothesis": "d", "outcome": "lost"}},
+            {"record": {"regime": "r", "hypothesis": "d", "outcome": "failed"}},
+            {"record": ["regime", "r"]},
+            {
+                "record": {
+                    "regime": "r",
+                    "hypothesis": "d",
+                    "outcome": "failed",
+                    "failure_signature": {
+                        "regime": "r",
+                        "environment": "e",
+                        "motif": {"nodes": [["s", "t:UnitA"]]},
+                        "code": "A9",
+                    },
+                }
+            },
+            {"certificate": {"kind": "closure", "subject": "d", "context": CONTEXT}},
+            {"certificate": {"kind": "closure", "subject": "d", "context": None, "evidence": {"ok": True}}},
+            {"graph_only": {"roles": [{"requires": ["t:FA"]}]}},
+            {"graph_only": {"roles": [{"id": "r1", "requires": ["FA"]}]}},
+            {"graph_only": {"constraints": {"latency": "fast"}}},
+            ["record"],
+        ],
+    )
+    def test_malformed_entry_with_valid_checksum_is_corrupt(self, tmp_path, entry):
+        path = tmp_path / "malformed.store"
+        write_checksummed_store(path, [entry])
+        with pytest.raises(CorruptStore, match="store line 2"):
             load(path)

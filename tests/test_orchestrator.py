@@ -9,10 +9,8 @@ import pytest
 from svcgov.errors import ConfigError
 from svcgov.evaluation import core_value
 from svcgov.memory import EMPTY_STORE
-from svcgov.model import semantic_lift
 from svcgov.orchestrator import (
     Orchestrator,
-    fallback,
     registry_from_state,
     replay_deployments,
     run,
@@ -163,9 +161,7 @@ class TestRetailRun:
 class TestFallback:
     def test_fallback_returns_the_configured_supervision_attachment(self, hospital):
         scenario, cfg = hospital
-        raw = scenario.initial_state
-        z = semantic_lift(raw, cfg.schema, cfg.assertions)
-        tau = fallback(scenario.initial_hypothesis, z, cfg)
+        tau = cfg.fallback
         data = transformation_to_data(tau)
         assert data["variant"] == "add_subservice"
         roles = [r["id"] for r in data["part"]["roles"]]
@@ -269,3 +265,11 @@ class TestConfigValidation:
         grammar = make_grammar(addable=())
         with pytest.raises(ConfigError):
             make_config(schema, assertions, grammar=grammar)
+
+
+def test_traces_keep_no_candidate_facts(hospital):
+    scenario, cfg = hospital
+    result = run(scenario, cfg)
+    screened = [c for t in result.traces for c in t.candidates]
+    assert screened
+    assert all(c.verdict.facts is None for c in screened)
