@@ -82,7 +82,13 @@ class DriftLedger:
 
     @property
     def total(self) -> float:
-        return sum(e.cost + e.residual for e in self.entries)
+        # added left to right from the integer 0, as sum() did before Python
+        # 3.12 compensated float rounding; the traced total is then the same
+        # on every version (an empty ledger totals 0, not 0.0)
+        total = 0
+        for e in self.entries:
+            total += e.cost + e.residual
+        return total
 
     @property
     def valid(self) -> bool:
@@ -443,11 +449,12 @@ def _substitution(
     conditions: list[tuple[str, str, bool, str]] = []
 
     s1_ok = True
+    replacement = schema.closure_mask(c2.provides)
     for rid in sites:
         role = h.role(rid)
         assert role is not None
         for needed in sorted(role.requires):
-            if not schema.covers(c2.provides, needed):
+            if not schema.mask_covers(replacement, needed):
                 s1_ok = False
     conditions.append(
         ("S1", "function-class", s1_ok, "replacement provides the required function class or a certified refinement")
@@ -456,18 +463,18 @@ def _substitution(
     touched = set(sites)
     s2_ok = facts.soundness.sound
     if s2_ok:
-        entities = h2.entity_vocabulary()
-        events = h2.event_vocabulary()
+        entities = schema.closure_mask(h2.entity_vocabulary())
+        events = schema.closure_mask(h2.event_vocabulary())
         honored = h2.propagated_obligations()
         for edge in h2.edges:
             if edge.from_role not in touched and edge.to_role not in touched:
                 continue
             if not all(
-                schema.covers(entities, t) for t in edge.contract.entity_types if schema.declares(t)
+                schema.mask_covers(entities, t) for t in edge.contract.entity_types if schema.declares(t)
             ):
                 s2_ok = False
             if not all(
-                schema.covers(events, t) for t in edge.contract.event_types if schema.declares(t)
+                schema.mask_covers(events, t) for t in edge.contract.event_types if schema.declares(t)
             ):
                 s2_ok = False
             if not edge.contract.obligations <= honored:

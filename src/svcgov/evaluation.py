@@ -191,10 +191,8 @@ class IdentitySpec:
 def _covered(h: Hypothesis, wanted: frozenset[ConceptId], schema: OntologySchema) -> frozenset[ConceptId]:
     """Subset of ``wanted`` functions realized by some assigned component
     (up to refinement)."""
-    provided: set[ConceptId] = set()
-    for _, comp in h.assignment:
-        provided |= comp.provides
-    return frozenset(f for f in wanted if schema.covers(provided, f))
+    provided = schema.closure_mask(f for _, comp in h.assignment for f in comp.provides)
+    return frozenset(f for f in wanted if schema.mask_covers(provided, f))
 
 
 def _preserved_fraction(before: frozenset, after: frozenset) -> float:
@@ -381,10 +379,13 @@ class SafetyPredicate:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "SafetyPredicate":
+        params = data.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ConfigError(f"safety predicate params must be a JSON object, got {params!r}")
         return cls(
             name=str(data.get("name", data["kind"])),
             kind=str(data["kind"]),
-            params=tuple(sorted(data.get("params", {}).items())),
+            params=tuple(sorted(params.items())),
         )
 
 
@@ -398,9 +399,7 @@ class InvariantCore:
 
     identity: IdentitySpec
     predicates: tuple[SafetyPredicate, ...]
-    mode: str = "hard-fail"  # hard-fail | thresholded
     include_identity: bool = True
-    value_floor: float = 1.0  # only consulted in thresholded mode
 
     def __post_init__(self) -> None:
         if not self.predicates:
@@ -408,26 +407,25 @@ class InvariantCore:
         names = [p.name for p in self.predicates]
         if len(names) != len(set(names)):
             raise ConfigError("safety predicate names must be unique")
-        if self.mode not in ("hard-fail", "thresholded"):
-            raise ConfigError(f"unknown core threshold mode {self.mode!r}")
 
     def to_data(self) -> dict:
         return {
             "identity": self.identity.to_data(),
             "predicates": [p.to_data() for p in self.predicates],
-            "mode": self.mode,
             "include_identity": self.include_identity,
-            "value_floor": self.value_floor,
         }
 
     @classmethod
     def from_data(cls, data: Mapping) -> "InvariantCore":
+        unknown = sorted(set(data) - {"identity", "predicates", "mode", "include_identity"})
+        if unknown:
+            raise ConfigError(f"unknown core keys: {', '.join(unknown)}")
+        if data.get("mode", "hard-fail") != "hard-fail":
+            raise ConfigError(f"unknown core mode {data['mode']!r}: the only mode is 'hard-fail'")
         return cls(
             identity=IdentitySpec.from_data(data["identity"]),
             predicates=tuple(SafetyPredicate.from_data(p) for p in data["predicates"]),
-            mode=str(data.get("mode", "hard-fail")),
             include_identity=bool(data.get("include_identity", True)),
-            value_floor=float(data.get("value_floor", 1.0)),
         )
 
 
@@ -451,18 +449,15 @@ def core_value(core: InvariantCore, h: Hypothesis, z: SemanticState, schema: Ont
     """Evaluate the invariant core on a single hypothesis.
 
     value = identity term + hard-safety term (1 when every predicate holds,
-    else 0).  In hard-fail mode the report fails on any predicate failure,
-    and on identity below threshold when identity is part of the core; the
-    threshold comparison is inclusive."""
+    else 0).  The report fails on any predicate failure, and on identity
+    below threshold when identity is part of the core; the threshold
+    comparison is inclusive."""
     results = tuple((p.name, p.check(h, z, schema)) for p in core.predicates)
     all_safe = all(ok for _, ok in results)
     ident = absolute_identity(core.identity, h, z, schema)
     value = ident + (1.0 if all_safe else 0.0)
     identity_ok = (not core.include_identity) or ident >= core.identity.threshold - 1e-12
-    if core.mode == "hard-fail":
-        passed = all_safe and identity_ok
-    else:
-        passed = value >= core.value_floor and identity_ok
+    passed = all_safe and identity_ok
     return CoreReport(value=value, passed=passed, identity_value=ident, predicate_results=results)
 
 

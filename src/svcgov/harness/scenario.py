@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from ..errors import ConfigError, ParseError, ValidationError
 from ..certify import RegimeSwitchModel
@@ -297,6 +297,8 @@ def scenario_to_data(scenario: Scenario, ontology_text: str) -> dict:
 #: Configuration keys that have no default.
 REQUIRED_CONFIG_KEYS = ("grammar", "regimes", "core", "capacity_budget", "drift_bound")
 
+T = TypeVar("T")
+
 
 def _number(data: Mapping, key: str, default: float | None = None, kind: type = float) -> float:
     """The JSON number under ``key`` (``default`` when absent), as ``kind``;
@@ -309,35 +311,49 @@ def _number(data: Mapping, key: str, default: float | None = None, kind: type = 
     return kind(value)
 
 
+def _section(name: str, build: Callable[[], T]) -> T:
+    """``build()``, with a malformed value under configuration section
+    ``name`` (a missing key, a list where an object belongs, a bad number)
+    refused as a ConfigError that names the section."""
+    try:
+        return build()
+    except KeyError as exc:
+        raise ConfigError(f"configuration section {name!r}: missing key {exc.args[0]!r}") from exc
+    except (ConfigError, TypeError, AttributeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"configuration section {name!r}: {exc}") from exc
+
+
 def config_from_data(
     data: Mapping, schema: OntologySchema, assertions: AssertionBase
 ) -> OrchestratorConfig:
     missing = [key for key in REQUIRED_CONFIG_KEYS if key not in data]
     if missing:
         raise ConfigError(f"configuration is missing required keys: {', '.join(missing)}")
-    grammar = TransformationGrammar.from_data(data["grammar"])
+    grammar = _section("grammar", lambda: TransformationGrammar.from_data(data["grammar"]))
     fallback_data = data.get("fallback")
     if fallback_data is None:
         raise ConfigError("configuration must declare the supervision fallback")
-    fallback = transformation_from_data(fallback_data)
+    fallback = _section("fallback", lambda: transformation_from_data(fallback_data))
     if not isinstance(fallback, AddSubservice):
         raise ConfigError("the fallback must be an add_subservice transformation")
     return OrchestratorConfig(
         schema=schema,
         assertions=assertions,
         grammar=grammar,
-        regimes=tuple(Regime.from_data(r) for r in data["regimes"]),
-        core=InvariantCore.from_data(data["core"]),
-        prior=StructuralPrior.from_data(data.get("prior", {})),
+        regimes=_section("regimes", lambda: tuple(Regime.from_data(r) for r in data["regimes"])),
+        core=_section("core", lambda: InvariantCore.from_data(data["core"])),
+        prior=_section("prior", lambda: StructuralPrior.from_data(data.get("prior", {}))),
         capacity_budget=_number(data, "capacity_budget"),
-        switch_model=RegimeSwitchModel.from_data(data.get("switch_model", {})),
+        switch_model=_section(
+            "switch_model", lambda: RegimeSwitchModel.from_data(data.get("switch_model", {}))
+        ),
         drift_bound=_number(data, "drift_bound"),
         reuse_bonus=_number(data, "reuse_bonus", 1.0),
         reuse_penalty=_number(data, "reuse_penalty", 2.0),
         transport_max_distance=_number(data, "transport_max_distance", 0, kind=int),
         interface_charge=_number(data, "interface_charge", 0.0),
         fallback=fallback,
-        flags=GateFlags.from_data(data.get("flags", {})),
+        flags=_section("flags", lambda: GateFlags.from_data(data.get("flags", {}))),
     )
 
 

@@ -23,7 +23,6 @@ from .ontology import (
     Category,
     ConceptId,
     OntologySchema,
-    is_refinement,
     kind_matches,
 )
 
@@ -386,18 +385,9 @@ def _zone_signal(
 ) -> float:
     """1.0 when any occupied zone carries a descriptor refining a sentinel
     Environment concept (matched by local name), else 0.0."""
-    sentinels = [
-        c
-        for c in schema.concepts_in(Category.ENVIRONMENT)
-        if c.local_name == sentinel_local_name
-    ]
-    if not sentinels:
-        return 0.0
-    for zone in zones:
-        for descriptor in env_map.get(zone, ()):
-            if any(is_refinement(schema, descriptor, s) for s in sentinels):
-                return 1.0
-    return 0.0
+    sentinels = schema.named_mask(Category.ENVIRONMENT, sentinel_local_name)
+    descriptors = schema.closure_mask(d for zone in zones for d in env_map.get(zone, ()))
+    return 1.0 if descriptors & sentinels else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +701,9 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
             ok = check_concept(f, Category.FUNCTION, f"component {comp.component_id} provides") and ok
         if not ok:
             continue
+        provided = schema.closure_mask(comp.provides)
         for needed in sorted(role.requires):
-            if schema.declares(needed) and not schema.covers(comp.provides, needed):
+            if schema.declares(needed) and not schema.mask_covers(provided, needed):
                 violations.append(
                     (
                         "function-unsatisfied",
@@ -808,11 +799,11 @@ def interface_compatible(
     obligation sets.  Entities and events are matched up to refinement;
     obligations must be present exactly (propagated, never dropped)."""
     for side in (upstream, downstream):
-        entities = side.entity_vocabulary()
-        events = side.event_vocabulary()
-        if not all(schema.covers(entities, t) for t in contract.entity_types):
+        entities = schema.closure_mask(side.entity_vocabulary())
+        events = schema.closure_mask(side.event_vocabulary())
+        if not all(schema.mask_covers(entities, t) for t in contract.entity_types):
             return False
-        if not all(schema.covers(events, t) for t in contract.event_types):
+        if not all(schema.mask_covers(events, t) for t in contract.event_types):
             return False
         if not contract.obligations <= side.propagated_obligations():
             return False

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ParseError, UnknownConcept, ValidationError
 
@@ -43,16 +43,24 @@ RELATION_NAMES = ("executes", "notifies", "requires", "providesFunction", "locat
 PARAM_KINDS = ("number", "flag", "enum", "text")
 
 
-@dataclass(frozen=True, order=True)
-class ConceptId:
-    """Namespaced concept identifier; equality and ordering are exact."""
-
+class _ConceptPair(NamedTuple):
     namespace: str
     local_name: str
 
-    def __post_init__(self) -> None:
-        if not self.namespace or not self.local_name:
+
+class ConceptId(_ConceptPair):
+    """Namespaced concept identifier; equality and ordering are exact.
+
+    A tuple of ``(namespace, local_name)``, so hashing, equality and
+    ordering run in C and agree with the plain pair's.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, namespace: str, local_name: str) -> "ConceptId":
+        if not namespace or not local_name:
             raise ValueError("concept id needs a non-empty namespace and local name")
+        return super().__new__(cls, namespace, local_name)
 
     def __str__(self) -> str:
         return f"{self.namespace}:{self.local_name}"
@@ -87,7 +95,9 @@ class OntologySchema:
     schema is built: concepts are numbered in a topological order (parents
     first) and each concept keeps a bitmask of its ancestors' numbers.  A
     refinement query is then a lookup, whatever the size of the ontology,
-    and a chain of n links costs n*n/8 bytes, not n*n set entries.
+    and a chain of n links costs n*n/8 bytes, not n*n set entries.  The
+    concepts a provider set covers are the union of its members' masks
+    (``closure_mask``), so each wanted concept costs one AND against it.
     """
 
     concepts: Mapping[ConceptId, Category]
@@ -98,14 +108,26 @@ class OntologySchema:
     #: concepts in topological order, and per concept (number, ancestor mask)
     _order: tuple[ConceptId, ...] = field(init=False, repr=False, compare=False)
     _closure: Mapping[ConceptId, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    #: per declared concept, its own bit and its ancestor mask
+    _bits: Mapping[ConceptId, int] = field(init=False, repr=False, compare=False)
+    _masks: Mapping[ConceptId, int] = field(init=False, repr=False, compare=False)
+    #: per (category, local name), the bits of the declared concepts so named
+    _named: Mapping[tuple[Category, str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         order, closure, cycle = _refinement_closure(self.concepts, self.refinements)
         if cycle:
             names = ", ".join(str(c) for c in cycle)
             raise ValidationError([f"refinement cycle through {{{names}}}"])
+        bits = {c: 1 << closure[c][0] for c in self.concepts}
+        named: dict[tuple[Category, str], int] = {}
+        for c, cat in self.concepts.items():
+            named[cat, c.local_name] = named.get((cat, c.local_name), 0) | bits[c]
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_closure", closure)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_masks", {c: closure[c][1] for c in self.concepts})
+        object.__setattr__(self, "_named", named)
 
     def category(self, concept: ConceptId) -> Category:
         try:
@@ -128,16 +150,31 @@ class OntologySchema:
             mask ^= low
         return frozenset(out)
 
+    def closure_mask(self, provided: Iterable[ConceptId]) -> int:
+        """Union of the ancestor masks of the declared concepts in
+        ``provided``: every concept one of them is or refines, as bits.
+        Undeclared members contribute nothing."""
+        masks = self._masks
+        mask = 0
+        for p in provided:
+            mask |= masks.get(p, 0)
+        return mask
+
+    def mask_covers(self, mask: int, wanted: ConceptId) -> bool:
+        """True iff ``wanted`` is declared and lies in ``mask``, the
+        ``closure_mask`` of a provider set."""
+        return (mask & self._bits.get(wanted, 0)) != 0
+
     def covers(self, provided: Iterable[ConceptId], wanted: ConceptId) -> bool:
         """True iff ``wanted`` is declared and some declared concept in
         ``provided`` is ``wanted`` or a refinement of it."""
-        if wanted not in self.concepts:
-            return False
-        bit = 1 << self._closure[wanted][0]
-        return any(p in self.concepts and self._closure[p][1] & bit for p in provided)
+        return self.mask_covers(self.closure_mask(provided), wanted)
 
-    def concepts_in(self, category: Category) -> tuple[ConceptId, ...]:
-        return tuple(sorted(c for c, cat in self.concepts.items() if cat is category))
+    def named_mask(self, category: Category, local_name: str) -> int:
+        """Bits of the declared ``category`` concepts whose local name is
+        ``local_name``; a ``closure_mask`` meets it iff its provider set
+        covers one of them."""
+        return self._named.get((category, local_name), 0)
 
     def params_for(self, concept: ConceptId) -> dict[str, ParamDecl]:
         """Parameter declarations of a concept, inherited along refinement."""

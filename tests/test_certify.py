@@ -391,6 +391,13 @@ class TestLedgerAndCapacityMeasure:
         ledger = DriftLedger(bound=100.0, entries=entries)
         assert ledger.total == pytest.approx(sum(e.cost + e.residual for e in entries), abs=1e-9)
 
+    def test_ledger_total_is_the_same_on_every_python_version(self):
+        # traced bytes: plain left-to-right float addition, from integer 0
+        entries = tuple(LedgerEntry("a", "b", cost=c, residual=0.0) for c in (0.1, 0.2, 0.3))
+        assert DriftLedger(bound=1.0, entries=entries).total == 0.6000000000000001
+        empty = DriftLedger(bound=1.0).total
+        assert empty == 0 and type(empty) is int
+
     def test_capacity_measure_counts_distinct_digests(self, simple_h):
         assert capacity_measure([]) == 0
         assert capacity_measure([simple_h, simple_h]) == 1

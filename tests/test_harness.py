@@ -147,6 +147,24 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="flag"):
             config_from_data(data, scenario.schema, scenario.assertions)
 
+    @pytest.mark.parametrize(
+        "key, value", [("mode", "thresholded"), ("mode", "soft"), ("mode", None), ("value_floor", 1.0)]
+    )
+    def test_core_modes_other_than_hard_fail_are_refused(self, hospital, key, value):
+        scenario, _ = hospital
+        data = hospital_config_data()
+        data["core"][key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_data(data, scenario.schema, scenario.assertions)
+
+    def test_hard_fail_mode_may_be_named_or_left_out(self, hospital):
+        scenario, _ = hospital
+        data = hospital_config_data()
+        assert data["core"]["mode"] == "hard-fail"
+        named = config_from_data(data, scenario.schema, scenario.assertions)
+        del data["core"]["mode"]
+        assert config_from_data(data, scenario.schema, scenario.assertions).core == named.core
+
     def test_boolean_flags_load(self, hospital):
         scenario, _ = hospital
         data = hospital_config_data()
@@ -318,6 +336,27 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(scenario), "--config", str(config)]) == 4
         err = capsys.readouterr().err
         assert "error config" in err and "no-estop" in err and "'flag'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, mutate",
+        [
+            ("core", lambda d: d["core"]["predicates"].append({"name": "x", "kind": "flag-absent", "params": []})),
+            ("core", lambda d: d["core"]["predicates"].append({"name": "x"})),
+            ("core", lambda d: d["core"].pop("identity")),
+            ("regimes", lambda d: d["regimes"][0].pop("budgets")),
+        ],
+        ids=["predicate-params-list", "predicate-without-kind", "core-without-identity", "regime-without-budgets"],
+    )
+    def test_run_with_malformed_config_section_exits_four(self, tmp_path, capsys, section, mutate):
+        data = hospital_config_data()
+        mutate(data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        scenario = pack_dir("hospital") / "scenario.json"
+        assert cli_main(["run", "--scenario", str(scenario), "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "error config" in err and f"section {section!r}" in err
         assert "Traceback" not in err
 
     def test_run_with_malformed_store_record_exits_five(self, tmp_path, capsys):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcgov.errors import ParseError, UnknownConcept, ValidationError
+from svcgov.evaluation import _covered
+from svcgov.model import Component, Hypothesis, Role
 from svcgov.ontology import (
     AssertionBase,
     Category,
@@ -217,14 +219,38 @@ class TestRefinement:
 
         declared = [cid(name) for name in names]
         undeclared = [cid("d:ghost"), cid("x:c0")]
-        for a in declared + undeclared:
+        everything = declared + undeclared
+        for a in everything:
             assert schema.ancestors(a) == ancestors(a)
         for a in declared:
             for b in declared:
                 assert is_refinement(schema, a, b) == (b in ancestors(a))
-        for wanted in declared + undeclared:
-            provided = data.draw(st.sets(st.sampled_from(declared + undeclared), max_size=4))
+        for wanted in everything:
+            provided = data.draw(st.sets(st.sampled_from(everything), max_size=4))
             assert schema.covers(provided, wanted) == covers(provided, wanted)
+
+        provided = data.draw(st.sets(st.sampled_from(everything), max_size=5))
+        mask = schema.closure_mask(provided)
+        for wanted in everything:
+            assert schema.mask_covers(mask, wanted) == covers(provided, wanted)
+        assert schema.closure_mask(undeclared) == 0
+        # "x:c0" shares its local name with a declared concept but is not one
+        local = data.draw(st.sampled_from(["c0", "c1", "ghost"]))
+        named = [c for c in declared if c.local_name == local]
+        assert bool(mask & schema.named_mask(Category.FUNCTION, local)) == any(
+            covers(provided, c) for c in named
+        )
+        assert schema.named_mask(Category.AGENT, local) == 0
+
+        # components providing drawn sets, some with undeclared functions
+        parts = data.draw(st.lists(st.sets(st.sampled_from(everything), max_size=3), max_size=3))
+        h = Hypothesis.build(
+            [Role(f"r{i}", frozenset()) for i in range(len(parts))],
+            assignment={f"r{i}": Component(f"u{i}", cid("d:unit"), frozenset(p)) for i, p in enumerate(parts)},
+        )
+        wanted = frozenset(data.draw(st.sets(st.sampled_from(everything))))
+        pooled = frozenset().union(*parts)
+        assert _covered(h, wanted, schema) == frozenset(w for w in wanted if covers(pooled, w))
 
     def test_partial_order_antisymmetry(self, schema):
         concepts = list(schema.concepts)
@@ -318,12 +344,38 @@ class TestConsistency:
         assert before <= after
 
 
+PARTS = st.text(alphabet=st.characters(blacklist_characters=":", blacklist_categories=("Cs",)), min_size=1)
+
+
 class TestConceptId:
     def test_requires_namespace_and_local_name(self):
         with pytest.raises(ValueError):
             ConceptId("", "x")
         with pytest.raises(ValueError):
             ConceptId.parse("no-colon")
+
+    @given(st.tuples(PARTS, PARTS), st.tuples(PARTS, PARTS))
+    @settings(max_examples=200, deadline=None)
+    def test_value_semantics_are_those_of_the_pair(self, p, q):
+        a, b = ConceptId(*p), ConceptId(*q)
+        assert (a.namespace, a.local_name) == p
+        assert (a == b) == (p == q) and (a != b) == (p != q)
+        assert (a < b) == (p < q) and (a <= b) == (p <= q) and (a > b) == (p > q)
+        assert hash(a) == hash(p)
+        assert ConceptId(namespace=p[0], local_name=p[1]) == a
+        assert ConceptId.parse(str(a)) == a and str(a) == f"{p[0]}:{p[1]}"
+        assert repr(a) == f"ConceptId(namespace={p[0]!r}, local_name={p[1]!r})"
+        assert {a: 1}.get(ConceptId(*p)) == 1
+
+    @given(PARTS)
+    def test_empty_parts_are_refused(self, part):
+        for args in ((part, ""), ("", part), ("", "")):
+            with pytest.raises(ValueError):
+                ConceptId(*args)
+        with pytest.raises(ValueError):
+            ConceptId.parse(f"{part}:")
+        with pytest.raises(ValueError):
+            ConceptId.parse(f":{part}")
 
     def test_total_ordering_is_deterministic(self):
         ids = [cid("b:x"), cid("a:z"), cid("a:a")]
