@@ -449,7 +449,7 @@ def _substitution(
     conditions: list[tuple[str, str, bool, str]] = []
 
     s1_ok = True
-    replacement = schema.closure_mask(c2.provides)
+    replacement = schema.cached_mask(c2.provides)
     for rid in sites:
         role = h.role(rid)
         assert role is not None

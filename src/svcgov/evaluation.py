@@ -188,10 +188,18 @@ class IdentitySpec:
         )
 
 
-def _covered(h: Hypothesis, wanted: frozenset[ConceptId], schema: OntologySchema) -> frozenset[ConceptId]:
-    """Subset of ``wanted`` functions realized by some assigned component
-    (up to refinement)."""
-    provided = schema.closure_mask(f for _, comp in h.assignment for f in comp.provides)
+def provider_mask(h: Hypothesis, schema: OntologySchema) -> int:
+    """Closure mask of every function some assigned component provides
+    (up to refinement): the OR of the components' cached masks."""
+    mask = 0
+    for _, comp in h.assignment:
+        mask |= schema.cached_mask(comp.provides)
+    return mask
+
+
+def _covered(provided: int, wanted: frozenset[ConceptId], schema: OntologySchema) -> frozenset[ConceptId]:
+    """Subset of ``wanted`` functions in ``provided``, a hypothesis's
+    ``provider_mask``."""
     return frozenset(f for f in wanted if schema.mask_covers(provided, f))
 
 
@@ -230,11 +238,13 @@ def identity_breakdown(
     z: SemanticState,
     schema: OntologySchema,
 ) -> IdentityBreakdown:
+    before_mask = provider_mask(before, schema)
+    after_mask = provider_mask(after, schema)
     s_request = _preserved_fraction(
-        _covered(before, z.required_functions, schema), _covered(after, z.required_functions, schema)
+        _covered(before_mask, z.required_functions, schema), _covered(after_mask, z.required_functions, schema)
     )
     s_outputs = _preserved_fraction(
-        _covered(before, z.output_functions, schema), _covered(after, z.output_functions, schema)
+        _covered(before_mask, z.output_functions, schema), _covered(after_mask, z.output_functions, schema)
     )
     before_safety = _safety_constraints(before)
     after_safety = _safety_constraints(after)
@@ -276,8 +286,9 @@ def absolute_identity(
     the semantic state: coverage of required and output functions, honored
     pending obligations.  The hard-safety sub-score has no absolute
     reading (it is carried by the core's predicates) and counts full."""
-    required = _covered(h, z.required_functions, schema)
-    outputs = _covered(h, z.output_functions, schema)
+    provided = provider_mask(h, schema)
+    required = _covered(provided, z.required_functions, schema)
+    outputs = _covered(provided, z.output_functions, schema)
     pending = frozenset(z.interaction_state.pending_obligations)
     honored = pending & h.propagated_obligations()
     s_request = len(required) / len(z.required_functions) if z.required_functions else 1.0
@@ -339,7 +350,7 @@ def _pred_flag_requires_function(params: Mapping) -> PredicateFn:
     def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
         if flag not in z.safety_flags:
             return True
-        return any(schema.covers(comp.provides, function) for _, comp in h.assignment)
+        return schema.mask_covers(provider_mask(h, schema), function)
 
     return check
 
@@ -422,10 +433,13 @@ class InvariantCore:
             raise ConfigError(f"unknown core keys: {', '.join(unknown)}")
         if data.get("mode", "hard-fail") != "hard-fail":
             raise ConfigError(f"unknown core mode {data['mode']!r}: the only mode is 'hard-fail'")
+        include_identity = data.get("include_identity", True)
+        if not isinstance(include_identity, bool):
+            raise ConfigError(f"core key 'include_identity' must be true or false, got {include_identity!r}")
         return cls(
             identity=IdentitySpec.from_data(data["identity"]),
             predicates=tuple(SafetyPredicate.from_data(p) for p in data["predicates"]),
-            include_identity=bool(data.get("include_identity", True)),
+            include_identity=include_identity,
         )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from ..errors import ConfigError, ParseError, ValidationError
+from ..errors import ConfigError, MalformedTransformation, ParseError, ValidationError
 from ..certify import RegimeSwitchModel
 from ..evaluation import InvariantCore, Regime, StructuralPrior
 from ..model import (
@@ -296,6 +296,18 @@ def scenario_to_data(scenario: Scenario, ontology_text: str) -> dict:
 
 #: Configuration keys that have no default.
 REQUIRED_CONFIG_KEYS = ("grammar", "regimes", "core", "capacity_budget", "drift_bound")
+#: Every configuration key; any other key is refused, so a typo cannot
+#: silently leave a default in its place.
+CONFIG_KEYS = (
+    *REQUIRED_CONFIG_KEYS,
+    "fallback",
+    "prior",
+    "switch_model",
+    "reuse_bonus",
+    "reuse_penalty",
+    "transport_max_distance",
+    "flags",
+)
 
 T = TypeVar("T")
 
@@ -314,12 +326,14 @@ def _number(data: Mapping, key: str, default: float | None = None, kind: type = 
 def _section(name: str, build: Callable[[], T]) -> T:
     """``build()``, with a malformed value under configuration section
     ``name`` (a missing key, a list where an object belongs, a bad number)
-    refused as a ConfigError that names the section."""
+    refused as a ConfigError that names the section.  A transformation that
+    does not decode (an unknown variant, a prototype of the wrong variant)
+    is a config error here too."""
     try:
         return build()
     except KeyError as exc:
         raise ConfigError(f"configuration section {name!r}: missing key {exc.args[0]!r}") from exc
-    except (ConfigError, TypeError, AttributeError, ValueError, IndexError) as exc:
+    except (ConfigError, MalformedTransformation, TypeError, AttributeError, ValueError, IndexError) as exc:
         raise ConfigError(f"configuration section {name!r}: {exc}") from exc
 
 
@@ -329,6 +343,9 @@ def config_from_data(
     missing = [key for key in REQUIRED_CONFIG_KEYS if key not in data]
     if missing:
         raise ConfigError(f"configuration is missing required keys: {', '.join(missing)}")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
     grammar = _section("grammar", lambda: TransformationGrammar.from_data(data["grammar"]))
     fallback_data = data.get("fallback")
     if fallback_data is None:
@@ -351,7 +368,6 @@ def config_from_data(
         reuse_bonus=_number(data, "reuse_bonus", 1.0),
         reuse_penalty=_number(data, "reuse_penalty", 2.0),
         transport_max_distance=_number(data, "transport_max_distance", 0, kind=int),
-        interface_charge=_number(data, "interface_charge", 0.0),
         fallback=fallback,
         flags=_section("flags", lambda: GateFlags.from_data(data.get("flags", {}))),
     )

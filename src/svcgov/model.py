@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .canon import canonical_dumps, digest_of
+from .canon import canonical_dumps, canonical_object, digest_of, sha256_hex
 from .errors import IncompatibleInterface, TypingError
 from .ontology import (
     AssertionBase,
@@ -395,8 +395,24 @@ def _zone_signal(
 # ---------------------------------------------------------------------------
 
 
+class _Element:
+    """Base of the hypothesis elements (role, component, edge and policy
+    rule): keeps the element's canonical text once computed, and
+    ``Hypothesis.digest`` is composed from these texts.  The instance is
+    immutable, so the text never goes stale; it is not a dataclass field,
+    so it takes no part in equality, hashing or repr."""
+
+    _text: str | None = None
+
+    def canonical_text(self) -> str:
+        """``canonical_dumps(self.to_data())``, computed on first use."""
+        if self._text is None:
+            object.__setattr__(self, "_text", canonical_dumps(self.to_data()))
+        return self._text
+
+
 @dataclass(frozen=True)
-class Component:
+class Component(_Element):
     """A deployable component: its own concept plus the functions it provides."""
 
     component_id: str
@@ -420,7 +436,7 @@ class Component:
 
 
 @dataclass(frozen=True)
-class Role:
+class Role(_Element):
     role_id: str
     requires: frozenset[ConceptId]
 
@@ -455,7 +471,7 @@ class InterfaceContract:
 
 
 @dataclass(frozen=True)
-class Edge:
+class Edge(_Element):
     from_role: str
     to_role: str
     contract: InterfaceContract
@@ -499,7 +515,7 @@ def conditions_hold(conditions: Sequence[SignalCondition], signals: Mapping[str,
 
 
 @dataclass(frozen=True)
-class PolicyRule:
+class PolicyRule(_Element):
     """One guarded orchestration step: when the guard holds on the regime
     signals, ``actor_role`` performs ``relation`` on ``action_concept``.
     ``latency`` is the step's contribution to pipeline latency, in ticks."""
@@ -647,11 +663,29 @@ class Hypothesis:
             constraints={str(n): float(b) for n, b in data.get("constraints", {}).items()},
         )
 
+    def canonical_text(self) -> str:
+        """``canonical_dumps(self.to_data())``, composed from the cached
+        texts of the elements, so an element shared with another
+        hypothesis is serialized once."""
+        return (
+            '{"assignment":'
+            + canonical_object((rid, comp.canonical_text()) for rid, comp in self.assignment)
+            + ',"constraints":'
+            + canonical_dumps(dict(self.constraints))
+            + ',"edges":['
+            + ",".join(e.canonical_text() for e in self.edges)
+            + '],"policy":['
+            + ",".join(p.canonical_text() for p in self.policy)
+            + '],"roles":['
+            + ",".join(r.canonical_text() for r in self.roles)
+            + "]}"
+        )
+
     def digest(self) -> str:
         """Content digest of ``to_data()``, computed on first use; the
         instance is immutable, so it never goes stale."""
         if self._digest is None:
-            object.__setattr__(self, "_digest", digest_of(self.to_data()))
+            object.__setattr__(self, "_digest", sha256_hex(self.canonical_text()))
         return self._digest
 
 
@@ -665,78 +699,132 @@ class SoundnessReport:
 
 
 def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
-    """Check every hypothesis invariant under the schema's refinement closure."""
+    """Check every hypothesis invariant under the schema's refinement closure.
+
+    The report joins per-element verdicts: each role's requirements, each
+    (role, component) binding, each edge's contract and each policy rule's
+    own checks.  A verdict reads only its element and the schema, so it is
+    computed once per distinct element value and kept in ``schema.memo``;
+    a candidate then pays only for the elements its transformation made.
+    The checks that read the whole role set, and the graph-shape pass, run
+    on every call.  Violations come in a fixed order: requirements,
+    assignment coverage, bindings, edges (endpoints before contract) and
+    policy rules (relation, actor role, then guard, latency and action),
+    then graph shape.
+    """
+    memo = schema.memo
     violations: list[tuple[str, str]] = []
-    role_ids = set(h.role_ids())
-    assignment = h.assignment_map()
-
-    def check_concept(c: ConceptId, want: Category | None, where: str) -> bool:
-        if not schema.declares(c):
-            violations.append(("unknown-concept", f"{where}: undeclared concept {c}"))
-            return False
-        if want is not None and schema.category(c) is not want:
-            violations.append(
-                ("category-mismatch", f"{where}: {c} is {schema.category(c).value}, expected {want.value}")
-            )
-            return False
-        return True
-
+    roles: dict[str, Role] = {}
     for role in h.roles:
-        for f in sorted(role.requires):
-            check_concept(f, Category.FUNCTION, f"role {role.role_id} requirement")
+        roles.setdefault(role.role_id, role)
+        violations += _verdict(memo, role, _role_verdict, role, schema)
 
-    for rid in sorted(role_ids):
+    assignment = h.assignment_map()
+    for rid in sorted(roles):
         if rid not in assignment:
             violations.append(("unassigned-role", f"role {rid} has no component assigned"))
     for rid in sorted(assignment):
-        if rid not in role_ids:
+        if rid not in roles:
             violations.append(("unknown-role", f"assignment references unknown role {rid}"))
 
     for rid, comp in h.assignment:
-        role = h.role(rid)
-        if role is None:
-            continue
-        ok = check_concept(comp.concept, None, f"component {comp.component_id}")
-        for f in sorted(comp.provides):
-            ok = check_concept(f, Category.FUNCTION, f"component {comp.component_id} provides") and ok
-        if not ok:
-            continue
-        provided = schema.closure_mask(comp.provides)
-        for needed in sorted(role.requires):
-            if schema.declares(needed) and not schema.mask_covers(provided, needed):
-                violations.append(
-                    (
-                        "function-unsatisfied",
-                        f"role {rid}: component {comp.component_id} provides no refinement of {needed}",
-                    )
-                )
+        role = roles.get(rid)
+        if role is not None:
+            violations += _verdict(memo, (role, comp), _binding_verdict, role, comp, schema)
 
     for e in h.edges:
         for end in (e.from_role, e.to_role):
-            if end not in role_ids:
+            if end not in roles:
                 violations.append(("edge-endpoint-missing", f"edge {e.from_role}->{e.to_role}: unknown role {end}"))
-        for c in sorted(e.contract.entity_types | e.contract.event_types):
-            check_concept(c, None, f"edge {e.from_role}->{e.to_role} contract")
-        for ob in sorted(e.contract.obligations):
-            check_concept(ob, Category.INTERACTION, f"edge {e.from_role}->{e.to_role} obligation")
+        violations += _verdict(memo, e, _contract_verdict, e, schema)
 
     for idx, rule in enumerate(h.policy):
-        if rule.relation not in ("executes", "notifies"):
-            violations.append(("bad-policy-relation", f"policy rule {idx}: unknown relation {rule.relation!r}"))
-        if rule.actor_role not in role_ids:
+        relation, rest = _verdict(memo, (idx, rule), _rule_verdict, idx, rule, schema)
+        violations += relation
+        if rule.actor_role not in roles:
             violations.append(("bad-policy-role", f"policy rule {idx}: unknown actor role {rule.actor_role}"))
-        for cond in rule.guard:
-            if cond.signal not in SIGNAL_NAMES:
-                violations.append(("bad-policy-signal", f"policy rule {idx}: unknown signal {cond.signal!r}"))
-            if cond.op not in GUARD_OPS:
-                violations.append(("bad-policy-signal", f"policy rule {idx}: unknown operator {cond.op!r}"))
-        if rule.latency < 0:
-            violations.append(("bad-policy-latency", f"policy rule {idx}: negative latency"))
-        want = Category.INTERACTION if rule.relation == "notifies" else Category.FUNCTION
-        check_concept(rule.action_concept, want, f"policy rule {idx} action")
+        violations += rest
 
     violations.extend(_graph_shape_violations(h))
     return SoundnessReport(sound=not violations, violations=tuple(violations))
+
+
+def _verdict(memo: dict, key: object, check, *args):
+    """``check(*args)``, kept in ``memo`` under ``key``, the value of the
+    element it judges."""
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = check(*args)
+    return verdict
+
+
+def _check_concept(
+    out: list[tuple[str, str]], schema: OntologySchema, c: ConceptId, want: Category | None, where: str
+) -> bool:
+    """Append the violation of ``c`` (undeclared, or not of category
+    ``want``) to ``out``; True when there is none."""
+    if not schema.declares(c):
+        out.append(("unknown-concept", f"{where}: undeclared concept {c}"))
+        return False
+    if want is not None and schema.category(c) is not want:
+        out.append(("category-mismatch", f"{where}: {c} is {schema.category(c).value}, expected {want.value}"))
+        return False
+    return True
+
+
+def _role_verdict(role: Role, schema: OntologySchema) -> tuple[tuple[str, str], ...]:
+    out: list[tuple[str, str]] = []
+    for f in sorted(role.requires):
+        _check_concept(out, schema, f, Category.FUNCTION, f"role {role.role_id} requirement")
+    return tuple(out)
+
+
+def _binding_verdict(role: Role, comp: Component, schema: OntologySchema) -> tuple[tuple[str, str], ...]:
+    out: list[tuple[str, str]] = []
+    ok = _check_concept(out, schema, comp.concept, None, f"component {comp.component_id}")
+    for f in sorted(comp.provides):
+        ok = _check_concept(out, schema, f, Category.FUNCTION, f"component {comp.component_id} provides") and ok
+    if ok:
+        provided = schema.cached_mask(comp.provides)
+        for needed in sorted(role.requires):
+            if schema.declares(needed) and not schema.mask_covers(provided, needed):
+                out.append(
+                    (
+                        "function-unsatisfied",
+                        f"role {role.role_id}: component {comp.component_id} provides no refinement of {needed}",
+                    )
+                )
+    return tuple(out)
+
+
+def _contract_verdict(e: Edge, schema: OntologySchema) -> tuple[tuple[str, str], ...]:
+    out: list[tuple[str, str]] = []
+    for c in sorted(e.contract.entity_types | e.contract.event_types):
+        _check_concept(out, schema, c, None, f"edge {e.from_role}->{e.to_role} contract")
+    for ob in sorted(e.contract.obligations):
+        _check_concept(out, schema, ob, Category.INTERACTION, f"edge {e.from_role}->{e.to_role} obligation")
+    return tuple(out)
+
+
+def _rule_verdict(
+    idx: int, rule: PolicyRule, schema: OntologySchema
+) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+    """The checks of policy rule ``idx`` that read only the rule, as the
+    part reported before its actor-role check and the part after it."""
+    relation: list[tuple[str, str]] = []
+    if rule.relation not in ("executes", "notifies"):
+        relation.append(("bad-policy-relation", f"policy rule {idx}: unknown relation {rule.relation!r}"))
+    rest: list[tuple[str, str]] = []
+    for cond in rule.guard:
+        if cond.signal not in SIGNAL_NAMES:
+            rest.append(("bad-policy-signal", f"policy rule {idx}: unknown signal {cond.signal!r}"))
+        if cond.op not in GUARD_OPS:
+            rest.append(("bad-policy-signal", f"policy rule {idx}: unknown operator {cond.op!r}"))
+    if rule.latency < 0:
+        rest.append(("bad-policy-latency", f"policy rule {idx}: negative latency"))
+    want = Category.INTERACTION if rule.relation == "notifies" else Category.FUNCTION
+    _check_concept(rest, schema, rule.action_concept, want, f"policy rule {idx} action")
+    return tuple(relation), tuple(rest)
 
 
 def _graph_shape_violations(h: Hypothesis) -> list[tuple[str, str]]:

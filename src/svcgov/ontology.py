@@ -98,6 +98,12 @@ class OntologySchema:
     and a chain of n links costs n*n/8 bytes, not n*n set entries.  The
     concepts a provider set covers are the union of its members' masks
     (``closure_mask``), so each wanted concept costs one AND against it.
+
+    ``memo`` keeps facts that depend on nothing but the schema and an
+    immutable value, keyed by that value: the closure mask of a frozen
+    provider set (``cached_mask``) and the per-element soundness verdicts
+    of ``model.type_soundness``.  An entry never goes stale, and it lives
+    exactly as long as the schema.
     """
 
     concepts: Mapping[ConceptId, Category]
@@ -113,6 +119,7 @@ class OntologySchema:
     _masks: Mapping[ConceptId, int] = field(init=False, repr=False, compare=False)
     #: per (category, local name), the bits of the declared concepts so named
     _named: Mapping[tuple[Category, str], int] = field(init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         order, closure, cycle = _refinement_closure(self.concepts, self.refinements)
@@ -158,6 +165,14 @@ class OntologySchema:
         mask = 0
         for p in provided:
             mask |= masks.get(p, 0)
+        return mask
+
+    def cached_mask(self, provided: frozenset[ConceptId]) -> int:
+        """``closure_mask`` of a frozen provider set, computed once per
+        distinct set and kept in ``memo``."""
+        mask = self.memo.get(provided)
+        if mask is None:
+            mask = self.memo[provided] = self.closure_mask(provided)
         return mask
 
     def mask_covers(self, mask: int, wanted: ConceptId) -> bool:

@@ -112,7 +112,6 @@ class OrchestratorConfig:
     reuse_bonus: float = 1.0
     reuse_penalty: float = 2.0
     transport_max_distance: int = 0
-    interface_charge: float = 0.0
     fallback: AddSubservice | None = None
     flags: GateFlags = GateFlags()
 

@@ -10,11 +10,11 @@ order) for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .canon import canonical_dumps
-from .errors import MalformedTransformation, NotReachable, UnknownSite
+from .errors import ConfigError, MalformedTransformation, NotReachable, UnknownSite
 from .model import (
     Component,
     Edge,
@@ -27,8 +27,17 @@ from .model import (
 from .ontology import OntologySchema
 
 
+class _Transformation:
+    """Base of the transformation variants: keeps ``transformation_key``
+    once computed.  The instance is immutable, so the key never goes stale;
+    it is not a dataclass field, so it takes no part in equality, hashing
+    or repr."""
+
+    _key: str | None = None
+
+
 @dataclass(frozen=True)
-class Substitute:
+class Substitute(_Transformation):
     role_id: str
     old_component_id: str
     new_component: Component
@@ -46,27 +55,27 @@ class Attachment:
 
 
 @dataclass(frozen=True)
-class AddSubservice:
+class AddSubservice(_Transformation):
     part: Hypothesis
     attach: tuple[Attachment, ...]
     rationale: str = ""
 
 
 @dataclass(frozen=True)
-class RemoveSubservice:
+class RemoveSubservice(_Transformation):
     role_ids: frozenset[str]
     rationale: str = ""
 
 
 @dataclass(frozen=True)
-class Rebind:
+class Rebind(_Transformation):
     role_id: str
     new_component: Component
     rationale: str = ""
 
 
 @dataclass(frozen=True)
-class UpdateConstraint:
+class UpdateConstraint(_Transformation):
     """Upsert of a named constraint bound.  Constraint removal is not
     expressible in the grammar."""
 
@@ -136,10 +145,12 @@ def transformation_from_data(data: Mapping) -> Transformation:
 
 
 def transformation_key(tau: Transformation) -> str:
-    """Stable content key, rationale excluded."""
-    data = transformation_to_data(tau)
-    data.pop("rationale", None)
-    return canonical_dumps(data)
+    """Stable content key, rationale excluded; computed once per instance."""
+    if tau._key is None:
+        data = transformation_to_data(tau)
+        data.pop("rationale", None)
+        object.__setattr__(tau, "_key", canonical_dumps(data))
+    return tau._key
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +200,14 @@ class TransformationGrammar:
     addable: tuple[AddSubservice, ...] = ()
     constraint_updates: tuple[UpdateConstraint, ...] = ()
     max_candidates: int = 16
+    #: keys of the addable and constraint-update prototypes
+    _prototype_keys: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_candidates < 1:
             raise MalformedTransformation("grammar max_candidates must be >= 1")
+        keys = frozenset(transformation_key(p) for p in (*self.addable, *self.constraint_updates))
+        object.__setattr__(self, "_prototype_keys", keys)
 
     @classmethod
     def build(
@@ -225,12 +240,8 @@ class TransformationGrammar:
         rule = self.rule(variant_name(tau))
         if not rule.enabled:
             return False
-        if isinstance(tau, AddSubservice):
-            key = transformation_key(tau)
-            return any(transformation_key(p) == key for p in self.addable)
-        if isinstance(tau, UpdateConstraint):
-            key = transformation_key(tau)
-            return any(transformation_key(p) == key for p in self.constraint_updates)
+        if isinstance(tau, (AddSubservice, UpdateConstraint)):
+            return transformation_key(tau) in self._prototype_keys
         return True
 
     def to_data(self) -> dict:
@@ -243,6 +254,9 @@ class TransformationGrammar:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "TransformationGrammar":
+        unknown = sorted(set(data) - {"variants", "addable", "constraint_updates", "max_candidates"})
+        if unknown:
+            raise ConfigError(f"unknown grammar keys: {', '.join(unknown)}")
         addable = []
         for p in data.get("addable", []):
             proto = transformation_from_data(p)

@@ -359,6 +359,40 @@ class TestCli:
         assert "error config" in err and f"section {section!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "mutate, expected",
+        [
+            (
+                lambda d: d["grammar"].update(constraint_update=[]),
+                "section 'grammar': unknown grammar keys: constraint_update",
+            ),
+            (lambda d: d["core"].update(include_identity="false"), "section 'core': core key 'include_identity'"),
+            (lambda d: d.update(reuse_bonsu=2.0), "unknown configuration keys: reuse_bonsu"),
+            (lambda d: d["fallback"].update(variant="teleport"), "section 'fallback': unknown transformation variant"),
+            (
+                lambda d: d["grammar"]["addable"].append({"variant": "update_constraint", "name": "x", "bound": 1.0}),
+                "section 'grammar': grammar addable entries must be add_subservice",
+            ),
+        ],
+        ids=[
+            "grammar-key-typo",
+            "include-identity-string",
+            "top-level-key-typo",
+            "fallback-variant",
+            "addable-variant",
+        ],
+    )
+    def test_run_with_config_typo_exits_four(self, tmp_path, capsys, mutate, expected):
+        data = hospital_config_data()
+        mutate(data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        scenario = pack_dir("hospital") / "scenario.json"
+        assert cli_main(["run", "--scenario", str(scenario), "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "error config" in err and expected in err
+        assert "Traceback" not in err
+
     def test_run_with_malformed_store_record_exits_five(self, tmp_path, capsys):
         store = tmp_path / "mem.store"
         write_checksummed_store(store, [{"record": {"regime": "r"}}])

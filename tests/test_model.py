@@ -9,23 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svcgov.canon import digest_of
+from svcgov.canon import canonical_dumps, digest_of
 from svcgov.errors import IncompatibleInterface, TypingError
 from svcgov.model import (
+    GUARD_OPS,
+    SIGNAL_NAMES,
+    Component,
     Edge,
     Hypothesis,
+    InterfaceContract,
     PolicyRule,
     RawPlatformState,
     Role,
     ServiceRequest,
+    SignalCondition,
+    SoundnessReport,
+    _graph_shape_violations,
     build_raw_state,
     compose,
     interface_compatible,
     semantic_lift,
     type_soundness,
 )
-from svcgov.ontology import is_refinement
-from svcgov.transform import Substitute, apply
+from svcgov.ontology import Category, ConceptId, is_refinement
+from svcgov.transform import RemoveSubservice, Substitute, apply
 
 from conftest import (
     UNIT_A,
@@ -206,6 +213,153 @@ class TestTypeSoundness:
         assert type_soundness(h, schema).sound == expected
 
 
+def reference_soundness(h: Hypothesis, schema) -> SoundnessReport:
+    """Whole-graph reference for ``type_soundness``: every element of ``h``
+    checked again on every call, nothing memoized, violations in the
+    documented order."""
+    violations: list[tuple[str, str]] = []
+    role_ids = set(h.role_ids())
+    assignment = h.assignment_map()
+
+    def check_concept(c, want, where) -> bool:
+        if not schema.declares(c):
+            violations.append(("unknown-concept", f"{where}: undeclared concept {c}"))
+            return False
+        if want is not None and schema.category(c) is not want:
+            violations.append(
+                ("category-mismatch", f"{where}: {c} is {schema.category(c).value}, expected {want.value}")
+            )
+            return False
+        return True
+
+    for role in h.roles:
+        for f in sorted(role.requires):
+            check_concept(f, Category.FUNCTION, f"role {role.role_id} requirement")
+    for rid in sorted(role_ids):
+        if rid not in assignment:
+            violations.append(("unassigned-role", f"role {rid} has no component assigned"))
+    for rid in sorted(assignment):
+        if rid not in role_ids:
+            violations.append(("unknown-role", f"assignment references unknown role {rid}"))
+    for rid, comp in h.assignment:
+        role = h.role(rid)
+        if role is None:
+            continue
+        ok = check_concept(comp.concept, None, f"component {comp.component_id}")
+        for f in sorted(comp.provides):
+            ok = check_concept(f, Category.FUNCTION, f"component {comp.component_id} provides") and ok
+        if not ok:
+            continue
+        for needed in sorted(role.requires):
+            if schema.declares(needed) and not schema.covers(comp.provides, needed):
+                violations.append(
+                    (
+                        "function-unsatisfied",
+                        f"role {rid}: component {comp.component_id} provides no refinement of {needed}",
+                    )
+                )
+    for e in h.edges:
+        for end in (e.from_role, e.to_role):
+            if end not in role_ids:
+                violations.append(("edge-endpoint-missing", f"edge {e.from_role}->{e.to_role}: unknown role {end}"))
+        for c in sorted(e.contract.entity_types | e.contract.event_types):
+            check_concept(c, None, f"edge {e.from_role}->{e.to_role} contract")
+        for ob in sorted(e.contract.obligations):
+            check_concept(ob, Category.INTERACTION, f"edge {e.from_role}->{e.to_role} obligation")
+    for idx, rule in enumerate(h.policy):
+        if rule.relation not in ("executes", "notifies"):
+            violations.append(("bad-policy-relation", f"policy rule {idx}: unknown relation {rule.relation!r}"))
+        if rule.actor_role not in role_ids:
+            violations.append(("bad-policy-role", f"policy rule {idx}: unknown actor role {rule.actor_role}"))
+        for cond in rule.guard:
+            if cond.signal not in SIGNAL_NAMES:
+                violations.append(("bad-policy-signal", f"policy rule {idx}: unknown signal {cond.signal!r}"))
+            if cond.op not in GUARD_OPS:
+                violations.append(("bad-policy-signal", f"policy rule {idx}: unknown operator {cond.op!r}"))
+        if rule.latency < 0:
+            violations.append(("bad-policy-latency", f"policy rule {idx}: negative latency"))
+        want = Category.INTERACTION if rule.relation == "notifies" else Category.FUNCTION
+        check_concept(rule.action_concept, want, f"policy rule {idx} action")
+    violations.extend(_graph_shape_violations(h))
+    return SoundnessReport(sound=not violations, violations=tuple(violations))
+
+
+#: Concepts no pack declares, so that drawn elements can be unsound.
+UNDECLARED = (cid("zz:Ghost"), cid("zz:Phantom"))
+EDITS = ("substitute", "remove", "bind", "unbind", "add-role", "drop-role", "edge", "rule", "drop-rule", "constraint")
+
+
+def _edit(data, h: Hypothesis, registry, concepts) -> Hypothesis:
+    """One drawn edit of ``h``: a grammar transformation, or a raw edit that
+    may break typing (a dangling edge, a rule for a missing role, a
+    component providing an undeclared or wrong-category concept)."""
+    roles, edges, policy = list(h.roles), list(h.edges), list(h.policy)
+    assignment, constraints = h.assignment_map(), h.constraint_map()
+    role_ids = st.sampled_from([*h.role_ids(), "ghost"])
+    concept_sets = st.frozensets(concepts, max_size=3)
+    components = st.one_of(
+        st.sampled_from(registry),
+        st.builds(Component, st.sampled_from(["cx", "cy"]), concepts, concept_sets),
+    )
+    kind = data.draw(st.sampled_from(EDITS))
+    sites = [(rid, comp) for rid, comp in h.assignment if h.role(rid) is not None]
+    if kind == "substitute" and sites:
+        rid, old = data.draw(st.sampled_from(sites))
+        return apply(Substitute(rid, old.component_id, data.draw(components)), h)
+    if kind == "remove" and len(h.roles) > 1:
+        return apply(RemoveSubservice(frozenset({data.draw(st.sampled_from(h.role_ids()))})), h)
+    if kind == "bind":
+        assignment[data.draw(role_ids)] = data.draw(components)
+    elif kind == "unbind" and assignment:
+        del assignment[data.draw(st.sampled_from(sorted(assignment)))]
+    elif kind == "add-role":
+        roles.append(Role(data.draw(st.sampled_from(["extra", *h.role_ids()])), data.draw(concept_sets)))
+    elif kind == "drop-role" and roles:
+        roles.pop(data.draw(st.integers(0, len(roles) - 1)))  # its edges, binding and rules stay
+    elif kind == "edge":
+        contract = InterfaceContract(data.draw(concept_sets), data.draw(concept_sets), data.draw(concept_sets))
+        edges.append(Edge(data.draw(role_ids), data.draw(role_ids), contract))
+    elif kind == "rule":
+        guard = data.draw(
+            st.lists(
+                st.builds(
+                    SignalCondition,
+                    st.sampled_from(["deadline", "noise", "warp"]),
+                    st.sampled_from(["<=", ">", "~"]),
+                    st.just(0.5),
+                ),
+                max_size=2,
+            )
+        )
+        relation = data.draw(st.sampled_from(["executes", "notifies", "observes"]))
+        actor = data.draw(st.one_of(st.just("ghost"), role_ids))
+        rule = PolicyRule(tuple(guard), relation, actor, data.draw(concepts), data.draw(st.integers(-1, 2)))
+        policy.insert(data.draw(st.integers(0, len(policy))), rule)  # shifts the later rules' indices
+    elif kind == "drop-rule" and policy:
+        policy.pop(data.draw(st.integers(0, len(policy) - 1)))
+    elif kind == "constraint":
+        constraints[data.draw(st.sampled_from(["latency", "safety.x"]))] = data.draw(st.sampled_from([1.0, 2.5]))
+    return Hypothesis.build(roles, edges, assignment, policy, constraints)
+
+
+class TestSoundnessMatchesWholeGraphReference:
+    """``type_soundness`` joins memoized per-element verdicts; it must give
+    the reference's report, violation order included.  The pack schemas
+    are shared by every draw, so later draws hit verdicts memoized by
+    earlier ones, for elements bound, indexed or placed differently."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_edit_sequences_on_pack_hypotheses(self, hospital, retail, data):
+        scenario, cfg = data.draw(st.sampled_from([hospital, retail]))
+        concepts = st.sampled_from([*sorted(cfg.schema.concepts), *UNDECLARED])
+        registry = sorted({*scenario.registry, *(c for _, c in scenario.initial_hypothesis.assignment)}, key=repr)
+        h = scenario.initial_hypothesis
+        for _ in range(data.draw(st.integers(1, 8))):
+            h = _edit(data, h, registry, concepts)
+            assert type_soundness(h, cfg.schema) == reference_soundness(h, cfg.schema)
+
+
 class TestInterfaceCompatibility:
     def test_identical_boundary_contract_on_both_sides(self, schema):
         shared = contract(entities=("t:FA",), events=("t:ObNote",), obligations=("t:ObTrace",))
@@ -355,6 +509,42 @@ class TestSerialization:
             assert h.digest() == digest_of(h.to_data())
             assert h.digest() == digest_of(h.to_data())  # served from the cache
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_composed_digest_is_the_whole_graph_digest(self, data):
+        text = st.text(alphabet=st.sampled_from('ab"\\é\u2028\x00 '), max_size=4)
+        concepts = st.builds(ConceptId, text.filter(bool), text.filter(bool))
+        floats = st.one_of(
+            st.sampled_from([0.1 + 0.2, 1e-7, -0.0, 1e300]), st.floats(allow_nan=False, allow_infinity=False)
+        )
+        concept_sets = st.frozensets(concepts, max_size=2)
+        contract = st.builds(InterfaceContract, concept_sets, concept_sets, concept_sets)
+        guard = st.lists(st.builds(SignalCondition, text, st.sampled_from(GUARD_OPS), floats), max_size=2)
+        h = Hypothesis.build(
+            roles=data.draw(st.lists(st.builds(Role, text, concept_sets), max_size=4)),
+            edges=data.draw(st.lists(st.builds(Edge, text, text, contract), max_size=4)),
+            assignment=data.draw(st.dictionaries(text, st.builds(Component, text, concepts, concept_sets))),
+            policy=data.draw(
+                st.lists(st.builds(PolicyRule, guard.map(tuple), text, text, concepts, st.integers(-3, 3)), max_size=3)
+            ),
+            constraints=data.draw(st.dictionaries(text, floats, max_size=4)),
+        )
+        assert h.canonical_text() == canonical_dumps(h.to_data())
+        assert h.digest() == digest_of(h.to_data())
+
+    def test_composed_digest_of_edge_cases(self):
+        cases = [
+            Hypothesis.build([]),
+            Hypothesis.build([], constraints={'q"uote': 0.1 + 0.2, "tiny": 1e-7, "zero": -0.0, "ünï": 3}),
+            Hypothesis.build(
+                [Role('r"\\é', frozenset({cid("t:FA")}))],
+                assignment={'r"\\é': UNIT_A, "\u00e9": UNIT_B},
+            ),
+        ]
+        for h in cases:
+            assert h.canonical_text() == canonical_dumps(h.to_data())
+            assert h.digest() == digest_of(h.to_data())
+
     def test_cache_takes_no_part_in_equality_hash_or_repr(self, simple_h):
         fresh = Hypothesis.from_data(simple_h.to_data())
         cached = Hypothesis.from_data(simple_h.to_data())
@@ -362,7 +552,7 @@ class TestSerialization:
         cached.digest()
         assert fresh == cached and hash(fresh) == hash(cached)
         assert (repr(cached), cached.to_data()) == before
-        assert "digest" not in repr(cached)
+        assert "digest" not in repr(cached) and "_text" not in repr(cached)
 
     def test_store_bytes_do_not_depend_on_cached_digests(self, tmp_path, simple_h):
         from svcgov.memory import EMPTY_STORE, MemoryRecord, persist, record

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcgov.errors import ParseError, UnknownConcept, ValidationError
-from svcgov.evaluation import _covered
+from svcgov.evaluation import _covered, provider_mask
 from svcgov.model import Component, Hypothesis, Role
 from svcgov.ontology import (
     AssertionBase,
@@ -250,7 +250,7 @@ class TestRefinement:
         )
         wanted = frozenset(data.draw(st.sets(st.sampled_from(everything))))
         pooled = frozenset().union(*parts)
-        assert _covered(h, wanted, schema) == frozenset(w for w in wanted if covers(pooled, w))
+        assert _covered(provider_mask(h, schema), wanted, schema) == frozenset(w for w in wanted if covers(pooled, w))
 
     def test_partial_order_antisymmetry(self, schema):
         concepts = list(schema.concepts)

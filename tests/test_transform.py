@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from svcgov.model import Hypothesis, type_soundness
 from svcgov.transform import (
     AddSubservice,
     Attachment,
+    Rebind,
     RemoveSubservice,
     Substitute,
     TransformationGrammar,
@@ -24,7 +26,9 @@ from svcgov.transform import (
     edit_distance,
     generate_candidates,
     transformation_from_data,
+    transformation_key,
     transformation_to_data,
+    variant_name,
 )
 
 from conftest import (
@@ -289,3 +293,38 @@ class TestSerialization:
         grammar = make_grammar(updates=(UpdateConstraint("latency", 8.0, rationale="a"),))
         assert grammar.allows(UpdateConstraint("latency", 8.0, rationale="b"))
         assert not grammar.allows(UpdateConstraint("latency", 9.0))
+
+    def test_cached_key_is_the_uncached_serialization(self, hospital):
+        scenario, cfg = hospital
+        grammar, h = cfg.grammar, scenario.initial_hypothesis
+
+        def uncached_key(tau) -> str:
+            data = transformation_to_data(tau)
+            del data["rationale"]
+            return canonical_dumps(data)
+
+        taus = [
+            *grammar.addable,
+            *grammar.constraint_updates,
+            cfg.fallback,
+            *(Rebind(rid, comp, rationale="r") for rid, _ in h.assignment for comp in scenario.registry),
+            Substitute("r1", "ua", UNIT_A1, rationale="swap"),
+            RemoveSubservice(frozenset({"r1", "r2"}), rationale="strip"),
+            UpdateConstraint("latency", 0.1 + 0.2),
+            UpdateConstraint(grammar.constraint_updates[0].name, 1e-7),
+        ]
+        for tau in taus:
+            fresh = transformation_from_data(transformation_to_data(tau))
+            keyed = transformation_from_data(transformation_to_data(tau))
+            before = repr(keyed)
+            assert transformation_key(keyed) == uncached_key(tau)
+            assert transformation_key(keyed) == uncached_key(tau)  # served from the cache
+            assert transformation_key(replace(keyed, rationale="other")) == transformation_key(keyed)
+            assert keyed == fresh and hash(keyed) == hash(fresh)
+            assert repr(keyed) == before and "_key" not in before
+            # grammar membership against each prototype list, serialized afresh
+            prototypes = {AddSubservice: grammar.addable, UpdateConstraint: grammar.constraint_updates}
+            expected = grammar.rule(variant_name(tau)).enabled and (
+                type(tau) not in prototypes or any(uncached_key(p) == uncached_key(tau) for p in prototypes[type(tau)])
+            )
+            assert grammar.allows(tau) == expected
