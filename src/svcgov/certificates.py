@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .canon import digest_of
+from .errors import MalformedRecord
+from .fields import Fields, anything, boolean, integer, keyed, mapping, sorted_items, text
 from .model import SemanticState
 from .ontology import ConceptId, OntologySchema
 
@@ -45,7 +47,7 @@ class CertContext:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "CertContext":
-        return cls(str(data["regime"]), str(data["environment"]))
+        return cls(*keyed(text, "regime", "environment")(data))
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class Certificate:
 
     def __post_init__(self) -> None:
         if not self.evidence:
-            raise ValueError("certificates require non-empty evidence")
+            raise MalformedRecord("certificates require non-empty evidence")
 
     def evidence_map(self) -> dict[str, object]:
         return dict(self.evidence)
@@ -87,14 +89,10 @@ class Certificate:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "Certificate":
-        return cls(
-            kind=str(data["kind"]),
-            subject_digest=str(data["subject"]),
-            context=CertContext.from_data(data["context"]),
-            evidence=tuple(sorted(data.get("evidence", {}).items())),
-            issued_at=int(data.get("issued_at", 0)),
-            transported=bool(data.get("transported", False)),
-        )
+        r = Fields(data)
+        kind, subject, context = r.get("kind", text), r.get("subject", text), r.get("context", CertContext.from_data)
+        evidence, issued_at = r.get("evidence", mapping(anything, sorted_items), ()), r.get("issued_at", integer, 0)
+        return r.build(cls, kind, subject, context, evidence, issued_at, r.get("transported", boolean, cls.transported))
 
 
 @dataclass(frozen=True)

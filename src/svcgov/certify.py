@@ -36,6 +36,7 @@ from .evaluation import (
     identity_breakdown,
     prior_complexity,
 )
+from .fields import Fields, array, number, row, text
 from .memory import EMPTY_STORE, MemoryStore, find_transportable, match_failure
 from .model import Component, Hypothesis, SemanticState, SoundnessReport, type_soundness
 from .ontology import OntologySchema
@@ -156,15 +157,11 @@ class RegimeSwitchModel:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "RegimeSwitchModel":
-        return cls(
-            costs=tuple((str(a), str(b), float(c)) for a, b, c in data.get("costs", [])),
-            residuals=tuple((str(a), str(b), float(r)) for a, b, r in data.get("residuals", [])),
-            recipes=tuple(
-                (str(a), str(b), tuple((str(n), float(v)) for n, v in rw))
-                for a, b, rw in data.get("recipes", [])
-            ),
-            reassignment_unit_cost=float(data.get("reassignment_unit_cost", 1.0)),
-        )
+        r, switches = Fields(data), array(row(text, text, number))
+        costs, residuals = r.get("costs", switches, ()), r.get("residuals", switches, ())
+        recipes = r.get("recipes", array(row(text, text, array(row(text, number)))), ())
+        unit_cost = r.get("reassignment_unit_cost", number, cls.reassignment_unit_cost)
+        return r.build(cls, costs, residuals, recipes, unit_cost)
 
 
 def structural_charge(h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel) -> float:

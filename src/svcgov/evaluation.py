@@ -19,12 +19,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError
+from .fields import Fields, anything, array, boolean, concept, keyed, mapping, number, one_of, read, sorted_items, text
 from .model import (
     Hypothesis,
     SemanticState,
     SignalCondition,
     SoundnessReport,
     conditions_hold,
+    declared_condition,
 )
 from .ontology import ConceptId, OntologySchema
 
@@ -56,17 +58,11 @@ class EvaluatorWeights:
             raise ConfigError("evaluator weights must not all be zero")
 
     def to_data(self) -> dict:
-        return {
-            "task": self.task,
-            "safety": self.safety,
-            "semantic": self.semantic,
-            "cost": self.cost,
-            "reuse": self.reuse,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_data(cls, data: Mapping) -> "EvaluatorWeights":
-        return cls(*(float(data[k]) for k in ("task", "safety", "semantic", "cost", "reuse")))
+        return cls(*keyed(number, "task", "safety", "semantic", "cost", "reuse")(data))
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class RegimeBudgets:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "RegimeBudgets":
-        return cls(float(data["latency"]), float(data["switching_cost"]), float(data["complexity"]))
+        return cls(*keyed(number, "latency", "switching_cost", "complexity")(data))
 
 
 @dataclass(frozen=True)
@@ -115,14 +111,10 @@ class Regime:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "Regime":
-        return cls(
-            label=str(data["label"]),
-            weights=EvaluatorWeights.from_data(data["weights"]),
-            budgets=RegimeBudgets.from_data(data["budgets"]),
-            entry=tuple(
-                tuple(SignalCondition.from_data(c) for c in clause) for clause in data.get("entry", [])
-            ),
-        )
+        r = Fields(data)
+        label, weights = r.get("label", text), r.get("weights", EvaluatorWeights.from_data)
+        budgets, entry = r.get("budgets", RegimeBudgets.from_data), r.get("entry", array(array(declared_condition)), ())
+        return r.build(cls, label, weights, budgets, entry)
 
 
 def detect_regime(family: Sequence[Regime], z: SemanticState) -> Regime:
@@ -178,14 +170,9 @@ class IdentitySpec:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "IdentitySpec":
-        w = data["weights"]
-        return cls(
-            float(w["request_class"]),
-            float(w["outputs"]),
-            float(w["safety"]),
-            float(w["interactions"]),
-            float(data["threshold"]),
-        )
+        r = Fields(data)
+        weights = r.get("weights", keyed(number, "request_class", "outputs", "safety", "interactions"))
+        return r.build(cls, *(weights or ()), r.get("threshold", number))
 
 
 def provider_mask(h: Hypothesis, schema: OntologySchema) -> int:
@@ -310,6 +297,8 @@ PredicateFn = Callable[[Hypothesis, SemanticState, OntologySchema], bool]
 
 
 def _pred_obligations_honored(params: Mapping) -> PredicateFn:
+    keyed(anything)(params)
+
     def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
         return frozenset(z.interaction_state.pending_obligations) <= h.propagated_obligations()
 
@@ -317,6 +306,8 @@ def _pred_obligations_honored(params: Mapping) -> PredicateFn:
 
 
 def _pred_components_live(params: Mapping) -> PredicateFn:
+    keyed(anything)(params)
+
     def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
         live = z.live_component_ids()
         return all(comp.component_id in live for _, comp in h.assignment)
@@ -324,15 +315,8 @@ def _pred_components_live(params: Mapping) -> PredicateFn:
     return check
 
 
-def _text_param(params: Mapping, name: str) -> str:
-    value = params.get(name)
-    if not isinstance(value, str):
-        raise ConfigError(f"safety predicate parameter {name!r} must be a string, got {value!r}")
-    return value
-
-
 def _pred_flag_absent(params: Mapping) -> PredicateFn:
-    flag = _text_param(params, "flag")
+    (flag,) = keyed(text, "flag")(params)
 
     def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
         return flag not in z.safety_flags
@@ -341,11 +325,8 @@ def _pred_flag_absent(params: Mapping) -> PredicateFn:
 
 
 def _pred_flag_requires_function(params: Mapping) -> PredicateFn:
-    flag = _text_param(params, "flag")
-    try:
-        function = ConceptId.parse(_text_param(params, "function"))
-    except ValueError as exc:
-        raise ConfigError(f"safety predicate parameter 'function': {exc}") from exc
+    r = Fields(params)
+    flag, function = r.build(tuple, (r.get("flag", text), r.get("function", concept)))
 
     def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
         if flag not in z.safety_flags:
@@ -377,7 +358,7 @@ class SafetyPredicate:
         if self.kind not in PREDICATE_KINDS:
             raise ConfigError(f"unknown safety predicate kind {self.kind!r}")
         try:
-            check = PREDICATE_KINDS[self.kind](dict(self.params))
+            check = read(ConfigError, "params", PREDICATE_KINDS[self.kind], dict(self.params))
         except ConfigError as exc:
             raise ConfigError(f"safety predicate {self.name!r}: {exc}") from exc
         object.__setattr__(self, "_check", check)
@@ -390,14 +371,9 @@ class SafetyPredicate:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "SafetyPredicate":
-        params = data.get("params", {})
-        if not isinstance(params, Mapping):
-            raise ConfigError(f"safety predicate params must be a JSON object, got {params!r}")
-        return cls(
-            name=str(data.get("name", data["kind"])),
-            kind=str(data["kind"]),
-            params=tuple(sorted(params.items())),
-        )
+        r = Fields(data)
+        kind = r.get("kind", text)
+        return r.build(cls, r.get("name", text, kind), kind, r.get("params", mapping(anything, sorted_items), ()))
 
 
 @dataclass(frozen=True)
@@ -428,19 +404,11 @@ class InvariantCore:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "InvariantCore":
-        unknown = sorted(set(data) - {"identity", "predicates", "mode", "include_identity"})
-        if unknown:
-            raise ConfigError(f"unknown core keys: {', '.join(unknown)}")
-        if data.get("mode", "hard-fail") != "hard-fail":
-            raise ConfigError(f"unknown core mode {data['mode']!r}: the only mode is 'hard-fail'")
-        include_identity = data.get("include_identity", True)
-        if not isinstance(include_identity, bool):
-            raise ConfigError(f"core key 'include_identity' must be true or false, got {include_identity!r}")
-        return cls(
-            identity=IdentitySpec.from_data(data["identity"]),
-            predicates=tuple(SafetyPredicate.from_data(p) for p in data["predicates"]),
-            include_identity=include_identity,
-        )
+        r = Fields(data)
+        r.get("mode", one_of("hard-fail"), "hard-fail")  # the only mode
+        identity = r.get("identity", IdentitySpec.from_data)
+        predicates = r.get("predicates", array(SafetyPredicate.from_data))
+        return r.build(cls, identity, predicates, r.get("include_identity", boolean, cls.include_identity))
 
 
 @dataclass(frozen=True)
@@ -587,13 +555,10 @@ class StructuralPrior:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "StructuralPrior":
-        return cls(
-            node_weight=float(data.get("node", 1.0)),
-            edge_weight=float(data.get("edge", 0.5)),
-            rule_weight=float(data.get("rule", 0.25)),
-            constraint_weight=float(data.get("constraint", 0.25)),
-            preferred=tuple(sorted((str(d), float(b)) for d, b in data.get("preferred", {}).items())),
-        )
+        r = Fields(data)
+        node, edge = r.get("node", number, cls.node_weight), r.get("edge", number, cls.edge_weight)
+        rule, constraint = r.get("rule", number, cls.rule_weight), r.get("constraint", number, cls.constraint_weight)
+        return r.build(cls, node, edge, rule, constraint, r.get("preferred", mapping(number, sorted_items), ()))
 
 
 def prior_complexity(prior: StructuralPrior, h: Hypothesis) -> float:

@@ -34,8 +34,9 @@ from typing import Mapping, Sequence
 
 from ..certificates import environment_digest
 from ..certify import DriftLedger, admissible, structural_charge
-from ..errors import GovernanceError, IncomparableReports
+from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import core_value, detect_regime, evaluate, identity_score
+from ..fields import Fields, array, integer, keyed, number, read, text
 from ..memory import EMPTY_STORE, MemoryStore
 from ..model import semantic_lift, type_soundness
 from ..orchestrator import (
@@ -76,9 +77,9 @@ class MetricsReport:
     def __post_init__(self) -> None:
         for rate in (self.identity_preservation_rate, self.safe_reconfiguration_rate):
             if not (0.0 <= rate <= 1.0):
-                raise ValueError(f"rates must lie in [0, 1], got {rate}")
+                raise ParseError([f"rates must lie in [0, 1], got {rate}"])
         if self.structural_regret < 0:
-            raise ValueError("structural regret must be nonnegative")
+            raise ParseError(["structural regret must be nonnegative"])
 
     def metric_values(self) -> dict[str, float]:
         return {
@@ -101,19 +102,10 @@ class MetricsReport:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "MetricsReport":
-        m = data["metrics"]
-        return cls(
-            family=str(data["family"]),
-            subject=str(data["subject"]),
-            seeds=tuple(int(s) for s in data["seeds"]),
-            identity_preservation_rate=float(m["identity_preservation_rate"]),
-            safe_reconfiguration_rate=float(m["safe_reconfiguration_rate"]),
-            bounded_degradation=float(m["bounded_degradation"]),
-            certificate_reuse_gain=float(m["certificate_reuse_gain"]),
-            structural_regret=float(m["structural_regret"]),
-            deployments=int(data.get("deployments", 0)),
-            runs=int(data.get("runs", 0)),
-        )
+        r = Fields(data)
+        head = r.get("family", text), r.get("subject", text), r.get("seeds", array(integer))
+        metrics = r.get("metrics", keyed(number, *METRIC_DIRECTIONS)) or ()
+        return r.build(cls, *head, *metrics, r.get("deployments", integer, 0), r.get("runs", integer, 0))
 
 
 #: metric name -> True when higher is better
@@ -487,5 +479,9 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(report.to_data(), indent=2, sort_keys=True)
 
 
-def report_from_json(text: str) -> MetricsReport:
-    return MetricsReport.from_data(json.loads(text))
+def report_from_json(document: str) -> MetricsReport:
+    try:
+        data = json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ParseError([f"malformed report JSON: {exc}"]) from exc
+    return read(ParseError, "report", MetricsReport.from_data, data)

@@ -12,45 +12,37 @@ must lift.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence
 
-from ..errors import ConfigError, MalformedTransformation, ParseError, ValidationError
+from ..errors import ConfigError, ParseError, ValidationError
 from ..certify import RegimeSwitchModel
 from ..evaluation import InvariantCore, Regime, StructuralPrior
-from ..model import (
-    Component,
-    Hypothesis,
-    RawPlatformState,
-    semantic_lift,
-    type_soundness,
+from ..fields import (
+    Fields, anything, array, boolean, concept, integer, mapping, number, read, row, sorted_items, text, wrong,
 )
-from ..ontology import (
-    AssertionBase,
-    ConceptId,
-    OntologySchema,
-    assertions_from_data,
-    check_consistency,
-    load_schema,
-)
+from ..model import Component, Hypothesis, RawPlatformState, semantic_lift, type_soundness
+from ..ontology import AssertionBase, ConceptId, OntologySchema, check_consistency, load_schema
 from ..orchestrator import GateFlags, OrchestratorConfig
-from ..transform import AddSubservice, TransformationGrammar, transformation_from_data
+from ..transform import AddSubservice, TransformationGrammar, prototype
 
-#: Raw-state patch operations understood by scenario events.
-PATCH_OPS = (
-    "battery",
-    "availability",
-    "bandwidth",
-    "deadline",
-    "flag+",
-    "flag-",
-    "zone+",
-    "zone-",
-    "health",
-    "fail",
-)
+#: Raw-state patch operations understood by scenario events, with the
+#: kinds of their arguments.
+PATCH_ARGS = {
+    "battery": (text, number), "availability": (text, boolean), "bandwidth": (text, number),
+    "deadline": (integer,), "flag+": (text,), "flag-": (text,), "zone+": (text, concept),
+    "zone-": (text, concept), "health": (text, text), "fail": (text, text),
+}
+
+
+def _patch(value: object) -> tuple:
+    """A raw-state patch ``[op, args...]``, each argument of its op's kind."""
+    op = value[0] if isinstance(value, list) and value else None
+    if not isinstance(op, str) or op not in PATCH_ARGS:
+        raise wrong(value, f"a patch [op, args...] with op one of {', '.join(PATCH_ARGS)}")
+    row(text, *PATCH_ARGS[op])(value)
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -60,6 +52,11 @@ class ScenarioEvent:
 
     def to_data(self) -> dict:
         return {"tick": self.tick, "patches": [list(p) for p in self.patches]}
+
+    @classmethod
+    def from_data(cls, data: Mapping) -> "ScenarioEvent":
+        r = Fields(data)
+        return r.build(cls, r.get("tick", integer), r.get("patches", array(_patch), ()))
 
 
 @dataclass(frozen=True)
@@ -92,59 +89,31 @@ class Scenario:
 
 
 def _apply_patch(raw: RawPlatformState, patch: Sequence) -> tuple[RawPlatformState, tuple[str, str] | None]:
-    op = patch[0]
-    if op == "battery":
-        _, agent_id, value = patch
-        agents = tuple(
-            replace(a, battery=float(value)) if a.agent_id == agent_id else a for a in raw.agents
-        )
-        return replace(raw, agents=agents), None
-    if op == "availability":
-        _, agent_id, flag = patch
-        agents = tuple(
-            replace(a, available=bool(flag)) if a.agent_id == agent_id else a for a in raw.agents
-        )
-        return replace(raw, agents=agents), None
+    """One patch applied; its arguments were checked against ``PATCH_ARGS`` at load."""
+    op, target, *rest = patch
+    if op in ("battery", "availability"):
+        change = {"battery": float(rest[0])} if op == "battery" else {"available": rest[0]}
+        return replace(raw, agents=tuple(replace(a, **change) if a.agent_id == target else a for a in raw.agents)), None
     if op == "bandwidth":
-        _, zone, value = patch
-        updated = raw.network_map()
-        updated[str(zone)] = float(value)
-        return replace(raw, network=tuple(sorted(updated.items()))), None
+        return replace(raw, network=tuple(sorted({**raw.network_map(), target: float(rest[0])}.items()))), None
     if op == "deadline":
-        _, value = patch
-        return replace(raw, request=replace(raw.request, deadline=int(value))), None
-    if op == "flag+":
-        _, name = patch
-        return replace(raw, safety_flags=raw.safety_flags | {str(name)}), None
-    if op == "flag-":
-        _, name = patch
-        return replace(raw, safety_flags=raw.safety_flags - {str(name)}), None
+        return replace(raw, request=replace(raw.request, deadline=target)), None
+    if op in ("flag+", "flag-"):
+        flags = raw.safety_flags | {target} if op == "flag+" else raw.safety_flags - {target}
+        return replace(raw, safety_flags=flags), None
     if op in ("zone+", "zone-"):
-        _, zone, concept_text = patch
-        concept = ConceptId.parse(str(concept_text))
-        env = {z: list(ds) for z, ds in raw.environment_facts}
-        current = env.setdefault(str(zone), [])
+        concept, env = ConceptId.parse(rest[0]), {z: list(ds) for z, ds in raw.environment_facts}
+        current = env.setdefault(target, [])
         if op == "zone+" and concept not in current:
             current.append(concept)
         if op == "zone-" and concept in current:
             current.remove(concept)
-        facts = tuple(sorted((z, tuple(sorted(ds))) for z, ds in env.items()))
-        return replace(raw, environment_facts=facts), None
-    if op == "health":
-        _, component_id, status = patch
-        components = tuple(
-            replace(c, health=str(status)) if c.component_id == component_id else c
-            for c in raw.components
-        )
-        return replace(raw, components=components), None
-    if op == "fail":
-        _, component_id, code = patch
-        components = tuple(
-            replace(c, health="failed") if c.component_id == component_id else c
-            for c in raw.components
-        )
-        return replace(raw, components=components), (str(component_id), str(code))
-    raise ValidationError([f"unknown patch operation {op!r}"])
+        return replace(raw, environment_facts=tuple(sorted((z, tuple(sorted(ds))) for z, ds in env.items()))), None
+    if op not in ("health", "fail"):
+        raise ValidationError([f"unknown patch operation {op!r}"])
+    health = rest[0] if op == "health" else "failed"
+    components = tuple(replace(c, health=health) if c.component_id == target else c for c in raw.components)
+    return replace(raw, components=components), ((target, rest[0]) if op == "fail" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -153,70 +122,60 @@ def _apply_patch(raw: RawPlatformState, patch: Sequence) -> tuple[RawPlatformSta
 
 
 def scenario_from_data(data: Mapping, base_dir: Path | None = None) -> Scenario:
-    problems: list[str] = []
-    if "ontology_text" in data:
-        schema = load_schema(str(data["ontology_text"]))
-    elif "ontology" in data:
-        if base_dir is None:
-            raise ValidationError(["scenario references an ontology file but no base directory given"])
-        schema = load_schema((base_dir / str(data["ontology"])).read_text(encoding="utf-8"))
-    else:
-        raise ValidationError(["scenario must reference an ontology ('ontology' or 'ontology_text')"])
-
-    registry = tuple(
-        sorted((Component.from_data(c) for c in data.get("registry", [])), key=lambda c: c.component_id)
-    )
-    assertions = assertions_from_data(data.get("assertions", {}), schema)
-    assertions = _extend_with_registry(assertions, registry)
-    report = check_consistency(schema, assertions)
-    if not report.consistent:
-        problems.extend(report.messages())
-
-    state_data = dict(data["initial_state"])
-    if "components" not in state_data:
-        state_data["components"] = [[c.component_id, str(c.concept), "ok"] for c in registry]
-    initial_state = RawPlatformState.from_data(state_data)
-
-    initial_hypothesis = Hypothesis.from_data(data["initial_hypothesis"])
-    soundness = type_soundness(initial_hypothesis, schema)
-    if not soundness.sound:
-        problems.extend(f"initial hypothesis: {m}" for m in soundness.messages())
-
-    ticks = int(data.get("ticks", 1))
-    if ticks < 0:
-        problems.append("ticks must be nonnegative")
-
-    events: list[ScenarioEvent] = []
-    last_tick = -1
-    for entry in data.get("events", []):
-        tick = int(entry["tick"])
-        if tick <= last_tick:
-            problems.append(f"event ticks must be strictly increasing (saw {tick} after {last_tick})")
-        last_tick = tick
-        patches = []
-        for p in entry.get("patches", []):
-            if not p or p[0] not in PATCH_OPS:
-                problems.append(f"unknown patch operation in event at tick {tick}: {p!r}")
-            else:
-                patches.append(tuple(p))
-        events.append(ScenarioEvent(tick=tick, patches=tuple(patches)))
-
+    parts = read(ValidationError, "scenario", _parts_from_data, data)
+    ontology, path = parts.pop("ontology_text"), parts.pop("ontology")
+    if (ontology is None) == (path is None) or (path is not None and base_dir is None):
+        raise ValidationError(["a scenario gives either 'ontology_text' or an 'ontology' file with a base directory"])
+    if path is not None:
+        ontology = _read(base_dir / path, "ontology")
+    schema, assertions = load_schema(ontology), _extend_with_registry(parts.pop("assertions"), parts["registry"])
+    problems = check_consistency(schema, assertions).messages()
+    problems += [f"initial hypothesis: {m}" for m in type_soundness(parts["initial_hypothesis"], schema).messages()]
+    problems += ["ticks must be nonnegative"] if parts["ticks"] < 0 else []
+    ticks = [-1] + [event.tick for event in parts["events"]]
+    bad = [(a, b) for a, b in zip(ticks, ticks[1:]) if b <= a]
+    problems += [f"event ticks must be strictly increasing (saw {b} after {a})" for a, b in bad]
     if problems:
         raise ValidationError(problems)
+    return _lifted(Scenario(schema=schema, assertions=assertions, **parts))
 
-    scenario = Scenario(
-        name=str(data.get("name", "scenario")),
-        schema=schema,
-        assertions=assertions,
+
+def _parts_from_data(data: Mapping) -> dict:
+    """The scenario's fields as read, before its ontology is loaded."""
+    r = Fields(data)
+    registry = r.get("registry", array(Component.from_data, _by_component_id), ())
+    return r.build(
+        dict,
+        ontology_text=r.get("ontology_text", text, None),
+        ontology=r.get("ontology", text, None),
+        name=r.get("name", text, "scenario"),
         registry=registry,
-        initial_state=initial_state,
-        initial_hypothesis=initial_hypothesis,
-        ticks=ticks,
-        events=tuple(events),
-        annotations=tuple(sorted(data.get("annotations", {}).items())),
+        assertions=r.get("assertions", assertions_from_data, AssertionBase({}, (), ())),
+        initial_state=r.get("initial_state", lambda d: RawPlatformState.from_data(_with_components(d, registry))),
+        initial_hypothesis=r.get("initial_hypothesis", Hypothesis.from_data),
+        ticks=r.get("ticks", integer, 1),
+        events=r.get("events", array(ScenarioEvent.from_data), ()),
+        annotations=r.get("annotations", mapping(anything, sorted_items), ()),
     )
-    _validate_lifts(scenario)
-    return scenario
+
+
+def _by_component_id(registry: list[Component]) -> tuple[Component, ...]:
+    return tuple(sorted(registry, key=lambda c: c.component_id))
+
+
+def _with_components(state: object, registry: Sequence[Component] | None) -> object:
+    """A state that lists no components starts with every registry entry healthy."""
+    if not isinstance(state, Mapping) or "components" in state:
+        return state
+    return {**state, "components": [[c.component_id, str(c.concept), "ok"] for c in registry or ()]}
+
+
+def assertions_from_data(data: Mapping) -> AssertionBase:
+    """A scenario's assertion section: individuals, relation facts and parameter facts."""
+    r = Fields(data)
+    individuals = r.get("individuals", array(row(text, concept), dict), {})
+    facts = r.get("facts", array(row(text, text, text)), ())
+    return r.build(AssertionBase, individuals, facts, r.get("params", array(row(text, text, anything)), ()))
 
 
 def _extend_with_registry(assertions: AssertionBase, registry: Sequence[Component]) -> AssertionBase:
@@ -244,8 +203,8 @@ def _extend_with_registry(assertions: AssertionBase, registry: Sequence[Componen
     )
 
 
-def _validate_lifts(scenario: Scenario) -> None:
-    """Every patched raw state must lift against the schema."""
+def _lifted(scenario: Scenario) -> Scenario:
+    """``scenario``, once every patched raw state lifts against its schema."""
     problems: list[str] = []
     raw = scenario.initial_state
     for tick in range(scenario.ticks):
@@ -256,17 +215,21 @@ def _validate_lifts(scenario: Scenario) -> None:
             problems.append(f"tick {tick}: state does not lift: {exc}")
     if problems:
         raise ValidationError(problems)
+    return scenario
+
+
+def _read(path: Path, what: str, decode: Callable[[str], object] = str) -> object:
+    """The file at ``path``, decoded; a ParseError when it cannot be read or decoded."""
+    try:
+        return decode(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError([f"cannot read {what}: {exc}"]) from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParseError([f"malformed {what}: {exc}"]) from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError([f"cannot read scenario: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError([f"malformed scenario JSON: {exc}"]) from exc
-    return scenario_from_data(data, base_dir=path.parent)
+    return scenario_from_data(_read(Path(path), "scenario JSON", json.loads), base_dir=Path(path).parent)
 
 
 def scenario_to_data(scenario: Scenario, ontology_text: str) -> dict:
@@ -294,91 +257,32 @@ def scenario_to_data(scenario: Scenario, ontology_text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-#: Configuration keys that have no default.
-REQUIRED_CONFIG_KEYS = ("grammar", "regimes", "core", "capacity_budget", "drift_bound")
-#: Every configuration key; any other key is refused, so a typo cannot
-#: silently leave a default in its place.
-CONFIG_KEYS = (
-    *REQUIRED_CONFIG_KEYS,
-    "fallback",
-    "prior",
-    "switch_model",
-    "reuse_bonus",
-    "reuse_penalty",
-    "transport_max_distance",
-    "flags",
-)
-
-T = TypeVar("T")
+_FALLBACK = prototype(AddSubservice, "the fallback must be an add_subservice transformation")
 
 
-def _number(data: Mapping, key: str, default: float | None = None, kind: type = float) -> float:
-    """The JSON number under ``key`` (``default`` when absent), as ``kind``;
-    anything else, a numeric string or a boolean included, is a config error."""
-    value = data.get(key, default)
-    allowed = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed) or not math.isfinite(value):
-        wanted = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"configuration key {key!r} must be {wanted}, got {value!r}")
-    return kind(value)
+def config_from_data(data: Mapping, schema: OntologySchema, assertions: AssertionBase) -> OrchestratorConfig:
+    return OrchestratorConfig(schema, assertions, **read(ConfigError, "configuration", _config_from_data, data))
 
 
-def _section(name: str, build: Callable[[], T]) -> T:
-    """``build()``, with a malformed value under configuration section
-    ``name`` (a missing key, a list where an object belongs, a bad number)
-    refused as a ConfigError that names the section.  A transformation that
-    does not decode (an unknown variant, a prototype of the wrong variant)
-    is a config error here too."""
-    try:
-        return build()
-    except KeyError as exc:
-        raise ConfigError(f"configuration section {name!r}: missing key {exc.args[0]!r}") from exc
-    except (ConfigError, MalformedTransformation, TypeError, AttributeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"configuration section {name!r}: {exc}") from exc
-
-
-def config_from_data(
-    data: Mapping, schema: OntologySchema, assertions: AssertionBase
-) -> OrchestratorConfig:
-    missing = [key for key in REQUIRED_CONFIG_KEYS if key not in data]
-    if missing:
-        raise ConfigError(f"configuration is missing required keys: {', '.join(missing)}")
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    grammar = _section("grammar", lambda: TransformationGrammar.from_data(data["grammar"]))
-    fallback_data = data.get("fallback")
-    if fallback_data is None:
-        raise ConfigError("configuration must declare the supervision fallback")
-    fallback = _section("fallback", lambda: transformation_from_data(fallback_data))
-    if not isinstance(fallback, AddSubservice):
-        raise ConfigError("the fallback must be an add_subservice transformation")
-    return OrchestratorConfig(
-        schema=schema,
-        assertions=assertions,
-        grammar=grammar,
-        regimes=_section("regimes", lambda: tuple(Regime.from_data(r) for r in data["regimes"])),
-        core=_section("core", lambda: InvariantCore.from_data(data["core"])),
-        prior=_section("prior", lambda: StructuralPrior.from_data(data.get("prior", {}))),
-        capacity_budget=_number(data, "capacity_budget"),
-        switch_model=_section(
-            "switch_model", lambda: RegimeSwitchModel.from_data(data.get("switch_model", {}))
-        ),
-        drift_bound=_number(data, "drift_bound"),
-        reuse_bonus=_number(data, "reuse_bonus", 1.0),
-        reuse_penalty=_number(data, "reuse_penalty", 2.0),
-        transport_max_distance=_number(data, "transport_max_distance", 0, kind=int),
-        fallback=fallback,
-        flags=_section("flags", lambda: GateFlags.from_data(data.get("flags", {}))),
+def _config_from_data(data: Mapping) -> dict:
+    """The configuration's fields as read."""
+    r, defaults = Fields(data), OrchestratorConfig
+    return r.build(
+        dict,
+        grammar=r.get("grammar", TransformationGrammar.from_data),
+        regimes=r.get("regimes", array(Regime.from_data)),
+        core=r.get("core", InvariantCore.from_data),
+        prior=r.get("prior", StructuralPrior.from_data, StructuralPrior()),
+        capacity_budget=r.get("capacity_budget", number),
+        switch_model=r.get("switch_model", RegimeSwitchModel.from_data, RegimeSwitchModel()),
+        drift_bound=r.get("drift_bound", number),
+        reuse_bonus=r.get("reuse_bonus", number, defaults.reuse_bonus),
+        reuse_penalty=r.get("reuse_penalty", number, defaults.reuse_penalty),
+        transport_max_distance=r.get("transport_max_distance", integer, defaults.transport_max_distance),
+        fallback=r.get("fallback", _FALLBACK),
+        flags=r.get("flags", GateFlags.from_data, defaults.flags),
     )
 
 
 def load_config(path: str | Path, schema: OntologySchema, assertions: AssertionBase) -> OrchestratorConfig:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError([f"cannot read config: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError([f"malformed config JSON: {exc}"]) from exc
-    return config_from_data(data, schema, assertions)
+    return config_from_data(_read(Path(path), "config JSON", json.loads), schema, assertions)

@@ -13,13 +13,15 @@ never transport.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, sha256_hex
 from .certificates import OBLIGATION_CODES, Certificate, CertRefusal
-from .errors import CorruptStore, GovernanceError, MalformedRecord, NotReachable
+from .errors import CorruptStore, MalformedRecord, NotReachable
+from .fields import Fields, array, concept, maybe, read, row, text
 from .model import Hypothesis
 from .ontology import ConceptId
 from .transform import edit_distance
@@ -28,6 +30,10 @@ OUTCOMES = ("success", "degraded", "failed")
 
 #: Certificate kinds eligible for transport; the rest are state-dependent.
 TRANSPORTABLE_KINDS = ("closure", "capacity")
+
+
+def _sorted_tuple(items: Iterable) -> tuple:
+    return tuple(sorted(items))
 
 
 @dataclass(frozen=True)
@@ -52,10 +58,9 @@ class Motif:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "Motif":
-        return cls(
-            nodes=tuple(sorted((str(s), ConceptId.parse(str(c))) for s, c in data["nodes"])),
-            edges=tuple(sorted((str(a), str(b)) for a, b in data.get("edges", []))),
-        )
+        r = Fields(data)
+        nodes = r.get("nodes", array(row(text, concept), _sorted_tuple))
+        return r.build(cls, nodes, r.get("edges", array(row(text, text), _sorted_tuple), ()))
 
     @classmethod
     def build(cls, nodes: Mapping[str, ConceptId], edges: Iterable[tuple[str, str]] = ()) -> "Motif":
@@ -122,12 +127,9 @@ class FailureSignature:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "FailureSignature":
-        return cls(
-            regime_label=str(data["regime"]),
-            environment_digest=str(data["environment"]),
-            motif=Motif.from_data(data["motif"]),
-            obligation_code=str(data["code"]),
-        )
+        r = Fields(data)
+        regime, environment = r.get("regime", text), r.get("environment", text)
+        return r.build(cls, regime, environment, r.get("motif", Motif.from_data), r.get("code", text))
 
 
 @dataclass(frozen=True)
@@ -159,16 +161,11 @@ class MemoryRecord:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "MemoryRecord":
-        cert = data.get("certificate")
-        sig = data.get("failure_signature")
-        return cls(
-            regime_label=str(data["regime"]),
-            hypothesis_digest=str(data["hypothesis"]),
-            certificate=Certificate.from_data(cert) if cert else None,
-            outcome=str(data["outcome"]),
-            failure_signature=FailureSignature.from_data(sig) if sig else None,
-            reuse_tag=str(data.get("reuse_tag", "")),
-        )
+        r = Fields(data)
+        regime, hypothesis, outcome = r.get("regime", text), r.get("hypothesis", text), r.get("outcome", text)
+        certificate = r.get("certificate", maybe(Certificate.from_data), None)
+        signature = r.get("failure_signature", maybe(FailureSignature.from_data), None)
+        return r.build(cls, regime, hypothesis, certificate, outcome, signature, r.get("reuse_tag", text, ""))
 
 
 @dataclass(frozen=True)
@@ -398,49 +395,38 @@ def persist(store: MemoryStore, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> MemoryStore:
-    """Read a persisted store; raises CorruptStore on checksum mismatch,
-    truncation, or malformed content."""
-    import json
-
+    """Read a persisted store; CorruptStore on a bad checksum, truncation or malformed content."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CorruptStore(f"cannot read store: {exc}") from exc
-    lines = text.splitlines()
     if len(lines) < 2 or not lines[-1].startswith("checksum sha256:"):
         raise CorruptStore("missing checksum line")
-    body = "\n".join(lines[:-1]) + "\n"
-    expected = lines[-1].removeprefix("checksum sha256:").strip()
-    if sha256_hex(body) != expected:
+    if sha256_hex("\n".join(lines[:-1]) + "\n") != lines[-1].removeprefix("checksum sha256:").strip():
         raise CorruptStore("checksum mismatch")
     if lines[0] != _HEADER:
         raise CorruptStore(f"unknown store header {lines[0]!r}")
-
-    records: list[MemoryRecord] = []
-    graphs: dict[str, Hypothesis] = {}
-    certs: list[Certificate] = []
+    records, graphs, certs = [], {}, []
     for number, line in enumerate(lines[1:-1], start=2):
         try:
-            entry = json.loads(line)
+            record, graph, cert = read(CorruptStore, f"store line {number}", _store_entry, json.loads(line))
         except json.JSONDecodeError as exc:
             raise CorruptStore(f"malformed store line {number}: {exc}") from exc
-        if not isinstance(entry, dict):
-            raise CorruptStore(f"store line {number} is not an object")
-        if not entry.keys() & {"record", "graph_only", "certificate"}:
-            raise CorruptStore(f"unknown store entry keys {sorted(entry)}")
-        try:
-            if "record" in entry:
-                rec = MemoryRecord.from_data(entry["record"])
-                records.append(rec)
-                if "graph" in entry:
-                    graphs[rec.hypothesis_digest] = Hypothesis.from_data(entry["graph"])
-            elif "graph_only" in entry:
-                graph = Hypothesis.from_data(entry["graph_only"])
-                graphs[graph.digest()] = graph
-            else:
-                certs.append(Certificate.from_data(entry["certificate"]))
-        except (KeyError, TypeError, ValueError, AttributeError, GovernanceError) as exc:
-            raise CorruptStore(f"malformed store line {number}: {type(exc).__name__}: {exc}") from exc
-    return MemoryStore(
-        records=tuple(records), graphs=tuple(sorted(graphs.items())), certificates=tuple(certs)
-    )
+        records += [record] if record else []
+        certs += [cert] if cert else []
+        if graph is not None:
+            graphs[record.hypothesis_digest if record else graph.digest()] = graph
+    return MemoryStore(tuple(records), tuple(sorted(graphs.items())), tuple(certs))
+
+
+def _store_entry(data: object) -> tuple:
+    """``(record, graph, certificate)`` of one store line, the parts it lacks
+    None: a record, with its graph on the graph's first mention; a graph
+    alone; or a loose certificate."""
+    r = Fields(data)
+    if "graph_only" in data:
+        return r.build(tuple, (None, r.get("graph_only", Hypothesis.from_data), None))
+    if "certificate" in data:
+        return r.build(tuple, (None, None, r.get("certificate", Certificate.from_data)))
+    record = r.get("record", MemoryRecord.from_data)
+    return r.build(tuple, (record, r.get("graph", Hypothesis.from_data, None), None))

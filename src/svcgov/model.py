@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, canonical_object, digest_of, sha256_hex
-from .errors import IncompatibleInterface, TypingError
+from .errors import ConfigError, IncompatibleInterface, TypingError
+from .fields import Fields, anything, array, boolean, concept, concepts, integer, mapping, number, row, text
 from .ontology import (
     AssertionBase,
     Category,
@@ -80,8 +81,11 @@ class ServiceRequest:
     def build(cls, request_class: ConceptId, params: Mapping[str, object], deadline: int) -> "ServiceRequest":
         return cls(request_class, tuple(sorted(params.items())), deadline)
 
-    def param_map(self) -> dict[str, object]:
-        return dict(self.params)
+    @classmethod
+    def from_data(cls, data: Mapping) -> "ServiceRequest":
+        r = Fields(data)
+        params = r.get("params", mapping(anything), {})
+        return r.build(cls.build, r.get("class", concept), params, r.get("deadline", integer, 0))
 
 
 @dataclass(frozen=True)
@@ -119,27 +123,13 @@ class RawPlatformState:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "RawPlatformState":
-        req = data["request"]
-        return build_raw_state(
-            time=int(data.get("time", 0)),
-            agents=[
-                AgentState(str(i), ConceptId.parse(str(c)), bool(av), float(b), str(z))
-                for i, c, av, b, z in data.get("agents", [])
-            ],
-            components=[
-                ComponentState(str(i), ConceptId.parse(str(c)), str(h))
-                for i, c, h in data.get("components", [])
-            ],
-            request=ServiceRequest.build(
-                ConceptId.parse(str(req["class"])), dict(req.get("params", {})), int(req.get("deadline", 0))
-            ),
-            network={str(z): float(b) for z, b in data.get("network", {}).items()},
-            safety_flags=[str(f) for f in data.get("safety_flags", [])],
-            environment={
-                str(z): [ConceptId.parse(str(d)) for d in ds]
-                for z, ds in data.get("environment", {}).items()
-            },
-        )
+        r = Fields(data)
+        agents = r.get("agents", array(row(text, concept, boolean, number, text, into=AgentState)), ())
+        components = r.get("components", array(row(text, concept, text, into=ComponentState)), ())
+        time, request = r.get("time", integer, 0), r.get("request", ServiceRequest.from_data)
+        network, flags = r.get("network", mapping(number), {}), r.get("safety_flags", array(text), ())
+        environment = r.get("environment", mapping(array(concept)), {})
+        return r.build(build_raw_state, time, agents, components, request, network, flags, environment)
 
 
 def build_raw_state(
@@ -197,9 +187,6 @@ class SemanticState:
 
     def signals(self) -> dict[str, float]:
         return dict(self.regime_signals)
-
-    def functions_of(self, component_id: str) -> frozenset[ConceptId]:
-        return frozenset(f for cid, f in self.component_functions if cid == component_id)
 
     def live_component_ids(self) -> frozenset[str]:
         return frozenset(cid for cid, _ in self.component_functions)
@@ -428,11 +415,9 @@ class Component(_Element):
 
     @classmethod
     def from_data(cls, data: Mapping) -> "Component":
-        return cls(
-            component_id=str(data["component"]),
-            concept=ConceptId.parse(str(data["concept"])),
-            provides=frozenset(ConceptId.parse(str(f)) for f in data.get("provides", [])),
-        )
+        r = Fields(data)
+        provides = r.get("provides", concepts, frozenset())
+        return r.build(cls, r.get("component", text), r.get("concept", concept), provides)
 
 
 @dataclass(frozen=True)
@@ -445,7 +430,8 @@ class Role(_Element):
 
     @classmethod
     def from_data(cls, data: Mapping) -> "Role":
-        return cls(str(data["id"]), frozenset(ConceptId.parse(str(f)) for f in data.get("requires", [])))
+        r = Fields(data)
+        return r.build(cls, r.get("id", text), r.get("requires", concepts, frozenset()))
 
 
 @dataclass(frozen=True)
@@ -463,11 +449,8 @@ class InterfaceContract:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "InterfaceContract":
-        return cls(
-            entity_types=frozenset(ConceptId.parse(str(c)) for c in data.get("entities", [])),
-            event_types=frozenset(ConceptId.parse(str(c)) for c in data.get("events", [])),
-            obligations=frozenset(ConceptId.parse(str(c)) for c in data.get("obligations", [])),
-        )
+        r = Fields(data)
+        return r.build(cls, *(r.get(key, concepts, frozenset()) for key in ("entities", "events", "obligations")))
 
 
 @dataclass(frozen=True)
@@ -481,7 +464,8 @@ class Edge(_Element):
 
     @classmethod
     def from_data(cls, data: Mapping) -> "Edge":
-        return cls(str(data["from"]), str(data["to"]), InterfaceContract.from_data(data["contract"]))
+        r = Fields(data)
+        return r.build(cls, r.get("from", text), r.get("to", text), r.get("contract", InterfaceContract.from_data))
 
 
 @dataclass(frozen=True)
@@ -507,7 +491,21 @@ class SignalCondition:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "SignalCondition":
-        return cls(str(data["signal"]), str(data["op"]), float(data["value"]))
+        r = Fields(data)
+        return r.build(cls, r.get("signal", text), r.get("op", text), r.get("value", number))
+
+    def faults(self) -> list[str]:
+        """Why the condition cannot be evaluated: an unknown signal or operator."""
+        names = (("signal", self.signal, SIGNAL_NAMES), ("operator", self.op, GUARD_OPS))
+        return [f"unknown {what} {name!r}" for what, name, known in names if name not in known]
+
+
+def declared_condition(data: Mapping) -> SignalCondition:
+    """A regime-entry or grammar-trigger condition, whose signal and operator exist."""
+    cond = SignalCondition.from_data(data)
+    if faults := cond.faults():
+        raise ConfigError("; ".join(faults))
+    return cond
 
 
 def conditions_hold(conditions: Sequence[SignalCondition], signals: Mapping[str, float]) -> bool:
@@ -537,13 +535,10 @@ class PolicyRule(_Element):
 
     @classmethod
     def from_data(cls, data: Mapping) -> "PolicyRule":
-        return cls(
-            guard=tuple(SignalCondition.from_data(c) for c in data.get("guard", [])),
-            relation=str(data["relation"]),
-            actor_role=str(data["role"]),
-            action_concept=ConceptId.parse(str(data["action"])),
-            latency=int(data.get("latency", 0)),
-        )
+        r = Fields(data)
+        guard = r.get("guard", array(SignalCondition.from_data), ())
+        relation, role, action = r.get("relation", text), r.get("role", text), r.get("action", concept)
+        return r.build(cls, guard, relation, role, action, r.get("latency", integer, 0))
 
 
 def _sorted_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -655,13 +650,12 @@ class Hypothesis:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "Hypothesis":
-        return cls.build(
-            roles=[Role.from_data(r) for r in data.get("roles", [])],
-            edges=[Edge.from_data(e) for e in data.get("edges", [])],
-            assignment={rid: Component.from_data(c) for rid, c in data.get("assignment", {}).items()},
-            policy=[PolicyRule.from_data(p) for p in data.get("policy", [])],
-            constraints={str(n): float(b) for n, b in data.get("constraints", {}).items()},
-        )
+        r = Fields(data)
+        roles, edges = r.get("roles", array(Role.from_data), ()), r.get("edges", array(Edge.from_data), ())
+        assignment = r.get("assignment", mapping(Component.from_data), {})
+        policy = r.get("policy", array(PolicyRule.from_data), ())
+        constraints = r.get("constraints", mapping(number), {})
+        return r.build(cls.build, roles, edges, assignment, policy, constraints)
 
     def canonical_text(self) -> str:
         """``canonical_dumps(self.to_data())``, composed from the cached
@@ -816,10 +810,7 @@ def _rule_verdict(
         relation.append(("bad-policy-relation", f"policy rule {idx}: unknown relation {rule.relation!r}"))
     rest: list[tuple[str, str]] = []
     for cond in rule.guard:
-        if cond.signal not in SIGNAL_NAMES:
-            rest.append(("bad-policy-signal", f"policy rule {idx}: unknown signal {cond.signal!r}"))
-        if cond.op not in GUARD_OPS:
-            rest.append(("bad-policy-signal", f"policy rule {idx}: unknown operator {cond.op!r}"))
+        rest += [("bad-policy-signal", f"policy rule {idx}: {fault}") for fault in cond.faults()]
     if rule.latency < 0:
         rest.append(("bad-policy-latency", f"policy rule {idx}: negative latency"))
     want = Category.INTERACTION if rule.relation == "notifies" else Category.FUNCTION

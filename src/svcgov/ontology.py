@@ -490,20 +490,3 @@ def kind_matches(kind: str, value: object) -> bool:
     if kind == "flag":
         return isinstance(value, bool)
     return isinstance(value, str)  # enum and text
-
-
-def assertions_from_data(data: Mapping, schema: OntologySchema) -> AssertionBase:
-    """Build an assertion base from plain data (scenario files)."""
-    individuals = {str(i): ConceptId.parse(str(c)) for i, c in data.get("individuals", [])}
-    facts = tuple((str(r), str(s), str(o)) for r, s, o in data.get("facts", []))
-    params = tuple((str(i), str(n), v) for i, n, v in data.get("params", []))
-    return AssertionBase(individuals=individuals, relation_facts=facts, parameter_facts=params)
-
-
-def assertions_to_data(k: AssertionBase) -> dict:
-    return {
-        "individuals": [[i, str(c)] for i, c in sorted(k.individuals.items())],
-        "facts": [list(f) for f in k.relation_facts],
-        "params": [list(p) for p in k.parameter_facts],
-    }
-

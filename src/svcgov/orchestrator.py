@@ -31,6 +31,7 @@ from .evaluation import (
     detect_regime,
     evaluate,
 )
+from .fields import Fields, boolean
 from .memory import (
     EMPTY_STORE,
     FailureSignature,
@@ -74,28 +75,12 @@ class GateFlags:
     regime_family: bool = True
 
     def to_data(self) -> dict:
-        return {
-            "closure": self.closure,
-            "stability": self.stability,
-            "capacity": self.capacity,
-            "invariance": self.invariance,
-            "substitution": self.substitution,
-            "memory": self.memory,
-            "regime_family": self.regime_family,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_data(cls, data: Mapping) -> "GateFlags":
-        known = cls().to_data()
-        problems = []
-        for name, value in sorted(data.items()):
-            if name not in known:
-                problems.append(f"unknown flag {name!r}")
-            elif not isinstance(value, bool):
-                problems.append(f"flag {name!r} must be true or false, got {value!r}")
-        if problems:
-            raise ConfigError("; ".join(problems))
-        return cls(**data)
+        r = Fields(data)
+        return r.build(cls, **{name: r.get(name, boolean, on) for name, on in cls().to_data().items()})
 
 
 @dataclass(frozen=True)
@@ -121,6 +106,7 @@ class OrchestratorConfig:
             raise ConfigError(f"exactly one default regime required, found {len(defaults)}")
         if self.regimes[-1] is not defaults[0]:
             raise ConfigError("the default regime must be declared last")
+        self._check_regime_labels()
         if self.capacity_budget <= 0:
             raise ConfigError("capacity budget must be positive")
         if self.drift_bound < 0:
@@ -133,6 +119,17 @@ class OrchestratorConfig:
             raise ConfigError("the fallback attachment must be declared in the grammar")
         if not self.fallback.part.roles:
             raise ConfigError("the fallback subservice must contribute at least one role")
+
+    def _check_regime_labels(self) -> None:
+        """Regime labels are unique, and the switch model names only declared ones."""
+        labels, model = [regime.label for regime in self.regimes], self.switch_model
+        problems = [f"duplicate regime label {label!r}" for i, label in enumerate(labels) if label in labels[:i]]
+        for part, entries in (("costs", model.costs), ("residuals", model.residuals), ("recipes", model.recipes)):
+            for i, (a, b, _) in enumerate(entries):
+                undeclared = [label for label in dict.fromkeys((a, b)) if label not in labels]
+                problems += [f"switch_model.{part}[{i}] names undeclared regime {label!r}" for label in undeclared]
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     def default_regime(self) -> Regime:
         return self.regimes[-1]

@@ -14,15 +14,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .canon import canonical_dumps
-from .errors import ConfigError, MalformedTransformation, NotReachable, UnknownSite
+from .errors import MalformedTransformation, NotReachable, UnknownSite
+from .fields import Fields, Malformed, array, boolean, integer, mapping, number, one_of, text
 from .model import (
-    Component,
-    Edge,
-    Hypothesis,
-    InterfaceContract,
-    SemanticState,
-    SignalCondition,
-    conditions_hold,
+    Component, Edge, Hypothesis, InterfaceContract, SemanticState, SignalCondition, conditions_hold, declared_condition,
 )
 from .ontology import OntologySchema
 
@@ -52,6 +47,14 @@ class Attachment:
     from_role: str
     to_role: str
     contract: InterfaceContract
+
+    def to_data(self) -> dict:
+        return {"from": self.from_role, "to": self.to_role, "contract": self.contract.to_data()}
+
+    @classmethod
+    def from_data(cls, data: Mapping) -> "Attachment":
+        r = Fields(data)
+        return r.build(cls, r.get("from", text), r.get("to", text), r.get("contract", InterfaceContract.from_data))
 
 
 @dataclass(frozen=True)
@@ -86,18 +89,22 @@ class UpdateConstraint(_Transformation):
 
 Transformation = Union[Substitute, AddSubservice, RemoveSubservice, Rebind, UpdateConstraint]
 
-#: Canonical variant order used by candidate generation and diff output.
-VARIANT_ORDER = ("substitute", "add_subservice", "remove_subservice", "rebind", "update_constraint")
+#: Each variant by its wire name, in the canonical order that candidate
+#: generation and diff output follow: its class, and the wire keys and kinds
+#: of its fields in constructor order before the rationale.
+_VARIANTS = {
+    "substitute": (Substitute, (("role", text), ("old", text), ("new", Component.from_data))),
+    "add_subservice": (AddSubservice, (("part", Hypothesis.from_data), ("attach", array(Attachment.from_data), ()))),
+    "remove_subservice": (RemoveSubservice, (("roles", array(text, frozenset)),)),
+    "rebind": (Rebind, (("role", text), ("new", Component.from_data))),
+    "update_constraint": (UpdateConstraint, (("name", text), ("bound", number))),
+}
+VARIANT_ORDER = tuple(_VARIANTS)
+_VARIANT_NAMES = {cls: name for name, (cls, _) in _VARIANTS.items()}
 
 
 def variant_name(tau: Transformation) -> str:
-    return {
-        Substitute: "substitute",
-        AddSubservice: "add_subservice",
-        RemoveSubservice: "remove_subservice",
-        Rebind: "rebind",
-        UpdateConstraint: "update_constraint",
-    }[type(tau)]
+    return _VARIANT_NAMES[type(tau)]
 
 
 def transformation_to_data(tau: Transformation) -> dict:
@@ -105,13 +112,7 @@ def transformation_to_data(tau: Transformation) -> dict:
     if isinstance(tau, Substitute):
         data.update(role=tau.role_id, old=tau.old_component_id, new=tau.new_component.to_data())
     elif isinstance(tau, AddSubservice):
-        data.update(
-            part=tau.part.to_data(),
-            attach=[
-                {"from": a.from_role, "to": a.to_role, "contract": a.contract.to_data()}
-                for a in tau.attach
-            ],
-        )
+        data.update(part=tau.part.to_data(), attach=[a.to_data() for a in tau.attach])
     elif isinstance(tau, RemoveSubservice):
         data.update(roles=sorted(tau.role_ids))
     elif isinstance(tau, Rebind):
@@ -122,26 +123,30 @@ def transformation_to_data(tau: Transformation) -> dict:
 
 
 def transformation_from_data(data: Mapping) -> Transformation:
-    variant = data["variant"]
-    rationale = str(data.get("rationale", ""))
-    if variant == "substitute":
-        return Substitute(str(data["role"]), str(data["old"]), Component.from_data(data["new"]), rationale)
-    if variant == "add_subservice":
-        return AddSubservice(
-            Hypothesis.from_data(data["part"]),
-            tuple(
-                Attachment(str(a["from"]), str(a["to"]), InterfaceContract.from_data(a["contract"]))
-                for a in data.get("attach", [])
-            ),
-            rationale,
-        )
-    if variant == "remove_subservice":
-        return RemoveSubservice(frozenset(str(r) for r in data["roles"]), rationale)
-    if variant == "rebind":
-        return Rebind(str(data["role"]), Component.from_data(data["new"]), rationale)
-    if variant == "update_constraint":
-        return UpdateConstraint(str(data["name"]), float(data["bound"]), rationale)
-    raise MalformedTransformation(f"unknown transformation variant {variant!r}")
+    r = Fields(data)
+    variant, rationale = r.get("variant", text), r.get("rationale", text, "")
+    if variant not in _VARIANTS:
+        if variant is not None:
+            r.refuse(("variant",), f"unknown transformation variant {variant!r}")
+        raise Malformed(r.problems)
+    cls, fields = _VARIANTS[variant]
+    return r.build(cls, *(r.get(*field) for field in fields), rationale)
+
+
+def prototype(cls: type, refusal: str):
+    """A loader of transformations of variant ``cls`` only."""
+
+    def load(data: Mapping) -> Transformation:
+        tau = transformation_from_data(data)
+        if not isinstance(tau, cls):
+            raise MalformedTransformation(refusal)
+        return tau
+
+    return load
+
+
+_ADDABLE = prototype(AddSubservice, "grammar addable entries must be add_subservice")
+_CONSTRAINT_UPDATE = prototype(UpdateConstraint, "grammar constraint_updates entries must be update_constraint")
 
 
 def transformation_key(tau: Transformation) -> str:
@@ -184,14 +189,9 @@ class VariantRule:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "VariantRule":
-        return cls(
-            enabled=bool(data.get("enabled", False)),
-            sites=str(data.get("sites", "any")),
-            triggers=tuple(
-                tuple(SignalCondition.from_data(c) for c in clause)
-                for clause in data.get("triggers", [])
-            ),
-        )
+        r = Fields(data)
+        enabled, sites = r.get("enabled", boolean, cls.enabled), r.get("sites", one_of("any", "unhealthy"), cls.sites)
+        return r.build(cls, enabled, sites, r.get("triggers", array(array(declared_condition)), ()))
 
 
 @dataclass(frozen=True)
@@ -254,27 +254,10 @@ class TransformationGrammar:
 
     @classmethod
     def from_data(cls, data: Mapping) -> "TransformationGrammar":
-        unknown = sorted(set(data) - {"variants", "addable", "constraint_updates", "max_candidates"})
-        if unknown:
-            raise ConfigError(f"unknown grammar keys: {', '.join(unknown)}")
-        addable = []
-        for p in data.get("addable", []):
-            proto = transformation_from_data(p)
-            if not isinstance(proto, AddSubservice):
-                raise MalformedTransformation("grammar addable entries must be add_subservice")
-            addable.append(proto)
-        updates = []
-        for p in data.get("constraint_updates", []):
-            proto = transformation_from_data(p)
-            if not isinstance(proto, UpdateConstraint):
-                raise MalformedTransformation("grammar constraint_updates entries must be update_constraint")
-            updates.append(proto)
-        return cls.build(
-            variants={name: VariantRule.from_data(r) for name, r in data.get("variants", {}).items()},
-            addable=addable,
-            constraint_updates=updates,
-            max_candidates=int(data.get("max_candidates", 16)),
-        )
+        r = Fields(data)
+        variants, addable = r.get("variants", mapping(VariantRule.from_data), {}), r.get("addable", array(_ADDABLE), ())
+        updates = r.get("constraint_updates", array(_CONSTRAINT_UPDATE), ())
+        return r.build(cls.build, variants, addable, updates, r.get("max_candidates", integer, cls.max_candidates))
 
 
 # ---------------------------------------------------------------------------

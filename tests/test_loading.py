@@ -1,0 +1,444 @@
+"""The strict field reader behind every loader: path-named refusals,
+wire-key round trips, one CLI refusal per formerly accepted typo, and a
+mutation fuzz over the shipped config, scenario and a persisted store."""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import functools
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from svcgov.canon import sha256_hex
+from svcgov.certificates import CertContext, Certificate
+from svcgov.certify import RegimeSwitchModel
+from svcgov.errors import ConfigError, CorruptStore, GovernanceError, ParseError, ValidationError
+from svcgov.evaluation import (
+    EvaluatorWeights,
+    IdentitySpec,
+    InvariantCore,
+    Regime,
+    RegimeBudgets,
+    SafetyPredicate,
+    StructuralPrior,
+)
+from svcgov.fields import Fields, array, integer, number, read, row, text
+from svcgov.harness import bench
+from svcgov.harness.cli import _fail
+from svcgov.harness.cli import main as cli_main
+from svcgov.harness.packs import load_pack, pack_dir
+from svcgov.harness.scenario import (
+    ScenarioEvent,
+    assertions_from_data,
+    config_from_data,
+    scenario_from_data,
+    scenario_to_data,
+)
+from svcgov.memory import FailureSignature, MemoryRecord, Motif, load, persist
+from svcgov.model import (
+    Component,
+    Edge,
+    Hypothesis,
+    InterfaceContract,
+    PolicyRule,
+    RawPlatformState,
+    Role,
+    SignalCondition,
+)
+from svcgov.orchestrator import GateFlags, run
+from svcgov.transform import (
+    Attachment,
+    TransformationGrammar,
+    VariantRule,
+    transformation_from_data,
+    transformation_to_data,
+)
+
+EXIT_CODES = {"config": 4, "scenario": 3, "store": 5, "report": 3}
+
+
+def pack_json(name: str, file: str) -> dict:
+    return json.loads((pack_dir(name) / file).read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# The reader
+# ---------------------------------------------------------------------------
+
+
+def _pair(data):
+    r = Fields(data)
+    return r.build(tuple, (r.get("a", number), r.get("b", array(row(text, integer)), ())))
+
+
+class TestReader:
+    def test_reads_kinds_and_defaults(self):
+        assert _pair({"a": 8}) == (8.0, ())
+        assert isinstance(_pair({"a": 8})[0], float)
+        assert _pair({"a": 1.5, "b": [["x", 2]]}) == (1.5, (("x", 2),))
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            ({}, "doc key 'a' is missing"),
+            ({"a": "1"}, "doc key 'a' must be a finite number, got '1'"),
+            ({"a": True}, "doc key 'a' must be a finite number, got True"),
+            ({"a": float("nan")}, "doc key 'a' must be a finite number"),
+            ({"a": 10**400}, "doc key 'a' must be a finite number"),
+            ({"a": 1, "c": 2}, "unknown doc keys: c"),
+            ({"a": 1, "b": [["x", 2], ["y"]]}, "doc section 'b': b[1] must be an array of 2 items"),
+            ({"a": 1, "b": [["x", 2.0]]}, "doc section 'b': b[0][1] must be an integer, got 2.0"),
+            ([], "doc must be an object, got []"),
+        ],
+    )
+    def test_each_problem_is_named_by_its_path(self, data, expected):
+        with pytest.raises(ValidationError) as err:
+            read(ValidationError, "doc", _pair, data)
+        assert expected in str(err.value)
+
+    def test_every_problem_is_reported_at_once(self):
+        with pytest.raises(ConfigError) as err:
+            read(ConfigError, "doc", _pair, {"a": "x", "b": [["x", "y"], 3], "typo": 1})
+        message = str(err.value)
+        for part in ("doc key 'a'", "b[0][1] must be an integer", "b[1] must be an array", "unknown doc keys: typo"):
+            assert part in message
+
+
+# ---------------------------------------------------------------------------
+# Round trips: to_data and the reader agree on every wire key
+# ---------------------------------------------------------------------------
+
+
+def _hypothesis_parts(h: Hypothesis):
+    yield Hypothesis, h
+    for role in h.roles:
+        yield Role, role
+    for edge in h.edges:
+        yield Edge, edge
+        yield InterfaceContract, edge.contract
+    for _, comp in h.assignment:
+        yield Component, comp
+    for rule in h.policy:
+        yield PolicyRule, rule
+        for cond in rule.guard:
+            yield SignalCondition, cond
+
+
+def _loadables(scenario, cfg, store):
+    """(loader, value) for every loadable value of a scenario, its config and a store."""
+    yield RawPlatformState.from_data, scenario.initial_state
+    yield from ((c.from_data, v) for c, v in _hypothesis_parts(scenario.initial_hypothesis))
+    for comp in scenario.registry:
+        yield Component.from_data, comp
+    for event in scenario.events:
+        yield ScenarioEvent.from_data, event
+    for regime in cfg.regimes:
+        yield Regime.from_data, regime
+        yield EvaluatorWeights.from_data, regime.weights
+        yield RegimeBudgets.from_data, regime.budgets
+    yield InvariantCore.from_data, cfg.core
+    yield IdentitySpec.from_data, cfg.core.identity
+    for predicate in cfg.core.predicates:
+        yield SafetyPredicate.from_data, predicate
+    yield StructuralPrior.from_data, cfg.prior
+    yield RegimeSwitchModel.from_data, cfg.switch_model
+    yield GateFlags.from_data, cfg.flags
+    yield TransformationGrammar.from_data, cfg.grammar
+    for _, rule in cfg.grammar.variants:
+        yield VariantRule.from_data, rule
+    for tau in (*cfg.grammar.addable, *cfg.grammar.constraint_updates, cfg.fallback):
+        yield transformation_from_data, tau
+    for attachment in cfg.fallback.attach:
+        yield Attachment.from_data, attachment
+    for rec in store.records:
+        yield MemoryRecord.from_data, rec
+        if rec.certificate is not None:
+            yield Certificate.from_data, rec.certificate
+            yield CertContext.from_data, rec.certificate.context
+        if rec.failure_signature is not None:
+            yield FailureSignature.from_data, rec.failure_signature
+            yield Motif.from_data, rec.failure_signature.motif
+    for _, graph in store.graphs:
+        yield from ((c.from_data, v) for c, v in _hypothesis_parts(graph))
+    for cert in store.certificates:
+        yield Certificate.from_data, cert
+
+
+#: Both packs with the store of a run, and seed 0 of each bench family with its store.
+ROUND_TRIP_CASES = ("hospital", "retail", *bench.FAMILY_GENERATORS)
+
+
+@functools.lru_cache(maxsize=None)
+def _round_trip_case(name: str) -> tuple:
+    if name in bench.FAMILY_GENERATORS:
+        return bench.FAMILY_GENERATORS[name](0)
+    scenario, cfg = load_pack(name)
+    return scenario, cfg, run(scenario, cfg).store
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_CASES)
+def test_every_loader_reads_back_what_to_data_wrote(name):
+    scenario, cfg, store = _round_trip_case(name)
+    for loader, value in _loadables(scenario, cfg, store):
+        data = transformation_to_data(value) if loader is transformation_from_data else value.to_data()
+        assert loader(json.loads(json.dumps(data))) == value
+    assert assertions_from_data(scenario_to_data(scenario, "")["assertions"]) == scenario.assertions
+
+
+def test_the_round_trips_reach_every_loader():
+    reached = {loader for name in ROUND_TRIP_CASES for loader, _ in _loadables(*_round_trip_case(name))}
+    assert len(reached) == 27
+
+
+def test_metrics_report_reads_back_what_to_data_wrote():
+    report = bench.MetricsReport("substitution", "full", (0, 1), 1.0, 0.5, 2.0, 0.0, 0.25, 3, 2)
+    assert bench.report_from_json(bench.report_to_json(report)) == report
+
+
+# ---------------------------------------------------------------------------
+# The CLI refuses each formerly accepted typo
+# ---------------------------------------------------------------------------
+
+
+def _cli(capsys, argv) -> tuple[int, str]:
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def _set(path, value):
+    def mutate(d):
+        for step in path[:-1]:
+            d = d[step]
+        d[path[-1]] = value
+
+    return mutate
+
+
+def _rename(path, new):
+    def mutate(d):
+        for step in path[:-1]:
+            d = d[step]
+        d[new] = d.pop(path[-1])
+
+    return mutate
+
+
+CONFIG_TYPOS = {
+    "switch-cost-regime": (_set(("switch_model", "costs", 0, 0), "routin"), "undeclared regime 'routin'"),
+    "switch-residual-regime": (
+        _set(("switch_model", "residuals", 1, 1), "Routine"),
+        "switch_model.residuals[1] names undeclared regime 'Routine'",
+    ),
+    "switch-recipe-regime": (
+        _set(("switch_model", "recipes"), [["routine", "emergncy", [["speed", 0.5]]]]),
+        "switch_model.recipes[0] names undeclared regime 'emergncy'",
+    ),
+    "duplicate-regime-label": (_set(("regimes", 0, "label"), "routine"), "duplicate regime label 'routine'"),
+    "entry-signal": (
+        _set(("regimes", 0, "entry", 0, 0, "signal"), "deadline_presure"),
+        "unknown signal 'deadline_presure' (at regimes[0].entry[0][0])",
+    ),
+    "entry-op": (_set(("regimes", 0, "entry", 0, 0, "op"), "=>"), "unknown operator '=>'"),
+    "weight-string": (_set(("regimes", 0, "weights", "task"), "3.0"), "regimes[0].weights key 'task'"),
+    "budget-boolean": (_set(("regimes", 0, "budgets", "latency"), True), "regimes[0].budgets key 'latency'"),
+    "variant-sites": (
+        _set(("grammar", "variants", "substitute", "sites"), "unhealthyy"),
+        "grammar.variants.substitute key 'sites' must be one of 'any', 'unhealthy'",
+    ),
+    "trigger-signal": (
+        _set(("grammar", "variants", "substitute", "triggers", 0, 0, "signal"), "health"),
+        "unknown signal 'health'",
+    ),
+    "trigger-op": (
+        _set(("grammar", "variants", "add_subservice", "triggers", 0, 0, "op"), "=<"),
+        "unknown operator '=<' (at grammar.variants.add_subservice.triggers[0][0])",
+    ),
+    "regime-key": (_rename(("regimes", 0, "entry"), "entries"), "unknown regimes[0] keys: entries"),
+    "budgets-key": (_set(("regimes", 0, "budgets", "latncy"), 8), "unknown regimes[0].budgets keys: latncy"),
+    "prior-key": (_set(("prior", "nodes"), 1.0), "unknown prior keys: nodes"),
+    "identity-weights-key": (
+        _set(("core", "identity", "weights", "output"), 0.4),
+        "unknown core.identity.weights keys: output",
+    ),
+    "predicate-key": (_set(("core", "predicates", 0, "parms"), {}), "unknown core.predicates[0] keys: parms"),
+    "switch-model-key": (_rename(("switch_model", "residuals"), "residual"), "unknown switch_model keys: residual"),
+}
+
+SCENARIO_TYPOS = {
+    "ticks-key": (_rename(("ticks",), "tick"), "unknown scenario keys: tick"),
+    "ticks-string": (_set(("ticks",), "5"), "scenario key 'ticks' must be an integer, got '5'"),
+    "event-key": (_rename(("events", 0, "patches"), "patchs"), "unknown events[0] keys: patchs"),
+    "registry-key": (_rename(("registry", 0, "provides"), "provide"), "unknown registry[0] keys: provide"),
+    "patch-without-value": (
+        lambda d: d["events"][0]["patches"].append(["battery", "R1"]),
+        "events[0].patches[2] must be an array of 3 items",
+    ),
+    "patch-without-arguments": (
+        lambda d: d["events"][0]["patches"].append(["deadline"]),
+        "events[0].patches[2] must be an array of 2 items",
+    ),
+    "patch-argument-type": (
+        lambda d: d["events"][0]["patches"].append(["availability", "R1", "no"]),
+        "events[0].patches[2][2] must be true or false",
+    ),
+    "annotations-list": (_set(("annotations",), []), "scenario key 'annotations' must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_TYPOS))
+def test_config_typo_exits_four(tmp_path, capsys, case):
+    mutate, expected = CONFIG_TYPOS[case]
+    data = pack_json("hospital", "config.json")
+    mutate(data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    scenario = pack_dir("hospital") / "scenario.json"
+    code, err = _cli(capsys, ["run", "--scenario", str(scenario), "--config", str(config)])
+    assert code == 4
+    assert "error config" in err and expected in err
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_TYPOS))
+def test_scenario_typo_exits_three(tmp_path, capsys, case):
+    mutate, expected = SCENARIO_TYPOS[case]
+    data = pack_json("hospital", "scenario.json")
+    data["ontology"] = str(pack_dir("hospital") / "ontology.txt")
+    mutate(data)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    config = pack_dir("hospital") / "config.json"
+    code, err = _cli(capsys, ["run", "--scenario", str(scenario), "--config", str(config)])
+    assert code == 3
+    assert "error validation" in err and expected in err
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [("{}", "report key 'metrics' is missing"), ("not json", "malformed report JSON")],
+    ids=["empty-object", "not-json"],
+)
+def test_compare_refuses_a_malformed_report(tmp_path, capsys, content, expected):
+    report = tmp_path / "report.json"
+    report.write_text(content, encoding="utf-8")
+    code, err = _cli(capsys, ["compare", str(report), str(report)])
+    assert code == 3
+    assert "error parse" in err and expected in err
+
+
+# ---------------------------------------------------------------------------
+# Mutation fuzz: only governance errors escape, each with its exit code
+# ---------------------------------------------------------------------------
+
+#: A value of each JSON type, small enough that a loaded document stays cheap.
+OTHER_VALUES = (None, True, False, 0, -1, 2.5, "", "x", "routine", "t:X", [], [1], {}, {"a": 1})
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _paths(item, (*path, i))
+
+
+def _typo(word: str, draw) -> str:
+    if not word:
+        return "x"
+    i = draw(st.integers(0, len(word) - 1))
+    return word[:i] + draw(st.sampled_from(["", "x", word[i] * 2])) + word[i + 1 :]
+
+
+@st.composite
+def mutated(draw, document):
+    """``document`` with one to three keys dropped, values retyped, or
+    keys and labels typo'd."""
+    data = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(data) if p]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        key, value = path[-1], parent[path[-1]]
+        action = draw(st.sampled_from(["drop", "retype", "typo"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "retype" or not (isinstance(key, str) or isinstance(value, str)):
+            parent[key] = copy.deepcopy(draw(st.sampled_from([v for v in OTHER_VALUES if type(v) is not type(value)])))
+        elif isinstance(key, str) and (not isinstance(value, str) or draw(st.booleans())):
+            parent[_typo(key, draw)] = parent.pop(key)
+        else:
+            parent[key] = _typo(value, draw)
+    return data
+
+
+def _exit_code(exc: GovernanceError) -> int:
+    with contextlib.redirect_stderr(io.StringIO()):
+        return _fail(exc)
+
+
+def _loads_or_refuses(doc: str, load) -> None:
+    try:
+        load()
+    except GovernanceError as exc:
+        assert _exit_code(exc) == EXIT_CODES[doc], f"{type(exc).__name__}: {exc}"
+
+
+HOSPITAL_CONFIG = pack_json("hospital", "config.json")
+HOSPITAL_SCENARIO = pack_json("hospital", "scenario.json")
+FUZZ = settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(data=mutated(HOSPITAL_CONFIG))
+def test_mutated_config_loads_or_is_a_config_error(hospital, data):
+    scenario, _ = hospital
+    _loads_or_refuses("config", lambda: config_from_data(data, scenario.schema, scenario.assertions))
+
+
+@FUZZ
+@given(data=mutated(HOSPITAL_SCENARIO))
+def test_mutated_scenario_loads_or_is_refused_as_invalid(data):
+    _loads_or_refuses("scenario", lambda: scenario_from_data(data, base_dir=pack_dir("hospital")))
+
+
+@pytest.fixture(scope="module")
+def persisted_store(tmp_path_factory):
+    scenario, cfg = load_pack("retail")
+    path = tmp_path_factory.mktemp("store") / "retail.store"
+    persist(run(scenario, cfg).store, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return path, lines[0], [json.loads(line) for line in lines[1:-1]]
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_store_loads_or_is_corrupt(persisted_store, data):
+    path, header, entries = persisted_store
+    entries = list(entries)
+    i = data.draw(st.integers(0, len(entries) - 1))
+    entries[i] = data.draw(mutated(entries[i]))
+    # a fresh checksum, so that the mutation reaches the decoder
+    body = "\n".join([header, *(json.dumps(e) for e in entries)]) + "\n"
+    path.write_text(body + f"checksum sha256:{sha256_hex(body)}\n", encoding="utf-8")
+    _loads_or_refuses("store", lambda: load(path))
+
+
+def test_exit_codes_follow_the_documents():
+    assert [_exit_code(e) for e in (ConfigError("x"), ValidationError(["x"]), ParseError(["x"]), CorruptStore("x"))] == [
+        4,
+        3,
+        3,
+        5,
+    ]
