@@ -640,7 +640,7 @@ def admissible(
     effective_store = store if flags.memory else EMPTY_STORE
 
     try:
-        h2 = apply(tau, h, cfg.schema)
+        h2 = apply(tau, h)
     except (UnknownSite, MalformedTransformation) as exc:
         violation = Violation("A1", f"transformation not applicable: {exc}")
         results = tuple(

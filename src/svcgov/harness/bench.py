@@ -33,31 +33,27 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from ..certificates import environment_digest
-from ..certify import DriftLedger, admissible, structural_charge
+from ..certify import BOUND_EPS, CandidateFacts, DriftLedger
 from ..errors import GovernanceError, IncomparableReports, ParseError
-from ..evaluation import core_value, detect_regime, evaluate, identity_score
+from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, integer, keyed, number, read, text
 from ..memory import EMPTY_STORE, MemoryStore
-from ..model import semantic_lift, type_soundness
+from ..model import type_soundness
 from ..orchestrator import (
     DecisionTrace,
     OrchestratorConfig,
     registry_from_state,
+    replay,
     run,
+    screen_candidate,
 )
-from ..transform import (
-    UpdateConstraint,
-    apply,
-    generate_candidates,
-    transformation_key,
-)
+from ..transform import generate_candidates, transformation_key
 from . import baselines
-from .packs import pack_dir, load_pack
-from .scenario import Scenario, scenario_from_data, scenario_to_data
+from .packs import pack_data, pack_scenario
+from .scenario import Scenario
 
 FAMILIES = ("substitution", "regime-switch", "environment-shift", "memory-reuse")
 
-_EPS = 1e-9
 _EXHAUSTIVE = 10**9
 
 
@@ -136,47 +132,35 @@ class RunScan:
 def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[DecisionTrace]) -> RunScan:
     """Replay a run from the scenario script and recompute every metric
     ingredient against the full governance law (``cfg`` must carry full
-    gates; only its schema, core, prior, and switch model are consulted)."""
-    raw = scenario.initial_state
-    h = scenario.initial_hypothesis
+    gates).  The deployed candidate's metrics are read from the facts of
+    the oracle's screening of it, never from the run's own verdicts."""
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = 0.0
     regret = 0.0
     exhaustive_grammar = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
 
-    for trace in traces:
-        raw, _ = scenario.patched(raw, trace.tick)
-        x = dc_replace(raw, time=trace.tick)
-        z = semantic_lift(x, cfg.schema, cfg.assertions)
+    for trace, x, z, h_before, _ in replay(scenario, cfg, traces):
         e_true = detect_regime(cfg.regimes, z)
         switched = e_true.label != true_regime.label
         from_true = true_regime
         true_regime = e_true
 
-        for name, bound in trace.regime_rewrites:
-            h = apply(UpdateConstraint(name, bound), h)
-        h_before = h
-
-        if trace.selected is not None:
-            h = apply(trace.selected, h)
-            if h.digest() != trace.deployed_digest:
-                raise GovernanceError(f"trace at tick {trace.tick} does not replay")
+        best, deployed = _oracle(cfg, exhaustive_grammar, x, z, h_before, e_true, from_true, trace)
+        if deployed is not None:
+            achieved, facts = deployed
             deployments += 1
-            score = identity_score(cfg.core.identity, h_before, h, z, cfg.schema)
-            if score >= cfg.core.identity.threshold - _EPS:
+            if facts.identity.total >= cfg.core.identity.threshold - BOUND_EPS:
                 identity_ok += 1
-            if not core_value(cfg.core, h, z, cfg.schema).passed:
+            if not facts.core_report.passed:
                 violations += 1
             if switched:
-                max_switch_structural = max(
-                    max_switch_structural, structural_charge(h_before, h, cfg.switch_model)
-                )
+                max_switch_structural = max(max_switch_structural, facts.charge)
+        elif best is not None:
+            achieved = evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total
         transported += trace.transported_used
-
-        regret += _tick_regret(
-            scenario, cfg, exhaustive_grammar, x, h_before, h, z, e_true, from_true, trace
-        )
+        if best is not None:
+            regret += max(0.0, best - achieved)
     return RunScan(
         deployments=deployments,
         identity_ok=identity_ok,
@@ -187,56 +171,43 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     )
 
 
-def _tick_regret(scenario, cfg, grammar, x, h_before, h_after, z, e_true, from_true, trace) -> float:
-    """Score gap to the best admissible candidate in hindsight; the oracle
-    screens every grammar candidate with full gates and memory-neutral
-    scoring."""
+def _oracle(
+    cfg, grammar, x, z, h_before, e_true, from_true, trace
+) -> tuple[float | None, tuple[float, CandidateFacts] | None]:
+    """Screen in hindsight every grammar candidate, plus the fallback, with
+    full gates and memory-neutral scoring (an empty store).  Returns the
+    best admissible score (None when no candidate is admissible) and the
+    deployed candidate's score and facts (None when the trace deployed
+    nothing).  A deployed candidate outside that list is screened the same
+    way but never counts toward the best."""
     registry = registry_from_state(x, cfg.assertions, cfg.schema)
     candidates = generate_candidates(h_before, z, grammar, registry)
-    fallback_tau = cfg.fallback
-    if fallback_tau is not None and transformation_key(fallback_tau) not in {
-        transformation_key(t) for t in candidates
-    }:
-        candidates = candidates + [fallback_tau]
+    if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
+        candidates = candidates + [cfg.fallback]
+
+    environment = environment_digest(z, cfg.schema)
+    ledger = DriftLedger(bound=cfg.drift_bound)
+
+    def screen(tau):
+        verdict, _, breakdown = screen_candidate(
+            tau, h_before, z, e_true, EMPTY_STORE, cfg,
+            ledger=ledger, from_regime=from_true, tick=trace.tick, environment=environment,
+        )
+        return verdict, breakdown.total
 
     best: float | None = None
-    achieved: float | None = None
+    deployed: tuple[float, CandidateFacts] | None = None
     deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
-    environment = environment_digest(z, cfg.schema)
     for tau in candidates:
-        verdict = admissible(
-            tau,
-            h_before,
-            z,
-            e_true,
-            EMPTY_STORE,
-            cfg,
-            ledger=DriftLedger(bound=cfg.drift_bound),
-            from_regime=from_true,
-            tick=trace.tick,
-            environment=environment,
-        )
-        if verdict.error:
-            continue
-        facts = verdict.facts
-        score = evaluate(e_true, facts.h2, z, 0.0, facts.soundness, switching_cost=verdict.charge).total
+        verdict, score = screen(tau)
         if verdict.passed and (best is None or score > best):
             best = score
-        if deployed_key is not None and transformation_key(tau) == deployed_key:
-            achieved = score
-    if best is None:
-        return 0.0
-    if achieved is None:
-        if trace.selected is not None:
-            charge = structural_charge(h_before, h_after, cfg.switch_model) + cfg.switch_model.cost(
-                from_true.label, e_true.label
-            ) + cfg.switch_model.residual(from_true.label, e_true.label)
-            achieved = evaluate(
-                e_true, h_after, z, 0.0, type_soundness(h_after, cfg.schema), switching_cost=charge
-            ).total
-        else:
-            achieved = evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total
-    return max(0.0, best - achieved)
+        if transformation_key(tau) == deployed_key:
+            deployed = score, verdict.facts
+    if deployed is None and trace.selected is not None:
+        verdict, score = screen(trace.selected)
+        deployed = score, verdict.facts
+    return best, deployed
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +215,9 @@ def _tick_regret(scenario, cfg, grammar, x, h_before, h_after, z, e_true, from_t
 # ---------------------------------------------------------------------------
 
 
-def _pack_data(name: str) -> tuple[dict, OrchestratorConfig]:
-    scenario, cfg = load_pack(name)
-    ontology_text = (pack_dir(name) / "ontology.txt").read_text(encoding="utf-8")
-    return scenario_to_data(scenario, ontology_text), cfg
-
-
 def _gen_substitution(seed: int) -> tuple[Scenario, OrchestratorConfig, MemoryStore]:
     rng = random.Random(("substitution", seed).__repr__())
-    data, cfg = _pack_data("hospital")
+    data = pack_data("hospital")
     t0 = rng.choice((1, 2, 3))
     battery = round(rng.uniform(0.06, 0.14), 3)
     data["events"] = [
@@ -268,12 +233,12 @@ def _gen_substitution(seed: int) -> tuple[Scenario, OrchestratorConfig, MemorySt
     ]
     data["ticks"] = t0 + 3
     data["initial_state"]["request"]["deadline"] = rng.choice((11, 12, 13))
-    return scenario_from_data(data), cfg, EMPTY_STORE
+    return (*pack_scenario("hospital", data), EMPTY_STORE)
 
 
 def _gen_regime_switch(seed: int) -> tuple[Scenario, OrchestratorConfig, MemoryStore]:
     rng = random.Random(("regime-switch", seed).__repr__())
-    data, cfg = _pack_data("retail")
+    data = pack_data("retail")
     t0 = rng.choice((2, 3, 4))
     dip = round(rng.uniform(0.3, 0.6), 3)
     data["events"] = [
@@ -288,7 +253,7 @@ def _gen_regime_switch(seed: int) -> tuple[Scenario, OrchestratorConfig, MemoryS
     ]
     data["ticks"] = t0 + 3
     data["initial_state"]["request"]["deadline"] = rng.choice((13, 15, 17))
-    return scenario_from_data(data), cfg, EMPTY_STORE
+    return (*pack_scenario("retail", data), EMPTY_STORE)
 
 
 @lru_cache(maxsize=None)
@@ -296,19 +261,18 @@ def _environment_priming_store() -> MemoryStore:
     """History for the environment-shift family: a transfer to the Mk2
     navigation unit that later failed, recorded in the unshifted ward
     environment class."""
-    data, cfg = _pack_data("hospital")
+    data = pack_data("hospital")
     data["events"] = [
         {"tick": 2, "patches": [["battery", "R1", 0.12], ["health", "r1_nav", "degraded"]]},
         {"tick": 3, "patches": [["fail", "r2_nav", "runtime-failure"]]},
     ]
     data["ticks"] = 4
-    scenario = scenario_from_data(data)
-    return run(scenario, cfg).store
+    return run(*pack_scenario("hospital", data)).store
 
 
 def _gen_environment_shift(seed: int) -> tuple[Scenario, OrchestratorConfig, MemoryStore]:
     rng = random.Random(("environment-shift", seed).__repr__())
-    data, cfg = _pack_data("hospital")
+    data = pack_data("hospital")
     shifted = rng.random() < 0.5
     events = []
     if shifted:
@@ -326,7 +290,7 @@ def _gen_environment_shift(seed: int) -> tuple[Scenario, OrchestratorConfig, Mem
     events.append({"tick": 3, "patches": [["availability", "R1", False]]})
     data["events"] = events
     data["ticks"] = 5
-    return scenario_from_data(data), cfg, _environment_priming_store()
+    return (*pack_scenario("hospital", data), _environment_priming_store())
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +298,7 @@ def _memory_priming_store() -> MemoryStore:
     """History for the memory-reuse family: the speech interface failed at
     the noisy tick; the platform recovered by substituting the touch unit,
     leaving certificates behind for transport."""
-    data, cfg = _pack_data("retail")
+    data = pack_data("retail")
     data["events"] = [
         {
             "tick": 3,
@@ -342,13 +306,12 @@ def _memory_priming_store() -> MemoryStore:
         }
     ]
     data["ticks"] = 5
-    scenario = scenario_from_data(data)
-    return run(scenario, cfg).store
+    return run(*pack_scenario("retail", data)).store
 
 
 def _gen_memory_reuse(seed: int) -> tuple[Scenario, OrchestratorConfig, MemoryStore]:
     rng = random.Random(("memory-reuse", seed).__repr__())
-    data, cfg = _pack_data("retail")
+    data = pack_data("retail")
     data["events"] = [
         {
             "tick": 3,
@@ -359,7 +322,7 @@ def _gen_memory_reuse(seed: int) -> tuple[Scenario, OrchestratorConfig, MemorySt
     data["initial_state"]["request"]["deadline"] = rng.choice((12, 15, 18))
     data["initial_state"]["request"]["params"]["priority"] = rng.choice((1, 2))
     data["assertions"]["params"] = [["req1", "priority", data["initial_state"]["request"]["params"]["priority"]]]
-    return scenario_from_data(data), cfg, _memory_priming_store()
+    return (*pack_scenario("retail", data), _memory_priming_store())
 
 
 FAMILY_GENERATORS = {

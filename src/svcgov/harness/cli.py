@@ -25,7 +25,7 @@ from ..ontology import load_schema
 from ..orchestrator import run as run_scenario
 from . import baselines, bench, demo
 from .packs import PACK_NAMES, load_pack
-from .scenario import load_config, load_scenario
+from .scenario import _read, load_config, load_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,7 +46,7 @@ def _fail(exc: GovernanceError) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     if args.ontology:
-        load_schema(Path(args.ontology).read_text(encoding="utf-8"))
+        load_schema(_read(Path(args.ontology), "ontology"))
         print(f"ontology ok: {args.ontology}")
     scenario = None
     if args.scenario:
@@ -94,11 +94,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
     subjects = args.subject.split(",") if args.subject else list(baselines.SUBJECTS)
     reports = []
     for subject in subjects:
-        report = bench.run_benchmark(args.family, subject, seeds)
+        report = bench.run_benchmark(args.family, subject, args.seeds)
         reports.append((subject, report))
         print(
             f"{args.family} {subject}: identity={report.identity_preservation_rate:.3f} "
@@ -120,7 +119,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     reports = []
     for path in args.reports:
-        report = bench.report_from_json(Path(path).read_text(encoding="utf-8"))
+        report = bench.report_from_json(_read(Path(path), "report"))
         reports.append((report.subject, report))
     table = bench.compare(reports)
     print(table.render(), end="")
@@ -139,6 +138,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(report.render(), end="")
     ok = report.ontology_accepts == 2 and report.fully_admissible == 1
     return EXIT_OK if ok else EXIT_RUNTIME
+
+
+def _seeds(value: str) -> list[int]:
+    try:
+        return [int(s) for s in value.split(",") if s != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer seeds, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run benchmark families over seeds")
     p.add_argument("--family", required=True, choices=bench.FAMILIES)
     p.add_argument("--subject", default="", help="comma-separated subjects (default: all)")
-    p.add_argument("--seeds", required=True, help="comma-separated integer seeds")
+    p.add_argument("--seeds", required=True, type=_seeds, help="comma-separated integer seeds")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_bench)
 

@@ -19,8 +19,7 @@ from ..model import semantic_lift, type_soundness
 from ..ontology import check_consistency
 from ..transform import Substitute, apply
 from . import baselines
-from .bench import _pack_data
-from .scenario import scenario_from_data
+from .packs import pack_data, pack_scenario
 
 
 @dataclass(frozen=True)
@@ -64,12 +63,12 @@ class StrictExtensionReport:
 
 
 def strict_extension() -> StrictExtensionReport:
-    data, cfg = _pack_data("hospital")
+    data = pack_data("hospital")
     data["events"] = [
         {"tick": 2, "patches": [["battery", "R1", 0.12], ["health", "r1_handoff", "degraded"]]}
     ]
     data["ticks"] = 3
-    scenario = scenario_from_data(data)
+    scenario, cfg = pack_scenario("hospital", data)
 
     raw = scenario.initial_state
     for tick in range(3):
@@ -89,7 +88,7 @@ def strict_extension() -> StrictExtensionReport:
     consistency = check_consistency(cfg.schema, cfg.assertions).consistent
     witnesses = []
     for name, tau in candidates:
-        h2 = apply(tau, h, cfg.schema)
+        h2 = apply(tau, h)
         sound = type_soundness(h2, cfg.schema).sound
         full = admissible(tau, h, z, e, EMPTY_STORE, cfg)
         onto = admissible(tau, h, z, e, EMPTY_STORE, onto_cfg)

@@ -7,12 +7,14 @@ as user-supplied files.
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 from pathlib import Path
+from typing import Mapping
 
 from ..errors import ConfigError
 from ..orchestrator import OrchestratorConfig
-from .scenario import Scenario, load_config, load_scenario
+from .scenario import Scenario, _read, load_config, scenario_from_data
 
 PACK_NAMES = ("hospital", "retail")
 
@@ -23,8 +25,18 @@ def pack_dir(name: str) -> Path:
     return Path(str(resources.files("svcgov").joinpath("packs", name)))
 
 
-def load_pack(name: str) -> tuple[Scenario, OrchestratorConfig]:
+def pack_data(name: str) -> dict:
+    """A pack's scenario document, for a caller to edit before ``pack_scenario``."""
+    return _read(pack_dir(name) / "scenario.json", "scenario JSON", json.loads)
+
+
+def pack_scenario(name: str, data: Mapping) -> tuple[Scenario, OrchestratorConfig]:
+    """The scenario of a pack's (possibly edited) scenario document, and the
+    pack's run configuration loaded against its schema and assertions."""
     base = pack_dir(name)
-    scenario = load_scenario(base / "scenario.json")
-    cfg = load_config(base / "config.json", scenario.schema, scenario.assertions)
-    return scenario, cfg
+    scenario = scenario_from_data(data, base_dir=base)
+    return scenario, load_config(base / "config.json", scenario.schema, scenario.assertions)
+
+
+def load_pack(name: str) -> tuple[Scenario, OrchestratorConfig]:
+    return pack_scenario(name, pack_data(name))

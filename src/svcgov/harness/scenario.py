@@ -233,8 +233,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def scenario_to_data(scenario: Scenario, ontology_text: str) -> dict:
-    """Re-encode a scenario with its ontology inline (used by the seeded
-    benchmark generators, which perturb and re-validate)."""
+    """Re-encode a scenario with its ontology inline."""
     return {
         "name": scenario.name,
         "ontology_text": ontology_text,

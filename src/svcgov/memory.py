@@ -183,20 +183,6 @@ class MemoryStore:
     def graph_map(self) -> dict[str, Hypothesis]:
         return dict(self.graphs)
 
-    def by_digest(self, digest: str) -> tuple[MemoryRecord, ...]:
-        return tuple(r for r in self.records if r.hypothesis_digest == digest)
-
-    def by_regime(self, label: str) -> tuple[MemoryRecord, ...]:
-        return tuple(r for r in self.records if r.regime_label == label)
-
-    def by_environment(self, env_digest: str) -> tuple[MemoryRecord, ...]:
-        return tuple(
-            r
-            for r in self.records
-            if (r.failure_signature is not None and r.failure_signature.environment_digest == env_digest)
-            or (r.certificate is not None and r.certificate.context.environment_digest == env_digest)
-        )
-
     def failure_signatures(self) -> tuple[FailureSignature, ...]:
         return tuple(r.failure_signature for r in self.records if r.failure_signature is not None)
 
@@ -252,9 +238,8 @@ def reuse_score(
         if rec.outcome == "success" and rec.hypothesis_digest == digest and rec.regime_label == e_label:
             if rec.certificate is None or rec.certificate.context.environment_digest == environment:
                 score += bonus
-    for sig in store.failure_signatures():
-        if sig.environment_digest == environment and sig.motif.matches(h):
-            score -= penalty
+    for _ in match_failure(store, h, environment):
+        score -= penalty
     return score
 
 
@@ -398,7 +383,7 @@ def load(path: str | Path) -> MemoryStore:
     """Read a persisted store; CorruptStore on a bad checksum, truncation or malformed content."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorruptStore(f"cannot read store: {exc}") from exc
     if len(lines) < 2 or not lines[-1].startswith("checksum sha256:"):
         raise CorruptStore("missing checksum line")

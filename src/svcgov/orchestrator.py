@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .canon import canonical_dumps
 from .certificates import CertContext, Certificate, environment_digest
@@ -163,6 +163,34 @@ def registry_from_state(
     return tuple(sorted(out, key=lambda c: c.component_id))
 
 
+def screen_candidate(
+    tau: Transformation,
+    h: Hypothesis,
+    z: SemanticState,
+    e: Regime,
+    store: MemoryStore,
+    cfg: OrchestratorConfig,
+    ledger: DriftLedger,
+    from_regime: Regime,
+    tick: int,
+    environment: str,
+) -> tuple[AdmissibilityVerdict, float, ScoreBreakdown]:
+    """Screen one candidate and score the configuration it reaches: the
+    verdict (with its ``facts``), the reuse term read from ``store`` (0
+    with the memory gate off) and the regime score charged the A2 switching
+    charge.  ``environment`` is the environment-class digest of ``z``."""
+    verdict = admissible(
+        tau, h, z, e, store, cfg, ledger=ledger, from_regime=from_regime, tick=tick, environment=environment
+    )
+    facts = verdict.facts
+    reuse = (
+        reuse_score(store, facts.h2, e.label, environment, cfg.reuse_bonus, cfg.reuse_penalty)
+        if cfg.flags.memory
+        else 0.0
+    )
+    return verdict, reuse, evaluate(e, facts.h2, z, reuse, facts.soundness, switching_cost=verdict.charge)
+
+
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
@@ -272,7 +300,7 @@ class Orchestrator:
         if e2.label != e.label:
             rewrites = cfg.switch_model.recipe(e.label, e2.label)
             for name, bound in rewrites:
-                h = apply(UpdateConstraint(name, bound, rationale="regime-entry"), h, cfg.schema)
+                h = apply(UpdateConstraint(name, bound, rationale="regime-entry"), h)
 
         registry = registry_from_state(x, cfg.assertions, cfg.schema)
         candidates = generate_candidates(h, z, cfg.grammar, registry)
@@ -280,30 +308,12 @@ class Orchestrator:
         environment = environment_digest(z, cfg.schema) if candidates else ""
 
         def screen(tau: Transformation) -> tuple[CandidateTrace, Hypothesis]:
-            verdict = admissible(
-                tau,
-                h,
-                z,
-                e2,
-                store,
-                cfg,
-                ledger=self.ledger,
-                from_regime=e,
-                tick=tick,
-                environment=environment,
+            verdict, reuse, breakdown = screen_candidate(
+                tau, h, z, e2, store, cfg, ledger=self.ledger, from_regime=e, tick=tick, environment=environment
             )
             facts = verdict.facts
-            candidate_h = facts.h2  # h itself when tau was not applicable
-            reuse = (
-                reuse_score(
-                    store, candidate_h, e2.label, environment, cfg.reuse_bonus, cfg.reuse_penalty
-                )
-                if cfg.flags.memory
-                else 0.0
-            )
-            breakdown = evaluate(e2, candidate_h, z, reuse, facts.soundness, switching_cost=verdict.charge)
             trace = CandidateTrace(tau, replace(verdict, facts=None), breakdown, reuse, facts.complexity)
-            return trace, candidate_h
+            return trace, facts.h2  # h itself when tau was not applicable
 
         screened: list[CandidateTrace] = []
         outcomes: list[Hypothesis] = []
@@ -494,25 +504,34 @@ def _record_failures(
     return store
 
 
-def replay_deployments(
+def replay(
     scenario, cfg: OrchestratorConfig, traces: Sequence[DecisionTrace]
-) -> list[tuple[int, Hypothesis, SemanticState, Regime]]:
-    """Independently reconstruct the deployed hypothesis and semantic state
-    at each tick from the trace's recorded transformations.  Used by the
-    metric scanner; raises if a trace cannot be replayed."""
+) -> Iterator[tuple[DecisionTrace, RawPlatformState, SemanticState, Hypothesis, Hypothesis]]:
+    """Independently walk a run from the scenario script and the trace's
+    recorded transformations.  Yields, per trace, the raw state ``x`` of
+    its tick, its semantic lift ``z``, the hypothesis after the trace's
+    regime rewrites (``h_before``) and the deployed one (``h_after``);
+    raises if a trace does not replay to its deployed digest."""
     raw = scenario.initial_state
     h = scenario.initial_hypothesis
-    out = []
-    regimes = {r.label: r for r in cfg.regimes}
     for trace in traces:
         raw, _ = scenario.patched(raw, trace.tick)
         x = replace(raw, time=trace.tick)
         z = semantic_lift(x, cfg.schema, cfg.assertions)
         for name, bound in trace.regime_rewrites:
-            h = apply(UpdateConstraint(name, bound), h, cfg.schema)
+            h = apply(UpdateConstraint(name, bound), h)
+        h_before = h
         if trace.selected is not None:
-            h = apply(trace.selected, h, cfg.schema)
+            h = apply(trace.selected, h)
         if h.digest() != trace.deployed_digest:
             raise ConfigError(f"trace at tick {trace.tick} does not replay to its deployed digest")
-        out.append((trace.tick, h, z, regimes[trace.regime_label]))
-    return out
+        yield trace, x, z, h_before, h
+
+
+def replay_deployments(
+    scenario, cfg: OrchestratorConfig, traces: Sequence[DecisionTrace]
+) -> list[tuple[int, Hypothesis, SemanticState, Regime]]:
+    """The deployed hypothesis, semantic state and regime at each tick, as
+    ``replay`` reconstructs them."""
+    regimes = {r.label: r for r in cfg.regimes}
+    return [(trace.tick, h, z, regimes[trace.regime_label]) for trace, _, z, _, h in replay(scenario, cfg, traces)]

@@ -19,7 +19,6 @@ from .fields import Fields, Malformed, array, boolean, integer, mapping, number,
 from .model import (
     Component, Edge, Hypothesis, InterfaceContract, SemanticState, SignalCondition, conditions_hold, declared_condition,
 )
-from .ontology import OntologySchema
 
 
 class _Transformation:
@@ -265,10 +264,9 @@ class TransformationGrammar:
 # ---------------------------------------------------------------------------
 
 
-def apply(tau: Transformation, h: Hypothesis, schema: OntologySchema | None = None) -> Hypothesis:
+def apply(tau: Transformation, h: Hypothesis) -> Hypothesis:
     """Apply one transformation; the result differs from ``h`` exactly by
-    ``tau`` and may be type-unsound (closure certification is separate, so
-    the schema is accepted for interface symmetry but not consulted)."""
+    ``tau`` and may be type-unsound (closure certification is separate)."""
     if isinstance(tau, Substitute):
         current = h.binding(tau.role_id)
         if h.role(tau.role_id) is None:

@@ -494,7 +494,8 @@ def check_against_standalone(call, verdict) -> set[str]:
 
 def recorded_admissible_calls(monkeypatch, runs):
     """Run each (scenario, cfg, store) and its replay scan, recording every
-    ``admissible`` call of the decision steps and of the regret oracle."""
+    ``admissible`` call of the decision steps and of the regret oracle (both
+    screen through ``orchestrator.screen_candidate``)."""
     import inspect
 
     from svcgov import certify, orchestrator
@@ -511,10 +512,11 @@ def recorded_admissible_calls(monkeypatch, runs):
         return verdict
 
     monkeypatch.setattr(orchestrator, "admissible", recording)
-    monkeypatch.setattr(bench, "admissible", recording)
     for scenario, cfg, store in runs:
         result = orchestrator.run(scenario, cfg, store)
+        before = len(calls)
         bench.scan_run(scenario, cfg, result.traces)
+        assert len(calls) > before  # the oracle's calls are recorded too
     return calls
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +14,8 @@ from svcgov.harness.cli import main as cli_main
 from svcgov.harness.demo import strict_extension
 from svcgov.harness.packs import pack_dir
 from svcgov.harness.scenario import config_from_data, load_scenario, scenario_from_data
-from svcgov.orchestrator import run
+from svcgov.orchestrator import replay_deployments, run
+from svcgov.transform import variant_name
 
 from conftest import chain_ontology, write_checksummed_store
 
@@ -203,7 +206,61 @@ class TestBaselines:
         assert scan.identity_ok == scan.deployments
 
 
+#: sha256 of ``report_to_json(run_benchmark(family, subject, seeds 0-4))``.
+#: Trace digests do not cover the scanner, so these pin its output.
+REPORT_DIGESTS = {
+    ("substitution", "full"): "5f04147658c064d40c6c7d463626e982dc01c523eccfec5f59d3d212e3875083",
+    ("substitution", "ontology-only"): "add9e7e812c0676dbdc7cdcedaaadc94f5130b772c989ed6b0bcf509cc0accdf",
+    ("substitution", "typed-planner-no-memory"): "a76bc61215ccccc90f35ff80d6ed80e5fc83541d69f8031a56c343322d15332e",
+    ("substitution", "heuristic-memory"): "572a2083910569d6c32506afce3b56050b8d79242009ca12f7c2ff64b72e540c",
+    ("regime-switch", "full"): "bb471381c74dba87dd0138307072bd8f70e91beaf53e4ace8dd9da09695433a3",
+    ("regime-switch", "ontology-only"): "12e0c1507a814464564c44e10273723d86deec4ad60318e309158286ad529439",
+    ("regime-switch", "typed-planner-no-memory"): "06b36e37c285d2dec7245d7e81275c59d1f54e27b5f6c5c21c39b96613e86b73",
+    ("regime-switch", "heuristic-memory"): "92eb3fde397047f0610738e85761f867b8ea01a9cef750bd88f434c6ebee2097",
+    ("environment-shift", "full"): "6916ef5152c6af27bfde42aac9e25ca34b3b599c6d3375bd981147cdb0aed900",
+    ("environment-shift", "ontology-only"): "79058bfbd80928d05ec8d8d515282da1d2e2cafe9c0b171ef0663ddae62cf182",
+    ("environment-shift", "typed-planner-no-memory"): "d8f45032879b2d65d1d44352133a1c08ce96cf5dcb24053819d625ec78917e0f",
+    ("environment-shift", "heuristic-memory"): "657fc1f51ef199130ff9d9696b378a4d4b424cdd2e178ae67df557ab996db42a",
+    ("memory-reuse", "full"): "cd1e51d4724be67eac3ca2477bec81e588ff4a0e20b57ce83c79eed3d09b9404",
+    ("memory-reuse", "ontology-only"): "162b28df810c4536c454ad59ff537c3f9945078134f35a0e57a810dce1d674e6",
+    ("memory-reuse", "typed-planner-no-memory"): "0cc60b1413ea9e7c73870df034cd2ec8b41944bfba277658b4aa0cfa48fdbe56",
+    ("memory-reuse", "heuristic-memory"): "9205c05ebf8a3137d4b2721f8f5fdcd2ff5bd1f48b7af848d81ab25a7454d54b",
+}
+
+
 class TestBenchmarks:
+    @pytest.mark.parametrize("family, subject", list(REPORT_DIGESTS))
+    def test_report_bytes_are_pinned(self, family, subject):
+        document = bench.report_to_json(bench.run_benchmark(family, subject, list(range(5))))
+        assert hashlib.sha256(document.encode("utf-8")).hexdigest() == REPORT_DIGESTS[family, subject]
+
+    def test_deployed_candidate_outside_the_oracle_list_is_screened_alike(self):
+        # a scanner whose grammar lacks the deployed variants screens those
+        # deployments itself and reads the same metrics from them
+        scenario, cfg, store = bench.FAMILY_GENERATORS["substitution"](0)
+        traces = run(scenario, cfg, store).traces
+        assert any(t.selected is not None and variant_name(t.selected) != "add_subservice" for t in traces)
+        kept = tuple((name, rule) for name, rule in cfg.grammar.variants if name == "add_subservice")
+        narrow = replace(cfg, grammar=replace(cfg.grammar, variants=kept))
+        full, scan = bench.scan_run(scenario, cfg, traces), bench.scan_run(scenario, narrow, traces)
+        assert scan.deployments == full.deployments > 0
+        assert scan.identity_ok == full.identity_ok
+        assert scan.core_violations == full.core_violations
+        assert scan.max_switch_structural == full.max_switch_structural > 0.0
+        assert scan.regret <= full.regret  # the narrower oracle's best is no higher
+
+    @pytest.mark.parametrize("deployed", [True, False], ids=["deployment", "no-deployment"])
+    def test_tampered_deployed_digest_does_not_replay(self, hospital, deployed):
+        scenario, cfg = hospital
+        traces = list(run(scenario, cfg).traces)
+        i = next(i for i, t in enumerate(traces) if (t.selected is not None) == deployed)
+        traces[i] = replace(traces[i], deployed_digest="0" * 64)
+        message = f"trace at tick {traces[i].tick} does not replay"
+        with pytest.raises(ConfigError, match=message):
+            replay_deployments(scenario, cfg, traces)
+        with pytest.raises(ConfigError, match=message):
+            bench.scan_run(scenario, cfg, traces)
+
     def test_single_seed_report_shape(self):
         report = bench.run_benchmark("substitution", "full", [0])
         assert report.runs == 1
@@ -310,6 +367,16 @@ class TestCli:
         assert cli_main(["validate", "--ontology", str(bad)]) == 3
         assert "error parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"concept t:A\n\xff\xfe\n"], ids=["missing", "not-utf8"])
+    def test_validate_unreadable_ontology_exits_three(self, tmp_path, capsys, content):
+        path = tmp_path / "onto.txt"
+        if content is not None:
+            path.write_bytes(content)
+        assert cli_main(["validate", "--ontology", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "error parse" in err and "ontology" in err
+        assert "Traceback" not in err
+
     def test_validate_deep_refinement_loop_exits_three(self, tmp_path, capsys):
         loop = tmp_path / "loop.txt"
         loop.write_text(chain_ontology(5000, closed=True))
@@ -401,6 +468,14 @@ class TestCli:
         assert "error corrupt-store" in err and "hypothesis" in err
         assert "Traceback" not in err
 
+    def test_run_with_non_utf8_store_exits_five(self, tmp_path, capsys):
+        store = tmp_path / "mem.store"
+        store.write_bytes(b"svcgov-memory v1\n\xff\xfe\n")
+        assert cli_main(["run", "--pack", "hospital", "--store", str(store)]) == 5
+        err = capsys.readouterr().err
+        assert "error corrupt-store" in err
+        assert "Traceback" not in err
+
     def test_run_pack_writes_trace_and_summary(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli_main(["run", "--pack", "retail", "--out", str(out)]) == 0
@@ -417,6 +492,20 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["bench", "--family", "time-travel", "--seeds", "0"])
         assert exc.value.code == 2
+
+    def test_bench_non_integer_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench", "--family", "substitution", "--seeds", "a"])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_compare_non_utf8_report_exits_three(self, tmp_path, capsys):
+        report = tmp_path / "r.report.json"
+        report.write_bytes(b'{"family": "\xff"}')
+        assert cli_main(["compare", str(report), str(report)]) == 3
+        err = capsys.readouterr().err
+        assert "error parse" in err and "report" in err
+        assert "Traceback" not in err
 
     def test_bench_and_compare_round_trip(self, tmp_path, capsys):
         rep = tmp_path / "rep"

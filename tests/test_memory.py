@@ -85,38 +85,6 @@ class TestRecord:
         with pytest.raises(MalformedRecord):
             record(EMPTY_STORE, rec, graph=other)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_index_lookups_equal_linear_scans(self, schema, z, simple_h, seed):
-        rng = random.Random(seed)
-        store = EMPTY_STORE
-        digests = [simple_h.digest(), apply(UpdateConstraint("x", 1.0), simple_h).digest()]
-        regimes = ["base", "noisy"]
-        for _ in range(200):
-            outcome = rng.choice(["success", "degraded", "failed"])
-            sig = (
-                failure(z, schema, Motif.build({"s": cid("t:UnitA")}), rng.choice(regimes))
-                if outcome == "failed"
-                else None
-            )
-            rec = MemoryRecord(rng.choice(regimes), rng.choice(digests), None, outcome, sig)
-            store = record(store, rec)
-        assert len(store) == 200
-        for digest in digests:
-            assert store.by_digest(digest) == tuple(
-                r for r in store.records if r.hypothesis_digest == digest
-            )
-        for label in regimes:
-            assert store.by_regime(label) == tuple(
-                r for r in store.records if r.regime_label == label
-            )
-        env = environment_digest(z, schema)
-        assert store.by_environment(env) == tuple(
-            r
-            for r in store.records
-            if (r.failure_signature and r.failure_signature.environment_digest == env)
-            or (r.certificate and r.certificate.context.environment_digest == env)
-        )
-
 
 class TestReuseScore:
     def test_empty_store_scores_zero(self, schema, z, simple_h):
@@ -135,6 +103,34 @@ class TestReuseScore:
             rec = MemoryRecord("base", simple_h.digest(), None, "failed", failure(z, schema, motif))
             store = record(store, rec)
         assert reuse_score(store, simple_h, "base", environment_digest(z, schema), penalty=2.0) == -4.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reuse_score_equals_linear_scan(self, schema, assertions, simple_h, seed):
+        rng = random.Random(seed)
+        quiet = semantic_lift(make_raw_state(), schema, assertions)
+        noisy = semantic_lift(make_raw_state(zone_descriptors=("t:Zone", "t:LoudZone")), schema, assertions)
+        graphs = [simple_h, apply(UpdateConstraint("x", 1.0), simple_h)]
+        regimes = ["base", "noisy"]
+        store = EMPTY_STORE
+        for _ in range(200):
+            outcome, regime = rng.choice(["success", "degraded", "failed"]), rng.choice(regimes)
+            digest, z = rng.choice(graphs).digest(), rng.choice([quiet, noisy])
+            sig = failure(z, schema, Motif.build({"s": cid("t:UnitA")}), regime) if outcome == "failed" else None
+            cert = make_cert("closure", digest, z, schema, regime) if outcome == "success" and rng.random() < 0.5 else None
+            store = record(store, MemoryRecord(regime, digest, cert, outcome, sig))
+        for env in (environment_digest(quiet, schema), environment_digest(noisy, schema)):
+            for h in graphs:
+                for label in regimes:
+                    expected = 0.0
+                    for rec in store.records:
+                        if rec.outcome == "success" and rec.hypothesis_digest == h.digest() and rec.regime_label == label:
+                            if rec.certificate is None or rec.certificate.context.environment_digest == env:
+                                expected += 1.5
+                    for rec in store.records:
+                        sig = rec.failure_signature
+                        if sig is not None and sig.environment_digest == env and sig.motif.matches(h):
+                            expected -= 0.7
+                    assert reuse_score(store, h, label, env, bonus=1.5, penalty=0.7) == expected
 
     def test_penalty_is_environment_qualified(self, schema, assertions, simple_h):
         noisy = semantic_lift(

@@ -498,12 +498,12 @@ class TestSerialization:
         other = chain_hypothesis([("r1", "t:FA", UNIT_A1), ("r2", "t:FB", UNIT_B)])
         assert other.digest() != simple_h.digest()
 
-    def test_cached_digest_is_the_content_digest(self, schema, simple_h):
+    def test_cached_digest_is_the_content_digest(self, simple_h):
         simple_h.digest()  # a cached digest must not leak into derived hypotheses
         for h in (
             chain_hypothesis([("r1", "t:FA", UNIT_A1), ("r2", "t:FB", UNIT_B)]),
             Hypothesis.from_data(simple_h.to_data()),
-            apply(Substitute("r1", "ua", UNIT_A1), simple_h, schema),
+            apply(Substitute("r1", "ua", UNIT_A1), simple_h),
             replace(simple_h, constraints=(("latency", 3.0),)),
         ):
             assert h.digest() == digest_of(h.to_data())
