@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .certificates import CertContext, Certificate, Violation, environment_digest
 from .errors import ConfigError, UnknownSite
 from .evaluation import (
+    BOUND_EPS,
     CoreReport,
     IdentityBreakdown,
     InvariantCore,
@@ -38,7 +39,7 @@ from .evaluation import (
 )
 from .fields import Fields, array, number, row, text
 from .memory import EMPTY_STORE, MemoryStore, find_transportable, match_failure
-from .model import Component, Hypothesis, SemanticState, SoundnessReport, type_soundness
+from .model import Component, Hypothesis, SemanticState, SoundnessReport, contract_check, type_soundness
 from .ontology import OntologySchema
 from .transform import (
     MalformedTransformation,
@@ -52,9 +53,6 @@ from .transform import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orchestrator import OrchestratorConfig
-
-#: Tolerance for all inclusive bound comparisons.
-BOUND_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -124,28 +122,28 @@ class RegimeSwitchModel:
                 raise ConfigError(f"residual bound for {a}->{b} must be nonnegative")
         if self.reassignment_unit_cost < 0:
             raise ConfigError("reassignment unit cost must be nonnegative")
+        for part, entries in (("costs", self.costs), ("residuals", self.residuals), ("recipes", self.recipes)):
+            pairs = [(a, b) for a, b, _ in entries]
+            repeated = sorted({f"{a}->{b}" for i, (a, b) in enumerate(pairs) if (a, b) in pairs[:i]})
+            if repeated:
+                raise ConfigError(f"{part} declare a switch more than once: {', '.join(repeated)}")
+
+    @staticmethod
+    def _lookup(entries: tuple, from_label: str, to_label: str, default: object):
+        """The value that ``entries`` declare for the switch ``from_label -> to_label``."""
+        for a, b, value in entries:
+            if a == from_label and b == to_label:
+                return value
+        return default
 
     def cost(self, from_label: str, to_label: str) -> float:
-        if from_label == to_label:
-            return 0.0
-        for a, b, c in self.costs:
-            if (a, b) == (from_label, to_label):
-                return c
-        return 0.0
+        return 0.0 if from_label == to_label else self._lookup(self.costs, from_label, to_label, 0.0)
 
     def residual(self, from_label: str, to_label: str) -> float:
-        if from_label == to_label:
-            return 0.0
-        for a, b, r in self.residuals:
-            if (a, b) == (from_label, to_label):
-                return r
-        return 0.0
+        return 0.0 if from_label == to_label else self._lookup(self.residuals, from_label, to_label, 0.0)
 
     def recipe(self, from_label: str, to_label: str) -> tuple[tuple[str, float], ...]:
-        for a, b, rewrites in self.recipes:
-            if (a, b) == (from_label, to_label):
-                return rewrites
-        return ()
+        return self._lookup(self.recipes, from_label, to_label, ())
 
     def to_data(self) -> dict:
         return {
@@ -365,13 +363,6 @@ def certify_invariance(
     return _invariance(CandidateFacts(after, h=before, z=z, schema=schema, core=core), context, tick)
 
 
-def _identity_holds(facts: CandidateFacts) -> bool:
-    """Identity is preserved at or above the threshold, or is not part of
-    the core."""
-    core = facts.core
-    return (not core.include_identity) or facts.identity.total >= core.identity.threshold - BOUND_EPS
-
-
 def _invariance(facts: CandidateFacts, context: CertContext, tick: int) -> Certificate | Violation:
     core = facts.core
     report = facts.core_report
@@ -386,7 +377,7 @@ def _invariance(facts: CandidateFacts, context: CertContext, tick: int) -> Certi
         "identity_gated": core.include_identity,
         "absolute_identity": report.identity_value,
     }
-    if report.passed and _identity_holds(facts):
+    if report.passed and core.identity_holds(breakdown.total):
         return Certificate("invariance", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
     failed = [name for name, ok in report.predicate_results if not ok]
     if failed:
@@ -460,25 +451,13 @@ def _substitution(
     touched = set(sites)
     s2_ok = facts.soundness.sound
     if s2_ok:
-        entities = schema.closure_mask(h2.entity_vocabulary())
-        events = schema.closure_mask(h2.event_vocabulary())
-        honored = h2.propagated_obligations()
-        for edge in h2.edges:
-            if edge.from_role not in touched and edge.to_role not in touched:
-                continue
-            if not all(
-                schema.mask_covers(entities, t) for t in edge.contract.entity_types if schema.declares(t)
-            ):
-                s2_ok = False
-            if not all(
-                schema.mask_covers(events, t) for t in edge.contract.event_types if schema.declares(t)
-            ):
-                s2_ok = False
-            if not edge.contract.obligations <= honored:
-                s2_ok = False
+        satisfies = contract_check(h2, schema)
+        s2_ok = all(
+            satisfies(edge.contract) for edge in h2.edges if edge.from_role in touched or edge.to_role in touched
+        )
     conditions.append(("S2", "dependent-roles", s2_ok, "all dependent service roles remain satisfiable"))
 
-    s3_ok = facts.core_report.passed and _identity_holds(facts)
+    s3_ok = facts.core_report.passed and facts.core.identity_holds(facts.identity.total)
     conditions.append(("S3", "core-certified", s3_ok, "all invariant-core constraints remain certified"))
 
     charge = facts.charge
@@ -663,34 +642,22 @@ def admissible(
         )
     facts = _candidate_facts(h2, h, z, cfg)
 
-    transported = 0
+    # a closure or capacity certificate transported from memory stands in
+    # for computing that obligation afresh
+    moved = {
+        kind: find_transportable(store, kind, h2, environment, cfg.transport_max_distance, e.label)
+        for kind in (("closure", "capacity") if flags.memory else ())
+    }
+    transported = sum(cert is not None for cert in moved.values())
 
-    closure_outcome: Certificate | Violation | None = None
-    if flags.memory and cfg.transport_max_distance >= 0:
-        moved = find_transportable(
-            effective_store, "closure", h2, environment, cfg.transport_max_distance, e.label
-        )
-        if moved is not None:
-            closure_outcome = moved
-            transported += 1
-    if closure_outcome is None:
-        closure_outcome = _closure(facts, cfg.grammar, tau, context, tick)
+    closure_outcome = moved.get("closure") or _closure(facts, cfg.grammar, tau, context, tick)
     a1 = _as_result("A1", closure_outcome, gated=flags.closure)
 
     stability_outcome, new_ledger = _stability(facts, ledger, from_regime, e, context, tick)
     a2 = _as_result("A2", stability_outcome, gated=flags.stability)
 
     capacity_budget = min(cfg.capacity_budget, e.budgets.complexity)
-    capacity_outcome: Certificate | Violation | None = None
-    if flags.memory and cfg.transport_max_distance >= 0:
-        moved = find_transportable(
-            effective_store, "capacity", h2, environment, cfg.transport_max_distance, e.label
-        )
-        if moved is not None:
-            capacity_outcome = moved
-            transported += 1
-    if capacity_outcome is None:
-        capacity_outcome = _capacity(facts, capacity_budget, context, tick)
+    capacity_outcome = moved.get("capacity") or _capacity(facts, capacity_budget, context, tick)
     a3 = _as_result("A3", capacity_outcome, gated=flags.capacity)
 
     a4 = _as_result("A4", _invariance(facts, context, tick), gated=flags.invariance)
@@ -718,7 +685,7 @@ def admissible(
         passed = passed and substitution_result.passed
 
     identity_score = facts.identity.total
-    identity_passed = identity_score >= cfg.core.identity.threshold - BOUND_EPS
+    identity_passed = cfg.core.identity.admits(identity_score)
 
     certificates = tuple(
         result.certificate

@@ -32,6 +32,9 @@ from .ontology import ConceptId, OntologySchema
 
 SAFETY_CONSTRAINT_PREFIX = "safety."
 
+#: Tolerance for all inclusive bound comparisons.
+BOUND_EPS = 1e-9
+
 
 def _clamp(value: float, low: float = 0.0, high: float = 1.0) -> float:
     return max(low, min(high, value))
@@ -174,6 +177,10 @@ class IdentitySpec:
         weights = r.get("weights", keyed(number, "request_class", "outputs", "safety", "interactions"))
         return r.build(cls, *(weights or ()), r.get("threshold", number))
 
+    def admits(self, score: float) -> bool:
+        """``score`` reaches the threshold (inclusive, within ``BOUND_EPS``)."""
+        return score >= self.threshold - BOUND_EPS
+
 
 def provider_mask(h: Hypothesis, schema: OntologySchema) -> int:
     """Closure mask of every function some assigned component provides
@@ -196,8 +203,17 @@ def _preserved_fraction(before: frozenset, after: frozenset) -> float:
     return len(before & after) / len(before)
 
 
-def _safety_constraints(h: Hypothesis) -> dict[str, float]:
-    return {n: b for n, b in h.constraints if n.startswith(SAFETY_CONSTRAINT_PREFIX)}
+def _commitments(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> tuple:
+    """What ``h`` commits to under ``z``: the required and output functions
+    it covers (read from one provider mask), its ``safety.*`` bounds and
+    its propagated obligations."""
+    provided = provider_mask(h, schema)
+    return (
+        _covered(provided, z.required_functions, schema),
+        _covered(provided, z.output_functions, schema),
+        {n: b for n, b in h.constraints if n.startswith(SAFETY_CONSTRAINT_PREFIX)},
+        h.propagated_obligations(),
+    )
 
 
 @dataclass(frozen=True)
@@ -218,6 +234,33 @@ class IdentityBreakdown:
         }
 
 
+def _identity(spec: IdentitySpec, before: tuple, after: tuple) -> tuple[float, float, float, float, float]:
+    """How much of the ``before`` commitments ``after`` keeps: the share of
+    covered functions and obligations kept, and of safety bounds kept at
+    least as tight, then the total that weighs the four shares."""
+    request_before, outputs_before, safety_before, obligations_before = before
+    request_after, outputs_after, safety_after, obligations_after = after
+    s_request = _preserved_fraction(request_before, request_after)
+    s_outputs = _preserved_fraction(outputs_before, outputs_after)
+    if safety_before:
+        kept = sum(
+            1
+            for name, bound in safety_before.items()
+            if name in safety_after and safety_after[name] <= bound
+        )
+        s_safety = kept / len(safety_before)
+    else:
+        s_safety = 1.0
+    s_interactions = _preserved_fraction(obligations_before, obligations_after)
+    total = (
+        spec.request_class_weight * s_request
+        + spec.outputs_weight * s_outputs
+        + spec.safety_weight * s_safety
+        + spec.interactions_weight * s_interactions
+    )
+    return s_request, s_outputs, s_safety, s_interactions, total
+
+
 def identity_breakdown(
     spec: IdentitySpec,
     before: Hypothesis,
@@ -225,33 +268,7 @@ def identity_breakdown(
     z: SemanticState,
     schema: OntologySchema,
 ) -> IdentityBreakdown:
-    before_mask = provider_mask(before, schema)
-    after_mask = provider_mask(after, schema)
-    s_request = _preserved_fraction(
-        _covered(before_mask, z.required_functions, schema), _covered(after_mask, z.required_functions, schema)
-    )
-    s_outputs = _preserved_fraction(
-        _covered(before_mask, z.output_functions, schema), _covered(after_mask, z.output_functions, schema)
-    )
-    before_safety = _safety_constraints(before)
-    after_safety = _safety_constraints(after)
-    if before_safety:
-        kept = sum(
-            1
-            for name, bound in before_safety.items()
-            if name in after_safety and after_safety[name] <= bound
-        )
-        s_safety = kept / len(before_safety)
-    else:
-        s_safety = 1.0
-    s_interactions = _preserved_fraction(before.propagated_obligations(), after.propagated_obligations())
-    total = (
-        spec.request_class_weight * s_request
-        + spec.outputs_weight * s_outputs
-        + spec.safety_weight * s_safety
-        + spec.interactions_weight * s_interactions
-    )
-    return IdentityBreakdown(s_request, s_outputs, s_safety, s_interactions, total)
+    return IdentityBreakdown(*_identity(spec, _commitments(before, z, schema), _commitments(after, z, schema)))
 
 
 def identity_score(
@@ -270,23 +287,11 @@ def absolute_identity(
     spec: IdentitySpec, h: Hypothesis, z: SemanticState, schema: OntologySchema
 ) -> float:
     """Identity of a single hypothesis against the commitments recorded in
-    the semantic state: coverage of required and output functions, honored
-    pending obligations.  The hard-safety sub-score has no absolute
-    reading (it is carried by the core's predicates) and counts full."""
-    provided = provider_mask(h, schema)
-    required = _covered(provided, z.required_functions, schema)
-    outputs = _covered(provided, z.output_functions, schema)
-    pending = frozenset(z.interaction_state.pending_obligations)
-    honored = pending & h.propagated_obligations()
-    s_request = len(required) / len(z.required_functions) if z.required_functions else 1.0
-    s_outputs = len(outputs) / len(z.output_functions) if z.output_functions else 1.0
-    s_interactions = len(honored) / len(pending) if pending else 1.0
-    return (
-        spec.request_class_weight * s_request
-        + spec.outputs_weight * s_outputs
-        + spec.safety_weight * 1.0
-        + spec.interactions_weight * s_interactions
-    )
+    the semantic state: its required and output functions and its pending
+    obligations.  The state records no safety bounds (hard safety is
+    carried by the core's predicates), so that sub-score counts full."""
+    recorded = (z.required_functions, z.output_functions, {}, frozenset(z.interaction_state.pending_obligations))
+    return _identity(spec, recorded, _commitments(h, z, schema))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +415,10 @@ class InvariantCore:
         predicates = r.get("predicates", array(SafetyPredicate.from_data))
         return r.build(cls, identity, predicates, r.get("include_identity", boolean, cls.include_identity))
 
+    def identity_holds(self, score: float) -> bool:
+        """Identity ``score`` reaches the threshold, or identity does not gate."""
+        return not self.include_identity or self.identity.admits(score)
+
 
 @dataclass(frozen=True)
 class CoreReport:
@@ -438,8 +447,7 @@ def core_value(core: InvariantCore, h: Hypothesis, z: SemanticState, schema: Ont
     all_safe = all(ok for _, ok in results)
     ident = absolute_identity(core.identity, h, z, schema)
     value = ident + (1.0 if all_safe else 0.0)
-    identity_ok = (not core.include_identity) or ident >= core.identity.threshold - 1e-12
-    passed = all_safe and identity_ok
+    passed = all_safe and core.identity_holds(ident)
     return CoreReport(value=value, passed=passed, identity_value=ident, predicate_results=results)
 
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from ..certificates import environment_digest
-from ..certify import BOUND_EPS, CandidateFacts, DriftLedger
+from ..certify import CandidateFacts, DriftLedger
 from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, integer, keyed, number, read, text
@@ -150,7 +150,7 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
         if deployed is not None:
             achieved, facts = deployed
             deployments += 1
-            if facts.identity.total >= cfg.core.identity.threshold - BOUND_EPS:
+            if cfg.core.identity.admits(facts.identity.total):
                 identity_ok += 1
             if not facts.core_report.passed:
                 violations += 1

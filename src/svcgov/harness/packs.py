@@ -9,20 +9,23 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..errors import ConfigError
 from ..orchestrator import OrchestratorConfig
-from .scenario import Scenario, _read, load_config, scenario_from_data
+from .scenario import Scenario, _read, config_from_data, scenario_from_data
+
+if TYPE_CHECKING:  # pragma: no cover
+    from importlib.resources.abc import Traversable
 
 PACK_NAMES = ("hospital", "retail")
 
 
-def pack_dir(name: str) -> Path:
+def pack_dir(name: str) -> Traversable:
+    """The pack's directory inside the installed package, which may be zipped."""
     if name not in PACK_NAMES:
         raise ConfigError(f"unknown pack {name!r}; expected one of {', '.join(PACK_NAMES)}")
-    return Path(str(resources.files("svcgov").joinpath("packs", name)))
+    return resources.files("svcgov") / "packs" / name
 
 
 def pack_data(name: str) -> dict:
@@ -35,7 +38,8 @@ def pack_scenario(name: str, data: Mapping) -> tuple[Scenario, OrchestratorConfi
     pack's run configuration loaded against its schema and assertions."""
     base = pack_dir(name)
     scenario = scenario_from_data(data, base_dir=base)
-    return scenario, load_config(base / "config.json", scenario.schema, scenario.assertions)
+    config = _read(base / "config.json", "config JSON", json.loads)
+    return scenario, config_from_data(config, scenario.schema, scenario.assertions)
 
 
 def load_pack(name: str) -> tuple[Scenario, OrchestratorConfig]:

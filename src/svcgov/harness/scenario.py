@@ -6,7 +6,8 @@ state, an initial hypothesis, and timed event injections.  Events patch
 the raw state before the tick they fire on; their ticks are strictly
 increasing.  Everything is validated at load: the assertion base must be
 consistent, the initial hypothesis type-sound, and every patched state
-must lift.
+must lift.  Between events the raw state changes only in its time, which
+no lift check reads, so each distinct state is lifted once.
 """
 
 from __future__ import annotations
@@ -14,25 +15,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..errors import ConfigError, ParseError, ValidationError
+from ..certificates import OBLIGATION_CODES
 from ..certify import RegimeSwitchModel
 from ..evaluation import InvariantCore, Regime, StructuralPrior
 from ..fields import (
-    Fields, anything, array, boolean, concept, integer, mapping, number, read, row, sorted_items, text, wrong,
+    Fields, anything, array, boolean, concept, integer, mapping, number, one_of, read, row, sorted_items, text, wrong,
 )
 from ..model import Component, Hypothesis, RawPlatformState, semantic_lift, type_soundness
 from ..ontology import AssertionBase, ConceptId, OntologySchema, check_consistency, load_schema
 from ..orchestrator import GateFlags, OrchestratorConfig
 from ..transform import AddSubservice, TransformationGrammar, prototype
 
+if TYPE_CHECKING:  # pragma: no cover
+    from importlib.resources.abc import Traversable
+
 #: Raw-state patch operations understood by scenario events, with the
 #: kinds of their arguments.
 PATCH_ARGS = {
     "battery": (text, number), "availability": (text, boolean), "bandwidth": (text, number),
     "deadline": (integer,), "flag+": (text,), "flag-": (text,), "zone+": (text, concept),
-    "zone-": (text, concept), "health": (text, text), "fail": (text, text),
+    "zone-": (text, concept), "health": (text, text), "fail": (text, one_of(*OBLIGATION_CODES)),
 }
 
 
@@ -121,7 +126,7 @@ def _apply_patch(raw: RawPlatformState, patch: Sequence) -> tuple[RawPlatformSta
 # ---------------------------------------------------------------------------
 
 
-def scenario_from_data(data: Mapping, base_dir: Path | None = None) -> Scenario:
+def scenario_from_data(data: Mapping, base_dir: Path | Traversable | None = None) -> Scenario:
     parts = read(ValidationError, "scenario", _parts_from_data, data)
     ontology, path = parts.pop("ontology_text"), parts.pop("ontology")
     if (ontology is None) == (path is None) or (path is not None and base_dir is None):
@@ -204,10 +209,11 @@ def _extend_with_registry(assertions: AssertionBase, registry: Sequence[Componen
 
 
 def _lifted(scenario: Scenario) -> Scenario:
-    """``scenario``, once every patched raw state lifts against its schema."""
+    """``scenario``, once every patched raw state lifts against its schema:
+    the state of tick 0 and of each event tick, each named by that tick."""
     problems: list[str] = []
     raw = scenario.initial_state
-    for tick in range(scenario.ticks):
+    for tick in sorted(t for t in {0, *(event.tick for event in scenario.events)} if t < scenario.ticks):
         raw, _ = scenario.patched(raw, tick)
         try:
             semantic_lift(replace(raw, time=tick), scenario.schema, scenario.assertions)
@@ -218,7 +224,7 @@ def _lifted(scenario: Scenario) -> Scenario:
     return scenario
 
 
-def _read(path: Path, what: str, decode: Callable[[str], object] = str) -> object:
+def _read(path: Path | Traversable, what: str, decode: Callable[[str], object] = str) -> object:
     """The file at ``path``, decoded; a ParseError when it cannot be read or decoded."""
     try:
         return decode(path.read_text(encoding="utf-8"))

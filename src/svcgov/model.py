@@ -14,7 +14,7 @@ digests are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, canonical_object, digest_of, sha256_hex
 from .errors import ConfigError, IncompatibleInterface, TypingError
@@ -349,7 +349,7 @@ def _lift_signals(
 
     priority = 0.0
     for name, value in typed_params:
-        if name == "priority" and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if name == "priority" and kind_matches("number", value):
             priority = float(value)
 
     return {
@@ -868,25 +868,33 @@ def _graph_shape_violations(h: Hypothesis) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
+def contract_check(h: Hypothesis, schema: OntologySchema) -> Callable[[InterfaceContract], bool]:
+    """Whether ``h`` satisfies a contract: its entity and event vocabularies
+    cover the contract's types up to refinement, and it propagates every
+    contract obligation exactly.  ``h``'s masks are built once, so one check
+    serves many contracts."""
+    entities = schema.closure_mask(h.entity_vocabulary())
+    events = schema.closure_mask(h.event_vocabulary())
+    honored = h.propagated_obligations()
+
+    def satisfies(contract: InterfaceContract) -> bool:
+        return (
+            all(schema.mask_covers(entities, t) for t in contract.entity_types)
+            and all(schema.mask_covers(events, t) for t in contract.event_types)
+            and contract.obligations <= honored
+        )
+
+    return satisfies
+
+
 def interface_compatible(
     upstream: Hypothesis,
     downstream: Hypothesis,
     contract: InterfaceContract,
     schema: OntologySchema,
 ) -> bool:
-    """True iff both boundaries satisfy the contract's entity, event, and
-    obligation sets.  Entities and events are matched up to refinement;
-    obligations must be present exactly (propagated, never dropped)."""
-    for side in (upstream, downstream):
-        entities = schema.closure_mask(side.entity_vocabulary())
-        events = schema.closure_mask(side.event_vocabulary())
-        if not all(schema.mask_covers(entities, t) for t in contract.entity_types):
-            return False
-        if not all(schema.mask_covers(events, t) for t in contract.event_types):
-            return False
-        if not contract.obligations <= side.propagated_obligations():
-            return False
-    return True
+    """True iff both boundaries satisfy the contract."""
+    return all(contract_check(side, schema)(contract) for side in (upstream, downstream))
 
 
 def compose(

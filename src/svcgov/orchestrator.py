@@ -111,6 +111,8 @@ class OrchestratorConfig:
             raise ConfigError("capacity budget must be positive")
         if self.drift_bound < 0:
             raise ConfigError("global drift bound must be nonnegative")
+        if self.transport_max_distance < 0:
+            raise ConfigError("transport_max_distance must be nonnegative")
         if self.fallback is None:
             raise ConfigError("a supervision fallback subservice must be configured")
         if not self.grammar.rule("add_subservice").enabled:

@@ -434,7 +434,7 @@ def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, env
     h2 = apply(tau, h)
 
     def transported(kind):
-        if not (cfg.flags.memory and cfg.transport_max_distance >= 0):
+        if not cfg.flags.memory:
             return None
         distance = cfg.transport_max_distance
         return find_transportable(memory, kind, h2, context.environment_digest, distance, e.label)

@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import svcgov
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
 from svcgov.harness import baselines, bench
 from svcgov.harness.cli import main as cli_main
 from svcgov.harness.demo import strict_extension
 from svcgov.harness.packs import pack_dir
+from svcgov.harness import scenario as scenario_module
 from svcgov.harness.scenario import config_from_data, load_scenario, scenario_from_data
+from svcgov.model import semantic_lift
 from svcgov.orchestrator import replay_deployments, run
 from svcgov.transform import variant_name
 
@@ -81,6 +89,28 @@ class TestScenarioLoading:
         data["initial_hypothesis"]["assignment"] = {}
         with pytest.raises(ValidationError):
             scenario_from_data(data)
+
+    def test_each_distinct_state_lifts_once_whatever_the_tick_count(self, monkeypatch):
+        lifted = []
+
+        def counting_lift(x, *args):
+            lifted.append(x.time)
+            return semantic_lift(x, *args)
+
+        monkeypatch.setattr(scenario_module, "semantic_lift", counting_lift)
+        data = json.loads((pack_dir("hospital") / "scenario.json").read_text(encoding="utf-8"))
+        data["ticks"] = 60_000
+        scenario = scenario_from_data(data, base_dir=pack_dir("hospital"))
+        assert lifted == [0, *(event.tick for event in scenario.events)] == [0, 2, 3]
+
+        # a state that does not lift is refused once, named by its first tick
+        data["events"].append({"tick": 40_000, "patches": [["battery", "R1", 1.5]]})
+        data["events"].append({"tick": 60_000, "patches": [["battery", "R1", 2.5]]})  # never reached
+        with pytest.raises(ValidationError) as refused:
+            scenario_from_data(data, base_dir=pack_dir("hospital"))
+        assert refused.value.violations == [
+            "tick 40000: state does not lift: agent R1 battery 1.5 outside [0, 1]"
+        ]
 
     def test_hospital_pack_carries_the_case_study_agents(self, hospital):
         scenario, cfg = hospital
@@ -481,6 +511,23 @@ class TestCli:
         assert cli_main(["run", "--pack", "retail", "--out", str(out)]) == 0
         assert (out / "retail-guidance.trace.json").exists()
         assert (out / "retail-guidance.summary.csv").exists()
+
+    def test_packs_load_from_a_zipped_package(self, tmp_path):
+        package = Path(svcgov.__file__).parent
+        archive = tmp_path / "svcgov.zip"
+        with zipfile.ZipFile(archive, "w") as zipped:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zipped.write(path, path.relative_to(package.parent))
+        # -S leaves out site-packages, so the only svcgov on the path is the archive
+        env = {**os.environ, "PYTHONPATH": str(archive)}
+        for argv, expected in ((["validate"], "pack ok: retail"), (["run", "--pack", "retail"], "run complete")):
+            done = subprocess.run(
+                [sys.executable, "-S", "-m", "svcgov.harness.cli", *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            assert expected in done.stdout
 
     def test_demo_prints_the_witness_verdict(self, capsys):
         assert cli_main(["demo", "strict-extension"]) == 0

@@ -269,6 +269,15 @@ CONFIG_TYPOS = {
     ),
     "predicate-key": (_set(("core", "predicates", 0, "parms"), {}), "unknown core.predicates[0] keys: parms"),
     "switch-model-key": (_rename(("switch_model", "residuals"), "residual"), "unknown switch_model keys: residual"),
+    "switch-cost-duplicate": (
+        lambda d: d["switch_model"]["costs"].append(["routine", "emergency", 9.0]),
+        "costs declare a switch more than once: routine->emergency (at configuration key 'switch_model')",
+    ),
+    "switch-recipe-duplicate": (
+        _set(("switch_model", "recipes"), [["routine", "emergency", []], ["routine", "emergency", [["speed", 0.5]]]]),
+        "recipes declare a switch more than once: routine->emergency",
+    ),
+    "transport-distance-negative": (_set(("transport_max_distance",), -1), "transport_max_distance must be nonnegative"),
 }
 
 SCENARIO_TYPOS = {
@@ -289,6 +298,10 @@ SCENARIO_TYPOS = {
         "events[0].patches[2][2] must be true or false",
     ),
     "annotations-list": (_set(("annotations",), []), "scenario key 'annotations' must be an object"),
+    "failure-code": (
+        lambda d: d["events"][0]["patches"].append(["fail", "r1_nav", "runtim-failure"]),
+        "events[0].patches[2][2] must be one of 'A1',",
+    ),
 }
 
 
@@ -314,9 +327,10 @@ def test_scenario_typo_exits_three(tmp_path, capsys, case):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(data), encoding="utf-8")
     config = pack_dir("hospital") / "config.json"
-    code, err = _cli(capsys, ["run", "--scenario", str(scenario), "--config", str(config)])
-    assert code == 3
-    assert "error validation" in err and expected in err
+    for argv in (["validate", "--scenario", str(scenario)], ["run", "--scenario", str(scenario), "--config", str(config)]):
+        code, err = _cli(capsys, argv)
+        assert code == 3
+        assert "error validation" in err and expected in err
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svcgov.canon import canonical_dumps, digest_of
-from svcgov.errors import IncompatibleInterface, TypingError
+from svcgov.certificates import CertContext, environment_digest
+from svcgov.certify import certify_substitution
+from svcgov.errors import IncompatibleInterface, TypingError, UnknownSite
+from svcgov.evaluation import IdentityBreakdown, absolute_identity, identity_breakdown
+from svcgov.memory import EMPTY_STORE
 from svcgov.model import (
     GUARD_OPS,
     SIGNAL_NAMES,
@@ -358,6 +362,136 @@ class TestSoundnessMatchesWholeGraphReference:
         for _ in range(data.draw(st.integers(1, 8))):
             h = _edit(data, h, registry, concepts)
             assert type_soundness(h, cfg.schema) == reference_soundness(h, cfg.schema)
+
+
+def reference_absolute_identity(spec, h: Hypothesis, z, schema) -> float:
+    """The formula ``absolute_identity`` computed on its own before it became
+    a comparison of commitment sets: coverage of the state's required and
+    output functions, honored pending obligations, hard safety counted full."""
+    required = frozenset(f for f in z.required_functions if schema.covers(_provided(h), f))
+    outputs = frozenset(f for f in z.output_functions if schema.covers(_provided(h), f))
+    pending = frozenset(z.interaction_state.pending_obligations)
+    honored = pending & h.propagated_obligations()
+    s_request = len(required) / len(z.required_functions) if z.required_functions else 1.0
+    s_outputs = len(outputs) / len(z.output_functions) if z.output_functions else 1.0
+    s_interactions = len(honored) / len(pending) if pending else 1.0
+    return (
+        spec.request_class_weight * s_request
+        + spec.outputs_weight * s_outputs
+        + spec.safety_weight * 1.0
+        + spec.interactions_weight * s_interactions
+    )
+
+
+def reference_identity_breakdown(spec, before: Hypothesis, after: Hypothesis, z, schema) -> IdentityBreakdown:
+    """``identity_breakdown`` written out side by side, with no shared
+    commitment builder."""
+
+    def kept(wanted):
+        covered_before = frozenset(f for f in wanted if schema.covers(_provided(before), f))
+        covered_after = frozenset(f for f in wanted if schema.covers(_provided(after), f))
+        return len(covered_before & covered_after) / len(covered_before) if covered_before else 1.0
+
+    safety_before = {n: b for n, b in before.constraints if n.startswith("safety.")}
+    safety_after = {n: b for n, b in after.constraints if n.startswith("safety.")}
+    s_safety = (
+        sum(1 for n, b in safety_before.items() if n in safety_after and safety_after[n] <= b) / len(safety_before)
+        if safety_before
+        else 1.0
+    )
+    obligations = before.propagated_obligations()
+    s_interactions = len(obligations & after.propagated_obligations()) / len(obligations) if obligations else 1.0
+    s_request, s_outputs = kept(z.required_functions), kept(z.output_functions)
+    total = (
+        spec.request_class_weight * s_request
+        + spec.outputs_weight * s_outputs
+        + spec.safety_weight * s_safety
+        + spec.interactions_weight * s_interactions
+    )
+    return IdentityBreakdown(s_request, s_outputs, s_safety, s_interactions, total)
+
+
+def _provided(h: Hypothesis) -> frozenset:
+    return frozenset(f for _, comp in h.assignment for f in comp.provides)
+
+
+def reference_s2(h2: Hypothesis, sites, schema) -> bool:
+    """S2 as an edge-by-edge loop over the substituted graph ``h2``, each
+    contract type filtered by ``schema.declares`` (the loop that the shared
+    contract check replaced): on a type-sound graph, every edge at a
+    substituted site has its entity and event types covered and its
+    obligations propagated."""
+    if not type_soundness(h2, schema).sound:
+        return False
+    entities = schema.closure_mask(h2.entity_vocabulary())
+    events = schema.closure_mask(h2.event_vocabulary())
+    honored = h2.propagated_obligations()
+    ok = True
+    for edge in h2.edges:
+        if edge.from_role not in sites and edge.to_role not in sites:
+            continue
+        if not all(schema.mask_covers(entities, t) for t in edge.contract.entity_types if schema.declares(t)):
+            ok = False
+        if not all(schema.mask_covers(events, t) for t in edge.contract.event_types if schema.declares(t)):
+            ok = False
+        if not edge.contract.obligations <= honored:
+            ok = False
+    return ok
+
+
+def reference_interface_compatible(upstream: Hypothesis, downstream: Hypothesis, contract, schema) -> bool:
+    """Each boundary's masks built and checked in place, side by side."""
+    for side in (upstream, downstream):
+        entities = schema.closure_mask(side.entity_vocabulary())
+        events = schema.closure_mask(side.event_vocabulary())
+        if not all(schema.mask_covers(entities, t) for t in contract.entity_types):
+            return False
+        if not all(schema.mask_covers(events, t) for t in contract.event_types):
+            return False
+        if not contract.obligations <= side.propagated_obligations():
+            return False
+    return True
+
+
+class TestAdmissibilityRulesMatchTheirReferences:
+    """Absolute identity, the identity breakdown, S2 and interface
+    compatibility are each built from one shared rule (a commitment
+    comparison, a contract check); on edited pack hypotheses they must
+    equal the formulas written out in full, to the bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_edit_sequences_on_pack_hypotheses(self, hospital, retail, data):
+        scenario, cfg = data.draw(st.sampled_from([hospital, retail]))
+        schema, spec = cfg.schema, cfg.core.identity
+        z = semantic_lift(scenario.initial_state, schema, cfg.assertions)
+        context = CertContext(cfg.default_regime().label, environment_digest(z, schema))
+        concepts = st.sampled_from([*sorted(schema.concepts), *UNDECLARED])
+        registry = sorted({*scenario.registry, *(c for _, c in scenario.initial_hypothesis.assignment)}, key=repr)
+        h0 = h = scenario.initial_hypothesis
+        for _ in range(data.draw(st.integers(1, 6))):
+            h = _edit(data, h, registry, concepts)
+            assert absolute_identity(spec, h, z, schema) == reference_absolute_identity(spec, h, z, schema)
+            assert identity_breakdown(spec, h0, h, z, schema) == reference_identity_breakdown(spec, h0, h, z, schema)
+            boundary = InterfaceContract(*(data.draw(st.frozensets(concepts, max_size=2)) for _ in range(3)))
+            assert interface_compatible(h0, h, boundary, schema) == reference_interface_compatible(
+                h0, h, boundary, schema
+            )
+            bound = sorted({comp for rid, comp in h.assignment if h.role(rid) is not None}, key=repr)
+            if not bound:
+                continue
+            c1, c2 = data.draw(st.sampled_from(bound)), data.draw(st.sampled_from(registry))
+            try:
+                out = certify_substitution(
+                    c1, c2, h, z, EMPTY_STORE, schema, cfg.core, cfg.switch_model, cfg.default_regime(), context
+                )
+            except UnknownSite:  # c1 is also bound at a role the edits dropped
+                continue
+            sites = {rid for rid, comp in h.assignment if comp.component_id == c1.component_id}
+            h2 = h
+            for rid in sorted(sites):
+                h2 = apply(Substitute(rid, c1.component_id, c2), h2)
+            assert out.evidence_map()["conditions"]["S2"] == reference_s2(h2, sites, schema)
 
 
 class TestInterfaceCompatibility:
