@@ -33,6 +33,7 @@ from .evaluation import (
     InvariantCore,
     Regime,
     StructuralPrior,
+    _commitments,
     core_value,
     identity_breakdown,
     prior_complexity,
@@ -214,12 +215,18 @@ class CandidateFacts:
         return type_soundness(self.h2, self.schema)
 
     @cached_property
+    def commitments(self) -> tuple:
+        """What ``h2`` commits to under ``z``; both identity measures read it."""
+        return _commitments(self.h2, self.z, self.schema)
+
+    @cached_property
     def core_report(self) -> CoreReport:
-        return core_value(self.core, self.h2, self.z, self.schema)
+        return core_value(self.core, self.h2, self.z, self.schema, commitments=self.commitments)
 
     @cached_property
     def identity(self) -> IdentityBreakdown:
-        return identity_breakdown(self.core.identity, self.h, self.h2, self.z, self.schema)
+        spec = self.core.identity
+        return identity_breakdown(spec, self.h, self.h2, self.z, self.schema, after_commitments=self.commitments)
 
     @cached_property
     def charge(self) -> float:

@@ -267,8 +267,14 @@ def identity_breakdown(
     after: Hypothesis,
     z: SemanticState,
     schema: OntologySchema,
+    *,
+    after_commitments: tuple | None = None,
 ) -> IdentityBreakdown:
-    return IdentityBreakdown(*_identity(spec, _commitments(before, z, schema), _commitments(after, z, schema)))
+    """``after_commitments`` is ``_commitments(after, z, schema)`` when the
+    caller has already built it."""
+    if after_commitments is None:
+        after_commitments = _commitments(after, z, schema)
+    return IdentityBreakdown(*_identity(spec, _commitments(before, z, schema), after_commitments))
 
 
 def identity_score(
@@ -284,14 +290,18 @@ def identity_score(
 
 
 def absolute_identity(
-    spec: IdentitySpec, h: Hypothesis, z: SemanticState, schema: OntologySchema
+    spec: IdentitySpec, h: Hypothesis, z: SemanticState, schema: OntologySchema, *, commitments: tuple | None = None
 ) -> float:
     """Identity of a single hypothesis against the commitments recorded in
     the semantic state: its required and output functions and its pending
     obligations.  The state records no safety bounds (hard safety is
-    carried by the core's predicates), so that sub-score counts full."""
+    carried by the core's predicates), so that sub-score counts full.
+    ``commitments`` is ``_commitments(h, z, schema)`` when the caller has
+    already built it."""
+    if commitments is None:
+        commitments = _commitments(h, z, schema)
     recorded = (z.required_functions, z.output_functions, {}, frozenset(z.interaction_state.pending_obligations))
-    return _identity(spec, recorded, _commitments(h, z, schema))[-1]
+    return _identity(spec, recorded, commitments)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +446,19 @@ class CoreReport:
         }
 
 
-def core_value(core: InvariantCore, h: Hypothesis, z: SemanticState, schema: OntologySchema) -> CoreReport:
+def core_value(
+    core: InvariantCore, h: Hypothesis, z: SemanticState, schema: OntologySchema, *, commitments: tuple | None = None
+) -> CoreReport:
     """Evaluate the invariant core on a single hypothesis.
 
     value = identity term + hard-safety term (1 when every predicate holds,
     else 0).  The report fails on any predicate failure, and on identity
     below threshold when identity is part of the core; the threshold
-    comparison is inclusive."""
+    comparison is inclusive.  ``commitments`` is passed on to
+    ``absolute_identity``."""
     results = tuple((p.name, p.check(h, z, schema)) for p in core.predicates)
     all_safe = all(ok for _, ok in results)
-    ident = absolute_identity(core.identity, h, z, schema)
+    ident = absolute_identity(core.identity, h, z, schema, commitments=commitments)
     value = ident + (1.0 if all_safe else 0.0)
     passed = all_safe and core.identity_holds(ident)
     return CoreReport(value=value, passed=passed, identity_value=ident, predicate_results=results)

@@ -30,7 +30,7 @@ import json
 import random
 from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..certificates import environment_digest
 from ..certify import CandidateFacts, DriftLedger
@@ -129,16 +129,30 @@ class RunScan:
     regret: float
 
 
+class TickScore(NamedTuple):
+    """The oracle's findings at one tick, as plain numbers: the best
+    admissible score (None when no candidate is admissible), the score
+    achieved (None when it is not needed) and, when the trace deployed a
+    candidate, that candidate's identity total, core pass and structural
+    charge (``deployed``; None otherwise)."""
+
+    best: float | None
+    achieved: float | None
+    deployed: tuple[float, bool, float] | None
+
+
 def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[DecisionTrace]) -> RunScan:
     """Replay a run from the scenario script and recompute every metric
     ingredient against the full governance law (``cfg`` must carry full
-    gates).  The deployed candidate's metrics are read from the facts of
-    the oracle's screening of it, never from the run's own verdicts."""
+    gates).  The deployed candidate's metrics are read from the oracle's
+    screening of it, never from the run's own verdicts.  Each distinct
+    replayed state is screened once per scan."""
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = 0.0
     regret = 0.0
     exhaustive_grammar = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
+    scores: dict[tuple, TickScore] = {}
 
     for trace, x, z, h_before, _ in replay(scenario, cfg, traces):
         e_true = detect_regime(cfg.regimes, z)
@@ -146,18 +160,27 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
         from_true = true_regime
         true_regime = e_true
 
-        best, deployed = _oracle(cfg, exhaustive_grammar, x, z, h_before, e_true, from_true, trace)
+        deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
+        # Every input of the oracle but the tick: it reads the raw state only
+        # through its components (the registry), and the lift ``z`` carries
+        # the rest, the tick-0 phase included.  The tick can be left out
+        # because the oracle builds a fresh ledger every tick and screens
+        # against an empty store; it reads the tick only for the
+        # certificates' ``issued_at``, which it never returns.
+        key = (x.components, z, h_before.digest(), e_true.label, from_true.label, deployed_key)
+        score = scores.get(key)
+        if score is None:
+            score = scores[key] = _oracle(cfg, exhaustive_grammar, x, z, h_before, e_true, from_true, trace)
+        best, achieved, deployed = score
         if deployed is not None:
-            achieved, facts = deployed
+            identity, core_passed, charge = deployed
             deployments += 1
-            if cfg.core.identity.admits(facts.identity.total):
+            if cfg.core.identity.admits(identity):
                 identity_ok += 1
-            if not facts.core_report.passed:
+            if not core_passed:
                 violations += 1
             if switched:
-                max_switch_structural = max(max_switch_structural, facts.charge)
-        elif best is not None:
-            achieved = evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total
+                max_switch_structural = max(max_switch_structural, charge)
         transported += trace.transported_used
         if best is not None:
             regret += max(0.0, best - achieved)
@@ -171,15 +194,12 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     )
 
 
-def _oracle(
-    cfg, grammar, x, z, h_before, e_true, from_true, trace
-) -> tuple[float | None, tuple[float, CandidateFacts] | None]:
+def _oracle(cfg, grammar, x, z, h_before, e_true, from_true, trace) -> TickScore:
     """Screen in hindsight every grammar candidate, plus the fallback, with
-    full gates and memory-neutral scoring (an empty store).  Returns the
-    best admissible score (None when no candidate is admissible) and the
-    deployed candidate's score and facts (None when the trace deployed
-    nothing).  A deployed candidate outside that list is screened the same
-    way but never counts toward the best."""
+    full gates and memory-neutral scoring (an empty store).  A deployed
+    candidate outside that list is screened the same way but never counts
+    toward the best.  When the trace deployed nothing, the score achieved
+    is that of keeping ``h_before``."""
     registry = registry_from_state(x, cfg.assertions, cfg.schema)
     candidates = generate_candidates(h_before, z, grammar, registry)
     if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
@@ -207,7 +227,12 @@ def _oracle(
     if deployed is None and trace.selected is not None:
         verdict, score = screen(trace.selected)
         deployed = score, verdict.facts
-    return best, deployed
+    if deployed is not None:
+        achieved, facts = deployed
+        return TickScore(best, achieved, (facts.identity.total, facts.core_report.passed, facts.charge))
+    if best is None:
+        return TickScore(None, None, None)
+    return TickScore(best, evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total, None)
 
 
 # ---------------------------------------------------------------------------

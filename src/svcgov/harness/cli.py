@@ -94,9 +94,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    subjects = args.subject.split(",") if args.subject else list(baselines.SUBJECTS)
     reports = []
-    for subject in subjects:
+    for subject in args.subject:
         report = bench.run_benchmark(args.family, subject, args.seeds)
         reports.append((subject, report))
         print(
@@ -142,9 +141,21 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _seeds(value: str) -> list[int]:
     try:
-        return [int(s) for s in value.split(",") if s != ""]
+        seeds = [int(s) for s in value.split(",") if s != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integer seeds, got {value!r}") from None
+        seeds = []  # refused below, with the message an empty list gets
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer seeds, got {value!r}")
+    return seeds
+
+
+def _subjects(value: str) -> list[str]:
+    """Comma-separated subjects, each at most once; empty means all of them."""
+    subjects = value.split(",") if value else list(baselines.SUBJECTS)
+    repeated = sorted({s for i, s in enumerate(subjects) if s in subjects[:i]})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"subjects named more than once: {', '.join(repeated)}")
+    return subjects
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run benchmark families over seeds")
     p.add_argument("--family", required=True, choices=bench.FAMILIES)
-    p.add_argument("--subject", default="", help="comma-separated subjects (default: all)")
+    p.add_argument("--subject", default="", type=_subjects, help="comma-separated subjects (default: all)")
     p.add_argument("--seeds", required=True, type=_seeds, help="comma-separated integer seeds")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_bench)

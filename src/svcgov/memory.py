@@ -257,7 +257,8 @@ class _TransportTarget:
     """Where a certificate may be transported to: ``h2`` in the current
     regime and environment class (``environment`` is its digest).  Holds every transport refusal rule.
     What does not depend on the certificate is computed once, and the edit
-    distance from each subject graph at most once."""
+    distance from each subject graph at most once.  The store's graph table
+    is read only when some subject other than ``h2`` must be measured."""
 
     def __init__(
         self,
@@ -272,7 +273,8 @@ class _TransportTarget:
         self.environment = environment
         self.regime_label = regime_label
         self.max_distance = max_distance
-        self.graphs = store.graph_map()
+        self.store = store
+        self.graphs: dict[str, Hypothesis] | None = None
         self.distances: dict[str, int | CertRefusal] = {}
 
     def transport(self, cert: Certificate) -> Certificate | CertRefusal:
@@ -295,6 +297,8 @@ class _TransportTarget:
         if subject_digest == self.digest:
             return 0
         if subject_digest not in self.distances:
+            if self.graphs is None:
+                self.graphs = self.store.graph_map()
             subject = self.graphs.get(subject_digest)
             if subject is None:
                 distance: int | CertRefusal = CertRefusal("subject graph unknown; cannot measure distance")

@@ -79,7 +79,9 @@ class ServiceRequest:
 
     @classmethod
     def build(cls, request_class: ConceptId, params: Mapping[str, object], deadline: int) -> "ServiceRequest":
-        return cls(request_class, tuple(sorted(params.items())), deadline)
+        # a ``[value, unit]`` pair is kept as a tuple, so that the request hashes
+        frozen = ((name, tuple(v) if isinstance(v, list) else v) for name, v in params.items())
+        return cls(request_class, tuple(sorted(frozen)), deadline)
 
     @classmethod
     def from_data(cls, data: Mapping) -> "ServiceRequest":

@@ -513,13 +513,20 @@ def replay(
     recorded transformations.  Yields, per trace, the raw state ``x`` of
     its tick, its semantic lift ``z``, the hypothesis after the trace's
     regime rewrites (``h_before``) and the deployed one (``h_after``);
-    raises if a trace does not replay to its deployed digest."""
+    raises if a trace does not replay to its deployed digest.
+
+    Each distinct raw state is lifted once: between events only the time
+    changes, and the lift reads the time only to tell tick 0 (phase
+    ``requested``) from later ticks (``active``)."""
     raw = scenario.initial_state
     h = scenario.initial_hypothesis
+    lifts: dict[tuple[RawPlatformState, bool], SemanticState] = {}
     for trace in traces:
         raw, _ = scenario.patched(raw, trace.tick)
         x = replace(raw, time=trace.tick)
-        z = semantic_lift(x, cfg.schema, cfg.assertions)
+        z = lifts.get((raw, trace.tick == 0))
+        if z is None:
+            z = lifts[raw, trace.tick == 0] = semantic_lift(x, cfg.schema, cfg.assertions)
         for name, bound in trace.regime_rewrites:
             h = apply(UpdateConstraint(name, bound), h)
         h_before = h

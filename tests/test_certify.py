@@ -350,6 +350,25 @@ class TestAdmissible:
         assert verdict.passed == all(independent)
         assert verdict.passed
 
+    def test_commitments_are_built_once_per_configuration(self, monkeypatch, schema, assertions, simple_h, z):
+        # the after side of relative identity and the absolute identity of
+        # the core both read the commitments of h2, built once
+        from svcgov import certify, evaluation
+
+        built = []
+
+        def counting(h, *args):
+            built.append(h.digest())
+            return commitments(h, *args)
+
+        commitments = evaluation._commitments
+        monkeypatch.setattr(evaluation, "_commitments", counting)
+        monkeypatch.setattr(certify, "_commitments", counting)
+        tau = Substitute("r1", "ua", UNIT_A1)
+        verdict = admissible(tau, simple_h, z, regime(), EMPTY_STORE, make_config(schema, assertions))
+        assert verdict.passed
+        assert sorted(built) == sorted([simple_h.digest(), apply(tau, simple_h).digest()])
+
     def test_verdict_reports_every_obligation_with_evidence(self, schema, assertions, simple_h, z):
         cfg = make_config(schema, assertions)
         verdict = admissible(Substitute("r1", "ua", UNIT_B), simple_h, z, regime(), EMPTY_STORE, cfg)

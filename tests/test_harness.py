@@ -15,15 +15,16 @@ import pytest
 
 import svcgov
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
+from svcgov.evaluation import detect_regime
 from svcgov.harness import baselines, bench
 from svcgov.harness.cli import main as cli_main
 from svcgov.harness.demo import strict_extension
-from svcgov.harness.packs import pack_dir
+from svcgov.harness.packs import pack_data, pack_dir, pack_scenario
 from svcgov.harness import scenario as scenario_module
 from svcgov.harness.scenario import config_from_data, load_scenario, scenario_from_data
 from svcgov.model import semantic_lift
-from svcgov.orchestrator import replay_deployments, run
-from svcgov.transform import variant_name
+from svcgov.orchestrator import DecisionTrace, replay, replay_deployments, run
+from svcgov.transform import UpdateConstraint, apply, variant_name
 
 from conftest import chain_ontology, write_checksummed_store
 
@@ -341,6 +342,132 @@ class TestBenchmarks:
         )
 
 
+def reference_scan(scenario, cfg, traces) -> bench.RunScan:
+    """``scan_run`` as the plain loop it memoizes: the oracle screens every
+    replayed tick and the same tallies are kept.  Each replayed lift is
+    checked against a lift of its own tick: no oracle rule reads the
+    interaction phase, so only this check sees a lift of the wrong phase."""
+    grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
+    true_regime = cfg.default_regime()
+    deployments = identity_ok = violations = transported = 0
+    max_switch_structural = regret = 0.0
+    for trace, x, z, h_before, _ in replay(scenario, cfg, traces):
+        assert z == semantic_lift(x, cfg.schema, cfg.assertions), f"tick {trace.tick}"
+        e_true = detect_regime(cfg.regimes, z)
+        switched, from_true, true_regime = e_true.label != true_regime.label, true_regime, e_true
+        best, achieved, deployed = bench._oracle(cfg, grammar, x, z, h_before, e_true, from_true, trace)
+        if deployed is not None:
+            identity, core_passed, charge = deployed
+            deployments += 1
+            identity_ok += cfg.core.identity.admits(identity)
+            violations += not core_passed
+            if switched:
+                max_switch_structural = max(max_switch_structural, charge)
+        transported += trace.transported_used
+        if best is not None:
+            regret += max(0.0, best - achieved)
+    return bench.RunScan(deployments, identity_ok, violations, max_switch_structural, transported, regret)
+
+
+def cyclic_retail(cycles: int):
+    """The retail pack with its noise onset repeated ``cycles`` times: the
+    aisle turns loud and a unit degrades (the speech and the route unit by
+    turns, so two states differ in the registry alone), two ticks later
+    that unit fails, two ticks after that everything recovers and every
+    third cycle the deadline tightens (so two states differ in the lift
+    alone).  The drift allowance is stretched with the horizon, as the
+    long-horizon benchmark does."""
+    data = pack_data("retail")
+    pack_ticks = data["ticks"]
+    data["events"] = []
+    for k in range(cycles):
+        start, unit = 1 + 6 * k, ("speech_unit", "route_unit")[k % 2]
+        loud = [["zone+", "aisle2", "env:LoudAisle"], ["health", unit, "degraded"], ["bandwidth", "aisle2", 0.4]]
+        calm = [["zone-", "aisle2", "env:LoudAisle"], ["health", unit, "ok"], ["bandwidth", "aisle2", 0.6]]
+        calm.append(["deadline", 12 if k % 3 == 2 else 15])
+        data["events"] += [
+            {"tick": start, "patches": loud},
+            {"tick": start + 2, "patches": [["fail", unit, "runtime-failure"]]},
+            {"tick": start + 4, "patches": calm},
+        ]
+    data["ticks"] = 2 + 6 * cycles
+    scenario, cfg = pack_scenario("retail", data)
+    return scenario, replace(cfg, drift_bound=cfg.drift_bound * data["ticks"] / pack_ticks)
+
+
+def scripted_traces(scenario, script) -> list[DecisionTrace]:
+    """Traces of a subject that deploys ``script(tick)`` (None: nothing) on
+    every tick and records no regime rewrites: all that the replay reads."""
+    h, traces = scenario.initial_hypothesis, []
+    for tick in range(scenario.ticks):
+        tau = script(tick)
+        h = h if tau is None else apply(tau, h)
+        traces.append(
+            DecisionTrace(
+                tick=tick, state_digest="", regime_label="", from_regime="", regime_rewrites=(), candidates=(),
+                kind="noop" if tau is None else "selected", selected_index=None, selected=tau,
+                deployed_digest=h.digest(), certificates=(), ledger_total=0.0, ledger_entries=0, transported_used=0,
+            )
+        )
+    return traces
+
+
+class TestScanMatchesItsReference:
+    @pytest.mark.parametrize("family", bench.FAMILIES)
+    def test_family_seeds(self, family):
+        for seed in range(10):
+            scenario, cfg_full, store = bench.FAMILY_GENERATORS[family](seed)
+            for subject in baselines.SUBJECTS:
+                traces = run(scenario, baselines.configure(cfg_full, subject), store).traces
+                expected = reference_scan(scenario, cfg_full, traces)
+                assert bench.scan_run(scenario, cfg_full, traces) == expected, (seed, subject)
+
+    @pytest.mark.parametrize("subject", ["full", "ontology-only"])
+    def test_repeating_retail_cycles(self, monkeypatch, subject):
+        scenario, cfg = cyclic_retail(cycles=10)
+        assert scenario.ticks == 62
+        traces = run(scenario, baselines.configure(cfg, subject)).traces
+        expected = reference_scan(scenario, cfg, traces)
+        screened = []
+
+        def counting_oracle(*args):
+            screened.append(args[-1].tick)
+            return oracle(*args)
+
+        oracle = bench._oracle
+        monkeypatch.setattr(bench, "_oracle", counting_oracle)
+        assert bench.scan_run(scenario, cfg, traces) == expected
+        assert expected.deployments > 0 and expected.regret > 0.0
+        assert len(screened) < scenario.ticks / 2  # repeated states are screened once
+
+    @pytest.mark.parametrize("period", [4, 5])
+    def test_scripted_subject_on_retail_cycles(self, period):
+        # every ``period`` ticks the subject restores the volume bound, then
+        # raises it: out of step with the six-tick event cycle, so one
+        # configuration meets one state both on entering the noisy regime
+        # and within it, and two states that differ in the lift or in the
+        # registry alone
+        scenario, cfg = cyclic_retail(cycles=10)
+        restore, raise_ = UpdateConstraint("volume", 1.0), UpdateConstraint("volume", 2.0)
+        traces = scripted_traces(scenario, lambda tick: {1: restore, 2: raise_}.get(tick % period))
+        expected = reference_scan(scenario, cfg, traces)
+        assert bench.scan_run(scenario, cfg, traces) == expected
+        assert expected.deployments == len(range(1, 62, period)) + len(range(2, 62, period))
+        assert expected.regret > 0.0
+
+    def test_request_with_a_unit_valued_parameter(self):
+        # a ``[value, unit]`` parameter is read as a tuple, so the raw state
+        # can key the replay's lifts
+        data = pack_data("hospital")
+        ontology = (pack_dir("hospital") / data.pop("ontology")).read_text(encoding="utf-8")
+        data["ontology_text"] = ontology + "param svc:DeliveryRequest weight number kg\n"
+        data["initial_state"]["request"]["params"]["weight"] = [3.5, "kg"]
+        scenario, cfg = pack_scenario("hospital", data)
+        assert dict(scenario.initial_state.request.params)["weight"] == (3.5, "kg")
+        traces = run(scenario, cfg).traces
+        assert bench.scan_run(scenario, cfg, traces) == reference_scan(scenario, cfg, traces)
+
+
 class TestCompare:
     def test_identical_subjects_compare_equal(self):
         report = bench.run_benchmark("substitution", "full", [0])
@@ -545,6 +672,21 @@ class TestCli:
             cli_main(["bench", "--family", "substitution", "--seeds", "a"])
         assert exc.value.code == 2
         assert "--seeds" in capsys.readouterr().err
+
+    def test_bench_empty_seed_list_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench", "--family", "substitution", "--seeds", ","])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_bench_repeated_subject_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            argv = ["--family", "substitution", "--subject", "full,full", "--seeds", "0", "--out", str(tmp_path)]
+            cli_main(["bench", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--subject" in err and "more than once: full" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_compare_non_utf8_report_exits_three(self, tmp_path, capsys):
         report = tmp_path / "r.report.json"

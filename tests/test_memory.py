@@ -401,6 +401,23 @@ class TestFindTransportable:
         assert calls == [g1.digest(), g3.digest()]
 
 
+    def test_distance_zero_never_reads_the_graph_table(self, schema, z, simple_h, monkeypatch):
+        g0, g1, _, _ = transport_graphs(simple_h)
+        reads = []
+        graph_map = MemoryStore.graph_map
+        monkeypatch.setattr(MemoryStore, "graph_map", lambda store: reads.append(store) or graph_map(store))
+        env = environment_digest(z, schema)
+        other = make_cert("closure", g1.digest(), z, schema)
+        same = make_cert("closure", g0.digest(), z, schema, tick=1)
+        store = MemoryStore(graphs=tuple(sorted((g.digest(), g) for g in (g0, g1))), certificates=(other, same))
+        assert find_transportable(store, "closure", g0, env, 0, "base") == same.as_transported(g0.digest(), 0)
+        assert find_transportable(store, "closure", g1, env, 0, "base") == other.as_transported(g1.digest(), 0)
+        assert reads == []
+        # measuring another subject reads the table, once per lookup
+        assert find_transportable(store, "closure", g0, env, 1, "base") == other.as_transported(g0.digest(), 1)
+        assert reads == [store]
+
+
 class TestQuarantine:
     def test_matched_candidate_never_gets_a_substitution_certificate(
         self, schema, assertions, simple_h, z

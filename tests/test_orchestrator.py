@@ -6,12 +6,15 @@ from dataclasses import replace
 
 import pytest
 
+from svcgov import orchestrator
 from svcgov.errors import ConfigError
 from svcgov.evaluation import core_value
 from svcgov.memory import EMPTY_STORE
+from svcgov.model import semantic_lift
 from svcgov.orchestrator import (
     Orchestrator,
     registry_from_state,
+    replay,
     replay_deployments,
     run,
 )
@@ -131,6 +134,33 @@ class TestHospitalRun:
         result = run(scenario, cfg)
         replayed = replay_deployments(scenario, cfg, result.traces)
         assert replayed[-1][1] == result.final_hypothesis
+
+
+class TestReplay:
+    def test_each_distinct_raw_state_lifts_once_per_replay(self, monkeypatch):
+        # ticks 0 and 1 share a raw state but not a phase; the event at tick
+        # 4 restores the tick-0 state as a new, value-equal object
+        events = [
+            {"tick": 2, "patches": [["zone+", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.4]]},
+            {"tick": 4, "patches": [["zone-", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.6]]},
+        ]
+        scenario, cfg = pack_variant("retail", events, ticks=7)
+        traces = run(scenario, cfg).traces
+        lifted = []
+
+        def counting_lift(x, *args):
+            lifted.append(x.time)
+            return semantic_lift(x, *args)
+
+        monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
+        replayed = list(replay(scenario, cfg, traces))
+        assert lifted == [0, 1, 2]  # (tick-0 state, tick 0), (tick-0 state, later), (noisy state, later)
+        assert [trace.tick for trace, *_ in replayed] == list(range(7))
+        assert replace(replayed[4][1], time=0) == replayed[0][1]
+        for trace, x, z, _, _ in replayed:
+            assert z == semantic_lift(x, cfg.schema, cfg.assertions), trace.tick
+        assert replayed[0][2].interaction_state.phase == "requested"
+        assert replayed[1][2].interaction_state.phase == "active"
 
 
 class TestRetailRun:
