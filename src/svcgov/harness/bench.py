@@ -42,7 +42,6 @@ from ..model import type_soundness
 from ..orchestrator import (
     DecisionTrace,
     OrchestratorConfig,
-    registry_from_state,
     replay,
     run,
     screen_candidate,
@@ -154,7 +153,7 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     exhaustive_grammar = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
     scores: dict[tuple, TickScore] = {}
 
-    for trace, x, z, h_before, _ in replay(scenario, cfg, traces):
+    for trace, x, z, registry, h_before, _ in replay(scenario, cfg, traces):
         e_true = detect_regime(cfg.regimes, z)
         switched = e_true.label != true_regime.label
         from_true = true_regime
@@ -170,7 +169,7 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
         key = (x.components, z, h_before.digest(), e_true.label, from_true.label, deployed_key)
         score = scores.get(key)
         if score is None:
-            score = scores[key] = _oracle(cfg, exhaustive_grammar, x, z, h_before, e_true, from_true, trace)
+            score = scores[key] = _oracle(cfg, exhaustive_grammar, registry, z, h_before, e_true, from_true, trace)
         best, achieved, deployed = score
         if deployed is not None:
             identity, core_passed, charge = deployed
@@ -194,13 +193,13 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     )
 
 
-def _oracle(cfg, grammar, x, z, h_before, e_true, from_true, trace) -> TickScore:
+def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> TickScore:
     """Screen in hindsight every grammar candidate, plus the fallback, with
     full gates and memory-neutral scoring (an empty store).  A deployed
     candidate outside that list is screened the same way but never counts
     toward the best.  When the trace deployed nothing, the score achieved
-    is that of keeping ``h_before``."""
-    registry = registry_from_state(x, cfg.assertions, cfg.schema)
+    is that of keeping ``h_before``.  ``registry`` is the component
+    registry of the tick's raw state."""
     candidates = generate_candidates(h_before, z, grammar, registry)
     if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
         candidates = candidates + [cfg.fallback]
@@ -363,6 +362,12 @@ FAMILY_GENERATORS = {
 # ---------------------------------------------------------------------------
 
 
+def repeated(values: Sequence) -> list:
+    """The values named more than once, sorted: a repeated seed would count
+    its run twice, a repeated subject its column twice."""
+    return sorted({v for i, v in enumerate(values) if v in values[:i]})
+
+
 def run_benchmark(family: str, subject: str, seeds: Sequence[int]) -> MetricsReport:
     """Run one subject over seeded scenario variations of a family and
     aggregate the structural metrics.  Deterministic per seed; a run that
@@ -371,6 +376,8 @@ def run_benchmark(family: str, subject: str, seeds: Sequence[int]) -> MetricsRep
         raise IncomparableReports(f"unknown benchmark family {family!r}")
     if not seeds:
         raise IncomparableReports("at least one seed is required")
+    if twice := repeated(seeds):
+        raise IncomparableReports(f"seeds named more than once: {', '.join(map(str, twice))}")
     generator = FAMILY_GENERATORS[family]
 
     deployments = identity_ok = violations_runs = 0

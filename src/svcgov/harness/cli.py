@@ -146,15 +146,16 @@ def _seeds(value: str) -> list[int]:
         seeds = []  # refused below, with the message an empty list gets
     if not seeds:
         raise argparse.ArgumentTypeError(f"expected comma-separated integer seeds, got {value!r}")
+    if twice := bench.repeated(seeds):
+        raise argparse.ArgumentTypeError(f"seeds named more than once: {', '.join(map(str, twice))}")
     return seeds
 
 
 def _subjects(value: str) -> list[str]:
     """Comma-separated subjects, each at most once; empty means all of them."""
     subjects = value.split(",") if value else list(baselines.SUBJECTS)
-    repeated = sorted({s for i, s in enumerate(subjects) if s in subjects[:i]})
-    if repeated:
-        raise argparse.ArgumentTypeError(f"subjects named more than once: {', '.join(repeated)}")
+    if twice := bench.repeated(subjects):
+        raise argparse.ArgumentTypeError(f"subjects named more than once: {', '.join(twice)}")
     return subjects
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -209,9 +210,11 @@ def record(
     if graph is not None:
         if graph.digest() != rec.hypothesis_digest:
             raise MalformedRecord("graph digest does not match the record's hypothesis digest")
-        table = store.graph_map()
-        table.setdefault(rec.hypothesis_digest, graph)
-        graphs = tuple(sorted(table.items()))
+        # ``graphs`` is sorted by digest: a digest already held keeps its
+        # entry and the tuple itself; a new one is inserted in place
+        i = bisect_left(graphs, (rec.hypothesis_digest,))
+        if i == len(graphs) or graphs[i][0] != rec.hypothesis_digest:
+            graphs = graphs[:i] + ((rec.hypothesis_digest, graph),) + graphs[i:]
     return MemoryStore(
         records=store.records + (rec,),
         graphs=graphs,

@@ -186,6 +186,7 @@ class SemanticState:
     safety_flags: frozenset[str]
     required_functions: frozenset[ConceptId]
     output_functions: frozenset[ConceptId]
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def signals(self) -> dict[str, float]:
         return dict(self.regime_signals)
@@ -211,7 +212,11 @@ class SemanticState:
         }
 
     def digest(self) -> str:
-        return digest_of(self.to_data())
+        """Content digest of ``to_data()``, computed on first use; the
+        instance is immutable, so it never goes stale."""
+        if self._digest is None:
+            object.__setattr__(self, "_digest", digest_of(self.to_data()))
+        return self._digest
 
 
 def semantic_lift(x: RawPlatformState, schema: OntologySchema, k: AssertionBase) -> SemanticState:

@@ -165,6 +165,27 @@ def registry_from_state(
     return tuple(sorted(out, key=lambda c: c.component_id))
 
 
+#: Lifts and registries by the raw state's field values, its time read only
+#: as whether the tick is 0.
+StateMemo = dict[tuple, tuple[SemanticState, tuple[Component, ...]]]
+
+
+def lift_state(
+    x: RawPlatformState, cfg: OrchestratorConfig, memo: StateMemo
+) -> tuple[SemanticState, tuple[Component, ...]]:
+    """The semantic lift of ``x`` and its component registry, each computed
+    once per distinct state held by ``memo``.  Between events only the time
+    changes, and the lift reads the time only to tell tick 0 (phase
+    ``requested``) from later ticks (``active``).  A state that raises
+    ``TypingError`` is not kept, so it raises again where it recurs."""
+    key = tuple({**vars(x), "time": x.time == 0}.values())
+    lifted = memo.get(key)
+    if lifted is None:
+        z = semantic_lift(x, cfg.schema, cfg.assertions)
+        lifted = memo[key] = z, registry_from_state(x, cfg.assertions, cfg.schema)
+    return lifted
+
+
 def screen_candidate(
     tau: Transformation,
     h: Hypothesis,
@@ -263,11 +284,13 @@ class StepResult:
 
 
 class Orchestrator:
-    """Owns the drift ledger across steps; strictly sequential."""
+    """Owns the drift ledger and the lifts of the states it has seen across
+    steps; strictly sequential."""
 
     def __init__(self, cfg: OrchestratorConfig):
         self.cfg = cfg
         self.ledger = DriftLedger(bound=cfg.drift_bound)
+        self.lifts: StateMemo = {}
 
     def step(
         self, x: RawPlatformState, h: Hypothesis, e: Regime, store: MemoryStore
@@ -275,7 +298,7 @@ class Orchestrator:
         cfg = self.cfg
         tick = x.time
         try:
-            z = semantic_lift(x, cfg.schema, cfg.assertions)
+            z, registry = lift_state(x, cfg, self.lifts)
         except TypingError as exc:
             trace = DecisionTrace(
                 tick=tick,
@@ -304,7 +327,6 @@ class Orchestrator:
             for name, bound in rewrites:
                 h = apply(UpdateConstraint(name, bound, rationale="regime-entry"), h)
 
-        registry = registry_from_state(x, cfg.assertions, cfg.schema)
         candidates = generate_candidates(h, z, cfg.grammar, registry)
         # Constant within the step; a step without candidates never reads it.
         environment = environment_digest(z, cfg.schema) if candidates else ""
@@ -463,7 +485,7 @@ def run(scenario, cfg: OrchestratorConfig, initial_store: MemoryStore | None = N
         raw, failures = scenario.patched(raw, tick)
         x = replace(raw, time=tick)
         if failures and cfg.flags.memory:
-            store = _record_failures(store, failures, h, x, e, cfg)
+            store = _record_failures(store, failures, h, x, e, cfg, orch.lifts)
         result = orch.step(x, h, e, store)
         h, e, store = result.hypothesis, result.regime, result.store
         traces.append(result.trace)
@@ -477,11 +499,13 @@ def _record_failures(
     x: RawPlatformState,
     e: Regime,
     cfg: OrchestratorConfig,
+    lifts: StateMemo,
 ) -> MemoryStore:
     """Turn scripted runtime failures into failure records implicating the
-    roles bound to the failing component."""
+    roles bound to the failing component; ``x`` is lifted through the
+    memo of the orchestrator that steps it next."""
     try:
-        z = semantic_lift(x, cfg.schema, cfg.assertions)
+        z, _ = lift_state(x, cfg, lifts)
     except TypingError:
         return store
     for component_id, code in failures:
@@ -508,25 +532,23 @@ def _record_failures(
 
 def replay(
     scenario, cfg: OrchestratorConfig, traces: Sequence[DecisionTrace]
-) -> Iterator[tuple[DecisionTrace, RawPlatformState, SemanticState, Hypothesis, Hypothesis]]:
+) -> Iterator[
+    tuple[DecisionTrace, RawPlatformState, SemanticState, tuple[Component, ...], Hypothesis, Hypothesis]
+]:
     """Independently walk a run from the scenario script and the trace's
     recorded transformations.  Yields, per trace, the raw state ``x`` of
-    its tick, its semantic lift ``z``, the hypothesis after the trace's
-    regime rewrites (``h_before``) and the deployed one (``h_after``);
-    raises if a trace does not replay to its deployed digest.
-
-    Each distinct raw state is lifted once: between events only the time
-    changes, and the lift reads the time only to tell tick 0 (phase
-    ``requested``) from later ticks (``active``)."""
+    its tick, its semantic lift ``z`` and component registry, the
+    hypothesis after the trace's regime rewrites (``h_before``) and the
+    deployed one (``h_after``); raises if a trace does not replay to its
+    deployed digest.  Each distinct raw state is lifted once per replay
+    (``lift_state``)."""
     raw = scenario.initial_state
     h = scenario.initial_hypothesis
-    lifts: dict[tuple[RawPlatformState, bool], SemanticState] = {}
+    lifts: StateMemo = {}
     for trace in traces:
         raw, _ = scenario.patched(raw, trace.tick)
         x = replace(raw, time=trace.tick)
-        z = lifts.get((raw, trace.tick == 0))
-        if z is None:
-            z = lifts[raw, trace.tick == 0] = semantic_lift(x, cfg.schema, cfg.assertions)
+        z, registry = lift_state(x, cfg, lifts)
         for name, bound in trace.regime_rewrites:
             h = apply(UpdateConstraint(name, bound), h)
         h_before = h
@@ -534,7 +556,7 @@ def replay(
             h = apply(trace.selected, h)
         if h.digest() != trace.deployed_digest:
             raise ConfigError(f"trace at tick {trace.tick} does not replay to its deployed digest")
-        yield trace, x, z, h_before, h
+        yield trace, x, z, registry, h_before, h
 
 
 def replay_deployments(
@@ -543,4 +565,4 @@ def replay_deployments(
     """The deployed hypothesis, semantic state and regime at each tick, as
     ``replay`` reconstructs them."""
     regimes = {r.label: r for r in cfg.regimes}
-    return [(trace.tick, h, z, regimes[trace.regime_label]) for trace, _, z, _, h in replay(scenario, cfg, traces)]
+    return [(trace.tick, h, z, regimes[trace.regime_label]) for trace, _, z, _, _, h in replay(scenario, cfg, traces)]

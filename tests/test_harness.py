@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import svcgov
+from svcgov import orchestrator
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
 from svcgov.evaluation import detect_regime
 from svcgov.harness import baselines, bench
@@ -23,7 +24,7 @@ from svcgov.harness.packs import pack_data, pack_dir, pack_scenario
 from svcgov.harness import scenario as scenario_module
 from svcgov.harness.scenario import config_from_data, load_scenario, scenario_from_data
 from svcgov.model import semantic_lift
-from svcgov.orchestrator import DecisionTrace, replay, replay_deployments, run
+from svcgov.orchestrator import DecisionTrace, lift_state, registry_from_state, replay, replay_deployments, run
 from svcgov.transform import UpdateConstraint, apply, variant_name
 
 from conftest import chain_ontology, write_checksummed_store
@@ -316,6 +317,11 @@ class TestBenchmarks:
         with pytest.raises(IncomparableReports):
             bench.run_benchmark("substitution", "full", [])
 
+    def test_repeated_seeds_are_rejected(self):
+        # a repeated seed would count its run twice
+        with pytest.raises(IncomparableReports, match="seeds named more than once: 0, 3"):
+            bench.run_benchmark("substitution", "full", [3, 0, 1, 0, 3, 3])
+
     def test_report_json_round_trip(self):
         report = bench.run_benchmark("substitution", "full", [0, 1])
         again = bench.report_from_json(bench.report_to_json(report))
@@ -344,18 +350,20 @@ class TestBenchmarks:
 
 def reference_scan(scenario, cfg, traces) -> bench.RunScan:
     """``scan_run`` as the plain loop it memoizes: the oracle screens every
-    replayed tick and the same tallies are kept.  Each replayed lift is
-    checked against a lift of its own tick: no oracle rule reads the
-    interaction phase, so only this check sees a lift of the wrong phase."""
+    replayed tick and the same tallies are kept.  Each replayed lift and
+    registry is checked against a direct read of its own tick: no oracle
+    rule reads the interaction phase, so only this check sees a lift of
+    the wrong phase."""
     grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = regret = 0.0
-    for trace, x, z, h_before, _ in replay(scenario, cfg, traces):
+    for trace, x, z, registry, h_before, _ in replay(scenario, cfg, traces):
         assert z == semantic_lift(x, cfg.schema, cfg.assertions), f"tick {trace.tick}"
+        assert registry == registry_from_state(x, cfg.assertions, cfg.schema), f"tick {trace.tick}"
         e_true = detect_regime(cfg.regimes, z)
         switched, from_true, true_regime = e_true.label != true_regime.label, true_regime, e_true
-        best, achieved, deployed = bench._oracle(cfg, grammar, x, z, h_before, e_true, from_true, trace)
+        best, achieved, deployed = bench._oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace)
         if deployed is not None:
             identity, core_passed, charge = deployed
             deployments += 1
@@ -410,6 +418,32 @@ def scripted_traces(scenario, script) -> list[DecisionTrace]:
             )
         )
     return traces
+
+
+@pytest.mark.parametrize("case", ["hospital", "retail", "cyclic-retail"])
+def test_memoised_lifts_match_their_reference(monkeypatch, case):
+    """Every lift and registry that the run (steps and failure records) and
+    its replay read through their memos equals a direct lift and registry
+    read of that tick.  The cyclic states differ in the registry alone or in
+    the lift alone."""
+    scenario, cfg = cyclic_retail(cycles=10) if case == "cyclic-retail" else pack_scenario(case, pack_data(case))
+    read = []
+
+    def spying_lift_state(x, *args):
+        lifted = lift_state(x, *args)
+        read.append((x, lifted))
+        return lifted
+
+    monkeypatch.setattr(orchestrator, "lift_state", spying_lift_state)
+    list(replay(scenario, cfg, run(scenario, cfg).traces))
+    failures = sum(any(patch[0] == "fail" for patch in event.patches) for event in scenario.events)
+    assert len(read) == 2 * scenario.ticks + failures
+    for x, (z, registry) in read:
+        assert z == semantic_lift(x, cfg.schema, cfg.assertions), x.time
+        assert registry == registry_from_state(x, cfg.assertions, cfg.schema), x.time
+    if case != "cyclic-retail":  # its first event is at tick 1
+        (x0, (z0, _)), (x1, (z1, _)) = read[:2]  # one raw state, two phases
+        assert replace(x1, time=0) == x0 and z0 != z1
 
 
 class TestScanMatchesItsReference:
@@ -678,6 +712,14 @@ class TestCli:
             cli_main(["bench", "--family", "substitution", "--seeds", ","])
         assert exc.value.code == 2
         assert "--seeds" in capsys.readouterr().err
+
+    def test_bench_repeated_seed_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench", "--family", "substitution", "--seeds", "0,0", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seeds" in err and "more than once: 0" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bench_repeated_subject_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -85,6 +85,27 @@ class TestRecord:
         with pytest.raises(MalformedRecord):
             record(EMPTY_STORE, rec, graph=other)
 
+    def test_graph_table_matches_its_rebuild_and_is_kept_when_held(self, tmp_path, simple_h):
+        # the reference is the table rebuilt from the store's map and
+        # re-sorted on every record; a held digest keeps the same tuple
+        graphs = [apply(UpdateConstraint("latency", float(b)), simple_h) for b in range(6)]
+        order = [3, 0, 5, 3, 1, 0, 4, 2, 5, 5]
+        store = reference = EMPTY_STORE
+        for i in order:
+            g = graphs[i]
+            rec = MemoryRecord("base", g.digest(), None, "success", None, f"t{i}")
+            grown = record(store, rec, graph=g)
+            table = store.graph_map()
+            table.setdefault(g.digest(), g)
+            reference = MemoryStore(reference.records + (rec,), tuple(sorted(table.items())))
+            assert grown == reference
+            assert (grown.graphs is store.graphs) == (g.digest() in dict(store.graphs))
+            store = grown
+        assert len(store.graphs) == len(graphs)
+        persist(store, tmp_path / "fast.store")
+        persist(reference, tmp_path / "reference.store")
+        assert (tmp_path / "fast.store").read_bytes() == (tmp_path / "reference.store").read_bytes()
+
 
 class TestReuseScore:
     def test_empty_store_scores_zero(self, schema, z, simple_h):

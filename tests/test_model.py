@@ -104,6 +104,17 @@ class TestSemanticLift:
             semantic_lift(bad, schema, assertions)
         assert "unit" in str(err.value)
 
+    def test_cached_state_digest_is_the_content_digest_and_not_part_of_the_value(self, schema, assertions):
+        z, twin = (semantic_lift(make_raw_state(deadline=4), schema, assertions) for _ in range(2))
+        assert z.digest() == digest_of(z.to_data())
+        assert z.digest() == digest_of(z.to_data())  # served from the cache
+        assert z._digest is not None and twin._digest is None
+        assert z == twin and hash(z) == hash(twin)
+        assert repr(z) == repr(twin) and "_digest" not in repr(z)
+        assert z.to_data() == twin.to_data() and "_digest" not in z.to_data()
+        derived = replace(z, safety_flags=frozenset({"wet_floor"}))  # the cache is not carried over
+        assert derived.digest() == digest_of(derived.to_data()) != z.digest()
+
     def test_lift_idempotent_through_serialization_round_trip(self, schema, assertions):
         raw = make_raw_state(deadline=7, flags=("wet_floor",))
         direct = semantic_lift(raw, schema, assertions)

@@ -13,6 +13,7 @@ from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift
 from svcgov.orchestrator import (
     Orchestrator,
+    lift_state,
     registry_from_state,
     replay,
     replay_deployments,
@@ -157,10 +158,76 @@ class TestReplay:
         assert lifted == [0, 1, 2]  # (tick-0 state, tick 0), (tick-0 state, later), (noisy state, later)
         assert [trace.tick for trace, *_ in replayed] == list(range(7))
         assert replace(replayed[4][1], time=0) == replayed[0][1]
-        for trace, x, z, _, _ in replayed:
+        for trace, x, z, _, _, _ in replayed:
             assert z == semantic_lift(x, cfg.schema, cfg.assertions), trace.tick
         assert replayed[0][2].interaction_state.phase == "requested"
         assert replayed[1][2].interaction_state.phase == "active"
+
+
+class TestStateMemo:
+    def test_each_distinct_raw_state_lifts_once_per_run(self, monkeypatch):
+        # the failure at tick 4 is lifted by ``_record_failures`` and read
+        # again by that tick's step; the event at tick 5 restores the tick-1
+        # state as a new, value-equal object
+        events = [
+            {"tick": 2, "patches": [["zone+", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.4]]},
+            {"tick": 4, "patches": [["fail", "speech_unit", "runtime-failure"]]},
+            {"tick": 5, "patches": [
+                ["zone-", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.6], ["health", "speech_unit", "ok"],
+            ]},
+        ]
+        scenario, cfg = pack_variant("retail", events, ticks=8)
+        lifted, registries, failing = [], [], []
+        record_failures = orchestrator._record_failures
+
+        def counting_lift(x, *args):
+            lifted.append(x.time)
+            return semantic_lift(x, *args)
+
+        def counting_registry(x, *args):
+            registries.append(x.time)
+            return registry_from_state(x, *args)
+
+        def spying_failures(store, failures, h, x, *args):
+            failing.append(x.time)
+            return record_failures(store, failures, h, x, *args)
+
+        monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
+        monkeypatch.setattr(orchestrator, "registry_from_state", counting_registry)
+        monkeypatch.setattr(orchestrator, "_record_failures", spying_failures)
+        result = run(scenario, cfg)
+        assert failing == [4]
+        assert [rec.outcome for rec in result.store.records].count("failed") > 0
+        assert lifted == registries == [0, 1, 2, 4]
+
+    def test_tick_zero_and_a_later_tick_of_one_raw_state_lift_apart(self, schema, assertions):
+        cfg, memo, raw = make_config(schema, assertions), {}, make_raw_state()
+        first, later = (lift_state(replace(raw, time=t), cfg, memo) for t in (0, 1))
+        assert first[0].interaction_state.phase == "requested"
+        assert later[0].interaction_state.phase == "active"
+        assert first[1] == later[1] and len(memo) == 2
+        assert lift_state(replace(raw, time=9), cfg, memo) is later
+
+    def test_an_untypable_state_is_refused_wherever_it_recurs(self, monkeypatch, schema, assertions, simple_h):
+        cfg = make_config(schema, assertions)
+        orch = Orchestrator(cfg)
+        raw = make_raw_state(components=(("ghost", "t:Missing", "ok"),))
+        lifted = []
+
+        def counting_lift(x, *args):
+            lifted.append(x.time)
+            return semantic_lift(x, *args)
+
+        monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
+        e = cfg.default_regime()
+        refused = orchestrator._record_failures(
+            EMPTY_STORE, [("ghost", "runtime-failure")], simple_h, replace(raw, time=1), e, cfg, orch.lifts
+        )
+        assert refused is EMPTY_STORE
+        first, again = (orch.step(replace(raw, time=t), simple_h, e, EMPTY_STORE).trace for t in (1, 2))
+        assert first.kind == again.kind == "error"
+        assert first.error == again.error and "t:Missing" in first.error
+        assert lifted == [1, 1, 2] and orch.lifts == {}
 
 
 class TestRetailRun:
