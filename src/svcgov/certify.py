@@ -79,23 +79,25 @@ class DriftLedger:
 
     bound: float
     entries: tuple[LedgerEntry, ...] = ()
+    #: Charges added left to right from the integer 0, as sum() did before
+    #: Python 3.12 compensated float rounding, so the traced total is the same
+    #: on every version (an empty ledger totals 0); ``charged`` carries it.
+    total: float = field(default=None, repr=False, compare=False, kw_only=True)
 
-    @property
-    def total(self) -> float:
-        # added left to right from the integer 0, as sum() did before Python
-        # 3.12 compensated float rounding; the traced total is then the same
-        # on every version (an empty ledger totals 0, not 0.0)
-        total = 0
-        for e in self.entries:
-            total += e.cost + e.residual
-        return total
+    def __post_init__(self) -> None:
+        if self.total is None:
+            total = 0
+            for e in self.entries:
+                total += e.cost + e.residual
+            object.__setattr__(self, "total", total)
 
     @property
     def valid(self) -> bool:
         return self.total <= self.bound + BOUND_EPS
 
     def charged(self, entry: LedgerEntry) -> "DriftLedger":
-        return DriftLedger(bound=self.bound, entries=self.entries + (entry,))
+        total = self.total + (entry.cost + entry.residual)
+        return DriftLedger(bound=self.bound, entries=self.entries + (entry,), total=total)
 
     def to_data(self) -> dict:
         return {"bound": self.bound, "total": self.total, "entries": [e.to_data() for e in self.entries]}
@@ -190,6 +192,19 @@ def structural_charge(h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel) -
 # Candidate facts
 # ---------------------------------------------------------------------------
 
+#: Type-soundness reports by graph digest, for one orchestrator or one scan.
+SoundnessMemo = dict[str, SoundnessReport]
+
+
+def judged_soundness(h: Hypothesis, schema: OntologySchema, memo: SoundnessMemo | None = None) -> SoundnessReport:
+    """``type_soundness(h, schema)``, judged once per graph digest ``memo`` keeps, or afresh without one."""
+    if memo is None:
+        return type_soundness(h, schema)
+    report = memo.get(h.digest())
+    if report is None:
+        report = memo[h.digest()] = type_soundness(h, schema)
+    return report
+
 
 @dataclass(eq=False)
 class CandidateFacts:
@@ -209,10 +224,11 @@ class CandidateFacts:
     core: InvariantCore | None = None
     prior: StructuralPrior | None = None
     model: RegimeSwitchModel | None = None
+    soundness_memo: SoundnessMemo | None = None
 
     @cached_property
     def soundness(self) -> SoundnessReport:
-        return type_soundness(self.h2, self.schema)
+        return judged_soundness(self.h2, self.schema, self.soundness_memo)
 
     @cached_property
     def commitments(self) -> tuple:
@@ -585,10 +601,11 @@ class AdmissibilityVerdict:
 
 
 def _candidate_facts(
-    h2: Hypothesis, h: Hypothesis, z: SemanticState, cfg: "OrchestratorConfig"
+    h2: Hypothesis, h: Hypothesis, z: SemanticState, cfg: "OrchestratorConfig", soundness_memo: SoundnessMemo | None
 ) -> CandidateFacts:
     return CandidateFacts(
-        h2, h=h, z=z, schema=cfg.schema, core=cfg.core, prior=cfg.prior, model=cfg.switch_model
+        h2, h=h, z=z, schema=cfg.schema, core=cfg.core, prior=cfg.prior, model=cfg.switch_model,
+        soundness_memo=soundness_memo,
     )
 
 
@@ -603,6 +620,7 @@ def admissible(
     from_regime: Regime | None = None,
     tick: int = 0,
     environment: str | None = None,
+    soundness_memo: SoundnessMemo | None = None,
 ) -> AdmissibilityVerdict:
     """Run all four certifiers (plus the substitution certifier for
     substitution-class transformations) and aggregate.  ``tau`` is applied
@@ -611,9 +629,10 @@ def admissible(
     ``e`` is the destination regime; ``from_regime`` defaults to it when
     no switch is in flight.  ``environment`` is the environment-class
     digest of ``z``; a caller that screens several candidates under one
-    ``z`` computes it once and passes it.  The returned ledger reflects
-    the stability charge and is adopted by the caller only if the
-    candidate deploys.  The verdict's ``facts`` describe the transformed
+    ``z`` computes it once and passes it, and may pass one
+    ``soundness_memo`` to all its calls.  The returned ledger reflects the
+    stability charge and is adopted by the caller only if the candidate
+    deploys.  The verdict's ``facts`` describe the transformed
     configuration, or ``h`` itself when ``tau`` is not applicable."""
     flags = cfg.flags
     if ledger is None:
@@ -645,9 +664,9 @@ def admissible(
             before_digest=h.digest(),
             after_digest="",
             error=str(exc),
-            facts=_candidate_facts(h, h, z, cfg),
+            facts=_candidate_facts(h, h, z, cfg, soundness_memo),
         )
-    facts = _candidate_facts(h2, h, z, cfg)
+    facts = _candidate_facts(h2, h, z, cfg, soundness_memo)
 
     # a closure or capacity certificate transported from memory stands in
     # for computing that obligation afresh
@@ -679,7 +698,8 @@ def admissible(
             if sites == (tau.role_id,):
                 site_facts = facts
             else:
-                site_facts = _candidate_facts(_substituted(h, sites, current, tau.new_component), h, z, cfg)
+                substituted = _substituted(h, sites, current, tau.new_component)
+                site_facts = _candidate_facts(substituted, h, z, cfg, soundness_memo)
             outcome = _substitution(
                 current, tau.new_component, sites, site_facts, effective_store, e, context, tick
             )

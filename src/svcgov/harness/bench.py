@@ -33,12 +33,11 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from ..certificates import environment_digest
-from ..certify import CandidateFacts, DriftLedger
+from ..certify import CandidateFacts, DriftLedger, SoundnessMemo, judged_soundness
 from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, integer, keyed, number, read, text
 from ..memory import EMPTY_STORE, MemoryStore
-from ..model import type_soundness
 from ..orchestrator import (
     DecisionTrace,
     OrchestratorConfig,
@@ -145,13 +144,15 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     ingredient against the full governance law (``cfg`` must carry full
     gates).  The deployed candidate's metrics are read from the oracle's
     screening of it, never from the run's own verdicts.  Each distinct
-    replayed state is screened once per scan."""
+    replayed state is screened once per scan, and each distinct graph's
+    soundness judged once."""
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = 0.0
     regret = 0.0
     exhaustive_grammar = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
     scores: dict[tuple, TickScore] = {}
+    soundness: SoundnessMemo = {}
 
     for trace, x, z, registry, h_before, _ in replay(scenario, cfg, traces):
         e_true = detect_regime(cfg.regimes, z)
@@ -169,7 +170,9 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
         key = (x.components, z, h_before.digest(), e_true.label, from_true.label, deployed_key)
         score = scores.get(key)
         if score is None:
-            score = scores[key] = _oracle(cfg, exhaustive_grammar, registry, z, h_before, e_true, from_true, trace)
+            score = scores[key] = _oracle(
+                cfg, exhaustive_grammar, registry, z, h_before, e_true, from_true, trace, soundness_memo=soundness
+            )
         best, achieved, deployed = score
         if deployed is not None:
             identity, core_passed, charge = deployed
@@ -193,13 +196,14 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     )
 
 
-def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> TickScore:
+def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace, soundness_memo=None) -> TickScore:
     """Screen in hindsight every grammar candidate, plus the fallback, with
     full gates and memory-neutral scoring (an empty store).  A deployed
     candidate outside that list is screened the same way but never counts
     toward the best.  When the trace deployed nothing, the score achieved
     is that of keeping ``h_before``.  ``registry`` is the component
-    registry of the tick's raw state."""
+    registry of the tick's raw state; every soundness judgement reads
+    ``soundness_memo``."""
     candidates = generate_candidates(h_before, z, grammar, registry)
     if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
         candidates = candidates + [cfg.fallback]
@@ -209,8 +213,8 @@ def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> Ti
 
     def screen(tau):
         verdict, _, breakdown = screen_candidate(
-            tau, h_before, z, e_true, EMPTY_STORE, cfg,
-            ledger=ledger, from_regime=from_true, tick=trace.tick, environment=environment,
+            tau, h_before, z, e_true, EMPTY_STORE, cfg, ledger=ledger, from_regime=from_true, tick=trace.tick,
+            environment=environment, soundness_memo=soundness_memo,
         )
         return verdict, breakdown.total
 
@@ -231,7 +235,8 @@ def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> Ti
         return TickScore(best, achieved, (facts.identity.total, facts.core_report.passed, facts.charge))
     if best is None:
         return TickScore(None, None, None)
-    return TickScore(best, evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total, None)
+    kept = evaluate(e_true, h_before, z, 0.0, judged_soundness(h_before, cfg.schema, soundness_memo))
+    return TickScore(best, kept.total, None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ no lift check reads, so each distinct state is lifted once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -75,6 +75,14 @@ class Scenario:
     ticks: int
     events: tuple[ScenarioEvent, ...]
     annotations: tuple[tuple[str, object], ...] = ()
+    #: Each tick's event patches in declaration order, derived from ``events``.
+    _patches: dict[int, list[tuple]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        patches: dict[int, list[tuple]] = {}
+        for event in self.events:
+            patches.setdefault(event.tick, []).extend(event.patches)
+        object.__setattr__(self, "_patches", patches)
 
     def annotation(self, key: str, default=None):
         return dict(self.annotations).get(key, default)
@@ -83,13 +91,10 @@ class Scenario:
         """Apply this tick's event patches; returns the updated raw state
         and any scripted runtime failures (component id, obligation code)."""
         failures: list[tuple[str, str]] = []
-        for event in self.events:
-            if event.tick != tick:
-                continue
-            for patch in event.patches:
-                raw, failure = _apply_patch(raw, patch)
-                if failure is not None:
-                    failures.append(failure)
+        for patch in self._patches.get(tick, ()):
+            raw, failure = _apply_patch(raw, patch)
+            if failure is not None:
+                failures.append(failure)
         return raw, failures
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -172,11 +172,13 @@ class MemoryRecord:
 @dataclass(frozen=True)
 class MemoryStore:
     """Append-only record log plus side tables for subject graphs and
-    loose certificates; indexes are derived and always consistent."""
+    loose certificates; indexes are derived and always consistent: built
+    from the tuples on first read, or extended by ``record``."""
 
     records: tuple[MemoryRecord, ...] = ()
     graphs: tuple[tuple[str, Hypothesis], ...] = ()  # digest -> hypothesis, sorted
     certificates: tuple[Certificate, ...] = ()
+    _index: dict[tuple, tuple] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -187,10 +189,40 @@ class MemoryStore:
     def failure_signatures(self) -> tuple[FailureSignature, ...]:
         return tuple(r.failure_signature for r in self.records if r.failure_signature is not None)
 
+    def index(self) -> dict[tuple, tuple]:
+        if self._index is None:
+            object.__setattr__(self, "_index", _extended({}, self.records, 0, self.certificates))
+        return self._index
+
     def has_certificate(self, cert: Certificate) -> bool:
-        if cert in self.certificates:
-            return True
-        return any(r.certificate == cert for r in self.records)
+        key = (cert.kind, cert.context.regime_label, cert.context.environment_digest, cert.subject_digest)
+        return any(cert in self.index().get((pool, *key), ()) for pool in ("loose", "record"))
+
+
+def _extended(index: dict, records: Sequence[MemoryRecord], position: int, loose: Sequence[Certificate]) -> dict:
+    """A copy of ``index`` that also holds ``records`` (logged from
+    ``position`` on) and ``loose`` certificates, in log order: signatures by
+    environment class and motif, successes by digest and regime, certificates
+    by pool, kind, regime, environment class (and subject)."""
+    grown = dict(index)
+
+    def add(key: tuple, value: object) -> None:
+        grown[key] = grown.get(key, ()) + (value,)
+
+    for pool, cert in [("loose", c) for c in loose] + [("record", r.certificate) for r in records if r.certificate]:
+        key = (pool, cert.kind, cert.context.regime_label, cert.context.environment_digest)
+        add(key + (cert.subject_digest,), cert)
+        if cert.kind in TRANSPORTABLE_KINDS:
+            add(key, cert)
+    for position, rec in enumerate(records, position):
+        cert, sig = rec.certificate, rec.failure_signature
+        if rec.outcome == "success":  # each entry the environment class of its certificate, or None
+            add(("success", rec.hypothesis_digest, rec.regime_label), cert and cert.context.environment_digest)
+        if sig is not None:
+            if ("failure", sig.environment_digest, sig.motif) not in grown:
+                add(("motifs", sig.environment_digest), sig.motif)
+            add(("failure", sig.environment_digest, sig.motif), (position, sig))
+    return grown
 
 
 EMPTY_STORE = MemoryStore()
@@ -215,11 +247,9 @@ def record(
         i = bisect_left(graphs, (rec.hypothesis_digest,))
         if i == len(graphs) or graphs[i][0] != rec.hypothesis_digest:
             graphs = graphs[:i] + ((rec.hypothesis_digest, graph),) + graphs[i:]
-    return MemoryStore(
-        records=store.records + (rec,),
-        graphs=graphs,
-        certificates=store.certificates + tuple(certificates),
-    )
+    grown = MemoryStore(store.records + (rec,), graphs, store.certificates + tuple(certificates))
+    object.__setattr__(grown, "_index", _extended(store.index(), (rec,), len(store.records), certificates))
+    return grown
 
 
 def reuse_score(
@@ -235,12 +265,10 @@ def reuse_score(
     (``environment`` is its digest).  An empty store scores 0."""
     if not store.records:
         return 0.0
-    digest = h.digest()
     score = 0.0
-    for rec in store.records:
-        if rec.outcome == "success" and rec.hypothesis_digest == digest and rec.regime_label == e_label:
-            if rec.certificate is None or rec.certificate.context.environment_digest == environment:
-                score += bonus
+    for certified_in in store.index().get(("success", h.digest(), e_label), ()):
+        if certified_in is None or certified_in == environment:
+            score += bonus
     for _ in match_failure(store, h, environment):
         score -= penalty
     return score
@@ -248,12 +276,11 @@ def reuse_score(
 
 def match_failure(store: MemoryStore, h: Hypothesis, environment: str) -> list[FailureSignature]:
     """All stored signatures whose motif occurs in ``h`` and whose
-    environment class digest is ``environment``; log order."""
-    return [
-        sig
-        for sig in store.failure_signatures()
-        if sig.environment_digest == environment and sig.motif.matches(h)
-    ]
+    environment class digest is ``environment``; log order, each distinct
+    motif checked once."""
+    index = store.index()
+    motifs = [motif for motif in index.get(("motifs", environment), ()) if motif.matches(h)]
+    return [sig for _, sig in sorted([hit for motif in motifs for hit in index[("failure", environment, motif)]])]
 
 
 class _TransportTarget:
@@ -343,18 +370,16 @@ def find_transportable(
 
     At ``max_distance`` 0 only a certificate about ``h2`` itself can
     transport (the edit distance is 0 only between equal graphs), so no
-    other subject is measured."""
+    other subject is measured; a certificate of another kind, regime or
+    environment class never transports, so none is read."""
     if kind not in TRANSPORTABLE_KINDS:
         return None
     target = _TransportTarget(store, h2, environment, max_distance, regime_label)
-    pool = itertools.chain(store.certificates, (r.certificate for r in store.records))
-    for cert in pool:
-        if cert is not None and cert.kind == kind:
-            if max_distance == 0 and cert.subject_digest != target.digest:
-                continue
-            moved = target.transport(cert)
-            if isinstance(moved, Certificate):
-                return moved
+    key = (kind, regime_label, environment) + ((target.digest,) if max_distance == 0 else ())
+    for cert in store.index().get(("loose", *key), ()) + store.index().get(("record", *key), ()):
+        moved = target.transport(cert)
+        if isinstance(moved, Certificate):
+            return moved
     return None
 
 

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .canon import canonical_dumps
 from .certificates import CertContext, Certificate, environment_digest
-from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, admissible
+from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, SoundnessMemo, admissible
 from .errors import ConfigError, TypingError
 from .evaluation import (
     InvariantCore,
@@ -197,13 +197,16 @@ def screen_candidate(
     from_regime: Regime,
     tick: int,
     environment: str,
+    soundness_memo: SoundnessMemo | None = None,
 ) -> tuple[AdmissibilityVerdict, float, ScoreBreakdown]:
     """Screen one candidate and score the configuration it reaches: the
     verdict (with its ``facts``), the reuse term read from ``store`` (0
     with the memory gate off) and the regime score charged the A2 switching
-    charge.  ``environment`` is the environment-class digest of ``z``."""
+    charge.  ``environment`` is the environment-class digest of ``z``;
+    ``soundness_memo`` is passed to ``admissible``."""
     verdict = admissible(
-        tau, h, z, e, store, cfg, ledger=ledger, from_regime=from_regime, tick=tick, environment=environment
+        tau, h, z, e, store, cfg, ledger=ledger, from_regime=from_regime, tick=tick, environment=environment,
+        soundness_memo=soundness_memo,
     )
     facts = verdict.facts
     reuse = (
@@ -284,13 +287,23 @@ class StepResult:
 
 
 class Orchestrator:
-    """Owns the drift ledger and the lifts of the states it has seen across
-    steps; strictly sequential."""
+    """Owns the drift ledger and, across steps, the lifts and environment
+    classes of the states it has seen and the soundness of the graphs it
+    has screened; strictly sequential."""
 
     def __init__(self, cfg: OrchestratorConfig):
         self.cfg = cfg
         self.ledger = DriftLedger(bound=cfg.drift_bound)
         self.lifts: StateMemo = {}
+        self.environments: dict[tuple, str] = {}
+        self.soundness: SoundnessMemo = {}
+
+    def environment(self, z: SemanticState) -> str:
+        """The environment-class digest of ``z``, computed once per distinct
+        set of zone descriptors, the only part of ``z`` that it reads."""
+        if z.environment_descriptors not in self.environments:
+            self.environments[z.environment_descriptors] = environment_digest(z, self.cfg.schema)
+        return self.environments[z.environment_descriptors]
 
     def step(
         self, x: RawPlatformState, h: Hypothesis, e: Regime, store: MemoryStore
@@ -329,11 +342,12 @@ class Orchestrator:
 
         candidates = generate_candidates(h, z, cfg.grammar, registry)
         # Constant within the step; a step without candidates never reads it.
-        environment = environment_digest(z, cfg.schema) if candidates else ""
+        environment = self.environment(z) if candidates else ""
 
         def screen(tau: Transformation) -> tuple[CandidateTrace, Hypothesis]:
             verdict, reuse, breakdown = screen_candidate(
-                tau, h, z, e2, store, cfg, ledger=self.ledger, from_regime=e, tick=tick, environment=environment
+                tau, h, z, e2, store, cfg, ledger=self.ledger, from_regime=e, tick=tick, environment=environment,
+                soundness_memo=self.soundness,
             )
             facts = verdict.facts
             trace = CandidateTrace(tau, replace(verdict, facts=None), breakdown, reuse, facts.complexity)
@@ -485,7 +499,7 @@ def run(scenario, cfg: OrchestratorConfig, initial_store: MemoryStore | None = N
         raw, failures = scenario.patched(raw, tick)
         x = replace(raw, time=tick)
         if failures and cfg.flags.memory:
-            store = _record_failures(store, failures, h, x, e, cfg, orch.lifts)
+            store = _record_failures(store, failures, h, x, e, orch)
         result = orch.step(x, h, e, store)
         h, e, store = result.hypothesis, result.regime, result.store
         traces.append(result.trace)
@@ -498,14 +512,15 @@ def _record_failures(
     h: Hypothesis,
     x: RawPlatformState,
     e: Regime,
-    cfg: OrchestratorConfig,
-    lifts: StateMemo,
+    orch: Orchestrator,
 ) -> MemoryStore:
     """Turn scripted runtime failures into failure records implicating the
-    roles bound to the failing component; ``x`` is lifted through the
-    memo of the orchestrator that steps it next."""
+    roles bound to the failing component; ``x`` is lifted, and its
+    environment class digested, through ``orch``, the orchestrator that
+    steps it next."""
+    cfg = orch.cfg
     try:
-        z, _ = lift_state(x, cfg, lifts)
+        z, _ = lift_state(x, cfg, orch.lifts)
     except TypingError:
         return store
     for component_id, code in failures:
@@ -514,7 +529,7 @@ def _record_failures(
             continue
         signature = FailureSignature(
             regime_label=e.label,
-            environment_digest=environment_digest(z, cfg.schema),
+            environment_digest=orch.environment(z),
             motif=motif_from_hypothesis(h, sites),
             obligation_code=code,
         )

@@ -5,6 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from svcgov.canon import canonical_dumps
 
 from svcgov.certificates import CertContext, Certificate, Violation, environment_digest
 from svcgov.certify import (
@@ -22,7 +26,7 @@ from svcgov.certify import (
     structural_charge,
 )
 from svcgov.errors import ConfigError, UnknownSite
-from svcgov.evaluation import StructuralPrior, prior_complexity
+from svcgov.evaluation import BOUND_EPS, StructuralPrior, prior_complexity
 from svcgov.memory import (
     EMPTY_STORE,
     FailureSignature,
@@ -53,6 +57,10 @@ from conftest import (
     make_grammar,
     regime,
 )
+
+
+#: Charges with many digits, so that the order of float additions shows.
+FLOATS = st.floats(0.0, 3.0, allow_nan=False).map(lambda x: x / 7)
 
 
 def ctx(schema, z, label="base") -> CertContext:
@@ -417,6 +425,24 @@ class TestLedgerAndCapacityMeasure:
         empty = DriftLedger(bound=1.0).total
         assert empty == 0 and type(empty) is int
 
+    @given(charges=st.lists(st.tuples(FLOATS, FLOATS), max_size=12))
+    def test_carried_total_equals_the_left_to_right_sum(self, charges):
+        # the reference is the loop that ``total`` ran over every entry on
+        # every read; ``charged`` carries the total forward instead
+        ledger = DriftLedger(bound=7.5)
+        for i, (cost, residual) in enumerate(charges):
+            ledger = ledger.charged(LedgerEntry("a", "b" if i % 2 else "a", cost, residual))
+            expected = 0
+            for e in ledger.entries:
+                expected += e.cost + e.residual
+            direct = DriftLedger(bound=7.5, entries=ledger.entries)
+            assert ledger.total == direct.total == expected and type(ledger.total) is float
+            assert canonical_dumps(ledger.to_data()) == canonical_dumps(direct.to_data())
+            assert ledger == direct and ledger.valid == (expected <= 7.5 + BOUND_EPS)
+        if not charges:
+            assert ledger.total == 0 and type(ledger.total) is int
+            assert canonical_dumps(ledger.to_data()) == '{"bound":7.5,"entries":[],"total":0}'
+
     def test_capacity_measure_counts_distinct_digests(self, simple_h):
         assert capacity_measure([]) == 0
         assert capacity_measure([simple_h, simple_h]) == 1
@@ -440,12 +466,12 @@ class TestLedgerAndCapacityMeasure:
 # ---------------------------------------------------------------------------
 
 
-def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, environment):
+def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, environment, soundness_memo=None):
     """Each obligation's outcome computed the reference way: the public
     certifiers called one by one, each building its own facts, and the
     transport lookup where ``admissible`` consults memory.  The environment
-    digest is recomputed from ``z``; the one passed to ``admissible`` is
-    ignored."""
+    digest is recomputed from ``z`` and soundness judged afresh; the digest
+    and the soundness memo passed to ``admissible`` are ignored."""
     ledger = ledger if ledger is not None else DriftLedger(bound=cfg.drift_bound)
     from_regime = from_regime if from_regime is not None else e
     context = CertContext(e.label, environment_digest(z, cfg.schema))

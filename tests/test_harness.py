@@ -12,9 +12,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svcgov
 from svcgov import orchestrator
+from svcgov.certificates import environment_digest
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
 from svcgov.evaluation import detect_regime
 from svcgov.harness import baselines, bench
@@ -22,7 +25,7 @@ from svcgov.harness.cli import main as cli_main
 from svcgov.harness.demo import strict_extension
 from svcgov.harness.packs import pack_data, pack_dir, pack_scenario
 from svcgov.harness import scenario as scenario_module
-from svcgov.harness.scenario import config_from_data, load_scenario, scenario_from_data
+from svcgov.harness.scenario import ScenarioEvent, config_from_data, load_scenario, scenario_from_data
 from svcgov.model import semantic_lift
 from svcgov.orchestrator import DecisionTrace, lift_state, registry_from_state, replay, replay_deployments, run
 from svcgov.transform import UpdateConstraint, apply, variant_name
@@ -65,6 +68,14 @@ concept Interaction t:Ping
 }
 
 
+#: Patches of the retail pack's state; order matters between most pairs.
+RETAIL_PATCHES = [
+    ("zone+", "aisle2", "env:LoudAisle"), ("zone-", "aisle2", "env:LoudAisle"), ("bandwidth", "aisle2", 0.4),
+    ("bandwidth", "aisle2", 0.6), ("health", "speech_unit", "degraded"), ("health", "speech_unit", "ok"),
+    ("fail", "speech_unit", "runtime-failure"), ("fail", "route_unit", "runtime-failure"), ("deadline", 12),
+]
+
+
 class TestScenarioLoading:
     def test_minimal_one_tick_scenario_loads(self):
         scenario = scenario_from_data(MINIMAL_SCENARIO)
@@ -85,6 +96,24 @@ class TestScenarioLoading:
         ]
         with pytest.raises(ValidationError):
             scenario_from_data(data)
+
+    @given(script=st.lists(st.tuples(st.integers(0, 4), st.lists(st.sampled_from(RETAIL_PATCHES), max_size=3))))
+    @settings(max_examples=50, deadline=None)
+    def test_patched_reads_only_its_ticks_events_in_declaration_order(self, script):
+        # built directly, a scenario may declare several events per tick;
+        # the reference is the scan of every event that ``patched`` replaced
+        retail, _ = pack_scenario("retail", pack_data("retail"))
+        scenario = replace(retail, events=tuple(ScenarioEvent(tick, tuple(patches)) for tick, patches in script))
+        fast = slow = scenario.initial_state
+        for tick in range(6):
+            fast, fast_failures = scenario.patched(fast, tick)
+            failures = []
+            for event in scenario.events:
+                if event.tick == tick:
+                    for patch in event.patches:
+                        slow, failure = scenario_module._apply_patch(slow, patch)
+                        failures += [failure] if failure is not None else []
+            assert (fast, fast_failures) == (slow, failures)
 
     def test_unsound_initial_hypothesis_fails_validation(self):
         data = json.loads(json.dumps(MINIMAL_SCENARIO))
@@ -464,9 +493,9 @@ class TestScanMatchesItsReference:
         expected = reference_scan(scenario, cfg, traces)
         screened = []
 
-        def counting_oracle(*args):
+        def counting_oracle(*args, **kwargs):
             screened.append(args[-1].tick)
-            return oracle(*args)
+            return oracle(*args, **kwargs)
 
         oracle = bench._oracle
         monkeypatch.setattr(bench, "_oracle", counting_oracle)
@@ -500,6 +529,106 @@ class TestScanMatchesItsReference:
         assert dict(scenario.initial_state.request.params)["weight"] == (3.5, "kg")
         traces = run(scenario, cfg).traces
         assert bench.scan_run(scenario, cfg, traces) == reference_scan(scenario, cfg, traces)
+
+
+class TestHistoryFlatWork:
+    def test_soundness_is_judged_once_per_distinct_graph_per_run_and_per_scan(self, monkeypatch):
+        from svcgov import certify
+        from svcgov.model import type_soundness
+
+        scenario, cfg = cyclic_retail(cycles=10)
+        judged, read = [], []
+        judged_soundness = certify.judged_soundness
+
+        def counting(h, schema):
+            judged.append(h.digest())
+            return type_soundness(h, schema)
+
+        def checked(h, schema, memo=None):
+            report = judged_soundness(h, schema, memo)
+            assert report == type_soundness(h, schema)
+            read.append(memo is not None)
+            return report
+
+        monkeypatch.setattr(certify, "type_soundness", counting)
+        monkeypatch.setattr(certify, "judged_soundness", checked)
+        monkeypatch.setattr(bench, "judged_soundness", checked)
+        per_pass = []
+        for _ in range(2):  # a memo lives for one run and one scan, never longer
+            result = run(scenario, cfg)
+            in_run, judged[:] = list(judged), []
+            bench.scan_run(scenario, cfg, result.traces)
+            in_scan, judged[:] = list(judged), []
+            per_pass.append((in_run, in_scan))
+            for digests in (in_run, in_scan):
+                assert digests and len(digests) == len(set(digests))
+        assert per_pass[0] == per_pass[1]
+        assert all(read) and len(read) > 4 * sum(map(len, per_pass[0]))
+
+    def test_environment_digest_once_per_distinct_environment(self, monkeypatch):
+        # the digest reads only the lift's zone descriptors: the steps and
+        # the failure records of a run digest each distinct descriptor set
+        # once, although the states recur every cycle
+        scenario, cfg = cyclic_retail(cycles=4)
+        digested, lifted = [], []
+
+        def counting_digest(z, schema):
+            digested.append(z.environment_descriptors)
+            return environment_digest(z, schema)
+
+        def counting_lift(x, *args):
+            lifted.append(x)
+            return semantic_lift(x, *args)
+
+        monkeypatch.setattr(orchestrator, "environment_digest", counting_digest)
+        monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
+        result = run(scenario, cfg)
+        failed = [r.failure_signature for r in result.store.records if r.outcome == "failed"]
+        screened = [t for t in result.traces if t.candidates]
+        assert len(digested) == len(set(digested)) < len(lifted) < len(screened) + len(failed)
+        lifts = [semantic_lift(x, cfg.schema, cfg.assertions) for x in lifted]
+        certified = {c.context.environment_digest for t in screened for c in t.certificates}
+        assert failed and certified
+        assert {sig.environment_digest for sig in failed} | certified <= {environment_digest(z, cfg.schema) for z in lifts}
+
+    def test_work_per_candidate_does_not_grow_with_history(self, monkeypatch):
+        # the last six cycles (one period of the unit and deadline rotation)
+        # of a 10-cycle and a 40-cycle run screen the same candidates with the
+        # same motif checks and the same certificates handed to the transport
+        # rules, although the longer store holds four times the history
+        from svcgov import memory
+
+        counts = dict.fromkeys(("candidates", "motifs", "certificates"), 0)
+        matches, transport, admissible = memory.Motif.matches, memory._TransportTarget.transport, orchestrator.admissible
+
+        def counted(name, fn):
+            def counting(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counting
+
+        monkeypatch.setattr(orchestrator, "admissible", counted("candidates", admissible))
+        monkeypatch.setattr(memory.Motif, "matches", counted("motifs", matches))
+        monkeypatch.setattr(memory._TransportTarget, "transport", counted("certificates", transport))
+        step = orchestrator.Orchestrator.step
+        steps = []
+
+        def counting_step(*args):
+            before = dict(counts)
+            result = step(*args)
+            steps.append(tuple(counts[name] - before[name] for name in counts))
+            return result
+
+        monkeypatch.setattr(orchestrator.Orchestrator, "step", counting_step)
+        tails, records = [], []
+        for cycles in (10, 40):
+            scenario, cfg = cyclic_retail(cycles)
+            steps.clear()
+            records.append(len(run(scenario, cfg).store.records))
+            tails.append(steps[-36:])
+        assert tails[0] == tails[1]
+        assert sum(n for n, _, _ in tails[0]) > 0 and sum(m for _, m, _ in tails[0]) > 0
+        assert records[1] > 3 * records[0]
 
 
 class TestCompare:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from svcgov.canon import canonical_dumps
 from svcgov.certificates import CertContext, Certificate, CertRefusal, environment_digest
 from svcgov.errors import CorruptStore, MalformedRecord
+import svcgov.memory as memory_module
 from svcgov.memory import (
     EMPTY_STORE,
     TRANSPORTABLE_KINDS,
@@ -437,6 +438,172 @@ class TestFindTransportable:
         # measuring another subject reads the table, once per lookup
         assert find_transportable(store, "closure", g0, env, 1, "base") == other.as_transported(g0.digest(), 1)
         assert reads == [store]
+
+
+def linear_has_certificate(store, cert) -> bool:
+    """The log scan that the certificate index replaced."""
+    return cert in store.certificates or any(r.certificate == cert for r in store.records)
+
+
+def linear_match_failure(store, h, environment) -> list:
+    """The signature scan that the failure index replaced: every signature
+    in log order, its motif checked once per signature."""
+    return [s for s in store.failure_signatures() if s.environment_digest == environment and s.motif.matches(h)]
+
+
+def linear_reuse_score(store, h, e_label, environment, bonus, penalty) -> float:
+    """The record scan that the success index replaced."""
+    if not store.records:
+        return 0.0
+    score = 0.0
+    for rec in store.records:
+        if rec.outcome == "success" and rec.hypothesis_digest == h.digest() and rec.regime_label == e_label:
+            if rec.certificate is None or rec.certificate.context.environment_digest == environment:
+                score += bonus
+    for _ in linear_match_failure(store, h, environment):
+        score -= penalty
+    return score
+
+
+def linear_transport(store, cert, h2, environment, max_distance, regime_label):
+    if not linear_has_certificate(store, cert):
+        return CertRefusal("certificate is not present in the store")
+    return memory_module._TransportTarget(store, h2, environment, max_distance, regime_label).transport(cert)
+
+
+def linear_find_transportable(store, kind, h2, environment, max_distance, regime_label):
+    """The pool scan that the certificate index replaced: loose
+    certificates, then record certificates, each in log order."""
+    if kind not in TRANSPORTABLE_KINDS:
+        return None
+    target = memory_module._TransportTarget(store, h2, environment, max_distance, regime_label)
+    for cert in itertools.chain(store.certificates, (r.certificate for r in store.records)):
+        if cert is not None and cert.kind == kind:
+            if max_distance == 0 and cert.subject_digest != target.digest:
+                continue
+            moved = target.transport(cert)
+            if isinstance(moved, Certificate):
+                return moved
+    return None
+
+
+def failure_motifs():
+    """Overlapping motifs: the first two occur in ``simple_h``, the second
+    and third in the graphs with ``ua1`` at r1."""
+    return [
+        Motif.build({"s": cid("t:UnitA")}),
+        Motif.build({"a": cid("t:UnitB")}),
+        Motif.build({"s": cid("t:UnitA1"), "t": cid("t:UnitB")}, [("s", "t")]),
+    ]
+
+
+#: One drawn append: the store it grows (an index into the stores built so
+#: far, counted back from the newest, so that 0 is a linear append and any
+#: other value a branching one), the record's outcome, regime, subject
+#: graph, environment class and motif, whether it carries a certificate
+#: (and which), whether its graph is recorded, and the loose certificates.
+APPENDS = st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(["success", "success", "degraded", "failed", "failed"]),
+    st.sampled_from(["base", "noisy"]),
+    st.integers(0, 3),
+    st.sampled_from(["quiet", "loud"]),
+    st.integers(0, 2),
+    st.one_of(st.none(), CERT_SPECS),
+    st.booleans(),
+    st.lists(CERT_SPECS, max_size=2),
+)
+
+
+class TestIndexedReadsEqualTheLinearScans:
+    @given(appends=st.lists(APPENDS, min_size=1, max_size=10), loaded=st.booleans())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_append_sequences(self, tmp_path, simple_h, appends, loaded):
+        graphs = transport_graphs(simple_h)
+        subjects = [g.digest() for g in graphs] + ["0" * 64]  # the last is in no store
+        motifs = failure_motifs()
+
+        def cert(spec, env):
+            kind, regime, env_matches, subject, tick = spec
+            context = CertContext(regime, env if env_matches else "elsewhere")
+            return Certificate(kind, subjects[subject], context, (("ok", True),), tick)
+
+        stores = [EMPTY_STORE]
+        for back, outcome, regime, graph, env, motif, cert_spec, with_graph, loose in appends:
+            parent = stores[max(0, len(stores) - 1 - back)]
+            sig = FailureSignature(regime, env, motifs[motif], "runtime-failure") if outcome == "failed" else None
+            certificate = None if cert_spec is None else cert(cert_spec, env)
+            rec = MemoryRecord(regime, graphs[graph].digest(), certificate, outcome, sig)
+            loose_certs = [cert(spec, env) for spec in loose]
+            stores.append(record(parent, rec, graph=graphs[graph] if with_graph else None, certificates=loose_certs))
+        if loaded:  # a store read back from disk indexes its tuples on first read
+            persist(stores[-1], tmp_path / "a.store")
+            stores[-1] = load(tmp_path / "a.store")
+            persist(stores[-1], tmp_path / "b.store")
+            assert (tmp_path / "a.store").read_bytes() == (tmp_path / "b.store").read_bytes()
+
+        # every store is read after the last append, so a branching append
+        # that changed its parent's index would show here
+        for store in stores:
+            twin = MemoryStore(store.records, store.graphs, store.certificates)  # indexed from its tuples
+            pool = list(store.certificates) + [r.certificate for r in store.records if r.certificate]
+            outsider = Certificate("closure", subjects[0], CertContext("base", "quiet"), (("ok", False),), 9)
+            for target in graphs:
+                for env in ("quiet", "loud"):
+                    matched = linear_match_failure(store, target, env)
+                    assert match_failure(store, target, env) == match_failure(twin, target, env) == matched
+                    for regime in ("base", "noisy"):
+                        expected = linear_reuse_score(store, target, regime, env, 1.5, 0.7)
+                        assert reuse_score(store, target, regime, env, 1.5, 0.7) == expected
+                        assert reuse_score(twin, target, regime, env, 1.5, 0.7) == expected
+                        for distance in (0, 2):
+                            for kind in ("closure", "capacity", "stability"):
+                                args = (kind, target, env, distance, regime)
+                                expected = linear_find_transportable(store, *args)
+                                assert find_transportable(store, *args) == expected
+                                assert find_transportable(twin, *args) == expected
+                            for c in pool[:4] + [outsider]:
+                                args = (c, target, env, distance, regime)
+                                assert transport_certificate(store, *args) == linear_transport(store, *args)
+            for c in pool + [outsider]:
+                assert store.has_certificate(c) == twin.has_certificate(c) == linear_has_certificate(store, c)
+
+    def test_signatures_keep_log_order_and_duplicates(self, schema, z, simple_h):
+        # two motifs, both in ``simple_h``, recorded alternately: the matched
+        # signatures interleave in log order, each match counted
+        first, second, _ = failure_motifs()
+        env = environment_digest(z, schema)
+        store = EMPTY_STORE
+        for motif in (first, second, first, first, second):
+            store = record(store, MemoryRecord("base", simple_h.digest(), None, "failed", failure(z, schema, motif)))
+        matched = match_failure(store, simple_h, env)
+        assert [sig.motif for sig in matched] == [first, second, first, first, second]
+        assert matched == linear_match_failure(store, simple_h, env)
+        assert reuse_score(store, simple_h, "base", env, penalty=2.0) == -10.0
+
+    def test_each_distinct_motif_is_checked_once_per_call(self, schema, z, simple_h, monkeypatch):
+        first, second, third = failure_motifs()
+        store = EMPTY_STORE
+        for motif in (first, second, third) * 4:
+            store = record(store, MemoryRecord("base", simple_h.digest(), None, "failed", failure(z, schema, motif)))
+        checked = []
+        matches = Motif.matches
+        monkeypatch.setattr(Motif, "matches", lambda motif, h: checked.append(motif) or matches(motif, h))
+        assert len(match_failure(store, simple_h, environment_digest(z, schema))) == 8
+        assert sorted(map(repr, checked)) == sorted(map(repr, (first, second, third)))
+
+    def test_an_older_store_keeps_its_index(self, schema, z, simple_h):
+        cert = make_cert("closure", simple_h.digest(), z, schema)
+        env = environment_digest(z, schema)
+        base = record(EMPTY_STORE, MemoryRecord("base", simple_h.digest(), None, "success", None))
+        index = dict(base.index())
+        grown = record(base, MemoryRecord("base", simple_h.digest(), cert, "success", None), certificates=(cert,))
+        branch = record(base, MemoryRecord("noisy", simple_h.digest(), None, "success", None))
+        assert base.index() == index and base.index() is not grown.index()
+        assert find_transportable(base, "closure", simple_h, env, 0, "base") is None
+        assert find_transportable(grown, "closure", simple_h, env, 0, "base") == cert.as_transported(simple_h.digest(), 0)
+        assert find_transportable(branch, "closure", simple_h, env, 0, "base") is None
+        assert [reuse_score(s, simple_h, "base", env) for s in (base, grown, branch)] == [1.0, 2.0, 1.0]
 
 
 class TestQuarantine:

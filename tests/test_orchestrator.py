@@ -221,7 +221,7 @@ class TestStateMemo:
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
         e = cfg.default_regime()
         refused = orchestrator._record_failures(
-            EMPTY_STORE, [("ghost", "runtime-failure")], simple_h, replace(raw, time=1), e, cfg, orch.lifts
+            EMPTY_STORE, [("ghost", "runtime-failure")], simple_h, replace(raw, time=1), e, orch
         )
         assert refused is EMPTY_STORE
         first, again = (orch.step(replace(raw, time=t), simple_h, e, EMPTY_STORE).trace for t in (1, 2))
