@@ -79,25 +79,27 @@ class DriftLedger:
 
     bound: float
     entries: tuple[LedgerEntry, ...] = ()
-    #: Charges added left to right from the integer 0, as sum() did before
-    #: Python 3.12 compensated float rounding, so the traced total is the same
-    #: on every version (an empty ledger totals 0); ``charged`` carries it.
-    total: float = field(default=None, repr=False, compare=False, kw_only=True)
+    _total: float | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.total is None:
+    @property
+    def total(self) -> float:
+        # entries added left to right from the integer 0, as sum() did before
+        # Python 3.12 compensated float rounding; ``charged`` carries it on
+        if self._total is None:
             total = 0
             for e in self.entries:
                 total += e.cost + e.residual
-            object.__setattr__(self, "total", total)
+            object.__setattr__(self, "_total", total)
+        return self._total
 
     @property
     def valid(self) -> bool:
         return self.total <= self.bound + BOUND_EPS
 
     def charged(self, entry: LedgerEntry) -> "DriftLedger":
-        total = self.total + (entry.cost + entry.residual)
-        return DriftLedger(bound=self.bound, entries=self.entries + (entry,), total=total)
+        grown = DriftLedger(bound=self.bound, entries=self.entries + (entry,))
+        object.__setattr__(grown, "_total", self.total + (entry.cost + entry.residual))
+        return grown
 
     def to_data(self) -> dict:
         return {"bound": self.bound, "total": self.total, "entries": [e.to_data() for e in self.entries]}
@@ -601,11 +603,10 @@ class AdmissibilityVerdict:
 
 
 def _candidate_facts(
-    h2: Hypothesis, h: Hypothesis, z: SemanticState, cfg: "OrchestratorConfig", soundness_memo: SoundnessMemo | None
+    h2: Hypothesis, h: Hypothesis, z: SemanticState, cfg: "OrchestratorConfig", memo: SoundnessMemo | None
 ) -> CandidateFacts:
     return CandidateFacts(
-        h2, h=h, z=z, schema=cfg.schema, core=cfg.core, prior=cfg.prior, model=cfg.switch_model,
-        soundness_memo=soundness_memo,
+        h2, h=h, z=z, schema=cfg.schema, core=cfg.core, prior=cfg.prior, model=cfg.switch_model, soundness_memo=memo
     )
 
 
@@ -629,11 +630,11 @@ def admissible(
     ``e`` is the destination regime; ``from_regime`` defaults to it when
     no switch is in flight.  ``environment`` is the environment-class
     digest of ``z``; a caller that screens several candidates under one
-    ``z`` computes it once and passes it, and may pass one
-    ``soundness_memo`` to all its calls.  The returned ledger reflects the
-    stability charge and is adopted by the caller only if the candidate
-    deploys.  The verdict's ``facts`` describe the transformed
-    configuration, or ``h`` itself when ``tau`` is not applicable."""
+    ``z`` computes it once and passes it, as it may one ``soundness_memo``.
+    The returned ledger reflects the stability charge and is adopted by the
+    caller only if the candidate deploys.  The verdict's ``facts`` describe
+    the transformed configuration, or ``h`` itself when ``tau`` is not
+    applicable."""
     flags = cfg.flags
     if ledger is None:
         ledger = DriftLedger(bound=cfg.drift_bound)

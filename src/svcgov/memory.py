@@ -247,7 +247,8 @@ def record(
         i = bisect_left(graphs, (rec.hypothesis_digest,))
         if i == len(graphs) or graphs[i][0] != rec.hypothesis_digest:
             graphs = graphs[:i] + ((rec.hypothesis_digest, graph),) + graphs[i:]
-    grown = MemoryStore(store.records + (rec,), graphs, store.certificates + tuple(certificates))
+    certificates = tuple(certificates)
+    grown = MemoryStore(store.records + (rec,), graphs, store.certificates + certificates)
     object.__setattr__(grown, "_index", _extended(store.index(), (rec,), len(store.records), certificates))
     return grown
 

@@ -197,13 +197,12 @@ def screen_candidate(
     from_regime: Regime,
     tick: int,
     environment: str,
-    soundness_memo: SoundnessMemo | None = None,
+    soundness_memo: SoundnessMemo,
 ) -> tuple[AdmissibilityVerdict, float, ScoreBreakdown]:
     """Screen one candidate and score the configuration it reaches: the
     verdict (with its ``facts``), the reuse term read from ``store`` (0
     with the memory gate off) and the regime score charged the A2 switching
-    charge.  ``environment`` is the environment-class digest of ``z``;
-    ``soundness_memo`` is passed to ``admissible``."""
+    charge.  ``environment`` is the environment-class digest of ``z``."""
     verdict = admissible(
         tau, h, z, e, store, cfg, ledger=ledger, from_regime=from_regime, tick=tick, environment=environment,
         soundness_memo=soundness_memo,
@@ -288,8 +287,7 @@ class StepResult:
 
 class Orchestrator:
     """Owns the drift ledger and, across steps, the lifts and environment
-    classes of the states it has seen and the soundness of the graphs it
-    has screened; strictly sequential."""
+    classes of the states and the soundness of the graphs it has seen."""
 
     def __init__(self, cfg: OrchestratorConfig):
         self.cfg = cfg

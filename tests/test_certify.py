@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -442,6 +443,15 @@ class TestLedgerAndCapacityMeasure:
         if not charges:
             assert ledger.total == 0 and type(ledger.total) is int
             assert canonical_dumps(ledger.to_data()) == '{"bound":7.5,"entries":[],"total":0}'
+
+    def test_total_always_follows_the_entries(self):
+        # the total is derived: no constructor argument sets it, and a
+        # replaced ledger sums its own entries
+        charged = DriftLedger(bound=1.0).charged(LedgerEntry("a", "b", cost=2.0, residual=0.0))
+        with pytest.raises(TypeError):
+            DriftLedger(bound=1.0, entries=charged.entries, total=0.0)
+        assert not charged.valid
+        assert dataclasses.replace(charged, entries=()).total == 0
 
     def test_capacity_measure_counts_distinct_digests(self, simple_h):
         assert capacity_measure([]) == 0

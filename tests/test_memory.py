@@ -604,6 +604,10 @@ class TestIndexedReadsEqualTheLinearScans:
         assert find_transportable(grown, "closure", simple_h, env, 0, "base") == cert.as_transported(simple_h.digest(), 0)
         assert find_transportable(branch, "closure", simple_h, env, 0, "base") is None
         assert [reuse_score(s, simple_h, "base", env) for s in (base, grown, branch)] == [1.0, 2.0, 1.0]
+        # certificates may arrive as any iterable, read once
+        loose = record(base, MemoryRecord("base", simple_h.digest(), None, "success", None), certificates=iter((cert,)))
+        assert loose.certificates == (cert,) and loose.has_certificate(cert)
+        assert find_transportable(loose, "closure", simple_h, env, 0, "base") == cert.as_transported(simple_h.digest(), 0)
 
 
 class TestQuarantine:
