@@ -53,7 +53,7 @@ from .transform import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .orchestrator import OrchestratorConfig
+    from .orchestrator import OrchestratorConfig, RunMemo
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +194,6 @@ def structural_charge(h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel) -
 # Candidate facts
 # ---------------------------------------------------------------------------
 
-#: Type-soundness reports by graph digest, for one orchestrator or one scan.
-SoundnessMemo = dict[str, SoundnessReport]
-
-
-def judged_soundness(h: Hypothesis, schema: OntologySchema, memo: SoundnessMemo | None = None) -> SoundnessReport:
-    """``type_soundness(h, schema)``, judged once per graph digest ``memo`` keeps, or afresh without one."""
-    if memo is None:
-        return type_soundness(h, schema)
-    report = memo.get(h.digest())
-    if report is None:
-        report = memo[h.digest()] = type_soundness(h, schema)
-    return report
-
-
 @dataclass(eq=False)
 class CandidateFacts:
     """The configuration ``h2`` that a candidate reaches from ``h`` under
@@ -226,11 +212,13 @@ class CandidateFacts:
     core: InvariantCore | None = None
     prior: StructuralPrior | None = None
     model: RegimeSwitchModel | None = None
-    soundness_memo: SoundnessMemo | None = None
+    memo: "RunMemo | None" = None
 
     @cached_property
     def soundness(self) -> SoundnessReport:
-        return judged_soundness(self.h2, self.schema, self.soundness_memo)
+        if self.memo is not None:
+            return self.memo.soundness(self.h2)
+        return type_soundness(self.h2, self.schema)
 
     @cached_property
     def commitments(self) -> tuple:
@@ -603,10 +591,10 @@ class AdmissibilityVerdict:
 
 
 def _candidate_facts(
-    h2: Hypothesis, h: Hypothesis, z: SemanticState, cfg: "OrchestratorConfig", memo: SoundnessMemo | None
+    h2: Hypothesis, h: Hypothesis, z: SemanticState, cfg: "OrchestratorConfig", memo: "RunMemo | None"
 ) -> CandidateFacts:
     return CandidateFacts(
-        h2, h=h, z=z, schema=cfg.schema, core=cfg.core, prior=cfg.prior, model=cfg.switch_model, soundness_memo=memo
+        h2, h=h, z=z, schema=cfg.schema, core=cfg.core, prior=cfg.prior, model=cfg.switch_model, memo=memo
     )
 
 
@@ -620,28 +608,29 @@ def admissible(
     ledger: DriftLedger | None = None,
     from_regime: Regime | None = None,
     tick: int = 0,
-    environment: str | None = None,
-    soundness_memo: SoundnessMemo | None = None,
+    memo: "RunMemo | None" = None,
 ) -> AdmissibilityVerdict:
     """Run all four certifiers (plus the substitution certifier for
     substitution-class transformations) and aggregate.  ``tau`` is applied
     once, and every obligation reads the same candidate facts.
 
     ``e`` is the destination regime; ``from_regime`` defaults to it when
-    no switch is in flight.  ``environment`` is the environment-class
-    digest of ``z``; a caller that screens several candidates under one
-    ``z`` computes it once and passes it, as it may one ``soundness_memo``.
+    no switch is in flight.  A caller that screens many candidates passes
+    the ``memo`` of its run or scan, which must be built on ``cfg``: the
+    environment class of ``z`` and the soundness of each graph are then
+    read through it, and without one they are digested and judged afresh.
     The returned ledger reflects the stability charge and is adopted by the
     caller only if the candidate deploys.  The verdict's ``facts`` describe
     the transformed configuration, or ``h`` itself when ``tau`` is not
     applicable."""
+    if memo is not None and memo.cfg is not cfg:
+        raise ConfigError("the memo passed to admissible is built on another config")
     flags = cfg.flags
     if ledger is None:
         ledger = DriftLedger(bound=cfg.drift_bound)
     if from_regime is None:
         from_regime = e
-    if environment is None:
-        environment = environment_digest(z, cfg.schema)
+    environment = memo.environment(z) if memo is not None else environment_digest(z, cfg.schema)
     context = CertContext(e.label, environment)
     effective_store = store if flags.memory else EMPTY_STORE
 
@@ -665,9 +654,9 @@ def admissible(
             before_digest=h.digest(),
             after_digest="",
             error=str(exc),
-            facts=_candidate_facts(h, h, z, cfg, soundness_memo),
+            facts=_candidate_facts(h, h, z, cfg, memo),
         )
-    facts = _candidate_facts(h2, h, z, cfg, soundness_memo)
+    facts = _candidate_facts(h2, h, z, cfg, memo)
 
     # a closure or capacity certificate transported from memory stands in
     # for computing that obligation afresh
@@ -700,7 +689,7 @@ def admissible(
                 site_facts = facts
             else:
                 substituted = _substituted(h, sites, current, tau.new_component)
-                site_facts = _candidate_facts(substituted, h, z, cfg, soundness_memo)
+                site_facts = _candidate_facts(substituted, h, z, cfg, memo)
             outcome = _substitution(
                 current, tau.new_component, sites, site_facts, effective_store, e, context, tick
             )

@@ -32,8 +32,7 @@ from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from ..certificates import environment_digest
-from ..certify import CandidateFacts, DriftLedger, SoundnessMemo, judged_soundness
+from ..certify import CandidateFacts, DriftLedger
 from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, integer, keyed, number, read, text
@@ -41,6 +40,7 @@ from ..memory import EMPTY_STORE, MemoryStore
 from ..orchestrator import (
     DecisionTrace,
     OrchestratorConfig,
+    RunMemo,
     replay,
     run,
     screen_candidate,
@@ -66,14 +66,26 @@ class MetricsReport:
     certificate_reuse_gain: float
     structural_regret: float
     deployments: int
-    runs: int
 
     def __post_init__(self) -> None:
+        """Refuse what ``run_benchmark`` cannot report: a rate outside
+        [0, 1], a negative metric or count, or an empty or repeated seed
+        list."""
         for rate in (self.identity_preservation_rate, self.safe_reconfiguration_rate):
             if not (0.0 <= rate <= 1.0):
                 raise ParseError([f"rates must lie in [0, 1], got {rate}"])
-        if self.structural_regret < 0:
-            raise ParseError(["structural regret must be nonnegative"])
+        values = {**self.metric_values(), "deployments": self.deployments}
+        if negative := [f"{name} must be nonnegative, got {value}" for name, value in values.items() if value < 0]:
+            raise ParseError(negative)
+        if not self.seeds:
+            raise ParseError(["at least one seed is required"])
+        if twice := repeated(self.seeds):
+            raise ParseError([f"seeds named more than once: {', '.join(map(str, twice))}"])
+
+    @property
+    def runs(self) -> int:
+        """One run per seed."""
+        return len(self.seeds)
 
     def metric_values(self) -> dict[str, float]:
         return {
@@ -99,7 +111,10 @@ class MetricsReport:
         r = Fields(data)
         head = r.get("family", text), r.get("subject", text), r.get("seeds", array(integer))
         metrics = r.get("metrics", keyed(number, *METRIC_DIRECTIONS)) or ()
-        return r.build(cls, *head, *metrics, r.get("deployments", integer, 0), r.get("runs", integer, 0))
+        runs, seeds = r.get("runs", integer), head[2]
+        if None not in (runs, seeds) and runs != len(seeds):
+            r.refuse(("runs",), f"must equal the number of seeds, {len(seeds)}, got {runs}")
+        return r.build(cls, *head, *metrics, r.get("deployments", integer, 0))
 
 
 #: metric name -> True when higher is better
@@ -144,15 +159,15 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     ingredient against the full governance law (``cfg`` must carry full
     gates).  The deployed candidate's metrics are read from the oracle's
     screening of it, never from the run's own verdicts.  Each distinct
-    replayed state is screened once per scan, and each distinct graph's
-    soundness judged once."""
+    replayed state is screened once per scan, and one ``RunMemo`` serves
+    every oracle call of the scan."""
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = 0.0
     regret = 0.0
     exhaustive_grammar = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
     scores: dict[tuple, TickScore] = {}
-    soundness: SoundnessMemo = {}
+    memo = RunMemo(cfg)
 
     for trace, x, z, registry, h_before, _ in replay(scenario, cfg, traces):
         e_true = detect_regime(cfg.regimes, z)
@@ -170,9 +185,7 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
         key = (x.components, z, h_before.digest(), e_true.label, from_true.label, deployed_key)
         score = scores.get(key)
         if score is None:
-            score = scores[key] = _oracle(
-                cfg, exhaustive_grammar, registry, z, h_before, e_true, from_true, trace, soundness_memo=soundness
-            )
+            score = scores[key] = _oracle(memo, exhaustive_grammar, registry, z, h_before, e_true, from_true, trace)
         best, achieved, deployed = score
         if deployed is not None:
             identity, core_passed, charge = deployed
@@ -196,25 +209,25 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     )
 
 
-def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace, soundness_memo=None) -> TickScore:
+def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> TickScore:
     """Screen in hindsight every grammar candidate, plus the fallback, with
     full gates and memory-neutral scoring (an empty store).  A deployed
     candidate outside that list is screened the same way but never counts
     toward the best.  When the trace deployed nothing, the score achieved
     is that of keeping ``h_before``.  ``registry`` is the component
-    registry of the tick's raw state; every soundness judgement reads
-    ``soundness_memo``."""
+    registry of the tick's raw state; the screening reads ``memo.cfg`` and
+    reads the environment class and every soundness judgement through
+    ``memo``."""
+    cfg = memo.cfg
     candidates = generate_candidates(h_before, z, grammar, registry)
     if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
         candidates = candidates + [cfg.fallback]
 
-    environment = environment_digest(z, cfg.schema)
     ledger = DriftLedger(bound=cfg.drift_bound)
 
     def screen(tau):
         verdict, _, breakdown = screen_candidate(
-            tau, h_before, z, e_true, EMPTY_STORE, cfg, ledger=ledger, from_regime=from_true, tick=trace.tick,
-            environment=environment, soundness_memo=soundness_memo,
+            tau, h_before, z, e_true, EMPTY_STORE, memo, ledger, from_true, trace.tick
         )
         return verdict, breakdown.total
 
@@ -235,7 +248,7 @@ def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace, sound
         return TickScore(best, achieved, (facts.identity.total, facts.core_report.passed, facts.charge))
     if best is None:
         return TickScore(None, None, None)
-    kept = evaluate(e_true, h_before, z, 0.0, judged_soundness(h_before, cfg.schema, soundness_memo))
+    kept = evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before))
     return TickScore(best, kept.total, None)
 
 
@@ -389,12 +402,10 @@ def run_benchmark(family: str, subject: str, seeds: Sequence[int]) -> MetricsRep
     transported_total = 0
     regret_total = 0.0
     degradation = 0.0
-    runs_count = 0
 
     for seed in seeds:
         scenario, cfg_full, store0 = generator(seed)
         cfg = baselines.configure(cfg_full, subject)
-        runs_count += 1
         try:
             result = run(scenario, cfg, store0)
             scan = scan_run(scenario, cfg_full, result.traces)
@@ -414,12 +425,11 @@ def run_benchmark(family: str, subject: str, seeds: Sequence[int]) -> MetricsRep
         subject=subject,
         seeds=tuple(seeds),
         identity_preservation_rate=(identity_ok / deployments) if deployments else 1.0,
-        safe_reconfiguration_rate=1.0 - violations_runs / runs_count,
+        safe_reconfiguration_rate=1.0 - violations_runs / len(seeds),
         bounded_degradation=degradation,
-        certificate_reuse_gain=transported_total / runs_count,
-        structural_regret=regret_total / runs_count,
+        certificate_reuse_gain=transported_total / len(seeds),
+        structural_regret=regret_total / len(seeds),
         deployments=deployments,
-        runs=runs_count,
     )
 
 

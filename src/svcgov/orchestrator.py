@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .canon import canonical_dumps
 from .certificates import CertContext, Certificate, environment_digest
-from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, SoundnessMemo, admissible
+from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, admissible
 from .errors import ConfigError, TypingError
 from .evaluation import (
     InvariantCore,
@@ -46,7 +46,9 @@ from .model import (
     Hypothesis,
     RawPlatformState,
     SemanticState,
+    SoundnessReport,
     semantic_lift,
+    type_soundness,
 )
 from .ontology import AssertionBase, OntologySchema
 from .transform import (
@@ -165,25 +167,42 @@ def registry_from_state(
     return tuple(sorted(out, key=lambda c: c.component_id))
 
 
-#: Lifts and registries by the raw state's field values, its time read only
-#: as whether the tick is 0.
-StateMemo = dict[tuple, tuple[SemanticState, tuple[Component, ...]]]
-
-
-def lift_state(
-    x: RawPlatformState, cfg: OrchestratorConfig, memo: StateMemo
-) -> tuple[SemanticState, tuple[Component, ...]]:
-    """The semantic lift of ``x`` and its component registry, each computed
-    once per distinct state held by ``memo``.  Between events only the time
-    changes, and the lift reads the time only to tell tick 0 (phase
-    ``requested``) from later ticks (``active``).  A state that raises
+class RunMemo:
+    """What one run or one scan has worked out, each value computed once per
+    key: ``lift(x)``, the semantic lift and component registry of a raw
+    state, keyed by its fields with the time read only as whether the tick
+    is 0 (the lift reads it only to tell phase ``requested`` from
+    ``active``); ``environment(z)``, the environment-class digest, keyed by
+    the zone descriptors, all of ``z`` that it reads; ``soundness(h)``, the
+    type-soundness report, keyed by the graph digest.  A state that raises
     ``TypingError`` is not kept, so it raises again where it recurs."""
-    key = tuple({**vars(x), "time": x.time == 0}.values())
-    lifted = memo.get(key)
-    if lifted is None:
-        z = semantic_lift(x, cfg.schema, cfg.assertions)
-        lifted = memo[key] = z, registry_from_state(x, cfg.assertions, cfg.schema)
-    return lifted
+
+    def __init__(self, cfg: OrchestratorConfig):
+        self.cfg = cfg
+        self._lifts: dict[tuple, tuple[SemanticState, tuple[Component, ...]]] = {}
+        self._environments: dict[tuple, str] = {}
+        self._soundness: dict[str, SoundnessReport] = {}
+
+    def lift(self, x: RawPlatformState) -> tuple[SemanticState, tuple[Component, ...]]:
+        key = tuple({**vars(x), "time": x.time == 0}.values())
+        lifted = self._lifts.get(key)
+        if lifted is None:
+            z = semantic_lift(x, self.cfg.schema, self.cfg.assertions)
+            lifted = self._lifts[key] = z, registry_from_state(x, self.cfg.assertions, self.cfg.schema)
+        return lifted
+
+    def environment(self, z: SemanticState) -> str:
+        digest = self._environments.get(z.environment_descriptors)
+        if digest is None:
+            digest = self._environments[z.environment_descriptors] = environment_digest(z, self.cfg.schema)
+        return digest
+
+    def soundness(self, h: Hypothesis) -> SoundnessReport:
+        key = h.digest()
+        report = self._soundness.get(key)
+        if report is None:
+            report = self._soundness[key] = type_soundness(h, self.cfg.schema)
+        return report
 
 
 def screen_candidate(
@@ -192,24 +211,21 @@ def screen_candidate(
     z: SemanticState,
     e: Regime,
     store: MemoryStore,
-    cfg: OrchestratorConfig,
+    memo: RunMemo,
     ledger: DriftLedger,
     from_regime: Regime,
     tick: int,
-    environment: str,
-    soundness_memo: SoundnessMemo,
 ) -> tuple[AdmissibilityVerdict, float, ScoreBreakdown]:
-    """Screen one candidate and score the configuration it reaches: the
-    verdict (with its ``facts``), the reuse term read from ``store`` (0
-    with the memory gate off) and the regime score charged the A2 switching
-    charge.  ``environment`` is the environment-class digest of ``z``."""
-    verdict = admissible(
-        tau, h, z, e, store, cfg, ledger=ledger, from_regime=from_regime, tick=tick, environment=environment,
-        soundness_memo=soundness_memo,
-    )
+    """Screen one candidate under ``memo.cfg`` and score the configuration
+    it reaches: the verdict (with its ``facts``), the reuse term read from
+    ``store`` (0 with the memory gate off) and the regime score charged the
+    A2 switching charge.  The environment class of ``z`` and the soundness
+    of each graph are read through ``memo``."""
+    cfg = memo.cfg
+    verdict = admissible(tau, h, z, e, store, cfg, ledger=ledger, from_regime=from_regime, tick=tick, memo=memo)
     facts = verdict.facts
     reuse = (
-        reuse_score(store, facts.h2, e.label, environment, cfg.reuse_bonus, cfg.reuse_penalty)
+        reuse_score(store, facts.h2, e.label, memo.environment(z), cfg.reuse_bonus, cfg.reuse_penalty)
         if cfg.flags.memory
         else 0.0
     )
@@ -286,22 +302,12 @@ class StepResult:
 
 
 class Orchestrator:
-    """Owns the drift ledger and, across steps, the lifts and environment
-    classes of the states and the soundness of the graphs it has seen."""
+    """Owns the drift ledger and, across steps, the ``RunMemo`` of its run."""
 
     def __init__(self, cfg: OrchestratorConfig):
         self.cfg = cfg
         self.ledger = DriftLedger(bound=cfg.drift_bound)
-        self.lifts: StateMemo = {}
-        self.environments: dict[tuple, str] = {}
-        self.soundness: SoundnessMemo = {}
-
-    def environment(self, z: SemanticState) -> str:
-        """The environment-class digest of ``z``, computed once per distinct
-        set of zone descriptors, the only part of ``z`` that it reads."""
-        if z.environment_descriptors not in self.environments:
-            self.environments[z.environment_descriptors] = environment_digest(z, self.cfg.schema)
-        return self.environments[z.environment_descriptors]
+        self.memo = RunMemo(cfg)
 
     def step(
         self, x: RawPlatformState, h: Hypothesis, e: Regime, store: MemoryStore
@@ -309,7 +315,7 @@ class Orchestrator:
         cfg = self.cfg
         tick = x.time
         try:
-            z, registry = lift_state(x, cfg, self.lifts)
+            z, registry = self.memo.lift(x)
         except TypingError as exc:
             trace = DecisionTrace(
                 tick=tick,
@@ -339,14 +345,9 @@ class Orchestrator:
                 h = apply(UpdateConstraint(name, bound, rationale="regime-entry"), h)
 
         candidates = generate_candidates(h, z, cfg.grammar, registry)
-        # Constant within the step; a step without candidates never reads it.
-        environment = self.environment(z) if candidates else ""
 
         def screen(tau: Transformation) -> tuple[CandidateTrace, Hypothesis]:
-            verdict, reuse, breakdown = screen_candidate(
-                tau, h, z, e2, store, cfg, ledger=self.ledger, from_regime=e, tick=tick, environment=environment,
-                soundness_memo=self.soundness,
-            )
+            verdict, reuse, breakdown = screen_candidate(tau, h, z, e2, store, self.memo, self.ledger, e, tick)
             facts = verdict.facts
             trace = CandidateTrace(tau, replace(verdict, facts=None), breakdown, reuse, facts.complexity)
             return trace, facts.h2  # h itself when tau was not applicable
@@ -394,7 +395,7 @@ class Orchestrator:
             certificates = choice.verdict.certificates
 
         if selected is not None and cfg.flags.memory:
-            context = CertContext(e2.label, environment)
+            context = CertContext(e2.label, self.memo.environment(z))
             composite = Certificate(
                 kind="composite",
                 subject_digest=deployed.digest(),
@@ -497,7 +498,7 @@ def run(scenario, cfg: OrchestratorConfig, initial_store: MemoryStore | None = N
         raw, failures = scenario.patched(raw, tick)
         x = replace(raw, time=tick)
         if failures and cfg.flags.memory:
-            store = _record_failures(store, failures, h, x, e, orch)
+            store = _record_failures(store, failures, h, x, e, orch.memo)
         result = orch.step(x, h, e, store)
         h, e, store = result.hypothesis, result.regime, result.store
         traces.append(result.trace)
@@ -510,15 +511,14 @@ def _record_failures(
     h: Hypothesis,
     x: RawPlatformState,
     e: Regime,
-    orch: Orchestrator,
+    memo: RunMemo,
 ) -> MemoryStore:
     """Turn scripted runtime failures into failure records implicating the
     roles bound to the failing component; ``x`` is lifted, and its
-    environment class digested, through ``orch``, the orchestrator that
+    environment class digested, through ``memo``, the memo of the run that
     steps it next."""
-    cfg = orch.cfg
     try:
-        z, _ = lift_state(x, cfg, orch.lifts)
+        z, _ = memo.lift(x)
     except TypingError:
         return store
     for component_id, code in failures:
@@ -527,7 +527,7 @@ def _record_failures(
             continue
         signature = FailureSignature(
             regime_label=e.label,
-            environment_digest=orch.environment(z),
+            environment_digest=memo.environment(z),
             motif=motif_from_hypothesis(h, sites),
             obligation_code=code,
         )
@@ -553,15 +553,14 @@ def replay(
     its tick, its semantic lift ``z`` and component registry, the
     hypothesis after the trace's regime rewrites (``h_before``) and the
     deployed one (``h_after``); raises if a trace does not replay to its
-    deployed digest.  Each distinct raw state is lifted once per replay
-    (``lift_state``)."""
+    deployed digest.  Each distinct raw state is lifted once per replay."""
+    memo = RunMemo(cfg)
     raw = scenario.initial_state
     h = scenario.initial_hypothesis
-    lifts: StateMemo = {}
     for trace in traces:
         raw, _ = scenario.patched(raw, trace.tick)
         x = replace(raw, time=trace.tick)
-        z, registry = lift_state(x, cfg, lifts)
+        z, registry = memo.lift(x)
         for name, bound in trace.regime_rewrites:
             h = apply(UpdateConstraint(name, bound), h)
         h_before = h

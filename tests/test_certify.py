@@ -37,6 +37,7 @@ from svcgov.memory import (
     record,
 )
 from svcgov.model import Hypothesis, type_soundness
+from svcgov.orchestrator import RunMemo
 from svcgov.transform import (
     Rebind,
     Substitute,
@@ -476,12 +477,12 @@ class TestLedgerAndCapacityMeasure:
 # ---------------------------------------------------------------------------
 
 
-def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, environment, soundness_memo=None):
+def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, memo):
     """Each obligation's outcome computed the reference way: the public
     certifiers called one by one, each building its own facts, and the
     transport lookup where ``admissible`` consults memory.  The environment
-    digest is recomputed from ``z`` and soundness judged afresh; the digest
-    and the soundness memo passed to ``admissible`` are ignored."""
+    digest is recomputed from ``z`` and soundness judged afresh; the memo
+    passed to ``admissible`` is ignored."""
     ledger = ledger if ledger is not None else DriftLedger(bound=cfg.drift_bound)
     from_regime = from_regime if from_regime is not None else e
     context = CertContext(e.label, environment_digest(z, cfg.schema))
@@ -603,7 +604,7 @@ class TestSharedFactsMatchStandaloneCertifiers:
             Substitute("r2", "ua", UNIT_A1),
         ):
             call = dict(tau=tau, h=h, z=z, e=regime(), store=EMPTY_STORE, cfg=cfg)
-            call.update(ledger=None, from_regime=None, tick=3, environment=None)
+            call.update(ledger=None, from_regime=None, tick=3, memo=None)
             verdict = admissible(**call)
             covered |= check_against_standalone(call, verdict)
             if tau.role_id in ("r1", "r3"):
@@ -613,3 +614,9 @@ class TestSharedFactsMatchStandaloneCertifiers:
                 structural = (a2.certificate or a2.violation).evidence_map()["structural"]
                 assert s_outcome.evidence_map()["transition_charge"] == 2 * structural == 2.0
         assert {"multi-site", "inapplicable"} <= covered
+
+    def test_a_memo_built_on_another_config_is_refused(self, schema, assertions, z):
+        h = chain_hypothesis([("r1", "t:FA", UNIT_A), ("r2", "t:FB", UNIT_B)])
+        memo = RunMemo(make_config(schema, assertions))
+        with pytest.raises(ConfigError, match="another config"):
+            admissible(Rebind("r1", UNIT_A1), h, z, regime(), EMPTY_STORE, make_config(schema, assertions), memo=memo)

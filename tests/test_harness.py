@@ -26,8 +26,8 @@ from svcgov.harness.demo import strict_extension
 from svcgov.harness.packs import pack_data, pack_dir, pack_scenario
 from svcgov.harness import scenario as scenario_module
 from svcgov.harness.scenario import ScenarioEvent, config_from_data, load_scenario, scenario_from_data
-from svcgov.model import semantic_lift
-from svcgov.orchestrator import DecisionTrace, lift_state, registry_from_state, replay, replay_deployments, run
+from svcgov.model import semantic_lift, type_soundness
+from svcgov.orchestrator import DecisionTrace, RunMemo, registry_from_state, replay, replay_deployments, run
 from svcgov.transform import UpdateConstraint, apply, variant_name
 
 from conftest import chain_ontology, write_checksummed_store
@@ -379,10 +379,10 @@ class TestBenchmarks:
 
 def reference_scan(scenario, cfg, traces) -> bench.RunScan:
     """``scan_run`` as the plain loop it memoizes: the oracle screens every
-    replayed tick and the same tallies are kept.  Each replayed lift and
-    registry is checked against a direct read of its own tick: no oracle
-    rule reads the interaction phase, so only this check sees a lift of
-    the wrong phase."""
+    replayed tick, with a fresh memo each time, and the same tallies are
+    kept.  Each replayed lift and registry is checked against a direct read
+    of its own tick: no oracle rule reads the interaction phase, so only
+    this check sees a lift of the wrong phase."""
     grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
@@ -392,7 +392,7 @@ def reference_scan(scenario, cfg, traces) -> bench.RunScan:
         assert registry == registry_from_state(x, cfg.assertions, cfg.schema), f"tick {trace.tick}"
         e_true = detect_regime(cfg.regimes, z)
         switched, from_true, true_regime = e_true.label != true_regime.label, true_regime, e_true
-        best, achieved, deployed = bench._oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace)
+        best, achieved, deployed = bench._oracle(RunMemo(cfg), grammar, registry, z, h_before, e_true, from_true, trace)
         if deployed is not None:
             identity, core_passed, charge = deployed
             deployments += 1
@@ -449,29 +449,43 @@ def scripted_traces(scenario, script) -> list[DecisionTrace]:
     return traces
 
 
-@pytest.mark.parametrize("case", ["hospital", "retail", "cyclic-retail"])
+@pytest.mark.parametrize("case", ["hospital", "retail", "cyclic-retail", "environment-shift"])
 def test_memoised_lifts_match_their_reference(monkeypatch, case):
-    """Every lift and registry that the run (steps and failure records) and
-    its replay read through their memos equals a direct lift and registry
-    read of that tick.  The cyclic states differ in the registry alone or in
-    the lift alone."""
-    scenario, cfg = cyclic_retail(cycles=10) if case == "cyclic-retail" else pack_scenario(case, pack_data(case))
-    read = []
+    """Every lift and registry, environment class and soundness report that
+    the run (steps and failure records) and its scan (replay and oracle)
+    read through their memos equals a direct lift and registry read,
+    environment digest and type-soundness judgement of the same input.  The
+    cyclic states differ in the registry alone or in the lift alone; the
+    environment-shift seed adds a zone concept and a primed store."""
+    if case == "environment-shift":
+        scenario, cfg, store = bench.FAMILY_GENERATORS[case](1)
+    else:
+        scenario, cfg = cyclic_retail(cycles=10) if case == "cyclic-retail" else pack_scenario(case, pack_data(case))
+        store = None
+    served = {"lift": [], "environment": [], "soundness": []}
 
-    def spying_lift_state(x, *args):
-        lifted = lift_state(x, *args)
-        read.append((x, lifted))
-        return lifted
+    def spying(name, method):
+        def serve(memo, arg):
+            result = method(memo, arg)
+            served[name].append((memo.cfg, arg, result))
+            return result
+        return serve
 
-    monkeypatch.setattr(orchestrator, "lift_state", spying_lift_state)
-    list(replay(scenario, cfg, run(scenario, cfg).traces))
+    for name in served:
+        monkeypatch.setattr(RunMemo, name, spying(name, getattr(RunMemo, name)))
+    bench.scan_run(scenario, cfg, run(scenario, cfg, store).traces)
     failures = sum(any(patch[0] == "fail" for patch in event.patches) for event in scenario.events)
-    assert len(read) == 2 * scenario.ticks + failures
-    for x, (z, registry) in read:
-        assert z == semantic_lift(x, cfg.schema, cfg.assertions), x.time
-        assert registry == registry_from_state(x, cfg.assertions, cfg.schema), x.time
-    if case != "cyclic-retail":  # its first event is at tick 1
-        (x0, (z0, _)), (x1, (z1, _)) = read[:2]  # one raw state, two phases
+    assert len(served["lift"]) == 2 * scenario.ticks + failures
+    assert served["environment"] and served["soundness"]
+    for memo_cfg, x, (z, registry) in served["lift"]:
+        assert z == semantic_lift(x, memo_cfg.schema, memo_cfg.assertions), x.time
+        assert registry == registry_from_state(x, memo_cfg.assertions, memo_cfg.schema), x.time
+    for memo_cfg, z, digest in served["environment"]:
+        assert digest == environment_digest(z, memo_cfg.schema)
+    for memo_cfg, h, report in served["soundness"]:
+        assert report == type_soundness(h, memo_cfg.schema)
+    if case in ("hospital", "retail"):  # the others' first event is at tick 1
+        (_, x0, (z0, _)), (_, x1, (z1, _)) = served["lift"][:2]  # one raw state, two phases
         assert replace(x1, time=0) == x0 and z0 != z1
 
 
@@ -534,25 +548,26 @@ class TestScanMatchesItsReference:
 class TestHistoryFlatWork:
     def test_soundness_is_judged_once_per_distinct_graph_per_run_and_per_scan(self, monkeypatch):
         from svcgov import certify
-        from svcgov.model import type_soundness
 
         scenario, cfg = cyclic_retail(cycles=10)
-        judged, read = [], []
-        judged_soundness = certify.judged_soundness
+        judged, afresh, read = [], [], []
+        soundness = RunMemo.soundness
 
         def counting(h, schema):
             judged.append(h.digest())
             return type_soundness(h, schema)
 
-        def checked(h, schema, memo=None):
-            report = judged_soundness(h, schema, memo)
-            assert report == type_soundness(h, schema)
-            read.append(memo is not None)
-            return report
+        def judging_afresh(h, schema):
+            afresh.append(h.digest())
+            return type_soundness(h, schema)
 
-        monkeypatch.setattr(certify, "type_soundness", counting)
-        monkeypatch.setattr(certify, "judged_soundness", checked)
-        monkeypatch.setattr(bench, "judged_soundness", checked)
+        def reading(memo, h):
+            read.append(h.digest())
+            return soundness(memo, h)
+
+        monkeypatch.setattr(orchestrator, "type_soundness", counting)
+        monkeypatch.setattr(certify, "type_soundness", judging_afresh)
+        monkeypatch.setattr(RunMemo, "soundness", reading)
         per_pass = []
         for _ in range(2):  # a memo lives for one run and one scan, never longer
             result = run(scenario, cfg)
@@ -563,12 +578,14 @@ class TestHistoryFlatWork:
             for digests in (in_run, in_scan):
                 assert digests and len(digests) == len(set(digests))
         assert per_pass[0] == per_pass[1]
-        assert all(read) and len(read) > 4 * sum(map(len, per_pass[0]))
+        # every judgement is read through a memo, most of them more than once
+        assert not afresh and len(read) > 4 * sum(map(len, per_pass[0]))
 
     def test_environment_digest_once_per_distinct_environment(self, monkeypatch):
         # the digest reads only the lift's zone descriptors: the steps and
         # the failure records of a run digest each distinct descriptor set
-        # once, although the states recur every cycle
+        # once, although the states recur every cycle, and so does the scan
+        # that replays the run
         scenario, cfg = cyclic_retail(cycles=4)
         digested, lifted = [], []
 
@@ -580,7 +597,9 @@ class TestHistoryFlatWork:
             lifted.append(x)
             return semantic_lift(x, *args)
 
-        monkeypatch.setattr(orchestrator, "environment_digest", counting_digest)
+        for module in [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "svcgov"]:
+            if getattr(module, "environment_digest", None) is environment_digest:
+                monkeypatch.setattr(module, "environment_digest", counting_digest)
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
         result = run(scenario, cfg)
         failed = [r.failure_signature for r in result.store.records if r.outcome == "failed"]
@@ -590,6 +609,12 @@ class TestHistoryFlatWork:
         certified = {c.context.environment_digest for t in screened for c in t.certificates}
         assert failed and certified
         assert {sig.environment_digest for sig in failed} | certified <= {environment_digest(z, cfg.schema) for z in lifts}
+        in_run, digested[:], lifted[:] = list(digested), [], []
+        bench.scan_run(scenario, cfg, result.traces)
+        # the oracle screens every replayed state, so it reads every class,
+        # also those of states where the run had no candidate to screen
+        scanned = {semantic_lift(x, cfg.schema, cfg.assertions).environment_descriptors for x in lifted}
+        assert len(digested) == len(set(digested)) and set(digested) == scanned >= set(in_run)
 
     def test_work_per_candidate_does_not_grow_with_history(self, monkeypatch):
         # the last six cycles (one period of the unit and deadline rotation)

@@ -195,9 +195,44 @@ def test_the_round_trips_reach_every_loader():
     assert len(reached) == 27
 
 
+ROUND_TRIP_REPORT = bench.MetricsReport("substitution", "full", (0, 1), 1.0, 0.5, 2.0, 0.0, 0.25, 3)
+
+
 def test_metrics_report_reads_back_what_to_data_wrote():
-    report = bench.MetricsReport("substitution", "full", (0, 1), 1.0, 0.5, 2.0, 0.0, 0.25, 3, 2)
+    report = ROUND_TRIP_REPORT
     assert bench.report_from_json(bench.report_to_json(report)) == report
+
+
+def _metric(name, value):
+    return lambda data: data["metrics"].update({name: value})
+
+
+#: Documents that ``run_benchmark`` can never write, each with its refusal.
+IMPOSSIBLE_REPORTS = {
+    "negative-runs": (lambda data: data.update(runs=-1), "must equal the number of seeds, 2, got -1"),
+    "negative-deployments": (lambda data: data.update(deployments=-3), "deployments must be nonnegative, got -3"),
+    "negative-degradation": (_metric("bounded_degradation", -5.0), "bounded_degradation must be nonnegative"),
+    "negative-reuse-gain": (_metric("certificate_reuse_gain", -2.0), "certificate_reuse_gain must be nonnegative"),
+    "negative-regret": (_metric("structural_regret", -0.5), "structural_regret must be nonnegative"),
+    "repeated-seed": (lambda data: data.update(seeds=[0, 0]), "seeds named more than once: 0"),
+    "no-seeds": (lambda data: data.update(seeds=[], runs=0), "at least one seed is required"),
+    "runs-not-seeds": (lambda data: data.update(runs=3), "must equal the number of seeds, 2, got 3"),
+    "runs-missing": (lambda data: data.pop("runs"), "report key 'runs' is missing"),
+}
+
+
+@pytest.mark.parametrize("case", IMPOSSIBLE_REPORTS)
+def test_impossible_report_is_refused(tmp_path, capsys, case):
+    mutate, expected = IMPOSSIBLE_REPORTS[case]
+    data = ROUND_TRIP_REPORT.to_data()
+    mutate(data)
+    with pytest.raises(ParseError, match=expected):
+        bench.report_from_json(json.dumps(data))
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(data), encoding="utf-8")
+    code, err = _cli(capsys, ["compare", str(report), str(report)])
+    assert code == 3
+    assert "error parse" in err and expected in err
 
 
 # ---------------------------------------------------------------------------

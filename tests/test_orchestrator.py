@@ -13,7 +13,7 @@ from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift
 from svcgov.orchestrator import (
     Orchestrator,
-    lift_state,
+    RunMemo,
     registry_from_state,
     replay,
     replay_deployments,
@@ -201,12 +201,12 @@ class TestStateMemo:
         assert lifted == registries == [0, 1, 2, 4]
 
     def test_tick_zero_and_a_later_tick_of_one_raw_state_lift_apart(self, schema, assertions):
-        cfg, memo, raw = make_config(schema, assertions), {}, make_raw_state()
-        first, later = (lift_state(replace(raw, time=t), cfg, memo) for t in (0, 1))
+        memo, raw = RunMemo(make_config(schema, assertions)), make_raw_state()
+        first, later = (memo.lift(replace(raw, time=t)) for t in (0, 1))
         assert first[0].interaction_state.phase == "requested"
         assert later[0].interaction_state.phase == "active"
-        assert first[1] == later[1] and len(memo) == 2
-        assert lift_state(replace(raw, time=9), cfg, memo) is later
+        assert first[1] == later[1] and len(memo._lifts) == 2
+        assert memo.lift(replace(raw, time=9)) is later
 
     def test_an_untypable_state_is_refused_wherever_it_recurs(self, monkeypatch, schema, assertions, simple_h):
         cfg = make_config(schema, assertions)
@@ -221,13 +221,13 @@ class TestStateMemo:
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
         e = cfg.default_regime()
         refused = orchestrator._record_failures(
-            EMPTY_STORE, [("ghost", "runtime-failure")], simple_h, replace(raw, time=1), e, orch
+            EMPTY_STORE, [("ghost", "runtime-failure")], simple_h, replace(raw, time=1), e, orch.memo
         )
         assert refused is EMPTY_STORE
         first, again = (orch.step(replace(raw, time=t), simple_h, e, EMPTY_STORE).trace for t in (1, 2))
         assert first.kind == again.kind == "error"
         assert first.error == again.error and "t:Missing" in first.error
-        assert lifted == [1, 1, 2] and orch.lifts == {}
+        assert lifted == [1, 1, 2] and orch.memo._lifts == {}
 
 
 class TestRetailRun:
