@@ -40,7 +40,7 @@ from .evaluation import (
 )
 from .fields import Fields, array, number, row, text
 from .memory import EMPTY_STORE, MemoryStore, find_transportable, match_failure
-from .model import Component, Hypothesis, SemanticState, SoundnessReport, contract_check, type_soundness
+from .model import Component, Hypothesis, SemanticState, SoundnessReport, contract_check, type_soundness, uncovered
 from .ontology import OntologySchema
 from .transform import (
     MalformedTransformation,
@@ -447,19 +447,10 @@ def _substitution(
     tick: int,
 ) -> Certificate | Violation:
     h, h2, schema = facts.h, facts.h2, facts.schema
-    conditions: list[tuple[str, str, bool, str]] = []
+    conditions: list[tuple[str, str, bool]] = []
 
-    s1_ok = True
-    replacement = schema.cached_mask(c2.provides)
-    for rid in sites:
-        role = h.role(rid)
-        assert role is not None
-        for needed in sorted(role.requires):
-            if not schema.mask_covers(replacement, needed):
-                s1_ok = False
-    conditions.append(
-        ("S1", "function-class", s1_ok, "replacement provides the required function class or a certified refinement")
-    )
+    s1_ok = not any(uncovered(h.role(rid), c2, schema) for rid in sites)
+    conditions.append(("S1", "function-class", s1_ok))
 
     touched = set(sites)
     s2_ok = facts.soundness.sound
@@ -468,31 +459,31 @@ def _substitution(
         s2_ok = all(
             satisfies(edge.contract) for edge in h2.edges if edge.from_role in touched or edge.to_role in touched
         )
-    conditions.append(("S2", "dependent-roles", s2_ok, "all dependent service roles remain satisfiable"))
+    conditions.append(("S2", "dependent-roles", s2_ok))
 
     s3_ok = facts.core_report.passed and facts.core.identity_holds(facts.identity.total)
-    conditions.append(("S3", "core-certified", s3_ok, "all invariant-core constraints remain certified"))
+    conditions.append(("S3", "core-certified", s3_ok))
 
     charge = facts.charge
     s4_ok = charge <= regime.budgets.switching_cost + BOUND_EPS
-    conditions.append(("S4", "transition-budget", s4_ok, "transition cost stays within the regime budget"))
+    conditions.append(("S4", "transition-budget", s4_ok))
 
     contradictions = match_failure(store, h2, context.environment_digest)
     s5_ok = not contradictions
-    conditions.append(("S5", "memory-consistent", s5_ok, "no stored failure signature contradicts reuse here"))
+    conditions.append(("S5", "memory-consistent", s5_ok))
 
     evidence: dict[str, object] = {
         "old_component": c1.component_id,
         "new_component": c2.component_id,
         "sites": sorted(sites),
-        "conditions": {code: ok for code, _, ok, _ in conditions},
+        "conditions": {code: ok for code, _, ok in conditions},
         "transition_charge": charge,
         "identity_score": facts.identity.total,
         "matched_failures": len(contradictions),
     }
-    if all(ok for _, _, ok, _ in conditions):
+    if all(ok for _, _, ok in conditions):
         return Certificate("substitution", h2.digest(), context, tuple(sorted(evidence.items())), tick)
-    first = next((code, name) for code, name, ok, _ in conditions if not ok)
+    first = next((code, name) for code, name, ok in conditions if not ok)
     return Violation(first[0], f"substitution condition {first[0]} ({first[1]}) failed", tuple(sorted(evidence.items())))
 
 

@@ -24,7 +24,7 @@ from ..evaluation import InvariantCore, Regime, StructuralPrior
 from ..fields import (
     Fields, anything, array, boolean, concept, integer, mapping, number, one_of, read, row, sorted_items, text, wrong,
 )
-from ..model import Component, Hypothesis, RawPlatformState, semantic_lift, type_soundness
+from ..model import HEALTH, Component, Hypothesis, RawPlatformState, semantic_lift, type_soundness
 from ..ontology import AssertionBase, ConceptId, OntologySchema, check_consistency, load_schema
 from ..orchestrator import GateFlags, OrchestratorConfig
 from ..transform import AddSubservice, TransformationGrammar, prototype
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
 PATCH_ARGS = {
     "battery": (text, number), "availability": (text, boolean), "bandwidth": (text, number),
     "deadline": (integer,), "flag+": (text,), "flag-": (text,), "zone+": (text, concept),
-    "zone-": (text, concept), "health": (text, text), "fail": (text, one_of(*OBLIGATION_CODES)),
+    "zone-": (text, concept), "health": (text, one_of(*HEALTH)), "fail": (text, one_of(*OBLIGATION_CODES)),
 }
 
 

@@ -183,11 +183,10 @@ class MemoryStore:
     def __len__(self) -> int:
         return len(self.records)
 
-    def graph_map(self) -> dict[str, Hypothesis]:
-        return dict(self.graphs)
-
-    def failure_signatures(self) -> tuple[FailureSignature, ...]:
-        return tuple(r.failure_signature for r in self.records if r.failure_signature is not None)
+    def graph(self, digest: str) -> Hypothesis | None:
+        """The subject graph held under ``digest``, found by bisection."""
+        i = bisect_left(self.graphs, (digest,))
+        return self.graphs[i][1] if i < len(self.graphs) and self.graphs[i][0] == digest else None
 
     def index(self) -> dict[tuple, tuple]:
         if self._index is None:
@@ -284,101 +283,73 @@ def match_failure(store: MemoryStore, h: Hypothesis, environment: str) -> list[F
     return [sig for _, sig in sorted([hit for motif in motifs for hit in index[("failure", environment, motif)]])]
 
 
-class _TransportTarget:
-    """Where a certificate may be transported to: ``h2`` in the current
-    regime and environment class (``environment`` is its digest).  Holds every transport refusal rule.
-    What does not depend on the certificate is computed once, and the edit
-    distance from each subject graph at most once.  The store's graph table
-    is read only when some subject other than ``h2`` must be measured."""
+def _transport(
+    cert: Certificate, h2: Hypothesis, environment: str, max_distance: int, regime_label: str, distance: int | CertRefusal
+) -> Certificate | CertRefusal:
+    """``cert`` moved onto ``h2`` in the current regime and environment class
+    (``environment`` is its digest), or the first transport rule that refuses
+    it; ``distance`` is ``_distance`` from its subject to ``h2``."""
+    if cert.kind not in TRANSPORTABLE_KINDS:
+        return CertRefusal(f"non-transportable kind {cert.kind!r}")
+    if cert.context.regime_label != regime_label:
+        return CertRefusal(
+            f"regime mismatch: certificate is for {cert.context.regime_label!r}, current is {regime_label!r}"
+        )
+    if cert.context.environment_digest != environment:
+        return CertRefusal("environment class mismatch")
+    if isinstance(distance, CertRefusal):
+        return distance
+    if distance > max_distance:
+        return CertRefusal(f"distance {distance} exceeds maximum {max_distance}")
+    return cert.as_transported(h2.digest(), distance)
 
-    def __init__(
-        self,
-        store: MemoryStore,
-        h2: Hypothesis,
-        environment: str,
-        max_distance: int,
-        regime_label: str,
-    ) -> None:
-        self.h2 = h2
-        self.digest = h2.digest()
-        self.environment = environment
-        self.regime_label = regime_label
-        self.max_distance = max_distance
-        self.store = store
-        self.graphs: dict[str, Hypothesis] | None = None
-        self.distances: dict[str, int | CertRefusal] = {}
 
-    def transport(self, cert: Certificate) -> Certificate | CertRefusal:
-        if cert.kind not in TRANSPORTABLE_KINDS:
-            return CertRefusal(f"non-transportable kind {cert.kind!r}")
-        if cert.context.regime_label != self.regime_label:
-            return CertRefusal(
-                f"regime mismatch: certificate is for {cert.context.regime_label!r}, current is {self.regime_label!r}"
-            )
-        if cert.context.environment_digest != self.environment:
-            return CertRefusal("environment class mismatch")
-        distance = self.distance_from(cert.subject_digest)
-        if isinstance(distance, CertRefusal):
-            return distance
-        if distance > self.max_distance:
-            return CertRefusal(f"distance {distance} exceeds maximum {self.max_distance}")
-        return cert.as_transported(self.digest, distance)
-
-    def distance_from(self, subject_digest: str) -> int | CertRefusal:
-        if subject_digest == self.digest:
-            return 0
-        if subject_digest not in self.distances:
-            if self.graphs is None:
-                self.graphs = self.store.graph_map()
-            subject = self.graphs.get(subject_digest)
-            if subject is None:
-                distance: int | CertRefusal = CertRefusal("subject graph unknown; cannot measure distance")
-            else:
-                try:
-                    distance = edit_distance(subject, self.h2)
-                except NotReachable:
-                    distance = CertRefusal("target graph unreachable from subject within the grammar")
-            self.distances[subject_digest] = distance
-        return self.distances[subject_digest]
+def _distance(store: MemoryStore, h2: Hypothesis, subject_digest: str) -> int | CertRefusal:
+    """Edit distance from the stored graph ``subject_digest`` to ``h2``, or
+    why it cannot be measured; the graph table is not read for ``h2`` itself."""
+    if subject_digest == h2.digest():
+        return 0
+    subject = store.graph(subject_digest)
+    if subject is None:
+        return CertRefusal("subject graph unknown; cannot measure distance")
+    try:
+        return edit_distance(subject, h2)
+    except NotReachable:
+        return CertRefusal("target graph unreachable from subject within the grammar")
 
 
 def transport_certificate(
-    store: MemoryStore,
-    cert: Certificate,
-    h2: Hypothesis,
-    environment: str,
-    max_distance: int,
-    regime_label: str,
+    store: MemoryStore, cert: Certificate, h2: Hypothesis, environment: str, max_distance: int, regime_label: str
 ) -> Certificate | CertRefusal:
     """Copy a stored closure/capacity certificate onto a nearby graph in a
     matching context.  Stability and invariance certificates never
     transport."""
     if not store.has_certificate(cert):
         return CertRefusal("certificate is not present in the store")
-    return _TransportTarget(store, h2, environment, max_distance, regime_label).transport(cert)
+    distance = _distance(store, h2, cert.subject_digest)
+    return _transport(cert, h2, environment, max_distance, regime_label, distance)
 
 
 def find_transportable(
-    store: MemoryStore,
-    kind: str,
-    h2: Hypothesis,
-    environment: str,
-    max_distance: int,
-    regime_label: str,
+    store: MemoryStore, kind: str, h2: Hypothesis, environment: str, max_distance: int, regime_label: str
 ) -> Certificate | None:
     """First stored certificate of ``kind`` that transports onto ``h2``:
     loose certificates first, then record certificates, in log order.
 
-    At ``max_distance`` 0 only a certificate about ``h2`` itself can
-    transport (the edit distance is 0 only between equal graphs), so no
-    other subject is measured; a certificate of another kind, regime or
-    environment class never transports, so none is read."""
+    Each other subject is measured at most once per lookup.  At
+    ``max_distance`` 0 only a certificate about ``h2`` itself can transport
+    (the edit distance is 0 only between equal graphs), so no other subject
+    is measured; a certificate of another kind, regime or environment class
+    never transports, so none is read."""
     if kind not in TRANSPORTABLE_KINDS:
         return None
-    target = _TransportTarget(store, h2, environment, max_distance, regime_label)
-    key = (kind, regime_label, environment) + ((target.digest,) if max_distance == 0 else ())
+    key = (kind, regime_label, environment) + ((h2.digest(),) if max_distance == 0 else ())
+    distances: dict[str, int | CertRefusal] = {}
     for cert in store.index().get(("loose", *key), ()) + store.index().get(("record", *key), ()):
-        moved = target.transport(cert)
+        subject = cert.subject_digest
+        if subject not in distances:
+            distances[subject] = _distance(store, h2, subject)
+        moved = _transport(cert, h2, environment, max_distance, regime_label, distances[subject])
         if isinstance(moved, Certificate):
             return moved
     return None
@@ -394,7 +365,7 @@ _HEADER = "svcgov-memory v1"
 def persist(store: MemoryStore, path: str | Path) -> None:
     """Write the store as canonical text with a trailing checksum line."""
     lines = [_HEADER]
-    graph_map = store.graph_map()
+    graph_map = dict(store.graphs)
     emitted: set[str] = set()
     for rec in store.records:
         entry: dict = {"record": rec.to_data()}

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, canonical_object, digest_of, sha256_hex
 from .errors import ConfigError, IncompatibleInterface, TypingError
-from .fields import Fields, anything, array, boolean, concept, concepts, integer, mapping, number, row, text
+from .fields import Fields, anything, array, boolean, concept, concepts, integer, mapping, number, one_of, row, text
 from .ontology import (
     AssertionBase,
     Category,
@@ -49,6 +49,9 @@ GUARD_OPS = ("<=", ">=", "<", ">", "==")
 NOISY_LOCAL_NAME = "NoisyZone"
 CONGESTED_LOCAL_NAME = "CongestedZone"
 
+#: The health a platform component may report.
+HEALTH = ("ok", "degraded", "failed")
+
 
 # ---------------------------------------------------------------------------
 # Raw platform state
@@ -68,7 +71,7 @@ class AgentState:
 class ComponentState:
     component_id: str
     concept: ConceptId
-    health: str  # ok | degraded | failed
+    health: str  # one of HEALTH
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class RawPlatformState:
     def from_data(cls, data: Mapping) -> "RawPlatformState":
         r = Fields(data)
         agents = r.get("agents", array(row(text, concept, boolean, number, text, into=AgentState)), ())
-        components = r.get("components", array(row(text, concept, text, into=ComponentState)), ())
+        components = r.get("components", array(row(text, concept, one_of(*HEALTH), into=ComponentState)), ())
         time, request = r.get("time", integer, 0), r.get("request", ServiceRequest.from_data)
         network, flags = r.get("network", mapping(number), {}), r.get("safety_flags", array(text), ())
         environment = r.get("environment", mapping(array(concept)), {})
@@ -259,7 +262,7 @@ def semantic_lift(x: RawPlatformState, schema: OntologySchema, k: AssertionBase)
     for comp in x.components:
         if not schema.declares(comp.concept):
             raise TypingError(f"unknown component concept {comp.concept} (component {comp.component_id})")
-        if comp.health not in ("ok", "degraded", "failed"):
+        if comp.health not in HEALTH:
             raise TypingError(f"component {comp.component_id} has unknown health {comp.health!r}")
 
     for zone, bandwidth in x.network:
@@ -307,7 +310,7 @@ def semantic_lift(x: RawPlatformState, schema: OntologySchema, k: AssertionBase)
         available_agents=available,
         component_functions=frozenset(component_functions),
         interaction_state=InteractionState(
-            phase="requested" if x.time == 0 else "active",
+            phase=phase(x.time),
             pending_obligations=tuple(sorted(pending)),
         ),
         environment_descriptors=tuple(sorted(descriptors)),
@@ -316,6 +319,11 @@ def semantic_lift(x: RawPlatformState, schema: OntologySchema, k: AssertionBase)
         required_functions=frozenset(required),
         output_functions=frozenset(outputs),
     )
+
+
+def phase(time: int) -> str:
+    """The interaction phase at ``time``: all that the lift reads of it."""
+    return "requested" if time == 0 else "active"
 
 
 def _request_commitments(
@@ -786,9 +794,8 @@ def _binding_verdict(role: Role, comp: Component, schema: OntologySchema) -> tup
     for f in sorted(comp.provides):
         ok = _check_concept(out, schema, f, Category.FUNCTION, f"component {comp.component_id} provides") and ok
     if ok:
-        provided = schema.cached_mask(comp.provides)
-        for needed in sorted(role.requires):
-            if schema.declares(needed) and not schema.mask_covers(provided, needed):
+        for needed in uncovered(role, comp, schema):
+            if schema.declares(needed):
                 out.append(
                     (
                         "function-unsatisfied",
@@ -796,6 +803,13 @@ def _binding_verdict(role: Role, comp: Component, schema: OntologySchema) -> tup
                     )
                 )
     return tuple(out)
+
+
+def uncovered(role: Role, comp: Component, schema: OntologySchema) -> list[ConceptId]:
+    """The requirements of ``role``, sorted, that no function ``comp``
+    provides is or refines; an undeclared requirement is never covered."""
+    provided = schema.cached_mask(comp.provides)
+    return [needed for needed in sorted(role.requires) if not schema.mask_covers(provided, needed)]
 
 
 def _contract_verdict(e: Edge, schema: OntologySchema) -> tuple[tuple[str, str], ...]:
@@ -935,19 +949,26 @@ def compose(
     edges: list[Edge] = []
     assignment: dict[str, Component] = {}
     policy: list[PolicyRule] = []
-    constraints: dict[str, float] = {}
     for part in parts:
         roles.extend(part.roles)
         edges.extend(part.edges)
         assignment.update(part.assignment_map())
         policy.extend(part.policy)
-        for name, bound in part.constraints:
-            constraints[name] = min(bound, constraints.get(name, bound))
     for i, contract in enumerate(contracts):
         for sink in parts[i].sinks():
             for source in parts[i + 1].sources():
                 edges.append(Edge(sink, source, contract))
 
     return Hypothesis.build(
-        roles=roles, edges=edges, assignment=assignment, policy=policy, constraints=constraints
+        roles=roles, edges=edges, assignment=assignment, policy=policy, constraints=merged_constraints(parts)
     )
+
+
+def merged_constraints(parts: Iterable[Hypothesis]) -> dict[str, float]:
+    """The constraint bounds of ``parts`` by name, the tightest bound
+    winning, so that a merge never weakens a constraint."""
+    constraints: dict[str, float] = {}
+    for part in parts:
+        for name, bound in part.constraints:
+            constraints[name] = min(bound, constraints.get(name, bound))
+    return constraints

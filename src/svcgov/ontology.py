@@ -110,7 +110,6 @@ class OntologySchema:
     refinements: frozenset[tuple[ConceptId, ConceptId]]  # (child, parent)
     relations: Mapping[str, RelationDecl]
     parameter_decls: Mapping[ConceptId, tuple[ParamDecl, ...]]
-    prefixes: Mapping[str, str] = field(default_factory=dict)
     #: concepts in topological order, and per concept (number, ancestor mask)
     _order: tuple[ConceptId, ...] = field(init=False, repr=False, compare=False)
     _closure: Mapping[ConceptId, tuple[int, int]] = field(init=False, repr=False, compare=False)
@@ -358,7 +357,6 @@ def load_schema(document: str) -> OntologySchema:
             refinements=frozenset((c, p) for _, c, p in refinements),
             relations=dict(sorted(relations.items())),
             parameter_decls={c: tuple(ps) for c, ps in sorted(params.items())},
-            prefixes=dict(sorted(prefixes.items())),
         )
     except ValidationError as exc:  # a refinement cycle
         violations.extend(exc.violations)

@@ -47,6 +47,7 @@ from .model import (
     RawPlatformState,
     SemanticState,
     SoundnessReport,
+    phase,
     semantic_lift,
     type_soundness,
 )
@@ -170,12 +171,12 @@ def registry_from_state(
 class RunMemo:
     """What one run or one scan has worked out, each value computed once per
     key: ``lift(x)``, the semantic lift and component registry of a raw
-    state, keyed by its fields with the time read only as whether the tick
-    is 0 (the lift reads it only to tell phase ``requested`` from
-    ``active``); ``environment(z)``, the environment-class digest, keyed by
-    the zone descriptors, all of ``z`` that it reads; ``soundness(h)``, the
-    type-soundness report, keyed by the graph digest.  A state that raises
-    ``TypingError`` is not kept, so it raises again where it recurs."""
+    state, keyed by its fields with the time read only as ``phase(time)``,
+    all that the lift reads of it; ``environment(z)``, the
+    environment-class digest, keyed by the zone descriptors, all of ``z``
+    that it reads; ``soundness(h)``, the type-soundness report, keyed by
+    the graph digest.  A state that raises ``TypingError`` is not kept, so
+    it raises again where it recurs."""
 
     def __init__(self, cfg: OrchestratorConfig):
         self.cfg = cfg
@@ -184,7 +185,7 @@ class RunMemo:
         self._soundness: dict[str, SoundnessReport] = {}
 
     def lift(self, x: RawPlatformState) -> tuple[SemanticState, tuple[Component, ...]]:
-        key = tuple({**vars(x), "time": x.time == 0}.values())
+        key = tuple({**vars(x), "time": phase(x.time)}.values())
         lifted = self._lifts.get(key)
         if lifted is None:
             z = semantic_lift(x, self.cfg.schema, self.cfg.assertions)

@@ -18,6 +18,7 @@ from .errors import MalformedTransformation, NotReachable, UnknownSite
 from .fields import Fields, Malformed, array, boolean, integer, mapping, number, one_of, text
 from .model import (
     Component, Edge, Hypothesis, InterfaceContract, SemanticState, SignalCondition, conditions_hold, declared_condition,
+    merged_constraints,
 )
 
 
@@ -46,6 +47,11 @@ class Attachment:
     from_role: str
     to_role: str
     contract: InterfaceContract
+
+    def joins(self, existing: set[str], part_roles: set[str]) -> bool:
+        """Whether the edge has an end among ``existing`` roles and one among ``part_roles``."""
+        ends = {self.from_role, self.to_role}
+        return bool(ends & existing) and bool(ends & part_roles)
 
     def to_data(self) -> dict:
         return {"from": self.from_role, "to": self.to_role, "contract": self.contract.to_data()}
@@ -267,22 +273,15 @@ class TransformationGrammar:
 def apply(tau: Transformation, h: Hypothesis) -> Hypothesis:
     """Apply one transformation; the result differs from ``h`` exactly by
     ``tau`` and may be type-unsound (closure certification is separate)."""
-    if isinstance(tau, Substitute):
-        current = h.binding(tau.role_id)
-        if h.role(tau.role_id) is None:
-            raise UnknownSite(f"role {tau.role_id} not in hypothesis")
-        if current is None or current.component_id != tau.old_component_id:
-            raise UnknownSite(
-                f"component {tau.old_component_id} is not assigned at role {tau.role_id}"
-            )
-        assignment = h.assignment_map()
-        assignment[tau.role_id] = tau.new_component
-        return Hypothesis.build(h.roles, h.edges, assignment, h.policy, h.constraint_map())
-
-    if isinstance(tau, Rebind):
+    if isinstance(tau, (Substitute, Rebind)):
+        # a substitution is a rebinding of the role that holds its old component
         if h.role(tau.role_id) is None:
             raise UnknownSite(f"role {tau.role_id} not in hypothesis")
         assignment = h.assignment_map()
+        if isinstance(tau, Substitute):
+            current = assignment.get(tau.role_id)
+            if current is None or current.component_id != tau.old_component_id:
+                raise UnknownSite(f"component {tau.old_component_id} is not assigned at role {tau.role_id}")
         assignment[tau.role_id] = tau.new_component
         return Hypothesis.build(h.roles, h.edges, assignment, h.policy, h.constraint_map())
 
@@ -327,14 +326,8 @@ def _apply_add(tau: AddSubservice, h: Hypothesis) -> Hypothesis:
         raise MalformedTransformation(f"part roles collide with hypothesis: {', '.join(sorted(overlap))}")
 
     for a in tau.attach:
-        ends = {a.from_role, a.to_role}
-        if not (ends & existing) or not (ends & part_roles):
-            raise UnknownSite(
-                f"attachment {a.from_role}->{a.to_role} must join an existing role and a part role"
-            )
-        for end in ends:
-            if end not in existing and end not in part_roles:
-                raise UnknownSite(f"attachment references unknown role {end}")
+        if not a.joins(existing, part_roles):
+            raise UnknownSite(f"attachment {a.from_role}->{a.to_role} must join an existing role and a part role")
 
     roles = list(h.roles) + list(tau.part.roles)
     edges = list(h.edges) + list(tau.part.edges)
@@ -342,10 +335,7 @@ def _apply_add(tau: AddSubservice, h: Hypothesis) -> Hypothesis:
     assignment = h.assignment_map()
     assignment.update(tau.part.assignment_map())
     policy = list(h.policy) + list(tau.part.policy)
-    constraints = h.constraint_map()
-    for name, bound in tau.part.constraints:
-        constraints[name] = min(bound, constraints.get(name, bound))
-    return Hypothesis.build(roles, edges, assignment, policy, constraints)
+    return Hypothesis.build(roles, edges, assignment, policy, merged_constraints((h, tau.part)))
 
 
 def _part_present(tau: AddSubservice, h: Hypothesis) -> bool:
@@ -384,45 +374,32 @@ def generate_candidates(
     UnknownSite.  Deterministic for equal inputs."""
     signals = z.signals()
     pool = sorted(registry, key=lambda c: c.component_id)
+    assignment = h.assignment_map()  # every site below is an assigned role
     out: list[Transformation] = []
 
     def substitution_sites(rule: VariantRule) -> list[str]:
         healthy_ids = {c.component_id for c in pool}
-        sites = []
-        for rid, comp in h.assignment:
-            if rule.sites == "unhealthy" and comp.component_id in healthy_ids:
-                continue
-            sites.append(rid)
-        return sorted(sites)
+        return sorted(
+            rid for rid, comp in h.assignment if rule.sites != "unhealthy" or comp.component_id not in healthy_ids
+        )
 
     def replacements(role_id: str) -> list[Component]:
-        current = h.binding(role_id)
-        return [
-            comp
-            for comp in pool
-            if current is None or comp.component_id != current.component_id
-        ]
+        current = assignment[role_id].component_id
+        return [comp for comp in pool if comp.component_id != current]
 
     rule = grammar.rule("substitute")
     if rule.active(signals):
         for rid in substitution_sites(rule):
-            current = h.binding(rid)
-            if current is None:
-                continue
             for comp in replacements(rid):
-                out.append(Substitute(rid, current.component_id, comp, rationale="substitute"))
+                out.append(Substitute(rid, assignment[rid].component_id, comp, rationale="substitute"))
 
     rule = grammar.rule("add_subservice")
     if rule.active(signals):
         existing = set(h.role_ids())
         for proto in grammar.addable:
             part_roles = set(proto.part.role_ids())
-            if part_roles & existing:
-                continue  # already attached (or colliding); skip
-            if all(
-                ({a.from_role, a.to_role} & existing) and ({a.from_role, a.to_role} & part_roles)
-                for a in proto.attach
-            ):
+            # a part already attached (or colliding) is skipped
+            if not part_roles & existing and all(a.joins(existing, part_roles) for a in proto.attach):
                 out.append(proto)
 
     rule = grammar.rule("remove_subservice")

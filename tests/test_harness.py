@@ -624,7 +624,7 @@ class TestHistoryFlatWork:
         from svcgov import memory
 
         counts = dict.fromkeys(("candidates", "motifs", "certificates"), 0)
-        matches, transport, admissible = memory.Motif.matches, memory._TransportTarget.transport, orchestrator.admissible
+        matches, transport, admissible = memory.Motif.matches, memory._transport, orchestrator.admissible
 
         def counted(name, fn):
             def counting(*args, **kwargs):
@@ -634,7 +634,7 @@ class TestHistoryFlatWork:
 
         monkeypatch.setattr(orchestrator, "admissible", counted("candidates", admissible))
         monkeypatch.setattr(memory.Motif, "matches", counted("motifs", matches))
-        monkeypatch.setattr(memory._TransportTarget, "transport", counted("certificates", transport))
+        monkeypatch.setattr(memory, "_transport", counted("certificates", transport))
         step = orchestrator.Orchestrator.step
         steps = []
 

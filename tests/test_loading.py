@@ -337,6 +337,20 @@ SCENARIO_TYPOS = {
         lambda d: d["events"][0]["patches"].append(["fail", "r1_nav", "runtim-failure"]),
         "events[0].patches[2][2] must be one of 'A1',",
     ),
+    # a misspelled health is refused with its path, also on a tick past the
+    # run, whose state is never lifted
+    "health-value": (
+        _set(("events",), [{"tick": 1, "patches": [["health", "r1_nav", "brokn"]]}]),
+        "events[0].patches[0][2] must be one of 'ok', 'degraded', 'failed', got 'brokn'",
+    ),
+    "health-value-past-the-run": (
+        _set(("events",), [{"tick": 9, "patches": [["health", "r1_nav", "brokn"]]}]),
+        "events[0].patches[0][2] must be one of 'ok', 'degraded', 'failed', got 'brokn'",
+    ),
+    "initial-health-value": (
+        _set(("initial_state", "components"), [["r1_nav", "ag:NavUnitMk1", "fine"]]),
+        "initial_state.components[0][2] must be one of 'ok', 'degraded', 'failed', got 'fine'",
+    ),
 }
 
 

@@ -63,12 +63,17 @@ def failure(z, schema, motif: Motif, regime="base") -> FailureSignature:
     )
 
 
+def logged_signatures(store) -> list:
+    """Every failure signature in the store, in log order."""
+    return [r.failure_signature for r in store.records if r.failure_signature is not None]
+
+
 class TestRecord:
     def test_record_grows_the_log_by_one(self, simple_h):
         rec = MemoryRecord("base", simple_h.digest(), None, "success", None, "tag")
         store = record(EMPTY_STORE, rec, graph=simple_h)
         assert len(store) == 1
-        assert store.graph_map()[simple_h.digest()] == simple_h
+        assert store.graph(simple_h.digest()) == simple_h
         assert len(EMPTY_STORE) == 0  # prior store untouched
 
     def test_failed_record_requires_a_signature(self, simple_h):
@@ -96,10 +101,12 @@ class TestRecord:
             g = graphs[i]
             rec = MemoryRecord("base", g.digest(), None, "success", None, f"t{i}")
             grown = record(store, rec, graph=g)
-            table = store.graph_map()
+            table = dict(store.graphs)
             table.setdefault(g.digest(), g)
             reference = MemoryStore(reference.records + (rec,), tuple(sorted(table.items())))
             assert grown == reference
+            # the bisection lookup reads the table as the dict does
+            assert all(grown.graph(h.digest()) == table.get(h.digest()) for h in graphs)
             assert (grown.graphs is store.graphs) == (g.digest() in dict(store.graphs))
             store = grown
         assert len(store.graphs) == len(graphs)
@@ -219,7 +226,7 @@ class TestMatchFailure:
             store = record(store, rec)
         matched = match_failure(store, h, environment_digest(z, schema))
         expected = [
-            sig for sig in store.failure_signatures() if brute_force_matches(sig.motif, h)
+            sig for sig in logged_signatures(store) if brute_force_matches(sig.motif, h)
         ]
         assert matched == expected
 
@@ -426,8 +433,8 @@ class TestFindTransportable:
     def test_distance_zero_never_reads_the_graph_table(self, schema, z, simple_h, monkeypatch):
         g0, g1, _, _ = transport_graphs(simple_h)
         reads = []
-        graph_map = MemoryStore.graph_map
-        monkeypatch.setattr(MemoryStore, "graph_map", lambda store: reads.append(store) or graph_map(store))
+        graph = MemoryStore.graph
+        monkeypatch.setattr(MemoryStore, "graph", lambda store, digest: reads.append(store) or graph(store, digest))
         env = environment_digest(z, schema)
         other = make_cert("closure", g1.digest(), z, schema)
         same = make_cert("closure", g0.digest(), z, schema, tick=1)
@@ -435,7 +442,7 @@ class TestFindTransportable:
         assert find_transportable(store, "closure", g0, env, 0, "base") == same.as_transported(g0.digest(), 0)
         assert find_transportable(store, "closure", g1, env, 0, "base") == other.as_transported(g1.digest(), 0)
         assert reads == []
-        # measuring another subject reads the table, once per lookup
+        # measuring another subject reads the table, once for that subject
         assert find_transportable(store, "closure", g0, env, 1, "base") == other.as_transported(g0.digest(), 1)
         assert reads == [store]
 
@@ -448,7 +455,7 @@ def linear_has_certificate(store, cert) -> bool:
 def linear_match_failure(store, h, environment) -> list:
     """The signature scan that the failure index replaced: every signature
     in log order, its motif checked once per signature."""
-    return [s for s in store.failure_signatures() if s.environment_digest == environment and s.motif.matches(h)]
+    return [s for s in logged_signatures(store) if s.environment_digest == environment and s.motif.matches(h)]
 
 
 def linear_reuse_score(store, h, e_label, environment, bonus, penalty) -> float:
@@ -468,20 +475,22 @@ def linear_reuse_score(store, h, e_label, environment, bonus, penalty) -> float:
 def linear_transport(store, cert, h2, environment, max_distance, regime_label):
     if not linear_has_certificate(store, cert):
         return CertRefusal("certificate is not present in the store")
-    return memory_module._TransportTarget(store, h2, environment, max_distance, regime_label).transport(cert)
+    distance = memory_module._distance(store, h2, cert.subject_digest)
+    return memory_module._transport(cert, h2, environment, max_distance, regime_label, distance)
 
 
 def linear_find_transportable(store, kind, h2, environment, max_distance, regime_label):
     """The pool scan that the certificate index replaced: loose
-    certificates, then record certificates, each in log order."""
+    certificates, then record certificates, each in log order, each
+    subject measured afresh."""
     if kind not in TRANSPORTABLE_KINDS:
         return None
-    target = memory_module._TransportTarget(store, h2, environment, max_distance, regime_label)
     for cert in itertools.chain(store.certificates, (r.certificate for r in store.records)):
         if cert is not None and cert.kind == kind:
-            if max_distance == 0 and cert.subject_digest != target.digest:
+            if max_distance == 0 and cert.subject_digest != h2.digest():
                 continue
-            moved = target.transport(cert)
+            distance = memory_module._distance(store, h2, cert.subject_digest)
+            moved = memory_module._transport(cert, h2, environment, max_distance, regime_label, distance)
             if isinstance(moved, Certificate):
                 return moved
     return None

@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from svcgov.canon import canonical_dumps, digest_of
@@ -36,7 +36,7 @@ from svcgov.model import (
     type_soundness,
 )
 from svcgov.ontology import Category, ConceptId, is_refinement
-from svcgov.transform import RemoveSubservice, Substitute, apply
+from svcgov.transform import AddSubservice, RemoveSubservice, Substitute, apply
 
 from conftest import (
     UNIT_A,
@@ -450,6 +450,20 @@ def reference_s2(h2: Hypothesis, sites, schema) -> bool:
     return ok
 
 
+def reference_s1(h: Hypothesis, sites, c2: Component, schema) -> bool:
+    """S1 as the loop over the substituted sites' requirements that the
+    shared coverage rule (``model.uncovered``) replaced."""
+    s1_ok = True
+    replacement = schema.cached_mask(c2.provides)
+    for rid in sites:
+        role = h.role(rid)
+        assert role is not None
+        for needed in sorted(role.requires):
+            if not schema.mask_covers(replacement, needed):
+                s1_ok = False
+    return s1_ok
+
+
 def reference_interface_compatible(upstream: Hypothesis, downstream: Hypothesis, contract, schema) -> bool:
     """Each boundary's masks built and checked in place, side by side."""
     for side in (upstream, downstream):
@@ -465,10 +479,11 @@ def reference_interface_compatible(upstream: Hypothesis, downstream: Hypothesis,
 
 
 class TestAdmissibilityRulesMatchTheirReferences:
-    """Absolute identity, the identity breakdown, S2 and interface
+    """Absolute identity, the identity breakdown, S1, S2 and interface
     compatibility are each built from one shared rule (a commitment
-    comparison, a contract check); on edited pack hypotheses they must
-    equal the formulas written out in full, to the bit."""
+    comparison, a coverage rule, a contract check); on edited pack
+    hypotheses they must equal the formulas written out in full, to the
+    bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -502,6 +517,7 @@ class TestAdmissibilityRulesMatchTheirReferences:
             h2 = h
             for rid in sorted(sites):
                 h2 = apply(Substitute(rid, c1.component_id, c2), h2)
+            assert out.evidence_map()["conditions"]["S1"] == reference_s1(h, sites, c2, schema)
             assert out.evidence_map()["conditions"]["S2"] == reference_s2(h2, sites, schema)
 
 
@@ -564,9 +580,34 @@ class TestInterfaceCompatibility:
         assert interface_compatible(up, down, boundary, schema) == expected
 
 
+def reference_merge(parts) -> dict[str, float]:
+    """The constraint merge loop that ``compose`` and ``_apply_add`` each
+    wrote out before ``merged_constraints`` stated it once."""
+    constraints: dict[str, float] = {}
+    for part in parts:
+        for name, bound in part.constraints:
+            constraints[name] = min(bound, constraints.get(name, bound))
+    return constraints
+
+
+#: Constraint bounds with ties, signed zeros included, so that which of two
+#: equal bounds wins shows in the result's repr.
+BOUNDS = st.dictionaries(st.sampled_from(["latency", "safety.x", "speed"]), st.sampled_from([-0.0, 0.0, 2.5, 7.0]))
+
+
 class TestCompose:
     def test_single_part_composition_is_identity(self, schema, simple_h):
         assert compose([simple_h], [], schema) == simple_h
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bounds=st.lists(BOUNDS, min_size=1, max_size=4), added=BOUNDS)
+    def test_merges_equal_the_loop_they_replaced(self, schema, bounds, added):
+        parts = [chain_hypothesis([(f"p{i}", "t:FA", UNIT_A)], constraints=b) for i, b in enumerate(bounds)]
+        composed = compose(parts, [contract()] * (len(parts) - 1), schema)
+        assert repr(composed.constraints) == repr(tuple(sorted(reference_merge(parts).items())))
+        part = chain_hypothesis([("q", "t:FB", UNIT_B)], constraints=added)
+        grown = apply(AddSubservice(part, ()), parts[0])
+        assert repr(grown.constraints) == repr(tuple(sorted(reference_merge([parts[0], part]).items())))
 
     def test_tightest_constraint_wins(self, schema):
         a = chain_hypothesis([("a1", "t:FA", UNIT_A)], constraints={"latency": 10.0})

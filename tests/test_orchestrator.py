@@ -208,6 +208,23 @@ class TestStateMemo:
         assert first[1] == later[1] and len(memo._lifts) == 2
         assert memo.lift(replace(raw, time=9)) is later
 
+    def test_the_lift_key_reads_time_as_the_lift_does(self, monkeypatch, schema, assertions):
+        # both read the time through ``model.phase``: a phase rule that
+        # told tick 9 apart would part its lift from tick 1's
+        import svcgov.model as model
+
+        phase = model.phase
+
+        def later_phase(time):
+            return "late" if time >= 9 else phase(time)
+
+        for module in (model, orchestrator):
+            monkeypatch.setattr(module, "phase", later_phase)
+        memo, raw = RunMemo(make_config(schema, assertions)), make_raw_state()
+        lifts = [memo.lift(replace(raw, time=t))[0] for t in (0, 1, 5, 9, 12)]
+        assert [z.interaction_state.phase for z in lifts] == ["requested", "active", "active", "late", "late"]
+        assert lifts[1] is lifts[2] and lifts[3] is lifts[4] and len(memo._lifts) == 3
+
     def test_an_untypable_state_is_refused_wherever_it_recurs(self, monkeypatch, schema, assertions, simple_h):
         cfg = make_config(schema, assertions)
         orch = Orchestrator(cfg)

@@ -103,6 +103,60 @@ class TestApply:
             apply(dangling, simple_h)
 
 
+def reference_attachment_refusal(tau: AddSubservice, h: Hypothesis) -> str | None:
+    """The attachment checks that ``generate_candidates`` and ``_apply_add``
+    each wrote out, before ``Attachment.joins`` stated them once: the
+    refusal ``apply`` raised for a part whose roles are all new, if any."""
+    existing, part_roles = set(h.role_ids()), set(tau.part.role_ids())
+    for a in tau.attach:
+        ends = {a.from_role, a.to_role}
+        if not (ends & existing) or not (ends & part_roles):
+            return f"attachment {a.from_role}->{a.to_role} must join an existing role and a part role"
+        for end in ends:
+            if end not in existing and end not in part_roles:
+                return f"attachment references unknown role {end}"
+    return None
+
+
+def reference_generation_filter(proto: AddSubservice, h: Hypothesis) -> bool:
+    existing, part_roles = set(h.role_ids()), set(proto.part.role_ids())
+    if part_roles & existing:
+        return False
+    return all(
+        ({a.from_role, a.to_role} & existing) and ({a.from_role, a.to_role} & part_roles) for a in proto.attach
+    )
+
+
+class TestAttachmentRule:
+    """Generation proposes exactly the addable parts that ``apply`` attaches
+    without ``UnknownSite``, and both agree with the checks they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        part_roles=st.lists(st.sampled_from(["n1", "n2", "r2"]), min_size=1, max_size=2, unique=True),
+        ends=st.lists(st.tuples(*[st.sampled_from(["r1", "r2", "n1", "n2", "ghost"])] * 2), max_size=3),
+    )
+    def test_generation_and_apply_agree_with_the_references(self, schema, part_roles, ends):
+        from svcgov.ontology import AssertionBase
+
+        h = chain_hypothesis([("r1", "t:FA", UNIT_A), ("r2", "t:FB", UNIT_B)])
+        part = chain_hypothesis([(rid, "t:FC", UNIT_C) for rid in part_roles])
+        proto = AddSubservice(part, tuple(Attachment(a, b, contract()) for a, b in ends))
+        z = semantic_lift(make_raw_state(), schema, AssertionBase({}, (), ()))
+        grammar = make_grammar(enabled=("add_subservice",), addable=(proto,))
+        proposed = generate_candidates(h, z, grammar, []) == [proto]
+        assert proposed == reference_generation_filter(proto, h)
+        if set(part_roles) & set(h.role_ids()):
+            return  # refused or kept as a repeated attachment, before any attachment is read
+        refusal = reference_attachment_refusal(proto, h)
+        assert refusal is None or "unknown role" not in refusal  # the second check could never fire
+        try:
+            apply(proto, h)
+            assert refusal is None and proposed
+        except UnknownSite as exc:
+            assert str(exc) == refusal and not proposed
+
+
 class TestGenerate:
     def test_all_variants_disabled_yields_empty_list(self, simple_h, z):
         grammar = make_grammar(enabled=())
