@@ -9,15 +9,20 @@ determinism and store round-trips lean on.
 from __future__ import annotations
 
 import hashlib
-import json
-from json.encoder import encode_basestring_ascii
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable
+
+#: The C encoder that ``json.dumps(data, sort_keys=True, separators=(",",
+#: ":"), allow_nan=False, ensure_ascii=True)`` builds on every call, built
+#: once: (markers, default, string encoder, indent, key separator, item
+#: separator, sort_keys, skipkeys, allow_nan).  It keeps no state between
+#: calls, since no circular-reference markers are kept: canonical data is a
+#: tree, and a cyclic value ends in RecursionError rather than ValueError.
+_ENCODE = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None, ":", ",", True, False, False)
 
 
 def canonical_dumps(data: Any) -> str:
-    return json.dumps(
-        data, sort_keys=True, separators=(",", ":"), allow_nan=False, ensure_ascii=True
-    )
+    return "".join(_ENCODE(data, 0))
 
 
 def canonical_object(members: Iterable[tuple[str, str]]) -> str:

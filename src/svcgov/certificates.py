@@ -9,7 +9,7 @@ refinement depth fall into the same class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .canon import digest_of
@@ -70,12 +70,7 @@ class Certificate:
         evidence = self.evidence_map()
         evidence["transported_from"] = self.subject_digest
         evidence["transport_distance"] = distance
-        return replace(
-            self,
-            subject_digest=new_subject,
-            evidence=tuple(sorted(evidence.items())),
-            transported=True,
-        )
+        return Certificate(self.kind, new_subject, self.context, tuple(sorted(evidence.items())), self.issued_at, True)
 
     def to_data(self) -> dict:
         return {

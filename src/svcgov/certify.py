@@ -28,6 +28,7 @@ from .certificates import CertContext, Certificate, Violation, environment_diges
 from .errors import ConfigError, UnknownSite
 from .evaluation import (
     BOUND_EPS,
+    Commitments,
     CoreReport,
     IdentityBreakdown,
     InvariantCore,
@@ -39,7 +40,7 @@ from .evaluation import (
     prior_complexity,
 )
 from .fields import Fields, array, number, row, text
-from .memory import EMPTY_STORE, MemoryStore, find_transportable, match_failure
+from .memory import EMPTY_STORE, FailureSignature, MemoryStore, find_transportable, match_failure
 from .model import Component, Hypothesis, SemanticState, SoundnessReport, contract_check, type_soundness, uncovered
 from .ontology import OntologySchema
 from .transform import (
@@ -167,22 +168,28 @@ class RegimeSwitchModel:
         return r.build(cls, costs, residuals, recipes, unit_cost)
 
 
-def structural_charge(h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel) -> float:
+def structural_charge(
+    h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel, *, before: "StepFacts | None" = None
+) -> float:
     """Constraint-vector distance plus reassignment count times the unit
     cost.  A constraint present on one side only contributes its own
-    magnitude; added or removed roles count one reassignment each."""
-    before = h.constraint_map()
+    magnitude; added or removed roles count one reassignment each.
+    ``before`` holds the maps of ``h`` when the caller has already built
+    them."""
+    if before is None:
+        before = StepFacts(h)
+    before_constraints = before.constraints
     after = h2.constraint_map()
     distance = 0.0
-    for name in sorted(set(before) | set(after)):
-        if name in before and name in after:
-            distance += abs(before[name] - after[name])
+    for name in sorted(before_constraints.keys() | after.keys()):
+        if name in before_constraints and name in after:
+            distance += abs(before_constraints[name] - after[name])
         else:
-            distance += abs(before.get(name, after.get(name, 0.0)))
-    before_roles = set(h.role_ids())
+            distance += abs(before_constraints.get(name, after.get(name, 0.0)))
+    before_roles = before.role_ids
     after_roles = set(h2.role_ids())
     reassigned = len(before_roles ^ after_roles)
-    before_assignment = h.assignment_map()
+    before_assignment = before.assignment
     after_assignment = h2.assignment_map()
     for rid in before_roles & after_roles:
         if before_assignment.get(rid) != after_assignment.get(rid):
@@ -191,21 +198,26 @@ def structural_charge(h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel) -
 
 
 # ---------------------------------------------------------------------------
-# Candidate facts
+# Step and candidate facts
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class CandidateFacts:
-    """The configuration ``h2`` that a candidate reaches from ``h`` under
-    semantic state ``z``, and the facts about it that the obligations and
-    the ranking read.  Each fact is computed on first use and then kept, so
-    every reader sees the same value and a fact nobody reads costs nothing.
 
-    A certifier called on its own builds facts from its own arguments; the
-    inputs it does not take stay None, and no fact that needs them is read.
+@dataclass(eq=False)
+class StepFacts:
+    """What one screening step fixes for every candidate it screens: the
+    configuration ``h`` that candidates start from, the semantic state
+    ``z``, the parts of the config that the obligations read, the memo of
+    the run or scan, the certificate context and the memory store that S5
+    reads (the empty store with the memory gate off).  The facts about
+    ``h`` are computed on first use and then kept, so every candidate
+    reads the same value.
+
+    ``Orchestrator.step`` builds one per decision step and the regret
+    oracle one per tick.  A standalone certifier or a bare ``admissible``
+    call builds one from its own arguments; the inputs it does not take
+    stay None, and no fact that needs them is read.
     """
 
-    h2: Hypothesis
     h: Hypothesis | None = None
     z: SemanticState | None = None
     schema: OntologySchema | None = None
@@ -213,35 +225,115 @@ class CandidateFacts:
     prior: StructuralPrior | None = None
     model: RegimeSwitchModel | None = None
     memo: "RunMemo | None" = None
+    context: CertContext | None = None
+    store: MemoryStore = EMPTY_STORE
+
+    @classmethod
+    def screening(
+        cls,
+        h: Hypothesis,
+        z: SemanticState,
+        e: Regime,
+        store: MemoryStore,
+        cfg: "OrchestratorConfig",
+        memo: "RunMemo | None" = None,
+    ) -> "StepFacts":
+        """The facts of screening candidates from ``h`` under ``z`` into
+        regime ``e`` on ``cfg``.  With a ``memo``, which must be built on
+        ``cfg``, the environment class of ``z`` and the soundness of each
+        graph are read through it; without one they are digested and
+        judged afresh."""
+        if memo is not None and memo.cfg is not cfg:
+            raise ConfigError("the memo passed to admissible is built on another config")
+        environment = memo.environment(z) if memo is not None else environment_digest(z, cfg.schema)
+        context = CertContext(e.label, environment)
+        store = store if cfg.flags.memory else EMPTY_STORE
+        return cls(h, z, cfg.schema, cfg.core, cfg.prior, cfg.switch_model, memo, context, store)
+
+    def candidate(self, tau: Transformation) -> "CandidateFacts":
+        """The facts of the configuration that ``tau`` reaches from ``h``;
+        when ``tau`` is not applicable, of ``h`` itself, with the reason."""
+        try:
+            return CandidateFacts(apply(tau, self.h), self)
+        except (UnknownSite, MalformedTransformation) as exc:
+            return CandidateFacts(self.h, self, str(exc))
+
+    @cached_property
+    def commitments(self) -> Commitments:
+        """What ``h`` commits to under ``z``: the before side of identity."""
+        return _commitments(self.h, self.z, self.schema)
+
+    @cached_property
+    def constraints(self) -> dict[str, float]:
+        return self.h.constraint_map()
+
+    @cached_property
+    def role_ids(self) -> frozenset[str]:
+        return frozenset(self.h.role_ids())
+
+    @cached_property
+    def assignment(self) -> dict[str, Component]:
+        return self.h.assignment_map()
+
+
+@dataclass(eq=False)
+class CandidateFacts:
+    """The configuration ``h2`` that a candidate reaches in a screening
+    ``step``, and the facts about it that the obligations and the ranking
+    read.  Each fact is computed on first use and then kept, so every
+    reader sees the same value and a fact nobody reads costs nothing.
+    ``error`` says why the candidate's transformation is not applicable;
+    ``h2`` is then the step's ``h``."""
+
+    h2: Hypothesis
+    step: StepFacts
+    error: str | None = None
 
     @cached_property
     def soundness(self) -> SoundnessReport:
-        if self.memo is not None:
-            return self.memo.soundness(self.h2)
-        return type_soundness(self.h2, self.schema)
+        step = self.step
+        if step.memo is not None:
+            return step.memo.soundness(self.h2)
+        return type_soundness(self.h2, step.schema)
 
     @cached_property
-    def commitments(self) -> tuple:
-        """What ``h2`` commits to under ``z``; both identity measures read it."""
-        return _commitments(self.h2, self.z, self.schema)
+    def commitments(self) -> Commitments:
+        """What ``h2`` commits to under ``z``; both identity measures and the
+        core predicates read it."""
+        return _commitments(self.h2, self.step.z, self.step.schema)
 
     @cached_property
     def core_report(self) -> CoreReport:
-        return core_value(self.core, self.h2, self.z, self.schema, commitments=self.commitments)
+        step = self.step
+        return core_value(step.core, self.h2, step.z, step.schema, commitments=self.commitments)
 
     @cached_property
     def identity(self) -> IdentityBreakdown:
-        spec = self.core.identity
-        return identity_breakdown(spec, self.h, self.h2, self.z, self.schema, after_commitments=self.commitments)
+        step = self.step
+        return identity_breakdown(
+            step.core.identity,
+            step.h,
+            self.h2,
+            step.z,
+            step.schema,
+            before_commitments=step.commitments,
+            after_commitments=self.commitments,
+        )
 
     @cached_property
     def charge(self) -> float:
         """Structural charge of reaching ``h2`` from ``h``."""
-        return structural_charge(self.h, self.h2, self.model)
+        return structural_charge(self.step.h, self.h2, self.step.model, before=self.step)
 
     @cached_property
     def complexity(self) -> float:
-        return prior_complexity(self.prior, self.h2)
+        return prior_complexity(self.step.prior, self.h2)
+
+    @cached_property
+    def failures(self) -> list[FailureSignature]:
+        """The stored failure signatures whose motif occurs in ``h2``, in the
+        step's environment class; S5 and the reuse score read them."""
+        return match_failure(self.step.store, self.h2, self.step.context.environment_digest)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +351,7 @@ def certify_closure(
 ) -> Certificate | Violation:
     """A1: the transformed graph is type-sound and the transformation lies
     inside the grammar."""
-    return _closure(CandidateFacts(h2, schema=schema), grammar, tau, context, tick)
+    return _closure(CandidateFacts(h2, StepFacts(schema=schema)), grammar, tau, context, tick)
 
 
 def _closure(
@@ -300,13 +392,16 @@ def certify_stability(
     residual when regimes differ) fits both the cumulative bound and the
     destination regime's switching budget.  The ledger is updated only on
     certificate issue."""
-    return _stability(CandidateFacts(h2, h=h, model=model), ledger, e, e2, context, tick)
+    outcome, entry = _stability(CandidateFacts(h2, StepFacts(h, model=model)), ledger, e, e2, context, tick)
+    return outcome, ledger.charged(entry) if isinstance(outcome, Certificate) else ledger
 
 
 def _stability(
     facts: CandidateFacts, ledger: DriftLedger, e: Regime, e2: Regime, context: CertContext, tick: int
-) -> tuple[Certificate | Violation, DriftLedger]:
-    model = facts.model
+) -> tuple[Certificate | Violation, LedgerEntry]:
+    """The A2 outcome, and the entry that its charge adds to ``ledger``
+    when the candidate deploys."""
+    model = facts.step.model
     structural = facts.charge
     switch_cost = model.cost(e.label, e2.label)
     residual = model.residual(e.label, e2.label)
@@ -326,14 +421,14 @@ def _stability(
     }
     within_bound = ledger.total + charge <= ledger.bound + BOUND_EPS
     within_budget = charge <= budget + BOUND_EPS
+    entry = LedgerEntry(e.label, e2.label, cost, residual)
     if within_bound and within_budget:
-        cert = Certificate("stability", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
-        return cert, ledger.charged(LedgerEntry(e.label, e2.label, cost, residual))
+        return Certificate("stability", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick), entry
     if not within_bound:
         message = f"cumulative drift {ledger.total + charge:.6g} exceeds bound {ledger.bound:.6g}"
     else:
         message = f"charge {charge:.6g} exceeds switching budget {budget:.6g}"
-    return Violation("A2", message, tuple(sorted(evidence.items()))), ledger
+    return Violation("A2", message, tuple(sorted(evidence.items()))), entry
 
 
 def certify_capacity(
@@ -344,7 +439,7 @@ def certify_capacity(
     tick: int = 0,
 ) -> Certificate | Violation:
     """A3: structural complexity within the (inclusive) budget."""
-    return _capacity(CandidateFacts(h2, prior=prior), budget, context, tick)
+    return _capacity(CandidateFacts(h2, StepFacts(prior=prior)), budget, context, tick)
 
 
 def _capacity(
@@ -373,11 +468,12 @@ def certify_invariance(
     """A4: the invariant core holds on the transformed hypothesis, and
     identity is preserved at or above the threshold whenever identity is
     part of the core."""
-    return _invariance(CandidateFacts(after, h=before, z=z, schema=schema, core=core), context, tick)
+    step = StepFacts(before, z, schema, core)
+    return _invariance(CandidateFacts(after, step), context, tick)
 
 
 def _invariance(facts: CandidateFacts, context: CertContext, tick: int) -> Certificate | Violation:
-    core = facts.core
+    core = facts.step.core
     report = facts.core_report
     breakdown = facts.identity
     evidence: dict[str, object] = {
@@ -430,10 +526,11 @@ def certify_substitution(
 ) -> Certificate | Violation:
     """The five-condition typed substitution check for c1 -> c2 at every
     role currently bound to c1.  Evidence lists each condition's result.
-    S5 looks for failures in the environment class of ``context``."""
+    S5 looks for failures in ``store`` in the environment class of
+    ``context``."""
     sites = _substitution_sites(h, c1)
-    facts = CandidateFacts(_substituted(h, sites, c1, c2), h=h, z=z, schema=schema, core=core, model=model)
-    return _substitution(c1, c2, sites, facts, store, regime, context, tick)
+    step = StepFacts(h, z, schema, core, model=model, context=context, store=store)
+    return _substitution(c1, c2, sites, CandidateFacts(_substituted(h, sites, c1, c2), step), regime, context, tick)
 
 
 def _substitution(
@@ -441,12 +538,11 @@ def _substitution(
     c2: Component,
     sites: Sequence[str],
     facts: CandidateFacts,
-    store: MemoryStore,
     regime: Regime,
     context: CertContext,
     tick: int,
 ) -> Certificate | Violation:
-    h, h2, schema = facts.h, facts.h2, facts.schema
+    h, h2, schema = facts.step.h, facts.h2, facts.step.schema
     conditions: list[tuple[str, str, bool]] = []
 
     s1_ok = not any(uncovered(h.role(rid), c2, schema) for rid in sites)
@@ -461,14 +557,14 @@ def _substitution(
         )
     conditions.append(("S2", "dependent-roles", s2_ok))
 
-    s3_ok = facts.core_report.passed and facts.core.identity_holds(facts.identity.total)
+    s3_ok = facts.core_report.passed and facts.step.core.identity_holds(facts.identity.total)
     conditions.append(("S3", "core-certified", s3_ok))
 
     charge = facts.charge
     s4_ok = charge <= regime.budgets.switching_cost + BOUND_EPS
     conditions.append(("S4", "transition-budget", s4_ok))
 
-    contradictions = match_failure(store, h2, context.environment_digest)
+    contradictions = facts.failures
     s5_ok = not contradictions
     conditions.append(("S5", "memory-consistent", s5_ok))
 
@@ -527,12 +623,8 @@ def _as_result(code: str, outcome: Certificate | Violation, gated: bool) -> Obli
 class AdmissibilityVerdict:
     """Aggregated result of the four obligation certifiers plus the
     substitution certifier and the identity check; every obligation is
-    reported whether or not it gates.
-
-    ``facts`` hands the candidate's facts back to the caller of
-    ``admissible``.  It is not part of the verdict's value, and a verdict
-    kept beyond its step is stored without it, so that the facts of every
-    screened candidate are not retained."""
+    reported whether or not it gates.  It holds no candidate facts, so a
+    verdict kept in a trace retains none of them."""
 
     passed: bool
     obligations: tuple[tuple[str, ObligationResult], ...]
@@ -545,7 +637,6 @@ class AdmissibilityVerdict:
     before_digest: str
     after_digest: str
     error: str = ""
-    facts: CandidateFacts | None = field(default=None, compare=False, repr=False)
 
     def obligation(self, code: str) -> ObligationResult:
         for key, result in self.obligations:
@@ -581,14 +672,6 @@ class AdmissibilityVerdict:
         }
 
 
-def _candidate_facts(
-    h2: Hypothesis, h: Hypothesis, z: SemanticState, cfg: "OrchestratorConfig", memo: "RunMemo | None"
-) -> CandidateFacts:
-    return CandidateFacts(
-        h2, h=h, z=z, schema=cfg.schema, core=cfg.core, prior=cfg.prior, model=cfg.switch_model, memo=memo
-    )
-
-
 def admissible(
     tau: Transformation,
     h: Hypothesis,
@@ -600,6 +683,7 @@ def admissible(
     from_regime: Regime | None = None,
     tick: int = 0,
     memo: "RunMemo | None" = None,
+    facts: CandidateFacts | None = None,
 ) -> AdmissibilityVerdict:
     """Run all four certifiers (plus the substitution certifier for
     substitution-class transformations) and aggregate.  ``tau`` is applied
@@ -607,28 +691,26 @@ def admissible(
 
     ``e`` is the destination regime; ``from_regime`` defaults to it when
     no switch is in flight.  A caller that screens many candidates passes
-    the ``memo`` of its run or scan, which must be built on ``cfg``: the
-    environment class of ``z`` and the soundness of each graph are then
-    read through it, and without one they are digested and judged afresh.
-    The returned ledger reflects the stability charge and is adopted by the
-    caller only if the candidate deploys.  The verdict's ``facts`` describe
-    the transformed configuration, or ``h`` itself when ``tau`` is not
-    applicable."""
-    if memo is not None and memo.cfg is not cfg:
-        raise ConfigError("the memo passed to admissible is built on another config")
+    the ``memo`` of its run or scan (see ``StepFacts.screening``) and the
+    ``facts`` of ``tau``, ``StepFacts.screening(h, z, e, store, cfg,
+    memo).candidate(tau)``, built from the step's one ``StepFacts``, so
+    that it can read them beside the verdict; without them they are built
+    from the arguments.  The returned ledger is charged for the candidate
+    only when it passes with A2 certified, and is adopted by the caller
+    only if the candidate deploys."""
+    if facts is None:
+        facts = StepFacts.screening(h, z, e, store, cfg, memo).candidate(tau)
     flags = cfg.flags
     if ledger is None:
         ledger = DriftLedger(bound=cfg.drift_bound)
     if from_regime is None:
         from_regime = e
-    environment = memo.environment(z) if memo is not None else environment_digest(z, cfg.schema)
-    context = CertContext(e.label, environment)
-    effective_store = store if flags.memory else EMPTY_STORE
+    step = facts.step
+    context = step.context
+    environment = context.environment_digest
 
-    try:
-        h2 = apply(tau, h)
-    except (UnknownSite, MalformedTransformation) as exc:
-        violation = Violation("A1", f"transformation not applicable: {exc}")
+    if facts.error is not None:
+        violation = Violation("A1", f"transformation not applicable: {facts.error}")
         results = tuple(
             (code, ObligationResult(code, certified=False, gated=True, violation=violation))
             for code in ("A1", "A2", "A3", "A4")
@@ -644,34 +726,33 @@ def admissible(
             transported=0,
             before_digest=h.digest(),
             after_digest="",
-            error=str(exc),
-            facts=_candidate_facts(h, h, z, cfg, memo),
+            error=facts.error,
         )
-    facts = _candidate_facts(h2, h, z, cfg, memo)
+    h2 = facts.h2
 
     # a closure or capacity certificate transported from memory stands in
     # for computing that obligation afresh
-    moved = {
-        kind: find_transportable(store, kind, h2, environment, cfg.transport_max_distance, e.label)
-        for kind in (("closure", "capacity") if flags.memory else ())
-    }
-    transported = sum(cert is not None for cert in moved.values())
+    moved_closure = moved_capacity = None
+    if flags.memory:
+        moved_closure = find_transportable(store, "closure", h2, environment, cfg.transport_max_distance, e.label)
+        moved_capacity = find_transportable(store, "capacity", h2, environment, cfg.transport_max_distance, e.label)
+    transported = (moved_closure is not None) + (moved_capacity is not None)
 
-    closure_outcome = moved.get("closure") or _closure(facts, cfg.grammar, tau, context, tick)
+    closure_outcome = moved_closure or _closure(facts, cfg.grammar, tau, context, tick)
     a1 = _as_result("A1", closure_outcome, gated=flags.closure)
 
-    stability_outcome, new_ledger = _stability(facts, ledger, from_regime, e, context, tick)
+    stability_outcome, entry = _stability(facts, ledger, from_regime, e, context, tick)
     a2 = _as_result("A2", stability_outcome, gated=flags.stability)
 
     capacity_budget = min(cfg.capacity_budget, e.budgets.complexity)
-    capacity_outcome = moved.get("capacity") or _capacity(facts, capacity_budget, context, tick)
+    capacity_outcome = moved_capacity or _capacity(facts, capacity_budget, context, tick)
     a3 = _as_result("A3", capacity_outcome, gated=flags.capacity)
 
     a4 = _as_result("A4", _invariance(facts, context, tick), gated=flags.invariance)
 
     substitution_result: ObligationResult | None = None
     if isinstance(tau, (Substitute, Rebind)):
-        current = h.binding(tau.role_id)
+        current = step.assignment.get(tau.role_id)
         if current is not None:
             sites = _substitution_sites(h, current)
             # Substituting ``current`` at its only site is exactly ``tau``,
@@ -679,11 +760,8 @@ def admissible(
             if sites == (tau.role_id,):
                 site_facts = facts
             else:
-                substituted = _substituted(h, sites, current, tau.new_component)
-                site_facts = _candidate_facts(substituted, h, z, cfg, memo)
-            outcome = _substitution(
-                current, tau.new_component, sites, site_facts, effective_store, e, context, tick
-            )
+                site_facts = CandidateFacts(_substituted(h, sites, current, tau.new_component), step)
+            outcome = _substitution(current, tau.new_component, sites, site_facts, e, context, tick)
             code = outcome.code if isinstance(outcome, Violation) else "S"
             substitution_result = _as_result(code, outcome, gated=flags.substitution)
 
@@ -707,11 +785,10 @@ def admissible(
         identity_score=identity_score,
         identity_passed=identity_passed,
         certificates=certificates,
-        updated_ledger=new_ledger if passed else ledger,
+        updated_ledger=ledger.charged(entry) if passed and a2.certified else ledger,
         transported=transported,
         before_digest=h.digest(),
         after_digest=h2.digest(),
-        facts=facts,
     )
 
 

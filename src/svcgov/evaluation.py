@@ -16,7 +16,7 @@ obligations.  Comparing a hypothesis against itself always scores 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
 from .fields import Fields, anything, array, boolean, concept, keyed, mapping, number, one_of, read, sorted_items, text
@@ -25,8 +25,8 @@ from .model import (
     SemanticState,
     SignalCondition,
     SoundnessReport,
-    conditions_hold,
     declared_condition,
+    some_clause_holds,
 )
 from .ontology import ConceptId, OntologySchema
 
@@ -97,9 +97,7 @@ class Regime:
     entry: tuple[tuple[SignalCondition, ...], ...] = ()
 
     def matches(self, signals: Mapping[str, float]) -> bool:
-        if not self.entry:
-            return True
-        return any(conditions_hold(clause, signals) for clause in self.entry)
+        return not self.entry or some_clause_holds(self.entry, signals)
 
     def is_default(self) -> bool:
         return not self.entry
@@ -203,16 +201,29 @@ def _preserved_fraction(before: frozenset, after: frozenset) -> float:
     return len(before & after) / len(before)
 
 
-def _commitments(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> tuple:
-    """What ``h`` commits to under ``z``: the required and output functions
-    it covers (read from one provider mask), its ``safety.*`` bounds and
-    its propagated obligations."""
+class Commitments(NamedTuple):
+    """What a configuration commits to under a semantic state: the required
+    and output functions it covers, its ``safety.*`` bounds and its
+    propagated obligations.  ``provided`` is the provider mask that the
+    covered functions were read from (0 for the commitments that a
+    semantic state records)."""
+
+    required: frozenset[ConceptId]
+    outputs: frozenset[ConceptId]
+    safety: Mapping[str, float]
+    obligations: frozenset[ConceptId]
+    provided: int = 0
+
+
+def _commitments(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> Commitments:
+    """What ``h`` commits to under ``z``, read from one provider mask."""
     provided = provider_mask(h, schema)
-    return (
+    return Commitments(
         _covered(provided, z.required_functions, schema),
         _covered(provided, z.output_functions, schema),
         {n: b for n, b in h.constraints if n.startswith(SAFETY_CONSTRAINT_PREFIX)},
         h.propagated_obligations(),
+        provided,
     )
 
 
@@ -234,24 +245,24 @@ class IdentityBreakdown:
         }
 
 
-def _identity(spec: IdentitySpec, before: tuple, after: tuple) -> tuple[float, float, float, float, float]:
+def _identity(
+    spec: IdentitySpec, before: Commitments, after: Commitments
+) -> tuple[float, float, float, float, float]:
     """How much of the ``before`` commitments ``after`` keeps: the share of
     covered functions and obligations kept, and of safety bounds kept at
     least as tight, then the total that weighs the four shares."""
-    request_before, outputs_before, safety_before, obligations_before = before
-    request_after, outputs_after, safety_after, obligations_after = after
-    s_request = _preserved_fraction(request_before, request_after)
-    s_outputs = _preserved_fraction(outputs_before, outputs_after)
-    if safety_before:
+    s_request = _preserved_fraction(before.required, after.required)
+    s_outputs = _preserved_fraction(before.outputs, after.outputs)
+    if before.safety:
         kept = sum(
             1
-            for name, bound in safety_before.items()
-            if name in safety_after and safety_after[name] <= bound
+            for name, bound in before.safety.items()
+            if name in after.safety and after.safety[name] <= bound
         )
-        s_safety = kept / len(safety_before)
+        s_safety = kept / len(before.safety)
     else:
         s_safety = 1.0
-    s_interactions = _preserved_fraction(obligations_before, obligations_after)
+    s_interactions = _preserved_fraction(before.obligations, after.obligations)
     total = (
         spec.request_class_weight * s_request
         + spec.outputs_weight * s_outputs
@@ -268,13 +279,17 @@ def identity_breakdown(
     z: SemanticState,
     schema: OntologySchema,
     *,
-    after_commitments: tuple | None = None,
+    before_commitments: Commitments | None = None,
+    after_commitments: Commitments | None = None,
 ) -> IdentityBreakdown:
-    """``after_commitments`` is ``_commitments(after, z, schema)`` when the
-    caller has already built it."""
+    """``before_commitments`` and ``after_commitments`` are
+    ``_commitments(before, z, schema)`` and ``_commitments(after, z,
+    schema)`` when the caller has already built them."""
+    if before_commitments is None:
+        before_commitments = _commitments(before, z, schema)
     if after_commitments is None:
         after_commitments = _commitments(after, z, schema)
-    return IdentityBreakdown(*_identity(spec, _commitments(before, z, schema), after_commitments))
+    return IdentityBreakdown(*_identity(spec, before_commitments, after_commitments))
 
 
 def identity_score(
@@ -290,7 +305,12 @@ def identity_score(
 
 
 def absolute_identity(
-    spec: IdentitySpec, h: Hypothesis, z: SemanticState, schema: OntologySchema, *, commitments: tuple | None = None
+    spec: IdentitySpec,
+    h: Hypothesis,
+    z: SemanticState,
+    schema: OntologySchema,
+    *,
+    commitments: Commitments | None = None,
 ) -> float:
     """Identity of a single hypothesis against the commitments recorded in
     the semantic state: its required and output functions and its pending
@@ -300,7 +320,7 @@ def absolute_identity(
     already built it."""
     if commitments is None:
         commitments = _commitments(h, z, schema)
-    recorded = (z.required_functions, z.output_functions, {}, frozenset(z.interaction_state.pending_obligations))
+    recorded = Commitments(z.required_functions, z.output_functions, {}, z.pending_obligations())
     return _identity(spec, recorded, commitments)[-1]
 
 
@@ -308,14 +328,16 @@ def absolute_identity(
 # Hard safety predicates and the invariant core
 # ---------------------------------------------------------------------------
 
-PredicateFn = Callable[[Hypothesis, SemanticState, OntologySchema], bool]
+#: A check of ``h`` under ``z``; it reads the provider mask and the
+#: propagated obligations of ``h`` from its commitments.
+PredicateFn = Callable[[Hypothesis, SemanticState, OntologySchema, Commitments], bool]
 
 
 def _pred_obligations_honored(params: Mapping) -> PredicateFn:
     keyed(anything)(params)
 
-    def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
-        return frozenset(z.interaction_state.pending_obligations) <= h.propagated_obligations()
+    def check(h: Hypothesis, z: SemanticState, schema: OntologySchema, commitments: Commitments) -> bool:
+        return z.pending_obligations() <= commitments.obligations
 
     return check
 
@@ -323,7 +345,7 @@ def _pred_obligations_honored(params: Mapping) -> PredicateFn:
 def _pred_components_live(params: Mapping) -> PredicateFn:
     keyed(anything)(params)
 
-    def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
+    def check(h: Hypothesis, z: SemanticState, schema: OntologySchema, commitments: Commitments) -> bool:
         live = z.live_component_ids()
         return all(comp.component_id in live for _, comp in h.assignment)
 
@@ -333,7 +355,7 @@ def _pred_components_live(params: Mapping) -> PredicateFn:
 def _pred_flag_absent(params: Mapping) -> PredicateFn:
     (flag,) = keyed(text, "flag")(params)
 
-    def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
+    def check(h: Hypothesis, z: SemanticState, schema: OntologySchema, commitments: Commitments) -> bool:
         return flag not in z.safety_flags
 
     return check
@@ -343,10 +365,10 @@ def _pred_flag_requires_function(params: Mapping) -> PredicateFn:
     r = Fields(params)
     flag, function = r.build(tuple, (r.get("flag", text), r.get("function", concept)))
 
-    def check(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
+    def check(h: Hypothesis, z: SemanticState, schema: OntologySchema, commitments: Commitments) -> bool:
         if flag not in z.safety_flags:
             return True
-        return schema.mask_covers(provider_mask(h, schema), function)
+        return schema.mask_covers(commitments.provided, function)
 
     return check
 
@@ -378,8 +400,14 @@ class SafetyPredicate:
             raise ConfigError(f"safety predicate {self.name!r}: {exc}") from exc
         object.__setattr__(self, "_check", check)
 
-    def check(self, h: Hypothesis, z: SemanticState, schema: OntologySchema) -> bool:
-        return self._check(h, z, schema)
+    def check(
+        self, h: Hypothesis, z: SemanticState, schema: OntologySchema, commitments: Commitments | None = None
+    ) -> bool:
+        """``commitments`` is ``_commitments(h, z, schema)`` when the caller
+        has already built it."""
+        if commitments is None:
+            commitments = _commitments(h, z, schema)
+        return self._check(h, z, schema, commitments)
 
     def to_data(self) -> dict:
         return {"name": self.name, "kind": self.kind, "params": dict(self.params)}
@@ -447,16 +475,24 @@ class CoreReport:
 
 
 def core_value(
-    core: InvariantCore, h: Hypothesis, z: SemanticState, schema: OntologySchema, *, commitments: tuple | None = None
+    core: InvariantCore,
+    h: Hypothesis,
+    z: SemanticState,
+    schema: OntologySchema,
+    *,
+    commitments: Commitments | None = None,
 ) -> CoreReport:
     """Evaluate the invariant core on a single hypothesis.
 
     value = identity term + hard-safety term (1 when every predicate holds,
     else 0).  The report fails on any predicate failure, and on identity
     below threshold when identity is part of the core; the threshold
-    comparison is inclusive.  ``commitments`` is passed on to
-    ``absolute_identity``."""
-    results = tuple((p.name, p.check(h, z, schema)) for p in core.predicates)
+    comparison is inclusive.  ``commitments`` is ``_commitments(h, z,
+    schema)`` when the caller has already built it; every predicate and
+    ``absolute_identity`` read it."""
+    if commitments is None:
+        commitments = _commitments(h, z, schema)
+    results = tuple((p.name, p.check(h, z, schema, commitments)) for p in core.predicates)
     all_safe = all(ok for _, ok in results)
     ident = absolute_identity(core.identity, h, z, schema, commitments=commitments)
     value = ident + (1.0 if all_safe else 0.0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from ..certify import CandidateFacts, DriftLedger
+from ..certify import CandidateFacts, DriftLedger, StepFacts
 from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, integer, keyed, number, read, text
@@ -224,25 +224,24 @@ def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> T
         candidates = candidates + [cfg.fallback]
 
     ledger = DriftLedger(bound=cfg.drift_bound)
+    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo)
 
     def screen(tau):
-        verdict, _, breakdown = screen_candidate(
-            tau, h_before, z, e_true, EMPTY_STORE, memo, ledger, from_true, trace.tick
-        )
-        return verdict, breakdown.total
+        verdict, facts, _, breakdown = screen_candidate(tau, step, e_true, ledger, from_true, trace.tick)
+        return verdict, facts, breakdown.total
 
     best: float | None = None
     deployed: tuple[float, CandidateFacts] | None = None
     deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
     for tau in candidates:
-        verdict, score = screen(tau)
+        verdict, facts, score = screen(tau)
         if verdict.passed and (best is None or score > best):
             best = score
         if transformation_key(tau) == deployed_key:
-            deployed = score, verdict.facts
+            deployed = score, facts
     if deployed is None and trace.selected is not None:
-        verdict, score = screen(trace.selected)
-        deployed = score, verdict.facts
+        _, facts, score = screen(trace.selected)
+        deployed = score, facts
     if deployed is not None:
         achieved, facts = deployed
         return TickScore(best, achieved, (facts.identity.total, facts.core_report.passed, facts.charge))

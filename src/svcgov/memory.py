@@ -259,17 +259,20 @@ def reuse_score(
     environment: str,
     bonus: float = 1.0,
     penalty: float = 2.0,
+    failures: Sequence[FailureSignature] | None = None,
 ) -> float:
     """Positive reuse of matching prior successes, negative reuse of
     failure motifs present in ``h`` within the current environment class
-    (``environment`` is its digest).  An empty store scores 0."""
+    (``environment`` is its digest).  An empty store scores 0.
+    ``failures`` is ``match_failure(store, h, environment)`` when the
+    caller has already built it."""
     if not store.records:
         return 0.0
     score = 0.0
     for certified_in in store.index().get(("success", h.digest(), e_label), ()):
         if certified_in is None or certified_in == environment:
             score += bonus
-    for _ in match_failure(store, h, environment):
+    for _ in match_failure(store, h, environment) if failures is None else failures:
         score -= penalty
     return score
 

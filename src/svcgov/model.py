@@ -190,12 +190,24 @@ class SemanticState:
     required_functions: frozenset[ConceptId]
     output_functions: frozenset[ConceptId]
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    # computed on first use and kept, as the digest is; not fields, so they
+    # take no part in equality, hashing, repr or the serialized value
+    _live = None
+    _pending = None
 
     def signals(self) -> dict[str, float]:
         return dict(self.regime_signals)
 
     def live_component_ids(self) -> frozenset[str]:
-        return frozenset(cid for cid, _ in self.component_functions)
+        if self._live is None:
+            object.__setattr__(self, "_live", frozenset(cid for cid, _ in self.component_functions))
+        return self._live
+
+    def pending_obligations(self) -> frozenset[ConceptId]:
+        """The pending obligations of the interaction state, as a set."""
+        if self._pending is None:
+            object.__setattr__(self, "_pending", frozenset(self.interaction_state.pending_obligations))
+        return self._pending
 
     def to_data(self) -> dict:
         return {
@@ -399,12 +411,14 @@ def _zone_signal(
 
 class _Element:
     """Base of the hypothesis elements (role, component, edge and policy
-    rule): keeps the element's canonical text once computed, and
-    ``Hypothesis.digest`` is composed from these texts.  The instance is
-    immutable, so the text never goes stale; it is not a dataclass field,
-    so it takes no part in equality, hashing or repr."""
+    rule): keeps the element's canonical text and its hash once computed;
+    ``Hypothesis.digest`` is composed from these texts, and the soundness
+    memo is keyed by the elements.  The instance is immutable, so neither
+    goes stale; neither is a dataclass field, so they take no part in
+    equality, hashing or repr."""
 
     _text: str | None = None
+    _hash: int | None = None
 
     def canonical_text(self) -> str:
         """``canonical_dumps(self.to_data())``, computed on first use."""
@@ -413,7 +427,21 @@ class _Element:
         return self._text
 
 
-@dataclass(frozen=True)
+def _element(cls):
+    """``cls`` as a frozen dataclass whose field hash is computed once."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", field_hash(self))
+        return self._hash
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_element
 class Component(_Element):
     """A deployable component: its own concept plus the functions it provides."""
 
@@ -435,7 +463,7 @@ class Component(_Element):
         return r.build(cls, r.get("component", text), r.get("concept", concept), provides)
 
 
-@dataclass(frozen=True)
+@_element
 class Role(_Element):
     role_id: str
     requires: frozenset[ConceptId]
@@ -468,7 +496,7 @@ class InterfaceContract:
         return r.build(cls, *(r.get(key, concepts, frozenset()) for key in ("entities", "events", "obligations")))
 
 
-@dataclass(frozen=True)
+@_element
 class Edge(_Element):
     from_role: str
     to_role: str
@@ -524,10 +552,22 @@ def declared_condition(data: Mapping) -> SignalCondition:
 
 
 def conditions_hold(conditions: Sequence[SignalCondition], signals: Mapping[str, float]) -> bool:
-    return all(c.holds(signals) for c in conditions)
+    for c in conditions:
+        if not c.holds(signals):
+            return False
+    return True
 
 
-@dataclass(frozen=True)
+def some_clause_holds(clauses: Sequence[Sequence[SignalCondition]], signals: Mapping[str, float]) -> bool:
+    """Whether a DNF of signal conditions (a regime's entry, a variant's
+    triggers) holds: some clause holds entirely."""
+    for clause in clauses:
+        if conditions_hold(clause, signals):
+            return True
+    return False
+
+
+@_element
 class PolicyRule(_Element):
     """One guarded orchestration step: when the guard holds on the regime
     signals, ``actor_role`` performs ``relation`` on ``action_concept``.
@@ -578,6 +618,7 @@ class Hypothesis:
     policy: tuple[PolicyRule, ...]  # order significant
     constraints: tuple[tuple[str, float], ...]  # sorted by name
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
+    _obligations = None  # ``propagated_obligations()`` once computed; not a field
 
     @classmethod
     def build(
@@ -625,14 +666,17 @@ class Hypothesis:
         return tuple(r for r in self.role_ids() if r not in with_in)
 
     def propagated_obligations(self) -> frozenset[ConceptId]:
-        """Obligations carried by contract edges plus notification actions."""
-        out: set[ConceptId] = set()
-        for e in self.edges:
-            out |= e.contract.obligations
-        for rule in self.policy:
-            if rule.relation == "notifies":
-                out.add(rule.action_concept)
-        return frozenset(out)
+        """Obligations carried by contract edges plus notification actions,
+        computed on first use."""
+        if self._obligations is None:
+            out: set[ConceptId] = set()
+            for e in self.edges:
+                out |= e.contract.obligations
+            for rule in self.policy:
+                if rule.relation == "notifies":
+                    out.add(rule.action_concept)
+            object.__setattr__(self, "_obligations", frozenset(out))
+        return self._obligations
 
     def entity_vocabulary(self) -> frozenset[ConceptId]:
         out: set[ConceptId] = set()
@@ -715,7 +759,8 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
     own checks.  A verdict reads only its element and the schema, so it is
     computed once per distinct element value and kept in ``schema.memo``;
     a candidate then pays only for the elements its transformation made.
-    The checks that read the whole role set, and the graph-shape pass, run
+    The graph-shape verdict reads only the role ids and the edge endpoints,
+    and is kept under them.  The checks that read the whole role set run
     on every call.  Violations come in a fixed order: requirements,
     assignment coverage, bindings, edges (endpoints before contract) and
     policy rules (relation, actor role, then guard, latency and action),
@@ -754,7 +799,8 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
             violations.append(("bad-policy-role", f"policy rule {idx}: unknown actor role {rule.actor_role}"))
         violations += rest
 
-    violations.extend(_graph_shape_violations(h))
+    shape = ("shape", h.role_ids(), tuple((e.from_role, e.to_role) for e in h.edges))
+    violations += _verdict(memo, shape, _graph_shape_violations, h)
     return SoundnessReport(sound=not violations, violations=tuple(violations))
 
 
@@ -839,7 +885,8 @@ def _rule_verdict(
     return tuple(relation), tuple(rest)
 
 
-def _graph_shape_violations(h: Hypothesis) -> list[tuple[str, str]]:
+def _graph_shape_violations(h: Hypothesis) -> tuple[tuple[str, str], ...]:
+    """Cycles and disconnection among the roles of ``h`` along its edges."""
     out: list[tuple[str, str]] = []
     role_ids = set(h.role_ids())
     adj: dict[str, set[str]] = {r: set() for r in role_ids}
@@ -881,7 +928,7 @@ def _graph_shape_violations(h: Hypothesis) -> list[tuple[str, str]]:
         if seen != role_ids:
             missing = ", ".join(sorted(role_ids - seen))
             out.append(("graph-disconnected", f"roles unreachable from {start}: {missing}"))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

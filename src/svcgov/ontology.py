@@ -101,9 +101,9 @@ class OntologySchema:
 
     ``memo`` keeps facts that depend on nothing but the schema and an
     immutable value, keyed by that value: the closure mask of a frozen
-    provider set (``cached_mask``) and the per-element soundness verdicts
-    of ``model.type_soundness``.  An entry never goes stale, and it lives
-    exactly as long as the schema.
+    provider set (``cached_mask``), and the per-element and graph-shape
+    soundness verdicts of ``model.type_soundness``.  An entry never goes
+    stale, and it lives exactly as long as the schema.
     """
 
     concepts: Mapping[ConceptId, Category]
@@ -214,9 +214,17 @@ class AssertionBase:
     individuals: Mapping[str, ConceptId]
     relation_facts: tuple[tuple[str, str, str], ...]  # (relation, subject, object)
     parameter_facts: tuple[tuple[str, str, object], ...]  # (individual, param, value)
+    #: the relation facts by relation name, in declaration order
+    _by_relation: Mapping[str, tuple[tuple[str, str, str], ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_relation: dict[str, list[tuple[str, str, str]]] = {}
+        for fact in self.relation_facts:
+            by_relation.setdefault(fact[0], []).append(fact)
+        object.__setattr__(self, "_by_relation", {name: tuple(facts) for name, facts in by_relation.items()})
 
     def facts_named(self, relation: str) -> tuple[tuple[str, str, str], ...]:
-        return tuple(f for f in self.relation_facts if f[0] == relation)
+        return self._by_relation.get(relation, ())
 
 
 @dataclass(frozen=True)

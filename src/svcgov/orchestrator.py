@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 from .canon import canonical_dumps
-from .certificates import CertContext, Certificate, environment_digest
-from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, admissible
+from .certificates import Certificate, environment_digest
+from .certify import AdmissibilityVerdict, CandidateFacts, DriftLedger, RegimeSwitchModel, StepFacts, admissible
 from .errors import ConfigError, TypingError
 from .evaluation import (
     InvariantCore,
@@ -172,7 +172,8 @@ class RunMemo:
     """What one run or one scan has worked out, each value computed once per
     key: ``lift(x)``, the semantic lift and component registry of a raw
     state, keyed by its fields with the time read only as ``phase(time)``,
-    all that the lift reads of it; ``environment(z)``, the
+    all that the lift reads of it, the registry itself keyed by the
+    component states, all that it reads; ``environment(z)``, the
     environment-class digest, keyed by the zone descriptors, all of ``z``
     that it reads; ``soundness(h)``, the type-soundness report, keyed by
     the graph digest.  A state that raises ``TypingError`` is not kept, so
@@ -181,6 +182,7 @@ class RunMemo:
     def __init__(self, cfg: OrchestratorConfig):
         self.cfg = cfg
         self._lifts: dict[tuple, tuple[SemanticState, tuple[Component, ...]]] = {}
+        self._registries: dict[tuple, tuple[Component, ...]] = {}
         self._environments: dict[tuple, str] = {}
         self._soundness: dict[str, SoundnessReport] = {}
 
@@ -189,7 +191,10 @@ class RunMemo:
         lifted = self._lifts.get(key)
         if lifted is None:
             z = semantic_lift(x, self.cfg.schema, self.cfg.assertions)
-            lifted = self._lifts[key] = z, registry_from_state(x, self.cfg.assertions, self.cfg.schema)
+            registry = self._registries.get(x.components)
+            if registry is None:
+                registry = self._registries[x.components] = registry_from_state(x, self.cfg.assertions, self.cfg.schema)
+            lifted = self._lifts[key] = z, registry
         return lifted
 
     def environment(self, z: SemanticState) -> str:
@@ -208,29 +213,32 @@ class RunMemo:
 
 def screen_candidate(
     tau: Transformation,
-    h: Hypothesis,
-    z: SemanticState,
+    step: StepFacts,
     e: Regime,
-    store: MemoryStore,
-    memo: RunMemo,
     ledger: DriftLedger,
     from_regime: Regime,
     tick: int,
-) -> tuple[AdmissibilityVerdict, float, ScoreBreakdown]:
-    """Screen one candidate under ``memo.cfg`` and score the configuration
-    it reaches: the verdict (with its ``facts``), the reuse term read from
-    ``store`` (0 with the memory gate off) and the regime score charged the
-    A2 switching charge.  The environment class of ``z`` and the soundness
-    of each graph are read through ``memo``."""
+) -> tuple[AdmissibilityVerdict, CandidateFacts, float, ScoreBreakdown]:
+    """Screen one candidate in ``step``, built by ``StepFacts.screening``
+    into regime ``e`` with the run's or scan's memo, and score the
+    configuration it reaches: the verdict, the candidate's facts (of
+    ``h`` itself when ``tau`` is not applicable), the reuse term read from
+    the step's store (0 with the memory gate off) and the regime score
+    charged the A2 switching charge."""
+    memo = step.memo
     cfg = memo.cfg
-    verdict = admissible(tau, h, z, e, store, cfg, ledger=ledger, from_regime=from_regime, tick=tick, memo=memo)
-    facts = verdict.facts
+    facts = step.candidate(tau)
+    verdict = admissible(
+        tau, step.h, step.z, e, step.store, cfg, ledger=ledger, from_regime=from_regime, tick=tick, memo=memo, facts=facts
+    )
+    environment = step.context.environment_digest
     reuse = (
-        reuse_score(store, facts.h2, e.label, memo.environment(z), cfg.reuse_bonus, cfg.reuse_penalty)
+        reuse_score(step.store, facts.h2, e.label, environment, cfg.reuse_bonus, cfg.reuse_penalty, facts.failures)
         if cfg.flags.memory
         else 0.0
     )
-    return verdict, reuse, evaluate(e, facts.h2, z, reuse, facts.soundness, switching_cost=verdict.charge)
+    breakdown = evaluate(e, facts.h2, step.z, reuse, facts.soundness, switching_cost=verdict.charge)
+    return verdict, facts, reuse, breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +318,15 @@ class Orchestrator:
         self.ledger = DriftLedger(bound=cfg.drift_bound)
         self.memo = RunMemo(cfg)
 
+    def _screen(
+        self, tau: Transformation, step: StepFacts, e2: Regime, e: Regime, tick: int
+    ) -> tuple[CandidateTrace, Hypothesis]:
+        """The trace of one candidate screened in ``step`` against the run's
+        ledger, and the configuration it reaches (``h`` itself when ``tau``
+        is not applicable)."""
+        verdict, facts, reuse, breakdown = screen_candidate(tau, step, e2, self.ledger, e, tick)
+        return CandidateTrace(tau, verdict, breakdown, reuse, facts.complexity), facts.h2
+
     def step(
         self, x: RawPlatformState, h: Hypothesis, e: Regime, store: MemoryStore
     ) -> StepResult:
@@ -346,17 +363,13 @@ class Orchestrator:
                 h = apply(UpdateConstraint(name, bound, rationale="regime-entry"), h)
 
         candidates = generate_candidates(h, z, cfg.grammar, registry)
-
-        def screen(tau: Transformation) -> tuple[CandidateTrace, Hypothesis]:
-            verdict, reuse, breakdown = screen_candidate(tau, h, z, e2, store, self.memo, self.ledger, e, tick)
-            facts = verdict.facts
-            trace = CandidateTrace(tau, replace(verdict, facts=None), breakdown, reuse, facts.complexity)
-            return trace, facts.h2  # h itself when tau was not applicable
+        # a step with nothing to screen deploys nothing, and needs no facts
+        step = StepFacts.screening(h, z, e2, store, cfg, self.memo) if candidates else None
 
         screened: list[CandidateTrace] = []
         outcomes: list[Hypothesis] = []
         for tau in candidates:
-            trace, candidate_h = screen(tau)
+            trace, candidate_h = self._screen(tau, step, e2, e, tick)
             screened.append(trace)
             outcomes.append(candidate_h)
 
@@ -370,7 +383,7 @@ class Orchestrator:
         error = ""
 
         if candidates and not survivors:
-            trace_fb, candidate_h = screen(cfg.fallback)
+            trace_fb, candidate_h = self._screen(cfg.fallback, step, e2, e, tick)
             screened.append(trace_fb)
             outcomes.append(candidate_h)
             if trace_fb.verdict.passed:
@@ -396,11 +409,10 @@ class Orchestrator:
             certificates = choice.verdict.certificates
 
         if selected is not None and cfg.flags.memory:
-            context = CertContext(e2.label, self.memo.environment(z))
             composite = Certificate(
                 kind="composite",
                 subject_digest=deployed.digest(),
-                context=context,
+                context=step.context,
                 evidence=tuple(
                     sorted(
                         {

@@ -17,7 +17,7 @@ from .canon import canonical_dumps
 from .errors import MalformedTransformation, NotReachable, UnknownSite
 from .fields import Fields, Malformed, array, boolean, integer, mapping, number, one_of, text
 from .model import (
-    Component, Edge, Hypothesis, InterfaceContract, SemanticState, SignalCondition, conditions_hold, declared_condition,
+    Component, Edge, Hypothesis, InterfaceContract, SemanticState, SignalCondition, declared_condition, some_clause_holds,
     merged_constraints,
 )
 
@@ -179,11 +179,7 @@ class VariantRule:
     triggers: tuple[tuple[SignalCondition, ...], ...] = ()
 
     def active(self, signals: Mapping[str, float]) -> bool:
-        if not self.enabled:
-            return False
-        if not self.triggers:
-            return True
-        return any(conditions_hold(clause, signals) for clause in self.triggers)
+        return self.enabled and (not self.triggers or some_clause_holds(self.triggers, signals))
 
     def to_data(self) -> dict:
         return {
@@ -272,18 +268,21 @@ class TransformationGrammar:
 
 def apply(tau: Transformation, h: Hypothesis) -> Hypothesis:
     """Apply one transformation; the result differs from ``h`` exactly by
-    ``tau`` and may be type-unsound (closure certification is separate)."""
+    ``tau`` and may be type-unsound (closure certification is separate).
+    A rebinding or a constraint update keeps the tuples of ``h`` that it
+    does not change, which ``Hypothesis.build`` has already sorted."""
     if isinstance(tau, (Substitute, Rebind)):
         # a substitution is a rebinding of the role that holds its old component
         if h.role(tau.role_id) is None:
             raise UnknownSite(f"role {tau.role_id} not in hypothesis")
         assignment = h.assignment_map()
-        if isinstance(tau, Substitute):
-            current = assignment.get(tau.role_id)
-            if current is None or current.component_id != tau.old_component_id:
-                raise UnknownSite(f"component {tau.old_component_id} is not assigned at role {tau.role_id}")
+        current = assignment.get(tau.role_id)
+        if isinstance(tau, Substitute) and (current is None or current.component_id != tau.old_component_id):
+            raise UnknownSite(f"component {tau.old_component_id} is not assigned at role {tau.role_id}")
         assignment[tau.role_id] = tau.new_component
-        return Hypothesis.build(h.roles, h.edges, assignment, h.policy, h.constraint_map())
+        # a rebound role keeps its place in the sorted assignment; a new binding is sorted in
+        bindings = tuple(assignment.items()) if current is not None else tuple(sorted(assignment.items()))
+        return Hypothesis(h.roles, h.edges, bindings, h.policy, h.constraints)
 
     if isinstance(tau, AddSubservice):
         return _apply_add(tau, h)
@@ -303,7 +302,7 @@ def apply(tau: Transformation, h: Hypothesis) -> Hypothesis:
     if isinstance(tau, UpdateConstraint):
         constraints = h.constraint_map()
         constraints[tau.name] = tau.bound
-        return Hypothesis.build(h.roles, h.edges, h.assignment_map(), h.policy, constraints)
+        return Hypothesis(h.roles, h.edges, h.assignment, h.policy, tuple(sorted(constraints.items())))
 
     raise MalformedTransformation(f"unsupported transformation {tau!r}")
 

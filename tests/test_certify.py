@@ -16,6 +16,7 @@ from svcgov.certify import (
     DriftLedger,
     LedgerEntry,
     RegimeSwitchModel,
+    StepFacts,
     admissible,
     capacity_measure,
     certify_capacity,
@@ -477,12 +478,12 @@ class TestLedgerAndCapacityMeasure:
 # ---------------------------------------------------------------------------
 
 
-def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, memo):
+def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, memo, facts):
     """Each obligation's outcome computed the reference way: the public
     certifiers called one by one, each building its own facts, and the
     transport lookup where ``admissible`` consults memory.  The environment
     digest is recomputed from ``z`` and soundness judged afresh; the memo
-    passed to ``admissible`` is ignored."""
+    and the step's candidate facts passed to ``admissible`` are ignored."""
     ledger = ledger if ledger is not None else DriftLedger(bound=cfg.drift_bound)
     from_regime = from_regime if from_regime is not None else e
     context = CertContext(e.label, environment_digest(z, cfg.schema))
@@ -502,11 +503,13 @@ def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, mem
     if capacity is None:
         budget = min(cfg.capacity_budget, e.budgets.complexity)
         capacity = certify_capacity(h2, cfg.prior, budget, context, tick)
+    stability, charged = certify_stability(h, h2, ledger, cfg.switch_model, from_regime, e, context, tick)
     out = {
         "A1": closure,
-        "A2": certify_stability(h, h2, ledger, cfg.switch_model, from_regime, e, context, tick)[0],
+        "A2": stability,
         "A3": capacity,
         "A4": certify_invariance(h, h2, z, cfg.core, cfg.schema, context, tick),
+        "ledger": charged,
     }
     current = h.binding(tau.role_id) if isinstance(tau, (Substitute, Rebind)) else None
     if current is not None:
@@ -518,15 +521,23 @@ def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, mem
 
 def check_against_standalone(call, verdict) -> set[str]:
     """Assert that every outcome in ``verdict`` equals the standalone one,
-    in full (``to_data``); return the kinds of case the call covered."""
+    in full (``to_data``), and that the candidate facts it was screened
+    with (those of the call, or those a bare call builds) describe the
+    configuration ``tau`` reaches; return the kinds of case the call
+    covered."""
     covered = set()
+    facts = call["facts"]
+    if facts is None:
+        step = StepFacts.screening(call["h"], call["z"], call["e"], call["store"], call["cfg"], call["memo"])
+        facts = step.candidate(call["tau"])
+    assert facts.step.h is call["h"] and facts.step.z is call["z"]
     if verdict.error:
         with pytest.raises(UnknownSite) as exc:
             apply(call["tau"], call["h"])
         expected = Violation("A1", f"transformation not applicable: {exc.value}").to_data()
         assert [r.violation.to_data() for _, r in verdict.obligations] == [expected] * 4
         assert verdict.substitution is None
-        assert verdict.facts.h2 == call["h"]
+        assert facts.h2 == call["h"] and facts.error == str(exc.value)
         return {"inapplicable"}
     reference, h2 = standalone_outcomes(**call)
     for code, result in verdict.obligations:
@@ -534,6 +545,10 @@ def check_against_standalone(call, verdict) -> set[str]:
         assert got.to_data() == reference[code].to_data(), code
         if result.certificate is not None and result.certificate.transported:
             covered.add(f"transported-{code}")
+    # the ledger a deploying candidate hands on is the one that A2 charged
+    ledger = call["ledger"] if call["ledger"] is not None else DriftLedger(bound=call["cfg"].drift_bound)
+    expected_ledger = reference["ledger"] if verdict.passed else ledger
+    assert verdict.updated_ledger.to_data() == expected_ledger.to_data()
     if verdict.substitution is not None:
         got = verdict.substitution.certificate or verdict.substitution.violation
         assert got.to_data() == reference["S"].to_data()
@@ -541,8 +556,7 @@ def check_against_standalone(call, verdict) -> set[str]:
             covered.add("multi-site")
     else:
         assert "S" not in reference
-    facts = verdict.facts
-    assert facts.h2 == h2
+    assert facts.h2 == h2 and facts.error is None
     assert facts.soundness == type_soundness(h2, call["cfg"].schema)
     assert facts.complexity == prior_complexity(call["cfg"].prior, h2)
     return covered
@@ -604,7 +618,7 @@ class TestSharedFactsMatchStandaloneCertifiers:
             Substitute("r2", "ua", UNIT_A1),
         ):
             call = dict(tau=tau, h=h, z=z, e=regime(), store=EMPTY_STORE, cfg=cfg)
-            call.update(ledger=None, from_regime=None, tick=3, memo=None)
+            call.update(ledger=None, from_regime=None, tick=3, memo=None, facts=None)
             verdict = admissible(**call)
             covered |= check_against_standalone(call, verdict)
             if tau.role_id in ("r1", "r3"):
@@ -620,3 +634,116 @@ class TestSharedFactsMatchStandaloneCertifiers:
         memo = RunMemo(make_config(schema, assertions))
         with pytest.raises(ConfigError, match="another config"):
             admissible(Rebind("r1", UNIT_A1), h, z, regime(), EMPTY_STORE, make_config(schema, assertions), memo=memo)
+
+
+# ---------------------------------------------------------------------------
+# What a screening step computes once
+# ---------------------------------------------------------------------------
+
+
+class TestStepFactsAreComputedOnce:
+    """Run and scan fresh family instances (each loads its own schema, so
+    the soundness memo starts empty) and count, per screened candidate,
+    the work that the step's facts share."""
+
+    @staticmethod
+    def screened_with_counts(monkeypatch, runs, counted):
+        """Every ``screen_candidate`` call of the runs and their scans, as
+        (verdict, facts, calls of each ``counted`` name made while it ran)."""
+        from svcgov import orchestrator
+        from svcgov.harness import bench
+
+        totals = {name: 0 for name in counted}
+        screened = []
+        screen = orchestrator.screen_candidate
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                totals[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, targets in counted.items():
+            for owner, attr in targets:
+                monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+
+        def recording(tau, step, *args):
+            before = dict(totals)
+            verdict, facts, reuse, breakdown = screen(tau, step, *args)
+            screened.append((verdict, facts, {name: totals[name] - before[name] for name in totals}))
+            return verdict, facts, reuse, breakdown
+
+        monkeypatch.setattr(orchestrator, "screen_candidate", recording)
+        monkeypatch.setattr(bench, "screen_candidate", recording)
+        for scenario, cfg, store in runs:
+            result = orchestrator.run(scenario, cfg, store)
+            bench.scan_run(scenario, cfg, result.traces)
+        return screened, totals
+
+    @staticmethod
+    def family_runs():
+        from svcgov.harness import bench
+
+        return [bench.FAMILY_GENERATORS[family](seed) for family in bench.FAMILIES for seed in (0, 1)]
+
+    def test_commitments_once_per_candidate_and_once_per_step(self, monkeypatch):
+        from svcgov import certify, evaluation
+
+        counted = {"commitments": [(certify, "_commitments"), (evaluation, "_commitments")]}
+        screened, totals = self.screened_with_counts(monkeypatch, self.family_runs(), counted)
+        steps = {id(facts.step): facts.step for v, facts, _ in screened if not v.error}
+        multi_site = sum(
+            len((v.substitution.certificate or v.substitution.violation).evidence_map()["sites"]) > 1
+            for v, _, _ in screened
+            if v.substitution is not None
+        )
+        applicable = [counts["commitments"] for v, _, counts in screened if not v.error]
+        assert len(screened) > 100 and len(steps) > 20
+        # each step builds the before side once, for its first candidate
+        assert totals["commitments"] == len(applicable) + len(steps) + multi_site
+        assert set(applicable) <= {1, 2, 3}
+
+    def test_failure_match_once_per_substitution_candidate(self, monkeypatch):
+        from svcgov import certify, memory
+        from svcgov.harness import bench
+
+        counted = {"match_failure": [(certify, "match_failure"), (memory, "match_failure")]}
+        runs = [bench.FAMILY_GENERATORS["memory-reuse"](seed) for seed in (0, 1, 2)]
+        runs += [bench.FAMILY_GENERATORS["environment-shift"](seed) for seed in (0, 1, 2)]
+        screened, _ = self.screened_with_counts(monkeypatch, runs, counted)
+        substitutions = [
+            (v, counts["match_failure"])
+            for v, _, counts in screened
+            if v.substitution is not None
+            and len((v.substitution.certificate or v.substitution.violation).evidence_map()["sites"]) == 1
+        ]
+        assert len(substitutions) > 20
+        # S5 and the reuse score read the one match of the substituted graph
+        assert {count for _, count in substitutions} == {1}
+        assert any(v.substitution.violation is not None and v.substitution.code == "S5" for v, _ in substitutions)
+        assert all(counts["match_failure"] <= 1 for v, _, counts in screened if v.substitution is None)
+
+    def test_ledger_charged_only_for_passing_candidates_with_a2_certified(self, monkeypatch):
+        counted = {"charged": [(DriftLedger, "charged")]}
+        screened, _ = self.screened_with_counts(monkeypatch, self.family_runs(), counted)
+        charged = [counts["charged"] for _, _, counts in screened]
+        expected = [int(v.passed and v.obligation("A2").certified) for v, _, _ in screened]
+        assert charged == expected and 0 < sum(charged) < len(charged)
+
+    def test_graph_shape_judged_once_per_role_ids_and_edge_endpoints(self, monkeypatch):
+        from svcgov import model
+
+        shapes = []
+        shape_pass = model._graph_shape_violations
+
+        def counting(h):
+            shapes.append((h.role_ids(), tuple((e.from_role, e.to_role) for e in h.edges)))
+            return shape_pass(h)
+
+        monkeypatch.setattr(model, "_graph_shape_violations", counting)
+        for run in self.family_runs():  # each with a schema of its own, so a cold memo
+            shapes.clear()
+            screened, _ = self.screened_with_counts(monkeypatch, [run], {})
+            graphs = {facts.h2.digest() for _, facts, _ in screened}
+            assert shapes and len(shapes) == len(set(shapes)) < len(graphs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import replace
 
@@ -158,6 +159,30 @@ class TestTypeSoundness:
         assert any(
             c == "graph-disconnected" for c, _ in type_soundness(disconnected, schema).violations
         )
+
+    def test_cyclic_and_disconnected_shapes_judged_after_the_memo_is_warm(self, schema):
+        # the shape verdict is kept under the role ids and edge endpoints; a
+        # graph of a kept shape, whatever its elements, gets the verdict the
+        # unmemoized pass gives it
+        a, b, c = (Role(r, frozenset({cid("t:FA")})) for r in "abc")
+        shapes = {
+            "cyclic": [Edge("a", "b", contract()), Edge("b", "c", contract()), Edge("c", "a", contract())],
+            "disconnected": [Edge("a", "b", contract())],
+            "self-loop": [Edge("a", "a", contract()), Edge("a", "b", contract()), Edge("b", "c", contract())],
+            "cyclic-and-disconnected": [Edge("a", "b", contract()), Edge("b", "a", contract())],
+        }
+        for name, edges in shapes.items():
+            h = Hypothesis.build([a, b, c], edges, {"a": UNIT_A, "b": UNIT_A, "c": UNIT_A})
+            twin = Hypothesis.build(
+                [Role(r.role_id, frozenset({cid("t:FB")})) for r in (a, b, c)],
+                [Edge(e.from_role, e.to_role, contract(obligations=("t:ObTrace",))) for e in edges],
+                {"a": UNIT_B, "b": UNIT_C, "c": UNIT_B},
+            )
+            for graph in (h, h, twin, twin):
+                assert type_soundness(graph, schema) == reference_soundness(graph, schema), name
+            codes = [code for code, _ in type_soundness(twin, schema).violations]
+            assert ("graph-cycle" in codes) == ("cyclic" in name or name == "self-loop"), name
+            assert ("graph-disconnected" in codes) == ("disconnected" in name), name
 
     def test_long_chain_is_sound(self, schema):
         bindings = [(f"r{i:05d}", "t:FA", UNIT_A) for i in range(1500)]
@@ -739,6 +764,31 @@ class TestSerialization:
         assert fresh == cached and hash(fresh) == hash(cached)
         assert (repr(cached), cached.to_data()) == before
         assert "digest" not in repr(cached) and "_text" not in repr(cached)
+
+    def test_fact_caches_take_no_part_in_the_value(self, schema, assertions, simple_h):
+        # the cached live-component and pending-obligation sets of a state,
+        # the propagated obligations of a hypothesis and the hashes of its
+        # elements are kept outside the dataclass fields
+        lift = lambda: semantic_lift(make_raw_state(), schema, assertions)  # noqa: E731
+        rebuilt = lambda: Hypothesis.from_data(simple_h.to_data())  # noqa: E731
+        cases = [
+            (lift, lambda z: (z.live_component_ids(), z.pending_obligations())),
+            (rebuilt, lambda h: h.propagated_obligations()),
+        ]
+        for kind in ("roles", "edges", "policy"):
+            cases.append((lambda kind=kind: getattr(rebuilt(), kind)[0], lambda e: (hash(e), e.canonical_text())))
+        cases.append((lambda: rebuilt().assignment[0][1], lambda c: (hash(c), c.canonical_text())))
+        for make, warm in cases:
+            fresh, cached, reference = make(), make(), make()
+            before = (repr(cached), cached.to_data(), dataclasses.fields(cached))
+            assert warm(cached) == warm(cached) == warm(reference)
+            assert fresh == cached and hash(fresh) == hash(cached)
+            assert (repr(cached), cached.to_data(), dataclasses.fields(cached)) == before
+            values = tuple(getattr(cached, f.name) for f in dataclasses.fields(cached) if f.compare)
+            assert hash(cached) == hash(values)
+        z = lift()
+        assert z.live_component_ids() == frozenset(c for c, _ in z.component_functions)
+        assert z.pending_obligations() == frozenset(z.interaction_state.pending_obligations)
 
     def test_store_bytes_do_not_depend_on_cached_digests(self, tmp_path, simple_h):
         from svcgov.memory import EMPTY_STORE, MemoryRecord, persist, record

@@ -325,6 +325,11 @@ class TestConsistency:
         k = AssertionBase(individuals=individuals, relation_facts=facts, parameter_facts=params)
         report = check_consistency(schema, k)
         assert len(report.violations) == _naive_fact_check(schema, k)
+        # the facts of a relation, read from the index built at construction,
+        # are the declaration-order filter that was run on every read
+        for relation in relations + ["never-declared"]:
+            assert k.facts_named(relation) == tuple(f for f in facts if f[0] == relation)
+        assert k == AssertionBase(individuals, facts, params) and "_by_relation" not in repr(k)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import replace
 
 import pytest
@@ -168,7 +169,8 @@ class TestStateMemo:
     def test_each_distinct_raw_state_lifts_once_per_run(self, monkeypatch):
         # the failure at tick 4 is lifted by ``_record_failures`` and read
         # again by that tick's step; the event at tick 5 restores the tick-1
-        # state as a new, value-equal object
+        # state as a new, value-equal object.  The registry reads only the
+        # component states, which change at tick 4 alone
         events = [
             {"tick": 2, "patches": [["zone+", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.4]]},
             {"tick": 4, "patches": [["fail", "speech_unit", "runtime-failure"]]},
@@ -198,7 +200,7 @@ class TestStateMemo:
         result = run(scenario, cfg)
         assert failing == [4]
         assert [rec.outcome for rec in result.store.records].count("failed") > 0
-        assert lifted == registries == [0, 1, 2, 4]
+        assert lifted == [0, 1, 2, 4] and registries == [0, 4]
 
     def test_tick_zero_and_a_later_tick_of_one_raw_state_lift_apart(self, schema, assertions):
         memo, raw = RunMemo(make_config(schema, assertions)), make_raw_state()
@@ -224,6 +226,26 @@ class TestStateMemo:
         lifts = [memo.lift(replace(raw, time=t))[0] for t in (0, 1, 5, 9, 12)]
         assert [z.interaction_state.phase for z in lifts] == ["requested", "active", "active", "late", "late"]
         assert lifts[1] is lifts[2] and lifts[3] is lifts[4] and len(memo._lifts) == 3
+
+    def test_a_registry_is_built_once_per_component_states(self, monkeypatch, retail):
+        # the registry reads only the component states of a raw state, so
+        # lifts of states that differ elsewhere share one registry
+        scenario, cfg = retail
+        built = []
+
+        def counting(x, *args):
+            built.append(x.components)
+            return orchestrator_registry(x, *args)
+
+        orchestrator_registry = orchestrator.registry_from_state
+        monkeypatch.setattr(orchestrator, "registry_from_state", counting)
+        memo, raw, states = RunMemo(cfg), scenario.initial_state, []
+        for tick in range(scenario.ticks):
+            raw, _ = scenario.patched(raw, tick)
+            states.append(replace(raw, time=tick))
+        for x in states:
+            assert memo.lift(x)[1] == orchestrator_registry(x, cfg.assertions, cfg.schema)
+        assert len(built) == len(set(built)) == len({x.components for x in states}) < len(memo._lifts)
 
     def test_an_untypable_state_is_refused_wherever_it_recurs(self, monkeypatch, schema, assertions, simple_h):
         cfg = make_config(schema, assertions)
@@ -386,4 +408,5 @@ def test_traces_keep_no_candidate_facts(hospital):
     result = run(scenario, cfg)
     screened = [c for t in result.traces for c in t.candidates]
     assert screened
-    assert all(c.verdict.facts is None for c in screened)
+    fields = {f.name for f in dataclasses.fields(screened[0].verdict)}
+    assert "facts" not in fields and not any(hasattr(c.verdict, "facts") for c in screened)

@@ -127,6 +127,40 @@ def reference_generation_filter(proto: AddSubservice, h: Hypothesis) -> bool:
     )
 
 
+def reference_apply(tau, h: Hypothesis) -> Hypothesis:
+    """Rebinding and constraint updates as they were written before ``apply``
+    kept the already sorted tuples of ``h``: every part rebuilt and sorted
+    again through ``Hypothesis.build``."""
+    assignment, constraints = h.assignment_map(), h.constraint_map()
+    if isinstance(tau, UpdateConstraint):
+        constraints[tau.name] = tau.bound
+    else:
+        assignment[tau.role_id] = tau.new_component
+    return Hypothesis.build(h.roles, h.edges, assignment, h.policy, constraints)
+
+
+class TestApplyKeepsSortedParts:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rebinding_and_constraint_updates_equal_the_rebuilt_graph(self, hospital, retail, data):
+        scenario, _ = data.draw(st.sampled_from([hospital, retail]))
+        h = scenario.initial_hypothesis
+        if data.draw(st.booleans()):  # a role left unbound, so a rebinding adds a binding
+            h = Hypothesis.build(h.roles, h.edges, dict(h.assignment[1:]), h.policy, h.constraint_map())
+        rid = data.draw(st.sampled_from(h.role_ids()))
+        component = data.draw(st.sampled_from([UNIT_A, UNIT_B, UNIT_C, *(c for _, c in h.assignment)]))
+        names = [n for n, _ in h.constraints] + ["aaa", "zzz", "speed"]
+        bound = data.draw(st.floats(-5, 5, allow_nan=False))
+        current = h.binding(rid)
+        taus = [Rebind(rid, component), UpdateConstraint(data.draw(st.sampled_from(names)), bound)]
+        if current is not None:
+            taus.append(Substitute(rid, current.component_id, component))
+        for tau in taus:
+            applied, rebuilt = apply(tau, h), reference_apply(tau, h)
+            assert applied == rebuilt and applied.canonical_text() == canonical_dumps(rebuilt.to_data())
+            assert applied.digest() == rebuilt.digest()
+
+
 class TestAttachmentRule:
     """Generation proposes exactly the addable parts that ``apply`` attaches
     without ``UnknownSite``, and both agree with the checks they replaced."""
