@@ -234,11 +234,19 @@ class SemanticState:
         return self._digest
 
 
-def semantic_lift(x: RawPlatformState, schema: OntologySchema, k: AssertionBase) -> SemanticState:
+def semantic_lift(
+    x: RawPlatformState,
+    schema: OntologySchema,
+    k: AssertionBase,
+    requests: dict[ConceptId, tuple[frozenset, frozenset, tuple]] | None = None,
+) -> SemanticState:
     """Lift a raw platform state to a typed semantic state.
 
     Deterministic and total on well-formed raw states; raises TypingError
-    naming the first untypable raw fact.
+    naming the first untypable raw fact.  The request part (what ``k``
+    commits a request of the state's class to) depends on nothing else
+    of ``x``; ``requests``, when given, keeps it per request class for
+    later lifts on the same schema and assertion base.
     """
     if not (0 <= x.request.deadline):
         raise TypingError("request deadline must be nonnegative")
@@ -301,17 +309,12 @@ def semantic_lift(x: RawPlatformState, schema: OntologySchema, k: AssertionBase)
             raise TypingError(f"providesFunction({subject}, {obj}) targets untypable individual")
         component_functions.add((subject, fn_concept))
 
-    request_individuals = sorted(
-        ind
-        for ind, concept in k.individuals.items()
-        if schema.covers((concept,), x.request.request_class)
-    )
-    required = _request_commitments(request_individuals, "requires", schema, k)
-    outputs = _request_commitments(request_individuals, "executes", schema, k)
-    pending = _request_commitments(request_individuals, "notifies", schema, k)
-    for ob in pending:
-        if schema.category(ob) is not Category.INTERACTION:
-            raise TypingError(f"pending obligation {ob} is not an Interaction concept")
+    if requests is None:
+        requests = {}
+    request = requests.get(x.request.request_class)
+    if request is None:
+        request = requests[x.request.request_class] = _request_part(x.request.request_class, schema, k)
+    required, outputs, pending = request
 
     available = frozenset((a.agent_id, a.concept) for a in x.agents if a.available)
     signals = _lift_signals(x, schema, typed_params)
@@ -323,19 +326,38 @@ def semantic_lift(x: RawPlatformState, schema: OntologySchema, k: AssertionBase)
         component_functions=frozenset(component_functions),
         interaction_state=InteractionState(
             phase=phase(x.time),
-            pending_obligations=tuple(sorted(pending)),
+            pending_obligations=pending,
         ),
         environment_descriptors=tuple(sorted(descriptors)),
         regime_signals=tuple(sorted(signals.items())),
         safety_flags=x.safety_flags,
-        required_functions=frozenset(required),
-        output_functions=frozenset(outputs),
+        required_functions=required,
+        output_functions=outputs,
     )
 
 
 def phase(time: int) -> str:
     """The interaction phase at ``time``: all that the lift reads of it."""
     return "requested" if time == 0 else "active"
+
+
+def _request_part(
+    request_class: ConceptId, schema: OntologySchema, k: AssertionBase
+) -> tuple[frozenset[ConceptId], frozenset[ConceptId], tuple[ConceptId, ...]]:
+    """The functions that a request of ``request_class`` requires, the
+    outputs it executes and the obligations it leaves pending (sorted),
+    read from the individuals of ``k`` whose concept refines the request
+    class."""
+    request_individuals = sorted(
+        ind for ind, concept in k.individuals.items() if schema.covers((concept,), request_class)
+    )
+    required = _request_commitments(request_individuals, "requires", schema, k)
+    outputs = _request_commitments(request_individuals, "executes", schema, k)
+    pending = _request_commitments(request_individuals, "notifies", schema, k)
+    for ob in pending:
+        if schema.category(ob) is not Category.INTERACTION:
+            raise TypingError(f"pending obligation {ob} is not an Interaction concept")
+    return required, outputs, tuple(sorted(pending))
 
 
 def _request_commitments(

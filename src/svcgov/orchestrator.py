@@ -173,7 +173,8 @@ class RunMemo:
     key: ``lift(x)``, the semantic lift and component registry of a raw
     state, keyed by its fields with the time read only as ``phase(time)``,
     all that the lift reads of it, the registry itself keyed by the
-    component states, all that it reads; ``environment(z)``, the
+    component states, all that it reads, and the lift's request part keyed
+    by the request class, all that it reads of the state; ``environment(z)``, the
     environment-class digest, keyed by the zone descriptors, all of ``z``
     that it reads; ``soundness(h)``, the type-soundness report, keyed by
     the graph digest.  A state that raises ``TypingError`` is not kept, so
@@ -183,6 +184,7 @@ class RunMemo:
         self.cfg = cfg
         self._lifts: dict[tuple, tuple[SemanticState, tuple[Component, ...]]] = {}
         self._registries: dict[tuple, tuple[Component, ...]] = {}
+        self._requests: dict = {}
         self._environments: dict[tuple, str] = {}
         self._soundness: dict[str, SoundnessReport] = {}
 
@@ -190,7 +192,7 @@ class RunMemo:
         key = tuple({**vars(x), "time": phase(x.time)}.values())
         lifted = self._lifts.get(key)
         if lifted is None:
-            z = semantic_lift(x, self.cfg.schema, self.cfg.assertions)
+            z = semantic_lift(x, self.cfg.schema, self.cfg.assertions, self._requests)
             registry = self._registries.get(x.components)
             if registry is None:
                 registry = self._registries[x.components] = registry_from_state(x, self.cfg.assertions, self.cfg.schema)

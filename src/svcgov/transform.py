@@ -275,13 +275,10 @@ def apply(tau: Transformation, h: Hypothesis) -> Hypothesis:
         # a substitution is a rebinding of the role that holds its old component
         if h.role(tau.role_id) is None:
             raise UnknownSite(f"role {tau.role_id} not in hypothesis")
-        assignment = h.assignment_map()
-        current = assignment.get(tau.role_id)
+        current = h.binding(tau.role_id)
         if isinstance(tau, Substitute) and (current is None or current.component_id != tau.old_component_id):
             raise UnknownSite(f"component {tau.old_component_id} is not assigned at role {tau.role_id}")
-        assignment[tau.role_id] = tau.new_component
-        # a rebound role keeps its place in the sorted assignment; a new binding is sorted in
-        bindings = tuple(assignment.items()) if current is not None else tuple(sorted(assignment.items()))
+        bindings = _upserted(h.assignment, (tau.role_id, tau.new_component))
         return Hypothesis(h.roles, h.edges, bindings, h.policy, h.constraints)
 
     if isinstance(tau, AddSubservice):
@@ -300,11 +297,18 @@ def apply(tau: Transformation, h: Hypothesis) -> Hypothesis:
         return Hypothesis.build(roles, edges, assignment, policy, h.constraint_map())
 
     if isinstance(tau, UpdateConstraint):
-        constraints = h.constraint_map()
-        constraints[tau.name] = tau.bound
-        return Hypothesis(h.roles, h.edges, h.assignment, h.policy, tuple(sorted(constraints.items())))
+        return Hypothesis(h.roles, h.edges, h.assignment, h.policy, _upserted(h.constraints, (tau.name, tau.bound)))
 
     raise MalformedTransformation(f"unsupported transformation {tau!r}")
+
+
+def _upserted(pairs: tuple, pair: tuple) -> tuple:
+    """``pairs``, sorted by their unique first items, with ``pair`` in place
+    of the pair of the same name, or sorted in; the other pairs are kept."""
+    kept = [p for p in pairs if p[0] != pair[0]]
+    kept.append(pair)
+    kept.sort()
+    return tuple(kept)
 
 
 def _apply_add(tau: AddSubservice, h: Hypothesis) -> Hypothesis:

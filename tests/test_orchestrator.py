@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from svcgov import orchestrator
+from svcgov import model, orchestrator
 from svcgov.errors import ConfigError
 from svcgov.evaluation import core_value
 from svcgov.memory import EMPTY_STORE
@@ -246,6 +246,27 @@ class TestStateMemo:
         for x in states:
             assert memo.lift(x)[1] == orchestrator_registry(x, cfg.assertions, cfg.schema)
         assert len(built) == len(set(built)) == len({x.components for x in states}) < len(memo._lifts)
+
+    def test_the_request_part_is_read_once_per_request_class(self, monkeypatch, retail):
+        # what the assertion base commits a request to depends only on its
+        # class, so the lifts of a run read it once per class
+        scenario, cfg = retail
+        raw, states = scenario.initial_state, []
+        for tick in range(scenario.ticks):
+            raw, _ = scenario.patched(raw, tick)
+            states.append(replace(raw, time=tick))
+        direct = [semantic_lift(x, cfg.schema, cfg.assertions) for x in states]
+        read = []
+
+        def counting(request_class, *args):
+            read.append(request_class)
+            return request_part(request_class, *args)
+
+        request_part = model._request_part
+        monkeypatch.setattr(model, "_request_part", counting)
+        memo = RunMemo(cfg)
+        assert [memo.lift(x)[0] for x in states] == direct
+        assert len(read) == len(set(read)) == len({x.request.request_class for x in states}) < len(memo._lifts)
 
     def test_an_untypable_state_is_refused_wherever_it_recurs(self, monkeypatch, schema, assertions, simple_h):
         cfg = make_config(schema, assertions)
