@@ -69,6 +69,11 @@ class LedgerEntry:
     cost: float
     residual: float
 
+    @property
+    def charge(self) -> float:
+        """What the entry adds to the ledger's total."""
+        return self.cost + self.residual
+
     def to_data(self) -> dict:
         return {"from": self.from_regime, "to": self.to_regime, "cost": self.cost, "residual": self.residual}
 
@@ -89,7 +94,7 @@ class DriftLedger:
         if self._total is None:
             total = 0
             for e in self.entries:
-                total += e.cost + e.residual
+                total += e.charge
             object.__setattr__(self, "_total", total)
         return self._total
 
@@ -99,7 +104,7 @@ class DriftLedger:
 
     def charged(self, entry: LedgerEntry) -> "DriftLedger":
         grown = DriftLedger(bound=self.bound, entries=self.entries + (entry,))
-        object.__setattr__(grown, "_total", self.total + (entry.cost + entry.residual))
+        object.__setattr__(grown, "_total", self.total + entry.charge)
         return grown
 
     def to_data(self) -> dict:
@@ -396,22 +401,31 @@ def certify_stability(
     return outcome, ledger.charged(entry) if isinstance(outcome, Certificate) else ledger
 
 
+def switch_charge(facts: CandidateFacts, e: Regime, e2: Regime) -> LedgerEntry:
+    """The A2 charge of reaching ``facts.h2`` on the switch ``e -> e2``, as
+    the ledger entry it adds: the cost is the structural charge plus the
+    declared switch cost, the residual is the declared adaptation residual,
+    and the entry's ``charge`` is their sum.  A candidate whose
+    transformation is not applicable reaches nothing and is charged 0."""
+    if facts.error is not None:
+        return LedgerEntry(e.label, e2.label, 0.0, 0.0)
+    model = facts.step.model
+    cost = facts.charge + model.cost(e.label, e2.label)
+    return LedgerEntry(e.label, e2.label, cost, model.residual(e.label, e2.label))
+
+
 def _stability(
     facts: CandidateFacts, ledger: DriftLedger, e: Regime, e2: Regime, context: CertContext, tick: int
 ) -> tuple[Certificate | Violation, LedgerEntry]:
     """The A2 outcome, and the entry that its charge adds to ``ledger``
     when the candidate deploys."""
-    model = facts.step.model
-    structural = facts.charge
-    switch_cost = model.cost(e.label, e2.label)
-    residual = model.residual(e.label, e2.label)
-    cost = structural + switch_cost
-    charge = cost + residual
+    entry = switch_charge(facts, e, e2)
+    charge = entry.charge
     budget = e2.budgets.switching_cost
     evidence: dict[str, object] = {
-        "structural": structural,
-        "switch_cost": switch_cost,
-        "residual": residual,
+        "structural": facts.charge,
+        "switch_cost": facts.step.model.cost(e.label, e2.label),
+        "residual": entry.residual,
         "charge": charge,
         "ledger_before": ledger.total,
         "ledger_bound": ledger.bound,
@@ -421,7 +435,6 @@ def _stability(
     }
     within_bound = ledger.total + charge <= ledger.bound + BOUND_EPS
     within_budget = charge <= budget + BOUND_EPS
-    entry = LedgerEntry(e.label, e2.label, cost, residual)
     if within_bound and within_budget:
         return Certificate("stability", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick), entry
     if not within_bound:
@@ -649,14 +662,6 @@ class AdmissibilityVerdict:
         if self.substitution is not None and not self.substitution.certified:
             codes.append(self.substitution.code)
         return tuple(codes)
-
-    @property
-    def charge(self) -> float:
-        """The A2 charge of reaching the candidate; 0 when the
-        transformation was not applicable."""
-        a2 = self.obligation("A2")
-        source = a2.certificate or a2.violation
-        return float(source.evidence_map().get("charge", 0.0)) if source is not None else 0.0
 
     def to_data(self) -> dict:
         return {

@@ -15,6 +15,7 @@ obligations.  Comparing a hypothesis against itself always scores 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -59,6 +60,10 @@ class EvaluatorWeights:
             raise ConfigError("evaluator weights must be nonnegative")
         if not any(values):
             raise ConfigError("evaluator weights must not all be zero")
+        # each component score lies in [-1, 1], so a score's magnitude stays
+        # within this sum, added in the order ``ScoreBreakdown.total`` adds
+        if not math.isfinite(self.task + self.safety + self.semantic + self.cost + self.reuse):
+            raise ConfigError("evaluator weights must sum to a finite number")
 
     def to_data(self) -> dict:
         return dict(vars(self))

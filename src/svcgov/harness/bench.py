@@ -18,8 +18,8 @@ scenario script, so a subject cannot grade its own homework:
 * certificate-reuse gain: decisions where a transported certificate
   replaced a fresh computation, per run;
 * structural regret: per tick, the score gap to the best fully
-  admissible candidate in hindsight (exhaustive screening, memory-neutral
-  scoring), summed per run.
+  admissible candidate in hindsight (every grammar candidate scored,
+  memory-neutral scoring), summed per run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from ..certify import CandidateFacts, DriftLedger, StepFacts
+from ..certify import CandidateFacts, DriftLedger, StepFacts, admissible, switch_charge
 from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, integer, keyed, number, read, text
@@ -43,7 +43,6 @@ from ..orchestrator import (
     RunMemo,
     replay,
     run,
-    screen_candidate,
 )
 from ..transform import generate_candidates, transformation_key
 from . import baselines
@@ -158,8 +157,8 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     """Replay a run from the scenario script and recompute every metric
     ingredient against the full governance law (``cfg`` must carry full
     gates).  The deployed candidate's metrics are read from the oracle's
-    screening of it, never from the run's own verdicts.  Each distinct
-    replayed state is screened once per scan, and one ``RunMemo`` serves
+    facts about it, never from the run's own verdicts.  The oracle is
+    called once per distinct replayed state, and one ``RunMemo`` serves
     every oracle call of the scan."""
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
@@ -210,40 +209,45 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
 
 
 def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> TickScore:
-    """Screen in hindsight every grammar candidate, plus the fallback, with
-    full gates and memory-neutral scoring (an empty store).  A deployed
-    candidate outside that list is screened the same way but never counts
-    toward the best.  When the trace deployed nothing, the score achieved
-    is that of keeping ``h_before``.  ``registry`` is the component
-    registry of the tick's raw state; the screening reads ``memo.cfg`` and
-    reads the environment class and every soundness judgement through
-    ``memo``."""
+    """Find in hindsight the best score among the grammar candidates, plus
+    the fallback, that pass with full gates, scored memory-neutrally (an
+    empty store, so a reuse term of 0).  A score reads only the candidate's
+    facts, so every candidate is scored first and ``admissible`` then
+    screens them in descending score order, ties in list order, until one
+    passes: its score is the best, and no candidate below it can raise it.
+    The deployed candidate, in the list or outside it, is read from its
+    facts alone.  When the trace deployed nothing, the score achieved is
+    that of keeping ``h_before``.  ``registry`` is the component registry
+    of the tick's raw state; the screening reads ``memo.cfg`` and reads the
+    environment class and every soundness judgement through ``memo``."""
     cfg = memo.cfg
     candidates = generate_candidates(h_before, z, grammar, registry)
-    if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
-        candidates = candidates + [cfg.fallback]
-
-    ledger = DriftLedger(bound=cfg.drift_bound)
+    keys, fallback_key = [transformation_key(t) for t in candidates], transformation_key(cfg.fallback)
+    if fallback_key not in keys:
+        candidates, keys = candidates + [cfg.fallback], keys + [fallback_key]
     step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo)
 
-    def screen(tau):
-        verdict, facts, _, breakdown = screen_candidate(tau, step, e_true, ledger, from_true, trace.tick)
-        return verdict, facts, breakdown.total
+    def scored(tau) -> tuple[CandidateFacts, float]:
+        facts = step.candidate(tau)
+        charge = switch_charge(facts, from_true, e_true).charge
+        return facts, evaluate(e_true, facts.h2, z, 0.0, facts.soundness, switching_cost=charge).total
 
+    scores = [scored(tau) for tau in candidates]
+    ledger = DriftLedger(bound=cfg.drift_bound)
     best: float | None = None
-    deployed: tuple[float, CandidateFacts] | None = None
-    deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
-    for tau in candidates:
-        verdict, facts, score = screen(tau)
-        if verdict.passed and (best is None or score > best):
+    # a stable sort keeps list order among equal scores
+    for i in sorted(range(len(candidates)), key=lambda i: -scores[i][1]):
+        facts, score = scores[i]
+        verdict = admissible(
+            candidates[i], h_before, z, e_true, EMPTY_STORE, cfg,
+            ledger=ledger, from_regime=from_true, tick=trace.tick, memo=memo, facts=facts,
+        )
+        if verdict.passed:
             best = score
-        if transformation_key(tau) == deployed_key:
-            deployed = score, facts
-    if deployed is None and trace.selected is not None:
-        _, facts, score = screen(trace.selected)
-        deployed = score, facts
-    if deployed is not None:
-        achieved, facts = deployed
+            break
+    if trace.selected is not None:
+        key = transformation_key(trace.selected)
+        facts, achieved = scores[keys.index(key)] if key in keys else scored(trace.selected)
         return TickScore(best, achieved, (facts.identity.total, facts.core_report.passed, facts.charge))
     if best is None:
         return TickScore(None, None, None)

@@ -152,8 +152,12 @@ def _seeds(value: str) -> list[int]:
 
 
 def _subjects(value: str) -> list[str]:
-    """Comma-separated subjects, each at most once; empty means all of them."""
+    """Comma-separated known subjects, each at most once; empty means all of
+    them."""
     subjects = value.split(",") if value else list(baselines.SUBJECTS)
+    if unknown := [repr(s) for s in subjects if s not in baselines.SUBJECTS]:
+        known = ", ".join(baselines.SUBJECTS)
+        raise argparse.ArgumentTypeError(f"unknown subjects: {', '.join(unknown)}; expected one of {known}")
     if twice := bench.repeated(subjects):
         raise argparse.ArgumentTypeError(f"subjects named more than once: {', '.join(twice)}")
     return subjects

@@ -21,7 +21,15 @@ from typing import Iterator, Mapping, Sequence
 
 from .canon import canonical_dumps
 from .certificates import Certificate, environment_digest
-from .certify import AdmissibilityVerdict, CandidateFacts, DriftLedger, RegimeSwitchModel, StepFacts, admissible
+from .certify import (
+    AdmissibilityVerdict,
+    CandidateFacts,
+    DriftLedger,
+    RegimeSwitchModel,
+    StepFacts,
+    admissible,
+    switch_charge,
+)
 from .errors import ConfigError, TypingError
 from .evaluation import (
     InvariantCore,
@@ -226,7 +234,7 @@ def screen_candidate(
     configuration it reaches: the verdict, the candidate's facts (of
     ``h`` itself when ``tau`` is not applicable), the reuse term read from
     the step's store (0 with the memory gate off) and the regime score
-    charged the A2 switching charge."""
+    charged the A2 switching charge (``switch_charge``)."""
     memo = step.memo
     cfg = memo.cfg
     facts = step.candidate(tau)
@@ -239,7 +247,8 @@ def screen_candidate(
         if cfg.flags.memory
         else 0.0
     )
-    breakdown = evaluate(e, facts.h2, step.z, reuse, facts.soundness, switching_cost=verdict.charge)
+    charge = switch_charge(facts, from_regime, e).charge
+    breakdown = evaluate(e, facts.h2, step.z, reuse, facts.soundness, switching_cost=charge)
     return verdict, facts, reuse, breakdown
 
 

@@ -564,8 +564,8 @@ def check_against_standalone(call, verdict) -> set[str]:
 
 def recorded_admissible_calls(monkeypatch, runs):
     """Run each (scenario, cfg, store) and its replay scan, recording every
-    ``admissible`` call of the decision steps and of the regret oracle (both
-    screen through ``orchestrator.screen_candidate``)."""
+    ``admissible`` call of the decision steps (through
+    ``orchestrator.screen_candidate``) and of the regret oracle."""
     import inspect
 
     from svcgov import certify, orchestrator
@@ -582,6 +582,7 @@ def recorded_admissible_calls(monkeypatch, runs):
         return verdict
 
     monkeypatch.setattr(orchestrator, "admissible", recording)
+    monkeypatch.setattr(bench, "admissible", recording)
     for scenario, cfg, store in runs:
         result = orchestrator.run(scenario, cfg, store)
         before = len(calls)
@@ -648,8 +649,11 @@ class TestStepFactsAreComputedOnce:
 
     @staticmethod
     def screened_with_counts(monkeypatch, runs, counted):
-        """Every ``screen_candidate`` call of the runs and their scans, as
-        (verdict, facts, calls of each ``counted`` name made while it ran)."""
+        """Every screening of the runs and their scans, each decision
+        step's ``screen_candidate`` call and each ``admissible`` call of the
+        regret oracle, as (verdict, facts, calls of each ``counted`` name made
+        while it ran); and the calls of each name over the whole runs and
+        scans."""
         from svcgov import orchestrator
         from svcgov.harness import bench
 
@@ -668,14 +672,19 @@ class TestStepFactsAreComputedOnce:
             for owner, attr in targets:
                 monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
 
-        def recording(tau, step, *args):
-            before = dict(totals)
-            verdict, facts, reuse, breakdown = screen(tau, step, *args)
-            screened.append((verdict, facts, {name: totals[name] - before[name] for name in totals}))
-            return verdict, facts, reuse, breakdown
+        def recording(fn, facts_of):
+            def record(*args, **kwargs):
+                before = dict(totals)
+                result = fn(*args, **kwargs)
+                verdict, facts = facts_of(result, kwargs)
+                screened.append((verdict, facts, {name: totals[name] - before[name] for name in totals}))
+                return result
 
-        monkeypatch.setattr(orchestrator, "screen_candidate", recording)
-        monkeypatch.setattr(bench, "screen_candidate", recording)
+            return record
+
+        monkeypatch.setattr(orchestrator, "screen_candidate", recording(screen, lambda result, _: result[:2]))
+        admissible = recording(bench.admissible, lambda verdict, kwargs: (verdict, kwargs["facts"]))
+        monkeypatch.setattr(bench, "admissible", admissible)
         for scenario, cfg, store in runs:
             result = orchestrator.run(scenario, cfg, store)
             bench.scan_run(scenario, cfg, result.traces)
@@ -701,8 +710,12 @@ class TestStepFactsAreComputedOnce:
         applicable = [counts["commitments"] for v, _, counts in screened if not v.error]
         assert len(screened) > 100 and len(steps) > 20
         # each step builds the before side once, for its first candidate
-        assert totals["commitments"] == len(applicable) + len(steps) + multi_site
+        assert sum(applicable) == len(applicable) + len(steps) + multi_site
         assert set(applicable) <= {1, 2, 3}
+        # the oracle reads a deployed candidate that it did not screen from
+        # its facts, which builds that candidate's commitments outside any
+        # screening, at most once per oracle step; these runs have such ticks
+        assert 0 < totals["commitments"] - sum(applicable) < len(steps)
 
     def test_failure_match_once_per_substitution_candidate(self, monkeypatch):
         from svcgov import certify, memory

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -122,6 +123,33 @@ class TestEvaluate:
     def test_weights_must_not_be_all_zero(self):
         with pytest.raises(ConfigError):
             EvaluatorWeights(0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("weights", [(1e308, 1e308, 0, 0, 0), (float("nan"), 1, 1, 1, 1), (float("inf"), 1, 1, 1, 1)])
+    def test_weights_must_sum_to_a_finite_number(self, weights):
+        with pytest.raises(ConfigError, match="finite"):
+            EvaluatorWeights(*weights)
+
+    @given(
+        weights=st.lists(st.floats(min_value=0.0, max_value=1.7976931348623157e308), min_size=5, max_size=5),
+        components=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=5, max_size=5),
+    )
+    def test_every_accepted_score_is_finite(self, weights, components):
+        # the regret oracle screens candidates in descending score order,
+        # which finds the best score the way a max does only if no score is
+        # NaN: accepted weights and component scores in [-1, 1] keep every
+        # total finite
+        try:
+            w = EvaluatorWeights(*weights)
+        except ConfigError:
+            return
+        assert math.isfinite(ScoreBreakdown(*components, w).total)
+
+    def test_components_stay_in_range_for_unbounded_inputs(self, schema, simple_h, z):
+        soundness = type_soundness(simple_h, schema)
+        for reuse, charge in ((float("inf"), float("inf")), (float("-inf"), 1e308)):
+            breakdown = evaluate(regime(), simple_h, z, reuse, soundness, switching_cost=charge)
+            assert breakdown.j_cost == 0.0 and abs(breakdown.j_reuse) == 1.0
+            assert math.isfinite(breakdown.total)
 
 
 class TestIdentity:

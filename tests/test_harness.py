@@ -18,17 +18,19 @@ from hypothesis import strategies as st
 import svcgov
 from svcgov import orchestrator
 from svcgov.certificates import environment_digest
+from svcgov.certify import DriftLedger, StepFacts
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
-from svcgov.evaluation import detect_regime
+from svcgov.evaluation import detect_regime, evaluate
 from svcgov.harness import baselines, bench
 from svcgov.harness.cli import main as cli_main
 from svcgov.harness.demo import strict_extension
 from svcgov.harness.packs import pack_data, pack_dir, pack_scenario
 from svcgov.harness import scenario as scenario_module
 from svcgov.harness.scenario import ScenarioEvent, config_from_data, load_scenario, scenario_from_data
+from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift, type_soundness
 from svcgov.orchestrator import DecisionTrace, RunMemo, registry_from_state, replay, replay_deployments, run
-from svcgov.transform import UpdateConstraint, apply, variant_name
+from svcgov.transform import UpdateConstraint, apply, generate_candidates, transformation_key, variant_name
 
 from conftest import chain_ontology, write_checksummed_store
 
@@ -296,8 +298,8 @@ class TestBenchmarks:
         assert hashlib.sha256(document.encode("utf-8")).hexdigest() == REPORT_DIGESTS[family, subject]
 
     def test_deployed_candidate_outside_the_oracle_list_is_screened_alike(self):
-        # a scanner whose grammar lacks the deployed variants screens those
-        # deployments itself and reads the same metrics from them
+        # a scanner whose grammar lacks the deployed variants reads those
+        # deployments from their own facts, and the same metrics with them
         scenario, cfg, store = bench.FAMILY_GENERATORS["substitution"](0)
         traces = run(scenario, cfg, store).traces
         assert any(t.selected is not None and variant_name(t.selected) != "add_subservice" for t in traces)
@@ -377,12 +379,49 @@ class TestBenchmarks:
         )
 
 
+def reference_oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> bench.TickScore:
+    """``bench._oracle`` as the exhaustive loop it prunes: every grammar
+    candidate, plus the fallback, is screened through ``screen_candidate``
+    against an empty store, the best is the highest score of a passing
+    one, and a deployed candidate outside the list is screened the same
+    way but never counts toward the best."""
+    cfg = memo.cfg
+    candidates = generate_candidates(h_before, z, grammar, registry)
+    if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
+        candidates = candidates + [cfg.fallback]
+    ledger = DriftLedger(bound=cfg.drift_bound)
+    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo)
+
+    def screen(tau):
+        verdict, facts, _, breakdown = orchestrator.screen_candidate(tau, step, e_true, ledger, from_true, trace.tick)
+        return verdict, facts, breakdown.total
+
+    best = deployed = None
+    deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
+    for tau in candidates:
+        verdict, facts, score = screen(tau)
+        if verdict.passed and (best is None or score > best):
+            best = score
+        if transformation_key(tau) == deployed_key:
+            deployed = score, facts
+    if deployed is None and trace.selected is not None:
+        _, facts, score = screen(trace.selected)
+        deployed = score, facts
+    if deployed is not None:
+        achieved, facts = deployed
+        return bench.TickScore(best, achieved, (facts.identity.total, facts.core_report.passed, facts.charge))
+    if best is None:
+        return bench.TickScore(None, None, None)
+    kept = evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before))
+    return bench.TickScore(best, kept.total, None)
+
+
 def reference_scan(scenario, cfg, traces) -> bench.RunScan:
-    """``scan_run`` as the plain loop it memoizes: the oracle screens every
-    replayed tick, with a fresh memo each time, and the same tallies are
-    kept.  Each replayed lift and registry is checked against a direct read
-    of its own tick: no oracle rule reads the interaction phase, so only
-    this check sees a lift of the wrong phase."""
+    """``scan_run`` as the plain loop it memoizes: ``reference_oracle``
+    screens every replayed tick, with a fresh memo each time, and the same
+    tallies are kept.  Each replayed lift and registry is checked against a
+    direct read of its own tick: no oracle rule reads the interaction
+    phase, so only this check sees a lift of the wrong phase."""
     grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
@@ -392,7 +431,7 @@ def reference_scan(scenario, cfg, traces) -> bench.RunScan:
         assert registry == registry_from_state(x, cfg.assertions, cfg.schema), f"tick {trace.tick}"
         e_true = detect_regime(cfg.regimes, z)
         switched, from_true, true_regime = e_true.label != true_regime.label, true_regime, e_true
-        best, achieved, deployed = bench._oracle(RunMemo(cfg), grammar, registry, z, h_before, e_true, from_true, trace)
+        best, achieved, deployed = reference_oracle(RunMemo(cfg), grammar, registry, z, h_before, e_true, from_true, trace)
         if deployed is not None:
             identity, core_passed, charge = deployed
             deployments += 1
@@ -543,6 +582,98 @@ class TestScanMatchesItsReference:
         assert dict(scenario.initial_state.request.params)["weight"] == (3.5, "kg")
         traces = run(scenario, cfg).traces
         assert bench.scan_run(scenario, cfg, traces) == reference_scan(scenario, cfg, traces)
+
+
+def oracle_inputs(scenario, cfg, traces, tick) -> tuple:
+    """The arguments, but the memo, of the oracle call that ``scan_run``
+    makes at ``tick`` of a replayed run."""
+    grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
+    true_regime = cfg.default_regime()
+    for trace, _, z, registry, h_before, _ in replay(scenario, cfg, traces):
+        e_true = detect_regime(cfg.regimes, z)
+        from_true, true_regime = true_regime, e_true
+        if trace.tick == tick:
+            return grammar, registry, z, h_before, e_true, from_true, trace
+    raise AssertionError(f"no trace at tick {tick}")
+
+
+class TestOracleScreensInScoreOrder:
+    """Ticks of real runs where the pruned oracle's order matters, each with
+    the ``admissible`` calls it makes: the candidates in descending score
+    order, ties in list order, up to the first that passes."""
+
+    @staticmethod
+    def screened(monkeypatch, cfg, inputs):
+        """Each candidate's (score, passed) under full screening, in list
+        order; the indices of the candidates that the oracle screens, in
+        its order; and its findings, checked against ``reference_oracle``."""
+        grammar, registry, z, h_before, e_true, from_true, trace = inputs
+        candidates = generate_candidates(h_before, z, grammar, registry)
+        if cfg.fallback not in candidates:
+            candidates.append(cfg.fallback)
+        step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, RunMemo(cfg))
+        ledger = DriftLedger(bound=cfg.drift_bound)
+        rows = []
+        for tau in candidates:
+            verdict, _, _, breakdown = orchestrator.screen_candidate(tau, step, e_true, ledger, from_true, trace.tick)
+            rows.append((breakdown.total, verdict.passed))
+        calls = []
+        admissible = bench.admissible
+
+        def recording(tau, *args, **kwargs):
+            calls.append(candidates.index(tau))
+            return admissible(tau, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "admissible", recording)
+        found = bench._oracle(RunMemo(cfg), *inputs)
+        assert found == reference_oracle(RunMemo(cfg), *inputs)
+        order = sorted(range(len(rows)), key=lambda i: (-rows[i][0], i))
+        passing = [k for k, i in enumerate(order) if rows[i][1]]
+        assert calls == order[: passing[0] + 1 if passing else len(order)]
+        assert found.best == (rows[order[passing[0]]][0] if passing else None)
+        return rows, calls, found
+
+    @staticmethod
+    def family_run(family, seed, subject):
+        scenario, cfg, store = bench.FAMILY_GENERATORS[family](seed)
+        return scenario, cfg, run(scenario, baselines.configure(cfg, subject), store).traces
+
+    def test_the_top_scored_candidate_fails_and_a_lower_scored_one_passes(self, monkeypatch):
+        scenario, cfg, traces = self.family_run("regime-switch", 0, "typed-planner-no-memory")
+        rows, calls, found = self.screened(monkeypatch, cfg, oracle_inputs(scenario, cfg, traces, 4))
+        # the constraint update scores highest but fails A4; the fallback,
+        # first in the list, passes with a lower score
+        (fallback, fallback_passed), (update, update_passed) = rows
+        assert update > fallback and fallback_passed and not update_passed
+        assert calls == [1, 0] and found.best == fallback
+
+    def test_a_failing_and_a_passing_candidate_tie_on_score(self, monkeypatch):
+        scenario, cfg, traces = self.family_run("regime-switch", 0, "full")
+        rows, calls, found = self.screened(monkeypatch, cfg, oracle_inputs(scenario, cfg, traces, 3))
+        # two substitutions reach the same score; the first in list order
+        # fails, so both are screened, and nothing ranks above them
+        assert len(rows) == 7 and rows[0][0] == rows[4][0] == max(score for score, _ in rows)
+        assert not rows[0][1] and rows[4][1]
+        assert calls == [0, 4] and found.best == rows[4][0]
+
+    def test_no_candidate_passes(self, monkeypatch):
+        scenario, cfg = cyclic_retail(cycles=10)
+        traces = run(scenario, cfg).traces
+        rows, calls, found = self.screened(monkeypatch, cfg, oracle_inputs(scenario, cfg, traces, 9))
+        # every candidate is screened, and the tick adds no regret
+        assert len(rows) == 6 and not any(passed for _, passed in rows)
+        assert sorted(calls) == list(range(6)) and found == bench.TickScore(None, None, None)
+
+    def test_a_deployed_candidate_outside_the_list_gets_facts_and_no_verdict(self, monkeypatch):
+        scenario, cfg, traces = self.family_run("substitution", 0, "full")
+        kept = tuple((name, rule) for name, rule in cfg.grammar.variants if name == "add_subservice")
+        narrow = replace(cfg, grammar=replace(cfg.grammar, variants=kept))
+        tick = next(t.tick for t in traces if t.selected is not None and variant_name(t.selected) != "add_subservice")
+        rows, calls, found = self.screened(monkeypatch, narrow, oracle_inputs(scenario, narrow, traces, tick))
+        # the list holds the fallback alone, screened once; the deployed
+        # substitution is read from its facts
+        assert len(rows) == 1 and calls == [0]
+        assert found.deployed is not None and found.achieved is not None
 
 
 class TestHistoryFlatWork:
@@ -883,6 +1014,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "--subject" in err and "more than once: full" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "subjects, named",
+        [("full,", "''"), (",full", "''"), ("fulll", "'fulll'"), ("full,ontology_only", "'ontology_only'")],
+    )
+    def test_bench_unknown_or_empty_subject_is_a_usage_error(self, tmp_path, capsys, subjects, named):
+        # refused before any subject runs, so nothing is printed or written
+        with pytest.raises(SystemExit) as exc:
+            argv = ["--family", "substitution", "--subject", subjects, "--seeds", "0", "--out", str(tmp_path)]
+            cli_main(["bench", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "--subject" in err and f"unknown subjects: {named};" in err and "expected one of full," in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     def test_compare_non_utf8_report_exits_three(self, tmp_path, capsys):
         report = tmp_path / "r.report.json"

@@ -283,6 +283,10 @@ CONFIG_TYPOS = {
     "entry-op": (_set(("regimes", 0, "entry", 0, 0, "op"), "=>"), "unknown operator '=>'"),
     "weight-string": (_set(("regimes", 0, "weights", "task"), "3.0"), "regimes[0].weights key 'task'"),
     "budget-boolean": (_set(("regimes", 0, "budgets", "latency"), True), "regimes[0].budgets key 'latency'"),
+    "weights-overflow": (
+        lambda d: d["regimes"][0]["weights"].update(task=1e308, safety=1e308),
+        "evaluator weights must sum to a finite number (at regimes[0] key 'weights')",
+    ),
     "variant-sites": (
         _set(("grammar", "variants", "substitute", "sites"), "unhealthyy"),
         "grammar.variants.substitute key 'sites' must be one of 'any', 'unhealthy'",
