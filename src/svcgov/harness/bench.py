@@ -159,7 +159,7 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     gates).  The deployed candidate's metrics are read from the oracle's
     facts about it, never from the run's own verdicts.  The oracle is
     called once per distinct replayed state, and one ``RunMemo`` serves
-    every oracle call of the scan."""
+    the replay and every oracle call of the scan."""
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = 0.0
@@ -168,7 +168,7 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     scores: dict[tuple, TickScore] = {}
     memo = RunMemo(cfg)
 
-    for trace, x, z, registry, h_before, _ in replay(scenario, cfg, traces):
+    for trace, x, z, registry, h_before, _ in replay(scenario, memo, traces):
         e_true = detect_regime(cfg.regimes, z)
         switched = e_true.label != true_regime.label
         from_true = true_regime

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, canonical_object, digest_of, sha256_hex
-from .errors import ConfigError, IncompatibleInterface, TypingError
+from .errors import ConfigError, TypingError
 from .fields import Fields, anything, array, boolean, concept, concepts, integer, mapping, number, one_of, row, text
 from .ontology import (
     AssertionBase,
@@ -954,7 +954,7 @@ def _graph_shape_violations(h: Hypothesis) -> tuple[tuple[str, str], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Interface compatibility and composition
+# Interface compatibility
 # ---------------------------------------------------------------------------
 
 
@@ -985,59 +985,3 @@ def interface_compatible(
 ) -> bool:
     """True iff both boundaries satisfy the contract."""
     return all(contract_check(side, schema)(contract) for side in (upstream, downstream))
-
-
-def compose(
-    parts: Sequence[Hypothesis],
-    contracts: Sequence[InterfaceContract],
-    schema: OntologySchema,
-) -> Hypothesis:
-    """Compose parts in order, joining each adjacent pair with a contract
-    edge from every sink of the left part to every source of the right.
-
-    Constraints merge with the tightest bound winning per name; the
-    composition never silently weakens a constraint.
-    """
-    if not parts:
-        raise IncompatibleInterface("compose requires at least one part")
-    if len(contracts) != len(parts) - 1:
-        raise IncompatibleInterface(
-            f"expected {len(parts) - 1} contracts for {len(parts)} parts, got {len(contracts)}"
-        )
-    seen_roles: set[str] = set()
-    for part in parts:
-        dup = seen_roles & set(part.role_ids())
-        if dup:
-            raise IncompatibleInterface(f"duplicate role ids across parts: {', '.join(sorted(dup))}")
-        seen_roles |= set(part.role_ids())
-    for i, contract in enumerate(contracts):
-        if not interface_compatible(parts[i], parts[i + 1], contract, schema):
-            raise IncompatibleInterface(f"boundary {i} ({i}->{i + 1}) violates its contract")
-
-    roles: list[Role] = []
-    edges: list[Edge] = []
-    assignment: dict[str, Component] = {}
-    policy: list[PolicyRule] = []
-    for part in parts:
-        roles.extend(part.roles)
-        edges.extend(part.edges)
-        assignment.update(part.assignment_map())
-        policy.extend(part.policy)
-    for i, contract in enumerate(contracts):
-        for sink in parts[i].sinks():
-            for source in parts[i + 1].sources():
-                edges.append(Edge(sink, source, contract))
-
-    return Hypothesis.build(
-        roles=roles, edges=edges, assignment=assignment, policy=policy, constraints=merged_constraints(parts)
-    )
-
-
-def merged_constraints(parts: Iterable[Hypothesis]) -> dict[str, float]:
-    """The constraint bounds of ``parts`` by name, the tightest bound
-    winning, so that a merge never weakens a constraint."""
-    constraints: dict[str, float] = {}
-    for part in parts:
-        for name, bound in part.constraints:
-            constraints[name] = min(bound, constraints.get(name, bound))
-    return constraints

@@ -477,7 +477,6 @@ class RunResult:
     traces: tuple[DecisionTrace, ...]
     store: MemoryStore
     final_hypothesis: Hypothesis
-    final_regime: Regime
 
     def document(self, name: str, cfg: OrchestratorConfig) -> str:
         """One canonical text document per run."""
@@ -526,7 +525,7 @@ def run(scenario, cfg: OrchestratorConfig, initial_store: MemoryStore | None = N
         result = orch.step(x, h, e, store)
         h, e, store = result.hypothesis, result.regime, result.store
         traces.append(result.trace)
-    return RunResult(tuple(traces), store, h, e)
+    return RunResult(tuple(traces), store, h)
 
 
 def _record_failures(
@@ -568,7 +567,7 @@ def _record_failures(
 
 
 def replay(
-    scenario, cfg: OrchestratorConfig, traces: Sequence[DecisionTrace]
+    scenario, memo: RunMemo, traces: Sequence[DecisionTrace]
 ) -> Iterator[
     tuple[DecisionTrace, RawPlatformState, SemanticState, tuple[Component, ...], Hypothesis, Hypothesis]
 ]:
@@ -577,8 +576,8 @@ def replay(
     its tick, its semantic lift ``z`` and component registry, the
     hypothesis after the trace's regime rewrites (``h_before``) and the
     deployed one (``h_after``); raises if a trace does not replay to its
-    deployed digest.  Each distinct raw state is lifted once per replay."""
-    memo = RunMemo(cfg)
+    deployed digest.  States are lifted through ``memo``, the memo of the
+    caller's scan, so each distinct raw state is lifted once per scan."""
     raw = scenario.initial_state
     h = scenario.initial_hypothesis
     for trace in traces:
@@ -601,4 +600,5 @@ def replay_deployments(
     """The deployed hypothesis, semantic state and regime at each tick, as
     ``replay`` reconstructs them."""
     regimes = {r.label: r for r in cfg.regimes}
-    return [(trace.tick, h, z, regimes[trace.regime_label]) for trace, _, z, _, _, h in replay(scenario, cfg, traces)]
+    replayed = replay(scenario, RunMemo(cfg), traces)
+    return [(trace.tick, h, z, regimes[trace.regime_label]) for trace, _, z, _, _, h in replayed]

@@ -1,5 +1,5 @@
-"""The governed transformation grammar: variants, application, candidate
-generation, and structural diffing.
+"""The governed transformation grammar: variants, application, composition,
+candidate generation, and structural diffing.
 
 Transformations are atomic edits of a hypothesis.  Multi-edit updates are
 sequences of atomic variants, never a new variant kind, so closure can be
@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .canon import canonical_dumps
-from .errors import MalformedTransformation, NotReachable, UnknownSite
+from .errors import IncompatibleInterface, MalformedTransformation, NotReachable, UnknownSite
 from .fields import Fields, Malformed, array, boolean, integer, mapping, number, one_of, text
 from .model import (
-    Component, Edge, Hypothesis, InterfaceContract, SemanticState, SignalCondition, declared_condition, some_clause_holds,
-    merged_constraints,
+    Component, Edge, Hypothesis, InterfaceContract, SemanticState, SignalCondition, declared_condition, interface_compatible,
+    some_clause_holds,
 )
+from .ontology import OntologySchema
 
 
 class _Transformation:
@@ -311,6 +312,41 @@ def _upserted(pairs: tuple, pair: tuple) -> tuple:
     return tuple(kept)
 
 
+def compose(
+    parts: Sequence[Hypothesis],
+    contracts: Sequence[InterfaceContract],
+    schema: OntologySchema,
+) -> Hypothesis:
+    """Compose parts in order: from the first part, each next part is added
+    by one ``AddSubservice`` whose attachments join every sink of the part
+    before it to every source of the part, under the contract of their
+    boundary.  Constraints merge as ``AddSubservice`` merges them, the
+    tightest bound winning per name."""
+    if not parts:
+        raise IncompatibleInterface("compose requires at least one part")
+    if len(contracts) != len(parts) - 1:
+        raise IncompatibleInterface(
+            f"expected {len(parts) - 1} contracts for {len(parts)} parts, got {len(contracts)}"
+        )
+    seen_roles: set[str] = set()
+    for i, part in enumerate(parts):
+        if not part.roles:
+            raise IncompatibleInterface(f"part {i} has no roles")
+        dup = seen_roles & set(part.role_ids())
+        if dup:
+            raise IncompatibleInterface(f"duplicate role ids across parts: {', '.join(sorted(dup))}")
+        seen_roles |= set(part.role_ids())
+    for i, contract in enumerate(contracts):
+        if not interface_compatible(parts[i], parts[i + 1], contract, schema):
+            raise IncompatibleInterface(f"boundary {i} ({i}->{i + 1}) violates its contract")
+
+    h = parts[0]
+    for left, right, contract in zip(parts, parts[1:], contracts):
+        attach = tuple(Attachment(s, t, contract) for s in left.sinks() for t in right.sources())
+        h = apply(AddSubservice(right, attach), h)
+    return h
+
+
 def _apply_add(tau: AddSubservice, h: Hypothesis) -> Hypothesis:
     part_roles = set(tau.part.role_ids())
     if not part_roles:
@@ -338,7 +374,10 @@ def _apply_add(tau: AddSubservice, h: Hypothesis) -> Hypothesis:
     assignment = h.assignment_map()
     assignment.update(tau.part.assignment_map())
     policy = list(h.policy) + list(tau.part.policy)
-    return Hypothesis.build(roles, edges, assignment, policy, merged_constraints((h, tau.part)))
+    constraints: dict[str, float] = {}  # the tightest bound wins, so the merge never weakens a constraint
+    for name, bound in h.constraints + tau.part.constraints:
+        constraints[name] = min(bound, constraints.get(name, bound))
+    return Hypothesis.build(roles, edges, assignment, policy, constraints)
 
 
 def _part_present(tau: AddSubservice, h: Hypothesis) -> bool:

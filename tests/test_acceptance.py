@@ -42,7 +42,6 @@ from svcgov.model import (
     Hypothesis,
     PolicyRule,
     Role,
-    compose,
     interface_compatible,
     semantic_lift,
     type_soundness,
@@ -57,6 +56,7 @@ from svcgov.transform import (
     UpdateConstraint,
     VariantRule,
     apply,
+    compose,
     generate_candidates,
     transformation_to_data,
 )

@@ -426,7 +426,7 @@ def reference_scan(scenario, cfg, traces) -> bench.RunScan:
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = regret = 0.0
-    for trace, x, z, registry, h_before, _ in replay(scenario, cfg, traces):
+    for trace, x, z, registry, h_before, _ in replay(scenario, RunMemo(cfg), traces):
         assert z == semantic_lift(x, cfg.schema, cfg.assertions), f"tick {trace.tick}"
         assert registry == registry_from_state(x, cfg.assertions, cfg.schema), f"tick {trace.tick}"
         e_true = detect_regime(cfg.regimes, z)
@@ -589,7 +589,7 @@ def oracle_inputs(scenario, cfg, traces, tick) -> tuple:
     makes at ``tick`` of a replayed run."""
     grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
     true_regime = cfg.default_regime()
-    for trace, _, z, registry, h_before, _ in replay(scenario, cfg, traces):
+    for trace, _, z, registry, h_before, _ in replay(scenario, RunMemo(cfg), traces):
         e_true = detect_regime(cfg.regimes, z)
         from_true, true_regime = true_regime, e_true
         if trace.tick == tick:

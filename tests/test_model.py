@@ -31,13 +31,12 @@ from svcgov.model import (
     SoundnessReport,
     _graph_shape_violations,
     build_raw_state,
-    compose,
     interface_compatible,
     semantic_lift,
     type_soundness,
 )
 from svcgov.ontology import Category, ConceptId, is_refinement
-from svcgov.transform import AddSubservice, RemoveSubservice, Substitute, apply
+from svcgov.transform import AddSubservice, RemoveSubservice, Substitute, apply, compose
 
 from conftest import (
     UNIT_A,
@@ -607,12 +606,52 @@ class TestInterfaceCompatibility:
 
 def reference_merge(parts) -> dict[str, float]:
     """The constraint merge loop that ``compose`` and ``_apply_add`` each
-    wrote out before ``merged_constraints`` stated it once."""
+    wrote out before ``compose`` became a fold of ``AddSubservice``."""
     constraints: dict[str, float] = {}
     for part in parts:
         for name, bound in part.constraints:
             constraints[name] = min(bound, constraints.get(name, bound))
     return constraints
+
+
+def reference_compose(parts, contracts, schema) -> Hypothesis:
+    """``compose`` as it was written out before it became a fold of
+    ``AddSubservice``: every part's roles, edges, bindings and policy
+    concatenated, then the boundary edges, then the merged constraints.
+    It accepts a part with no roles, which ``compose`` refuses."""
+    if not parts:
+        raise IncompatibleInterface("compose requires at least one part")
+    if len(contracts) != len(parts) - 1:
+        raise IncompatibleInterface(
+            f"expected {len(parts) - 1} contracts for {len(parts)} parts, got {len(contracts)}"
+        )
+    seen_roles: set[str] = set()
+    for part in parts:
+        dup = seen_roles & set(part.role_ids())
+        if dup:
+            raise IncompatibleInterface(f"duplicate role ids across parts: {', '.join(sorted(dup))}")
+        seen_roles |= set(part.role_ids())
+    for i, boundary in enumerate(contracts):
+        if not interface_compatible(parts[i], parts[i + 1], boundary, schema):
+            raise IncompatibleInterface(f"boundary {i} ({i}->{i + 1}) violates its contract")
+
+    roles: list[Role] = []
+    edges: list[Edge] = []
+    assignment: dict[str, Component] = {}
+    policy: list[PolicyRule] = []
+    for part in parts:
+        roles.extend(part.roles)
+        edges.extend(part.edges)
+        assignment.update(part.assignment_map())
+        policy.extend(part.policy)
+    for i, boundary in enumerate(contracts):
+        for sink in parts[i].sinks():
+            for source in parts[i + 1].sources():
+                edges.append(Edge(sink, source, boundary))
+
+    return Hypothesis.build(
+        roles=roles, edges=edges, assignment=assignment, policy=policy, constraints=reference_merge(parts)
+    )
 
 
 #: Constraint bounds with ties, signed zeros included, so that which of two
@@ -650,6 +689,45 @@ class TestCompose:
         composed = compose(parts, [contract()] * 3, schema)
         assert len(composed.roles) == sum(len(p.roles) for p in parts)
         assert type_soundness(composed, schema).sound  # oracle: re-run soundness
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_roleless_part_is_refused_by_its_index(self, schema, position):
+        parts = [chain_hypothesis([(f"p{i}", "t:FA", UNIT_A)]) for i in range(3)]
+        parts[position] = Hypothesis.build([])
+        with pytest.raises(IncompatibleInterface, match=f"part {position} has no roles"):
+            compose(parts, [contract()] * 2, schema)
+
+    @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fold_equals_the_concatenation_it_replaced(self, schema, data):
+        # parts of one to three roles (a role-less part is refused by the
+        # fold alone), chained or unlinked so that a part may have several
+        # sinks and sources; a first role may reuse an id, a boundary may
+        # carry an obligation that only some parts propagate, and one
+        # contract too many may be drawn, so each refusal is reached
+        loose, strict = contract(), contract(obligations=("t:ObTrace",))
+        units = st.sampled_from([("t:FA", UNIT_A), ("t:FA", UNIT_A1), ("t:FB", UNIT_B), ("t:FC", UNIT_C)])
+        parts = []
+        for i in range(data.draw(st.integers(1, 6))):
+            bindings = []
+            for j in range(data.draw(st.integers(1, 3))):
+                rid = data.draw(st.sampled_from([f"p{i}r{j}"] * 7 + (["shared"] if j == 0 else [])))
+                bindings.append((rid, *data.draw(units)))
+            edge_contract = data.draw(st.sampled_from([loose, strict]))
+            part = chain_hypothesis(bindings, edge_contract=edge_contract, constraints=data.draw(BOUNDS))
+            parts.append(replace(part, edges=()) if data.draw(st.booleans()) else part)
+        n = len(parts) - 1 + data.draw(st.sampled_from([0, 0, 0, 0, 1]))
+        contracts = [data.draw(st.sampled_from([loose, loose, loose, strict])) for _ in range(n)]
+        try:
+            expected = reference_compose(parts, contracts, schema)
+        except IncompatibleInterface:
+            with pytest.raises(IncompatibleInterface):
+                compose(parts, contracts, schema)
+            return
+        composed = compose(parts, contracts, schema)
+        assert composed == expected
+        assert repr(composed.constraints) == repr(expected.constraints)
+        assert composed.digest() == expected.digest()
 
     def test_duplicate_role_ids_rejected(self, schema):
         a = chain_hypothesis([("same", "t:FA", UNIT_A)])

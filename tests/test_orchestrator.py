@@ -155,7 +155,7 @@ class TestReplay:
             return semantic_lift(x, *args)
 
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
-        replayed = list(replay(scenario, cfg, traces))
+        replayed = list(replay(scenario, RunMemo(cfg), traces))
         assert lifted == [0, 1, 2]  # (tick-0 state, tick 0), (tick-0 state, later), (noisy state, later)
         assert [trace.tick for trace, *_ in replayed] == list(range(7))
         assert replace(replayed[4][1], time=0) == replayed[0][1]

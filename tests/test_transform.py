@@ -96,6 +96,10 @@ class TestApply:
         with pytest.raises(MalformedTransformation):
             apply(tau, simple_h)
 
+    def test_add_of_roleless_part_is_malformed(self, simple_h):
+        with pytest.raises(MalformedTransformation, match="no roles"):
+            apply(AddSubservice(Hypothesis.build([]), ()), simple_h)
+
     def test_attachment_must_join_host_and_part(self, simple_h):
         part = chain_hypothesis([("new1", "t:FC", UNIT_C)])
         dangling = AddSubservice(part, (Attachment("new1", "new1", contract()),))
