@@ -33,9 +33,11 @@ from .evaluation import (
     IdentityBreakdown,
     InvariantCore,
     Regime,
+    ScoreBreakdown,
     StructuralPrior,
     _commitments,
     core_value,
+    evaluate,
     identity_breakdown,
     prior_complexity,
 )
@@ -212,10 +214,11 @@ class StepFacts:
     """What one screening step fixes for every candidate it screens: the
     configuration ``h`` that candidates start from, the semantic state
     ``z``, the parts of the config that the obligations read, the memo of
-    the run or scan, the certificate context and the memory store that S5
-    reads (the empty store with the memory gate off).  The facts about
-    ``h`` are computed on first use and then kept, so every candidate
-    reads the same value.
+    the run or scan, the certificate context, the memory store that S5
+    reads (the empty store with the memory gate off) and the regime
+    switch ``from_regime -> e`` that candidates are screened on.  The
+    facts about ``h`` are computed on first use and then kept, so every
+    candidate reads the same value.
 
     ``Orchestrator.step`` builds one per decision step and the regret
     oracle one per tick.  A standalone certifier or a bare ``admissible``
@@ -232,6 +235,8 @@ class StepFacts:
     memo: "RunMemo | None" = None
     context: CertContext | None = None
     store: MemoryStore = EMPTY_STORE
+    e: Regime | None = None
+    from_regime: Regime | None = None
 
     @classmethod
     def screening(
@@ -242,18 +247,20 @@ class StepFacts:
         store: MemoryStore,
         cfg: "OrchestratorConfig",
         memo: "RunMemo | None" = None,
+        from_regime: Regime | None = None,
     ) -> "StepFacts":
-        """The facts of screening candidates from ``h`` under ``z`` into
-        regime ``e`` on ``cfg``.  With a ``memo``, which must be built on
-        ``cfg``, the environment class of ``z`` and the soundness of each
-        graph are read through it; without one they are digested and
-        judged afresh."""
+        """The facts of screening candidates from ``h`` under ``z`` on
+        ``cfg``, on the switch ``from_regime -> e``; ``from_regime``
+        defaults to ``e`` when no switch is in flight.  With a ``memo``,
+        which must be built on ``cfg``, the environment class of ``z`` and
+        the soundness of each graph are read through it; without one they
+        are digested and judged afresh."""
         if memo is not None and memo.cfg is not cfg:
             raise ConfigError("the memo passed to admissible is built on another config")
         environment = memo.environment(z) if memo is not None else environment_digest(z, cfg.schema)
         context = CertContext(e.label, environment)
         store = store if cfg.flags.memory else EMPTY_STORE
-        return cls(h, z, cfg.schema, cfg.core, cfg.prior, cfg.switch_model, memo, context, store)
+        return cls(h, z, cfg.schema, cfg.core, cfg.prior, cfg.switch_model, memo, context, store, e, from_regime or e)
 
     def candidate(self, tau: Transformation) -> "CandidateFacts":
         """The facts of the configuration that ``tau`` reaches from ``h``;
@@ -331,6 +338,26 @@ class CandidateFacts:
         return structural_charge(self.step.h, self.h2, self.step.model, before=self.step)
 
     @cached_property
+    def entry(self) -> LedgerEntry:
+        """The A2 charge of reaching ``h2`` on the step's switch, as the
+        ledger entry it adds: the cost is the structural charge plus the
+        declared switch cost, the residual is the declared adaptation
+        residual, and the entry's ``charge`` is their sum.  A candidate
+        whose transformation is not applicable reaches nothing and is
+        charged 0."""
+        step = self.step
+        a, b = step.from_regime.label, step.e.label
+        if self.error is not None:
+            return LedgerEntry(a, b, 0.0, 0.0)
+        return LedgerEntry(a, b, self.charge + step.model.cost(a, b), step.model.residual(a, b))
+
+    def score(self, reuse: float) -> ScoreBreakdown:
+        """The score of ``h2`` in the step's destination regime, with the
+        reuse term ``reuse`` and charged the A2 charge (``entry``)."""
+        step = self.step
+        return evaluate(step.e, self.h2, step.z, reuse, self.soundness, switching_cost=self.entry.charge)
+
+    @cached_property
     def complexity(self) -> float:
         return prior_complexity(self.step.prior, self.h2)
 
@@ -397,29 +424,18 @@ def certify_stability(
     residual when regimes differ) fits both the cumulative bound and the
     destination regime's switching budget.  The ledger is updated only on
     certificate issue."""
-    outcome, entry = _stability(CandidateFacts(h2, StepFacts(h, model=model)), ledger, e, e2, context, tick)
-    return outcome, ledger.charged(entry) if isinstance(outcome, Certificate) else ledger
-
-
-def switch_charge(facts: CandidateFacts, e: Regime, e2: Regime) -> LedgerEntry:
-    """The A2 charge of reaching ``facts.h2`` on the switch ``e -> e2``, as
-    the ledger entry it adds: the cost is the structural charge plus the
-    declared switch cost, the residual is the declared adaptation residual,
-    and the entry's ``charge`` is their sum.  A candidate whose
-    transformation is not applicable reaches nothing and is charged 0."""
-    if facts.error is not None:
-        return LedgerEntry(e.label, e2.label, 0.0, 0.0)
-    model = facts.step.model
-    cost = facts.charge + model.cost(e.label, e2.label)
-    return LedgerEntry(e.label, e2.label, cost, model.residual(e.label, e2.label))
+    facts = CandidateFacts(h2, StepFacts(h, model=model, e=e2, from_regime=e))
+    outcome = _stability(facts, ledger, context, tick)
+    return outcome, ledger.charged(facts.entry) if isinstance(outcome, Certificate) else ledger
 
 
 def _stability(
-    facts: CandidateFacts, ledger: DriftLedger, e: Regime, e2: Regime, context: CertContext, tick: int
-) -> tuple[Certificate | Violation, LedgerEntry]:
-    """The A2 outcome, and the entry that its charge adds to ``ledger``
-    when the candidate deploys."""
-    entry = switch_charge(facts, e, e2)
+    facts: CandidateFacts, ledger: DriftLedger, context: CertContext, tick: int
+) -> Certificate | Violation:
+    """The A2 outcome of the candidate's charge (``facts.entry``) on the
+    step's switch."""
+    e, e2 = facts.step.from_regime, facts.step.e
+    entry = facts.entry
     charge = entry.charge
     budget = e2.budgets.switching_cost
     evidence: dict[str, object] = {
@@ -436,12 +452,12 @@ def _stability(
     within_bound = ledger.total + charge <= ledger.bound + BOUND_EPS
     within_budget = charge <= budget + BOUND_EPS
     if within_bound and within_budget:
-        return Certificate("stability", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick), entry
+        return Certificate("stability", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
     if not within_bound:
         message = f"cumulative drift {ledger.total + charge:.6g} exceeds bound {ledger.bound:.6g}"
     else:
         message = f"charge {charge:.6g} exceeds switching budget {budget:.6g}"
-    return Violation("A2", message, tuple(sorted(evidence.items()))), entry
+    return Violation("A2", message, tuple(sorted(evidence.items())))
 
 
 def certify_capacity(
@@ -512,7 +528,7 @@ def _invariance(facts: CandidateFacts, context: CertContext, tick: int) -> Certi
 
 
 def _substitution_sites(h: Hypothesis, c1: Component) -> tuple[str, ...]:
-    sites = tuple(rid for rid, comp in h.assignment if comp.component_id == c1.component_id)
+    sites = h.sites_of(c1.component_id)
     if not sites:
         raise UnknownSite(f"component {c1.component_id} is not assigned in the hypothesis")
     return sites
@@ -687,30 +703,28 @@ def admissible(
     ledger: DriftLedger | None = None,
     from_regime: Regime | None = None,
     tick: int = 0,
-    memo: "RunMemo | None" = None,
     facts: CandidateFacts | None = None,
 ) -> AdmissibilityVerdict:
     """Run all four certifiers (plus the substitution certifier for
     substitution-class transformations) and aggregate.  ``tau`` is applied
     once, and every obligation reads the same candidate facts.
 
-    ``e`` is the destination regime; ``from_regime`` defaults to it when
-    no switch is in flight.  A caller that screens many candidates passes
-    the ``memo`` of its run or scan (see ``StepFacts.screening``) and the
-    ``facts`` of ``tau``, ``StepFacts.screening(h, z, e, store, cfg,
-    memo).candidate(tau)``, built from the step's one ``StepFacts``, so
-    that it can read them beside the verdict; without them they are built
-    from the arguments.  The returned ledger is charged for the candidate
+    A caller that screens many candidates passes the ``facts`` of ``tau``,
+    ``step.candidate(tau)``, built from the step's one ``StepFacts`` (see
+    ``StepFacts.screening``), which holds the memo of its run or scan and
+    the switch ``from_regime -> e``, so that it can read them beside the
+    verdict.  Without them they are built from the arguments: ``e`` is
+    the destination regime, and ``from_regime`` defaults to it when no
+    switch is in flight.  The returned ledger is charged for the candidate
     only when it passes with A2 certified, and is adopted by the caller
     only if the candidate deploys."""
     if facts is None:
-        facts = StepFacts.screening(h, z, e, store, cfg, memo).candidate(tau)
+        facts = StepFacts.screening(h, z, e, store, cfg, from_regime=from_regime).candidate(tau)
     flags = cfg.flags
     if ledger is None:
         ledger = DriftLedger(bound=cfg.drift_bound)
-    if from_regime is None:
-        from_regime = e
     step = facts.step
+    e = step.e
     context = step.context
     environment = context.environment_digest
 
@@ -746,8 +760,7 @@ def admissible(
     closure_outcome = moved_closure or _closure(facts, cfg.grammar, tau, context, tick)
     a1 = _as_result("A1", closure_outcome, gated=flags.closure)
 
-    stability_outcome, entry = _stability(facts, ledger, from_regime, e, context, tick)
-    a2 = _as_result("A2", stability_outcome, gated=flags.stability)
+    a2 = _as_result("A2", _stability(facts, ledger, context, tick), gated=flags.stability)
 
     capacity_budget = min(cfg.capacity_budget, e.budgets.complexity)
     capacity_outcome = moved_capacity or _capacity(facts, capacity_budget, context, tick)
@@ -790,7 +803,7 @@ def admissible(
         identity_score=identity_score,
         identity_passed=identity_passed,
         certificates=certificates,
-        updated_ledger=ledger.charged(entry) if passed and a2.certified else ledger,
+        updated_ledger=ledger.charged(facts.entry) if passed and a2.certified else ledger,
         transported=transported,
         before_digest=h.digest(),
         after_digest=h2.digest(),

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from ..certify import CandidateFacts, DriftLedger, StepFacts, admissible, switch_charge
+from ..certify import DriftLedger, StepFacts, admissible
 from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, integer, keyed, number, read, text
@@ -225,30 +225,28 @@ def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> T
     keys, fallback_key = [transformation_key(t) for t in candidates], transformation_key(cfg.fallback)
     if fallback_key not in keys:
         candidates, keys = candidates + [cfg.fallback], keys + [fallback_key]
-    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo)
-
-    def scored(tau) -> tuple[CandidateFacts, float]:
-        facts = step.candidate(tau)
-        charge = switch_charge(facts, from_true, e_true).charge
-        return facts, evaluate(e_true, facts.h2, z, 0.0, facts.soundness, switching_cost=charge).total
-
-    scores = [scored(tau) for tau in candidates]
+    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo, from_true)
+    facts = [step.candidate(tau) for tau in candidates]
+    scores = [f.score(0.0).total for f in facts]
     ledger = DriftLedger(bound=cfg.drift_bound)
     best: float | None = None
     # a stable sort keeps list order among equal scores
-    for i in sorted(range(len(candidates)), key=lambda i: -scores[i][1]):
-        facts, score = scores[i]
+    for i in sorted(range(len(candidates)), key=lambda i: -scores[i]):
         verdict = admissible(
-            candidates[i], h_before, z, e_true, EMPTY_STORE, cfg,
-            ledger=ledger, from_regime=from_true, tick=trace.tick, memo=memo, facts=facts,
+            candidates[i], h_before, z, e_true, EMPTY_STORE, cfg, ledger=ledger, tick=trace.tick, facts=facts[i]
         )
         if verdict.passed:
-            best = score
+            best = scores[i]
             break
     if trace.selected is not None:
         key = transformation_key(trace.selected)
-        facts, achieved = scores[keys.index(key)] if key in keys else scored(trace.selected)
-        return TickScore(best, achieved, (facts.identity.total, facts.core_report.passed, facts.charge))
+        if key in keys:
+            i = keys.index(key)
+            deployed, achieved = facts[i], scores[i]
+        else:
+            deployed = step.candidate(trace.selected)
+            achieved = deployed.score(0.0).total
+        return TickScore(best, achieved, (deployed.identity.total, deployed.core_report.passed, deployed.charge))
     if best is None:
         return TickScore(None, None, None)
     kept = evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before))

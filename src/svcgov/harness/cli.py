@@ -130,9 +130,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    if args.which != "strict-extension":
-        print(f"error usage: unknown demo {args.which!r}", file=sys.stderr)
-        return EXIT_USAGE
     report = demo.strict_extension()
     print(report.render(), end="")
     ok = report.ontology_accepts == 2 and report.fully_admissible == 1

@@ -676,6 +676,10 @@ class Hypothesis:
     def binding(self, role_id: str) -> Component | None:
         return self.assignment_map().get(role_id)
 
+    def sites_of(self, component_id: str) -> tuple[str, ...]:
+        """The roles bound to the component ``component_id``."""
+        return tuple(rid for rid, comp in self.assignment if comp.component_id == component_id)
+
     def constraint_map(self) -> dict[str, float]:
         return dict(self.constraints)
 

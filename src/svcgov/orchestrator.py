@@ -21,15 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .canon import canonical_dumps
 from .certificates import Certificate, environment_digest
-from .certify import (
-    AdmissibilityVerdict,
-    CandidateFacts,
-    DriftLedger,
-    RegimeSwitchModel,
-    StepFacts,
-    admissible,
-    switch_charge,
-)
+from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, StepFacts, admissible
 from .errors import ConfigError, TypingError
 from .evaluation import (
     InvariantCore,
@@ -37,7 +29,6 @@ from .evaluation import (
     ScoreBreakdown,
     StructuralPrior,
     detect_regime,
-    evaluate,
 )
 from .fields import Fields, boolean
 from .memory import (
@@ -221,37 +212,6 @@ class RunMemo:
         return report
 
 
-def screen_candidate(
-    tau: Transformation,
-    step: StepFacts,
-    e: Regime,
-    ledger: DriftLedger,
-    from_regime: Regime,
-    tick: int,
-) -> tuple[AdmissibilityVerdict, CandidateFacts, float, ScoreBreakdown]:
-    """Screen one candidate in ``step``, built by ``StepFacts.screening``
-    into regime ``e`` with the run's or scan's memo, and score the
-    configuration it reaches: the verdict, the candidate's facts (of
-    ``h`` itself when ``tau`` is not applicable), the reuse term read from
-    the step's store (0 with the memory gate off) and the regime score
-    charged the A2 switching charge (``switch_charge``)."""
-    memo = step.memo
-    cfg = memo.cfg
-    facts = step.candidate(tau)
-    verdict = admissible(
-        tau, step.h, step.z, e, step.store, cfg, ledger=ledger, from_regime=from_regime, tick=tick, memo=memo, facts=facts
-    )
-    environment = step.context.environment_digest
-    reuse = (
-        reuse_score(step.store, facts.h2, e.label, environment, cfg.reuse_bonus, cfg.reuse_penalty, facts.failures)
-        if cfg.flags.memory
-        else 0.0
-    )
-    charge = switch_charge(facts, from_regime, e).charge
-    breakdown = evaluate(e, facts.h2, step.z, reuse, facts.soundness, switching_cost=charge)
-    return verdict, facts, reuse, breakdown
-
-
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
@@ -329,14 +289,23 @@ class Orchestrator:
         self.ledger = DriftLedger(bound=cfg.drift_bound)
         self.memo = RunMemo(cfg)
 
-    def _screen(
-        self, tau: Transformation, step: StepFacts, e2: Regime, e: Regime, tick: int
-    ) -> tuple[CandidateTrace, Hypothesis]:
-        """The trace of one candidate screened in ``step`` against the run's
-        ledger, and the configuration it reaches (``h`` itself when ``tau``
-        is not applicable)."""
-        verdict, facts, reuse, breakdown = screen_candidate(tau, step, e2, self.ledger, e, tick)
-        return CandidateTrace(tau, verdict, breakdown, reuse, facts.complexity), facts.h2
+    def _screen(self, tau: Transformation, step: StepFacts, tick: int) -> tuple[CandidateTrace, Hypothesis]:
+        """One candidate screened in ``step`` (built by ``StepFacts.screening``
+        with the run's memo) against the run's ledger: its trace, which
+        holds the verdict, the reuse term read from the step's store (0 with
+        the memory gate off) and the candidate's score, and the
+        configuration it reaches (``h`` itself when ``tau`` is not
+        applicable)."""
+        cfg, e = self.cfg, step.e
+        facts = step.candidate(tau)
+        verdict = admissible(tau, step.h, step.z, e, step.store, cfg, ledger=self.ledger, tick=tick, facts=facts)
+        environment = step.context.environment_digest
+        reuse = (
+            reuse_score(step.store, facts.h2, e.label, environment, cfg.reuse_bonus, cfg.reuse_penalty, facts.failures)
+            if cfg.flags.memory
+            else 0.0
+        )
+        return CandidateTrace(tau, verdict, facts.score(reuse), reuse, facts.complexity), facts.h2
 
     def step(
         self, x: RawPlatformState, h: Hypothesis, e: Regime, store: MemoryStore
@@ -375,45 +344,37 @@ class Orchestrator:
 
         candidates = generate_candidates(h, z, cfg.grammar, registry)
         # a step with nothing to screen deploys nothing, and needs no facts
-        step = StepFacts.screening(h, z, e2, store, cfg, self.memo) if candidates else None
+        step = StepFacts.screening(h, z, e2, store, cfg, self.memo, e) if candidates else None
 
         screened: list[CandidateTrace] = []
         outcomes: list[Hypothesis] = []
         for tau in candidates:
-            trace, candidate_h = self._screen(tau, step, e2, e, tick)
+            trace, candidate_h = self._screen(tau, step, tick)
             screened.append(trace)
             outcomes.append(candidate_h)
 
         survivors = [i for i, c in enumerate(screened) if c.verdict.passed]
         kind = "noop"
         selected_index: int | None = None
-        selected: Transformation | None = None
-        deployed = h
-        regime_out = e2
-        certificates: tuple[Certificate, ...] = ()
         error = ""
-
-        if candidates and not survivors:
-            trace_fb, candidate_h = self._screen(cfg.fallback, step, e2, e, tick)
+        if survivors:
+            kind = "selected"
+            selected_index = min(survivors, key=lambda i: (-screened[i].breakdown.total, screened[i].complexity, i))
+        elif candidates:
+            trace_fb, candidate_h = self._screen(cfg.fallback, step, tick)
             screened.append(trace_fb)
             outcomes.append(candidate_h)
             if trace_fb.verdict.passed:
                 kind = "fallback"
                 selected_index = len(screened) - 1
-                selected = trace_fb.transformation
-                deployed = candidate_h
-                self.ledger = trace_fb.verdict.updated_ledger
-                certificates = trace_fb.verdict.certificates
             else:
                 error = "fallback inadmissible; configuration violates its own guarantee"
-        elif survivors:
-            ranked = sorted(
-                survivors,
-                key=lambda i: (-screened[i].breakdown.total, screened[i].complexity, i),
-            )
-            selected_index = ranked[0]
+
+        selected: Transformation | None = None
+        deployed = h
+        certificates: tuple[Certificate, ...] = ()
+        if selected_index is not None:
             choice = screened[selected_index]
-            kind = "selected"
             selected = choice.transformation
             deployed = outcomes[selected_index]
             self.ledger = choice.verdict.updated_ledger
@@ -427,10 +388,7 @@ class Orchestrator:
                 evidence=tuple(
                     sorted(
                         {
-                            "obligations": {
-                                code: result.certified
-                                for code, result in screened[selected_index].verdict.obligations
-                            },
+                            "obligations": {code: result.certified for code, result in choice.verdict.obligations},
                             "selected": kind,
                         }.items()
                     )
@@ -464,7 +422,7 @@ class Orchestrator:
             transported_used=sum(c.verdict.transported for c in screened),
             error=error,
         )
-        return StepResult(deployed, regime_out, store, trace)
+        return StepResult(deployed, e2, store, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +503,7 @@ def _record_failures(
     except TypingError:
         return store
     for component_id, code in failures:
-        sites = [rid for rid, comp in h.assignment if comp.component_id == component_id]
+        sites = h.sites_of(component_id)
         if not sites:
             continue
         signature = FailureSignature(

@@ -478,13 +478,18 @@ class TestLedgerAndCapacityMeasure:
 # ---------------------------------------------------------------------------
 
 
-def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, memo, facts):
+def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, facts):
     """Each obligation's outcome computed the reference way: the public
     certifiers called one by one, each building its own facts, and the
     transport lookup where ``admissible`` consults memory.  The environment
-    digest is recomputed from ``z`` and soundness judged afresh; the memo
-    and the step's candidate facts passed to ``admissible`` are ignored."""
+    digest is recomputed from ``z`` and soundness judged afresh; of the
+    step's candidate facts passed to ``admissible`` only the switch that
+    the step screens is read, as a caller with facts passes no
+    ``from_regime``."""
     ledger = ledger if ledger is not None else DriftLedger(bound=cfg.drift_bound)
+    if facts is not None:
+        assert facts.step.e is e and from_regime is None
+        from_regime = facts.step.from_regime
     from_regime = from_regime if from_regime is not None else e
     context = CertContext(e.label, environment_digest(z, cfg.schema))
     memory = store if cfg.flags.memory else EMPTY_STORE
@@ -528,7 +533,8 @@ def check_against_standalone(call, verdict) -> set[str]:
     covered = set()
     facts = call["facts"]
     if facts is None:
-        step = StepFacts.screening(call["h"], call["z"], call["e"], call["store"], call["cfg"], call["memo"])
+        args = call["h"], call["z"], call["e"], call["store"], call["cfg"]
+        step = StepFacts.screening(*args, from_regime=call["from_regime"])
         facts = step.candidate(call["tau"])
     assert facts.step.h is call["h"] and facts.step.z is call["z"]
     if verdict.error:
@@ -565,7 +571,7 @@ def check_against_standalone(call, verdict) -> set[str]:
 def recorded_admissible_calls(monkeypatch, runs):
     """Run each (scenario, cfg, store) and its replay scan, recording every
     ``admissible`` call of the decision steps (through
-    ``orchestrator.screen_candidate``) and of the regret oracle."""
+    ``Orchestrator._screen``) and of the regret oracle."""
     import inspect
 
     from svcgov import certify, orchestrator
@@ -619,7 +625,7 @@ class TestSharedFactsMatchStandaloneCertifiers:
             Substitute("r2", "ua", UNIT_A1),
         ):
             call = dict(tau=tau, h=h, z=z, e=regime(), store=EMPTY_STORE, cfg=cfg)
-            call.update(ledger=None, from_regime=None, tick=3, memo=None, facts=None)
+            call.update(ledger=None, from_regime=None, tick=3, facts=None)
             verdict = admissible(**call)
             covered |= check_against_standalone(call, verdict)
             if tau.role_id in ("r1", "r3"):
@@ -634,7 +640,7 @@ class TestSharedFactsMatchStandaloneCertifiers:
         h = chain_hypothesis([("r1", "t:FA", UNIT_A), ("r2", "t:FB", UNIT_B)])
         memo = RunMemo(make_config(schema, assertions))
         with pytest.raises(ConfigError, match="another config"):
-            admissible(Rebind("r1", UNIT_A1), h, z, regime(), EMPTY_STORE, make_config(schema, assertions), memo=memo)
+            StepFacts.screening(h, z, regime(), EMPTY_STORE, make_config(schema, assertions), memo)
 
 
 # ---------------------------------------------------------------------------
@@ -650,16 +656,22 @@ class TestStepFactsAreComputedOnce:
     @staticmethod
     def screened_with_counts(monkeypatch, runs, counted):
         """Every screening of the runs and their scans, each decision
-        step's ``screen_candidate`` call and each ``admissible`` call of the
-        regret oracle, as (verdict, facts, calls of each ``counted`` name made
-        while it ran); and the calls of each name over the whole runs and
-        scans."""
+        step's ``Orchestrator._screen`` call and each ``admissible`` call of
+        the regret oracle, as (verdict, facts, calls of each ``counted`` name
+        made while it ran); and the calls of each name over the whole runs
+        and scans."""
         from svcgov import orchestrator
         from svcgov.harness import bench
 
         totals = {name: 0 for name in counted}
         screened = []
-        screen = orchestrator.screen_candidate
+        screen = orchestrator.Orchestrator._screen
+        step_facts = []  # the facts that ``_screen`` passes to ``admissible``
+        step_admissible = orchestrator.admissible
+
+        def passing_facts(*args, **kwargs):
+            step_facts.append(kwargs["facts"])
+            return step_admissible(*args, **kwargs)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -682,7 +694,9 @@ class TestStepFactsAreComputedOnce:
 
             return record
 
-        monkeypatch.setattr(orchestrator, "screen_candidate", recording(screen, lambda result, _: result[:2]))
+        monkeypatch.setattr(orchestrator, "admissible", passing_facts)
+        screened_trace = recording(screen, lambda result, _: (result[0].verdict, step_facts.pop()))
+        monkeypatch.setattr(orchestrator.Orchestrator, "_screen", screened_trace)
         admissible = recording(bench.admissible, lambda verdict, kwargs: (verdict, kwargs["facts"]))
         monkeypatch.setattr(bench, "admissible", admissible)
         for scenario, cfg, store in runs:
@@ -736,6 +750,25 @@ class TestStepFactsAreComputedOnce:
         assert {count for _, count in substitutions} == {1}
         assert any(v.substitution.violation is not None and v.substitution.code == "S5" for v, _ in substitutions)
         assert all(counts["match_failure"] <= 1 for v, _, counts in screened if v.substitution is None)
+
+    def test_switch_charge_once_per_candidate(self, monkeypatch):
+        created = []
+        candidate = StepFacts.candidate
+
+        def creating(step, tau):
+            facts = candidate(step, tau)
+            created.append(facts)
+            return facts
+
+        monkeypatch.setattr(StepFacts, "candidate", creating)
+        # the declared residual is read only by the A2 charge, which charges
+        # a candidate that does not apply 0 without reading it
+        counted = {"residual": [(RegimeSwitchModel, "residual")]}
+        _, totals = self.screened_with_counts(monkeypatch, self.family_runs(), counted)
+        applicable = [facts for facts in created if facts.error is None]
+        # every candidate is charged, by A2 or by its score, and only once
+        assert all("entry" in vars(facts) for facts in created)
+        assert len(applicable) > 100 and totals["residual"] == len(applicable)
 
     def test_ledger_charged_only_for_passing_candidates_with_a2_certified(self, monkeypatch):
         counted = {"charged": [(DriftLedger, "charged")]}

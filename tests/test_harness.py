@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import svcgov
 from svcgov import orchestrator
 from svcgov.certificates import environment_digest
-from svcgov.certify import DriftLedger, StepFacts
+from svcgov.certify import StepFacts
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
 from svcgov.evaluation import detect_regime, evaluate
 from svcgov.harness import baselines, bench
@@ -381,7 +381,7 @@ class TestBenchmarks:
 
 def reference_oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> bench.TickScore:
     """``bench._oracle`` as the exhaustive loop it prunes: every grammar
-    candidate, plus the fallback, is screened through ``screen_candidate``
+    candidate, plus the fallback, is screened through ``Orchestrator._screen``
     against an empty store, the best is the highest score of a passing
     one, and a deployed candidate outside the list is screened the same
     way but never counts toward the best."""
@@ -389,12 +389,12 @@ def reference_oracle(memo, grammar, registry, z, h_before, e_true, from_true, tr
     candidates = generate_candidates(h_before, z, grammar, registry)
     if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
         candidates = candidates + [cfg.fallback]
-    ledger = DriftLedger(bound=cfg.drift_bound)
-    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo)
+    screening = orchestrator.Orchestrator(cfg)  # a fresh drift ledger
+    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo, from_true)
 
     def screen(tau):
-        verdict, facts, _, breakdown = orchestrator.screen_candidate(tau, step, e_true, ledger, from_true, trace.tick)
-        return verdict, facts, breakdown.total
+        candidate, _ = screening._screen(tau, step, trace.tick)
+        return candidate.verdict, step.candidate(tau), candidate.breakdown.total
 
     best = deployed = None
     deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
@@ -611,12 +611,12 @@ class TestOracleScreensInScoreOrder:
         candidates = generate_candidates(h_before, z, grammar, registry)
         if cfg.fallback not in candidates:
             candidates.append(cfg.fallback)
-        step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, RunMemo(cfg))
-        ledger = DriftLedger(bound=cfg.drift_bound)
+        step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, RunMemo(cfg), from_true)
+        screening = orchestrator.Orchestrator(cfg)  # a fresh drift ledger
         rows = []
         for tau in candidates:
-            verdict, _, _, breakdown = orchestrator.screen_candidate(tau, step, e_true, ledger, from_true, trace.tick)
-            rows.append((breakdown.total, verdict.passed))
+            candidate, _ = screening._screen(tau, step, trace.tick)
+            rows.append((candidate.breakdown.total, candidate.verdict.passed))
         calls = []
         admissible = bench.admissible
 
