@@ -713,18 +713,19 @@ def admissible(
     ``step.candidate(tau)``, built from the step's one ``StepFacts`` (see
     ``StepFacts.screening``), which holds the memo of its run or scan and
     the switch ``from_regime -> e``, so that it can read them beside the
-    verdict.  Without them they are built from the arguments: ``e`` is
-    the destination regime, and ``from_regime`` defaults to it when no
-    switch is in flight.  The returned ledger is charged for the candidate
-    only when it passes with A2 certified, and is adopted by the caller
-    only if the candidate deploys."""
+    verdict; ``h``, ``store`` and ``e`` are then read from that step, not
+    from the arguments.  Without them they are built from the arguments:
+    ``e`` is the destination regime, and ``from_regime`` defaults to it
+    when no switch is in flight.  The returned ledger is charged for the
+    candidate only when it passes with A2 certified, and is adopted by the
+    caller only if the candidate deploys."""
     if facts is None:
         facts = StepFacts.screening(h, z, e, store, cfg, from_regime=from_regime).candidate(tau)
     flags = cfg.flags
     if ledger is None:
         ledger = DriftLedger(bound=cfg.drift_bound)
     step = facts.step
-    e = step.e
+    h, store, e = step.h, step.store, step.e
     context = step.context
     environment = context.environment_digest
 

@@ -142,14 +142,13 @@ class RunScan:
 
 
 class TickScore(NamedTuple):
-    """The oracle's findings at one tick, as plain numbers: the best
-    admissible score (None when no candidate is admissible), the score
-    achieved (None when it is not needed) and, when the trace deployed a
-    candidate, that candidate's identity total, core pass and structural
-    charge (``deployed``; None otherwise)."""
+    """The oracle's findings at one tick, as plain numbers: the regret (the
+    best score of an admissible candidate scoring above the score
+    achieved, minus that score; 0.0 when there is none) and, when the
+    trace deployed a candidate, that candidate's identity total, core pass
+    and structural charge (``deployed``; None otherwise)."""
 
-    best: float | None
-    achieved: float | None
+    regret: float
     deployed: tuple[float, bool, float] | None
 
 
@@ -185,9 +184,8 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
         score = scores.get(key)
         if score is None:
             score = scores[key] = _oracle(memo, exhaustive_grammar, registry, z, h_before, e_true, from_true, trace)
-        best, achieved, deployed = score
-        if deployed is not None:
-            identity, core_passed, charge = deployed
+        if score.deployed is not None:
+            identity, core_passed, charge = score.deployed
             deployments += 1
             if cfg.core.identity.admits(identity):
                 identity_ok += 1
@@ -196,8 +194,7 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
             if switched:
                 max_switch_structural = max(max_switch_structural, charge)
         transported += trace.transported_used
-        if best is not None:
-            regret += max(0.0, best - achieved)
+        regret += score.regret
     return RunScan(
         deployments=deployments,
         identity_ok=identity_ok,
@@ -209,48 +206,48 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
 
 
 def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> TickScore:
-    """Find in hindsight the best score among the grammar candidates, plus
-    the fallback, that pass with full gates, scored memory-neutrally (an
-    empty store, so a reuse term of 0).  A score reads only the candidate's
-    facts, so every candidate is scored first and ``admissible`` then
-    screens them in descending score order, ties in list order, until one
-    passes: its score is the best, and no candidate below it can raise it.
-    The deployed candidate, in the list or outside it, is read from its
-    facts alone.  When the trace deployed nothing, the score achieved is
-    that of keeping ``h_before``.  ``registry`` is the component registry
-    of the tick's raw state; the screening reads ``memo.cfg`` and reads the
-    environment class and every soundness judgement through ``memo``."""
+    """Find in hindsight how far the best score among the grammar
+    candidates, plus the fallback, that pass with full gates lies above
+    the score achieved, all scored memory-neutrally (an empty store, so a
+    reuse term of 0).  The score achieved is the deployed candidate's,
+    read from its facts alone, in the list or outside it, or, when the
+    trace deployed nothing, that of keeping ``h_before``.  A tick adds no
+    regret for a candidate scoring at or below it, so only the candidates
+    scoring strictly above it are kept, and ``admissible`` screens them in
+    descending score order, ties in list order, until one passes: no
+    candidate below it can raise the regret.  ``registry`` is the
+    component registry of the tick's raw state; the screening reads
+    ``memo.cfg`` and reads the environment class and every soundness
+    judgement through ``memo``."""
     cfg = memo.cfg
-    candidates = generate_candidates(h_before, z, grammar, registry)
-    keys, fallback_key = [transformation_key(t) for t in candidates], transformation_key(cfg.fallback)
-    if fallback_key not in keys:
-        candidates, keys = candidates + [cfg.fallback], keys + [fallback_key]
     step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo, from_true)
-    facts = [step.candidate(tau) for tau in candidates]
-    scores = [f.score(0.0).total for f in facts]
-    ledger = DriftLedger(bound=cfg.drift_bound)
-    best: float | None = None
-    # a stable sort keeps list order among equal scores
-    for i in sorted(range(len(candidates)), key=lambda i: -scores[i]):
-        verdict = admissible(
-            candidates[i], h_before, z, e_true, EMPTY_STORE, cfg, ledger=ledger, tick=trace.tick, facts=facts[i]
-        )
-        if verdict.passed:
-            best = scores[i]
-            break
+    deployed = deployed_key = None
     if trace.selected is not None:
-        key = transformation_key(trace.selected)
-        if key in keys:
-            i = keys.index(key)
-            deployed, achieved = facts[i], scores[i]
-        else:
-            deployed = step.candidate(trace.selected)
-            achieved = deployed.score(0.0).total
-        return TickScore(best, achieved, (deployed.identity.total, deployed.core_report.passed, deployed.charge))
-    if best is None:
-        return TickScore(None, None, None)
-    kept = evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before))
-    return TickScore(best, kept.total, None)
+        deployed, deployed_key = step.candidate(trace.selected), transformation_key(trace.selected)
+        achieved = deployed.score(0.0).total
+    else:
+        achieved = evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before)).total
+    candidates = generate_candidates(h_before, z, grammar, registry)
+    if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
+        candidates.append(cfg.fallback)
+    above = []
+    for tau in candidates:
+        if transformation_key(tau) == deployed_key:  # it scores exactly the score achieved
+            continue
+        facts = step.candidate(tau)
+        score = facts.score(0.0).total
+        if score > achieved:
+            above.append((score, tau, facts))
+    ledger = DriftLedger(bound=cfg.drift_bound)
+    regret = 0.0
+    # a stable sort keeps list order among equal scores
+    for score, tau, facts in sorted(above, key=lambda kept: -kept[0]):
+        if admissible(tau, h_before, z, e_true, EMPTY_STORE, cfg, ledger=ledger, tick=trace.tick, facts=facts).passed:
+            regret = score - achieved
+            break
+    if deployed is None:
+        return TickScore(regret, None)
+    return TickScore(regret, (deployed.identity.total, deployed.core_report.passed, deployed.charge))
 
 
 # ---------------------------------------------------------------------------

@@ -569,13 +569,17 @@ def check_against_standalone(call, verdict) -> set[str]:
 
 
 def recorded_admissible_calls(monkeypatch, runs):
-    """Run each (scenario, cfg, store) and its replay scan, recording every
+    """Run each (scenario, cfg, store, subject), with ``subject`` configured
+    on ``cfg``, and its replay scan under ``cfg``, recording every
     ``admissible`` call of the decision steps (through
-    ``Orchestrator._screen``) and of the regret oracle."""
+    ``Orchestrator._screen``) and of the regret oracle.  The oracle screens
+    only candidates scoring above the deployed one, and the full subject
+    seldom deploys below such a candidate; each baseline subject's run
+    here is chosen so that its scan screens some."""
     import inspect
 
     from svcgov import certify, orchestrator
-    from svcgov.harness import bench
+    from svcgov.harness import baselines, bench
 
     calls = []
     signature = inspect.signature(certify.admissible)
@@ -589,26 +593,44 @@ def recorded_admissible_calls(monkeypatch, runs):
 
     monkeypatch.setattr(orchestrator, "admissible", recording)
     monkeypatch.setattr(bench, "admissible", recording)
-    for scenario, cfg, store in runs:
-        result = orchestrator.run(scenario, cfg, store)
+    for scenario, cfg, store, subject in runs:
+        result = orchestrator.run(scenario, baselines.configure(cfg, subject), store)
         before = len(calls)
         bench.scan_run(scenario, cfg, result.traces)
-        assert len(calls) > before  # the oracle's calls are recorded too
+        if subject != baselines.FULL:
+            assert len(calls) > before, subject  # the oracle's calls are recorded too
     return calls
 
 
 class TestSharedFactsMatchStandaloneCertifiers:
     def test_pack_and_family_runs(self, monkeypatch, hospital, retail):
         from svcgov.harness import bench
+        from svcgov.harness.baselines import FULL
 
-        runs = [(*hospital, EMPTY_STORE), (*retail, EMPTY_STORE)]
-        runs += [bench.FAMILY_GENERATORS[family](0) for family in bench.FAMILIES]
+        runs = [(*hospital, EMPTY_STORE, FULL), (*retail, EMPTY_STORE, FULL)]
+        runs += [(*bench.FAMILY_GENERATORS[family](0), FULL) for family in bench.FAMILIES]
+        runs += [(*retail, EMPTY_STORE, "ontology-only")]
+        runs += [(*bench.FAMILY_GENERATORS["regime-switch"](0), "ontology-only")]
+        runs += [(*bench.FAMILY_GENERATORS["environment-shift"](0), "heuristic-memory")]
+        runs += [(*bench.FAMILY_GENERATORS["memory-reuse"](0), "ontology-only")]
         calls = recorded_admissible_calls(monkeypatch, runs)
         assert len(calls) > 100
         covered = set()
         for call, verdict in calls:
             covered |= check_against_standalone(call, verdict)
         assert {"transported-A1", "transported-A3"} <= covered
+
+    def test_a_call_with_facts_reads_h_and_store_from_their_step(self, monkeypatch):
+        # positional ``h`` and ``store`` that disagree with the facts' step
+        # change nothing: the before digest, the substitution sites and the
+        # transport lookup all read the step
+        from svcgov.harness import bench
+        from svcgov.harness.baselines import FULL
+
+        calls = recorded_admissible_calls(monkeypatch, [(*bench.FAMILY_GENERATORS["environment-shift"](0), FULL)])
+        call, verdict = next((c, v) for c, v in calls if v.transported and v.substitution is not None)
+        assert call["facts"] is not None and call["store"] is not EMPTY_STORE
+        assert admissible(**dict(call, h=call["facts"].h2, store=EMPTY_STORE)) == verdict
 
     def test_multi_site_substitution_and_inapplicable_transformations(self, schema, assertions, z):
         # ua is bound at r1 and r3, so substituting it touches both sites
@@ -712,7 +734,26 @@ class TestStepFactsAreComputedOnce:
 
     def test_commitments_once_per_candidate_and_once_per_step(self, monkeypatch):
         from svcgov import certify, evaluation
+        from svcgov.harness import bench
 
+        # per oracle call that finds a deployment: whether it screened an
+        # applicable candidate, which builds the step's before side
+        deployed_ticks, screened_here = [], []
+        oracle, admissible = bench._oracle, bench.admissible
+
+        def screening(*args, **kwargs):
+            screened_here.append(kwargs["facts"].error is None)
+            return admissible(*args, **kwargs)
+
+        def reading(*args, **kwargs):
+            screened_here.clear()
+            found = oracle(*args, **kwargs)
+            if found.deployed is not None:
+                deployed_ticks.append(any(screened_here))
+            return found
+
+        monkeypatch.setattr(bench, "admissible", screening)
+        monkeypatch.setattr(bench, "_oracle", reading)
         counted = {"commitments": [(certify, "_commitments"), (evaluation, "_commitments")]}
         screened, totals = self.screened_with_counts(monkeypatch, self.family_runs(), counted)
         steps = {id(facts.step): facts.step for v, facts, _ in screened if not v.error}
@@ -726,10 +767,13 @@ class TestStepFactsAreComputedOnce:
         # each step builds the before side once, for its first candidate
         assert sum(applicable) == len(applicable) + len(steps) + multi_site
         assert set(applicable) <= {1, 2, 3}
-        # the oracle reads a deployed candidate that it did not screen from
-        # its facts, which builds that candidate's commitments outside any
-        # screening, at most once per oracle step; these runs have such ticks
-        assert 0 < totals["commitments"] - sum(applicable) < len(steps)
+        # the oracle never screens the deployed candidate and reads it from
+        # its facts after screening: that builds its commitments once per
+        # oracle call that finds a deployment, plus the step's before side
+        # when the call screened no applicable candidate
+        assert True in deployed_ticks and False in deployed_ticks
+        extra = len(deployed_ticks) + deployed_ticks.count(False)
+        assert totals["commitments"] - sum(applicable) == extra
 
     def test_failure_match_once_per_substitution_candidate(self, monkeypatch):
         from svcgov import certify, memory

@@ -379,12 +379,14 @@ class TestBenchmarks:
         )
 
 
-def reference_oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> bench.TickScore:
-    """``bench._oracle`` as the exhaustive loop it prunes: every grammar
-    candidate, plus the fallback, is screened through ``Orchestrator._screen``
-    against an empty store, the best is the highest score of a passing
-    one, and a deployed candidate outside the list is screened the same
-    way but never counts toward the best."""
+def reference_screening(memo, grammar, registry, z, h_before, e_true, from_true, trace):
+    """The exhaustive screening that ``bench._oracle`` prunes: every grammar
+    candidate, plus the fallback, screened through ``Orchestrator._screen``
+    against an empty store.  Returns the candidates, each one's (score,
+    passed) in list order, the score achieved (a deployed candidate's,
+    screened the same way when it is outside the list, or that of keeping
+    ``h_before``) and the deployed candidate's facts (None when the trace
+    deployed nothing)."""
     cfg = memo.cfg
     candidates = generate_candidates(h_before, z, grammar, registry)
     if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
@@ -394,26 +396,29 @@ def reference_oracle(memo, grammar, registry, z, h_before, e_true, from_true, tr
 
     def screen(tau):
         candidate, _ = screening._screen(tau, step, trace.tick)
-        return candidate.verdict, step.candidate(tau), candidate.breakdown.total
+        return candidate.breakdown.total, candidate.verdict.passed
 
-    best = deployed = None
-    deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
-    for tau in candidates:
-        verdict, facts, score = screen(tau)
-        if verdict.passed and (best is None or score > best):
-            best = score
-        if transformation_key(tau) == deployed_key:
-            deployed = score, facts
-    if deployed is None and trace.selected is not None:
-        _, facts, score = screen(trace.selected)
-        deployed = score, facts
-    if deployed is not None:
-        achieved, facts = deployed
-        return bench.TickScore(best, achieved, (facts.identity.total, facts.core_report.passed, facts.charge))
-    if best is None:
-        return bench.TickScore(None, None, None)
-    kept = evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before))
-    return bench.TickScore(best, kept.total, None)
+    rows = [screen(tau) for tau in candidates]
+    if trace.selected is None:
+        return candidates, rows, evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before)).total, None
+    keys = [transformation_key(tau) for tau in candidates]
+    key = transformation_key(trace.selected)
+    achieved = rows[keys.index(key)][0] if key in keys else screen(trace.selected)[0]
+    return candidates, rows, achieved, step.candidate(trace.selected)
+
+
+def reference_oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> bench.TickScore:
+    """``bench._oracle`` as the exhaustive loop it prunes: the best is the
+    highest score of a passing candidate of ``reference_screening``, a
+    deployed candidate outside the list never counts toward it, and the
+    regret is the best minus the score achieved, floored at 0, or 0 when
+    no candidate passes."""
+    _, rows, achieved, deployed = reference_screening(memo, grammar, registry, z, h_before, e_true, from_true, trace)
+    passing = [score for score, passed in rows if passed]
+    regret = max(0.0, max(passing) - achieved) if passing else 0.0
+    if deployed is None:
+        return bench.TickScore(regret, None)
+    return bench.TickScore(regret, (deployed.identity.total, deployed.core_report.passed, deployed.charge))
 
 
 def reference_scan(scenario, cfg, traces) -> bench.RunScan:
@@ -431,7 +436,7 @@ def reference_scan(scenario, cfg, traces) -> bench.RunScan:
         assert registry == registry_from_state(x, cfg.assertions, cfg.schema), f"tick {trace.tick}"
         e_true = detect_regime(cfg.regimes, z)
         switched, from_true, true_regime = e_true.label != true_regime.label, true_regime, e_true
-        best, achieved, deployed = reference_oracle(RunMemo(cfg), grammar, registry, z, h_before, e_true, from_true, trace)
+        regret_at_tick, deployed = reference_oracle(RunMemo(cfg), grammar, registry, z, h_before, e_true, from_true, trace)
         if deployed is not None:
             identity, core_passed, charge = deployed
             deployments += 1
@@ -440,8 +445,7 @@ def reference_scan(scenario, cfg, traces) -> bench.RunScan:
             if switched:
                 max_switch_structural = max(max_switch_structural, charge)
         transported += trace.transported_used
-        if best is not None:
-            regret += max(0.0, best - achieved)
+        regret += regret_at_tick
     return bench.RunScan(deployments, identity_ok, violations, max_switch_structural, transported, regret)
 
 
@@ -584,39 +588,40 @@ class TestScanMatchesItsReference:
         assert bench.scan_run(scenario, cfg, traces) == reference_scan(scenario, cfg, traces)
 
 
-def oracle_inputs(scenario, cfg, traces, tick) -> tuple:
+def oracle_calls(scenario, cfg, traces):
     """The arguments, but the memo, of the oracle call that ``scan_run``
-    makes at ``tick`` of a replayed run."""
+    makes at each tick of a replayed run, in tick order."""
     grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
     true_regime = cfg.default_regime()
     for trace, _, z, registry, h_before, _ in replay(scenario, RunMemo(cfg), traces):
         e_true = detect_regime(cfg.regimes, z)
         from_true, true_regime = true_regime, e_true
-        if trace.tick == tick:
-            return grammar, registry, z, h_before, e_true, from_true, trace
+        yield grammar, registry, z, h_before, e_true, from_true, trace
+
+
+def oracle_inputs(scenario, cfg, traces, tick) -> tuple:
+    """The arguments, but the memo, of the oracle call that ``scan_run``
+    makes at ``tick`` of a replayed run."""
+    for inputs in oracle_calls(scenario, cfg, traces):
+        if inputs[-1].tick == tick:
+            return inputs
     raise AssertionError(f"no trace at tick {tick}")
 
 
 class TestOracleScreensInScoreOrder:
-    """Ticks of real runs where the pruned oracle's order matters, each with
-    the ``admissible`` calls it makes: the candidates in descending score
-    order, ties in list order, up to the first that passes."""
+    """Ticks of real runs, two of them with another deployment, where the
+    bounded oracle's order matters, each with the ``admissible`` calls it
+    makes: the candidates scoring strictly above the score achieved, in
+    descending score order, ties in list order, up to the first that
+    passes."""
 
     @staticmethod
     def screened(monkeypatch, cfg, inputs):
         """Each candidate's (score, passed) under full screening, in list
-        order; the indices of the candidates that the oracle screens, in
-        its order; and its findings, checked against ``reference_oracle``."""
-        grammar, registry, z, h_before, e_true, from_true, trace = inputs
-        candidates = generate_candidates(h_before, z, grammar, registry)
-        if cfg.fallback not in candidates:
-            candidates.append(cfg.fallback)
-        step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, RunMemo(cfg), from_true)
-        screening = orchestrator.Orchestrator(cfg)  # a fresh drift ledger
-        rows = []
-        for tau in candidates:
-            candidate, _ = screening._screen(tau, step, trace.tick)
-            rows.append((candidate.breakdown.total, candidate.verdict.passed))
+        order; the score achieved; the indices of the candidates that the
+        oracle screens, in its order; and its findings, checked against
+        ``reference_oracle``."""
+        candidates, rows, achieved, _ = reference_screening(RunMemo(cfg), *inputs)
         calls = []
         admissible = bench.admissible
 
@@ -624,56 +629,91 @@ class TestOracleScreensInScoreOrder:
             calls.append(candidates.index(tau))
             return admissible(tau, *args, **kwargs)
 
-        monkeypatch.setattr(bench, "admissible", recording)
-        found = bench._oracle(RunMemo(cfg), *inputs)
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "admissible", recording)
+            found = bench._oracle(RunMemo(cfg), *inputs)
         assert found == reference_oracle(RunMemo(cfg), *inputs)
-        order = sorted(range(len(rows)), key=lambda i: (-rows[i][0], i))
-        passing = [k for k, i in enumerate(order) if rows[i][1]]
-        assert calls == order[: passing[0] + 1 if passing else len(order)]
-        assert found.best == (rows[order[passing[0]]][0] if passing else None)
-        return rows, calls, found
+        above = sorted((i for i, (score, _) in enumerate(rows) if score > achieved), key=lambda i: -rows[i][0])
+        passing = [k for k, i in enumerate(above) if rows[i][1]]
+        assert calls == above[: passing[0] + 1 if passing else len(above)]
+        assert found.regret == (rows[above[passing[0]]][0] - achieved if passing else 0.0)
+        return rows, achieved, calls, found
 
     @staticmethod
     def family_run(family, seed, subject):
         scenario, cfg, store = bench.FAMILY_GENERATORS[family](seed)
         return scenario, cfg, run(scenario, baselines.configure(cfg, subject), store).traces
 
+    @staticmethod
+    def deploying(inputs, tau):
+        """``inputs`` with the trace deploying ``tau`` instead: the oracle
+        reads only the trace's tick and selection."""
+        return inputs[:-1] + (replace(inputs[-1], selected=tau),)
+
     def test_the_top_scored_candidate_fails_and_a_lower_scored_one_passes(self, monkeypatch):
         scenario, cfg, traces = self.family_run("regime-switch", 0, "typed-planner-no-memory")
-        rows, calls, found = self.screened(monkeypatch, cfg, oracle_inputs(scenario, cfg, traces, 4))
-        # the constraint update scores highest but fails A4; the fallback,
-        # first in the list, passes with a lower score
+        inputs = self.deploying(oracle_inputs(scenario, cfg, traces, 4), UpdateConstraint("volume", 1.0))
+        rows, achieved, calls, found = self.screened(monkeypatch, cfg, inputs)
+        # restoring the quiet volume bound in the noisy regime scores below
+        # both candidates: the constraint update scores highest but fails
+        # A4, and the fallback, first in the list, passes with a lower score
         (fallback, fallback_passed), (update, update_passed) = rows
-        assert update > fallback and fallback_passed and not update_passed
-        assert calls == [1, 0] and found.best == fallback
+        assert update > fallback > achieved and fallback_passed and not update_passed
+        assert calls == [1, 0] and found.regret == fallback - achieved
 
     def test_a_failing_and_a_passing_candidate_tie_on_score(self, monkeypatch):
         scenario, cfg, traces = self.family_run("regime-switch", 0, "full")
-        rows, calls, found = self.screened(monkeypatch, cfg, oracle_inputs(scenario, cfg, traces, 3))
-        # two substitutions reach the same score; the first in list order
-        # fails, so both are screened, and nothing ranks above them
+        inputs = oracle_inputs(scenario, cfg, traces, 3)
+        candidates = reference_screening(RunMemo(cfg), *inputs)[0]
+        assert variant_name(candidates[6]) == "update_constraint"
+        rows, achieved, calls, found = self.screened(monkeypatch, cfg, self.deploying(inputs, candidates[6]))
+        # with the constraint update deployed, two substitutions score above
+        # it and tie; the first in list order fails, so both are screened,
+        # and the deployed update itself is not
         assert len(rows) == 7 and rows[0][0] == rows[4][0] == max(score for score, _ in rows)
-        assert not rows[0][1] and rows[4][1]
-        assert calls == [0, 4] and found.best == rows[4][0]
+        assert rows[6][0] == achieved < rows[0][0] and not rows[0][1] and rows[4][1]
+        assert calls == [0, 4] and found.regret == rows[4][0] - achieved
 
     def test_no_candidate_passes(self, monkeypatch):
-        scenario, cfg = cyclic_retail(cycles=10)
-        traces = run(scenario, cfg).traces
-        rows, calls, found = self.screened(monkeypatch, cfg, oracle_inputs(scenario, cfg, traces, 9))
-        # every candidate is screened, and the tick adds no regret
-        assert len(rows) == 6 and not any(passed for _, passed in rows)
-        assert sorted(calls) == list(range(6)) and found == bench.TickScore(None, None, None)
+        scenario, cfg, traces = self.family_run("environment-shift", 0, "heuristic-memory")
+        rows, achieved, calls, found = self.screened(monkeypatch, cfg, oracle_inputs(scenario, cfg, traces, 3))
+        # the two candidates scoring above the deployed one both fail: each
+        # is screened, and the tick adds no regret
+        above = [i for i, (score, _) in enumerate(rows) if score > achieved]
+        assert len(rows) == 7 and above == [4, 6] and not any(rows[i][1] for i in above)
+        assert calls == [4, 6] and found.regret == 0.0 and found.deployed is not None
 
     def test_a_deployed_candidate_outside_the_list_gets_facts_and_no_verdict(self, monkeypatch):
         scenario, cfg, traces = self.family_run("substitution", 0, "full")
         kept = tuple((name, rule) for name, rule in cfg.grammar.variants if name == "add_subservice")
         narrow = replace(cfg, grammar=replace(cfg.grammar, variants=kept))
         tick = next(t.tick for t in traces if t.selected is not None and variant_name(t.selected) != "add_subservice")
-        rows, calls, found = self.screened(monkeypatch, narrow, oracle_inputs(scenario, narrow, traces, tick))
-        # the list holds the fallback alone, screened once; the deployed
-        # substitution is read from its facts
-        assert len(rows) == 1 and calls == [0]
-        assert found.deployed is not None and found.achieved is not None
+        rows, achieved, calls, found = self.screened(monkeypatch, narrow, oracle_inputs(scenario, narrow, traces, tick))
+        # the list holds the fallback alone, scoring below the deployed
+        # substitution, which is read from its facts; nothing is screened
+        assert len(rows) == 1 and rows[0][0] < achieved and calls == []
+        assert found == bench.TickScore(0.0, found.deployed) and found.deployed is not None
+
+    def test_nothing_scores_above_the_score_achieved(self, monkeypatch):
+        scenario, cfg = cyclic_retail(cycles=10)
+        traces = run(scenario, cfg).traces
+        rows, achieved, calls, found = self.screened(monkeypatch, cfg, oracle_inputs(scenario, cfg, traces, 9))
+        # the run keeps its configuration, and every candidate scores below
+        # keeping it or ties it, so no ``admissible`` call is made
+        assert len(rows) == 6 and max(score for score, _ in rows) == achieved
+        assert calls == [] and found == bench.TickScore(0.0, None)
+
+    def test_every_oracle_tick_of_family_runs(self, monkeypatch):
+        ticks = screened = 0
+        for family in bench.FAMILIES:
+            for seed in range(3):
+                scenario, cfg, store = bench.FAMILY_GENERATORS[family](seed)
+                for subject in baselines.SUBJECTS:
+                    traces = run(scenario, baselines.configure(cfg, subject), store).traces
+                    for inputs in oracle_calls(scenario, cfg, traces):
+                        ticks += 1
+                        screened += len(self.screened(monkeypatch, cfg, inputs)[2])
+        assert ticks > 200 and screened > 10
 
 
 class TestHistoryFlatWork:
