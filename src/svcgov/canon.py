@@ -25,6 +25,11 @@ def canonical_dumps(data: Any) -> str:
     return "".join(_ENCODE(data, 0))
 
 
+#: Canonical text of a string, as ``canonical_dumps`` writes it: the string
+#: encoder that ``_ENCODE`` calls, without the encoder around it.
+canonical_string = encode_basestring_ascii
+
+
 def canonical_object(members: Iterable[tuple[str, str]]) -> str:
     """Canonical text of a JSON object given as (string key, canonical text
     of its value) pairs: the bytes ``canonical_dumps`` writes for the same
@@ -32,7 +37,7 @@ def canonical_object(members: Iterable[tuple[str, str]]) -> str:
     key keeps its last value, as in a dict."""
     members = dict(members)
     # the quoting json applies to string keys under ensure_ascii
-    return "{" + ",".join(f"{encode_basestring_ascii(k)}:{members[k]}" for k in sorted(members)) + "}"
+    return "{" + ",".join(f"{canonical_string(k)}:{members[k]}" for k in sorted(members)) + "}"
 
 
 def sha256_hex(text: str) -> str:

@@ -264,11 +264,13 @@ class StepFacts:
 
     def candidate(self, tau: Transformation) -> "CandidateFacts":
         """The facts of the configuration that ``tau`` reaches from ``h``;
-        when ``tau`` is not applicable, of ``h`` itself, with the reason."""
-        try:
-            return CandidateFacts(apply(tau, self.h), self)
-        except (UnknownSite, MalformedTransformation) as exc:
-            return CandidateFacts(self.h, self, str(exc))
+        when ``tau`` is not applicable, of ``h`` itself, with the reason.
+        With a memo, the transition is read through it, so a pair of ``h``
+        and ``tau`` met before in the run or scan is not applied again;
+        without one, ``tau`` is applied afresh."""
+        if self.memo is not None:
+            return CandidateFacts(self.memo.transition(self.h, tau), self)
+        return CandidateFacts(Transition.of(tau, self.h), self)
 
     @cached_property
     def commitments(self) -> Commitments:
@@ -288,18 +290,42 @@ class StepFacts:
         return self.h.assignment_map()
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
+class Transition:
+    """Where a transformation takes a configuration ``h``: the configuration
+    ``h2`` it reaches or, when it does not apply, ``h`` itself and the
+    refusal text ``error``; and ``charge``, the structural charge of
+    reaching ``h2`` from ``h``, once a candidate has read it.  A
+    ``RunMemo`` keeps one per distinct pair of configuration and
+    transformation in its run or scan, so every step that meets the pair
+    reads the same ``h2`` object, digest included, and the same charge."""
+
+    h2: Hypothesis
+    error: str | None = None
+    charge: float | None = field(default=None, init=False)
+
+    @classmethod
+    def of(cls, tau: Transformation, h: Hypothesis) -> "Transition":
+        """``tau`` applied to ``h``, or the refusal of ``apply``."""
+        try:
+            return cls(apply(tau, h))
+        except (UnknownSite, MalformedTransformation) as exc:
+            return cls(h, str(exc))
+
+
 class CandidateFacts:
     """The configuration ``h2`` that a candidate reaches in a screening
     ``step``, and the facts about it that the obligations and the ranking
     read.  Each fact is computed on first use and then kept, so every
     reader sees the same value and a fact nobody reads costs nothing.
     ``error`` says why the candidate's transformation is not applicable;
-    ``h2`` is then the step's ``h``."""
+    ``h2`` is then the step's ``h``.  Both are read once from the
+    candidate's ``transition``, which also keeps its structural charge."""
 
-    h2: Hypothesis
-    step: StepFacts
-    error: str | None = None
+    def __init__(self, transition: Transition, step: StepFacts):
+        self.transition, self.step = transition, step
+        self.h2: Hypothesis = transition.h2
+        self.error: str | None = transition.error
 
     @cached_property
     def soundness(self) -> SoundnessReport:
@@ -332,10 +358,15 @@ class CandidateFacts:
             after_commitments=self.commitments,
         )
 
-    @cached_property
+    @property
     def charge(self) -> float:
-        """Structural charge of reaching ``h2`` from ``h``."""
-        return structural_charge(self.step.h, self.h2, self.step.model, before=self.step)
+        """Structural charge of reaching ``h2`` from ``h``, computed once per
+        transition: a transition kept in the step's memo carries it to
+        every later step that meets the same pair."""
+        transition = self.transition
+        if transition.charge is None:
+            transition.charge = structural_charge(self.step.h, transition.h2, self.step.model, before=self.step)
+        return transition.charge
 
     @cached_property
     def entry(self) -> LedgerEntry:
@@ -383,7 +414,7 @@ def certify_closure(
 ) -> Certificate | Violation:
     """A1: the transformed graph is type-sound and the transformation lies
     inside the grammar."""
-    return _closure(CandidateFacts(h2, StepFacts(schema=schema)), grammar, tau, context, tick)
+    return _closure(CandidateFacts(Transition(h2), StepFacts(schema=schema)), grammar, tau, context, tick)
 
 
 def _closure(
@@ -424,7 +455,7 @@ def certify_stability(
     residual when regimes differ) fits both the cumulative bound and the
     destination regime's switching budget.  The ledger is updated only on
     certificate issue."""
-    facts = CandidateFacts(h2, StepFacts(h, model=model, e=e2, from_regime=e))
+    facts = CandidateFacts(Transition(h2), StepFacts(h, model=model, e=e2, from_regime=e))
     outcome = _stability(facts, ledger, context, tick)
     return outcome, ledger.charged(facts.entry) if isinstance(outcome, Certificate) else ledger
 
@@ -468,7 +499,7 @@ def certify_capacity(
     tick: int = 0,
 ) -> Certificate | Violation:
     """A3: structural complexity within the (inclusive) budget."""
-    return _capacity(CandidateFacts(h2, StepFacts(prior=prior)), budget, context, tick)
+    return _capacity(CandidateFacts(Transition(h2), StepFacts(prior=prior)), budget, context, tick)
 
 
 def _capacity(
@@ -498,7 +529,7 @@ def certify_invariance(
     identity is preserved at or above the threshold whenever identity is
     part of the core."""
     step = StepFacts(before, z, schema, core)
-    return _invariance(CandidateFacts(after, step), context, tick)
+    return _invariance(CandidateFacts(Transition(after), step), context, tick)
 
 
 def _invariance(facts: CandidateFacts, context: CertContext, tick: int) -> Certificate | Violation:
@@ -559,7 +590,8 @@ def certify_substitution(
     ``context``."""
     sites = _substitution_sites(h, c1)
     step = StepFacts(h, z, schema, core, model=model, context=context, store=store)
-    return _substitution(c1, c2, sites, CandidateFacts(_substituted(h, sites, c1, c2), step), regime, context, tick)
+    facts = CandidateFacts(Transition(_substituted(h, sites, c1, c2)), step)
+    return _substitution(c1, c2, sites, facts, regime, context, tick)
 
 
 def _substitution(
@@ -707,7 +739,9 @@ def admissible(
 ) -> AdmissibilityVerdict:
     """Run all four certifiers (plus the substitution certifier for
     substitution-class transformations) and aggregate.  ``tau`` is applied
-    once, and every obligation reads the same candidate facts.
+    at most once, not at all when the memo of the run or scan has already
+    met it from the same configuration, and every obligation reads the
+    same candidate facts.
 
     A caller that screens many candidates passes the ``facts`` of ``tau``,
     ``step.candidate(tau)``, built from the step's one ``StepFacts`` (see
@@ -779,7 +813,7 @@ def admissible(
             if sites == (tau.role_id,):
                 site_facts = facts
             else:
-                site_facts = CandidateFacts(_substituted(h, sites, current, tau.new_component), step)
+                site_facts = CandidateFacts(Transition(_substituted(h, sites, current, tau.new_component)), step)
             outcome = _substitution(current, tau.new_component, sites, site_facts, e, context, tick)
             code = outcome.code if isinstance(outcome, Violation) else "S"
             substitution_result = _as_result(code, outcome, gated=flags.substitution)

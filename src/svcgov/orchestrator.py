@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .canon import canonical_dumps
 from .certificates import Certificate, environment_digest
-from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, StepFacts, admissible
+from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, StepFacts, Transition, admissible
 from .errors import ConfigError, TypingError
 from .evaluation import (
     InvariantCore,
@@ -58,6 +58,7 @@ from .transform import (
     UpdateConstraint,
     apply,
     generate_candidates,
+    transformation_key,
     transformation_to_data,
 )
 
@@ -176,8 +177,16 @@ class RunMemo:
     by the request class, all that it reads of the state; ``environment(z)``, the
     environment-class digest, keyed by the zone descriptors, all of ``z``
     that it reads; ``soundness(h)``, the type-soundness report, keyed by
-    the graph digest.  A state that raises ``TypingError`` is not kept, so
-    it raises again where it recurs."""
+    the graph digest; ``transition(h, tau)``, the configuration that
+    ``tau`` reaches from ``h`` (or the refusal text) and its structural
+    charge, keyed by the graph digest and ``transformation_key(tau)``.
+    A state that raises ``TypingError`` is not kept, so it raises again
+    where it recurs.
+
+    Transitions are keyed by the canonical key, never by the
+    transformation's value: ``UpdateConstraint("v", 0.0)`` and
+    ``UpdateConstraint("v", -0.0)`` are equal and hash equal, yet they
+    reach configurations of different digests."""
 
     def __init__(self, cfg: OrchestratorConfig):
         self.cfg = cfg
@@ -186,6 +195,7 @@ class RunMemo:
         self._requests: dict = {}
         self._environments: dict[tuple, str] = {}
         self._soundness: dict[str, SoundnessReport] = {}
+        self._transitions: dict[tuple[str, str], Transition] = {}
 
     def lift(self, x: RawPlatformState) -> tuple[SemanticState, tuple[Component, ...]]:
         key = tuple({**vars(x), "time": phase(x.time)}.values())
@@ -210,6 +220,13 @@ class RunMemo:
         if report is None:
             report = self._soundness[key] = type_soundness(h, self.cfg.schema)
         return report
+
+    def transition(self, h: Hypothesis, tau: Transformation) -> Transition:
+        key = h.digest(), transformation_key(tau)
+        reached = self._transitions.get(key)
+        if reached is None:
+            reached = self._transitions[key] = Transition.of(tau, h)
+        return reached
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +357,7 @@ class Orchestrator:
         if e2.label != e.label:
             rewrites = cfg.switch_model.recipe(e.label, e2.label)
             for name, bound in rewrites:
-                h = apply(UpdateConstraint(name, bound, rationale="regime-entry"), h)
+                h = self.memo.transition(h, UpdateConstraint(name, bound, rationale="regime-entry")).h2
 
         candidates = generate_candidates(h, z, cfg.grammar, registry)
         # a step with nothing to screen deploys nothing, and needs no facts
@@ -534,8 +551,10 @@ def replay(
     its tick, its semantic lift ``z`` and component registry, the
     hypothesis after the trace's regime rewrites (``h_before``) and the
     deployed one (``h_after``); raises if a trace does not replay to its
-    deployed digest.  States are lifted through ``memo``, the memo of the
-    caller's scan, so each distinct raw state is lifted once per scan."""
+    deployed digest.  States are lifted, and the rewrites and the selected
+    transformation applied, through ``memo``, the memo of the caller's
+    scan, so each distinct raw state is lifted, and each distinct
+    transition worked out, once per scan."""
     raw = scenario.initial_state
     h = scenario.initial_hypothesis
     for trace in traces:
@@ -543,10 +562,13 @@ def replay(
         x = replace(raw, time=trace.tick)
         z, registry = memo.lift(x)
         for name, bound in trace.regime_rewrites:
-            h = apply(UpdateConstraint(name, bound), h)
+            h = memo.transition(h, UpdateConstraint(name, bound)).h2
         h_before = h
         if trace.selected is not None:
-            h = apply(trace.selected, h)
+            reached = memo.transition(h, trace.selected)
+            if reached.error is not None:
+                apply(trace.selected, h)  # a trace deploying what does not apply: raise apply's own refusal
+            h = reached.h2
         if h.digest() != trace.deployed_digest:
             raise ConfigError(f"trace at tick {trace.tick} does not replay to its deployed digest")
         yield trace, x, z, registry, h_before, h

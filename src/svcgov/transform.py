@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
-from .canon import canonical_dumps
+from .canon import canonical_dumps, canonical_string
 from .errors import IncompatibleInterface, MalformedTransformation, NotReachable, UnknownSite
 from .fields import Fields, Malformed, array, boolean, integer, mapping, number, one_of, text
 from .model import (
@@ -25,9 +25,9 @@ from .ontology import OntologySchema
 
 class _Transformation:
     """Base of the transformation variants: keeps ``transformation_key``
-    once computed.  The instance is immutable, so the key never goes stale;
-    it is not a dataclass field, so it takes no part in equality, hashing
-    or repr."""
+    once computed, for the variants that keep it.  The instance is
+    immutable, so the key never goes stale; it is not a dataclass field, so
+    it takes no part in equality, hashing or repr."""
 
     _key: str | None = None
 
@@ -156,11 +156,29 @@ _CONSTRAINT_UPDATE = prototype(UpdateConstraint, "grammar constraint_updates ent
 
 
 def transformation_key(tau: Transformation) -> str:
-    """Stable content key, rationale excluded; computed once per instance."""
+    """Stable content key, rationale excluded: ``canonical_dumps`` of
+    ``transformation_to_data(tau)`` without the rationale, composed (keys
+    in sorted order) from the cached canonical texts of the component or
+    the added part, so a fresh candidate does not serialize the component
+    it binds.  A substitution or a rebinding, built afresh for each
+    candidate, composes its key on every call: kept on the instance, the
+    key would live as long as the trace that records the candidate.  The
+    other variants keep it once computed."""
+    if isinstance(tau, (Substitute, Rebind)):
+        new, role = tau.new_component.canonical_text(), canonical_string(tau.role_id)
+        if isinstance(tau, Rebind):
+            return f'{{"new":{new},"role":{role},"variant":"rebind"}}'
+        return f'{{"new":{new},"old":{canonical_string(tau.old_component_id)},"role":{role},"variant":"substitute"}}'
     if tau._key is None:
-        data = transformation_to_data(tau)
-        data.pop("rationale", None)
-        object.__setattr__(tau, "_key", canonical_dumps(data))
+        if isinstance(tau, AddSubservice):
+            attach = canonical_dumps([a.to_data() for a in tau.attach])
+            key = f'{{"attach":{attach},"part":{tau.part.canonical_text()},"variant":"add_subservice"}}'
+        elif isinstance(tau, RemoveSubservice):
+            key = f'{{"roles":{canonical_dumps(sorted(tau.role_ids))},"variant":"remove_subservice"}}'
+        else:
+            bound, name = canonical_dumps(tau.bound), canonical_string(tau.name)
+            key = f'{{"bound":{bound},"name":{name},"variant":"update_constraint"}}'
+        object.__setattr__(tau, "_key", key)
     return tau._key
 
 

@@ -4,6 +4,7 @@ minimal orchestrator configuration, plus the two shipped packs."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from svcgov.evaluation import (
     StructuralPrior,
 )
 from svcgov.certify import RegimeSwitchModel
-from svcgov.harness.packs import load_pack, pack_dir
+from svcgov.harness.packs import load_pack, pack_data, pack_dir, pack_scenario
 from svcgov.harness.scenario import scenario_from_data, scenario_to_data
 from svcgov.model import (
     AgentState,
@@ -314,6 +315,32 @@ def pack_variant(name: str, events: list[dict], ticks: int):
     data["events"] = events
     data["ticks"] = ticks
     return scenario_from_data(data), cfg
+
+
+def cyclic_retail(cycles: int):
+    """The retail pack with its noise onset repeated ``cycles`` times: the
+    aisle turns loud and a unit degrades (the speech and the route unit by
+    turns, so two states differ in the registry alone), two ticks later
+    that unit fails, two ticks after that everything recovers and every
+    third cycle the deadline tightens (so two states differ in the lift
+    alone).  The drift allowance is stretched with the horizon, as the
+    long-horizon benchmark does."""
+    data = pack_data("retail")
+    pack_ticks = data["ticks"]
+    data["events"] = []
+    for k in range(cycles):
+        start, unit = 1 + 6 * k, ("speech_unit", "route_unit")[k % 2]
+        loud = [["zone+", "aisle2", "env:LoudAisle"], ["health", unit, "degraded"], ["bandwidth", "aisle2", 0.4]]
+        calm = [["zone-", "aisle2", "env:LoudAisle"], ["health", unit, "ok"], ["bandwidth", "aisle2", 0.6]]
+        calm.append(["deadline", 12 if k % 3 == 2 else 15])
+        data["events"] += [
+            {"tick": start, "patches": loud},
+            {"tick": start + 2, "patches": [["fail", unit, "runtime-failure"]]},
+            {"tick": start + 4, "patches": calm},
+        ]
+    data["ticks"] = 2 + 6 * cycles
+    scenario, cfg = pack_scenario("retail", data)
+    return scenario, replace(cfg, drift_bound=cfg.drift_bound * data["ticks"] / pack_ticks)
 
 
 def write_checksummed_store(path, entries: list) -> None:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import svcgov
 from svcgov import orchestrator
 from svcgov.certificates import environment_digest
-from svcgov.certify import StepFacts
+from svcgov.certify import StepFacts, Transition
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
 from svcgov.evaluation import detect_regime, evaluate
 from svcgov.harness import baselines, bench
@@ -32,7 +32,7 @@ from svcgov.model import semantic_lift, type_soundness
 from svcgov.orchestrator import DecisionTrace, RunMemo, registry_from_state, replay, replay_deployments, run
 from svcgov.transform import UpdateConstraint, apply, generate_candidates, transformation_key, variant_name
 
-from conftest import chain_ontology, write_checksummed_store
+from conftest import chain_ontology, cyclic_retail, write_checksummed_store
 
 MINIMAL_SCENARIO = {
     "name": "tiny",
@@ -449,32 +449,6 @@ def reference_scan(scenario, cfg, traces) -> bench.RunScan:
     return bench.RunScan(deployments, identity_ok, violations, max_switch_structural, transported, regret)
 
 
-def cyclic_retail(cycles: int):
-    """The retail pack with its noise onset repeated ``cycles`` times: the
-    aisle turns loud and a unit degrades (the speech and the route unit by
-    turns, so two states differ in the registry alone), two ticks later
-    that unit fails, two ticks after that everything recovers and every
-    third cycle the deadline tightens (so two states differ in the lift
-    alone).  The drift allowance is stretched with the horizon, as the
-    long-horizon benchmark does."""
-    data = pack_data("retail")
-    pack_ticks = data["ticks"]
-    data["events"] = []
-    for k in range(cycles):
-        start, unit = 1 + 6 * k, ("speech_unit", "route_unit")[k % 2]
-        loud = [["zone+", "aisle2", "env:LoudAisle"], ["health", unit, "degraded"], ["bandwidth", "aisle2", 0.4]]
-        calm = [["zone-", "aisle2", "env:LoudAisle"], ["health", unit, "ok"], ["bandwidth", "aisle2", 0.6]]
-        calm.append(["deadline", 12 if k % 3 == 2 else 15])
-        data["events"] += [
-            {"tick": start, "patches": loud},
-            {"tick": start + 2, "patches": [["fail", unit, "runtime-failure"]]},
-            {"tick": start + 4, "patches": calm},
-        ]
-    data["ticks"] = 2 + 6 * cycles
-    scenario, cfg = pack_scenario("retail", data)
-    return scenario, replace(cfg, drift_bound=cfg.drift_bound * data["ticks"] / pack_ticks)
-
-
 def scripted_traces(scenario, script) -> list[DecisionTrace]:
     """Traces of a subject that deploys ``script(tick)`` (None: nothing) on
     every tick and records no regime rewrites: all that the replay reads."""
@@ -530,6 +504,44 @@ def test_memoised_lifts_match_their_reference(monkeypatch, case):
     if case in ("hospital", "retail"):  # the others' first event is at tick 1
         (_, x0, (z0, _)), (_, x1, (z1, _)) = served["lift"][:2]  # one raw state, two phases
         assert replace(x1, time=0) == x0 and z0 != z1
+
+
+def test_memoised_transitions_match_plain_apply(monkeypatch):
+    """Runs and scans that read every transition through their memo write
+    the trace documents and find the scan results of runs and scans that
+    apply every transition afresh (the memo's lookup swapped for plain
+    ``apply``), and each transition that the memo serves is the one plain
+    ``apply`` reaches: the same configuration and digest."""
+    cases = [(name, *pack_scenario(name, pack_data(name)), None, "full") for name in ("hospital", "retail")]
+    cases.append(("cyclic-retail", *cyclic_retail(cycles=10), None, "full"))
+    for family in bench.FAMILIES:
+        for seed in range(3):
+            generated = bench.FAMILY_GENERATORS[family](seed)
+            cases += [(f"{family}/{seed}/{subject}", *generated, subject) for subject in baselines.SUBJECTS]
+    served = []
+    transition = RunMemo.transition
+
+    def serving(memo, h, tau):
+        reached = transition(memo, h, tau)
+        served.append((h, tau, reached))
+        return reached
+
+    def outcomes():
+        found = []
+        for name, scenario, cfg, store, subject in cases:
+            result = run(scenario, baselines.configure(cfg, subject), store)
+            found.append((result.document(name, cfg), bench.scan_run(scenario, cfg, result.traces)))
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RunMemo, "transition", serving)
+        memoised = outcomes()
+    for h, tau, reached in served:
+        fresh = Transition.of(tau, h)
+        assert (reached.h2, reached.h2.digest(), reached.error) == (fresh.h2, fresh.h2.digest(), fresh.error)
+    assert len({id(reached) for _, _, reached in served}) < len(served)  # some were served from the memo
+    monkeypatch.setattr(RunMemo, "transition", lambda memo, h, tau: Transition.of(tau, h))
+    assert outcomes() == memoised
 
 
 class TestScanMatchesItsReference:

@@ -7,9 +7,11 @@ from dataclasses import replace
 
 import pytest
 
-from svcgov import model, orchestrator
-from svcgov.errors import ConfigError
+from svcgov import certify, model, orchestrator
+from svcgov.certify import StepFacts, admissible
+from svcgov.errors import ConfigError, UnknownSite
 from svcgov.evaluation import core_value
+from svcgov.harness import bench
 from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift
 from svcgov.orchestrator import (
@@ -20,9 +22,9 @@ from svcgov.orchestrator import (
     replay_deployments,
     run,
 )
-from svcgov.transform import apply, transformation_to_data, variant_name
+from svcgov.transform import Rebind, UpdateConstraint, apply, transformation_key, transformation_to_data, variant_name
 
-from conftest import make_config, make_grammar, make_raw_state, pack_variant, regime
+from conftest import cyclic_retail, make_config, make_grammar, make_raw_state, pack_variant, regime
 
 
 def selected_name(trace):
@@ -288,6 +290,62 @@ class TestStateMemo:
         assert first.kind == again.kind == "error"
         assert first.error == again.error and "t:Missing" in first.error
         assert lifted == [1, 1, 2] and orch.memo._lifts == {}
+
+
+class TestTransitionMemo:
+    def test_each_distinct_transition_is_applied_once_per_run_and_per_scan(self, monkeypatch):
+        # the noise onset recurs every six ticks, so the run's steps and
+        # rewrites, and the scan's replay and oracle, meet the same pairs of
+        # configuration and transformation again and again
+        scenario, cfg = cyclic_retail(cycles=10)
+        applied, requested = [], []
+        transition = RunMemo.transition
+
+        def counting(tau, h):
+            applied.append((h.digest(), transformation_key(tau)))
+            return apply(tau, h)
+
+        def requesting(memo, h, tau):
+            requested.append((h.digest(), transformation_key(tau)))
+            return transition(memo, h, tau)
+
+        for module in (certify, orchestrator):
+            monkeypatch.setattr(module, "apply", counting)
+        monkeypatch.setattr(RunMemo, "transition", requesting)
+        traces = run(scenario, cfg).traces
+        in_run = applied[:], requested[:]
+        applied.clear(), requested.clear()
+        bench.scan_run(scenario, cfg, traces)
+        for calls, asked in (in_run, (applied, requested)):
+            assert len(calls) == len(set(calls)) == len(set(asked))
+            assert sorted(calls) == sorted(set(asked)) and 3 * len(calls) < len(asked)
+
+    def test_signed_zero_bounds_reach_apart(self, retail):
+        # equal and hash-equal updates whose configurations differ in digest
+        scenario, cfg = retail
+        memo, h = RunMemo(cfg), scenario.initial_hypothesis
+        zero, negative = UpdateConstraint("volume", 0.0), UpdateConstraint("volume", -0.0)
+        assert zero == negative and hash(zero) == hash(negative)
+        reached = [memo.transition(h, tau).h2.digest() for tau in (zero, negative)]
+        assert reached == [apply(tau, h).digest() for tau in (zero, negative)]
+        assert reached[0] != reached[1]
+
+    def test_an_inapplicable_candidate_is_refused_alike_on_a_hit(self, retail):
+        # a later step of the run meets the same inapplicable rebinding
+        scenario, cfg = retail
+        memo, h, e = RunMemo(cfg), scenario.initial_hypothesis, cfg.default_regime()
+        z, registry = memo.lift(replace(scenario.initial_state, time=1))
+        with pytest.raises(UnknownSite) as refused:
+            apply(Rebind("ghost", registry[0]), h)
+        facts = [
+            StepFacts.screening(h, z, e, EMPTY_STORE, cfg, memo).candidate(Rebind("ghost", registry[0], rationale=tag))
+            for tag in ("first", "again")
+        ]
+        assert facts[0].transition is facts[1].transition and facts[0].h2 is h
+        assert facts[0].error == facts[1].error == str(refused.value)
+        tau = Rebind("ghost", registry[0])
+        verdicts = [admissible(tau, h, z, e, EMPTY_STORE, cfg, facts=f) for f in facts]
+        assert verdicts[0] == verdicts[1] and verdicts[0].error == str(refused.value)
 
 
 class TestRetailRun:

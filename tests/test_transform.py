@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from svcgov.canon import canonical_dumps
 from svcgov.errors import MalformedTransformation, NotReachable, UnknownSite
-from svcgov.model import Hypothesis, type_soundness
+from svcgov.model import Component, Edge, Hypothesis, InterfaceContract, Role, type_soundness
+from svcgov.ontology import ConceptId
 from svcgov.transform import (
     AddSubservice,
     Attachment,
@@ -20,6 +21,7 @@ from svcgov.transform import (
     Substitute,
     TransformationGrammar,
     UpdateConstraint,
+    VARIANT_ORDER,
     VariantRule,
     apply,
     diff,
@@ -389,12 +391,6 @@ class TestSerialization:
     def test_cached_key_is_the_uncached_serialization(self, hospital):
         scenario, cfg = hospital
         grammar, h = cfg.grammar, scenario.initial_hypothesis
-
-        def uncached_key(tau) -> str:
-            data = transformation_to_data(tau)
-            del data["rationale"]
-            return canonical_dumps(data)
-
         taus = [
             *grammar.addable,
             *grammar.constraint_updates,
@@ -409,14 +405,73 @@ class TestSerialization:
             fresh = transformation_from_data(transformation_to_data(tau))
             keyed = transformation_from_data(transformation_to_data(tau))
             before = repr(keyed)
-            assert transformation_key(keyed) == uncached_key(tau)
-            assert transformation_key(keyed) == uncached_key(tau)  # served from the cache
+            assert transformation_key(keyed) == reference_key(tau)
+            assert transformation_key(keyed) == reference_key(tau)  # kept, for the variants that keep it
             assert transformation_key(replace(keyed, rationale="other")) == transformation_key(keyed)
             assert keyed == fresh and hash(keyed) == hash(fresh)
             assert repr(keyed) == before and "_key" not in before
             # grammar membership against each prototype list, serialized afresh
             prototypes = {AddSubservice: grammar.addable, UpdateConstraint: grammar.constraint_updates}
+            declared = prototypes.get(type(tau))
             expected = grammar.rule(variant_name(tau)).enabled and (
-                type(tau) not in prototypes or any(uncached_key(p) == uncached_key(tau) for p in prototypes[type(tau)])
+                declared is None or any(reference_key(p) == reference_key(tau) for p in declared)
             )
             assert grammar.allows(tau) == expected
+
+
+def reference_key(tau) -> str:
+    """``transformation_key`` as the plain serialization it composes: the
+    canonical JSON of the transformation's data without its rationale."""
+    data = transformation_to_data(tau)
+    del data["rationale"]
+    return canonical_dumps(data)
+
+
+#: Names with quotes, escapes, non-ASCII and control characters, which the
+#: canonical encoder escapes.
+KEY_TEXT = st.text(alphabet=st.sampled_from('ab"\\é\u2028\x00 '), max_size=4)
+KEY_CONCEPTS = st.builds(ConceptId, KEY_TEXT.filter(bool), KEY_TEXT.filter(bool))
+KEY_COMPONENTS = st.builds(Component, KEY_TEXT, KEY_CONCEPTS, st.frozensets(KEY_CONCEPTS, max_size=2))
+#: Signed zeros and integer-valued bounds, as ints and as floats, besides any finite float.
+KEY_BOUNDS = st.sampled_from([0.0, -0.0, 0, 3, 3.0, -2, 0.1 + 0.2, 1e-7, 1e300]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def keyed_transformations(draw):
+    """A transformation of any of the five variants, with any rationale."""
+    rationale = draw(KEY_TEXT)
+    variant = draw(st.sampled_from(VARIANT_ORDER))
+    if variant == "substitute":
+        return Substitute(draw(KEY_TEXT), draw(KEY_TEXT), draw(KEY_COMPONENTS), rationale)
+    if variant == "rebind":
+        return Rebind(draw(KEY_TEXT), draw(KEY_COMPONENTS), rationale)
+    if variant == "remove_subservice":
+        return RemoveSubservice(draw(st.frozensets(KEY_TEXT, max_size=3)), rationale)
+    if variant == "update_constraint":
+        return UpdateConstraint(draw(KEY_TEXT), draw(KEY_BOUNDS), rationale)
+    concept_sets = st.frozensets(KEY_CONCEPTS, max_size=2)
+    contracts = st.builds(InterfaceContract, concept_sets, concept_sets, concept_sets)
+    part = Hypothesis.build(
+        roles=draw(st.lists(st.builds(Role, KEY_TEXT, concept_sets), max_size=3)),
+        edges=draw(st.lists(st.builds(Edge, KEY_TEXT, KEY_TEXT, contracts), max_size=2)),
+        assignment=draw(st.dictionaries(KEY_TEXT, KEY_COMPONENTS, max_size=2)),
+        constraints=draw(st.dictionaries(KEY_TEXT, KEY_BOUNDS, max_size=3)),
+    )
+    attach = draw(st.lists(st.builds(Attachment, KEY_TEXT, KEY_TEXT, contracts), max_size=2))
+    return AddSubservice(part, tuple(attach), rationale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_transformations())
+def test_the_composed_key_is_the_reference_serialization(tau):
+    assert transformation_key(tau) == reference_key(tau)
+
+
+def test_signed_zero_and_integer_bounds_key_apart():
+    # equal values, distinct keys: the key follows the bytes a trace writes
+    zero, negative = UpdateConstraint("v", 0.0), UpdateConstraint("v", -0.0)
+    assert zero == negative and hash(zero) == hash(negative)
+    assert transformation_key(zero) != transformation_key(negative)
+    assert transformation_key(UpdateConstraint("v", 3)) != transformation_key(UpdateConstraint("v", 3.0))
