@@ -199,7 +199,8 @@ def structural_charge(
     before_assignment = before.assignment
     after_assignment = h2.assignment_map()
     for rid in before_roles & after_roles:
-        if before_assignment.get(rid) != after_assignment.get(rid):
+        bound, rebound = before_assignment.get(rid), after_assignment.get(rid)
+        if bound is not rebound and bound != rebound:  # most roles keep the very same component
             reassigned += 1
     return distance + reassigned * model.reassignment_unit_cost
 
@@ -262,14 +263,15 @@ class StepFacts:
         store = store if cfg.flags.memory else EMPTY_STORE
         return cls(h, z, cfg.schema, cfg.core, cfg.prior, cfg.switch_model, memo, context, store, e, from_regime or e)
 
-    def candidate(self, tau: Transformation) -> "CandidateFacts":
+    def candidate(self, tau: Transformation, key: str | None = None) -> "CandidateFacts":
         """The facts of the configuration that ``tau`` reaches from ``h``;
         when ``tau`` is not applicable, of ``h`` itself, with the reason.
-        With a memo, the transition is read through it, so a pair of ``h``
-        and ``tau`` met before in the run or scan is not applied again;
-        without one, ``tau`` is applied afresh."""
+        With a memo, the transition is read through it (``key``, when the
+        caller has read it already, is ``transformation_key(tau)``), so a
+        pair of ``h`` and ``tau`` met before in the run or scan is not
+        applied again; without one, ``tau`` is applied afresh."""
         if self.memo is not None:
-            return CandidateFacts(self.memo.transition(self.h, tau), self)
+            return CandidateFacts(self.memo.transition(self.h, tau, key), self)
         return CandidateFacts(Transition.of(tau, self.h), self)
 
     @cached_property

@@ -157,15 +157,16 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     ingredient against the full governance law (``cfg`` must carry full
     gates).  The deployed candidate's metrics are read from the oracle's
     facts about it, never from the run's own verdicts.  The oracle is
-    called once per distinct replayed state, and one ``RunMemo`` serves
-    the replay and every oracle call of the scan."""
+    called once per distinct replayed state, and one ``RunMemo``, starting
+    from the scenario's lift table, serves the replay and every oracle
+    call of the scan."""
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = 0.0
     regret = 0.0
     exhaustive_grammar = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
     scores: dict[tuple, TickScore] = {}
-    memo = RunMemo(cfg)
+    memo = RunMemo(cfg, scenario.lifts)
 
     for trace, x, z, registry, h_before, _ in replay(scenario, memo, traces):
         e_true = detect_regime(cfg.regimes, z)
@@ -223,18 +224,20 @@ def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> T
     step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo, from_true)
     deployed = deployed_key = None
     if trace.selected is not None:
-        deployed, deployed_key = step.candidate(trace.selected), transformation_key(trace.selected)
+        deployed_key = transformation_key(trace.selected)
+        deployed = step.candidate(trace.selected, deployed_key)
         achieved = deployed.score(0.0).total
     else:
         achieved = evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before)).total
-    candidates = generate_candidates(h_before, z, grammar, registry)
-    if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
-        candidates.append(cfg.fallback)
+    candidates = [(transformation_key(tau), tau) for tau in generate_candidates(h_before, z, grammar, registry)]
+    fallback_key = transformation_key(cfg.fallback)
+    if fallback_key not in {key for key, _ in candidates}:
+        candidates.append((fallback_key, cfg.fallback))
     above = []
-    for tau in candidates:
-        if transformation_key(tau) == deployed_key:  # it scores exactly the score achieved
+    for key, tau in candidates:
+        if key == deployed_key:  # it scores exactly the score achieved
             continue
-        facts = step.candidate(tau)
+        facts = step.candidate(tau, key)
         score = facts.score(0.0).total
         if score > achieved:
             above.append((score, tau, facts))

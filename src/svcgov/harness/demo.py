@@ -10,13 +10,14 @@ point: the difference is not decidable at the conformance level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..certify import admissible
 from ..evaluation import detect_regime
 from ..memory import EMPTY_STORE
-from ..model import semantic_lift, type_soundness
+from ..model import type_soundness
 from ..ontology import check_consistency
+from ..orchestrator import RunMemo
 from ..transform import Substitute, apply
 from . import baselines
 from .packs import pack_data, pack_scenario
@@ -70,11 +71,7 @@ def strict_extension() -> StrictExtensionReport:
     data["ticks"] = 3
     scenario, cfg = pack_scenario("hospital", data)
 
-    raw = scenario.initial_state
-    for tick in range(3):
-        raw, _ = scenario.patched(raw, tick)
-    x = replace(raw, time=2)
-    z = semantic_lift(x, cfg.schema, cfg.assertions)
+    z, _ = RunMemo(cfg, scenario.lifts).lift(scenario.at(2)[0])
     e = detect_regime(cfg.regimes, z)
     h = scenario.initial_hypothesis
 

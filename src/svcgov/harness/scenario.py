@@ -7,12 +7,20 @@ the raw state before the tick they fire on; their ticks are strictly
 increasing.  Everything is validated at load: the assertion base must be
 consistent, the initial hypothesis type-sound, and every patched state
 must lift.  Between events the raw state changes only in its time, which
-no lift check reads, so each distinct state is lifted once.
+the lift reads only as the phase (tick 0 or later), so the scenario walks
+its script once, when it is built: it keeps the raw state and scripted
+failures of tick 0 and of each event tick, and a lift table holding the
+lift and component registry of each distinct state a run meets.  Runs,
+replays and scans step through these kept states (``Scenario.at``), and
+their memos start from that table when their config is on an equal schema
+and assertion base.  Neither load time nor the memory kept grows with
+``ticks``.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -24,9 +32,9 @@ from ..evaluation import InvariantCore, Regime, StructuralPrior
 from ..fields import (
     Fields, anything, array, boolean, concept, integer, mapping, number, one_of, read, row, sorted_items, text, wrong,
 )
-from ..model import HEALTH, Component, Hypothesis, RawPlatformState, semantic_lift, type_soundness
+from ..model import HEALTH, Component, Hypothesis, RawPlatformState, type_soundness
 from ..ontology import AssertionBase, ConceptId, OntologySchema, check_consistency, load_schema
-from ..orchestrator import GateFlags, OrchestratorConfig
+from ..orchestrator import GateFlags, LiftTable, OrchestratorConfig
 from ..transform import AddSubservice, TransformationGrammar, prototype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,15 +85,57 @@ class Scenario:
     annotations: tuple[tuple[str, object], ...] = ()
     #: Each tick's event patches in declaration order, derived from ``events``.
     _patches: dict[int, list[tuple]] = field(init=False, repr=False, compare=False)
+    #: Tick 0 and each event tick before ``ticks``, in order; per such tick,
+    #: its raw state (time set to that tick) and its scripted failures.
+    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _states: tuple[tuple[RawPlatformState, tuple[tuple[str, str], ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    #: The lift and registry of each distinct state that a run meets.
+    lifts: LiftTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         patches: dict[int, list[tuple]] = {}
         for event in self.events:
             patches.setdefault(event.tick, []).extend(event.patches)
         object.__setattr__(self, "_patches", patches)
+        self._walk()
+
+    def _walk(self) -> None:
+        """Work out the raw state and scripted failures of tick 0 and of
+        each event tick before ``ticks``, and lift each distinct state that
+        a run meets: a kept state at its own tick and, when it lasts past
+        it, at the next tick, since the lift reads the time only as the
+        phase, which tells tick 0 from every later tick.  A state that does
+        not lift is refused, named by its tick."""
+        starts = sorted({0, *(t for t in self._patches if 0 < t < self.ticks)})
+        lifts, states, problems = LiftTable(self.schema, self.assertions), [], []
+        raw = self.initial_state
+        for tick, end in zip(starts, [*starts[1:], self.ticks]):
+            raw, failures = self.patched(raw, tick)
+            x = replace(raw, time=tick)
+            states.append((x, tuple(failures)))
+            try:
+                for later in range(tick, min(tick + 2, end)):
+                    lifts.lift(x if later == tick else replace(x, time=later))
+            except Exception as exc:  # TypingError and friends
+                problems.append(f"tick {tick}: state does not lift: {exc}")
+        if problems:
+            raise ValidationError(problems)
+        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_states", tuple(states))
+        object.__setattr__(self, "lifts", lifts)
 
     def annotation(self, key: str, default=None):
         return dict(self.annotations).get(key, default)
+
+    def at(self, tick: int) -> tuple[RawPlatformState, tuple[tuple[str, str], ...]]:
+        """The raw state of ``tick``, its time set to the tick, and the
+        runtime failures scripted at that tick (component id, obligation
+        code), as worked out when the scenario was built; from ``ticks``
+        on, the last state that the script reaches before it."""
+        x, failures = self._states[bisect_right(self._starts, tick) - 1]
+        return (x, failures) if x.time == tick else (replace(x, time=tick), ())
 
     def patched(self, raw: RawPlatformState, tick: int) -> tuple[RawPlatformState, list[tuple[str, str]]]:
         """Apply this tick's event patches; returns the updated raw state
@@ -147,7 +197,7 @@ def scenario_from_data(data: Mapping, base_dir: Path | Traversable | None = None
     problems += [f"event ticks must be strictly increasing (saw {b} after {a})" for a, b in bad]
     if problems:
         raise ValidationError(problems)
-    return _lifted(Scenario(schema=schema, assertions=assertions, **parts))
+    return Scenario(schema=schema, assertions=assertions, **parts)
 
 
 def _parts_from_data(data: Mapping) -> dict:
@@ -211,22 +261,6 @@ def _extend_with_registry(assertions: AssertionBase, registry: Sequence[Componen
         relation_facts=tuple(facts),
         parameter_facts=assertions.parameter_facts,
     )
-
-
-def _lifted(scenario: Scenario) -> Scenario:
-    """``scenario``, once every patched raw state lifts against its schema:
-    the state of tick 0 and of each event tick, each named by that tick."""
-    problems: list[str] = []
-    raw = scenario.initial_state
-    for tick in sorted(t for t in {0, *(event.tick for event in scenario.events)} if t < scenario.ticks):
-        raw, _ = scenario.patched(raw, tick)
-        try:
-            semantic_lift(replace(raw, time=tick), scenario.schema, scenario.assertions)
-        except Exception as exc:  # TypingError and friends
-            problems.append(f"tick {tick}: state does not lift: {exc}")
-    if problems:
-        raise ValidationError(problems)
-    return scenario
 
 
 def _read(path: Path | Traversable, what: str, decode: Callable[[str], object] = str) -> object:

@@ -168,45 +168,62 @@ def registry_from_state(
     return tuple(sorted(out, key=lambda c: c.component_id))
 
 
-class RunMemo:
+class LiftTable:
+    """The semantic lift and component registry of each distinct raw state
+    on one schema and assertion base, each computed once per key:
+    ``lift(x)`` keys a state by its fields with the time read only as
+    ``phase(time)``, all that the lift reads of it, keeps the registry
+    itself by the component states, all that it reads, and the lift's
+    request part by the request class, all that it reads of the state.  A
+    state that raises ``TypingError`` is not kept, so it raises again where
+    it recurs.  ``seed``, a table on an equal schema and assertion base,
+    gives its entries to start from; the seed itself is never changed."""
+
+    def __init__(self, schema: OntologySchema, assertions: AssertionBase, seed: "LiftTable | None" = None):
+        self.schema, self.assertions = schema, assertions
+        self._lifts: dict[tuple, tuple[SemanticState, tuple[Component, ...]]] = {}
+        self._registries: dict[tuple, tuple[Component, ...]] = {}
+        self._requests: dict = {}
+        if seed is not None and seed.schema == schema and seed.assertions == assertions:
+            self._lifts.update(seed._lifts)
+            self._registries.update(seed._registries)
+            self._requests.update(seed._requests)
+
+    def lift(self, x: RawPlatformState) -> tuple[SemanticState, tuple[Component, ...]]:
+        key = tuple({**vars(x), "time": phase(x.time)}.values())
+        lifted = self._lifts.get(key)
+        if lifted is None:
+            z = semantic_lift(x, self.schema, self.assertions, self._requests)
+            registry = self._registries.get(x.components)
+            if registry is None:
+                registry = self._registries[x.components] = registry_from_state(x, self.assertions, self.schema)
+            lifted = self._lifts[key] = z, registry
+        return lifted
+
+
+class RunMemo(LiftTable):
     """What one run or one scan has worked out, each value computed once per
-    key: ``lift(x)``, the semantic lift and component registry of a raw
-    state, keyed by its fields with the time read only as ``phase(time)``,
-    all that the lift reads of it, the registry itself keyed by the
-    component states, all that it reads, and the lift's request part keyed
-    by the request class, all that it reads of the state; ``environment(z)``, the
-    environment-class digest, keyed by the zone descriptors, all of ``z``
-    that it reads; ``soundness(h)``, the type-soundness report, keyed by
-    the graph digest; ``transition(h, tau)``, the configuration that
-    ``tau`` reaches from ``h`` (or the refusal text) and its structural
-    charge, keyed by the graph digest and ``transformation_key(tau)``.
-    A state that raises ``TypingError`` is not kept, so it raises again
-    where it recurs.
+    key: the lifts of its ``LiftTable`` on the config's schema and
+    assertion base, starting from the scenario's own table (``seed``,
+    worked out when the scenario was loaded) when that is on an equal
+    schema and assertion base; ``environment(z)``, the environment-class
+    digest, keyed by the zone descriptors, all of ``z`` that it reads;
+    ``soundness(h)``, the type-soundness report, keyed by the graph digest;
+    ``transition(h, tau)``, the configuration that ``tau`` reaches from
+    ``h`` (or the refusal text) and its structural charge, keyed by the
+    graph digest and ``transformation_key(tau)``.
 
     Transitions are keyed by the canonical key, never by the
     transformation's value: ``UpdateConstraint("v", 0.0)`` and
     ``UpdateConstraint("v", -0.0)`` are equal and hash equal, yet they
     reach configurations of different digests."""
 
-    def __init__(self, cfg: OrchestratorConfig):
+    def __init__(self, cfg: OrchestratorConfig, seed: LiftTable | None = None):
+        super().__init__(cfg.schema, cfg.assertions, seed)
         self.cfg = cfg
-        self._lifts: dict[tuple, tuple[SemanticState, tuple[Component, ...]]] = {}
-        self._registries: dict[tuple, tuple[Component, ...]] = {}
-        self._requests: dict = {}
         self._environments: dict[tuple, str] = {}
         self._soundness: dict[str, SoundnessReport] = {}
         self._transitions: dict[tuple[str, str], Transition] = {}
-
-    def lift(self, x: RawPlatformState) -> tuple[SemanticState, tuple[Component, ...]]:
-        key = tuple({**vars(x), "time": phase(x.time)}.values())
-        lifted = self._lifts.get(key)
-        if lifted is None:
-            z = semantic_lift(x, self.cfg.schema, self.cfg.assertions, self._requests)
-            registry = self._registries.get(x.components)
-            if registry is None:
-                registry = self._registries[x.components] = registry_from_state(x, self.cfg.assertions, self.cfg.schema)
-            lifted = self._lifts[key] = z, registry
-        return lifted
 
     def environment(self, z: SemanticState) -> str:
         digest = self._environments.get(z.environment_descriptors)
@@ -221,11 +238,12 @@ class RunMemo:
             report = self._soundness[key] = type_soundness(h, self.cfg.schema)
         return report
 
-    def transition(self, h: Hypothesis, tau: Transformation) -> Transition:
-        key = h.digest(), transformation_key(tau)
-        reached = self._transitions.get(key)
+    def transition(self, h: Hypothesis, tau: Transformation, key: str | None = None) -> Transition:
+        """``key``, when the caller has read it already, is ``transformation_key(tau)``."""
+        pair = h.digest(), transformation_key(tau) if key is None else key
+        reached = self._transitions.get(pair)
         if reached is None:
-            reached = self._transitions[key] = Transition.of(tau, h)
+            reached = self._transitions[pair] = Transition.of(tau, h)
         return reached
 
 
@@ -299,12 +317,13 @@ class StepResult:
 
 
 class Orchestrator:
-    """Owns the drift ledger and, across steps, the ``RunMemo`` of its run."""
+    """Owns the drift ledger and, across steps, the ``RunMemo`` of its run,
+    which starts from ``lifts``, the lift table of the scenario it steps."""
 
-    def __init__(self, cfg: OrchestratorConfig):
+    def __init__(self, cfg: OrchestratorConfig, lifts: LiftTable | None = None):
         self.cfg = cfg
         self.ledger = DriftLedger(bound=cfg.drift_bound)
-        self.memo = RunMemo(cfg)
+        self.memo = RunMemo(cfg, lifts)
 
     def _screen(self, tau: Transformation, step: StepFacts, tick: int) -> tuple[CandidateTrace, Hypothesis]:
         """One candidate screened in ``step`` (built by ``StepFacts.screening``
@@ -483,18 +502,17 @@ class RunResult:
 
 
 def run(scenario, cfg: OrchestratorConfig, initial_store: MemoryStore | None = None) -> RunResult:
-    """Deterministically step through a scripted scenario, injecting timed
-    events into the raw state before each step."""
-    orch = Orchestrator(cfg)
+    """Deterministically step through a scripted scenario: each tick's raw
+    state and scripted failures are the ones the scenario worked out at
+    load, and the run's memo starts from the scenario's lift table."""
+    orch = Orchestrator(cfg, scenario.lifts)
     store = initial_store if initial_store is not None else EMPTY_STORE
-    raw = scenario.initial_state
     h = scenario.initial_hypothesis
     e = cfg.default_regime()
     traces: list[DecisionTrace] = []
 
     for tick in range(scenario.ticks):
-        raw, failures = scenario.patched(raw, tick)
-        x = replace(raw, time=tick)
+        x, failures = scenario.at(tick)
         if failures and cfg.flags.memory:
             store = _record_failures(store, failures, h, x, e, orch.memo)
         result = orch.step(x, h, e, store)
@@ -548,18 +566,18 @@ def replay(
 ]:
     """Independently walk a run from the scenario script and the trace's
     recorded transformations.  Yields, per trace, the raw state ``x`` of
-    its tick, its semantic lift ``z`` and component registry, the
-    hypothesis after the trace's regime rewrites (``h_before``) and the
-    deployed one (``h_after``); raises if a trace does not replay to its
-    deployed digest.  States are lifted, and the rewrites and the selected
-    transformation applied, through ``memo``, the memo of the caller's
-    scan, so each distinct raw state is lifted, and each distinct
-    transition worked out, once per scan."""
-    raw = scenario.initial_state
+    its tick (as the scenario worked it out at load), its semantic lift
+    ``z`` and component registry, the hypothesis after the trace's regime
+    rewrites (``h_before``) and the deployed one (``h_after``); raises if a
+    trace does not replay to its deployed digest.  States are lifted, and
+    the rewrites and the selected transformation applied, through
+    ``memo``, the memo of the caller's scan: a memo seeded with the
+    scenario's lift table lifts nothing, any other lifts each distinct raw
+    state once, and each distinct transition is worked out once per
+    scan."""
     h = scenario.initial_hypothesis
     for trace in traces:
-        raw, _ = scenario.patched(raw, trace.tick)
-        x = replace(raw, time=trace.tick)
+        x, _ = scenario.at(trace.tick)
         z, registry = memo.lift(x)
         for name, bound in trace.regime_rewrites:
             h = memo.transition(h, UpdateConstraint(name, bound)).h2
@@ -580,5 +598,5 @@ def replay_deployments(
     """The deployed hypothesis, semantic state and regime at each tick, as
     ``replay`` reconstructs them."""
     regimes = {r.label: r for r in cfg.regimes}
-    replayed = replay(scenario, RunMemo(cfg), traces)
+    replayed = replay(scenario, RunMemo(cfg, scenario.lifts), traces)
     return [(trace.tick, h, z, regimes[trace.regime_label]) for trace, _, z, _, _, h in replayed]

@@ -317,6 +317,16 @@ def pack_variant(name: str, events: list[dict], ticks: int):
     return scenario_from_data(data), cfg
 
 
+def on_padded_schema(name: str, cfg: OrchestratorConfig) -> OrchestratorConfig:
+    """``cfg`` on the pack's ontology plus a chain of unused concepts: an
+    unequal schema on which every state of the pack lifts as before."""
+    ontology_text = (pack_dir(name) / "ontology.txt").read_text(encoding="utf-8")
+    padding = ["prefix pad urn:test:padding", "concept Function pad:C0", "concept Function pad:C1", "refines pad:C1 pad:C0"]
+    padded = replace(cfg, schema=load_schema(ontology_text + "\n".join(padding) + "\n"))
+    assert padded.schema != cfg.schema
+    return padded
+
+
 def cyclic_retail(cycles: int):
     """The retail pack with its noise onset repeated ``cycles`` times: the
     aisle turns loud and a unit degrades (the speech and the route unit by

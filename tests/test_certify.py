@@ -799,8 +799,8 @@ class TestStepFactsAreComputedOnce:
         created = []
         candidate = StepFacts.candidate
 
-        def creating(step, tau):
-            facts = candidate(step, tau)
+        def creating(step, tau, key=None):
+            facts = candidate(step, tau, key)
             created.append(facts)
             return facts
 

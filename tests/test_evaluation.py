@@ -184,12 +184,7 @@ class TestIdentity:
 
     def test_handoff_between_equivalent_units_preserves_identity(self, hospital):
         scenario, cfg = hospital
-        from dataclasses import replace
-
-        raw = scenario.initial_state
-        for tick in range(3):
-            raw, _ = scenario.patched(raw, tick)
-        z = semantic_lift(replace(raw, time=2), cfg.schema, cfg.assertions)
+        z = semantic_lift(scenario.at(2)[0], cfg.schema, cfg.assertions)
         h = scenario.initial_hypothesis
         new = next(c for c in scenario.registry if c.component_id == "r2_nav")
         after = apply(Substitute("r_nav", "r1_nav", new), h)

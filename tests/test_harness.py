@@ -29,10 +29,12 @@ from svcgov.harness import scenario as scenario_module
 from svcgov.harness.scenario import ScenarioEvent, config_from_data, load_scenario, scenario_from_data
 from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift, type_soundness
-from svcgov.orchestrator import DecisionTrace, RunMemo, registry_from_state, replay, replay_deployments, run
+from svcgov.orchestrator import (
+    DecisionTrace, LiftTable, RunMemo, registry_from_state, replay, replay_deployments, run,
+)
 from svcgov.transform import UpdateConstraint, apply, generate_candidates, transformation_key, variant_name
 
-from conftest import chain_ontology, cyclic_retail, write_checksummed_store
+from conftest import chain_ontology, cyclic_retail, on_padded_schema, pack_variant, write_checksummed_store
 
 MINIMAL_SCENARIO = {
     "name": "tiny",
@@ -117,6 +119,25 @@ class TestScenarioLoading:
                         failures += [failure] if failure is not None else []
             assert (fast, fast_failures) == (slow, failures)
 
+    @given(
+        script=st.lists(st.tuples(st.integers(0, 6), st.lists(st.sampled_from(RETAIL_PATCHES), max_size=3))),
+        ticks=st.integers(0, 6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_kept_states_match_the_patched_walk(self, script, ticks):
+        # each tick's state and failures as worked out at load, against the
+        # walk that patches the raw state tick by tick
+        retail, _ = pack_scenario("retail", pack_data("retail"))
+        events = tuple(ScenarioEvent(tick, tuple(patches)) for tick, patches in script)
+        scenario = replace(retail, events=events, ticks=ticks)
+        raw, kept = scenario.initial_state, set(scenario.lifts._lifts)
+        for tick in range(ticks):
+            raw, failures = scenario.patched(raw, tick)
+            assert scenario.at(tick) == (replace(raw, time=tick), tuple(failures))
+            z, registry = scenario.lifts.lift(scenario.at(tick)[0])
+            assert z == semantic_lift(replace(raw, time=tick), scenario.schema, scenario.assertions)
+        assert set(scenario.lifts._lifts) == kept  # every state the run meets was lifted at load
+
     def test_unsound_initial_hypothesis_fails_validation(self):
         data = json.loads(json.dumps(MINIMAL_SCENARIO))
         data["initial_hypothesis"]["assignment"] = {}
@@ -124,17 +145,19 @@ class TestScenarioLoading:
             scenario_from_data(data)
 
     def test_each_distinct_state_lifts_once_whatever_the_tick_count(self, monkeypatch):
+        # the tick-0 state lasts to tick 1, where it lifts apart in phase
         lifted = []
 
         def counting_lift(x, *args):
             lifted.append(x.time)
             return semantic_lift(x, *args)
 
-        monkeypatch.setattr(scenario_module, "semantic_lift", counting_lift)
+        monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
         data = json.loads((pack_dir("hospital") / "scenario.json").read_text(encoding="utf-8"))
         data["ticks"] = 60_000
         scenario = scenario_from_data(data, base_dir=pack_dir("hospital"))
-        assert lifted == [0, *(event.tick for event in scenario.events)] == [0, 2, 3]
+        assert [event.tick for event in scenario.events] == [2, 3] and lifted == [0, 1, 2, 3]
+        assert len(scenario.lifts._lifts) == 4 and len(scenario._states) == 3
 
         # a state that does not lift is refused once, named by its first tick
         data["events"].append({"tick": 40_000, "patches": [["battery", "R1", 1.5]]})
@@ -521,8 +544,9 @@ def test_memoised_transitions_match_plain_apply(monkeypatch):
     served = []
     transition = RunMemo.transition
 
-    def serving(memo, h, tau):
-        reached = transition(memo, h, tau)
+    def serving(memo, h, tau, key=None):
+        assert key in (None, transformation_key(tau))
+        reached = transition(memo, h, tau, key)
         served.append((h, tau, reached))
         return reached
 
@@ -540,8 +564,68 @@ def test_memoised_transitions_match_plain_apply(monkeypatch):
         fresh = Transition.of(tau, h)
         assert (reached.h2, reached.h2.digest(), reached.error) == (fresh.h2, fresh.h2.digest(), fresh.error)
     assert len({id(reached) for _, _, reached in served}) < len(served)  # some were served from the memo
-    monkeypatch.setattr(RunMemo, "transition", lambda memo, h, tau: Transition.of(tau, h))
+    monkeypatch.setattr(RunMemo, "transition", lambda memo, h, tau, key=None: Transition.of(tau, h))
     assert outcomes() == memoised
+
+
+class TestSeededLifts:
+    """Runs and scans whose memos start from the lift table that the
+    scenario worked out at load against runs and scans whose memos start
+    empty and lift every state they meet."""
+
+    @staticmethod
+    def outcomes(cases):
+        found = []
+        for name, scenario, cfg, store, subject in cases:
+            result = run(scenario, baselines.configure(cfg, subject), store)
+            found.append((result.document(name, cfg), bench.scan_run(scenario, cfg, result.traces)))
+        return found
+
+    @staticmethod
+    def counting_lifts(monkeypatch) -> list:
+        lifted = []
+
+        def counting(x, *args):
+            lifted.append(x)
+            return semantic_lift(x, *args)
+
+        monkeypatch.setattr(orchestrator, "semantic_lift", counting)
+        return lifted
+
+    def test_seeded_tables_write_what_empty_ones_write(self, monkeypatch):
+        # both packs, the cyclic retail script, and every family seed 0-9
+        # with the full stack and one of the baselines (in turn); the memory
+        # variant's config comes from the shipped pack and its scenario is
+        # parsed again: an equal schema and assertion base, not the same
+        # objects, seed the memos all the same
+        variant = pack_variant("retail", [{"tick": 3, "patches": [["fail", "speech_unit", "runtime-failure"]]}], 6)
+        assert variant[1].schema is not variant[0].schema and variant[1].assertions is not variant[0].assertions
+        cases = [(name, *pack_scenario(name, pack_data(name)), None, "full") for name in ("hospital", "retail")]
+        cases += [("cyclic-retail", *cyclic_retail(cycles=10), None, "full"), ("variant", *variant, None, "full")]
+        others = [subject for subject in baselines.SUBJECTS if subject != baselines.FULL]
+        for family in bench.FAMILIES:
+            for seed in range(10):
+                generated = bench.FAMILY_GENERATORS[family](seed)
+                for subject in (baselines.FULL, others[seed % len(others)]):
+                    cases.append((f"{family}/{seed}/{subject}", *generated, subject))
+        lifted = self.counting_lifts(monkeypatch)
+        seeded = self.outcomes(cases)
+        assert lifted == []  # every lift was read from the scenario's table
+        init = LiftTable.__init__
+        monkeypatch.setattr(LiftTable, "__init__", lambda table, schema, assertions, seed=None: init(table, schema, assertions))
+        assert self.outcomes(cases) == seeded and len(lifted) > 2 * len(cases)
+
+    def test_a_config_on_another_schema_lifts_through_its_memo(self, monkeypatch):
+        # the padded schema declares unused concepts only, so the trace and
+        # the scan match those of the pack's own config
+        scenario, cfg = pack_scenario("hospital", pack_data("hospital"))
+        expected = self.outcomes([("hospital", scenario, cfg, None, "full")])
+        lifted = self.counting_lifts(monkeypatch)
+        padded = on_padded_schema("hospital", cfg)
+        assert self.outcomes([("hospital", scenario, padded, None, "full")]) == expected
+        # the run and its scan each lift every distinct state, as the loader did, once
+        half = len(scenario.lifts._lifts)
+        assert len(lifted) == 2 * half and lifted[:half] == lifted[half:]
 
 
 class TestScanMatchesItsReference:
@@ -768,9 +852,12 @@ class TestHistoryFlatWork:
         # the digest reads only the lift's zone descriptors: the steps and
         # the failure records of a run digest each distinct descriptor set
         # once, although the states recur every cycle, and so does the scan
-        # that replays the run
+        # that replays the run.  Every lift that they read was worked out
+        # when the scenario was loaded; on another schema, the run and the
+        # scan each lift every distinct state once
         scenario, cfg = cyclic_retail(cycles=4)
-        digested, lifted = [], []
+        digested, lifted, served = [], [], []
+        lift = RunMemo.lift
 
         def counting_digest(z, schema):
             digested.append(z.environment_descriptors)
@@ -780,24 +867,36 @@ class TestHistoryFlatWork:
             lifted.append(x)
             return semantic_lift(x, *args)
 
+        def serving(memo, x):
+            z, registry = lift(memo, x)
+            served.append(z)
+            return z, registry
+
         for module in [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "svcgov"]:
             if getattr(module, "environment_digest", None) is environment_digest:
                 monkeypatch.setattr(module, "environment_digest", counting_digest)
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
+        monkeypatch.setattr(RunMemo, "lift", serving)
         result = run(scenario, cfg)
         failed = [r.failure_signature for r in result.store.records if r.outcome == "failed"]
         screened = [t for t in result.traces if t.candidates]
-        assert len(digested) == len(set(digested)) < len(lifted) < len(screened) + len(failed)
-        lifts = [semantic_lift(x, cfg.schema, cfg.assertions) for x in lifted]
+        assert lifted == []
+        assert len(digested) == len(set(digested)) < len({id(z) for z in served}) < len(screened) + len(failed)
         certified = {c.context.environment_digest for t in screened for c in t.certificates}
         assert failed and certified
-        assert {sig.environment_digest for sig in failed} | certified <= {environment_digest(z, cfg.schema) for z in lifts}
-        in_run, digested[:], lifted[:] = list(digested), [], []
+        assert {sig.environment_digest for sig in failed} | certified <= {environment_digest(z, cfg.schema) for z in served}
+        in_run, digested[:], served[:] = list(digested), [], []
         bench.scan_run(scenario, cfg, result.traces)
         # the oracle screens every replayed state, so it reads every class,
         # also those of states where the run had no candidate to screen
-        scanned = {semantic_lift(x, cfg.schema, cfg.assertions).environment_descriptors for x in lifted}
+        assert lifted == []
+        scanned = {z.environment_descriptors for z in served}
         assert len(digested) == len(set(digested)) and set(digested) == scanned >= set(in_run)
+        padded = on_padded_schema("retail", cfg)
+        for walk in (lambda: run(scenario, padded), lambda: bench.scan_run(scenario, padded, result.traces)):
+            lifted[:], served[:] = [], []
+            walk()
+            assert len(lifted) == len({id(z) for z in served}) < len(served)
 
     def test_work_per_candidate_does_not_grow_with_history(self, monkeypatch):
         # the last six cycles (one period of the unit and deadline rotation)

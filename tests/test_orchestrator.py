@@ -24,7 +24,7 @@ from svcgov.orchestrator import (
 )
 from svcgov.transform import Rebind, UpdateConstraint, apply, transformation_key, transformation_to_data, variant_name
 
-from conftest import cyclic_retail, make_config, make_grammar, make_raw_state, pack_variant, regime
+from conftest import cyclic_retail, make_config, make_grammar, make_raw_state, on_padded_schema, pack_variant, regime
 
 
 def selected_name(trace):
@@ -143,12 +143,16 @@ class TestHospitalRun:
 class TestReplay:
     def test_each_distinct_raw_state_lifts_once_per_replay(self, monkeypatch):
         # ticks 0 and 1 share a raw state but not a phase; the event at tick
-        # 4 restores the tick-0 state as a new, value-equal object
+        # 4 restores the tick-0 state as a new, value-equal object.  The
+        # scenario lifted every state at load, so a replay whose memo starts
+        # from its lift table lifts none; on another schema the memo starts
+        # empty and lifts each distinct state once
         events = [
             {"tick": 2, "patches": [["zone+", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.4]]},
             {"tick": 4, "patches": [["zone-", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.6]]},
         ]
         scenario, cfg = pack_variant("retail", events, ticks=7)
+        padded = on_padded_schema("retail", cfg)
         traces = run(scenario, cfg).traces
         lifted = []
 
@@ -157,14 +161,18 @@ class TestReplay:
             return semantic_lift(x, *args)
 
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
-        replayed = list(replay(scenario, RunMemo(cfg), traces))
-        assert lifted == [0, 1, 2]  # (tick-0 state, tick 0), (tick-0 state, later), (noisy state, later)
-        assert [trace.tick for trace, *_ in replayed] == list(range(7))
-        assert replace(replayed[4][1], time=0) == replayed[0][1]
-        for trace, x, z, _, _, _ in replayed:
-            assert z == semantic_lift(x, cfg.schema, cfg.assertions), trace.tick
-        assert replayed[0][2].interaction_state.phase == "requested"
-        assert replayed[1][2].interaction_state.phase == "active"
+        assert cfg.schema is not scenario.schema  # equal, not identical: the memo is seeded all the same
+        for memo_cfg, expected in ((cfg, []), (padded, [0, 1, 2])):
+            lifted.clear()
+            replayed = list(replay(scenario, RunMemo(memo_cfg, scenario.lifts), traces))
+            # (tick-0 state, tick 0), (tick-0 state, later), (noisy state, later)
+            assert lifted == expected
+            assert [trace.tick for trace, *_ in replayed] == list(range(7))
+            assert replace(replayed[4][1], time=0) == replayed[0][1]
+            for trace, x, z, _, _, _ in replayed:
+                assert z == semantic_lift(x, memo_cfg.schema, memo_cfg.assertions), trace.tick
+            assert replayed[0][2].interaction_state.phase == "requested"
+            assert replayed[1][2].interaction_state.phase == "active"
 
 
 class TestStateMemo:
@@ -172,7 +180,9 @@ class TestStateMemo:
         # the failure at tick 4 is lifted by ``_record_failures`` and read
         # again by that tick's step; the event at tick 5 restores the tick-1
         # state as a new, value-equal object.  The registry reads only the
-        # component states, which change at tick 4 alone
+        # component states, which change at tick 4 alone.  A run on the
+        # scenario's own schema reads every lift from the table the scenario
+        # built at load; on another schema it lifts each distinct state once
         events = [
             {"tick": 2, "patches": [["zone+", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.4]]},
             {"tick": 4, "patches": [["fail", "speech_unit", "runtime-failure"]]},
@@ -199,10 +209,15 @@ class TestStateMemo:
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
         monkeypatch.setattr(orchestrator, "registry_from_state", counting_registry)
         monkeypatch.setattr(orchestrator, "_record_failures", spying_failures)
-        result = run(scenario, cfg)
-        assert failing == [4]
-        assert [rec.outcome for rec in result.store.records].count("failed") > 0
-        assert lifted == [0, 1, 2, 4] and registries == [0, 4]
+        documents = []
+        for run_cfg, expected in ((cfg, ([], [])), (on_padded_schema("retail", cfg), ([0, 1, 2, 4], [0, 4]))):
+            lifted.clear(), registries.clear(), failing.clear()
+            result = run(scenario, run_cfg)
+            assert failing == [4]
+            assert [rec.outcome for rec in result.store.records].count("failed") > 0
+            assert (lifted, registries) == expected
+            documents.append(result.document("r", run_cfg))
+        assert documents[0] == documents[1]
 
     def test_tick_zero_and_a_later_tick_of_one_raw_state_lift_apart(self, schema, assertions):
         memo, raw = RunMemo(make_config(schema, assertions)), make_raw_state()
@@ -241,10 +256,7 @@ class TestStateMemo:
 
         orchestrator_registry = orchestrator.registry_from_state
         monkeypatch.setattr(orchestrator, "registry_from_state", counting)
-        memo, raw, states = RunMemo(cfg), scenario.initial_state, []
-        for tick in range(scenario.ticks):
-            raw, _ = scenario.patched(raw, tick)
-            states.append(replace(raw, time=tick))
+        memo, states = RunMemo(cfg), [scenario.at(tick)[0] for tick in range(scenario.ticks)]
         for x in states:
             assert memo.lift(x)[1] == orchestrator_registry(x, cfg.assertions, cfg.schema)
         assert len(built) == len(set(built)) == len({x.components for x in states}) < len(memo._lifts)
@@ -253,10 +265,7 @@ class TestStateMemo:
         # what the assertion base commits a request to depends only on its
         # class, so the lifts of a run read it once per class
         scenario, cfg = retail
-        raw, states = scenario.initial_state, []
-        for tick in range(scenario.ticks):
-            raw, _ = scenario.patched(raw, tick)
-            states.append(replace(raw, time=tick))
+        states = [scenario.at(tick)[0] for tick in range(scenario.ticks)]
         direct = [semantic_lift(x, cfg.schema, cfg.assertions) for x in states]
         read = []
 
@@ -305,9 +314,10 @@ class TestTransitionMemo:
             applied.append((h.digest(), transformation_key(tau)))
             return apply(tau, h)
 
-        def requesting(memo, h, tau):
+        def requesting(memo, h, tau, key=None):
+            assert key in (None, transformation_key(tau))
             requested.append((h.digest(), transformation_key(tau)))
-            return transition(memo, h, tau)
+            return transition(memo, h, tau, key)
 
         for module in (certify, orchestrator):
             monkeypatch.setattr(module, "apply", counting)

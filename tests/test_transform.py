@@ -215,12 +215,7 @@ class TestGenerate:
 
     def test_hospital_battery_tick_offers_the_four_option_families(self, hospital):
         scenario, cfg = hospital
-        raw = scenario.initial_state
-        for tick in range(3):
-            raw, _ = scenario.patched(raw, tick)
-        from dataclasses import replace
-
-        x = replace(raw, time=2)
+        x = scenario.at(2)[0]
         z = semantic_lift(x, cfg.schema, cfg.assertions)
         from svcgov.orchestrator import registry_from_state
 
