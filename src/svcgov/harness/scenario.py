@@ -116,7 +116,7 @@ class Scenario:
             x = replace(raw, time=tick)
             states.append((x, tuple(failures)))
             try:
-                for later in range(tick, min(tick + 2, end)):
+                for later in range(tick, min(tick + 2, end)):  # none when ``ticks`` is 0
                     lifts.lift(x if later == tick else replace(x, time=later))
             except Exception as exc:  # TypingError and friends
                 problems.append(f"tick {tick}: state does not lift: {exc}")

@@ -134,7 +134,7 @@ class TestScenarioLoading:
         for tick in range(ticks):
             raw, failures = scenario.patched(raw, tick)
             assert scenario.at(tick) == (replace(raw, time=tick), tuple(failures))
-            z, registry = scenario.lifts.lift(scenario.at(tick)[0])
+            z, _ = scenario.lifts.lift(scenario.at(tick)[0])
             assert z == semantic_lift(replace(raw, time=tick), scenario.schema, scenario.assertions)
         assert set(scenario.lifts._lifts) == kept  # every state the run meets was lifted at load
 
@@ -594,7 +594,7 @@ class TestSeededLifts:
 
     def test_seeded_tables_write_what_empty_ones_write(self, monkeypatch):
         # both packs, the cyclic retail script, and every family seed 0-9
-        # with the full stack and one of the baselines (in turn); the memory
+        # with the full stack and one of the baselines (in turn); the
         # variant's config comes from the shipped pack and its scenario is
         # parsed again: an equal schema and assertion base, not the same
         # objects, seed the memos all the same
