@@ -1,5 +1,5 @@
-"""The four obligation certifiers, the five-condition substitution check,
-the drift ledger, and the capacity measure.
+"""The four admissibility obligations, the five-condition substitution
+check, the drift ledger, and the capacity measure.
 
 A transformation is admissible when, for the transformed hypothesis:
 
@@ -11,18 +11,22 @@ A transformation is admissible when, for the transformed hypothesis:
 * A4 (invariance): the invariant core holds and identity is preserved at
   or above the certified threshold.
 
-Substitutions additionally pass five conditions (S1 function class or
-certified refinement, S2 dependent roles satisfiable, S3 core certified,
-S4 transition cost within the regime budget, S5 no contradicting failure
-memory).  All bound comparisons are inclusive.  The aggregate verdict
-always reports every obligation; nothing short-circuits silently.
+``OBLIGATIONS`` lists A1-A4 in order, each with the kind of certificate
+it issues (also the ``GateFlags`` field that arms it), its code and its
+rule, and ``admissible`` folds over that table; the standalone
+``certify_*`` functions run the same entries.  Substitutions additionally
+pass five conditions (S1 function class or certified refinement, S2
+dependent roles satisfiable, S3 core certified, S4 transition cost within
+the regime budget, S5 no contradicting failure memory).  All bound
+comparisons are inclusive.  The aggregate verdict always reports every
+obligation; nothing short-circuits silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .certificates import CertContext, Certificate, Violation, environment_digest
 from .errors import ConfigError, UnknownSite
@@ -42,7 +46,7 @@ from .evaluation import (
     prior_complexity,
 )
 from .fields import Fields, array, number, row, text
-from .memory import EMPTY_STORE, FailureSignature, MemoryStore, find_transportable, match_failure
+from .memory import EMPTY_STORE, TRANSPORTABLE_KINDS, FailureSignature, MemoryStore, find_transportable, match_failure
 from .model import Component, Hypothesis, SemanticState, SoundnessReport, contract_check, type_soundness, uncovered
 from .ontology import OntologySchema
 from .transform import (
@@ -214,10 +218,11 @@ def structural_charge(
 class StepFacts:
     """What one screening step fixes for every candidate it screens: the
     configuration ``h`` that candidates start from, the semantic state
-    ``z``, the parts of the config that the obligations read, the memo of
-    the run or scan, the certificate context, the memory store that S5
-    reads (the empty store with the memory gate off) and the regime
-    switch ``from_regime -> e`` that candidates are screened on.  The
+    ``z``, the parts of the config that the obligations read (the
+    grammar and the step's capacity budget among them), the memo of the
+    run or scan, the certificate context, the memory store that S5 reads
+    (the empty store with the memory gate off) and the regime switch
+    ``from_regime -> e`` that candidates are screened on.  The
     facts about ``h`` are computed on first use and then kept, so every
     candidate reads the same value.
 
@@ -238,6 +243,8 @@ class StepFacts:
     store: MemoryStore = EMPTY_STORE
     e: Regime | None = None
     from_regime: Regime | None = None
+    grammar: TransformationGrammar | None = None
+    capacity_budget: float | None = None
 
     @classmethod
     def screening(
@@ -261,7 +268,9 @@ class StepFacts:
         environment = memo.environment(z) if memo is not None else environment_digest(z, cfg.schema)
         context = CertContext(e.label, environment)
         store = store if cfg.flags.memory else EMPTY_STORE
-        return cls(h, z, cfg.schema, cfg.core, cfg.prior, cfg.switch_model, memo, context, store, e, from_regime or e)
+        budget = min(cfg.capacity_budget, e.budgets.complexity)
+        config = cfg.schema, cfg.core, cfg.prior, cfg.switch_model
+        return cls(h, z, *config, memo, context, store, e, from_regime or e, cfg.grammar, budget)
 
     def candidate(self, tau: Transformation, key: str | None = None) -> "CandidateFacts":
         """The facts of the configuration that ``tau`` reaches from ``h``;
@@ -402,78 +411,38 @@ class CandidateFacts:
 
 
 # ---------------------------------------------------------------------------
-# Obligation certifiers
+# Obligations
 # ---------------------------------------------------------------------------
 
+#: What an obligation's rule finds: its evidence, and why it fails or None.
+Finding = tuple[dict, str | None]
 
-def certify_closure(
-    h2: Hypothesis,
-    schema: OntologySchema,
-    grammar: TransformationGrammar,
-    tau: Transformation,
-    context: CertContext,
-    tick: int = 0,
-) -> Certificate | Violation:
+
+def _closure(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
     """A1: the transformed graph is type-sound and the transformation lies
     inside the grammar."""
-    return _closure(CandidateFacts(Transition(h2), StepFacts(schema=schema)), grammar, tau, context, tick)
-
-
-def _closure(
-    facts: CandidateFacts,
-    grammar: TransformationGrammar,
-    tau: Transformation,
-    context: CertContext,
-    tick: int,
-) -> Certificate | Violation:
     report = facts.soundness
-    in_grammar = grammar.allows(tau)
-    evidence: dict[str, object] = {
-        "sound": report.sound,
-        "in_grammar": in_grammar,
-        "variant": variant_name(tau),
-    }
+    in_grammar = facts.step.grammar.allows(tau)
+    evidence: dict[str, object] = {"sound": report.sound, "in_grammar": in_grammar, "variant": variant_name(tau)}
     if report.sound and in_grammar:
-        return Certificate("closure", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
+        return evidence, None
     evidence["violations"] = report.messages()
     if not report.sound:
-        message = f"transformed graph is not type-sound: {report.messages()[0]}"
-    else:
-        message = f"{variant_name(tau)} transformation lies outside the grammar"
-    return Violation("A1", message, tuple(sorted(evidence.items())))
+        return evidence, f"transformed graph is not type-sound: {report.messages()[0]}"
+    return evidence, f"{variant_name(tau)} transformation lies outside the grammar"
 
 
-def certify_stability(
-    h: Hypothesis,
-    h2: Hypothesis,
-    ledger: DriftLedger,
-    model: RegimeSwitchModel,
-    e: Regime,
-    e2: Regime,
-    context: CertContext,
-    tick: int = 0,
-) -> tuple[Certificate | Violation, DriftLedger]:
-    """A2: the charge (structural drift plus declared switch cost and
-    residual when regimes differ) fits both the cumulative bound and the
-    destination regime's switching budget.  The ledger is updated only on
-    certificate issue."""
-    facts = CandidateFacts(Transition(h2), StepFacts(h, model=model, e=e2, from_regime=e))
-    outcome = _stability(facts, ledger, context, tick)
-    return outcome, ledger.charged(facts.entry) if isinstance(outcome, Certificate) else ledger
-
-
-def _stability(
-    facts: CandidateFacts, ledger: DriftLedger, context: CertContext, tick: int
-) -> Certificate | Violation:
-    """The A2 outcome of the candidate's charge (``facts.entry``) on the
-    step's switch."""
-    e, e2 = facts.step.from_regime, facts.step.e
+def _stability(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
+    """A2: the candidate's charge (``facts.entry``: structural drift plus the
+    declared switch cost and residual of the step's switch) fits both the
+    cumulative bound and the destination regime's switching budget."""
+    e, e2, model = facts.step.from_regime, facts.step.e, facts.step.model
     entry = facts.entry
     charge = entry.charge
     budget = e2.budgets.switching_cost
     evidence: dict[str, object] = {
         "structural": facts.charge,
-        "switch_cost": facts.step.model.cost(e.label, e2.label),
+        "switch_cost": model.cost(e.label, e2.label),
         "residual": entry.residual,
         "charge": charge,
         "ledger_before": ledger.total,
@@ -482,59 +451,29 @@ def _stability(
         "from_regime": e.label,
         "to_regime": e2.label,
     }
-    within_bound = ledger.total + charge <= ledger.bound + BOUND_EPS
-    within_budget = charge <= budget + BOUND_EPS
-    if within_bound and within_budget:
-        return Certificate("stability", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
-    if not within_bound:
-        message = f"cumulative drift {ledger.total + charge:.6g} exceeds bound {ledger.bound:.6g}"
-    else:
-        message = f"charge {charge:.6g} exceeds switching budget {budget:.6g}"
-    return Violation("A2", message, tuple(sorted(evidence.items())))
+    if not ledger.total + charge <= ledger.bound + BOUND_EPS:
+        return evidence, f"cumulative drift {ledger.total + charge:.6g} exceeds bound {ledger.bound:.6g}"
+    if not charge <= budget + BOUND_EPS:
+        return evidence, f"charge {charge:.6g} exceeds switching budget {budget:.6g}"
+    return evidence, None
 
 
-def certify_capacity(
-    h2: Hypothesis,
-    prior: StructuralPrior,
-    budget: float,
-    context: CertContext,
-    tick: int = 0,
-) -> Certificate | Violation:
-    """A3: structural complexity within the (inclusive) budget."""
-    return _capacity(CandidateFacts(Transition(h2), StepFacts(prior=prior)), budget, context, tick)
-
-
-def _capacity(
-    facts: CandidateFacts, budget: float, context: CertContext, tick: int
-) -> Certificate | Violation:
+def _capacity(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
+    """A3: structural complexity within the step's (inclusive) budget."""
+    budget = facts.step.capacity_budget
     if budget <= 0:
         raise ConfigError("capacity budget must be positive")
     complexity = facts.complexity
     evidence: dict[str, object] = {"complexity": complexity, "budget": budget}
     if complexity <= budget + BOUND_EPS:
-        return Certificate("capacity", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
-    return Violation(
-        "A3", f"complexity {complexity:.6g} exceeds budget {budget:.6g}", tuple(sorted(evidence.items()))
-    )
+        return evidence, None
+    return evidence, f"complexity {complexity:.6g} exceeds budget {budget:.6g}"
 
 
-def certify_invariance(
-    before: Hypothesis,
-    after: Hypothesis,
-    z: SemanticState,
-    core: InvariantCore,
-    schema: OntologySchema,
-    context: CertContext,
-    tick: int = 0,
-) -> Certificate | Violation:
+def _invariance(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
     """A4: the invariant core holds on the transformed hypothesis, and
     identity is preserved at or above the threshold whenever identity is
     part of the core."""
-    step = StepFacts(before, z, schema, core)
-    return _invariance(CandidateFacts(Transition(after), step), context, tick)
-
-
-def _invariance(facts: CandidateFacts, context: CertContext, tick: int) -> Certificate | Violation:
     core = facts.step.core
     report = facts.core_report
     breakdown = facts.identity
@@ -549,15 +488,96 @@ def _invariance(facts: CandidateFacts, context: CertContext, tick: int) -> Certi
         "absolute_identity": report.identity_value,
     }
     if report.passed and core.identity_holds(breakdown.total):
-        return Certificate("invariance", facts.h2.digest(), context, tuple(sorted(evidence.items())), tick)
+        return evidence, None
     failed = [name for name, ok in report.predicate_results if not ok]
     if failed:
-        message = f"hard safety predicates failed: {', '.join(failed)}"
-    else:
-        message = (
-            f"identity {breakdown.total:.6g} below threshold {core.identity.threshold:.6g}"
-        )
-    return Violation("A4", message, tuple(sorted(evidence.items())))
+        return evidence, f"hard safety predicates failed: {', '.join(failed)}"
+    return evidence, f"identity {breakdown.total:.6g} below threshold {core.identity.threshold:.6g}"
+
+
+def _outcome(
+    kind: str, code: str | None, facts: CandidateFacts, tick: int, evidence: dict, message: str | None
+) -> Certificate | Violation:
+    """The certificate of ``kind`` about the candidate's ``h2`` in the step's
+    context when ``message`` is None; else the violation ``code`` that
+    ``message`` explains.  Either carries ``evidence``, sorted."""
+    items = tuple(sorted(evidence.items()))
+    if message is None:
+        return Certificate(kind, facts.h2.digest(), facts.step.context, items, tick)
+    return Violation(code, message, items)
+
+
+class Obligation(NamedTuple):
+    """One admissibility obligation: the ``kind`` of certificate it issues,
+    which is also the name of the ``GateFlags`` field that arms it, the
+    ``code`` of its violation, and its ``rule``.  Every rule reads the
+    candidate's facts (and through them its step), the transformation and
+    the drift ledger, and returns its evidence and why it fails, or None.
+    A certificate transported from memory stands in for the rule exactly
+    when ``kind`` is in ``memory.TRANSPORTABLE_KINDS``."""
+
+    kind: str
+    code: str
+    rule: Callable[[CandidateFacts, Transformation, DriftLedger], Finding]
+
+
+#: A1-A4 in the order that ``admissible`` screens and reports them.
+OBLIGATIONS = (
+    Obligation("closure", "A1", _closure),
+    Obligation("stability", "A2", _stability),
+    Obligation("capacity", "A3", _capacity),
+    Obligation("invariance", "A4", _invariance),
+)
+
+
+def _obligation(kind: str) -> Obligation:
+    return next(obligation for obligation in OBLIGATIONS if obligation.kind == kind)
+
+
+def _certify(
+    kind: str, facts: CandidateFacts, tau: Transformation, ledger: DriftLedger, tick: int
+) -> Certificate | Violation:
+    """The outcome of the table's entry of ``kind`` on ``facts``: how a
+    standalone certifier runs its own entry."""
+    _, code, rule = _obligation(kind)
+    return _outcome(kind, code, facts, tick, *rule(facts, tau, ledger))
+
+
+def certify_closure(
+    h2: Hypothesis, schema: OntologySchema, grammar: TransformationGrammar, tau: Transformation, context: CertContext,
+    tick: int = 0,
+) -> Certificate | Violation:
+    """A1 on ``h2``, reached by ``tau``."""
+    step = StepFacts(schema=schema, context=context, grammar=grammar)
+    return _certify("closure", CandidateFacts(Transition(h2), step), tau, None, tick)
+
+
+def certify_stability(
+    h: Hypothesis, h2: Hypothesis, ledger: DriftLedger, model: RegimeSwitchModel, e: Regime, e2: Regime,
+    context: CertContext, tick: int = 0,
+) -> tuple[Certificate | Violation, DriftLedger]:
+    """A2 on reaching ``h2`` from ``h`` on the switch ``e -> e2``, and the
+    ledger, charged only on certificate issue."""
+    facts = CandidateFacts(Transition(h2), StepFacts(h, model=model, context=context, e=e2, from_regime=e))
+    outcome = _certify("stability", facts, None, ledger, tick)
+    return outcome, ledger.charged(facts.entry) if isinstance(outcome, Certificate) else ledger
+
+
+def certify_capacity(
+    h2: Hypothesis, prior: StructuralPrior, budget: float, context: CertContext, tick: int = 0
+) -> Certificate | Violation:
+    """A3 on ``h2`` under ``prior`` and ``budget``."""
+    step = StepFacts(prior=prior, context=context, capacity_budget=budget)
+    return _certify("capacity", CandidateFacts(Transition(h2), step), None, None, tick)
+
+
+def certify_invariance(
+    before: Hypothesis, after: Hypothesis, z: SemanticState, core: InvariantCore, schema: OntologySchema,
+    context: CertContext, tick: int = 0,
+) -> Certificate | Violation:
+    """A4 on reaching ``after`` from ``before`` under ``z``."""
+    step = StepFacts(before, z, schema, core, context=context)
+    return _certify("invariance", CandidateFacts(Transition(after), step), None, None, tick)
 
 
 def _substitution_sites(h: Hypothesis, c1: Component) -> tuple[str, ...]:
@@ -574,37 +594,23 @@ def _substituted(h: Hypothesis, sites: Sequence[str], c1: Component, c2: Compone
 
 
 def certify_substitution(
-    c1: Component,
-    c2: Component,
-    h: Hypothesis,
-    z: SemanticState,
-    store: MemoryStore,
-    schema: OntologySchema,
-    core: InvariantCore,
-    model: RegimeSwitchModel,
-    regime: Regime,
-    context: CertContext,
-    tick: int = 0,
+    c1: Component, c2: Component, h: Hypothesis, z: SemanticState, store: MemoryStore, schema: OntologySchema,
+    core: InvariantCore, model: RegimeSwitchModel, regime: Regime, context: CertContext, tick: int = 0,
 ) -> Certificate | Violation:
     """The five-condition typed substitution check for c1 -> c2 at every
     role currently bound to c1.  Evidence lists each condition's result.
     S5 looks for failures in ``store`` in the environment class of
     ``context``."""
     sites = _substitution_sites(h, c1)
-    step = StepFacts(h, z, schema, core, model=model, context=context, store=store)
-    facts = CandidateFacts(Transition(_substituted(h, sites, c1, c2)), step)
-    return _substitution(c1, c2, sites, facts, regime, context, tick)
+    step = StepFacts(h, z, schema, core, model=model, context=context, store=store, e=regime)
+    return _substitution(c1, c2, sites, CandidateFacts(Transition(_substituted(h, sites, c1, c2)), step), tick)
 
 
 def _substitution(
-    c1: Component,
-    c2: Component,
-    sites: Sequence[str],
-    facts: CandidateFacts,
-    regime: Regime,
-    context: CertContext,
-    tick: int,
+    c1: Component, c2: Component, sites: Sequence[str], facts: CandidateFacts, tick: int
 ) -> Certificate | Violation:
+    """S1-S5 for ``c1 -> c2`` at ``sites``, the candidate's ``h2`` being the
+    graph with every site substituted, in the step's destination regime."""
     h, h2, schema = facts.step.h, facts.h2, facts.step.schema
     conditions: list[tuple[str, str, bool]] = []
 
@@ -624,7 +630,7 @@ def _substitution(
     conditions.append(("S3", "core-certified", s3_ok))
 
     charge = facts.charge
-    s4_ok = charge <= regime.budgets.switching_cost + BOUND_EPS
+    s4_ok = charge <= facts.step.e.budgets.switching_cost + BOUND_EPS
     conditions.append(("S4", "transition-budget", s4_ok))
 
     contradictions = facts.failures
@@ -640,10 +646,9 @@ def _substitution(
         "identity_score": facts.identity.total,
         "matched_failures": len(contradictions),
     }
-    if all(ok for _, _, ok in conditions):
-        return Certificate("substitution", h2.digest(), context, tuple(sorted(evidence.items())), tick)
-    first = next((code, name) for code, name, ok in conditions if not ok)
-    return Violation(first[0], f"substitution condition {first[0]} ({first[1]}) failed", tuple(sorted(evidence.items())))
+    code, name = next(((code, name) for code, name, ok in conditions if not ok), (None, None))
+    message = None if code is None else f"substitution condition {code} ({name}) failed"
+    return _outcome("substitution", code, facts, tick, evidence, message)
 
 
 # ---------------------------------------------------------------------------
@@ -739,11 +744,11 @@ def admissible(
     tick: int = 0,
     facts: CandidateFacts | None = None,
 ) -> AdmissibilityVerdict:
-    """Run all four certifiers (plus the substitution certifier for
-    substitution-class transformations) and aggregate.  ``tau`` is applied
-    at most once, not at all when the memo of the run or scan has already
-    met it from the same configuration, and every obligation reads the
-    same candidate facts.
+    """Screen ``tau`` through every entry of ``OBLIGATIONS`` in order (plus
+    the substitution conditions for substitution-class transformations)
+    and aggregate.  ``tau`` is applied at most once, not at all when the
+    memo of the run or scan has already met it from the same
+    configuration, and every obligation reads the same candidate facts.
 
     A caller that screens many candidates passes the ``facts`` of ``tau``,
     ``step.candidate(tau)``, built from the step's one ``StepFacts`` (see
@@ -761,19 +766,17 @@ def admissible(
     if ledger is None:
         ledger = DriftLedger(bound=cfg.drift_bound)
     step = facts.step
-    h, store, e = step.h, step.store, step.e
-    context = step.context
-    environment = context.environment_digest
+    h, e = step.h, step.e
 
     if facts.error is not None:
-        violation = Violation("A1", f"transformation not applicable: {facts.error}")
-        results = tuple(
+        violation = Violation(_obligation("closure").code, f"transformation not applicable: {facts.error}")
+        refusals = tuple(
             (code, ObligationResult(code, certified=False, gated=True, violation=violation))
-            for code in ("A1", "A2", "A3", "A4")
+            for _, code, _ in OBLIGATIONS
         )
         return AdmissibilityVerdict(
             passed=False,
-            obligations=results,
+            obligations=refusals,
             substitution=None,
             identity_score=0.0,
             identity_passed=False,
@@ -786,24 +789,17 @@ def admissible(
         )
     h2 = facts.h2
 
-    # a closure or capacity certificate transported from memory stands in
-    # for computing that obligation afresh
-    moved_closure = moved_capacity = None
-    if flags.memory:
-        moved_closure = find_transportable(store, "closure", h2, environment, cfg.transport_max_distance, e.label)
-        moved_capacity = find_transportable(store, "capacity", h2, environment, cfg.transport_max_distance, e.label)
-    transported = (moved_closure is not None) + (moved_capacity is not None)
-
-    closure_outcome = moved_closure or _closure(facts, cfg.grammar, tau, context, tick)
-    a1 = _as_result("A1", closure_outcome, gated=flags.closure)
-
-    a2 = _as_result("A2", _stability(facts, ledger, context, tick), gated=flags.stability)
-
-    capacity_budget = min(cfg.capacity_budget, e.budgets.complexity)
-    capacity_outcome = moved_capacity or _capacity(facts, capacity_budget, context, tick)
-    a3 = _as_result("A3", capacity_outcome, gated=flags.capacity)
-
-    a4 = _as_result("A4", _invariance(facts, context, tick), gated=flags.invariance)
+    environment = step.context.environment_digest
+    results, transported = [], 0
+    for kind, code, rule in OBLIGATIONS:
+        outcome = None
+        if flags.memory and kind in TRANSPORTABLE_KINDS:
+            # a certificate transported from memory stands in for the rule
+            outcome = find_transportable(step.store, kind, h2, environment, cfg.transport_max_distance, e.label)
+            transported += outcome is not None
+        if outcome is None:
+            outcome = _outcome(kind, code, facts, tick, *rule(facts, tau, ledger))
+        results.append(_as_result(code, outcome, gated=getattr(flags, kind)))
 
     substitution_result: ObligationResult | None = None
     if isinstance(tau, (Substitute, Rebind)):
@@ -816,31 +812,23 @@ def admissible(
                 site_facts = facts
             else:
                 site_facts = CandidateFacts(Transition(_substituted(h, sites, current, tau.new_component)), step)
-            outcome = _substitution(current, tau.new_component, sites, site_facts, e, context, tick)
+            outcome = _substitution(current, tau.new_component, sites, site_facts, tick)
             code = outcome.code if isinstance(outcome, Violation) else "S"
             substitution_result = _as_result(code, outcome, gated=flags.substitution)
 
-    obligations = (("A1", a1), ("A2", a2), ("A3", a3), ("A4", a4))
-    passed = all(result.passed for _, result in obligations)
-    if substitution_result is not None:
-        passed = passed and substitution_result.passed
-
+    screened = [result for result in (*results, substitution_result) if result is not None]
+    passed = all(result.passed for result in screened)
+    certificates = tuple(result.certificate for result in screened if result.certificate is not None)
+    stability_certified = any(certificate.kind == "stability" for certificate in certificates)
     identity_score = facts.identity.total
-    identity_passed = cfg.core.identity.admits(identity_score)
-
-    certificates = tuple(
-        result.certificate
-        for result in (a1, a2, a3, a4, substitution_result)
-        if result is not None and result.certificate is not None
-    )
     return AdmissibilityVerdict(
         passed=passed,
-        obligations=obligations,
+        obligations=tuple((result.code, result) for result in results),
         substitution=substitution_result,
         identity_score=identity_score,
-        identity_passed=identity_passed,
+        identity_passed=cfg.core.identity.admits(identity_score),
         certificates=certificates,
-        updated_ledger=ledger.charged(facts.entry) if passed and a2.certified else ledger,
+        updated_ledger=ledger.charged(facts.entry) if passed and stability_certified else ledger,
         transported=transported,
         before_digest=h.digest(),
         after_digest=h2.digest(),

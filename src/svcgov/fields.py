@@ -6,6 +6,7 @@ JSON types, refused values), each under its JSON path, as one error."""
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable, Mapping
 from sys import float_info
 
@@ -40,13 +41,25 @@ def render(doc: str, path: tuple, how: str, detail: str) -> str:
     return f"{doc} section {path[0]!r}: {text}" if inside else text
 
 
+def _raised(error: type, texts: list[str]) -> GovernanceError:
+    return error(texts) if issubclass(error, ReportedError) else error("; ".join(texts))
+
+
 def read(error: type, doc: str, loader: Callable, data: object):
     """``loader(data)``, its problems raised as one ``error`` of document ``doc``."""
     try:
         return loader(data)
     except Malformed as exc:
-        texts = [render(doc, *p) for p in exc.problems]
-        raise (error(texts) if issubclass(error, ReportedError) else error("; ".join(texts))) from None
+        raise _raised(error, [render(doc, *p) for p in exc.problems]) from None
+
+
+def decode(error: type, what: str, document: str) -> object:
+    """``document`` decoded as JSON; text that is not JSON, or that nests
+    too deeply to decode, raised as one ``error`` naming ``what``."""
+    try:
+        return json.loads(document)
+    except (ValueError, RecursionError) as exc:
+        raise _raised(error, [f"malformed {what}: {exc}"]) from exc
 
 
 def _problems(steps) -> list:

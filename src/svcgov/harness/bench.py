@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple, Sequence
 from ..certify import DriftLedger, StepFacts, admissible
 from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
-from ..fields import Fields, array, integer, keyed, number, read, text
+from ..fields import Fields, array, decode, integer, keyed, number, read, text
 from ..memory import EMPTY_STORE, MemoryStore
 from ..orchestrator import (
     DecisionTrace,
@@ -491,8 +491,4 @@ def report_to_json(report: MetricsReport) -> str:
 
 
 def report_from_json(document: str) -> MetricsReport:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError([f"malformed report JSON: {exc}"]) from exc
-    return read(ParseError, "report", MetricsReport.from_data, data)
+    return read(ParseError, "report", MetricsReport.from_data, decode(ParseError, "report JSON", document))

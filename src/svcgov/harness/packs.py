@@ -7,7 +7,6 @@ as user-supplied files.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 from typing import TYPE_CHECKING, Mapping
 
@@ -30,7 +29,7 @@ def pack_dir(name: str) -> Traversable:
 
 def pack_data(name: str) -> dict:
     """A pack's scenario document, for a caller to edit before ``pack_scenario``."""
-    return _read(pack_dir(name) / "scenario.json", "scenario JSON", json.loads)
+    return _read(pack_dir(name) / "scenario.json", "scenario JSON", as_json=True)
 
 
 def pack_scenario(name: str, data: Mapping) -> tuple[Scenario, OrchestratorConfig]:
@@ -38,7 +37,7 @@ def pack_scenario(name: str, data: Mapping) -> tuple[Scenario, OrchestratorConfi
     pack's run configuration loaded against its schema and assertions."""
     base = pack_dir(name)
     scenario = scenario_from_data(data, base_dir=base)
-    config = _read(base / "config.json", "config JSON", json.loads)
+    config = _read(base / "config.json", "config JSON", as_json=True)
     return scenario, config_from_data(config, scenario.schema, scenario.assertions)
 
 

@@ -19,18 +19,18 @@ and assertion base.  Neither load time nor the memory kept grows with
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..errors import ConfigError, ParseError, ValidationError
 from ..certificates import OBLIGATION_CODES
 from ..certify import RegimeSwitchModel
 from ..evaluation import InvariantCore, Regime, StructuralPrior
 from ..fields import (
-    Fields, anything, array, boolean, concept, integer, mapping, number, one_of, read, row, sorted_items, text, wrong,
+    Fields, anything, array, boolean, concept, decode, integer, mapping, number, one_of, read, row, sorted_items, text,
+    wrong,
 )
 from ..model import HEALTH, Component, Hypothesis, RawPlatformState, type_soundness
 from ..ontology import AssertionBase, ConceptId, OntologySchema, check_consistency, load_schema
@@ -263,18 +263,20 @@ def _extend_with_registry(assertions: AssertionBase, registry: Sequence[Componen
     )
 
 
-def _read(path: Path | Traversable, what: str, decode: Callable[[str], object] = str) -> object:
-    """The file at ``path``, decoded; a ParseError when it cannot be read or decoded."""
+def _read(path: Path | Traversable, what: str, as_json: bool = False) -> object:
+    """The text of the file at ``path`` or, ``as_json``, the JSON it holds; a
+    ParseError when it cannot be read or decoded."""
     try:
-        return decode(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError([f"cannot read {what}: {exc}"]) from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except ValueError as exc:  # not UTF-8
         raise ParseError([f"malformed {what}: {exc}"]) from exc
+    return decode(ParseError, what, text) if as_json else text
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_data(_read(Path(path), "scenario JSON", json.loads), base_dir=Path(path).parent)
+    return scenario_from_data(_read(Path(path), "scenario JSON", as_json=True), base_dir=Path(path).parent)
 
 
 def scenario_to_data(scenario: Scenario, ontology_text: str) -> dict:
@@ -329,4 +331,4 @@ def _config_from_data(data: Mapping) -> dict:
 
 
 def load_config(path: str | Path, schema: OntologySchema, assertions: AssertionBase) -> OrchestratorConfig:
-    return config_from_data(_read(Path(path), "config JSON", json.loads), schema, assertions)
+    return config_from_data(_read(Path(path), "config JSON", as_json=True), schema, assertions)

@@ -13,7 +13,6 @@ never transport.
 from __future__ import annotations
 
 import itertools
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 from .canon import canonical_dumps, sha256_hex
 from .certificates import OBLIGATION_CODES, Certificate, CertRefusal
 from .errors import CorruptStore, MalformedRecord, NotReachable
-from .fields import Fields, array, concept, maybe, read, row, text
+from .fields import Fields, array, concept, decode, maybe, read, row, text
 from .model import Hypothesis
 from .ontology import ConceptId
 from .transform import edit_distance
@@ -400,10 +399,8 @@ def load(path: str | Path) -> MemoryStore:
         raise CorruptStore(f"unknown store header {lines[0]!r}")
     records, graphs, certs = [], {}, []
     for number, line in enumerate(lines[1:-1], start=2):
-        try:
-            record, graph, cert = read(CorruptStore, f"store line {number}", _store_entry, json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise CorruptStore(f"malformed store line {number}: {exc}") from exc
+        where = f"store line {number}"
+        record, graph, cert = read(CorruptStore, where, _store_entry, decode(CorruptStore, where, line))
         records += [record] if record else []
         certs += [cert] if cert else []
         if graph is not None:

@@ -837,3 +837,55 @@ class TestStepFactsAreComputedOnce:
             screened, _ = self.screened_with_counts(monkeypatch, [run], {})
             graphs = {facts.h2.digest() for _, facts, _ in screened}
             assert shapes and len(shapes) == len(set(shapes)) < len(graphs)
+
+
+# ---------------------------------------------------------------------------
+# The obligation table
+# ---------------------------------------------------------------------------
+
+
+class TestObligationTable:
+    def test_the_table_is_the_obligation_vocabulary(self):
+        from svcgov.certificates import OBLIGATION_CODES
+        from svcgov.certify import OBLIGATIONS
+        from svcgov.memory import TRANSPORTABLE_KINDS
+        from svcgov.orchestrator import GateFlags
+
+        codes = tuple(obligation.code for obligation in OBLIGATIONS)
+        assert codes + ("S1", "S2", "S3", "S4", "S5", "runtime-failure") == OBLIGATION_CODES
+        kinds = {obligation.kind for obligation in OBLIGATIONS}
+        assert len(kinds) == len(OBLIGATIONS)
+        assert kinds <= {flag.name for flag in dataclasses.fields(GateFlags)}
+        assert set(TRANSPORTABLE_KINDS) <= kinds
+
+    def test_each_rule_can_be_wrapped_through_the_table(self, monkeypatch, hospital, retail):
+        # a wrapper put on each entry of ``OBLIGATIONS`` (here one that
+        # counts) sees every rule the engine runs, with no edit to
+        # ``admissible``, and changes no trace
+        from svcgov import certify
+        from svcgov.harness import bench
+        from svcgov.orchestrator import run
+
+        runs = [(*hospital, EMPTY_STORE), (*retail, EMPTY_STORE), bench.FAMILY_GENERATORS["environment-shift"](0)]
+        documents = [run(scenario, cfg, store).document(scenario.name, cfg) for scenario, cfg, store in runs]
+        calls = {obligation.code: 0 for obligation in certify.OBLIGATIONS}
+
+        def counting(obligation):
+            def rule(facts, tau, ledger):
+                assert facts.error is None
+                calls[obligation.code] += 1
+                return obligation.rule(facts, tau, ledger)
+
+            return obligation._replace(rule=rule)
+
+        monkeypatch.setattr(certify, "OBLIGATIONS", tuple(map(counting, certify.OBLIGATIONS)))
+        results = [run(scenario, cfg, store) for scenario, cfg, store in runs]
+        assert [r.document(scenario.name, cfg) for r, (scenario, cfg, _) in zip(results, runs)] == documents
+        verdicts = [c.verdict for r in results for trace in r.traces for c in trace.candidates]
+        applicable = [verdict for verdict in verdicts if not verdict.error]
+        served = {code: 0 for code in calls}
+        for verdict in applicable:
+            for code, result in verdict.obligations:
+                served[code] += result.certificate is not None and result.certificate.transported
+        assert served["A1"] and served["A3"]
+        assert calls == {code: len(applicable) - served[code] for code in calls}

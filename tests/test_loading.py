@@ -399,6 +399,29 @@ def test_compare_refuses_a_malformed_report(tmp_path, capsys, content, expected)
     assert "error parse" in err and expected in err
 
 
+@pytest.mark.parametrize("reader, code", [("scenario", 3), ("config", 3), ("report", 3), ("store", 5)])
+def test_deeply_nested_json_is_refused_with_its_exit_code(tmp_path, capsys, reader, code):
+    # text nested deeper than the JSON decoder recurses (an unclosed object
+    # or array) makes it give up with a RecursionError, which each reader
+    # refuses as it refuses any other text that is not JSON; the store line
+    # is reached under a valid checksum
+    document = '{"a":' * 3000 if reader in ("scenario", "config") else "[" * 100_000
+    path = tmp_path / reader
+    if reader == "store":
+        body = f"svcgov-memory v1\n{document}\n"
+        document = body + f"checksum sha256:{sha256_hex(body)}\n"
+    path.write_text(document, encoding="utf-8")
+    argv = {
+        "scenario": ["validate", "--scenario", str(path)],
+        "config": ["validate", "--scenario", str(pack_dir("hospital") / "scenario.json"), "--config", str(path)],
+        "report": ["compare", str(path), str(path)],
+        "store": ["run", "--pack", "retail", "--store", str(path)],
+    }[reader]
+    status, err = _cli(capsys, argv)
+    assert status == code
+    assert "maximum recursion depth" in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Mutation fuzz: only governance errors escape, each with its exit code
 # ---------------------------------------------------------------------------
