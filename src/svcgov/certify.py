@@ -11,15 +11,12 @@ A transformation is admissible when, for the transformed hypothesis:
 * A4 (invariance): the invariant core holds and identity is preserved at
   or above the certified threshold.
 
-``OBLIGATIONS`` lists A1-A4 in order, each with the kind of certificate
-it issues (also the ``GateFlags`` field that arms it), its code and its
-rule, and ``admissible`` folds over that table; the standalone
-``certify_*`` functions run the same entries.  Substitutions additionally
-pass five conditions (S1 function class or certified refinement, S2
-dependent roles satisfiable, S3 core certified, S4 transition cost within
-the regime budget, S5 no contradicting failure memory).  All bound
-comparisons are inclusive.  The aggregate verdict always reports every
-obligation; nothing short-circuits silently.
+``admissible`` screens them as one loop over ``OBLIGATIONS``.
+Substitutions additionally pass five conditions (S1 function class or
+certified refinement, S2 dependent roles satisfiable, S3 core certified,
+S4 transition cost within the regime budget, S5 no contradicting failure
+memory).  All bound comparisons are inclusive.  The aggregate verdict
+always reports every obligation; nothing short-circuits silently.
 """
 
 from __future__ import annotations
@@ -218,11 +215,10 @@ def structural_charge(
 class StepFacts:
     """What one screening step fixes for every candidate it screens: the
     configuration ``h`` that candidates start from, the semantic state
-    ``z``, the parts of the config that the obligations read (the
-    grammar and the step's capacity budget among them), the memo of the
-    run or scan, the certificate context, the memory store that S5 reads
-    (the empty store with the memory gate off) and the regime switch
-    ``from_regime -> e`` that candidates are screened on.  The
+    ``z``, the parts of the config that the obligations read, the memo of
+    the run or scan, the certificate context, the memory store that S5
+    reads (the empty store with the memory gate off) and the regime
+    switch ``from_regime -> e`` that candidates are screened on.  The
     facts about ``h`` are computed on first use and then kept, so every
     candidate reads the same value.
 
@@ -414,16 +410,17 @@ class CandidateFacts:
 # Obligations
 # ---------------------------------------------------------------------------
 
-#: What an obligation's rule finds: its evidence, and why it fails or None.
-Finding = tuple[dict, str | None]
 
-
-def _closure(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
+def _closure(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> tuple[dict, str | None]:
     """A1: the transformed graph is type-sound and the transformation lies
     inside the grammar."""
     report = facts.soundness
     in_grammar = facts.step.grammar.allows(tau)
-    evidence: dict[str, object] = {"sound": report.sound, "in_grammar": in_grammar, "variant": variant_name(tau)}
+    evidence: dict[str, object] = {
+        "sound": report.sound,
+        "in_grammar": in_grammar,
+        "variant": variant_name(tau),
+    }
     if report.sound and in_grammar:
         return evidence, None
     evidence["violations"] = report.messages()
@@ -432,17 +429,17 @@ def _closure(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) ->
     return evidence, f"{variant_name(tau)} transformation lies outside the grammar"
 
 
-def _stability(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
+def _stability(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> tuple[dict, str | None]:
     """A2: the candidate's charge (``facts.entry``: structural drift plus the
     declared switch cost and residual of the step's switch) fits both the
     cumulative bound and the destination regime's switching budget."""
-    e, e2, model = facts.step.from_regime, facts.step.e, facts.step.model
+    e, e2 = facts.step.from_regime, facts.step.e
     entry = facts.entry
     charge = entry.charge
     budget = e2.budgets.switching_cost
     evidence: dict[str, object] = {
         "structural": facts.charge,
-        "switch_cost": model.cost(e.label, e2.label),
+        "switch_cost": facts.step.model.cost(e.label, e2.label),
         "residual": entry.residual,
         "charge": charge,
         "ledger_before": ledger.total,
@@ -458,7 +455,7 @@ def _stability(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) 
     return evidence, None
 
 
-def _capacity(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
+def _capacity(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> tuple[dict, str | None]:
     """A3: structural complexity within the step's (inclusive) budget."""
     budget = facts.step.capacity_budget
     if budget <= 0:
@@ -470,7 +467,7 @@ def _capacity(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -
     return evidence, f"complexity {complexity:.6g} exceeds budget {budget:.6g}"
 
 
-def _invariance(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
+def _invariance(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> tuple[dict, str | None]:
     """A4: the invariant core holds on the transformed hypothesis, and
     identity is preserved at or above the threshold whenever identity is
     part of the core."""
@@ -495,6 +492,29 @@ def _invariance(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger)
     return evidence, f"identity {breakdown.total:.6g} below threshold {core.identity.threshold:.6g}"
 
 
+class Obligation(NamedTuple):
+    """An admissibility obligation: the ``kind`` of certificate it issues
+    (also the ``GateFlags`` field that arms it), the ``code`` of its
+    violation, and the ``rule`` that finds its evidence and why it fails,
+    or None."""
+
+    kind: str
+    code: str
+    rule: Callable[[CandidateFacts, Transformation, DriftLedger], tuple[dict, str | None]]
+
+
+#: A1-A4 in the order that ``admissible`` screens and reports them.
+OBLIGATIONS = (
+    Obligation("closure", "A1", _closure),
+    Obligation("stability", "A2", _stability),
+    Obligation("capacity", "A3", _capacity),
+    Obligation("invariance", "A4", _invariance),
+)
+
+#: Where A2, whose certificate charges the ledger, sits in ``OBLIGATIONS``.
+_A2 = next(i for i, obligation in enumerate(OBLIGATIONS) if obligation.rule is _stability)
+
+
 def _outcome(
     kind: str, code: str | None, facts: CandidateFacts, tick: int, evidence: dict, message: str | None
 ) -> Certificate | Violation:
@@ -507,44 +527,20 @@ def _outcome(
     return Violation(code, message, items)
 
 
-class Obligation(NamedTuple):
-    """One admissibility obligation: the ``kind`` of certificate it issues,
-    which is also the name of the ``GateFlags`` field that arms it, the
-    ``code`` of its violation, and its ``rule``.  Every rule reads the
-    candidate's facts (and through them its step), the transformation and
-    the drift ledger, and returns its evidence and why it fails, or None.
-    A certificate transported from memory stands in for the rule exactly
-    when ``kind`` is in ``memory.TRANSPORTABLE_KINDS``."""
-
-    kind: str
-    code: str
-    rule: Callable[[CandidateFacts, Transformation, DriftLedger], Finding]
-
-
-#: A1-A4 in the order that ``admissible`` screens and reports them.
-OBLIGATIONS = (
-    Obligation("closure", "A1", _closure),
-    Obligation("stability", "A2", _stability),
-    Obligation("capacity", "A3", _capacity),
-    Obligation("invariance", "A4", _invariance),
-)
-
-
-def _obligation(kind: str) -> Obligation:
-    return next(obligation for obligation in OBLIGATIONS if obligation.kind == kind)
-
-
 def _certify(
     kind: str, facts: CandidateFacts, tau: Transformation, ledger: DriftLedger, tick: int
 ) -> Certificate | Violation:
-    """The outcome of the table's entry of ``kind`` on ``facts``: how a
-    standalone certifier runs its own entry."""
-    _, code, rule = _obligation(kind)
+    """The outcome of the entry of ``kind`` in ``OBLIGATIONS`` as it is when called."""
+    code, rule = next((obligation.code, obligation.rule) for obligation in OBLIGATIONS if obligation.kind == kind)
     return _outcome(kind, code, facts, tick, *rule(facts, tau, ledger))
 
 
 def certify_closure(
-    h2: Hypothesis, schema: OntologySchema, grammar: TransformationGrammar, tau: Transformation, context: CertContext,
+    h2: Hypothesis,
+    schema: OntologySchema,
+    grammar: TransformationGrammar,
+    tau: Transformation,
+    context: CertContext,
     tick: int = 0,
 ) -> Certificate | Violation:
     """A1 on ``h2``, reached by ``tau``."""
@@ -553,8 +549,14 @@ def certify_closure(
 
 
 def certify_stability(
-    h: Hypothesis, h2: Hypothesis, ledger: DriftLedger, model: RegimeSwitchModel, e: Regime, e2: Regime,
-    context: CertContext, tick: int = 0,
+    h: Hypothesis,
+    h2: Hypothesis,
+    ledger: DriftLedger,
+    model: RegimeSwitchModel,
+    e: Regime,
+    e2: Regime,
+    context: CertContext,
+    tick: int = 0,
 ) -> tuple[Certificate | Violation, DriftLedger]:
     """A2 on reaching ``h2`` from ``h`` on the switch ``e -> e2``, and the
     ledger, charged only on certificate issue."""
@@ -564,7 +566,11 @@ def certify_stability(
 
 
 def certify_capacity(
-    h2: Hypothesis, prior: StructuralPrior, budget: float, context: CertContext, tick: int = 0
+    h2: Hypothesis,
+    prior: StructuralPrior,
+    budget: float,
+    context: CertContext,
+    tick: int = 0,
 ) -> Certificate | Violation:
     """A3 on ``h2`` under ``prior`` and ``budget``."""
     step = StepFacts(prior=prior, context=context, capacity_budget=budget)
@@ -572,8 +578,13 @@ def certify_capacity(
 
 
 def certify_invariance(
-    before: Hypothesis, after: Hypothesis, z: SemanticState, core: InvariantCore, schema: OntologySchema,
-    context: CertContext, tick: int = 0,
+    before: Hypothesis,
+    after: Hypothesis,
+    z: SemanticState,
+    core: InvariantCore,
+    schema: OntologySchema,
+    context: CertContext,
+    tick: int = 0,
 ) -> Certificate | Violation:
     """A4 on reaching ``after`` from ``before`` under ``z``."""
     step = StepFacts(before, z, schema, core, context=context)
@@ -594,8 +605,17 @@ def _substituted(h: Hypothesis, sites: Sequence[str], c1: Component, c2: Compone
 
 
 def certify_substitution(
-    c1: Component, c2: Component, h: Hypothesis, z: SemanticState, store: MemoryStore, schema: OntologySchema,
-    core: InvariantCore, model: RegimeSwitchModel, regime: Regime, context: CertContext, tick: int = 0,
+    c1: Component,
+    c2: Component,
+    h: Hypothesis,
+    z: SemanticState,
+    store: MemoryStore,
+    schema: OntologySchema,
+    core: InvariantCore,
+    model: RegimeSwitchModel,
+    regime: Regime,
+    context: CertContext,
+    tick: int = 0,
 ) -> Certificate | Violation:
     """The five-condition typed substitution check for c1 -> c2 at every
     role currently bound to c1.  Evidence lists each condition's result.
@@ -603,20 +623,20 @@ def certify_substitution(
     ``context``."""
     sites = _substitution_sites(h, c1)
     step = StepFacts(h, z, schema, core, model=model, context=context, store=store, e=regime)
-    return _substitution(c1, c2, sites, CandidateFacts(Transition(_substituted(h, sites, c1, c2)), step), tick)
+    facts = CandidateFacts(Transition(_substituted(h, sites, c1, c2)), step)
+    return _substitution(c1, c2, sites, facts, tick)
 
 
 def _substitution(
-    c1: Component, c2: Component, sites: Sequence[str], facts: CandidateFacts, tick: int
+    c1: Component,
+    c2: Component,
+    sites: Sequence[str],
+    facts: CandidateFacts,
+    tick: int,
 ) -> Certificate | Violation:
     """S1-S5 for ``c1 -> c2`` at ``sites``, the candidate's ``h2`` being the
     graph with every site substituted, in the step's destination regime."""
     h, h2, schema = facts.step.h, facts.h2, facts.step.schema
-    conditions: list[tuple[str, str, bool]] = []
-
-    s1_ok = not any(uncovered(h.role(rid), c2, schema) for rid in sites)
-    conditions.append(("S1", "function-class", s1_ok))
-
     touched = set(sites)
     s2_ok = facts.soundness.sound
     if s2_ok:
@@ -624,27 +644,21 @@ def _substitution(
         s2_ok = all(
             satisfies(edge.contract) for edge in h2.edges if edge.from_role in touched or edge.to_role in touched
         )
-    conditions.append(("S2", "dependent-roles", s2_ok))
-
-    s3_ok = facts.core_report.passed and facts.step.core.identity_holds(facts.identity.total)
-    conditions.append(("S3", "core-certified", s3_ok))
-
-    charge = facts.charge
-    s4_ok = charge <= facts.step.e.budgets.switching_cost + BOUND_EPS
-    conditions.append(("S4", "transition-budget", s4_ok))
-
-    contradictions = facts.failures
-    s5_ok = not contradictions
-    conditions.append(("S5", "memory-consistent", s5_ok))
-
+    conditions = (
+        ("S1", "function-class", not any(uncovered(h.role(rid), c2, schema) for rid in sites)),
+        ("S2", "dependent-roles", s2_ok),
+        ("S3", "core-certified", facts.core_report.passed and facts.step.core.identity_holds(facts.identity.total)),
+        ("S4", "transition-budget", facts.charge <= facts.step.e.budgets.switching_cost + BOUND_EPS),
+        ("S5", "memory-consistent", not facts.failures),
+    )
     evidence: dict[str, object] = {
         "old_component": c1.component_id,
         "new_component": c2.component_id,
         "sites": sorted(sites),
         "conditions": {code: ok for code, _, ok in conditions},
-        "transition_charge": charge,
+        "transition_charge": facts.charge,
         "identity_score": facts.identity.total,
-        "matched_failures": len(contradictions),
+        "matched_failures": len(facts.failures),
     }
     code, name = next(((code, name) for code, name, ok in conditions if not ok), (None, None))
     message = None if code is None else f"substitution condition {code} ({name}) failed"
@@ -707,10 +721,7 @@ class AdmissibilityVerdict:
     error: str = ""
 
     def obligation(self, code: str) -> ObligationResult:
-        for key, result in self.obligations:
-            if key == code:
-                return result
-        raise KeyError(code)
+        return dict(self.obligations)[code]
 
     def violation_codes(self) -> tuple[str, ...]:
         codes = [code for code, result in self.obligations if not result.certified]
@@ -769,7 +780,7 @@ def admissible(
     h, e = step.h, step.e
 
     if facts.error is not None:
-        violation = Violation(_obligation("closure").code, f"transformation not applicable: {facts.error}")
+        violation = Violation(OBLIGATIONS[0].code, f"transformation not applicable: {facts.error}")
         refusals = tuple(
             (code, ObligationResult(code, certified=False, gated=True, violation=violation))
             for _, code, _ in OBLIGATIONS
@@ -790,7 +801,7 @@ def admissible(
     h2 = facts.h2
 
     environment = step.context.environment_digest
-    results, transported = [], 0
+    obligations, results, transported = [], [], 0
     for kind, code, rule in OBLIGATIONS:
         outcome = None
         if flags.memory and kind in TRANSPORTABLE_KINDS:
@@ -798,8 +809,10 @@ def admissible(
             outcome = find_transportable(step.store, kind, h2, environment, cfg.transport_max_distance, e.label)
             transported += outcome is not None
         if outcome is None:
-            outcome = _outcome(kind, code, facts, tick, *rule(facts, tau, ledger))
+            evidence, message = rule(facts, tau, ledger)
+            outcome = _outcome(kind, code, facts, tick, evidence, message)
         results.append(_as_result(code, outcome, gated=getattr(flags, kind)))
+        obligations.append((code, results[-1]))
 
     substitution_result: ObligationResult | None = None
     if isinstance(tau, (Substitute, Rebind)):
@@ -815,20 +828,18 @@ def admissible(
             outcome = _substitution(current, tau.new_component, sites, site_facts, tick)
             code = outcome.code if isinstance(outcome, Violation) else "S"
             substitution_result = _as_result(code, outcome, gated=flags.substitution)
+            results.append(substitution_result)
 
-    screened = [result for result in (*results, substitution_result) if result is not None]
-    passed = all(result.passed for result in screened)
-    certificates = tuple(result.certificate for result in screened if result.certificate is not None)
-    stability_certified = any(certificate.kind == "stability" for certificate in certificates)
+    passed = all(result.passed for result in results)
     identity_score = facts.identity.total
     return AdmissibilityVerdict(
         passed=passed,
-        obligations=tuple((result.code, result) for result in results),
+        obligations=tuple(obligations),
         substitution=substitution_result,
         identity_score=identity_score,
         identity_passed=cfg.core.identity.admits(identity_score),
-        certificates=certificates,
-        updated_ledger=ledger.charged(facts.entry) if passed and stability_certified else ledger,
+        certificates=tuple(result.certificate for result in results if result.certified),
+        updated_ledger=ledger.charged(facts.entry) if passed and results[_A2].certified else ledger,
         transported=transported,
         before_digest=h.digest(),
         after_digest=h2.digest(),

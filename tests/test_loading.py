@@ -404,8 +404,11 @@ def test_deeply_nested_json_is_refused_with_its_exit_code(tmp_path, capsys, read
     # text nested deeper than the JSON decoder recurses (an unclosed object
     # or array) makes it give up with a RecursionError, which each reader
     # refuses as it refuses any other text that is not JSON; the store line
-    # is reached under a valid checksum
-    document = '{"a":' * 3000 if reader in ("scenario", "config") else "[" * 100_000
+    # is reached under a valid checksum.  100,000 levels is above the
+    # decoder's limit on every supported Python: CPython 3.12 and later
+    # count its nesting against a C limit of 8,000 or more, not against
+    # sys.getrecursionlimit()
+    document = '{"a":' * 100_000 if reader in ("scenario", "config") else "[" * 100_000
     path = tmp_path / reader
     if reader == "store":
         body = f"svcgov-memory v1\n{document}\n"
