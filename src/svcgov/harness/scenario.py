@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..errors import ConfigError, ParseError, ValidationError
 from ..certificates import OBLIGATION_CODES
@@ -182,13 +182,21 @@ def _apply_patch(raw: RawPlatformState, patch: Sequence) -> tuple[RawPlatformSta
 
 
 def scenario_from_data(data: Mapping, base_dir: Path | Traversable | None = None) -> Scenario:
+    if base_dir is None:
+        return _scenario_from_data(data, None)
+    return _scenario_from_data(data, lambda path: load_schema(_read(base_dir / path, "ontology")))
+
+
+def _scenario_from_data(data: Mapping, schema_at: Callable[[str], OntologySchema] | None) -> Scenario:
+    """The scenario of ``data``, with every check of ``scenario_from_data``;
+    ``schema_at`` gives the schema of an ``ontology`` file reference, and
+    without it only inline ontology text is accepted."""
     parts = read(ValidationError, "scenario", _parts_from_data, data)
     ontology, path = parts.pop("ontology_text"), parts.pop("ontology")
-    if (ontology is None) == (path is None) or (path is not None and base_dir is None):
+    if (ontology is None) == (path is None) or (path is not None and schema_at is None):
         raise ValidationError(["a scenario gives either 'ontology_text' or an 'ontology' file with a base directory"])
-    if path is not None:
-        ontology = _read(base_dir / path, "ontology")
-    schema, assertions = load_schema(ontology), _extend_with_registry(parts.pop("assertions"), parts["registry"])
+    schema = load_schema(ontology) if path is None else schema_at(path)
+    assertions = _extend_with_registry(parts.pop("assertions"), parts["registry"])
     problems = check_consistency(schema, assertions).messages()
     problems += [f"initial hypothesis: {m}" for m in type_soundness(parts["initial_hypothesis"], schema).messages()]
     problems += ["ticks must be nonnegative"] if parts["ticks"] < 0 else []
@@ -307,7 +315,13 @@ _FALLBACK = prototype(AddSubservice, "the fallback must be an add_subservice tra
 
 
 def config_from_data(data: Mapping, schema: OntologySchema, assertions: AssertionBase) -> OrchestratorConfig:
-    return OrchestratorConfig(schema, assertions, **read(ConfigError, "configuration", _config_from_data, data))
+    return OrchestratorConfig(schema, assertions, **_config_fields(data))
+
+
+def _config_fields(data: Mapping) -> dict:
+    """The configuration's fields as read: all but the schema and assertion
+    base, which reading them does not consult."""
+    return read(ConfigError, "configuration", _config_from_data, data)
 
 
 def _config_from_data(data: Mapping) -> dict:

@@ -435,7 +435,7 @@ class _Element:
     """Base of the hypothesis elements (role, component, edge and policy
     rule): keeps the element's canonical text and its hash once computed;
     ``Hypothesis.digest`` is composed from these texts, and the soundness
-    memo is keyed by the elements.  The instance is immutable, so neither
+    memo is keyed by them.  The instance is immutable, so neither
     goes stale; neither is a dataclass field, so they take no part in
     equality, hashing or repr."""
 
@@ -783,8 +783,12 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
     The report joins per-element verdicts: each role's requirements, each
     (role, component) binding, each edge's contract and each policy rule's
     own checks.  A verdict reads only its element and the schema, so it is
-    computed once per distinct element value and kept in ``schema.memo``;
-    a candidate then pays only for the elements its transformation made.
+    computed once per distinct element value and kept in ``schema.memo``
+    under the element's cached canonical text (a rule's with its index, a
+    binding's as the role's and the component's), which stands for the
+    value: scenarios that share a schema find each other's verdicts by
+    comparing strings, not elements.  A candidate then pays only for the
+    elements its transformation made.
     The graph-shape verdict reads only the role ids and the edge endpoints,
     and is kept under them.  The checks that read the whole role set run
     on every call.  Violations come in a fixed order: requirements,
@@ -797,7 +801,7 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
     roles: dict[str, Role] = {}
     for role in h.roles:
         roles.setdefault(role.role_id, role)
-        violations += _verdict(memo, role, _role_verdict, role, schema)
+        violations += _verdict(memo, role.canonical_text(), _role_verdict, role, schema)
 
     assignment = h.assignment_map()
     for rid in sorted(roles):
@@ -810,16 +814,17 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
     for rid, comp in h.assignment:
         role = roles.get(rid)
         if role is not None:
-            violations += _verdict(memo, (role, comp), _binding_verdict, role, comp, schema)
+            key = (role.canonical_text(), comp.canonical_text())
+            violations += _verdict(memo, key, _binding_verdict, role, comp, schema)
 
     for e in h.edges:
         for end in (e.from_role, e.to_role):
             if end not in roles:
                 violations.append(("edge-endpoint-missing", f"edge {e.from_role}->{e.to_role}: unknown role {end}"))
-        violations += _verdict(memo, e, _contract_verdict, e, schema)
+        violations += _verdict(memo, e.canonical_text(), _contract_verdict, e, schema)
 
     for idx, rule in enumerate(h.policy):
-        relation, rest = _verdict(memo, (idx, rule), _rule_verdict, idx, rule, schema)
+        relation, rest = _verdict(memo, (idx, rule.canonical_text()), _rule_verdict, idx, rule, schema)
         violations += relation
         if rule.actor_role not in roles:
             violations.append(("bad-policy-role", f"policy rule {idx}: unknown actor role {rule.actor_role}"))
@@ -831,8 +836,8 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
 
 
 def _verdict(memo: dict, key: object, check, *args):
-    """``check(*args)``, kept in ``memo`` under ``key``, the value of the
-    element it judges."""
+    """``check(*args)``, kept in ``memo`` under ``key``, which stands for
+    the value of the element it judges."""
     verdict = memo.get(key)
     if verdict is None:
         verdict = memo[key] = check(*args)

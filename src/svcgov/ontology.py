@@ -100,10 +100,14 @@ class OntologySchema:
     (``closure_mask``), so each wanted concept costs one AND against it.
 
     ``memo`` keeps facts that depend on nothing but the schema and an
-    immutable value, keyed by that value: the closure mask of a frozen
-    provider set (``cached_mask``), and the per-element and graph-shape
-    soundness verdicts of ``model.type_soundness``.  An entry never goes
-    stale, and it lives exactly as long as the schema.
+    immutable value, keyed by that value or by a text that stands for it:
+    the closure mask of a frozen provider set (``cached_mask``), and the
+    per-element soundness verdicts of ``model.type_soundness``, keyed by
+    the elements' canonical texts, and its graph-shape verdicts.  An entry
+    never goes stale, so every scenario on the schema reads the entries of
+    the others: a shipped pack's schema is loaded once per process and
+    shared by every scenario built from the pack, and its memo then holds
+    the facts of every value judged on it in the process.
     """
 
     concepts: Mapping[ConceptId, Category]

@@ -176,24 +176,36 @@ class LiftTable:
     itself by the component states, all that it reads, and the lift's
     request part by the request class, all that it reads of the state.  A
     state that raises ``TypingError`` is not kept, so it raises again where
-    it recurs.  ``seed``, a table on an equal schema and assertion base,
-    gives its entries to start from; the seed itself is never changed."""
+    it recurs.  Equal ``SHARED_PARTS`` of the table's lifts are one object,
+    since the states of one scenario differ in few of them.  ``seed``, a
+    table on an equal schema and assertion base, gives its entries to start
+    from; the seed itself is never changed."""
+
+    #: The lift's parts that recur across states and hold no numbers, so
+    #: that any two equal values are interchangeable.
+    SHARED_PARTS = (
+        "available_agents", "component_functions", "environment_descriptors", "interaction_state", "safety_flags",
+    )
 
     def __init__(self, schema: OntologySchema, assertions: AssertionBase, seed: "LiftTable | None" = None):
         self.schema, self.assertions = schema, assertions
         self._lifts: dict[tuple, tuple[SemanticState, tuple[Component, ...]]] = {}
         self._registries: dict[tuple, tuple[Component, ...]] = {}
         self._requests: dict = {}
+        self._parts: dict = {}
         if seed is not None and seed.schema == schema and seed.assertions == assertions:
             self._lifts.update(seed._lifts)
             self._registries.update(seed._registries)
             self._requests.update(seed._requests)
+            self._parts.update(seed._parts)
 
     def lift(self, x: RawPlatformState) -> tuple[SemanticState, tuple[Component, ...]]:
         key = tuple({**vars(x), "time": phase(x.time)}.values())
         lifted = self._lifts.get(key)
         if lifted is None:
             z = semantic_lift(x, self.schema, self.assertions, self._requests)
+            parts = self._parts
+            z = replace(z, **{name: parts.setdefault(getattr(z, name), getattr(z, name)) for name in self.SHARED_PARTS})
             registry = self._registries.get(x.components)
             if registry is None:
                 registry = self._registries[x.components] = registry_from_state(x, self.assertions, self.schema)

@@ -832,7 +832,9 @@ class TestStepFactsAreComputedOnce:
             return shape_pass(h)
 
         monkeypatch.setattr(model, "_graph_shape_violations", counting)
-        for run in self.family_runs():  # each with a schema of its own, so a cold memo
+        for run in self.family_runs():
+            # the runs of one pack share its schema, so each starts from a cold memo
+            run[0].schema.memo.clear()
             shapes.clear()
             screened, _ = self.screened_with_counts(monkeypatch, [run], {})
             graphs = {facts.h2.digest() for _, facts, _ in screened}

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import zipfile
@@ -21,7 +23,7 @@ from svcgov.certificates import environment_digest
 from svcgov.certify import StepFacts, Transition
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
 from svcgov.evaluation import detect_regime, evaluate
-from svcgov.harness import baselines, bench
+from svcgov.harness import baselines, bench, packs
 from svcgov.harness.cli import main as cli_main
 from svcgov.harness.demo import strict_extension
 from svcgov.harness.packs import pack_data, pack_dir, pack_scenario
@@ -30,7 +32,7 @@ from svcgov.harness.scenario import ScenarioEvent, config_from_data, load_scenar
 from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift, type_soundness
 from svcgov.orchestrator import (
-    DecisionTrace, LiftTable, RunMemo, registry_from_state, replay, replay_deployments, run,
+    DecisionTrace, LiftTable, OrchestratorConfig, RunMemo, registry_from_state, replay, replay_deployments, run,
 )
 from svcgov.transform import UpdateConstraint, apply, generate_candidates, transformation_key, variant_name
 
@@ -194,6 +196,83 @@ class TestScenarioLoading:
     def test_pack_files_load_via_path_api(self):
         scenario = load_scenario(pack_dir("hospital") / "scenario.json")
         assert scenario.name == "hospital-delivery"
+
+
+@pytest.fixture
+def cold_packs():
+    """The pack cache emptied before the test and after it."""
+    packs._pack.cache_clear()
+    yield packs._pack
+    packs._pack.cache_clear()
+
+
+class TestPackCache:
+    def test_generations_from_one_pack_share_its_schema_and_config_parts(self):
+        (a, cfg_a, _), (b, cfg_b, _) = (bench.FAMILY_GENERATORS["substitution"](seed) for seed in (0, 1))
+        assert a is not b and cfg_a is not cfg_b
+        assert a.schema is b.schema is cfg_a.schema is cfg_b.schema
+        parts = [f.name for f in dataclasses.fields(OrchestratorConfig) if f.name not in ("schema", "assertions")]
+        assert all(getattr(cfg_a, name) is getattr(cfg_b, name) for name in parts)
+        assert packs._pack.cache_info().maxsize == len(packs.PACK_NAMES)
+
+    def test_reports_do_not_depend_on_the_cache(self, monkeypatch, cold_packs):
+        def reports():
+            return [
+                bench.report_to_json(bench.run_benchmark(family, subject, range(10)))
+                for family in bench.FAMILIES
+                for subject in baselines.SUBJECTS
+            ]
+
+        def cold(generate):
+            return lambda seed: cold_packs.cache_clear() or generate(seed)
+
+        shared = reports()
+        for family, generate in bench.FAMILY_GENERATORS.items():
+            monkeypatch.setitem(bench.FAMILY_GENERATORS, family, cold(generate))
+        assert reports() == shared
+
+    def test_a_warm_shared_schema_judges_equal_elements_without_comparing_them(self, monkeypatch):
+        from svcgov.model import Component, Edge, Hypothesis, PolicyRule, Role
+
+        scenario, _ = pack_scenario("hospital", pack_data("hospital"))  # warms the pack's schema
+        h = scenario.initial_hypothesis
+        twin = Hypothesis.from_data(h.to_data())  # equal elements, none of them the same object
+        assert twin == h and not {id(r) for r in h.roles} & {id(r) for r in twin.roles}
+        compared = []
+        for cls in (Component, Role, Edge, PolicyRule):
+            eq = cls.__eq__
+            monkeypatch.setattr(cls, "__eq__", lambda self, other, eq=eq: compared.append(self) or eq(self, other))
+        assert type_soundness(twin, scenario.schema) == type_soundness(h, scenario.schema)
+        assert type_soundness(twin, scenario.schema).sound and compared == []
+
+    @pytest.mark.parametrize(
+        "file, broken, code",
+        [("config.json", lambda d: d.pop("drift_bound"), 4), ("ontology.txt", None, 3)],
+        ids=["config", "ontology"],
+    )
+    def test_a_pack_that_does_not_load_is_refused_each_time(
+        self, monkeypatch, tmp_path, capsys, cold_packs, file, broken, code
+    ):
+        # the cache keeps no failure: a copied pack with a broken file is
+        # refused at every use, and loads once the file is mended
+        for name in packs.PACK_NAMES:
+            shutil.copytree(str(pack_dir(name)), tmp_path / name)
+        monkeypatch.setattr(packs, "pack_dir", lambda name: tmp_path / name)
+        path = tmp_path / "hospital" / file
+        good = path.read_text(encoding="utf-8")
+        if broken is None:
+            path.write_text(good + "concept Wat x:y\n", encoding="utf-8")
+        else:
+            data = json.loads(good)
+            broken(data)
+            path.write_text(json.dumps(data), encoding="utf-8")
+        for _ in range(2):
+            assert cli_main(["run", "--pack", "hospital"]) == code
+            assert "Traceback" not in capsys.readouterr().err
+            assert cold_packs.cache_info().currsize == 0
+        path.write_text(good, encoding="utf-8")
+        assert cli_main(["validate"]) == 0
+        assert cold_packs.cache_info().currsize == len(packs.PACK_NAMES)
 
 
 def hospital_config_data() -> dict:
