@@ -22,7 +22,15 @@ from .ontology import ConceptId, OntologySchema
 OBLIGATION_CODES = ("A1", "A2", "A3", "A4", "S1", "S2", "S3", "S4", "S5", "runtime-failure")
 
 
-def environment_class(z: SemanticState, schema: OntologySchema) -> frozenset[ConceptId]:
+def environment_digest(z: SemanticState, schema: OntologySchema) -> str:
+    """Digest of the environment class of ``z``, kept in ``schema.memo``
+    under ``("environment", z.environment_descriptors)``, all that it reads."""
+    return schema.remembered(("environment", z.environment_descriptors), _class_digest, z, schema)
+
+
+def _class_digest(z: SemanticState, schema: OntologySchema) -> str:
+    """Digest of the union of the zone descriptors of ``z``, each declared
+    one closed upward under refinement."""
     out: set[ConceptId] = set()
     for _, descriptors in z.environment_descriptors:
         for d in descriptors:
@@ -30,11 +38,7 @@ def environment_class(z: SemanticState, schema: OntologySchema) -> frozenset[Con
                 out |= schema.ancestors(d)
             else:
                 out.add(d)
-    return frozenset(out)
-
-
-def environment_digest(z: SemanticState, schema: OntologySchema) -> str:
-    return digest_of(sorted(str(c) for c in environment_class(z, schema)))
+    return digest_of(sorted(str(c) for c in out))
 
 
 @dataclass(frozen=True)

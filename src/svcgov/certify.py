@@ -255,14 +255,11 @@ class StepFacts:
     ) -> "StepFacts":
         """The facts of screening candidates from ``h`` under ``z`` on
         ``cfg``, on the switch ``from_regime -> e``; ``from_regime``
-        defaults to ``e`` when no switch is in flight.  With a ``memo``,
-        which must be built on ``cfg``, the environment class of ``z`` and
-        the soundness of each graph are read through it; without one they
-        are digested and judged afresh."""
+        defaults to ``e`` when no switch is in flight.  A ``memo`` must be
+        built on ``cfg``."""
         if memo is not None and memo.cfg is not cfg:
             raise ConfigError("the memo passed to admissible is built on another config")
-        environment = memo.environment(z) if memo is not None else environment_digest(z, cfg.schema)
-        context = CertContext(e.label, environment)
+        context = CertContext(e.label, environment_digest(z, cfg.schema))
         store = store if cfg.flags.memory else EMPTY_STORE
         budget = min(cfg.capacity_budget, e.budgets.complexity)
         config = cfg.schema, cfg.core, cfg.prior, cfg.switch_model
@@ -336,10 +333,7 @@ class CandidateFacts:
 
     @cached_property
     def soundness(self) -> SoundnessReport:
-        step = self.step
-        if step.memo is not None:
-            return step.memo.soundness(self.h2)
-        return type_soundness(self.h2, step.schema)
+        return type_soundness(self.h2, self.step.schema)
 
     @cached_property
     def commitments(self) -> Commitments:
@@ -364,6 +358,13 @@ class CandidateFacts:
             before_commitments=step.commitments,
             after_commitments=self.commitments,
         )
+
+    @cached_property
+    def core_certified(self) -> bool:
+        """A4's pass test, which S3 reads too: the invariant core holds on
+        ``h2``, and identity reaches the threshold when it is part of the
+        core."""
+        return self.core_report.passed and self.step.core.identity_holds(self.identity.total)
 
     @property
     def charge(self) -> float:
@@ -484,7 +485,7 @@ def _invariance(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger)
         "identity_gated": core.include_identity,
         "absolute_identity": report.identity_value,
     }
-    if report.passed and core.identity_holds(breakdown.total):
+    if facts.core_certified:
         return evidence, None
     failed = [name for name, ok in report.predicate_results if not ok]
     if failed:
@@ -647,7 +648,7 @@ def _substitution(
     conditions = (
         ("S1", "function-class", not any(uncovered(h.role(rid), c2, schema) for rid in sites)),
         ("S2", "dependent-roles", s2_ok),
-        ("S3", "core-certified", facts.core_report.passed and facts.step.core.identity_holds(facts.identity.total)),
+        ("S3", "core-certified", facts.core_certified),
         ("S4", "transition-budget", facts.charge <= facts.step.e.budgets.switching_cost + BOUND_EPS),
         ("S5", "memory-consistent", not facts.failures),
     )

@@ -37,6 +37,7 @@ from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, decode, integer, keyed, number, read, text
 from ..memory import EMPTY_STORE, MemoryStore
+from ..model import type_soundness
 from ..orchestrator import (
     DecisionTrace,
     OrchestratorConfig,
@@ -218,8 +219,7 @@ def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> T
     descending score order, ties in list order, until one passes: no
     candidate below it can raise the regret.  ``registry`` is the
     component registry of the tick's raw state; the screening reads
-    ``memo.cfg`` and reads the environment class and every soundness
-    judgement through ``memo``."""
+    ``memo.cfg`` and reads every transition through ``memo``."""
     cfg = memo.cfg
     step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo, from_true)
     deployed = deployed_key = None
@@ -228,7 +228,7 @@ def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> T
         deployed = step.candidate(trace.selected, deployed_key)
         achieved = deployed.score(0.0).total
     else:
-        achieved = evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before)).total
+        achieved = evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total
     candidates = [(transformation_key(tau), tau) for tau in generate_candidates(h_before, z, grammar, registry)]
     fallback_key = transformation_key(cfg.fallback)
     if fallback_key not in {key for key, _ in candidates}:

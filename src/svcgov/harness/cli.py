@@ -67,6 +67,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.pack:
+        if args.scenario or args.config:
+            print("error usage: --pack takes neither --scenario nor --config", file=sys.stderr)
+            return EXIT_USAGE
         scenario, cfg = load_pack(args.pack)
     else:
         if not (args.scenario and args.config):
@@ -74,7 +77,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         scenario = load_scenario(args.scenario)
         cfg = load_config(args.config, scenario.schema, scenario.assertions)
-    cfg = baselines.configure(cfg, args.baseline)
+    if args.baseline:
+        cfg = baselines.configure(cfg, args.baseline)
     store = load_store(args.store) if args.store else None
     result = run_scenario(scenario, cfg, store)
 
@@ -177,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pack", choices=PACK_NAMES)
     p.add_argument("--scenario")
     p.add_argument("--config")
-    p.add_argument("--baseline", default=baselines.FULL, choices=baselines.SUBJECTS)
+    p.add_argument("--baseline", choices=baselines.SUBJECTS, help="run as this subject (default: the config's flags)")
     p.add_argument("--store", help="persisted memory store to start from")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_run)

@@ -780,6 +780,15 @@ class SoundnessReport:
 def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
     """Check every hypothesis invariant under the schema's refinement closure.
 
+    The report reads only ``h`` and the schema: it is kept in ``schema.memo``
+    under ``("soundness", h.digest())``, a key that no element verdict's
+    can equal, since an element's canonical text is a JSON object's."""
+    return schema.remembered(("soundness", h.digest()), _judge_soundness, h, schema)
+
+
+def _judge_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
+    """``type_soundness`` of a graph not judged before on ``schema``.
+
     The report joins per-element verdicts: each role's requirements, each
     (role, component) binding, each edge's contract and each policy rule's
     own checks.  A verdict reads only its element and the schema, so it is
@@ -791,17 +800,16 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
     elements its transformation made.
     The graph-shape verdict reads only the role ids and the edge endpoints,
     and is kept under them.  The checks that read the whole role set run
-    on every call.  Violations come in a fixed order: requirements,
+    once per graph.  Violations come in a fixed order: requirements,
     assignment coverage, bindings, edges (endpoints before contract) and
     policy rules (relation, actor role, then guard, latency and action),
     then graph shape.
     """
-    memo = schema.memo
     violations: list[tuple[str, str]] = []
     roles: dict[str, Role] = {}
     for role in h.roles:
         roles.setdefault(role.role_id, role)
-        violations += _verdict(memo, role.canonical_text(), _role_verdict, role, schema)
+        violations += schema.remembered(role.canonical_text(), _role_verdict, role, schema)
 
     assignment = h.assignment_map()
     for rid in sorted(roles):
@@ -815,33 +823,24 @@ def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
         role = roles.get(rid)
         if role is not None:
             key = (role.canonical_text(), comp.canonical_text())
-            violations += _verdict(memo, key, _binding_verdict, role, comp, schema)
+            violations += schema.remembered(key, _binding_verdict, role, comp, schema)
 
     for e in h.edges:
         for end in (e.from_role, e.to_role):
             if end not in roles:
                 violations.append(("edge-endpoint-missing", f"edge {e.from_role}->{e.to_role}: unknown role {end}"))
-        violations += _verdict(memo, e.canonical_text(), _contract_verdict, e, schema)
+        violations += schema.remembered(e.canonical_text(), _contract_verdict, e, schema)
 
     for idx, rule in enumerate(h.policy):
-        relation, rest = _verdict(memo, (idx, rule.canonical_text()), _rule_verdict, idx, rule, schema)
+        relation, rest = schema.remembered((idx, rule.canonical_text()), _rule_verdict, idx, rule, schema)
         violations += relation
         if rule.actor_role not in roles:
             violations.append(("bad-policy-role", f"policy rule {idx}: unknown actor role {rule.actor_role}"))
         violations += rest
 
     shape = ("shape", h.role_ids(), tuple((e.from_role, e.to_role) for e in h.edges))
-    violations += _verdict(memo, shape, _graph_shape_violations, h)
+    violations += schema.remembered(shape, _graph_shape_violations, h)
     return SoundnessReport(sound=not violations, violations=tuple(violations))
-
-
-def _verdict(memo: dict, key: object, check, *args):
-    """``check(*args)``, kept in ``memo`` under ``key``, which stands for
-    the value of the element it judges."""
-    verdict = memo.get(key)
-    if verdict is None:
-        verdict = memo[key] = check(*args)
-    return verdict
 
 
 def _check_concept(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ParseError, UnknownConcept, ValidationError
 
@@ -101,13 +101,16 @@ class OntologySchema:
 
     ``memo`` keeps facts that depend on nothing but the schema and an
     immutable value, keyed by that value or by a text that stands for it:
-    the closure mask of a frozen provider set (``cached_mask``), and the
+    the closure mask of a frozen provider set (``cached_mask``); the
     per-element soundness verdicts of ``model.type_soundness``, keyed by
-    the elements' canonical texts, and its graph-shape verdicts.  An entry
-    never goes stale, so every scenario on the schema reads the entries of
-    the others: a shipped pack's schema is loaded once per process and
-    shared by every scenario built from the pack, and its memo then holds
-    the facts of every value judged on it in the process.
+    the elements' canonical texts, its graph-shape verdicts and each
+    graph's whole report, under ``("soundness", digest)``; and each
+    environment-class digest of ``certificates.environment_digest``, under
+    ``("environment", descriptors)``.  An entry never goes stale, so every
+    scenario on the schema reads the entries of the others: a shipped
+    pack's schema is loaded once per process and shared by every scenario
+    built from the pack, and its memo then holds the facts of every value
+    judged on it in the process.
     """
 
     concepts: Mapping[ConceptId, Category]
@@ -170,13 +173,17 @@ class OntologySchema:
             mask |= masks.get(p, 0)
         return mask
 
+    def remembered(self, key: Hashable, compute: Callable, *args):
+        """``compute(*args)``, kept in ``memo`` under ``key``, which stands
+        for the immutable value that it reads beside the schema."""
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = compute(*args)
+        return value
+
     def cached_mask(self, provided: frozenset[ConceptId]) -> int:
-        """``closure_mask`` of a frozen provider set, computed once per
-        distinct set and kept in ``memo``."""
-        mask = self.memo.get(provided)
-        if mask is None:
-            mask = self.memo[provided] = self.closure_mask(provided)
-        return mask
+        """``closure_mask`` of a frozen provider set, kept in ``memo``."""
+        return self.remembered(provided, self.closure_mask, provided)
 
     def mask_covers(self, mask: int, wanted: ConceptId) -> bool:
         """True iff ``wanted`` is declared and lies in ``mask``, the

@@ -7,9 +7,10 @@ whose candidates all fail screening falls back to the configured
 supervision attachment.  Every decision is recorded in a trace complete
 enough that an independent scanner can replay and re-check it.
 
-One orchestrator instance is strictly sequential: it owns the drift ledger
-and the memory store between steps.  Two instances never share mutable
-state.
+One orchestrator instance is strictly sequential: it owns the drift ledger,
+the memory store and its ``RunMemo`` between steps.  Instances on one
+schema share its ``memo``, a dict without a lock that only ever gains
+entries, so concurrent instances belong in separate processes.
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ from .model import (
     Hypothesis,
     RawPlatformState,
     SemanticState,
-    SoundnessReport,
     phase,
     semantic_lift,
-    type_soundness,
 )
 from .ontology import AssertionBase, OntologySchema
 from .transform import (
@@ -214,16 +213,15 @@ class LiftTable:
 
 
 class RunMemo(LiftTable):
-    """What one run or one scan has worked out, each value computed once per
-    key: the lifts of its ``LiftTable`` on the config's schema and
-    assertion base, starting from the scenario's own table (``seed``,
-    worked out when the scenario was loaded) when that is on an equal
-    schema and assertion base; ``environment(z)``, the environment-class
-    digest, keyed by the zone descriptors, all of ``z`` that it reads;
-    ``soundness(h)``, the type-soundness report, keyed by the graph digest;
-    ``transition(h, tau)``, the configuration that ``tau`` reaches from
-    ``h`` (or the refusal text) and its structural charge, keyed by the
-    graph digest and ``transformation_key(tau)``.
+    """What one run or one scan has worked out on its config, each value
+    computed once per key: the lifts of its ``LiftTable`` on the config's
+    schema and assertion base, starting from the scenario's own table
+    (``seed``, worked out when the scenario was loaded) when that is on an
+    equal schema and assertion base; and ``transition(h, tau)``, the
+    configuration that ``tau`` reaches from ``h`` (or the refusal text) and
+    its structural charge, keyed by the graph digest and
+    ``transformation_key(tau)``.  Soundness reports and environment
+    digests read only the schema, and are kept in ``schema.memo``.
 
     Transitions are keyed by the canonical key, never by the
     transformation's value: ``UpdateConstraint("v", 0.0)`` and
@@ -233,22 +231,7 @@ class RunMemo(LiftTable):
     def __init__(self, cfg: OrchestratorConfig, seed: LiftTable | None = None):
         super().__init__(cfg.schema, cfg.assertions, seed)
         self.cfg = cfg
-        self._environments: dict[tuple, str] = {}
-        self._soundness: dict[str, SoundnessReport] = {}
         self._transitions: dict[tuple[str, str], Transition] = {}
-
-    def environment(self, z: SemanticState) -> str:
-        digest = self._environments.get(z.environment_descriptors)
-        if digest is None:
-            digest = self._environments[z.environment_descriptors] = environment_digest(z, self.cfg.schema)
-        return digest
-
-    def soundness(self, h: Hypothesis) -> SoundnessReport:
-        key = h.digest()
-        report = self._soundness.get(key)
-        if report is None:
-            report = self._soundness[key] = type_soundness(h, self.cfg.schema)
-        return report
 
     def transition(self, h: Hypothesis, tau: Transformation, key: str | None = None) -> Transition:
         """``key``, when the caller has read it already, is ``transformation_key(tau)``."""
@@ -542,9 +525,8 @@ def _record_failures(
     memo: RunMemo,
 ) -> MemoryStore:
     """Turn scripted runtime failures into failure records implicating the
-    roles bound to the failing component; ``x`` is lifted, and its
-    environment class digested, through ``memo``, the memo of the run that
-    steps it next."""
+    roles bound to the failing component; ``x`` is lifted through
+    ``memo``, the memo of the run that steps it next."""
     try:
         z, _ = memo.lift(x)
     except TypingError:
@@ -555,7 +537,7 @@ def _record_failures(
             continue
         signature = FailureSignature(
             regime_label=e.label,
-            environment_digest=memo.environment(z),
+            environment_digest=environment_digest(z, memo.schema),
             motif=motif_from_hypothesis(h, sites),
             obligation_code=code,
         )

@@ -502,7 +502,7 @@ def reference_screening(memo, grammar, registry, z, h_before, e_true, from_true,
 
     rows = [screen(tau) for tau in candidates]
     if trace.selected is None:
-        return candidates, rows, evaluate(e_true, h_before, z, 0.0, memo.soundness(h_before)).total, None
+        return candidates, rows, evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total, None
     keys = [transformation_key(tau) for tau in candidates]
     key = transformation_key(trace.selected)
     achieved = rows[keys.index(key)][0] if key in keys else screen(trace.selected)[0]
@@ -570,42 +570,74 @@ def scripted_traces(scenario, script) -> list[DecisionTrace]:
 
 @pytest.mark.parametrize("case", ["hospital", "retail", "cyclic-retail", "environment-shift"])
 def test_memoised_lifts_match_their_reference(monkeypatch, case):
-    """Every lift and registry, environment class and soundness report that
-    the run (steps and failure records) and its scan (replay and oracle)
-    read through their memos equals a direct lift and registry read,
-    environment digest and type-soundness judgement of the same input.  The
-    cyclic states differ in the registry alone or in the lift alone; the
+    """Every lift and registry that the run (steps and failure records) and
+    its scan (replay and oracle) read through their memos equals a direct
+    lift and registry read of the same raw state.  The cyclic states
+    differ in the registry alone or in the lift alone; the
     environment-shift seed adds a zone concept and a primed store."""
     if case == "environment-shift":
         scenario, cfg, store = bench.FAMILY_GENERATORS[case](1)
     else:
         scenario, cfg = cyclic_retail(cycles=10) if case == "cyclic-retail" else pack_scenario(case, pack_data(case))
         store = None
-    served = {"lift": [], "environment": [], "soundness": []}
+    served = []
+    lift = RunMemo.lift
 
-    def spying(name, method):
-        def serve(memo, arg):
-            result = method(memo, arg)
-            served[name].append((memo.cfg, arg, result))
-            return result
-        return serve
+    def serving(memo, x):
+        lifted = lift(memo, x)
+        served.append((memo.cfg, x, lifted))
+        return lifted
 
-    for name in served:
-        monkeypatch.setattr(RunMemo, name, spying(name, getattr(RunMemo, name)))
+    monkeypatch.setattr(RunMemo, "lift", serving)
     bench.scan_run(scenario, cfg, run(scenario, cfg, store).traces)
     failures = sum(any(patch[0] == "fail" for patch in event.patches) for event in scenario.events)
-    assert len(served["lift"]) == 2 * scenario.ticks + failures
-    assert served["environment"] and served["soundness"]
-    for memo_cfg, x, (z, registry) in served["lift"]:
+    assert len(served) == 2 * scenario.ticks + failures
+    for memo_cfg, x, (z, registry) in served:
         assert z == semantic_lift(x, memo_cfg.schema, memo_cfg.assertions), x.time
         assert registry == registry_from_state(x, memo_cfg.assertions, memo_cfg.schema), x.time
-    for memo_cfg, z, digest in served["environment"]:
-        assert digest == environment_digest(z, memo_cfg.schema)
-    for memo_cfg, h, report in served["soundness"]:
-        assert report == type_soundness(h, memo_cfg.schema)
     if case in ("hospital", "retail"):  # the others' first event is at tick 1
-        (_, x0, (z0, _)), (_, x1, (z1, _)) = served["lift"][:2]  # one raw state, two phases
+        (_, x0, (z0, _)), (_, x1, (z1, _)) = served[:2]  # one raw state, two phases
         assert replace(x1, time=0) == x0 and z0 != z1
+
+
+def spy_everywhere(monkeypatch, fn, seen):
+    """Call ``seen`` with the arguments of every call of the module-level
+    function ``fn``, in every ``svcgov`` module that holds it."""
+    def spying(*args):
+        seen(*args)
+        return fn(*args)
+
+    for module in [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "svcgov"]:
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, spying)
+
+
+def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
+    """After runs and scans of both packs and of every bench family (each
+    with the full stack and a baseline), every soundness report and
+    environment digest that a pack schema's memo keeps equals the one
+    worked out on that schema with its memo cleared."""
+    inputs = {}  # memo key -> the graph or state it was worked out from
+    spy_everywhere(monkeypatch, type_soundness, lambda h, _: inputs.setdefault(("soundness", h.digest()), h))
+    spy_everywhere(
+        monkeypatch, environment_digest, lambda z, _: inputs.setdefault(("environment", z.environment_descriptors), z)
+    )
+    cases = [(*pack_scenario(name, pack_data(name)), None) for name in packs.PACK_NAMES]
+    cases += [bench.FAMILY_GENERATORS[family](seed) for family in bench.FAMILIES for seed in range(2)]
+    for scenario, cfg, store in cases:
+        for subject in (baselines.FULL, "heuristic-memory"):
+            bench.scan_run(scenario, cfg, run(scenario, baselines.configure(cfg, subject), store).traces)
+    schemas = {id(cfg.schema): cfg.schema for _, cfg, _ in cases}
+    assert [packs._pack(name).schema for name in packs.PACK_NAMES] == list(schemas.values())
+    monkeypatch.undo()
+    for schema in schemas.values():
+        kept = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] in ("soundness", "environment")}
+        tags = [key[0] for key in kept]
+        assert tags.count("soundness") > 10 and tags.count("environment") > 1
+        for key, value in kept.items():
+            schema.memo.clear()
+            fact = type_soundness if key[0] == "soundness" else environment_digest
+            assert fact(inputs[key], schema) == value, key
 
 
 def test_memoised_transitions_match_plain_apply(monkeypatch):
@@ -892,55 +924,53 @@ class TestOracleScreensInScoreOrder:
 
 
 class TestHistoryFlatWork:
-    def test_soundness_is_judged_once_per_distinct_graph_per_run_and_per_scan(self, monkeypatch):
-        from svcgov import certify
+    def test_soundness_is_judged_once_per_distinct_graph_per_schema(self, monkeypatch, cold_packs):
+        # the report is kept in the schema's memo, so a run judges each
+        # distinct graph once, its scan judges only the graphs that the run
+        # never met, and a second run and scan judge nothing
+        from svcgov import model
 
         scenario, cfg = cyclic_retail(cycles=10)
-        judged, afresh, read = [], [], []
-        soundness = RunMemo.soundness
+        judged, read = [], []
+        judge = model._judge_soundness
 
-        def counting(h, schema):
+        def judging(h, schema):
             judged.append(h.digest())
-            return type_soundness(h, schema)
+            return judge(h, schema)
 
-        def judging_afresh(h, schema):
-            afresh.append(h.digest())
-            return type_soundness(h, schema)
+        monkeypatch.setattr(model, "_judge_soundness", judging)
+        spy_everywhere(monkeypatch, type_soundness, lambda h, schema: read.append(h.digest()))
+        result = run(scenario, cfg)
+        in_run, judged[:] = list(judged), []
+        bench.scan_run(scenario, cfg, result.traces)
+        in_scan, judged[:] = list(judged), []
+        assert in_run and in_scan and len(in_run + in_scan) == len(set(in_run + in_scan))
+        bench.scan_run(scenario, cfg, run(scenario, cfg).traces)
+        assert judged == []
+        # every graph read was judged on this schema, the initial one when the
+        # scenario was loaded, and most of them are read more than once
+        assert set(read) == set(in_run + in_scan) | {scenario.initial_hypothesis.digest()}
+        assert len(read) > 4 * len(set(read))
 
-        def reading(memo, h):
-            read.append(h.digest())
-            return soundness(memo, h)
+    def test_environment_digest_once_per_distinct_environment(self, monkeypatch, cold_packs):
+        # the digest reads only the lift's zone descriptors and is kept in
+        # the schema's memo: the steps and the failure records of a run
+        # digest each distinct descriptor set once, although the states
+        # recur every cycle, and the scan that replays the run digests only
+        # the sets that the run never met.  Every lift that they read was
+        # worked out when the scenario was loaded; on another schema, the
+        # run and the scan each lift every distinct state once
+        from svcgov import certificates
 
-        monkeypatch.setattr(orchestrator, "type_soundness", counting)
-        monkeypatch.setattr(certify, "type_soundness", judging_afresh)
-        monkeypatch.setattr(RunMemo, "soundness", reading)
-        per_pass = []
-        for _ in range(2):  # a memo lives for one run and one scan, never longer
-            result = run(scenario, cfg)
-            in_run, judged[:] = list(judged), []
-            bench.scan_run(scenario, cfg, result.traces)
-            in_scan, judged[:] = list(judged), []
-            per_pass.append((in_run, in_scan))
-            for digests in (in_run, in_scan):
-                assert digests and len(digests) == len(set(digests))
-        assert per_pass[0] == per_pass[1]
-        # every judgement is read through a memo, most of them more than once
-        assert not afresh and len(read) > 4 * sum(map(len, per_pass[0]))
-
-    def test_environment_digest_once_per_distinct_environment(self, monkeypatch):
-        # the digest reads only the lift's zone descriptors: the steps and
-        # the failure records of a run digest each distinct descriptor set
-        # once, although the states recur every cycle, and so does the scan
-        # that replays the run.  Every lift that they read was worked out
-        # when the scenario was loaded; on another schema, the run and the
-        # scan each lift every distinct state once
         scenario, cfg = cyclic_retail(cycles=4)
         digested, lifted, served = [], [], []
         lift = RunMemo.lift
 
-        def counting_digest(z, schema):
+        classify = certificates._class_digest
+
+        def classifying(z, schema):
             digested.append(z.environment_descriptors)
-            return environment_digest(z, schema)
+            return classify(z, schema)
 
         def counting_lift(x, *args):
             lifted.append(x)
@@ -951,9 +981,7 @@ class TestHistoryFlatWork:
             served.append(z)
             return z, registry
 
-        for module in [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "svcgov"]:
-            if getattr(module, "environment_digest", None) is environment_digest:
-                monkeypatch.setattr(module, "environment_digest", counting_digest)
+        monkeypatch.setattr(certificates, "_class_digest", classifying)
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
         monkeypatch.setattr(RunMemo, "lift", serving)
         result = run(scenario, cfg)
@@ -970,7 +998,8 @@ class TestHistoryFlatWork:
         # also those of states where the run had no candidate to screen
         assert lifted == []
         scanned = {z.environment_descriptors for z in served}
-        assert len(digested) == len(set(digested)) and set(digested) == scanned >= set(in_run)
+        assert len(digested) == len(set(digested)) and set(digested) == scanned - set(in_run)
+        assert scanned >= set(in_run)
         padded = on_padded_schema("retail", cfg)
         for walk in (lambda: run(scenario, padded), lambda: bench.scan_run(scenario, padded, result.traces)):
             lifted[:], served[:] = [], []
@@ -1187,6 +1216,27 @@ class TestCli:
         assert cli_main(["run", "--pack", "retail", "--out", str(out)]) == 0
         assert (out / "retail-guidance.trace.json").exists()
         assert (out / "retail-guidance.summary.csv").exists()
+
+    def test_run_keeps_the_config_flags_unless_a_baseline_is_given(self, tmp_path):
+        shutil.copytree(str(pack_dir("retail")), tmp_path / "retail")
+        config = tmp_path / "retail" / "config.json"
+        data = json.loads(config.read_text(encoding="utf-8"))
+        data["flags"] = {"memory": False, "stability": False, "regime_family": False}
+        config.write_text(json.dumps(data), encoding="utf-8")
+        argv = ["run", "--scenario", str(tmp_path / "retail" / "scenario.json"), "--config", str(config)]
+        own = {**orchestrator.GateFlags().to_data(), **data["flags"]}
+        subject = baselines.BASELINE_FLAGS["heuristic-memory"].to_data()
+        for extra, flags in (([], own), (["--baseline", "heuristic-memory"], subject)):
+            out = tmp_path / "out"
+            assert cli_main([*argv, *extra, "--out", str(out)]) == 0
+            trace = json.loads((out / "retail-guidance.trace.json").read_text(encoding="utf-8"))
+            assert trace["flags"] == flags, extra
+
+    @pytest.mark.parametrize("extra", [["--scenario", "/nonexistent.json"], ["--config", "/nonexistent.json"]])
+    def test_run_refuses_a_pack_with_a_scenario_or_config(self, capsys, extra):
+        assert cli_main(["run", "--pack", "hospital", *extra]) == 2
+        captured = capsys.readouterr()
+        assert "error usage" in captured.err and "run complete" not in captured.out
 
     def test_packs_load_from_a_zipped_package(self, tmp_path):
         package = Path(svcgov.__file__).parent
