@@ -53,11 +53,12 @@ from .transform import (
     Transformation,
     TransformationGrammar,
     apply,
+    transformation_key,
     variant_name,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .orchestrator import OrchestratorConfig, RunMemo
+    from .orchestrator import OrchestratorConfig
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,10 @@ class RegimeSwitchModel:
     def recipe(self, from_label: str, to_label: str) -> tuple[tuple[str, float], ...]:
         return self._lookup(self.recipes, from_label, to_label, ())
 
+    def structural(self, distance: float, reassigned: int) -> float:
+        """The structural charge of a constraint distance and a reassignment count."""
+        return distance + reassigned * self.reassignment_unit_cost
+
     def to_data(self) -> dict:
         return {
             "costs": [[a, b, c] for a, b, c in self.costs],
@@ -180,12 +185,15 @@ def structural_charge(
     h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel, *, before: "StepFacts | None" = None
 ) -> float:
     """Constraint-vector distance plus reassignment count times the unit
-    cost.  A constraint present on one side only contributes its own
-    magnitude; added or removed roles count one reassignment each.
-    ``before`` holds the maps of ``h`` when the caller has already built
-    them."""
-    if before is None:
-        before = StepFacts(h)
+    cost.  ``before`` holds the maps of ``h`` when the caller has already
+    built them."""
+    return model.structural(*_charge_parts(before if before is not None else StepFacts(h), h2))
+
+
+def _charge_parts(before: "StepFacts", h2: Hypothesis) -> tuple[float, int]:
+    """The constraint-vector distance (a constraint on one side only adds its
+    magnitude) and the reassignment count (an added or removed role counts
+    one) of reaching ``h2`` from ``before.h``: the charge without a model."""
     before_constraints = before.constraints
     after = h2.constraint_map()
     distance = 0.0
@@ -203,7 +211,7 @@ def structural_charge(
         bound, rebound = before_assignment.get(rid), after_assignment.get(rid)
         if bound is not rebound and bound != rebound:  # most roles keep the very same component
             reassigned += 1
-    return distance + reassigned * model.reassignment_unit_cost
+    return distance, reassigned
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +223,11 @@ def structural_charge(
 class StepFacts:
     """What one screening step fixes for every candidate it screens: the
     configuration ``h`` that candidates start from, the semantic state
-    ``z``, the parts of the config that the obligations read, the memo of
-    the run or scan, the certificate context, the memory store that S5
-    reads (the empty store with the memory gate off) and the regime
-    switch ``from_regime -> e`` that candidates are screened on.  The
-    facts about ``h`` are computed on first use and then kept, so every
-    candidate reads the same value.
+    ``z``, the parts of the config that the obligations read, the
+    certificate context, the memory store that S5 reads (the empty store
+    with the memory gate off) and the regime switch ``from_regime -> e``
+    that candidates are screened on.  The facts about ``h`` are computed
+    on first use and then kept, so every candidate reads the same value.
 
     ``Orchestrator.step`` builds one per decision step and the regret
     oracle one per tick.  A standalone certifier or a bare ``admissible``
@@ -234,7 +241,6 @@ class StepFacts:
     core: InvariantCore | None = None
     prior: StructuralPrior | None = None
     model: RegimeSwitchModel | None = None
-    memo: "RunMemo | None" = None
     context: CertContext | None = None
     store: MemoryStore = EMPTY_STORE
     e: Regime | None = None
@@ -250,31 +256,24 @@ class StepFacts:
         e: Regime,
         store: MemoryStore,
         cfg: "OrchestratorConfig",
-        memo: "RunMemo | None" = None,
         from_regime: Regime | None = None,
     ) -> "StepFacts":
         """The facts of screening candidates from ``h`` under ``z`` on
         ``cfg``, on the switch ``from_regime -> e``; ``from_regime``
-        defaults to ``e`` when no switch is in flight.  A ``memo`` must be
-        built on ``cfg``."""
-        if memo is not None and memo.cfg is not cfg:
-            raise ConfigError("the memo passed to admissible is built on another config")
+        defaults to ``e`` when no switch is in flight."""
         context = CertContext(e.label, environment_digest(z, cfg.schema))
         store = store if cfg.flags.memory else EMPTY_STORE
         budget = min(cfg.capacity_budget, e.budgets.complexity)
         config = cfg.schema, cfg.core, cfg.prior, cfg.switch_model
-        return cls(h, z, *config, memo, context, store, e, from_regime or e, cfg.grammar, budget)
+        return cls(h, z, *config, context, store, e, from_regime or e, cfg.grammar, budget)
 
     def candidate(self, tau: Transformation, key: str | None = None) -> "CandidateFacts":
         """The facts of the configuration that ``tau`` reaches from ``h``;
         when ``tau`` is not applicable, of ``h`` itself, with the reason.
-        With a memo, the transition is read through it (``key``, when the
-        caller has read it already, is ``transformation_key(tau)``), so a
-        pair of ``h`` and ``tau`` met before in the run or scan is not
-        applied again; without one, ``tau`` is applied afresh."""
-        if self.memo is not None:
-            return CandidateFacts(self.memo.transition(self.h, tau, key), self)
-        return CandidateFacts(Transition.of(tau, self.h), self)
+        The transition is read through ``transition`` on the step's schema
+        (``key``, when the caller has read it already, is
+        ``transformation_key(tau)``)."""
+        return CandidateFacts(transition(self.h, tau, self.schema, key), self)
 
     @cached_property
     def commitments(self) -> Commitments:
@@ -298,15 +297,17 @@ class StepFacts:
 class Transition:
     """Where a transformation takes a configuration ``h``: the configuration
     ``h2`` it reaches or, when it does not apply, ``h`` itself and the
-    refusal text ``error``; and ``charge``, the structural charge of
-    reaching ``h2`` from ``h``, once a candidate has read it.  A
-    ``RunMemo`` keeps one per distinct pair of configuration and
-    transformation in its run or scan, so every step that meets the pair
-    reads the same ``h2`` object, digest included, and the same charge."""
+    refusal text ``error``; and ``parts``, the model-free parts of the
+    structural charge of reaching ``h2`` from ``h`` (constraint distance
+    and reassignment count), once a candidate has read them.  ``transition``
+    keeps one per distinct pair of configuration and transformation in the
+    schema's memo, so every step of every run and scan that meets the pair
+    reads the same ``h2`` object, digest included, and the same parts; a
+    config's switch model prices the parts, so none of the config is kept."""
 
     h2: Hypothesis
     error: str | None = None
-    charge: float | None = field(default=None, init=False)
+    parts: tuple[float, int] | None = field(default=None, init=False)
 
     @classmethod
     def of(cls, tau: Transformation, h: Hypothesis) -> "Transition":
@@ -315,6 +316,17 @@ class Transition:
             return cls(apply(tau, h))
         except (UnknownSite, MalformedTransformation) as exc:
             return cls(h, str(exc))
+
+
+def transition(h: Hypothesis, tau: Transformation, schema: OntologySchema, key: str | None = None) -> Transition:
+    """``Transition.of(tau, h)``, kept in ``schema.memo`` under the digest of
+    ``h`` and ``transformation_key(tau)`` (``key``, when the caller has read
+    it already).  It is keyed by the canonical key, never by the value:
+    ``UpdateConstraint("v", 0.0)`` and ``UpdateConstraint("v", -0.0)`` are
+    equal and hash equal, yet they reach configurations of different
+    digests."""
+    pair = "transition", h.digest(), transformation_key(tau) if key is None else key
+    return schema.remembered(pair, Transition.of, tau, h)
 
 
 class CandidateFacts:
@@ -368,13 +380,13 @@ class CandidateFacts:
 
     @property
     def charge(self) -> float:
-        """Structural charge of reaching ``h2`` from ``h``, computed once per
-        transition: a transition kept in the step's memo carries it to
-        every later step that meets the same pair."""
-        transition = self.transition
-        if transition.charge is None:
-            transition.charge = structural_charge(self.step.h, transition.h2, self.step.model, before=self.step)
-        return transition.charge
+        """``structural_charge`` of reaching ``h2`` from ``h`` on the step's
+        switch model, priced from the transition's parts, which are worked
+        out once per transition and carried to every step that meets it."""
+        reached = self.transition
+        if reached.parts is None:
+            reached.parts = _charge_parts(self.step, reached.h2)
+        return self.step.model.structural(*reached.parts)
 
     @cached_property
     def entry(self) -> LedgerEntry:
@@ -758,16 +770,15 @@ def admissible(
 ) -> AdmissibilityVerdict:
     """Screen ``tau`` through every entry of ``OBLIGATIONS`` in order (plus
     the substitution conditions for substitution-class transformations)
-    and aggregate.  ``tau`` is applied at most once, not at all when the
-    memo of the run or scan has already met it from the same
+    and aggregate.  ``tau`` is applied at most once, not at all when a
+    run or scan on the schema has already met it from the same
     configuration, and every obligation reads the same candidate facts.
 
     A caller that screens many candidates passes the ``facts`` of ``tau``,
     ``step.candidate(tau)``, built from the step's one ``StepFacts`` (see
-    ``StepFacts.screening``), which holds the memo of its run or scan and
-    the switch ``from_regime -> e``, so that it can read them beside the
-    verdict; ``h``, ``store`` and ``e`` are then read from that step, not
-    from the arguments.  Without them they are built from the arguments:
+    ``StepFacts.screening``), which holds the switch ``from_regime -> e``,
+    so that it can read them beside the verdict; ``h``, ``store`` and
+    ``e`` are then read from that step, not from the arguments.  Without them they are built from the arguments:
     ``e`` is the destination regime, and ``from_regime`` defaults to it
     when no switch is in flight.  The returned ledger is charged for the
     candidate only when it passes with A2 certified, and is adopted by the

@@ -158,18 +158,15 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     ingredient against the full governance law (``cfg`` must carry full
     gates).  The deployed candidate's metrics are read from the oracle's
     facts about it, never from the run's own verdicts.  The oracle is
-    called once per distinct replayed state, and one ``RunMemo``, starting
-    from the scenario's lift table, serves the replay and every oracle
-    call of the scan."""
+    called once per distinct replayed state, and the replay lifts through
+    one ``RunMemo``, starting from the scenario's lift table."""
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = 0.0
     regret = 0.0
     exhaustive_grammar = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
     scores: dict[tuple, TickScore] = {}
-    memo = RunMemo(cfg, scenario.lifts)
-
-    for trace, x, z, registry, h_before, _ in replay(scenario, memo, traces):
+    for trace, x, z, registry, h_before, _ in replay(scenario, RunMemo(cfg, scenario.lifts), traces):
         e_true = detect_regime(cfg.regimes, z)
         switched = e_true.label != true_regime.label
         from_true = true_regime
@@ -185,7 +182,7 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
         key = (x.components, z, h_before.digest(), e_true.label, from_true.label, deployed_key)
         score = scores.get(key)
         if score is None:
-            score = scores[key] = _oracle(memo, exhaustive_grammar, registry, z, h_before, e_true, from_true, trace)
+            score = scores[key] = _oracle(cfg, exhaustive_grammar, registry, z, h_before, e_true, from_true, trace)
         if score.deployed is not None:
             identity, core_passed, charge = score.deployed
             deployments += 1
@@ -207,7 +204,7 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     )
 
 
-def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> TickScore:
+def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> TickScore:
     """Find in hindsight how far the best score among the grammar
     candidates, plus the fallback, that pass with full gates lies above
     the score achieved, all scored memory-neutrally (an empty store, so a
@@ -218,10 +215,8 @@ def _oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> T
     scoring strictly above it are kept, and ``admissible`` screens them in
     descending score order, ties in list order, until one passes: no
     candidate below it can raise the regret.  ``registry`` is the
-    component registry of the tick's raw state; the screening reads
-    ``memo.cfg`` and reads every transition through ``memo``."""
-    cfg = memo.cfg
-    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo, from_true)
+    component registry of the tick's raw state."""
+    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, from_true)
     deployed = deployed_key = None
     if trace.selected is not None:
         deployed_key = transformation_key(trace.selected)
@@ -443,19 +438,25 @@ def run_benchmark(family: str, subject: str, seeds: Sequence[int]) -> MetricsRep
 class Comparison:
     csv_text: str
     verdicts: tuple[tuple[str, str], ...]  # (metric, "better"/"equal"/"worse")
+    reference: str  # the subject that each verdict rates
 
     def render(self) -> str:
         lines = [self.csv_text.rstrip("\n")]
+        name = "full stack" if self.reference == baselines.FULL else self.reference
         for metric, verdict in self.verdicts:
-            lines.append(f"verdict {metric}: full stack {verdict}")
+            lines.append(f"verdict {metric}: {name} {verdict}")
         return "\n".join(lines) + "\n"
 
 
 def compare(reports: Sequence[tuple[str, MetricsReport]]) -> Comparison:
     """Side-by-side table of subjects on one family, plus one verdict line
-    per metric comparing the full stack against the best baseline."""
+    per metric comparing the reference subject (the full stack when it is
+    given, else the first) against the best of the others.  A subject given
+    twice would be rated against itself, so it is refused."""
     if len(reports) < 2:
         raise IncomparableReports("need at least two reports to compare")
+    if twice := repeated([subject for subject, _ in reports]):
+        raise IncomparableReports(f"subject given more than once: {', '.join(twice)}; refusing to compare")
     families = {r.family for _, r in reports}
     seed_sets = {r.seeds for _, r in reports}
     if len(families) != 1 or len(seed_sets) != 1:
@@ -483,7 +484,7 @@ def compare(reports: Sequence[tuple[str, MetricsReport]]) -> Comparison:
             verdicts.append((metric, "better"))
         else:
             verdicts.append((metric, "worse"))
-    return Comparison(csv_text=out.getvalue(), verdicts=tuple(verdicts))
+    return Comparison(csv_text=out.getvalue(), verdicts=tuple(verdicts), reference=reports[ref_index][0])
 
 
 def report_to_json(report: MetricsReport) -> str:

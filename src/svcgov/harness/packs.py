@@ -11,8 +11,9 @@ Every scenario built from the pack's (possibly edited) document is then
 built and checked by ``scenario_from_data``'s own path on that schema, and
 every configuration by ``OrchestratorConfig``'s constructor, so the
 scenarios that the bench families generate from one pack share one schema,
-and with it the soundness memo.  The cache holds at most one entry per
-name in ``PACK_NAMES``, and nothing of a pack whose files do not load.
+and with it its memo of soundness reports and transitions.  The cache
+holds at most one entry per name in ``PACK_NAMES``, and nothing of a pack
+whose files do not load.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .canon import canonical_dumps
 from .certificates import Certificate, environment_digest
-from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, StepFacts, Transition, admissible
+from .certify import AdmissibilityVerdict, DriftLedger, RegimeSwitchModel, StepFacts, admissible, transition
 from .errors import ConfigError, TypingError
 from .evaluation import (
     InvariantCore,
@@ -57,7 +57,6 @@ from .transform import (
     UpdateConstraint,
     apply,
     generate_candidates,
-    transformation_key,
     transformation_to_data,
 )
 
@@ -213,33 +212,17 @@ class LiftTable:
 
 
 class RunMemo(LiftTable):
-    """What one run or one scan has worked out on its config, each value
-    computed once per key: the lifts of its ``LiftTable`` on the config's
+    """The lifts that one run or one scan has worked out on its config
+    ``cfg``, each computed once per key: a ``LiftTable`` on the config's
     schema and assertion base, starting from the scenario's own table
     (``seed``, worked out when the scenario was loaded) when that is on an
-    equal schema and assertion base; and ``transition(h, tau)``, the
-    configuration that ``tau`` reaches from ``h`` (or the refusal text) and
-    its structural charge, keyed by the graph digest and
-    ``transformation_key(tau)``.  Soundness reports and environment
-    digests read only the schema, and are kept in ``schema.memo``.
-
-    Transitions are keyed by the canonical key, never by the
-    transformation's value: ``UpdateConstraint("v", 0.0)`` and
-    ``UpdateConstraint("v", -0.0)`` are equal and hash equal, yet they
-    reach configurations of different digests."""
+    equal schema and assertion base.  Transitions, soundness reports and
+    environment digests read nothing of the config but its schema, and are
+    kept in ``schema.memo``."""
 
     def __init__(self, cfg: OrchestratorConfig, seed: LiftTable | None = None):
         super().__init__(cfg.schema, cfg.assertions, seed)
         self.cfg = cfg
-        self._transitions: dict[tuple[str, str], Transition] = {}
-
-    def transition(self, h: Hypothesis, tau: Transformation, key: str | None = None) -> Transition:
-        """``key``, when the caller has read it already, is ``transformation_key(tau)``."""
-        pair = h.digest(), transformation_key(tau) if key is None else key
-        reached = self._transitions.get(pair)
-        if reached is None:
-            reached = self._transitions[pair] = Transition.of(tau, h)
-        return reached
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +304,11 @@ class Orchestrator:
         self.memo = RunMemo(cfg, lifts)
 
     def _screen(self, tau: Transformation, step: StepFacts, tick: int) -> tuple[CandidateTrace, Hypothesis]:
-        """One candidate screened in ``step`` (built by ``StepFacts.screening``
-        with the run's memo) against the run's ledger: its trace, which
-        holds the verdict, the reuse term read from the step's store (0 with
-        the memory gate off) and the candidate's score, and the
-        configuration it reaches (``h`` itself when ``tau`` is not
-        applicable)."""
+        """One candidate screened in ``step`` (built by ``StepFacts.screening``)
+        against the run's ledger: its trace, which holds the verdict, the
+        reuse term read from the step's store (0 with the memory gate off)
+        and the candidate's score, and the configuration it reaches (``h``
+        itself when ``tau`` is not applicable)."""
         cfg, e = self.cfg, step.e
         facts = step.candidate(tau)
         verdict = admissible(tau, step.h, step.z, e, step.store, cfg, ledger=self.ledger, tick=tick, facts=facts)
@@ -371,11 +353,11 @@ class Orchestrator:
         if e2.label != e.label:
             rewrites = cfg.switch_model.recipe(e.label, e2.label)
             for name, bound in rewrites:
-                h = self.memo.transition(h, UpdateConstraint(name, bound, rationale="regime-entry")).h2
+                h = transition(h, UpdateConstraint(name, bound, rationale="regime-entry"), cfg.schema).h2
 
         candidates = generate_candidates(h, z, cfg.grammar, registry)
         # a step with nothing to screen deploys nothing, and needs no facts
-        step = StepFacts.screening(h, z, e2, store, cfg, self.memo, e) if candidates else None
+        step = StepFacts.screening(h, z, e2, store, cfg, e) if candidates else None
 
         screened: list[CandidateTrace] = []
         outcomes: list[Hypothesis] = []
@@ -563,21 +545,23 @@ def replay(
     its tick (as the scenario worked it out at load), its semantic lift
     ``z`` and component registry, the hypothesis after the trace's regime
     rewrites (``h_before``) and the deployed one (``h_after``); raises if a
-    trace does not replay to its deployed digest.  States are lifted, and
-    the rewrites and the selected transformation applied, through
-    ``memo``, the memo of the caller's scan: a memo seeded with the
+    trace does not replay to its deployed digest.  States are lifted
+    through ``memo``, the memo of the caller's scan: a memo seeded with the
     scenario's lift table lifts nothing, any other lifts each distinct raw
-    state once, and each distinct transition is worked out once per
-    scan."""
+    state once.  The rewrites and the selected transformation are read
+    through ``transition`` on the memo's schema, so a transition that a
+    run or scan on the schema has met is not applied again; each is a pure
+    function of the graph and the transformation, and the deployed digest
+    is checked against the trace all the same."""
     h = scenario.initial_hypothesis
     for trace in traces:
         x, _ = scenario.at(trace.tick)
         z, registry = memo.lift(x)
         for name, bound in trace.regime_rewrites:
-            h = memo.transition(h, UpdateConstraint(name, bound)).h2
+            h = transition(h, UpdateConstraint(name, bound), memo.schema).h2
         h_before = h
         if trace.selected is not None:
-            reached = memo.transition(h, trace.selected)
+            reached = transition(h, trace.selected, memo.schema)
             if reached.error is not None:
                 apply(trace.selected, h)  # a trace deploying what does not apply: raise apply's own refusal
             h = reached.h2

@@ -38,7 +38,6 @@ from svcgov.memory import (
     record,
 )
 from svcgov.model import Hypothesis, type_soundness
-from svcgov.orchestrator import RunMemo
 from svcgov.transform import (
     Rebind,
     Substitute,
@@ -657,12 +656,6 @@ class TestSharedFactsMatchStandaloneCertifiers:
                 structural = (a2.certificate or a2.violation).evidence_map()["structural"]
                 assert s_outcome.evidence_map()["transition_charge"] == 2 * structural == 2.0
         assert {"multi-site", "inapplicable"} <= covered
-
-    def test_a_memo_built_on_another_config_is_refused(self, schema, assertions, z):
-        h = chain_hypothesis([("r1", "t:FA", UNIT_A), ("r2", "t:FB", UNIT_B)])
-        memo = RunMemo(make_config(schema, assertions))
-        with pytest.raises(ConfigError, match="another config"):
-            StepFacts.screening(h, z, regime(), EMPTY_STORE, make_config(schema, assertions), memo)
 
 
 # ---------------------------------------------------------------------------

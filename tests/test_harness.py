@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import zipfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import svcgov
 from svcgov import orchestrator
 from svcgov.certificates import environment_digest
-from svcgov.certify import StepFacts, Transition
+from svcgov.certify import StepFacts, Transition, _charge_parts, transition
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
 from svcgov.evaluation import detect_regime, evaluate
 from svcgov.harness import baselines, bench, packs
@@ -481,41 +482,58 @@ class TestBenchmarks:
         )
 
 
-def reference_screening(memo, grammar, registry, z, h_before, e_true, from_true, trace):
+def everywhere(patch, fn, replacement):
+    """Bind ``replacement`` in place of the module-level function ``fn`` in
+    every ``svcgov`` module that holds it."""
+    for module in [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "svcgov"]:
+        if getattr(module, fn.__name__, None) is fn:
+            patch.setattr(module, fn.__name__, replacement)
+
+
+@contextmanager
+def applied_afresh():
+    """Within the block, every ``transition`` applies its transformation
+    afresh: nothing is read from a schema's memo or kept in it."""
+    with pytest.MonkeyPatch.context() as patch:
+        everywhere(patch, transition, lambda h, tau, schema, key=None: Transition.of(tau, h))
+        yield
+
+
+def reference_screening(cfg, grammar, registry, z, h_before, e_true, from_true, trace):
     """The exhaustive screening that ``bench._oracle`` prunes: every grammar
     candidate, plus the fallback, screened through ``Orchestrator._screen``
-    against an empty store.  Returns the candidates, each one's (score,
-    passed) in list order, the score achieved (a deployed candidate's,
-    screened the same way when it is outside the list, or that of keeping
-    ``h_before``) and the deployed candidate's facts (None when the trace
-    deployed nothing)."""
-    cfg = memo.cfg
+    against an empty store, each transition applied afresh.  Returns the
+    candidates, each one's (score, passed) in list order, the score
+    achieved (a deployed candidate's, screened the same way when it is
+    outside the list, or that of keeping ``h_before``) and the deployed
+    candidate's facts (None when the trace deployed nothing)."""
     candidates = generate_candidates(h_before, z, grammar, registry)
     if transformation_key(cfg.fallback) not in {transformation_key(t) for t in candidates}:
         candidates = candidates + [cfg.fallback]
     screening = orchestrator.Orchestrator(cfg)  # a fresh drift ledger
-    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, memo, from_true)
+    step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, from_true)
 
     def screen(tau):
         candidate, _ = screening._screen(tau, step, trace.tick)
         return candidate.breakdown.total, candidate.verdict.passed
 
-    rows = [screen(tau) for tau in candidates]
-    if trace.selected is None:
-        return candidates, rows, evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total, None
-    keys = [transformation_key(tau) for tau in candidates]
-    key = transformation_key(trace.selected)
-    achieved = rows[keys.index(key)][0] if key in keys else screen(trace.selected)[0]
-    return candidates, rows, achieved, step.candidate(trace.selected)
+    with applied_afresh():
+        rows = [screen(tau) for tau in candidates]
+        if trace.selected is None:
+            return candidates, rows, evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total, None
+        keys = [transformation_key(tau) for tau in candidates]
+        key = transformation_key(trace.selected)
+        achieved = rows[keys.index(key)][0] if key in keys else screen(trace.selected)[0]
+        return candidates, rows, achieved, step.candidate(trace.selected)
 
 
-def reference_oracle(memo, grammar, registry, z, h_before, e_true, from_true, trace) -> bench.TickScore:
+def reference_oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> bench.TickScore:
     """``bench._oracle`` as the exhaustive loop it prunes: the best is the
     highest score of a passing candidate of ``reference_screening``, a
     deployed candidate outside the list never counts toward it, and the
     regret is the best minus the score achieved, floored at 0, or 0 when
     no candidate passes."""
-    _, rows, achieved, deployed = reference_screening(memo, grammar, registry, z, h_before, e_true, from_true, trace)
+    _, rows, achieved, deployed = reference_screening(cfg, grammar, registry, z, h_before, e_true, from_true, trace)
     passing = [score for score, passed in rows if passed]
     regret = max(0.0, max(passing) - achieved) if passing else 0.0
     if deployed is None:
@@ -525,20 +543,23 @@ def reference_oracle(memo, grammar, registry, z, h_before, e_true, from_true, tr
 
 def reference_scan(scenario, cfg, traces) -> bench.RunScan:
     """``scan_run`` as the plain loop it memoizes: ``reference_oracle``
-    screens every replayed tick, with a fresh memo each time, and the same
-    tallies are kept.  Each replayed lift and registry is checked against a
-    direct read of its own tick: no oracle rule reads the interaction
-    phase, so only this check sees a lift of the wrong phase."""
+    screens every replayed tick, the replay applies each transition
+    afresh, and the same tallies are kept.  Each replayed lift and registry
+    is checked against a direct read of its own tick: no oracle rule reads
+    the interaction phase, so only this check sees a lift of the wrong
+    phase."""
     grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = regret = 0.0
-    for trace, x, z, registry, h_before, _ in replay(scenario, RunMemo(cfg), traces):
+    with applied_afresh():
+        replayed = list(replay(scenario, RunMemo(cfg), traces))
+    for trace, x, z, registry, h_before, _ in replayed:
         assert z == semantic_lift(x, cfg.schema, cfg.assertions), f"tick {trace.tick}"
         assert registry == registry_from_state(x, cfg.assertions, cfg.schema), f"tick {trace.tick}"
         e_true = detect_regime(cfg.regimes, z)
         switched, from_true, true_regime = e_true.label != true_regime.label, true_regime, e_true
-        regret_at_tick, deployed = reference_oracle(RunMemo(cfg), grammar, registry, z, h_before, e_true, from_true, trace)
+        regret_at_tick, deployed = reference_oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace)
         if deployed is not None:
             identity, core_passed, charge = deployed
             deployments += 1
@@ -607,21 +628,26 @@ def spy_everywhere(monkeypatch, fn, seen):
         seen(*args)
         return fn(*args)
 
-    for module in [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "svcgov"]:
-        if getattr(module, fn.__name__, None) is fn:
-            monkeypatch.setattr(module, fn.__name__, spying)
+    everywhere(monkeypatch, fn, spying)
 
 
 def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
     """After runs and scans of both packs and of every bench family (each
     with the full stack and a baseline), every soundness report and
     environment digest that a pack schema's memo keeps equals the one
-    worked out on that schema with its memo cleared."""
-    inputs = {}  # memo key -> the graph or state it was worked out from
+    worked out on that schema with its memo cleared, and every transition
+    it keeps equals a fresh ``Transition.of``: the same configuration
+    digest, refusal text and, once read, charge parts."""
+    inputs = {}  # memo key -> what it was worked out from
     spy_everywhere(monkeypatch, type_soundness, lambda h, _: inputs.setdefault(("soundness", h.digest()), h))
     spy_everywhere(
         monkeypatch, environment_digest, lambda z, _: inputs.setdefault(("environment", z.environment_descriptors), z)
     )
+
+    def meeting(h, tau, schema, key=None):
+        inputs.setdefault(("transition", h.digest(), transformation_key(tau)), (h, tau))
+
+    spy_everywhere(monkeypatch, transition, meeting)
     cases = [(*pack_scenario(name, pack_data(name)), None) for name in packs.PACK_NAMES]
     cases += [bench.FAMILY_GENERATORS[family](seed) for family in bench.FAMILIES for seed in range(2)]
     for scenario, cfg, store in cases:
@@ -632,20 +658,28 @@ def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
     monkeypatch.undo()
     for schema in schemas.values():
         kept = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] in ("soundness", "environment")}
+        reached = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] == "transition"}
         tags = [key[0] for key in kept]
         assert tags.count("soundness") > 10 and tags.count("environment") > 1
+        assert len(reached) > 10 and any(t.parts for t in reached.values())
         for key, value in kept.items():
             schema.memo.clear()
             fact = type_soundness if key[0] == "soundness" else environment_digest
             assert fact(inputs[key], schema) == value, key
+        for key, value in reached.items():
+            h, tau = inputs[key]
+            fresh = Transition.of(tau, h)
+            assert (value.h2.digest(), value.error) == (fresh.h2.digest(), fresh.error), key
+            if value.parts is not None:
+                assert value.parts == _charge_parts(StepFacts(h), fresh.h2), key
 
 
 def test_memoised_transitions_match_plain_apply(monkeypatch):
-    """Runs and scans that read every transition through their memo write
-    the trace documents and find the scan results of runs and scans that
-    apply every transition afresh (the memo's lookup swapped for plain
-    ``apply``), and each transition that the memo serves is the one plain
-    ``apply`` reaches: the same configuration and digest."""
+    """Runs and scans that read every transition through the schema's memo
+    write the trace documents and find the scan results of runs and scans
+    that apply every transition afresh (``transition`` swapped for plain
+    ``Transition.of``), and each transition that the memo serves is the
+    one plain ``apply`` reaches: the same configuration and digest."""
     cases = [(name, *pack_scenario(name, pack_data(name)), None, "full") for name in ("hospital", "retail")]
     cases.append(("cyclic-retail", *cyclic_retail(cycles=10), None, "full"))
     for family in bench.FAMILIES:
@@ -653,11 +687,10 @@ def test_memoised_transitions_match_plain_apply(monkeypatch):
             generated = bench.FAMILY_GENERATORS[family](seed)
             cases += [(f"{family}/{seed}/{subject}", *generated, subject) for subject in baselines.SUBJECTS]
     served = []
-    transition = RunMemo.transition
 
-    def serving(memo, h, tau, key=None):
+    def serving(h, tau, schema, key=None):
         assert key in (None, transformation_key(tau))
-        reached = transition(memo, h, tau, key)
+        reached = transition(h, tau, schema, key)
         served.append((h, tau, reached))
         return reached
 
@@ -669,14 +702,14 @@ def test_memoised_transitions_match_plain_apply(monkeypatch):
         return found
 
     with monkeypatch.context() as patch:
-        patch.setattr(RunMemo, "transition", serving)
+        everywhere(patch, transition, serving)
         memoised = outcomes()
     for h, tau, reached in served:
         fresh = Transition.of(tau, h)
         assert (reached.h2, reached.h2.digest(), reached.error) == (fresh.h2, fresh.h2.digest(), fresh.error)
     assert len({id(reached) for _, _, reached in served}) < len(served)  # some were served from the memo
-    monkeypatch.setattr(RunMemo, "transition", lambda memo, h, tau, key=None: Transition.of(tau, h))
-    assert outcomes() == memoised
+    with applied_afresh():
+        assert outcomes() == memoised
 
 
 class TestSeededLifts:
@@ -796,7 +829,7 @@ class TestScanMatchesItsReference:
 
 
 def oracle_calls(scenario, cfg, traces):
-    """The arguments, but the memo, of the oracle call that ``scan_run``
+    """The arguments, but the config, of the oracle call that ``scan_run``
     makes at each tick of a replayed run, in tick order."""
     grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
     true_regime = cfg.default_regime()
@@ -807,7 +840,7 @@ def oracle_calls(scenario, cfg, traces):
 
 
 def oracle_inputs(scenario, cfg, traces, tick) -> tuple:
-    """The arguments, but the memo, of the oracle call that ``scan_run``
+    """The arguments, but the config, of the oracle call that ``scan_run``
     makes at ``tick`` of a replayed run."""
     for inputs in oracle_calls(scenario, cfg, traces):
         if inputs[-1].tick == tick:
@@ -828,7 +861,7 @@ class TestOracleScreensInScoreOrder:
         order; the score achieved; the indices of the candidates that the
         oracle screens, in its order; and its findings, checked against
         ``reference_oracle``."""
-        candidates, rows, achieved, _ = reference_screening(RunMemo(cfg), *inputs)
+        candidates, rows, achieved, _ = reference_screening(cfg, *inputs)
         calls = []
         admissible = bench.admissible
 
@@ -838,8 +871,8 @@ class TestOracleScreensInScoreOrder:
 
         with monkeypatch.context() as patch:
             patch.setattr(bench, "admissible", recording)
-            found = bench._oracle(RunMemo(cfg), *inputs)
-        assert found == reference_oracle(RunMemo(cfg), *inputs)
+            found = bench._oracle(cfg, *inputs)
+        assert found == reference_oracle(cfg, *inputs)
         above = sorted((i for i, (score, _) in enumerate(rows) if score > achieved), key=lambda i: -rows[i][0])
         passing = [k for k, i in enumerate(above) if rows[i][1]]
         assert calls == above[: passing[0] + 1 if passing else len(above)]
@@ -871,7 +904,7 @@ class TestOracleScreensInScoreOrder:
     def test_a_failing_and_a_passing_candidate_tie_on_score(self, monkeypatch):
         scenario, cfg, traces = self.family_run("regime-switch", 0, "full")
         inputs = oracle_inputs(scenario, cfg, traces, 3)
-        candidates = reference_screening(RunMemo(cfg), *inputs)[0]
+        candidates = reference_screening(cfg, *inputs)[0]
         assert variant_name(candidates[6]) == "update_constraint"
         rows, achieved, calls, found = self.screened(monkeypatch, cfg, self.deploying(inputs, candidates[6]))
         # with the constraint update deployed, two substitutions score above
@@ -1048,9 +1081,13 @@ class TestHistoryFlatWork:
 
 class TestCompare:
     def test_identical_subjects_compare_equal(self):
+        # two subjects whose metrics are the same; one subject given twice
+        # is refused, not rated against itself
         report = bench.run_benchmark("substitution", "full", [0])
-        table = bench.compare([("full", report), ("full", report)])
+        table = bench.compare([("full", report), ("heuristic-memory", report)])
         assert all(verdict == "equal" for _, verdict in table.verdicts)
+        with pytest.raises(IncomparableReports, match="subject given more than once: full;"):
+            bench.compare([("full", report), ("heuristic-memory", report), ("full", report)])
 
     def test_full_strictly_better_than_ontology_only_on_safety(self):
         seeds = [0, 1, 2]
@@ -1316,6 +1353,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error parse" in err and "report" in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def write_reports(tmp_path, subjects) -> list[str]:
+        paths = []
+        for subject in subjects:
+            path = tmp_path / f"{subject}.report.json"
+            path.write_text(bench.report_to_json(bench.run_benchmark("substitution", subject, [0])), encoding="utf-8")
+            paths.append(str(path))
+        return paths
+
+    def test_compare_refuses_a_repeated_subject(self, tmp_path, capsys):
+        (full,) = self.write_reports(tmp_path, ["full"])
+        copy = tmp_path / "copy.report.json"
+        shutil.copy(full, copy)
+        for argv in ([full, full], [full, str(copy)]):
+            assert cli_main(["compare", *argv]) == 5
+            out, err = capsys.readouterr()
+            assert out == "" and "error incomparable-reports: subject given more than once: full;" in err
+
+    def test_compare_without_the_full_stack_names_its_reference(self, tmp_path, capsys):
+        assert cli_main(["compare", *self.write_reports(tmp_path, ["ontology-only", "heuristic-memory"])]) == 0
+        verdicts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("verdict ")]
+        assert len(verdicts) == 5
+        assert all(line.split(": ")[1].startswith("ontology-only ") for line in verdicts), verdicts
 
     def test_bench_and_compare_round_trip(self, tmp_path, capsys):
         rep = tmp_path / "rep"

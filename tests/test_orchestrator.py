@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from svcgov import certify, model, orchestrator
-from svcgov.certify import StepFacts, admissible
+from svcgov.certify import StepFacts, admissible, structural_charge, transition
 from svcgov.errors import ConfigError, UnknownSite
 from svcgov.evaluation import core_value
 from svcgov.harness import bench
@@ -302,60 +302,93 @@ class TestStateMemo:
 
 
 class TestTransitionMemo:
-    def test_each_distinct_transition_is_applied_once_per_run_and_per_scan(self, monkeypatch):
+    def test_each_distinct_transition_is_applied_once_per_schema(self, monkeypatch):
         # the noise onset recurs every six ticks, so the run's steps and
         # rewrites, and the scan's replay and oracle, meet the same pairs of
-        # configuration and transformation again and again
+        # configuration and transformation again and again; the scan meets
+        # many of the run's pairs, and a second run and scan meet no new one
         scenario, cfg = cyclic_retail(cycles=10)
+        cfg.schema.memo.clear()
         applied, requested = [], []
-        transition = RunMemo.transition
 
         def counting(tau, h):
             applied.append((h.digest(), transformation_key(tau)))
             return apply(tau, h)
 
-        def requesting(memo, h, tau, key=None):
-            assert key in (None, transformation_key(tau))
+        def requesting(h, tau, schema, key=None):
+            assert key in (None, transformation_key(tau)) and schema is cfg.schema
             requested.append((h.digest(), transformation_key(tau)))
-            return transition(memo, h, tau, key)
+            return transition(h, tau, schema, key)
 
         for module in (certify, orchestrator):
             monkeypatch.setattr(module, "apply", counting)
-        monkeypatch.setattr(RunMemo, "transition", requesting)
-        traces = run(scenario, cfg).traces
-        in_run = applied[:], requested[:]
-        applied.clear(), requested.clear()
-        bench.scan_run(scenario, cfg, traces)
-        for calls, asked in (in_run, (applied, requested)):
-            assert len(calls) == len(set(calls)) == len(set(asked))
-            assert sorted(calls) == sorted(set(asked)) and 3 * len(calls) < len(asked)
+            monkeypatch.setattr(module, "transition", requesting)
+        passes = []
+        for _ in range(2):
+            traces = run(scenario, cfg).traces
+            passes.append((applied[:], requested[:]))
+            applied.clear(), requested.clear()
+            bench.scan_run(scenario, cfg, traces)
+            passes.append((applied[:], requested[:]))
+            applied.clear(), requested.clear()
+        (in_run, run_asked), (in_scan, scan_asked), *again = passes
+        assert len(in_run) == len(set(in_run)) and sorted(in_run) == sorted(set(run_asked))
+        assert 3 * len(in_run) < len(run_asked)
+        assert len(in_scan) == len(set(in_scan)) and sorted(in_scan) == sorted(set(scan_asked) - set(run_asked))
+        assert 0 < len(in_scan) < len(set(scan_asked)) and 3 * len(set(scan_asked)) < len(scan_asked)
+        assert again == [([], run_asked), ([], scan_asked)]
 
     def test_signed_zero_bounds_reach_apart(self, retail):
         # equal and hash-equal updates whose configurations differ in digest
         scenario, cfg = retail
-        memo, h = RunMemo(cfg), scenario.initial_hypothesis
+        h = scenario.initial_hypothesis
         zero, negative = UpdateConstraint("volume", 0.0), UpdateConstraint("volume", -0.0)
         assert zero == negative and hash(zero) == hash(negative)
-        reached = [memo.transition(h, tau).h2.digest() for tau in (zero, negative)]
+        reached = [transition(h, tau, cfg.schema).h2.digest() for tau in (zero, negative)]
         assert reached == [apply(tau, h).digest() for tau in (zero, negative)]
         assert reached[0] != reached[1]
 
     def test_an_inapplicable_candidate_is_refused_alike_on_a_hit(self, retail):
-        # a later step of the run meets the same inapplicable rebinding
+        # a later step meets the same inapplicable rebinding
         scenario, cfg = retail
-        memo, h, e = RunMemo(cfg), scenario.initial_hypothesis, cfg.default_regime()
-        z, registry = memo.lift(replace(scenario.initial_state, time=1))
+        h, e = scenario.initial_hypothesis, cfg.default_regime()
+        z, registry = RunMemo(cfg).lift(replace(scenario.initial_state, time=1))
         with pytest.raises(UnknownSite) as refused:
             apply(Rebind("ghost", registry[0]), h)
         facts = [
-            StepFacts.screening(h, z, e, EMPTY_STORE, cfg, memo).candidate(Rebind("ghost", registry[0], rationale=tag))
+            StepFacts.screening(h, z, e, EMPTY_STORE, cfg).candidate(Rebind("ghost", registry[0], rationale=tag))
             for tag in ("first", "again")
         ]
-        assert facts[0].transition is facts[1].transition and facts[0].h2 is h
+        assert facts[0].transition is facts[1].transition and facts[0].h2 == h
         assert facts[0].error == facts[1].error == str(refused.value)
         tau = Rebind("ghost", registry[0])
         verdicts = [admissible(tau, h, z, e, EMPTY_STORE, cfg, facts=f) for f in facts]
         assert verdicts[0] == verdicts[1] and verdicts[0].error == str(refused.value)
+
+    @pytest.mark.parametrize("costs", [(0.5, 4.0), (4.0, 0.5)])
+    def test_each_switch_model_prices_a_shared_transition(self, retail, costs):
+        # two configs on one schema, differing only in the unit cost of a
+        # reassignment, screen the deployed substitution from the same graph
+        # in either order: they share its transition, and each reads the
+        # structural charge of its own switch model
+        scenario, cfg = retail
+        traces = run(scenario, cfg).traces
+        tick = scenario.annotation("decision_tick")
+        replayed = replay(scenario, RunMemo(cfg, scenario.lifts), traces)
+        trace, _, z, _, h, _ = next(r for r in replayed if r[0].tick == tick)
+        e = next(r for r in cfg.regimes if r.label == trace.regime_label)
+        cfg.schema.memo.clear()
+        reached, charges = [], []
+        for cost in costs:
+            priced = replace(cfg, switch_model=replace(cfg.switch_model, reassignment_unit_cost=cost))
+            facts = StepFacts.screening(h, z, e, EMPTY_STORE, priced).candidate(trace.selected)
+            verdict = admissible(trace.selected, h, z, e, EMPTY_STORE, priced, facts=facts)
+            a2 = verdict.obligation("A2")
+            assert facts.charge == structural_charge(h, facts.h2, priced.switch_model), cost
+            assert (a2.certificate or a2.violation).evidence_map()["structural"] == facts.charge, cost
+            reached.append(facts.transition)
+            charges.append(facts.charge)
+        assert reached[0] is reached[1] and reached[0].parts[1] > 0 and charges[0] != charges[1]
 
 
 class TestRetailRun:
