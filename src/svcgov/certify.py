@@ -181,13 +181,9 @@ class RegimeSwitchModel:
         return r.build(cls, costs, residuals, recipes, unit_cost)
 
 
-def structural_charge(
-    h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel, *, before: "StepFacts | None" = None
-) -> float:
-    """Constraint-vector distance plus reassignment count times the unit
-    cost.  ``before`` holds the maps of ``h`` when the caller has already
-    built them."""
-    return model.structural(*_charge_parts(before if before is not None else StepFacts(h), h2))
+def structural_charge(h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel) -> float:
+    """Constraint-vector distance plus reassignment count times the unit cost."""
+    return model.structural(*_charge_parts(StepFacts(h), h2))
 
 
 def _charge_parts(before: "StepFacts", h2: Hypothesis) -> tuple[float, int]:

@@ -38,13 +38,7 @@ from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, decode, integer, keyed, number, read, text
 from ..memory import EMPTY_STORE, MemoryStore
 from ..model import type_soundness
-from ..orchestrator import (
-    DecisionTrace,
-    OrchestratorConfig,
-    RunMemo,
-    replay,
-    run,
-)
+from ..orchestrator import DecisionTrace, OrchestratorConfig, replay, run
 from ..transform import generate_candidates, transformation_key
 from . import baselines
 from .packs import pack_data, pack_scenario
@@ -159,14 +153,14 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
     gates).  The deployed candidate's metrics are read from the oracle's
     facts about it, never from the run's own verdicts.  The oracle is
     called once per distinct replayed state, and the replay lifts through
-    one ``RunMemo``, starting from the scenario's lift table."""
+    ``lift_table(scenario, cfg)``."""
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = 0.0
     regret = 0.0
     exhaustive_grammar = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
     scores: dict[tuple, TickScore] = {}
-    for trace, x, z, registry, h_before, _ in replay(scenario, RunMemo(cfg, scenario.lifts), traces):
+    for trace, x, z, registry, h_before, _ in replay(scenario, cfg, traces):
         e_true = detect_regime(cfg.regimes, z)
         switched = e_true.label != true_regime.label
         from_true = true_regime

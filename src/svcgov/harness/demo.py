@@ -17,7 +17,7 @@ from ..evaluation import detect_regime
 from ..memory import EMPTY_STORE
 from ..model import type_soundness
 from ..ontology import check_consistency
-from ..orchestrator import RunMemo
+from ..orchestrator import lift_table
 from ..transform import Substitute, apply
 from . import baselines
 from .packs import pack_data, pack_scenario
@@ -71,7 +71,7 @@ def strict_extension() -> StrictExtensionReport:
     data["ticks"] = 3
     scenario, cfg = pack_scenario("hospital", data)
 
-    z, _ = RunMemo(cfg, scenario.lifts).lift(scenario.at(2)[0])
+    z, _ = lift_table(scenario, cfg).lift(scenario.at(2)[0])
     e = detect_regime(cfg.regimes, z)
     h = scenario.initial_hypothesis
 

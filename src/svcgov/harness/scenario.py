@@ -12,9 +12,9 @@ its script once, when it is built: it keeps the raw state and scripted
 failures of tick 0 and of each event tick, and a lift table holding the
 lift and component registry of each distinct state a run meets.  Runs,
 replays and scans step through these kept states (``Scenario.at``), and
-their memos start from that table when their config is on an equal schema
-and assertion base.  Neither load time nor the memory kept grows with
-``ticks``.
+read that table itself when their config is on an equal schema and
+assertion base (``orchestrator.lift_table``).  Neither load time nor the
+memory kept grows with ``ticks``.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ whose candidates all fail screening falls back to the configured
 supervision attachment.  Every decision is recorded in a trace complete
 enough that an independent scanner can replay and re-check it.
 
-One orchestrator instance is strictly sequential: it owns the drift ledger,
-the memory store and its ``RunMemo`` between steps.  Instances on one
-schema share its ``memo``, a dict without a lock that only ever gains
-entries, so concurrent instances belong in separate processes.
+One orchestrator instance is strictly sequential: it owns the drift ledger
+and the memory store between steps.  Runs and scans of one scenario share
+its lift table (``lift_table``), as instances on one schema share its
+``memo``; both are dicts without a lock that only ever gain entries, so
+concurrent instances belong in separate processes.
 """
 
 from __future__ import annotations
@@ -175,9 +176,7 @@ class LiftTable:
     request part by the request class, all that it reads of the state.  A
     state that raises ``TypingError`` is not kept, so it raises again where
     it recurs.  Equal ``SHARED_PARTS`` of the table's lifts are one object,
-    since the states of one scenario differ in few of them.  ``seed``, a
-    table on an equal schema and assertion base, gives its entries to start
-    from; the seed itself is never changed."""
+    since the states of one scenario differ in few of them."""
 
     #: The lift's parts that recur across states and hold no numbers, so
     #: that any two equal values are interchangeable.
@@ -185,17 +184,12 @@ class LiftTable:
         "available_agents", "component_functions", "environment_descriptors", "interaction_state", "safety_flags",
     )
 
-    def __init__(self, schema: OntologySchema, assertions: AssertionBase, seed: "LiftTable | None" = None):
+    def __init__(self, schema: OntologySchema, assertions: AssertionBase):
         self.schema, self.assertions = schema, assertions
         self._lifts: dict[tuple, tuple[SemanticState, tuple[Component, ...]]] = {}
         self._registries: dict[tuple, tuple[Component, ...]] = {}
         self._requests: dict = {}
         self._parts: dict = {}
-        if seed is not None and seed.schema == schema and seed.assertions == assertions:
-            self._lifts.update(seed._lifts)
-            self._registries.update(seed._registries)
-            self._requests.update(seed._requests)
-            self._parts.update(seed._parts)
 
     def lift(self, x: RawPlatformState) -> tuple[SemanticState, tuple[Component, ...]]:
         key = tuple({**vars(x), "time": phase(x.time)}.values())
@@ -211,18 +205,15 @@ class LiftTable:
         return lifted
 
 
-class RunMemo(LiftTable):
-    """The lifts that one run or one scan has worked out on its config
-    ``cfg``, each computed once per key: a ``LiftTable`` on the config's
-    schema and assertion base, starting from the scenario's own table
-    (``seed``, worked out when the scenario was loaded) when that is on an
-    equal schema and assertion base.  Transitions, soundness reports and
-    environment digests read nothing of the config but its schema, and are
-    kept in ``schema.memo``."""
-
-    def __init__(self, cfg: OrchestratorConfig, seed: LiftTable | None = None):
-        super().__init__(cfg.schema, cfg.assertions, seed)
-        self.cfg = cfg
+def lift_table(scenario, cfg: OrchestratorConfig) -> LiftTable:
+    """The lift table that a run or a scan of ``scenario`` on ``cfg`` reads:
+    the scenario's own, worked out when it was loaded, when the config's
+    schema and assertion base equal the table's, so that every run and scan
+    of the scenario shares it; otherwise a fresh table on the config's."""
+    table = scenario.lifts
+    if table.schema == cfg.schema and table.assertions == cfg.assertions:
+        return table
+    return LiftTable(cfg.schema, cfg.assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +286,15 @@ class StepResult:
 
 
 class Orchestrator:
-    """Owns the drift ledger and, across steps, the ``RunMemo`` of its run,
-    which starts from ``lifts``, the lift table of the scenario it steps."""
+    """Owns the drift ledger across steps, and reads each state's lift and
+    registry from ``lifts``: the table of the scenario it steps (see
+    ``lift_table``), or by default a fresh one on the config's schema and
+    assertion base."""
 
     def __init__(self, cfg: OrchestratorConfig, lifts: LiftTable | None = None):
         self.cfg = cfg
         self.ledger = DriftLedger(bound=cfg.drift_bound)
-        self.memo = RunMemo(cfg, lifts)
+        self.lifts = lifts if lifts is not None else LiftTable(cfg.schema, cfg.assertions)
 
     def _screen(self, tau: Transformation, step: StepFacts, tick: int) -> tuple[CandidateTrace, Hypothesis]:
         """One candidate screened in ``step`` (built by ``StepFacts.screening``)
@@ -326,7 +319,7 @@ class Orchestrator:
         cfg = self.cfg
         tick = x.time
         try:
-            z, registry = self.memo.lift(x)
+            z, registry = self.lifts.lift(x)
         except TypingError as exc:
             trace = DecisionTrace(
                 tick=tick,
@@ -481,8 +474,8 @@ class RunResult:
 def run(scenario, cfg: OrchestratorConfig, initial_store: MemoryStore | None = None) -> RunResult:
     """Deterministically step through a scripted scenario: each tick's raw
     state and scripted failures are the ones the scenario worked out at
-    load, and the run's memo starts from the scenario's lift table."""
-    orch = Orchestrator(cfg, scenario.lifts)
+    load, and each state's lift is read from ``lift_table(scenario, cfg)``."""
+    orch = Orchestrator(cfg, lift_table(scenario, cfg))
     store = initial_store if initial_store is not None else EMPTY_STORE
     h = scenario.initial_hypothesis
     e = cfg.default_regime()
@@ -491,7 +484,7 @@ def run(scenario, cfg: OrchestratorConfig, initial_store: MemoryStore | None = N
     for tick in range(scenario.ticks):
         x, failures = scenario.at(tick)
         if failures and cfg.flags.memory:
-            store = _record_failures(store, failures, h, x, e, orch.memo)
+            store = _record_failures(store, failures, h, x, e, orch)
         result = orch.step(x, h, e, store)
         h, e, store = result.hypothesis, result.regime, result.store
         traces.append(result.trace)
@@ -504,13 +497,14 @@ def _record_failures(
     h: Hypothesis,
     x: RawPlatformState,
     e: Regime,
-    memo: RunMemo,
+    orch: Orchestrator,
 ) -> MemoryStore:
     """Turn scripted runtime failures into failure records implicating the
-    roles bound to the failing component; ``x`` is lifted through
-    ``memo``, the memo of the run that steps it next."""
+    roles bound to the failing component; ``x`` is lifted through the
+    lift table of ``orch``, the orchestrator that steps it next, and its
+    environment digest is read on that orchestrator's config's schema."""
     try:
-        z, _ = memo.lift(x)
+        z, _ = orch.lifts.lift(x)
     except TypingError:
         return store
     for component_id, code in failures:
@@ -519,7 +513,7 @@ def _record_failures(
             continue
         signature = FailureSignature(
             regime_label=e.label,
-            environment_digest=environment_digest(z, memo.schema),
+            environment_digest=environment_digest(z, orch.cfg.schema),
             motif=motif_from_hypothesis(h, sites),
             obligation_code=code,
         )
@@ -536,7 +530,7 @@ def _record_failures(
 
 
 def replay(
-    scenario, memo: RunMemo, traces: Sequence[DecisionTrace]
+    scenario, cfg: OrchestratorConfig, traces: Sequence[DecisionTrace]
 ) -> Iterator[
     tuple[DecisionTrace, RawPlatformState, SemanticState, tuple[Component, ...], Hypothesis, Hypothesis]
 ]:
@@ -546,22 +540,22 @@ def replay(
     ``z`` and component registry, the hypothesis after the trace's regime
     rewrites (``h_before``) and the deployed one (``h_after``); raises if a
     trace does not replay to its deployed digest.  States are lifted
-    through ``memo``, the memo of the caller's scan: a memo seeded with the
-    scenario's lift table lifts nothing, any other lifts each distinct raw
-    state once.  The rewrites and the selected transformation are read
-    through ``transition`` on the memo's schema, so a transition that a
-    run or scan on the schema has met is not applied again; each is a pure
-    function of the graph and the transformation, and the deployed digest
-    is checked against the trace all the same."""
-    h = scenario.initial_hypothesis
+    through ``lift_table(scenario, cfg)``: the scenario's own table lifts
+    nothing, a fresh one each distinct raw state once.  The rewrites and
+    the selected transformation are read through ``transition`` on the
+    config's schema, so a transition that a run or scan on the schema has
+    met is not applied again; each is a pure function of the graph and the
+    transformation, and the deployed digest is checked against the trace
+    all the same."""
+    lifts, h = lift_table(scenario, cfg), scenario.initial_hypothesis
     for trace in traces:
         x, _ = scenario.at(trace.tick)
-        z, registry = memo.lift(x)
+        z, registry = lifts.lift(x)
         for name, bound in trace.regime_rewrites:
-            h = transition(h, UpdateConstraint(name, bound), memo.schema).h2
+            h = transition(h, UpdateConstraint(name, bound), cfg.schema).h2
         h_before = h
         if trace.selected is not None:
-            reached = transition(h, trace.selected, memo.schema)
+            reached = transition(h, trace.selected, cfg.schema)
             if reached.error is not None:
                 apply(trace.selected, h)  # a trace deploying what does not apply: raise apply's own refusal
             h = reached.h2
@@ -576,5 +570,5 @@ def replay_deployments(
     """The deployed hypothesis, semantic state and regime at each tick, as
     ``replay`` reconstructs them."""
     regimes = {r.label: r for r in cfg.regimes}
-    replayed = replay(scenario, RunMemo(cfg, scenario.lifts), traces)
+    replayed = replay(scenario, cfg, traces)
     return [(trace.tick, h, z, regimes[trace.regime_label]) for trace, _, z, _, _, h in replayed]

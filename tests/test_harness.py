@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -33,9 +35,11 @@ from svcgov.harness.scenario import ScenarioEvent, config_from_data, load_scenar
 from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift, type_soundness
 from svcgov.orchestrator import (
-    DecisionTrace, LiftTable, OrchestratorConfig, RunMemo, registry_from_state, replay, replay_deployments, run,
+    DecisionTrace, LiftTable, OrchestratorConfig, registry_from_state, replay, replay_deployments, run,
 )
-from svcgov.transform import UpdateConstraint, apply, generate_candidates, transformation_key, variant_name
+from svcgov.transform import (
+    UpdateConstraint, apply, generate_candidates, transformation_key, transformation_to_data, variant_name,
+)
 
 from conftest import chain_ontology, cyclic_retail, on_padded_schema, pack_variant, write_checksummed_store
 
@@ -553,7 +557,7 @@ def reference_scan(scenario, cfg, traces) -> bench.RunScan:
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = regret = 0.0
     with applied_afresh():
-        replayed = list(replay(scenario, RunMemo(cfg), traces))
+        replayed = list(replay(scenario, cfg, traces))
     for trace, x, z, registry, h_before, _ in replayed:
         assert z == semantic_lift(x, cfg.schema, cfg.assertions), f"tick {trace.tick}"
         assert registry == registry_from_state(x, cfg.assertions, cfg.schema), f"tick {trace.tick}"
@@ -602,20 +606,21 @@ def test_memoised_lifts_match_their_reference(monkeypatch, case):
         scenario, cfg = cyclic_retail(cycles=10) if case == "cyclic-retail" else pack_scenario(case, pack_data(case))
         store = None
     served = []
-    lift = RunMemo.lift
+    lift = LiftTable.lift
 
-    def serving(memo, x):
-        lifted = lift(memo, x)
-        served.append((memo.cfg, x, lifted))
+    def serving(table, x):
+        lifted = lift(table, x)
+        served.append((table, x, lifted))
         return lifted
 
-    monkeypatch.setattr(RunMemo, "lift", serving)
+    monkeypatch.setattr(LiftTable, "lift", serving)
     bench.scan_run(scenario, cfg, run(scenario, cfg, store).traces)
     failures = sum(any(patch[0] == "fail" for patch in event.patches) for event in scenario.events)
     assert len(served) == 2 * scenario.ticks + failures
-    for memo_cfg, x, (z, registry) in served:
-        assert z == semantic_lift(x, memo_cfg.schema, memo_cfg.assertions), x.time
-        assert registry == registry_from_state(x, memo_cfg.assertions, memo_cfg.schema), x.time
+    assert {id(table) for table, _, _ in served} == {id(scenario.lifts)}
+    for _, x, (z, registry) in served:
+        assert z == semantic_lift(x, cfg.schema, cfg.assertions), x.time
+        assert registry == registry_from_state(x, cfg.assertions, cfg.schema), x.time
     if case in ("hospital", "retail"):  # the others' first event is at tick 1
         (_, x0, (z0, _)), (_, x1, (z1, _)) = served[:2]  # one raw state, two phases
         assert replace(x1, time=0) == x0 and z0 != z1
@@ -712,10 +717,17 @@ def test_memoised_transitions_match_plain_apply(monkeypatch):
         assert outcomes() == memoised
 
 
+def fresh_lift_table(scenario, cfg):
+    """``orchestrator.lift_table`` that never shares the scenario's table:
+    a fresh table on the config's schema and assertion base, which lifts
+    every state that its run or scan meets."""
+    return LiftTable(cfg.schema, cfg.assertions)
+
+
 class TestSeededLifts:
-    """Runs and scans whose memos start from the lift table that the
-    scenario worked out at load against runs and scans whose memos start
-    empty and lift every state they meet."""
+    """Runs and scans that read the lift table that the scenario worked out
+    at load against runs and scans that read a fresh table and lift every
+    state they meet."""
 
     @staticmethod
     def outcomes(cases):
@@ -741,7 +753,7 @@ class TestSeededLifts:
         # with the full stack and one of the baselines (in turn); the
         # variant's config comes from the shipped pack and its scenario is
         # parsed again: an equal schema and assertion base, not the same
-        # objects, seed the memos all the same
+        # objects, share the scenario's table all the same
         variant = pack_variant("retail", [{"tick": 3, "patches": [["fail", "speech_unit", "runtime-failure"]]}], 6)
         assert variant[1].schema is not variant[0].schema and variant[1].assertions is not variant[0].assertions
         cases = [(name, *pack_scenario(name, pack_data(name)), None, "full") for name in ("hospital", "retail")]
@@ -755,8 +767,7 @@ class TestSeededLifts:
         lifted = self.counting_lifts(monkeypatch)
         seeded = self.outcomes(cases)
         assert lifted == []  # every lift was read from the scenario's table
-        init = LiftTable.__init__
-        monkeypatch.setattr(LiftTable, "__init__", lambda table, schema, assertions, seed=None: init(table, schema, assertions))
+        monkeypatch.setattr(orchestrator, "lift_table", fresh_lift_table)
         assert self.outcomes(cases) == seeded and len(lifted) > 2 * len(cases)
 
     def test_a_config_on_another_schema_lifts_through_its_memo(self, monkeypatch):
@@ -770,6 +781,40 @@ class TestSeededLifts:
         # the run and its scan each lift every distinct state, as the loader did, once
         half = len(scenario.lifts._lifts)
         assert len(lifted) == 2 * half and lifted[:half] == lifted[half:]
+
+    def test_a_config_on_an_equal_schema_reads_the_scenarios_table(self, monkeypatch):
+        # the variant's config comes from the shipped pack: an equal schema
+        # and assertion base, not the same objects
+        events = [{"tick": 3, "patches": [["fail", "speech_unit", "runtime-failure"]]}]
+        scenario, cfg = pack_variant("retail", events, 6)
+        assert cfg.schema is not scenario.schema and cfg.assertions is not scenario.assertions
+        assert orchestrator.lift_table(scenario, cfg) is scenario.lifts
+        lifted, tables, lift = self.counting_lifts(monkeypatch), set(), LiftTable.lift
+
+        def reading(table, x):
+            tables.add(id(table))
+            return lift(table, x)
+
+        monkeypatch.setattr(LiftTable, "lift", reading)
+        self.outcomes([("variant", scenario, cfg, None, "full")])
+        assert lifted == [] and tables == {id(scenario.lifts)}
+
+    def test_a_config_on_another_assertion_base_lifts_through_its_own_table(self, monkeypatch):
+        # a parameter fact about an individual that nothing names changes
+        # no lift, so the trace and the scan match those of the pack's config
+        scenario, cfg = pack_scenario("hospital", pack_data("hospital"))
+        expected = self.outcomes([("hospital", scenario, cfg, None, "full")])
+        kept = dict(scenario.lifts._lifts)
+        facts = (*cfg.assertions.parameter_facts, ("nobody", "unused", 1.0))
+        other = replace(cfg, assertions=replace(cfg.assertions, parameter_facts=facts))
+        table = orchestrator.lift_table(scenario, other)
+        assert table is not scenario.lifts and table._lifts == {}
+        assert table.schema is other.schema and table.assertions is other.assertions
+        lifted = self.counting_lifts(monkeypatch)
+        assert self.outcomes([("hospital", scenario, other, None, "full")]) == expected
+        assert len(lifted) == 2 * len(kept)  # the run and its scan, each on a table of its own
+        assert scenario.lifts._lifts.keys() == kept.keys()
+        assert all(scenario.lifts._lifts[key] is pair for key, pair in kept.items())
 
 
 class TestScanMatchesItsReference:
@@ -833,7 +878,7 @@ def oracle_calls(scenario, cfg, traces):
     makes at each tick of a replayed run, in tick order."""
     grammar = replace(cfg.grammar, max_candidates=bench._EXHAUSTIVE)
     true_regime = cfg.default_regime()
-    for trace, _, z, registry, h_before, _ in replay(scenario, RunMemo(cfg), traces):
+    for trace, _, z, registry, h_before, _ in replay(scenario, cfg, traces):
         e_true = detect_regime(cfg.regimes, z)
         from_true, true_regime = true_regime, e_true
         yield grammar, registry, z, h_before, e_true, from_true, trace
@@ -997,7 +1042,7 @@ class TestHistoryFlatWork:
 
         scenario, cfg = cyclic_retail(cycles=4)
         digested, lifted, served = [], [], []
-        lift = RunMemo.lift
+        lift = LiftTable.lift
 
         classify = certificates._class_digest
 
@@ -1009,14 +1054,14 @@ class TestHistoryFlatWork:
             lifted.append(x)
             return semantic_lift(x, *args)
 
-        def serving(memo, x):
-            z, registry = lift(memo, x)
+        def serving(table, x):
+            z, registry = lift(table, x)
             served.append(z)
             return z, registry
 
         monkeypatch.setattr(certificates, "_class_digest", classifying)
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
-        monkeypatch.setattr(RunMemo, "lift", serving)
+        monkeypatch.setattr(LiftTable, "lift", serving)
         result = run(scenario, cfg)
         failed = [r.failure_signature for r in result.store.records if r.outcome == "failed"]
         screened = [t for t in result.traces if t.candidates]
@@ -1253,6 +1298,24 @@ class TestCli:
         assert cli_main(["run", "--pack", "retail", "--out", str(out)]) == 0
         assert (out / "retail-guidance.trace.json").exists()
         assert (out / "retail-guidance.summary.csv").exists()
+
+    def test_run_summary_has_one_row_per_trace(self, tmp_path, hospital):
+        scenario, cfg = hospital
+        out = tmp_path / "out"
+        assert cli_main(["run", "--pack", "hospital", "--out", str(out)]) == 0
+        text = (out / f"{scenario.name}.summary.csv").read_text(encoding="utf-8")
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header == ["tick", "regime", "candidates", "survivors", "kind", "selected", "score", "ledger_total"]
+        traces = run(scenario, cfg).traces
+        assert len(rows) == len(traces)
+        for row, trace in zip(rows, traces):
+            survivors = sum(c.verdict.passed for c in trace.candidates)
+            assert row[:5] == [str(trace.tick), trace.regime_label, str(len(trace.candidates)), str(survivors), trace.kind]
+            selected = None if trace.selected_index is None else trace.candidates[trace.selected_index]
+            assert row[5] == ("" if selected is None else transformation_to_data(selected.transformation)["variant"])
+            assert row[6] == ("" if selected is None else f"{selected.breakdown.total:.6f}")
+            assert row[7] == f"{trace.ledger_total:.6f}"
+        assert any(row[6] for row in rows) and any(row[3] != "0" for row in rows)
 
     def test_run_keeps_the_config_flags_unless_a_baseline_is_given(self, tmp_path):
         shutil.copytree(str(pack_dir("retail")), tmp_path / "retail")

@@ -15,8 +15,8 @@ from svcgov.harness import bench
 from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift
 from svcgov.orchestrator import (
+    LiftTable,
     Orchestrator,
-    RunMemo,
     registry_from_state,
     replay,
     replay_deployments,
@@ -144,9 +144,9 @@ class TestReplay:
     def test_each_distinct_raw_state_lifts_once_per_replay(self, monkeypatch):
         # ticks 0 and 1 share a raw state but not a phase; the event at tick
         # 4 restores the tick-0 state as a new, value-equal object.  The
-        # scenario lifted every state at load, so a replay whose memo starts
-        # from its lift table lifts none; on another schema the memo starts
-        # empty and lifts each distinct state once
+        # scenario lifted every state at load, so a replay that reads its
+        # lift table lifts none; on another schema the replay reads a fresh
+        # table and lifts each distinct state once
         events = [
             {"tick": 2, "patches": [["zone+", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.4]]},
             {"tick": 4, "patches": [["zone-", "aisle2", "env:LoudAisle"], ["bandwidth", "aisle2", 0.6]]},
@@ -161,10 +161,10 @@ class TestReplay:
             return semantic_lift(x, *args)
 
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
-        assert cfg.schema is not scenario.schema  # equal, not identical: the memo is seeded all the same
+        assert cfg.schema is not scenario.schema  # equal, not identical: the table is shared all the same
         for memo_cfg, expected in ((cfg, []), (padded, [0, 1, 2])):
             lifted.clear()
-            replayed = list(replay(scenario, RunMemo(memo_cfg, scenario.lifts), traces))
+            replayed = list(replay(scenario, memo_cfg, traces))
             # (tick-0 state, tick 0), (tick-0 state, later), (noisy state, later)
             assert lifted == expected
             assert [trace.tick for trace, *_ in replayed] == list(range(7))
@@ -220,7 +220,7 @@ class TestStateMemo:
         assert documents[0] == documents[1]
 
     def test_tick_zero_and_a_later_tick_of_one_raw_state_lift_apart(self, schema, assertions):
-        memo, raw = RunMemo(make_config(schema, assertions)), make_raw_state()
+        memo, raw = LiftTable(schema, assertions), make_raw_state()
         first, later = (memo.lift(replace(raw, time=t)) for t in (0, 1))
         assert first[0].interaction_state.phase == "requested"
         assert later[0].interaction_state.phase == "active"
@@ -239,7 +239,7 @@ class TestStateMemo:
 
         for module in (model, orchestrator):
             monkeypatch.setattr(module, "phase", later_phase)
-        memo, raw = RunMemo(make_config(schema, assertions)), make_raw_state()
+        memo, raw = LiftTable(schema, assertions), make_raw_state()
         lifts = [memo.lift(replace(raw, time=t))[0] for t in (0, 1, 5, 9, 12)]
         assert [z.interaction_state.phase for z in lifts] == ["requested", "active", "active", "late", "late"]
         assert lifts[1] is lifts[2] and lifts[3] is lifts[4] and len(memo._lifts) == 3
@@ -256,7 +256,7 @@ class TestStateMemo:
 
         orchestrator_registry = orchestrator.registry_from_state
         monkeypatch.setattr(orchestrator, "registry_from_state", counting)
-        memo, states = RunMemo(cfg), [scenario.at(tick)[0] for tick in range(scenario.ticks)]
+        memo, states = LiftTable(cfg.schema, cfg.assertions), [scenario.at(tick)[0] for tick in range(scenario.ticks)]
         for x in states:
             assert memo.lift(x)[1] == orchestrator_registry(x, cfg.assertions, cfg.schema)
         assert len(built) == len(set(built)) == len({x.components for x in states}) < len(memo._lifts)
@@ -275,7 +275,7 @@ class TestStateMemo:
 
         request_part = model._request_part
         monkeypatch.setattr(model, "_request_part", counting)
-        memo = RunMemo(cfg)
+        memo = LiftTable(cfg.schema, cfg.assertions)
         assert [memo.lift(x)[0] for x in states] == direct
         assert len(read) == len(set(read)) == len({x.request.request_class for x in states}) < len(memo._lifts)
 
@@ -292,13 +292,13 @@ class TestStateMemo:
         monkeypatch.setattr(orchestrator, "semantic_lift", counting_lift)
         e = cfg.default_regime()
         refused = orchestrator._record_failures(
-            EMPTY_STORE, [("ghost", "runtime-failure")], simple_h, replace(raw, time=1), e, orch.memo
+            EMPTY_STORE, [("ghost", "runtime-failure")], simple_h, replace(raw, time=1), e, orch
         )
         assert refused is EMPTY_STORE
         first, again = (orch.step(replace(raw, time=t), simple_h, e, EMPTY_STORE).trace for t in (1, 2))
         assert first.kind == again.kind == "error"
         assert first.error == again.error and "t:Missing" in first.error
-        assert lifted == [1, 1, 2] and orch.memo._lifts == {}
+        assert lifted == [1, 1, 2] and orch.lifts._lifts == {}
 
 
 class TestTransitionMemo:
@@ -352,7 +352,7 @@ class TestTransitionMemo:
         # a later step meets the same inapplicable rebinding
         scenario, cfg = retail
         h, e = scenario.initial_hypothesis, cfg.default_regime()
-        z, registry = RunMemo(cfg).lift(replace(scenario.initial_state, time=1))
+        z, registry = LiftTable(cfg.schema, cfg.assertions).lift(replace(scenario.initial_state, time=1))
         with pytest.raises(UnknownSite) as refused:
             apply(Rebind("ghost", registry[0]), h)
         facts = [
@@ -374,7 +374,7 @@ class TestTransitionMemo:
         scenario, cfg = retail
         traces = run(scenario, cfg).traces
         tick = scenario.annotation("decision_tick")
-        replayed = replay(scenario, RunMemo(cfg, scenario.lifts), traces)
+        replayed = replay(scenario, cfg, traces)
         trace, _, z, _, h, _ = next(r for r in replayed if r[0].tick == tick)
         e = next(r for r in cfg.regimes if r.label == trace.regime_label)
         cfg.schema.memo.clear()
