@@ -183,26 +183,23 @@ class RegimeSwitchModel:
 
 def structural_charge(h: Hypothesis, h2: Hypothesis, model: RegimeSwitchModel) -> float:
     """Constraint-vector distance plus reassignment count times the unit cost."""
-    return model.structural(*_charge_parts(StepFacts(h), h2))
+    return model.structural(*_charge_parts(h, h2))
 
 
-def _charge_parts(before: "StepFacts", h2: Hypothesis) -> tuple[float, int]:
+def _charge_parts(h: Hypothesis, h2: Hypothesis) -> tuple[float, int]:
     """The constraint-vector distance (a constraint on one side only adds its
     magnitude) and the reassignment count (an added or removed role counts
-    one) of reaching ``h2`` from ``before.h``: the charge without a model."""
-    before_constraints = before.constraints
-    after = h2.constraint_map()
+    one) of reaching ``h2`` from ``h``: the charge without a model."""
+    before, after = h.constraint_map(), h2.constraint_map()
     distance = 0.0
-    for name in sorted(before_constraints.keys() | after.keys()):
-        if name in before_constraints and name in after:
-            distance += abs(before_constraints[name] - after[name])
+    for name in sorted(before.keys() | after.keys()):
+        if name in before and name in after:
+            distance += abs(before[name] - after[name])
         else:
-            distance += abs(before_constraints.get(name, after.get(name, 0.0)))
-    before_roles = before.role_ids
-    after_roles = set(h2.role_ids())
+            distance += abs(before.get(name, after.get(name, 0.0)))
+    before_roles, after_roles = set(h.role_ids()), set(h2.role_ids())
     reassigned = len(before_roles ^ after_roles)
-    before_assignment = before.assignment
-    after_assignment = h2.assignment_map()
+    before_assignment, after_assignment = h.assignment_map(), h2.assignment_map()
     for rid in before_roles & after_roles:
         bound, rebound = before_assignment.get(rid), after_assignment.get(rid)
         if bound is not rebound and bound != rebound:  # most roles keep the very same component
@@ -277,41 +274,40 @@ class StepFacts:
         return _commitments(self.h, self.z, self.schema)
 
     @cached_property
-    def constraints(self) -> dict[str, float]:
-        return self.h.constraint_map()
-
-    @cached_property
-    def role_ids(self) -> frozenset[str]:
-        return frozenset(self.h.role_ids())
-
-    @cached_property
     def assignment(self) -> dict[str, Component]:
         return self.h.assignment_map()
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Transition:
     """Where a transformation takes a configuration ``h``: the configuration
     ``h2`` it reaches or, when it does not apply, ``h`` itself and the
     refusal text ``error``; and ``parts``, the model-free parts of the
     structural charge of reaching ``h2`` from ``h`` (constraint distance
-    and reassignment count), once a candidate has read them.  ``transition``
-    keeps one per distinct pair of configuration and transformation in the
-    schema's memo, so every step of every run and scan that meets the pair
-    reads the same ``h2`` object, digest included, and the same parts; a
-    config's switch model prices the parts, so none of the config is kept."""
+    and reassignment count), worked out when the transition is made.
+    ``transition`` keeps one per distinct pair of configuration and
+    transformation in the schema's memo, so every step of every run and
+    scan that meets the pair reads the same ``h2`` object, digest included,
+    and the same parts; a config's switch model prices the parts, so none
+    of the config is kept.  ``parts`` is None only where a standalone
+    certifier is given no ``h`` (closure, capacity)."""
 
     h2: Hypothesis
     error: str | None = None
-    parts: tuple[float, int] | None = field(default=None, init=False)
+    parts: tuple[float, int] | None = None
+
+    @classmethod
+    def reached(cls, h: Hypothesis, h2: Hypothesis, error: str | None = None) -> "Transition":
+        """The transition from ``h`` to ``h2``, however ``h2`` was reached."""
+        return cls(h2, error, _charge_parts(h, h2))
 
     @classmethod
     def of(cls, tau: Transformation, h: Hypothesis) -> "Transition":
         """``tau`` applied to ``h``, or the refusal of ``apply``."""
         try:
-            return cls(apply(tau, h))
+            return cls.reached(h, apply(tau, h))
         except (UnknownSite, MalformedTransformation) as exc:
-            return cls(h, str(exc))
+            return cls.reached(h, h, str(exc))
 
 
 def transition(h: Hypothesis, tau: Transformation, schema: OntologySchema, key: str | None = None) -> Transition:
@@ -332,7 +328,7 @@ class CandidateFacts:
     reader sees the same value and a fact nobody reads costs nothing.
     ``error`` says why the candidate's transformation is not applicable;
     ``h2`` is then the step's ``h``.  Both are read once from the
-    candidate's ``transition``, which also keeps its structural charge."""
+    candidate's ``transition``, which also holds its charge parts."""
 
     def __init__(self, transition: Transition, step: StepFacts):
         self.transition, self.step = transition, step
@@ -376,13 +372,9 @@ class CandidateFacts:
 
     @property
     def charge(self) -> float:
-        """``structural_charge`` of reaching ``h2`` from ``h`` on the step's
-        switch model, priced from the transition's parts, which are worked
-        out once per transition and carried to every step that meets it."""
-        reached = self.transition
-        if reached.parts is None:
-            reached.parts = _charge_parts(self.step, reached.h2)
-        return self.step.model.structural(*reached.parts)
+        """``structural_charge`` of reaching ``h2`` from ``h``: the
+        transition's parts priced on the step's switch model."""
+        return self.step.model.structural(*self.transition.parts)
 
     @cached_property
     def entry(self) -> LedgerEntry:
@@ -569,7 +561,7 @@ def certify_stability(
 ) -> tuple[Certificate | Violation, DriftLedger]:
     """A2 on reaching ``h2`` from ``h`` on the switch ``e -> e2``, and the
     ledger, charged only on certificate issue."""
-    facts = CandidateFacts(Transition(h2), StepFacts(h, model=model, context=context, e=e2, from_regime=e))
+    facts = CandidateFacts(Transition.reached(h, h2), StepFacts(h, model=model, context=context, e=e2, from_regime=e))
     outcome = _certify("stability", facts, None, ledger, tick)
     return outcome, ledger.charged(facts.entry) if isinstance(outcome, Certificate) else ledger
 
@@ -597,7 +589,7 @@ def certify_invariance(
 ) -> Certificate | Violation:
     """A4 on reaching ``after`` from ``before`` under ``z``."""
     step = StepFacts(before, z, schema, core, context=context)
-    return _certify("invariance", CandidateFacts(Transition(after), step), None, None, tick)
+    return _certify("invariance", CandidateFacts(Transition.reached(before, after), step), None, None, tick)
 
 
 def _substitution_sites(h: Hypothesis, c1: Component) -> tuple[str, ...]:
@@ -632,7 +624,7 @@ def certify_substitution(
     ``context``."""
     sites = _substitution_sites(h, c1)
     step = StepFacts(h, z, schema, core, model=model, context=context, store=store, e=regime)
-    facts = CandidateFacts(Transition(_substituted(h, sites, c1, c2)), step)
+    facts = CandidateFacts(Transition.reached(h, _substituted(h, sites, c1, c2)), step)
     return _substitution(c1, c2, sites, facts, tick)
 
 
@@ -832,7 +824,8 @@ def admissible(
             if sites == (tau.role_id,):
                 site_facts = facts
             else:
-                site_facts = CandidateFacts(Transition(_substituted(h, sites, current, tau.new_component)), step)
+                substituted = _substituted(h, sites, current, tau.new_component)
+                site_facts = CandidateFacts(Transition.reached(h, substituted), step)
             outcome = _substitution(current, tau.new_component, sites, site_facts, tick)
             code = outcome.code if isinstance(outcome, Violation) else "S"
             substitution_result = _as_result(code, outcome, gated=flags.substitution)

@@ -125,10 +125,22 @@ def _plain(types: type, wanted: str, among: tuple | None = None) -> Callable:
 text, integer, boolean = _plain(str, "a string"), _plain(int, "an integer"), _plain(bool, "true or false")
 
 
-def number(value: object) -> float:
+def finite(value: object) -> int | float:
+    """A number that a float can hold, as read: an integer stays an integer."""
     if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= float_info.max:
-        return float(value)
+        return value
     raise wrong(value, "a finite number")
+
+
+def number(value: object) -> float:
+    return float(finite(value))
+
+
+def float_integer(value: object) -> int:
+    """An integer that a float can hold."""
+    if abs(integer(value)) <= float_info.max:
+        return value
+    raise wrong(value, "an integer that a float can hold")
 
 
 def concept(value: object) -> ConceptId:
@@ -144,6 +156,20 @@ def anything(value: object) -> object:
 
 def one_of(*choices: str) -> Callable:
     return _plain(str, f"one of {', '.join(map(repr, choices))}", choices)
+
+
+def first_of(wanted: str, *kinds: Callable) -> Callable:
+    """A value that one of ``kinds`` reads, as the first of them that does."""
+
+    def read_first(value: object):
+        for kind in kinds:
+            try:
+                return kind(value)
+            except GovernanceError:
+                pass
+        raise wrong(value, wanted)
+
+    return read_first
 
 
 def maybe(kind: Callable) -> Callable:

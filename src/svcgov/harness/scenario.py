@@ -24,13 +24,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from ..errors import ConfigError, ParseError, ValidationError
+from ..errors import ConfigError, GovernanceError, ParseError, ValidationError
 from ..certificates import OBLIGATION_CODES
 from ..certify import RegimeSwitchModel
 from ..evaluation import InvariantCore, Regime, StructuralPrior
 from ..fields import (
-    Fields, anything, array, boolean, concept, decode, integer, mapping, number, one_of, read, row, sorted_items, text,
-    wrong,
+    Fields, anything, array, boolean, concept, decode, float_integer, integer, mapping, number, one_of, read, row,
+    sorted_items, text, wrong,
 )
 from ..model import HEALTH, Component, Hypothesis, RawPlatformState, type_soundness
 from ..ontology import AssertionBase, ConceptId, OntologySchema, check_consistency, load_schema
@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: kinds of their arguments.
 PATCH_ARGS = {
     "battery": (text, number), "availability": (text, boolean), "bandwidth": (text, number),
-    "deadline": (integer,), "flag+": (text,), "flag-": (text,), "zone+": (text, concept),
+    "deadline": (float_integer,), "flag+": (text,), "flag-": (text,), "zone+": (text, concept),
     "zone-": (text, concept), "health": (text, one_of(*HEALTH)), "fail": (text, one_of(*OBLIGATION_CODES)),
 }
 
@@ -118,7 +118,7 @@ class Scenario:
             try:
                 for later in range(tick, min(tick + 2, end)):  # none when ``ticks`` is 0
                     lifts.lift(x if later == tick else replace(x, time=later))
-            except Exception as exc:  # TypingError and friends
+            except GovernanceError as exc:
                 problems.append(f"tick {tick}: state does not lift: {exc}")
         if problems:
             raise ValidationError(problems)
@@ -216,7 +216,7 @@ def _parts_from_data(data: Mapping) -> dict:
         dict,
         ontology_text=r.get("ontology_text", text, None),
         ontology=r.get("ontology", text, None),
-        name=r.get("name", text, "scenario"),
+        name=r.get("name", _file_name, "scenario"),
         registry=registry,
         assertions=r.get("assertions", assertions_from_data, AssertionBase({}, (), ())),
         initial_state=r.get("initial_state", lambda d: RawPlatformState.from_data(_with_components(d, registry))),
@@ -225,6 +225,15 @@ def _parts_from_data(data: Mapping) -> dict:
         events=r.get("events", array(ScenarioEvent.from_data), ()),
         annotations=r.get("annotations", mapping(anything, sorted_items), ()),
     )
+
+
+def _file_name(value: object) -> str:
+    """A scenario name, which names the run's output files: one plain
+    file-name component."""
+    name = text(value)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise wrong(value, "one plain file name: not empty, '.' or '..', and without '/', '\\' or NUL")
+    return name
 
 
 def _by_component_id(registry: list[Component]) -> tuple[Component, ...]:

@@ -18,7 +18,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, canonical_object, digest_of, sha256_hex
 from .errors import ConfigError, TypingError
-from .fields import Fields, anything, array, boolean, concept, concepts, integer, mapping, number, one_of, row, text
+from .fields import (
+    Fields, array, boolean, concept, concepts, finite, first_of, float_integer, integer, mapping, number, one_of, row,
+    text,
+)
 from .ontology import (
     AssertionBase,
     Category,
@@ -74,6 +77,18 @@ class ComponentState:
     health: str  # one of HEALTH
 
 
+_PLAIN = first_of("a string, a boolean or a finite number", text, boolean, finite)
+
+#: A request parameter's value: a string, a boolean or a finite number (an
+#: integer stays an integer), or a ``[value, unit]`` pair of one of these
+#: and a string, read as a tuple so that the request hashes.
+_PARAM = first_of(
+    "a string, a boolean, a finite number or a [value, unit] pair of one of these and a string",
+    _PLAIN,
+    row(_PLAIN, text),
+)
+
+
 @dataclass(frozen=True)
 class ServiceRequest:
     request_class: ConceptId
@@ -82,15 +97,13 @@ class ServiceRequest:
 
     @classmethod
     def build(cls, request_class: ConceptId, params: Mapping[str, object], deadline: int) -> "ServiceRequest":
-        # a ``[value, unit]`` pair is kept as a tuple, so that the request hashes
-        frozen = ((name, tuple(v) if isinstance(v, list) else v) for name, v in params.items())
-        return cls(request_class, tuple(sorted(frozen)), deadline)
+        return cls(request_class, tuple(sorted(params.items())), deadline)
 
     @classmethod
     def from_data(cls, data: Mapping) -> "ServiceRequest":
         r = Fields(data)
-        params = r.get("params", mapping(anything), {})
-        return r.build(cls.build, r.get("class", concept), params, r.get("deadline", integer, 0))
+        params = r.get("params", mapping(_PARAM), {})
+        return r.build(cls.build, r.get("class", concept), params, r.get("deadline", float_integer, 0))
 
 
 @dataclass(frozen=True)
@@ -433,14 +446,12 @@ def _zone_signal(
 
 class _Element:
     """Base of the hypothesis elements (role, component, edge and policy
-    rule): keeps the element's canonical text and its hash once computed;
-    ``Hypothesis.digest`` is composed from these texts, and the soundness
-    memo is keyed by them.  The instance is immutable, so neither
-    goes stale; neither is a dataclass field, so they take no part in
-    equality, hashing or repr."""
+    rule): keeps the element's canonical text once computed, from which
+    ``Hypothesis.digest`` and transformation keys are composed.  The
+    instance is immutable, so the text never goes stale; it is not a
+    dataclass field, so it takes no part in equality, hashing or repr."""
 
     _text: str | None = None
-    _hash: int | None = None
 
     def canonical_text(self) -> str:
         """``canonical_dumps(self.to_data())``, computed on first use."""
@@ -449,21 +460,7 @@ class _Element:
         return self._text
 
 
-def _element(cls):
-    """``cls`` as a frozen dataclass whose field hash is computed once."""
-    cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", field_hash(self))
-        return self._hash
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_element
+@dataclass(frozen=True)
 class Component(_Element):
     """A deployable component: its own concept plus the functions it provides."""
 
@@ -485,7 +482,7 @@ class Component(_Element):
         return r.build(cls, r.get("component", text), r.get("concept", concept), provides)
 
 
-@_element
+@dataclass(frozen=True)
 class Role(_Element):
     role_id: str
     requires: frozenset[ConceptId]
@@ -518,7 +515,7 @@ class InterfaceContract:
         return r.build(cls, *(r.get(key, concepts, frozenset()) for key in ("entities", "events", "obligations")))
 
 
-@_element
+@dataclass(frozen=True)
 class Edge(_Element):
     from_role: str
     to_role: str
@@ -589,7 +586,7 @@ def some_clause_holds(clauses: Sequence[Sequence[SignalCondition]], signals: Map
     return False
 
 
-@_element
+@dataclass(frozen=True)
 class PolicyRule(_Element):
     """One guarded orchestration step: when the guard holds on the regime
     signals, ``actor_role`` performs ``relation`` on ``action_concept``.
@@ -780,36 +777,26 @@ class SoundnessReport:
 def type_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
     """Check every hypothesis invariant under the schema's refinement closure.
 
-    The report reads only ``h`` and the schema: it is kept in ``schema.memo``
-    under ``("soundness", h.digest())``, a key that no element verdict's
-    can equal, since an element's canonical text is a JSON object's."""
+    The report reads only ``h`` and the schema, so it is judged once per
+    distinct graph and kept in ``schema.memo`` under
+    ``("soundness", h.digest())``."""
     return schema.remembered(("soundness", h.digest()), _judge_soundness, h, schema)
 
 
 def _judge_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
-    """``type_soundness`` of a graph not judged before on ``schema``.
-
-    The report joins per-element verdicts: each role's requirements, each
-    (role, component) binding, each edge's contract and each policy rule's
-    own checks.  A verdict reads only its element and the schema, so it is
-    computed once per distinct element value and kept in ``schema.memo``
-    under the element's cached canonical text (a rule's with its index, a
-    binding's as the role's and the component's), which stands for the
-    value: scenarios that share a schema find each other's verdicts by
-    comparing strings, not elements.  A candidate then pays only for the
-    elements its transformation made.
-    The graph-shape verdict reads only the role ids and the edge endpoints,
-    and is kept under them.  The checks that read the whole role set run
-    once per graph.  Violations come in a fixed order: requirements,
-    assignment coverage, bindings, edges (endpoints before contract) and
-    policy rules (relation, actor role, then guard, latency and action),
-    then graph shape.
+    """``type_soundness`` of a graph not judged before on ``schema``: every
+    element checked in turn.  Violations come in a fixed order: each role's
+    requirements, assignment coverage, each binding (the component's
+    concepts, then the role's requirements it leaves uncovered), each edge
+    (endpoints, then contract) and each policy rule (relation, actor role,
+    guard, latency, then action), then graph shape.
     """
     violations: list[tuple[str, str]] = []
     roles: dict[str, Role] = {}
     for role in h.roles:
         roles.setdefault(role.role_id, role)
-        violations += schema.remembered(role.canonical_text(), _role_verdict, role, schema)
+        for f in sorted(role.requires):
+            _check_concept(violations, schema, f, Category.FUNCTION, f"role {role.role_id} requirement")
 
     assignment = h.assignment_map()
     for rid in sorted(roles):
@@ -821,25 +808,42 @@ def _judge_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
 
     for rid, comp in h.assignment:
         role = roles.get(rid)
-        if role is not None:
-            key = (role.canonical_text(), comp.canonical_text())
-            violations += schema.remembered(key, _binding_verdict, role, comp, schema)
+        if role is None:
+            continue
+        where = f"component {comp.component_id}"
+        ok = _check_concept(violations, schema, comp.concept, None, where)
+        for f in sorted(comp.provides):
+            ok = _check_concept(violations, schema, f, Category.FUNCTION, f"{where} provides") and ok
+        if ok:
+            for needed in uncovered(role, comp, schema):
+                if schema.declares(needed):
+                    violations.append(
+                        ("function-unsatisfied", f"role {rid}: {where} provides no refinement of {needed}")
+                    )
 
     for e in h.edges:
+        where = f"edge {e.from_role}->{e.to_role}"
         for end in (e.from_role, e.to_role):
             if end not in roles:
-                violations.append(("edge-endpoint-missing", f"edge {e.from_role}->{e.to_role}: unknown role {end}"))
-        violations += schema.remembered(e.canonical_text(), _contract_verdict, e, schema)
+                violations.append(("edge-endpoint-missing", f"{where}: unknown role {end}"))
+        for c in sorted(e.contract.entity_types | e.contract.event_types):
+            _check_concept(violations, schema, c, None, f"{where} contract")
+        for ob in sorted(e.contract.obligations):
+            _check_concept(violations, schema, ob, Category.INTERACTION, f"{where} obligation")
 
     for idx, rule in enumerate(h.policy):
-        relation, rest = schema.remembered((idx, rule.canonical_text()), _rule_verdict, idx, rule, schema)
-        violations += relation
+        if rule.relation not in ("executes", "notifies"):
+            violations.append(("bad-policy-relation", f"policy rule {idx}: unknown relation {rule.relation!r}"))
         if rule.actor_role not in roles:
             violations.append(("bad-policy-role", f"policy rule {idx}: unknown actor role {rule.actor_role}"))
-        violations += rest
+        for cond in rule.guard:
+            violations += [("bad-policy-signal", f"policy rule {idx}: {fault}") for fault in cond.faults()]
+        if rule.latency < 0:
+            violations.append(("bad-policy-latency", f"policy rule {idx}: negative latency"))
+        want = Category.INTERACTION if rule.relation == "notifies" else Category.FUNCTION
+        _check_concept(violations, schema, rule.action_concept, want, f"policy rule {idx} action")
 
-    shape = ("shape", h.role_ids(), tuple((e.from_role, e.to_role) for e in h.edges))
-    violations += schema.remembered(shape, _graph_shape_violations, h)
+    violations += _graph_shape_violations(h)
     return SoundnessReport(sound=not violations, violations=tuple(violations))
 
 
@@ -857,62 +861,11 @@ def _check_concept(
     return True
 
 
-def _role_verdict(role: Role, schema: OntologySchema) -> tuple[tuple[str, str], ...]:
-    out: list[tuple[str, str]] = []
-    for f in sorted(role.requires):
-        _check_concept(out, schema, f, Category.FUNCTION, f"role {role.role_id} requirement")
-    return tuple(out)
-
-
-def _binding_verdict(role: Role, comp: Component, schema: OntologySchema) -> tuple[tuple[str, str], ...]:
-    out: list[tuple[str, str]] = []
-    ok = _check_concept(out, schema, comp.concept, None, f"component {comp.component_id}")
-    for f in sorted(comp.provides):
-        ok = _check_concept(out, schema, f, Category.FUNCTION, f"component {comp.component_id} provides") and ok
-    if ok:
-        for needed in uncovered(role, comp, schema):
-            if schema.declares(needed):
-                out.append(
-                    (
-                        "function-unsatisfied",
-                        f"role {role.role_id}: component {comp.component_id} provides no refinement of {needed}",
-                    )
-                )
-    return tuple(out)
-
-
 def uncovered(role: Role, comp: Component, schema: OntologySchema) -> list[ConceptId]:
     """The requirements of ``role``, sorted, that no function ``comp``
     provides is or refines; an undeclared requirement is never covered."""
     provided = schema.cached_mask(comp.provides)
     return [needed for needed in sorted(role.requires) if not schema.mask_covers(provided, needed)]
-
-
-def _contract_verdict(e: Edge, schema: OntologySchema) -> tuple[tuple[str, str], ...]:
-    out: list[tuple[str, str]] = []
-    for c in sorted(e.contract.entity_types | e.contract.event_types):
-        _check_concept(out, schema, c, None, f"edge {e.from_role}->{e.to_role} contract")
-    for ob in sorted(e.contract.obligations):
-        _check_concept(out, schema, ob, Category.INTERACTION, f"edge {e.from_role}->{e.to_role} obligation")
-    return tuple(out)
-
-
-def _rule_verdict(
-    idx: int, rule: PolicyRule, schema: OntologySchema
-) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
-    """The checks of policy rule ``idx`` that read only the rule, as the
-    part reported before its actor-role check and the part after it."""
-    relation: list[tuple[str, str]] = []
-    if rule.relation not in ("executes", "notifies"):
-        relation.append(("bad-policy-relation", f"policy rule {idx}: unknown relation {rule.relation!r}"))
-    rest: list[tuple[str, str]] = []
-    for cond in rule.guard:
-        rest += [("bad-policy-signal", f"policy rule {idx}: {fault}") for fault in cond.faults()]
-    if rule.latency < 0:
-        rest.append(("bad-policy-latency", f"policy rule {idx}: negative latency"))
-    want = Category.INTERACTION if rule.relation == "notifies" else Category.FUNCTION
-    _check_concept(rest, schema, rule.action_concept, want, f"policy rule {idx} action")
-    return tuple(relation), tuple(rest)
 
 
 def _graph_shape_violations(h: Hypothesis) -> tuple[tuple[str, str], ...]:

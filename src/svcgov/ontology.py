@@ -99,20 +99,20 @@ class OntologySchema:
     concepts a provider set covers are the union of its members' masks
     (``closure_mask``), so each wanted concept costs one AND against it.
 
-    ``memo`` keeps facts that depend on nothing but the schema and
-    immutable values, keyed by the values or by texts that stand for them:
-    the closure mask of a frozen provider set (``cached_mask``); the
-    per-element soundness verdicts of ``model.type_soundness``, keyed by
-    the elements' canonical texts, its graph-shape verdicts and each
-    graph's whole report, under ``("soundness", digest)``; each
-    environment-class digest of ``certificates.environment_digest``, under
+    ``memo`` keeps whole facts that depend on nothing but the schema and
+    immutable values, keyed by the values or by digests that stand for
+    them: the closure mask of a frozen provider set (``cached_mask``); each
+    graph's soundness report (``model.type_soundness``), under
+    ``("soundness", digest)``; each environment-class digest
+    (``certificates.environment_digest``), under
     ``("environment", descriptors)``; and each ``certify.transition``, the
     configuration a transformation reaches from a graph and the model-free
     parts of its charge, under ``("transition", digest, key)``.  An entry
-    never goes stale, so every scenario on the schema reads the entries of
-    the others: a shipped pack's schema is loaded once per process and
-    shared by every scenario built from the pack, and its memo then holds
-    the facts of every value judged on it in the process.
+    is complete when stored and never goes stale, so every scenario on
+    the schema reads the entries of the others: a shipped pack's schema is
+    loaded once per process and shared by every scenario built from the
+    pack, and its memo then holds the facts of every value judged on it in
+    the process.
     """
 
     concepts: Mapping[ConceptId, Category]

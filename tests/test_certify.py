@@ -814,25 +814,6 @@ class TestStepFactsAreComputedOnce:
         expected = [int(v.passed and v.obligation("A2").certified) for v, _, _ in screened]
         assert charged == expected and 0 < sum(charged) < len(charged)
 
-    def test_graph_shape_judged_once_per_role_ids_and_edge_endpoints(self, monkeypatch):
-        from svcgov import model
-
-        shapes = []
-        shape_pass = model._graph_shape_violations
-
-        def counting(h):
-            shapes.append((h.role_ids(), tuple((e.from_role, e.to_role) for e in h.edges)))
-            return shape_pass(h)
-
-        monkeypatch.setattr(model, "_graph_shape_violations", counting)
-        for run in self.family_runs():
-            # the runs of one pack share its schema, so each starts from a cold memo
-            run[0].schema.memo.clear()
-            shapes.clear()
-            screened, _ = self.screened_with_counts(monkeypatch, [run], {})
-            graphs = {facts.h2.digest() for _, facts, _ in screened}
-            assert shapes and len(shapes) == len(set(shapes)) < len(graphs)
-
 
 # ---------------------------------------------------------------------------
 # The obligation table

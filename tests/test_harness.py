@@ -642,7 +642,8 @@ def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
     environment digest that a pack schema's memo keeps equals the one
     worked out on that schema with its memo cleared, and every transition
     it keeps equals a fresh ``Transition.of``: the same configuration
-    digest, refusal text and, once read, charge parts."""
+    digest, refusal text and charge parts.  The memo holds these whole
+    facts and provider masks, nothing finer."""
     inputs = {}  # memo key -> what it was worked out from
     spy_everywhere(monkeypatch, type_soundness, lambda h, _: inputs.setdefault(("soundness", h.digest()), h))
     spy_everywhere(
@@ -662,11 +663,14 @@ def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
     assert [packs._pack(name).schema for name in packs.PACK_NAMES] == list(schemas.values())
     monkeypatch.undo()
     for schema in schemas.values():
+        for key in schema.memo:
+            whole = type(key) is tuple and key[0] in ("soundness", "environment", "transition")
+            assert whole or type(key) is frozenset, key
         kept = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] in ("soundness", "environment")}
         reached = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] == "transition"}
         tags = [key[0] for key in kept]
         assert tags.count("soundness") > 10 and tags.count("environment") > 1
-        assert len(reached) > 10 and any(t.parts for t in reached.values())
+        assert len(reached) > 10 and any(t.parts != (0.0, 0) for t in reached.values())
         for key, value in kept.items():
             schema.memo.clear()
             fact = type_soundness if key[0] == "soundness" else environment_digest
@@ -675,8 +679,7 @@ def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
             h, tau = inputs[key]
             fresh = Transition.of(tau, h)
             assert (value.h2.digest(), value.error) == (fresh.h2.digest(), fresh.error), key
-            if value.parts is not None:
-                assert value.parts == _charge_parts(StepFacts(h), fresh.h2), key
+            assert value.parts == fresh.parts == _charge_parts(h, fresh.h2), key
 
 
 def test_memoised_transitions_match_plain_apply(monkeypatch):
@@ -1331,6 +1334,58 @@ class TestCli:
             assert cli_main([*argv, *extra, "--out", str(out)]) == 0
             trace = json.loads((out / "retail-guidance.trace.json").read_text(encoding="utf-8"))
             assert trace["flags"] == flags, extra
+
+    @staticmethod
+    def run_edited_hospital(tmp_path, edit) -> int:
+        """``svcgov run`` of a copy of the hospital pack whose scenario
+        ``edit`` changed, writing to ``out/sub`` under ``tmp_path``."""
+        shutil.copytree(str(pack_dir("hospital")), tmp_path / "hospital")
+        path = tmp_path / "hospital" / "scenario.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        edit(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        config = tmp_path / "hospital" / "config.json"
+        return cli_main(["run", "--scenario", str(path), "--config", str(config), "--out", str(tmp_path / "out" / "sub")])
+
+    @pytest.mark.parametrize(
+        "name",
+        ["../escaped", "a/b", "", ".", "..", "a\\b", "a\0b"],
+        ids=["parent", "subdirectory", "empty", "dot", "dot-dot", "backslash", "nul"],
+    )
+    def test_run_refuses_a_scenario_name_that_is_not_a_file_name(self, tmp_path, capsys, name):
+        # the name names the output files, so it could write outside --out
+        assert self.run_edited_hospital(tmp_path, lambda d: d.update(name=name)) == 3
+        err = capsys.readouterr().err
+        assert "error validation" in err and "scenario key 'name'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (
+                lambda d: d["initial_state"]["request"]["params"].update(priority={"a": 1}),
+                "initial_state.request.params key 'priority'",
+            ),
+            (
+                lambda d: d["initial_state"]["request"]["params"].update(priority=10**400),
+                "initial_state.request.params key 'priority'",
+            ),
+            (
+                lambda d: d["initial_state"]["request"]["params"].update(priority=[10**400, "s"]),
+                "initial_state.request.params key 'priority'",
+            ),
+            (lambda d: d["initial_state"]["request"].update(deadline=10**400), "initial_state.request key 'deadline'"),
+            (lambda d: d["events"].insert(0, {"tick": 1, "patches": [["deadline", 10**400]]}), "events[0].patches[0][1]"),
+        ],
+        ids=["param-object", "huge-priority", "huge-priority-with-unit", "huge-deadline", "huge-deadline-patch"],
+    )
+    def test_run_refuses_a_request_value_that_does_not_lift_by_its_path(self, tmp_path, capsys, edit, path):
+        # refused where it is read, not as a Python error when the state is lifted
+        assert self.run_edited_hospital(tmp_path, edit) == 3
+        err = capsys.readouterr().err
+        assert "error validation" in err and path in err
+        assert "Traceback" not in err and "unhashable" not in err and "too large" not in err
 
     @pytest.mark.parametrize("extra", [["--scenario", "/nonexistent.json"], ["--config", "/nonexistent.json"]])
     def test_run_refuses_a_pack_with_a_scenario_or_config(self, capsys, extra):

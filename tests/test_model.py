@@ -159,10 +159,10 @@ class TestTypeSoundness:
             c == "graph-disconnected" for c, _ in type_soundness(disconnected, schema).violations
         )
 
-    def test_cyclic_and_disconnected_shapes_judged_after_the_memo_is_warm(self, schema):
-        # the shape verdict is kept under the role ids and edge endpoints; a
-        # graph of a kept shape, whatever its elements, gets the verdict the
-        # unmemoized pass gives it
+    def test_cyclic_and_disconnected_shapes_match_the_reference(self, schema):
+        # two graphs of one shape with different elements each get the
+        # reference's report, when first judged and when read again from
+        # the schema's memo
         a, b, c = (Role(r, frozenset({cid("t:FA")})) for r in "abc")
         shapes = {
             "cyclic": [Edge("a", "b", contract()), Edge("b", "c", contract()), Edge("c", "a", contract())],
@@ -382,10 +382,10 @@ def _edit(data, h: Hypothesis, registry, concepts) -> Hypothesis:
 
 
 class TestSoundnessMatchesWholeGraphReference:
-    """``type_soundness`` joins memoized per-element verdicts; it must give
-    the reference's report, violation order included.  The pack schemas
-    are shared by every draw, so later draws hit verdicts memoized by
-    earlier ones, for elements bound, indexed or placed differently."""
+    """``type_soundness`` must give the reference's report, violation order
+    included, for graphs reached by random edits of the pack hypotheses.
+    The pack schemas are shared by every draw, so a graph met again is read
+    from the report that the schema's memo kept for it."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
