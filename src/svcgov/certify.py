@@ -15,12 +15,17 @@ A transformation is admissible when, for the transformed hypothesis:
 Substitutions additionally pass five conditions (S1 function class or
 certified refinement, S2 dependent roles satisfiable, S3 core certified,
 S4 transition cost within the regime budget, S5 no contradicting failure
-memory).  All bound comparisons are inclusive.  The aggregate verdict
-always reports every obligation; nothing short-circuits silently.
+memory).  S2 is the type soundness of the substituted graph: soundness
+declares every edge contract's concepts, and a graph's vocabularies and
+propagated obligations contain every edge's contract, so on a sound graph
+each role's contract edges are satisfied.  All bound comparisons are
+inclusive.  The aggregate verdict always reports every obligation; nothing
+short-circuits silently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -44,7 +49,7 @@ from .evaluation import (
 )
 from .fields import Fields, array, number, row, text
 from .memory import EMPTY_STORE, TRANSPORTABLE_KINDS, FailureSignature, MemoryStore, find_transportable, match_failure
-from .model import Component, Hypothesis, SemanticState, SoundnessReport, contract_check, type_soundness, uncovered
+from .model import Component, Hypothesis, SemanticState, SoundnessReport, type_soundness, uncovered
 from .ontology import OntologySchema
 from .transform import (
     MalformedTransformation,
@@ -135,6 +140,8 @@ class RegimeSwitchModel:
         for a, b, r in self.residuals:
             if r < 0:
                 raise ConfigError(f"residual bound for {a}->{b} must be nonnegative")
+            if self.cost(a, b) + r == math.inf:
+                raise ConfigError(f"switch cost C({a}, {b}) plus its residual bound overflows a float")
         if self.reassignment_unit_cost < 0:
             raise ConfigError("reassignment unit cost must be nonnegative")
         for part, entries in (("costs", self.costs), ("residuals", self.residuals), ("recipes", self.recipes)):
@@ -636,18 +643,12 @@ def _substitution(
     tick: int,
 ) -> Certificate | Violation:
     """S1-S5 for ``c1 -> c2`` at ``sites``, the candidate's ``h2`` being the
-    graph with every site substituted, in the step's destination regime."""
-    h, h2, schema = facts.step.h, facts.h2, facts.step.schema
-    touched = set(sites)
-    s2_ok = facts.soundness.sound
-    if s2_ok:
-        satisfies = contract_check(h2, schema)
-        s2_ok = all(
-            satisfies(edge.contract) for edge in h2.edges if edge.from_role in touched or edge.to_role in touched
-        )
+    graph with every site substituted, in the step's destination regime.
+    S2 reads ``h2``'s soundness report (see the module docstring)."""
+    h, schema = facts.step.h, facts.step.schema
     conditions = (
         ("S1", "function-class", not any(uncovered(h.role(rid), c2, schema) for rid in sites)),
-        ("S2", "dependent-roles", s2_ok),
+        ("S2", "dependent-roles", facts.soundness.sound),
         ("S3", "core-certified", facts.core_certified),
         ("S4", "transition-budget", facts.charge <= facts.step.e.budgets.switching_cost + BOUND_EPS),
         ("S5", "memory-consistent", not facts.failures),

@@ -16,6 +16,7 @@ obligations.  Comparing a hypothesis against itself always scores 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -554,12 +555,14 @@ def evaluate(
 
     Pipeline latency is the sum of the policy rules' latency annotations,
     divided by the hypothesis's ``speed`` constraint when one is declared
-    (an execution-rate factor, so degrading speed stretches the pipeline).
+    (an execution-rate factor, so degrading speed stretches the pipeline);
+    a latency past the largest float is infinite, and scores 0.
     ``soundness`` is ``type_soundness`` of ``h`` and grades the semantic
     score.  The reuse term comes from the memory module (0 when
     memoryless) and is clamped to [-1, 1] before weighting.  ``switching_cost`` is the
     stability charge of reaching ``h`` and feeds the cost score."""
-    latency = float(sum(rule.latency for rule in h.policy))
+    total = sum(rule.latency for rule in h.policy)
+    latency = float(total) if total <= sys.float_info.max else math.inf
     speed = h.constraint_map().get("speed", 1.0)
     if speed > 0:
         latency = latency / speed
@@ -625,12 +628,19 @@ class StructuralPrior:
 
 def prior_complexity(prior: StructuralPrior, h: Hypothesis) -> float:
     """Weighted motif count minus any preferred-structure bonus, clamped at
-    zero.  Strictly increasing in node count; monotone under subgraphs."""
+    zero.  Strictly increasing in node count; monotone under subgraphs.
+    Raises ConfigError, naming the heaviest weight, when the count
+    overflows a float."""
     raw = (
         prior.node_weight * len(h.roles)
         + prior.edge_weight * len(h.edges)
         + prior.rule_weight * len(h.policy)
         + prior.constraint_weight * len(h.constraints)
     )
+    if raw == math.inf:  # each weight is finite, but their weighted counts can overflow
+        counts = {"node": len(h.roles), "edge": len(h.edges), "rule": len(h.policy), "constraint": len(h.constraints)}
+        key = max(counts, key=lambda k: getattr(prior, f"{k}_weight") * counts[k])
+        weight, count = getattr(prior, f"{key}_weight"), counts[key]
+        raise ConfigError(f"configuration section 'prior': key {key!r} ({weight:g}) times {count} overflows a float")
     bonus = dict(prior.preferred).get(h.digest(), 0.0)
     return max(0.0, raw - bonus)

@@ -410,12 +410,15 @@ def load(path: str | Path) -> MemoryStore:
 
 def _store_entry(data: object) -> tuple:
     """``(record, graph, certificate)`` of one store line, the parts it lacks
-    None: a record, with its graph on the graph's first mention; a graph
-    alone; or a loose certificate."""
+    None: a record, with its graph on the graph's first mention (the graph
+    must have the record's hypothesis digest, as ``record`` requires); a
+    graph alone; or a loose certificate."""
     r = Fields(data)
     if "graph_only" in data:
         return r.build(tuple, (None, r.get("graph_only", Hypothesis.from_data), None))
     if "certificate" in data:
         return r.build(tuple, (None, None, r.get("certificate", Certificate.from_data)))
-    record = r.get("record", MemoryRecord.from_data)
-    return r.build(tuple, (record, r.get("graph", Hypothesis.from_data, None), None))
+    record, graph = r.get("record", MemoryRecord.from_data), r.get("graph", Hypothesis.from_data, None)
+    if record is not None and graph is not None and graph.digest() != record.hypothesis_digest:
+        r.refuse(("graph",), f"has digest {graph.digest()}, not the record's hypothesis {record.hypothesis_digest}")
+    return r.build(tuple, (record, graph, None))

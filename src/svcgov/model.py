@@ -14,7 +14,7 @@ digests are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, canonical_object, digest_of, sha256_hex
 from .errors import ConfigError, TypingError
@@ -612,7 +612,7 @@ class PolicyRule(_Element):
         r = Fields(data)
         guard = r.get("guard", array(SignalCondition.from_data), ())
         relation, role, action = r.get("relation", text), r.get("role", text), r.get("action", concept)
-        return r.build(cls, guard, relation, role, action, r.get("latency", integer, 0))
+        return r.build(cls, guard, relation, role, action, r.get("latency", float_integer, 0))
 
 
 def _sorted_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
@@ -919,23 +919,17 @@ def _graph_shape_violations(h: Hypothesis) -> tuple[tuple[str, str], ...]:
 # ---------------------------------------------------------------------------
 
 
-def contract_check(h: Hypothesis, schema: OntologySchema) -> Callable[[InterfaceContract], bool]:
-    """Whether ``h`` satisfies a contract: its entity and event vocabularies
-    cover the contract's types up to refinement, and it propagates every
-    contract obligation exactly.  ``h``'s masks are built once, so one check
-    serves many contracts."""
+def contract_check(h: Hypothesis, contract: InterfaceContract, schema: OntologySchema) -> bool:
+    """Whether ``h`` satisfies ``contract``: its entity and event
+    vocabularies cover the contract's types up to refinement, and it
+    propagates every contract obligation exactly."""
     entities = schema.closure_mask(h.entity_vocabulary())
     events = schema.closure_mask(h.event_vocabulary())
-    honored = h.propagated_obligations()
-
-    def satisfies(contract: InterfaceContract) -> bool:
-        return (
-            all(schema.mask_covers(entities, t) for t in contract.entity_types)
-            and all(schema.mask_covers(events, t) for t in contract.event_types)
-            and contract.obligations <= honored
-        )
-
-    return satisfies
+    return (
+        all(schema.mask_covers(entities, t) for t in contract.entity_types)
+        and all(schema.mask_covers(events, t) for t in contract.event_types)
+        and contract.obligations <= h.propagated_obligations()
+    )
 
 
 def interface_compatible(
@@ -945,4 +939,4 @@ def interface_compatible(
     schema: OntologySchema,
 ) -> bool:
     """True iff both boundaries satisfy the contract."""
-    return all(contract_check(side, schema)(contract) for side in (upstream, downstream))
+    return all(contract_check(side, contract, schema) for side in (upstream, downstream))

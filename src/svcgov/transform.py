@@ -40,33 +40,21 @@ class Substitute(_Transformation):
     rationale: str = ""
 
 
-@dataclass(frozen=True)
-class Attachment:
-    """A contract edge joining an existing role to a role of an added part
-    (either direction)."""
+#: An added part's boundary edge, joining an existing role to a role of the
+#: part (either direction).
+Attachment = Edge
 
-    from_role: str
-    to_role: str
-    contract: InterfaceContract
 
-    def joins(self, existing: set[str], part_roles: set[str]) -> bool:
-        """Whether the edge has an end among ``existing`` roles and one among ``part_roles``."""
-        ends = {self.from_role, self.to_role}
-        return bool(ends & existing) and bool(ends & part_roles)
-
-    def to_data(self) -> dict:
-        return {"from": self.from_role, "to": self.to_role, "contract": self.contract.to_data()}
-
-    @classmethod
-    def from_data(cls, data: Mapping) -> "Attachment":
-        r = Fields(data)
-        return r.build(cls, r.get("from", text), r.get("to", text), r.get("contract", InterfaceContract.from_data))
+def joins(edge: Edge, existing: set[str], part_roles: set[str]) -> bool:
+    """Whether ``edge`` has an end among ``existing`` roles and one among ``part_roles``."""
+    ends = {edge.from_role, edge.to_role}
+    return bool(ends & existing) and bool(ends & part_roles)
 
 
 @dataclass(frozen=True)
 class AddSubservice(_Transformation):
     part: Hypothesis
-    attach: tuple[Attachment, ...]
+    attach: tuple[Edge, ...]
     rationale: str = ""
 
 
@@ -100,7 +88,7 @@ Transformation = Union[Substitute, AddSubservice, RemoveSubservice, Rebind, Upda
 #: of its fields in constructor order before the rationale.
 _VARIANTS = {
     "substitute": (Substitute, (("role", text), ("old", text), ("new", Component.from_data))),
-    "add_subservice": (AddSubservice, (("part", Hypothesis.from_data), ("attach", array(Attachment.from_data), ()))),
+    "add_subservice": (AddSubservice, (("part", Hypothesis.from_data), ("attach", array(Edge.from_data), ()))),
     "remove_subservice": (RemoveSubservice, (("roles", array(text, frozenset)),)),
     "rebind": (Rebind, (("role", text), ("new", Component.from_data))),
     "update_constraint": (UpdateConstraint, (("name", text), ("bound", number))),
@@ -360,7 +348,7 @@ def compose(
 
     h = parts[0]
     for left, right, contract in zip(parts, parts[1:], contracts):
-        attach = tuple(Attachment(s, t, contract) for s in left.sinks() for t in right.sources())
+        attach = tuple(Edge(s, t, contract) for s in left.sinks() for t in right.sources())
         h = apply(AddSubservice(right, attach), h)
     return h
 
@@ -383,12 +371,12 @@ def _apply_add(tau: AddSubservice, h: Hypothesis) -> Hypothesis:
         raise MalformedTransformation(f"part roles collide with hypothesis: {', '.join(sorted(overlap))}")
 
     for a in tau.attach:
-        if not a.joins(existing, part_roles):
+        if not joins(a, existing, part_roles):
             raise UnknownSite(f"attachment {a.from_role}->{a.to_role} must join an existing role and a part role")
 
     roles = list(h.roles) + list(tau.part.roles)
     edges = list(h.edges) + list(tau.part.edges)
-    edges.extend(Edge(a.from_role, a.to_role, a.contract) for a in tau.attach)
+    edges.extend(tau.attach)
     assignment = h.assignment_map()
     assignment.update(tau.part.assignment_map())
     policy = list(h.policy) + list(tau.part.policy)
@@ -404,9 +392,7 @@ def _part_present(tau: AddSubservice, h: Hypothesis) -> bool:
     if any(roles.get(r.role_id) != r for r in part.roles):
         return False
     edges = set(h.edges)
-    if any(e not in edges for e in part.edges):
-        return False
-    if any(Edge(a.from_role, a.to_role, a.contract) not in edges for a in tau.attach):
+    if any(e not in edges for e in (*part.edges, *tau.attach)):
         return False
     assignment = h.assignment_map()
     if any(assignment.get(rid) != comp for rid, comp in part.assignment):
@@ -459,7 +445,7 @@ def generate_candidates(
         for proto in grammar.addable:
             part_roles = set(proto.part.role_ids())
             # a part already attached (or colliding) is skipped
-            if not part_roles & existing and all(a.joins(existing, part_roles) for a in proto.attach):
+            if not part_roles & existing and all(joins(a, existing, part_roles) for a in proto.attach):
                 out.append(proto)
 
     rule = grammar.rule("remove_subservice")
@@ -509,14 +495,11 @@ def diff(h: Hypothesis, h2: Hypothesis) -> list[Transformation]:
     if added:
         part_roles = [r for r in h2.roles if r.role_id in added]
         part_edges = [e for e in h2.edges if e.from_role in added and e.to_role in added]
-        crossing = [
-            e for e in h2.edges if (e.from_role in added) != (e.to_role in added)
-        ]
+        crossing = tuple(e for e in h2.edges if (e.from_role in added) != (e.to_role in added))
         part_assignment = {rid: c for rid, c in h2.assignment if rid in added}
         part_policy = [p for p in h2.policy if p.actor_role in added]
         part = Hypothesis.build(part_roles, part_edges, part_assignment, part_policy, {})
-        attach = tuple(Attachment(e.from_role, e.to_role, e.contract) for e in crossing)
-        steps.append(AddSubservice(part, attach, rationale="diff"))
+        steps.append(AddSubservice(part, crossing, rationale="diff"))
 
     before_assignment = h.assignment_map()
     after_assignment = h2.assignment_map()

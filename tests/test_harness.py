@@ -1288,6 +1288,22 @@ class TestCli:
         assert "error corrupt-store" in err and "hypothesis" in err
         assert "Traceback" not in err
 
+    def test_run_with_a_store_graph_under_another_digest_exits_five(self, tmp_path, capsys):
+        from svcgov.memory import persist
+        from svcgov.harness.packs import load_pack
+
+        path = tmp_path / "mem.store"
+        persist(run(*load_pack("retail")).store, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        entries = [json.loads(line) for line in lines[1:-1]]
+        edited = next(i for i, e in enumerate(entries) if "record" in e and "graph" in e)
+        entries[edited]["graph"]["constraints"]["latency"] += 1.0
+        write_checksummed_store(path, entries)
+        assert cli_main(["run", "--pack", "retail", "--store", str(path)]) == 5
+        err = capsys.readouterr().err
+        assert "error corrupt-store" in err and f"store line {edited + 2} key 'graph'" in err
+        assert "Traceback" not in err
+
     def test_run_with_non_utf8_store_exits_five(self, tmp_path, capsys):
         store = tmp_path / "mem.store"
         store.write_bytes(b"svcgov-memory v1\n\xff\xfe\n")
@@ -1386,6 +1402,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error validation" in err and path in err
         assert "Traceback" not in err and "unhashable" not in err and "too large" not in err
+
+    def run_edited_hospital_config(self, tmp_path, edit) -> int:
+        """``svcgov run`` of the hospital scenario with a copy of its config that ``edit`` changed."""
+        data = hospital_config_data()
+        edit(data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        scenario = pack_dir("hospital") / "scenario.json"
+        return cli_main(["run", "--scenario", str(scenario), "--config", str(config), "--out", str(tmp_path / "out")])
+
+    def test_run_refuses_a_prior_weight_whose_complexity_overflows(self, tmp_path, capsys):
+        # each weight is finite, but 1e308 per role is past the largest float
+        # for any graph of two roles or more
+        assert self.run_edited_hospital_config(tmp_path, lambda d: d["prior"].update(node=1e308)) == 4
+        err = capsys.readouterr().err
+        assert "error config" in err and "section 'prior': key 'node'" in err
+        assert "Traceback" not in err
+
+    def test_run_refuses_a_switch_whose_cost_and_residual_overflow(self, tmp_path, capsys):
+        def edit(data):
+            data["switch_model"]["costs"][0][2] = data["switch_model"]["residuals"][0][2] = 1e308
+
+        assert self.run_edited_hospital_config(tmp_path, edit) == 4
+        err = capsys.readouterr().err
+        assert "error config" in err and "C(routine, emergency)" in err and "key 'switch_model'" in err
+        assert "Traceback" not in err
+
+    def test_run_scores_latencies_too_long_to_sum_in_finite_numbers(self, tmp_path, capsys):
+        # each latency fits a float, their sum does not: the task score is 0
+        def edit(data):
+            for rule in data["initial_hypothesis"]["policy"][:2]:
+                rule["latency"] = 10**308
+
+        assert self.run_edited_hospital(tmp_path, edit) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        text = (tmp_path / "out" / "sub" / "hospital-delivery.trace.json").read_text(encoding="utf-8")
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"trace holds {name}"))
+
+    def test_run_refuses_a_latency_that_no_float_holds(self, tmp_path, capsys):
+        def edit(data):
+            data["initial_hypothesis"]["policy"][0]["latency"] = 10**400
+
+        assert self.run_edited_hospital(tmp_path, edit) == 3
+        err = capsys.readouterr().err
+        assert "error validation" in err and "key 'latency'" in err and "an integer that a float can hold" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("extra", [["--scenario", "/nonexistent.json"], ["--config", "/nonexistent.json"]])
     def test_run_refuses_a_pack_with_a_scenario_or_config(self, capsys, extra):

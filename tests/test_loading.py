@@ -192,7 +192,7 @@ def test_every_loader_reads_back_what_to_data_wrote(name):
 
 def test_the_round_trips_reach_every_loader():
     reached = {loader for name in ROUND_TRIP_CASES for loader, _ in _loadables(*_round_trip_case(name))}
-    assert len(reached) == 27
+    assert len(reached) == 26
 
 
 ROUND_TRIP_REPORT = bench.MetricsReport("substitution", "full", (0, 1), 1.0, 0.5, 2.0, 0.0, 0.25, 3)

@@ -730,3 +730,15 @@ class TestPersistence:
         write_checksummed_store(path, [entry])
         with pytest.raises(CorruptStore, match="store line 2"):
             load(path)
+
+    def test_a_record_graph_without_the_record_digest_is_corrupt(self, tmp_path, simple_h):
+        # ``record`` refuses this pair, so a store that holds it was edited;
+        # filed under the record's digest, the graph would stand in for
+        # another subject when transport measures distances
+        store = record(EMPTY_STORE, MemoryRecord("base", simple_h.digest(), None, "success", None), graph=simple_h)
+        entry = {"record": store.records[0].to_data(), "graph": simple_h.to_data()}
+        entry["graph"]["constraints"]["latency"] = 11.0
+        path = tmp_path / "edited.store"
+        write_checksummed_store(path, [entry])
+        with pytest.raises(CorruptStore, match=rf"hypothesis {simple_h.digest()} \(at store line 2 key 'graph'\)"):
+            load(path)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from svcgov.canon import canonical_dumps, digest_of
 from svcgov.certificates import CertContext, environment_digest
-from svcgov.certify import certify_substitution
+from svcgov.certify import admissible, certify_substitution
 from svcgov.errors import IncompatibleInterface, TypingError, UnknownSite
 from svcgov.evaluation import IdentityBreakdown, absolute_identity, identity_breakdown
 from svcgov.memory import EMPTY_STORE
@@ -46,7 +46,10 @@ from conftest import (
     chain_hypothesis,
     cid,
     contract,
+    make_component,
+    make_config,
     make_raw_state,
+    regime,
 )
 
 
@@ -452,10 +455,10 @@ def _provided(h: Hypothesis) -> frozenset:
 
 def reference_s2(h2: Hypothesis, sites, schema) -> bool:
     """S2 as an edge-by-edge loop over the substituted graph ``h2``, each
-    contract type filtered by ``schema.declares`` (the loop that the shared
-    contract check replaced): on a type-sound graph, every edge at a
-    substituted site has its entity and event types covered and its
-    obligations propagated."""
+    contract type filtered by ``schema.declares`` (the loop that S2 ran
+    before it became the graph's soundness): on a type-sound graph, every
+    edge at a substituted site has its entity and event types covered and
+    its obligations propagated."""
     if not type_soundness(h2, schema).sound:
         return False
     entities = schema.closure_mask(h2.entity_vocabulary())
@@ -505,9 +508,9 @@ def reference_interface_compatible(upstream: Hypothesis, downstream: Hypothesis,
 class TestAdmissibilityRulesMatchTheirReferences:
     """Absolute identity, the identity breakdown, S1, S2 and interface
     compatibility are each built from one shared rule (a commitment
-    comparison, a coverage rule, a contract check); on edited pack
-    hypotheses they must equal the formulas written out in full, to the
-    bit."""
+    comparison, a coverage rule, the soundness report, a contract check);
+    on edited pack hypotheses they must equal the formulas written out in
+    full, to the bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -543,6 +546,24 @@ class TestAdmissibilityRulesMatchTheirReferences:
                 h2 = apply(Substitute(rid, c1.component_id, c2), h2)
             assert out.evidence_map()["conditions"]["S1"] == reference_s1(h, sites, c2, schema)
             assert out.evidence_map()["conditions"]["S2"] == reference_s2(h2, sites, schema)
+            assert out.evidence_map()["conditions"]["S2"] == type_soundness(h2, schema).sound
+
+    def test_a_multi_site_substitution_is_judged_on_its_own_graph(self, schema, assertions, z):
+        # ``uac`` covers both r1 (FA) and r3 (FC); the candidate binds UNIT_A
+        # at r1 only and stays sound, while the substitution graph binds it
+        # at r3 too, where FC is left uncovered
+        uac = make_component("uac", "t:UnitC", ("t:FA", "t:FC"))
+        h = chain_hypothesis([("r1", "t:FA", uac), ("r2", "t:FB", UNIT_B), ("r3", "t:FC", uac)])
+        tau = Substitute("r1", "uac", UNIT_A)
+        verdict = admissible(tau, h, z, regime(), EMPTY_STORE, make_config(schema, assertions))
+        h2 = apply(tau, h)
+        substituted = apply(Substitute("r3", "uac", UNIT_A), h2)
+        assert type_soundness(h, schema).sound and type_soundness(h2, schema).sound
+        evidence = verdict.substitution.violation.evidence_map()
+        assert evidence["sites"] == ["r1", "r3"]
+        s2 = evidence["conditions"]["S2"]
+        assert s2 is type_soundness(substituted, schema).sound is reference_s2(substituted, {"r1", "r3"}, schema)
+        assert s2 is False and evidence["conditions"]["S1"] is False
 
 
 class TestInterfaceCompatibility:

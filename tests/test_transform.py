@@ -111,7 +111,7 @@ class TestApply:
 
 def reference_attachment_refusal(tau: AddSubservice, h: Hypothesis) -> str | None:
     """The attachment checks that ``generate_candidates`` and ``_apply_add``
-    each wrote out, before ``Attachment.joins`` stated them once: the
+    each wrote out, before ``transform.joins`` stated them once: the
     refusal ``apply`` raised for a part whose roles are all new, if any."""
     existing, part_roles = set(h.role_ids()), set(tau.part.role_ids())
     for a in tau.attach:
@@ -170,6 +170,9 @@ class TestApplyKeepsSortedParts:
 class TestAttachmentRule:
     """Generation proposes exactly the addable parts that ``apply`` attaches
     without ``UnknownSite``, and both agree with the checks they replaced."""
+
+    def test_an_attachment_is_an_edge(self):
+        assert Attachment is Edge
 
     @settings(max_examples=200, deadline=None)
     @given(
