@@ -21,6 +21,10 @@ propagated obligations contain every edge's contract, so on a sound graph
 each role's contract edges are satisfied.  All bound comparisons are
 inclusive.  The aggregate verdict always reports every obligation; nothing
 short-circuits silently.
+
+Every obligation and condition reads one set of candidate facts
+(``StepFacts``, ``CandidateFacts``): each fact about a candidate, its
+commitments included, has that one producer and is computed once.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .evaluation import (
     Regime,
     ScoreBreakdown,
     StructuralPrior,
-    _commitments,
+    commitments_of,
     core_value,
     evaluate,
     identity_breakdown,
@@ -224,10 +228,15 @@ class StepFacts:
     """What one screening step fixes for every candidate it screens: the
     configuration ``h`` that candidates start from, the semantic state
     ``z``, the parts of the config that the obligations read, the
-    certificate context, the memory store that S5 reads (the empty store
-    with the memory gate off) and the regime switch ``from_regime -> e``
-    that candidates are screened on.  The facts about ``h`` are computed
-    on first use and then kept, so every candidate reads the same value.
+    certificate context, the memory store and the regime switch
+    ``from_regime -> e`` that candidates are screened on.  The facts about
+    ``h`` are computed on first use and then kept, so every candidate reads
+    the same value.  This and ``CandidateFacts`` are the only engine
+    callers of ``commitments_of``.
+
+    The memory gate is decided once, in ``screening``: with the gate off
+    the step's store is the empty store, so certificate transport finds
+    nothing, S5 matches no failure and the reuse score is 0.
 
     ``Orchestrator.step`` builds one per decision step and the regret
     oracle one per tick.  A standalone certifier or a bare ``admissible``
@@ -267,18 +276,16 @@ class StepFacts:
         config = cfg.schema, cfg.core, cfg.prior, cfg.switch_model
         return cls(h, z, *config, context, store, e, from_regime or e, cfg.grammar, budget)
 
-    def candidate(self, tau: Transformation, key: str | None = None) -> "CandidateFacts":
+    def candidate(self, tau: Transformation) -> "CandidateFacts":
         """The facts of the configuration that ``tau`` reaches from ``h``;
         when ``tau`` is not applicable, of ``h`` itself, with the reason.
-        The transition is read through ``transition`` on the step's schema
-        (``key``, when the caller has read it already, is
-        ``transformation_key(tau)``)."""
-        return CandidateFacts(transition(self.h, tau, self.schema, key), self)
+        The transition is read through ``transition`` on the step's schema."""
+        return CandidateFacts(transition(self.h, tau, self.schema), self)
 
     @cached_property
     def commitments(self) -> Commitments:
         """What ``h`` commits to under ``z``: the before side of identity."""
-        return _commitments(self.h, self.z, self.schema)
+        return commitments_of(self.h, self.z, self.schema)
 
     @cached_property
     def assignment(self) -> dict[str, Component]:
@@ -317,15 +324,14 @@ class Transition:
             return cls.reached(h, h, str(exc))
 
 
-def transition(h: Hypothesis, tau: Transformation, schema: OntologySchema, key: str | None = None) -> Transition:
+def transition(h: Hypothesis, tau: Transformation, schema: OntologySchema) -> Transition:
     """``Transition.of(tau, h)``, kept in ``schema.memo`` under the digest of
-    ``h`` and ``transformation_key(tau)`` (``key``, when the caller has read
-    it already).  It is keyed by the canonical key, never by the value:
+    ``h`` and ``transformation_key(tau)``, which ``tau`` keeps once read.  It
+    is keyed by the canonical key, never by the value:
     ``UpdateConstraint("v", 0.0)`` and ``UpdateConstraint("v", -0.0)`` are
     equal and hash equal, yet they reach configurations of different
     digests."""
-    pair = "transition", h.digest(), transformation_key(tau) if key is None else key
-    return schema.remembered(pair, Transition.of, tau, h)
+    return schema.remembered(("transition", h.digest(), transformation_key(tau)), Transition.of, tau, h)
 
 
 class CandidateFacts:
@@ -350,25 +356,16 @@ class CandidateFacts:
     def commitments(self) -> Commitments:
         """What ``h2`` commits to under ``z``; both identity measures and the
         core predicates read it."""
-        return _commitments(self.h2, self.step.z, self.step.schema)
+        return commitments_of(self.h2, self.step.z, self.step.schema)
 
     @cached_property
     def core_report(self) -> CoreReport:
         step = self.step
-        return core_value(step.core, self.h2, step.z, step.schema, commitments=self.commitments)
+        return core_value(step.core, self.h2, step.z, step.schema, self.commitments)
 
     @cached_property
     def identity(self) -> IdentityBreakdown:
-        step = self.step
-        return identity_breakdown(
-            step.core.identity,
-            step.h,
-            self.h2,
-            step.z,
-            step.schema,
-            before_commitments=step.commitments,
-            after_commitments=self.commitments,
-        )
+        return identity_breakdown(self.step.core.identity, self.step.commitments, self.commitments)
 
     @cached_property
     def core_certified(self) -> bool:
@@ -805,8 +802,9 @@ def admissible(
     obligations, results, transported = [], [], 0
     for kind, code, rule in OBLIGATIONS:
         outcome = None
-        if flags.memory and kind in TRANSPORTABLE_KINDS:
-            # a certificate transported from memory stands in for the rule
+        if kind in TRANSPORTABLE_KINDS:
+            # a certificate transported from the step's store (the empty
+            # store with the memory gate off) stands in for the rule
             outcome = find_transportable(step.store, kind, h2, environment, cfg.transport_max_distance, e.label)
             transported += outcome is not None
         if outcome is None:

@@ -11,6 +11,12 @@ The invariant core pairs the identity functional with named hard safety
 predicates.  Identity aggregates four preservation sub-scores: request
 class, mandatory outputs, hard safety constraints, essential interaction
 obligations.  Comparing a hypothesis against itself always scores 1.
+
+Identity, the core and its predicates read a configuration's
+``Commitments`` and never build them: ``commitments_of`` builds them, and
+the engine calls it only from ``certify``'s step and candidate facts, so
+each candidate's commitments are built once.  ``identity_score`` is the one
+convenience entry that builds both sides itself.
 """
 
 from __future__ import annotations
@@ -153,6 +159,10 @@ class IdentitySpec:
     threshold: float
 
     def __post_init__(self) -> None:
+        weights = self.to_data()["weights"]
+        negative = [name for name, weight in weights.items() if weight < 0]
+        if negative:
+            raise ConfigError(f"identity sub-score weights must be nonnegative: {', '.join(negative)}")
         total = (
             self.request_class_weight
             + self.outputs_weight
@@ -221,8 +231,10 @@ class Commitments(NamedTuple):
     provided: int = 0
 
 
-def _commitments(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> Commitments:
-    """What ``h`` commits to under ``z``, read from one provider mask."""
+def commitments_of(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> Commitments:
+    """What ``h`` commits to under ``z``, read from one provider mask.  The
+    engine builds them only in ``certify``'s step and candidate facts; every
+    measure below reads them and never builds them."""
     provided = provider_mask(h, schema)
     return Commitments(
         _covered(provided, z.required_functions, schema),
@@ -278,24 +290,10 @@ def _identity(
     return s_request, s_outputs, s_safety, s_interactions, total
 
 
-def identity_breakdown(
-    spec: IdentitySpec,
-    before: Hypothesis,
-    after: Hypothesis,
-    z: SemanticState,
-    schema: OntologySchema,
-    *,
-    before_commitments: Commitments | None = None,
-    after_commitments: Commitments | None = None,
-) -> IdentityBreakdown:
-    """``before_commitments`` and ``after_commitments`` are
-    ``_commitments(before, z, schema)`` and ``_commitments(after, z,
-    schema)`` when the caller has already built them."""
-    if before_commitments is None:
-        before_commitments = _commitments(before, z, schema)
-    if after_commitments is None:
-        after_commitments = _commitments(after, z, schema)
-    return IdentityBreakdown(*_identity(spec, before_commitments, after_commitments))
+def identity_breakdown(spec: IdentitySpec, before: Commitments, after: Commitments) -> IdentityBreakdown:
+    """The four preservation sub-scores of the ``after`` commitments against
+    the ``before`` ones, and their weighted total."""
+    return IdentityBreakdown(*_identity(spec, before, after))
 
 
 def identity_score(
@@ -306,26 +304,18 @@ def identity_score(
     schema: OntologySchema,
 ) -> float:
     """Weighted mean of the four preservation sub-scores of ``after``
-    against ``before`` under ``z``; always 1.0 when after equals before."""
-    return identity_breakdown(spec, before, after, z, schema).total
+    against ``before`` under ``z``; always 1.0 when after equals before.
+    It builds both sides' commitments itself, for a caller that holds no
+    candidate facts."""
+    return identity_breakdown(spec, commitments_of(before, z, schema), commitments_of(after, z, schema)).total
 
 
-def absolute_identity(
-    spec: IdentitySpec,
-    h: Hypothesis,
-    z: SemanticState,
-    schema: OntologySchema,
-    *,
-    commitments: Commitments | None = None,
-) -> float:
-    """Identity of a single hypothesis against the commitments recorded in
-    the semantic state: its required and output functions and its pending
-    obligations.  The state records no safety bounds (hard safety is
-    carried by the core's predicates), so that sub-score counts full.
-    ``commitments`` is ``_commitments(h, z, schema)`` when the caller has
-    already built it."""
-    if commitments is None:
-        commitments = _commitments(h, z, schema)
+def absolute_identity(spec: IdentitySpec, z: SemanticState, commitments: Commitments) -> float:
+    """Identity of a single hypothesis, given by its ``commitments`` under
+    ``z``, against the commitments recorded in the semantic state: its
+    required and output functions and its pending obligations.  The state
+    records no safety bounds (hard safety is carried by the core's
+    predicates), so that sub-score counts full."""
     recorded = Commitments(z.required_functions, z.output_functions, {}, z.pending_obligations())
     return _identity(spec, recorded, commitments)[-1]
 
@@ -406,13 +396,9 @@ class SafetyPredicate:
             raise ConfigError(f"safety predicate {self.name!r}: {exc}") from exc
         object.__setattr__(self, "_check", check)
 
-    def check(
-        self, h: Hypothesis, z: SemanticState, schema: OntologySchema, commitments: Commitments | None = None
-    ) -> bool:
-        """``commitments`` is ``_commitments(h, z, schema)`` when the caller
-        has already built it."""
-        if commitments is None:
-            commitments = _commitments(h, z, schema)
+    def check(self, h: Hypothesis, z: SemanticState, schema: OntologySchema, commitments: Commitments) -> bool:
+        """The predicate on ``h`` under ``z``, whose ``commitments`` are
+        ``commitments_of(h, z, schema)``."""
         return self._check(h, z, schema, commitments)
 
     def to_data(self) -> dict:
@@ -481,26 +467,19 @@ class CoreReport:
 
 
 def core_value(
-    core: InvariantCore,
-    h: Hypothesis,
-    z: SemanticState,
-    schema: OntologySchema,
-    *,
-    commitments: Commitments | None = None,
+    core: InvariantCore, h: Hypothesis, z: SemanticState, schema: OntologySchema, commitments: Commitments
 ) -> CoreReport:
-    """Evaluate the invariant core on a single hypothesis.
+    """Evaluate the invariant core on a single hypothesis, whose
+    ``commitments`` are ``commitments_of(h, z, schema)``; every predicate
+    and ``absolute_identity`` read them.
 
     value = identity term + hard-safety term (1 when every predicate holds,
     else 0).  The report fails on any predicate failure, and on identity
     below threshold when identity is part of the core; the threshold
-    comparison is inclusive.  ``commitments`` is ``_commitments(h, z,
-    schema)`` when the caller has already built it; every predicate and
-    ``absolute_identity`` read it."""
-    if commitments is None:
-        commitments = _commitments(h, z, schema)
+    comparison is inclusive."""
     results = tuple((p.name, p.check(h, z, schema, commitments)) for p in core.predicates)
     all_safe = all(ok for _, ok in results)
-    ident = absolute_identity(core.identity, h, z, schema, commitments=commitments)
+    ident = absolute_identity(core.identity, z, commitments)
     value = ident + (1.0 if all_safe else 0.0)
     passed = all_safe and core.identity_holds(ident)
     return CoreReport(value=value, passed=passed, identity_value=ident, predicate_results=results)

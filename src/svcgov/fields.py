@@ -190,6 +190,20 @@ def array(kind: Callable, into: Callable = tuple) -> Callable:
     return read_array
 
 
+def distinct(kind: Callable, at: str | int) -> Callable:
+    """``kind``, an ``array`` kind, refusing each item whose id, the item's
+    value at ``at``, repeats the id of an earlier item."""
+
+    def read_distinct(value: object):
+        items, first = kind(value), {}
+        repeats = [(i, item[at]) for i, item in enumerate(value) if first.setdefault(item[at], i) != i]
+        if repeats:
+            raise Malformed([((i, at), "refused", f"repeats {k!r}, the id of entry {first[k]}") for i, k in repeats])
+        return items
+
+    return read_distinct
+
+
 def mapping(kind: Callable, into: Callable = dict) -> Callable:
     """An object with free keys, each value read as ``kind``, as ``into(dict)``."""
 

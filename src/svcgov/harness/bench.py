@@ -214,7 +214,7 @@ def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> Ti
     deployed = deployed_key = None
     if trace.selected is not None:
         deployed_key = transformation_key(trace.selected)
-        deployed = step.candidate(trace.selected, deployed_key)
+        deployed = step.candidate(trace.selected)
         achieved = deployed.score(0.0).total
     else:
         achieved = evaluate(e_true, h_before, z, 0.0, type_soundness(h_before, cfg.schema)).total
@@ -226,7 +226,7 @@ def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> Ti
     for key, tau in candidates:
         if key == deployed_key:  # it scores exactly the score achieved
             continue
-        facts = step.candidate(tau, key)
+        facts = step.candidate(tau)
         score = facts.score(0.0).total
         if score > achieved:
             above.append((score, tau, facts))

@@ -29,8 +29,8 @@ from ..certificates import OBLIGATION_CODES
 from ..certify import RegimeSwitchModel
 from ..evaluation import InvariantCore, Regime, StructuralPrior
 from ..fields import (
-    Fields, anything, array, boolean, concept, decode, float_integer, integer, mapping, number, one_of, read, row,
-    sorted_items, text, wrong,
+    Fields, anything, array, boolean, concept, decode, distinct, float_integer, integer, mapping, number, one_of, read,
+    row, sorted_items, text, wrong,
 )
 from ..model import HEALTH, Component, Hypothesis, RawPlatformState, type_soundness
 from ..ontology import AssertionBase, ConceptId, OntologySchema, check_consistency, load_schema
@@ -211,7 +211,7 @@ def _scenario_from_data(data: Mapping, schema_at: Callable[[str], OntologySchema
 def _parts_from_data(data: Mapping) -> dict:
     """The scenario's fields as read, before its ontology is loaded."""
     r = Fields(data)
-    registry = r.get("registry", array(Component.from_data, _by_component_id), ())
+    registry = r.get("registry", distinct(array(Component.from_data, _by_component_id), "component"), ())
     return r.build(
         dict,
         ontology_text=r.get("ontology_text", text, None),
@@ -250,7 +250,7 @@ def _with_components(state: object, registry: Sequence[Component] | None) -> obj
 def assertions_from_data(data: Mapping) -> AssertionBase:
     """A scenario's assertion section: individuals, relation facts and parameter facts."""
     r = Fields(data)
-    individuals = r.get("individuals", array(row(text, concept), dict), {})
+    individuals = r.get("individuals", distinct(array(row(text, concept), dict), 0), {})
     facts = r.get("facts", array(row(text, text, text)), ())
     return r.build(AssertionBase, individuals, facts, r.get("params", array(row(text, text, anything)), ()))
 

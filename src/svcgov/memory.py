@@ -256,22 +256,22 @@ def reuse_score(
     h: Hypothesis,
     e_label: str,
     environment: str,
-    bonus: float = 1.0,
-    penalty: float = 2.0,
-    failures: Sequence[FailureSignature] | None = None,
+    bonus: float,
+    penalty: float,
+    failures: Sequence[FailureSignature],
 ) -> float:
-    """Positive reuse of matching prior successes, negative reuse of
-    failure motifs present in ``h`` within the current environment class
-    (``environment`` is its digest).  An empty store scores 0.
-    ``failures`` is ``match_failure(store, h, environment)`` when the
-    caller has already built it."""
+    """``bonus`` for each matching prior success of ``h`` in regime
+    ``e_label``, less ``penalty`` for each of ``failures``, the stored
+    failure signatures whose motif occurs in ``h`` within the current
+    environment class (``match_failure(store, h, environment)``).  An empty
+    store, the store of a step with the memory gate off, scores 0."""
     if not store.records:
         return 0.0
     score = 0.0
     for certified_in in store.index().get(("success", h.digest(), e_label), ()):
         if certified_in is None or certified_in == environment:
             score += bonus
-    for _ in match_failure(store, h, environment) if failures is None else failures:
+    for _ in failures:
         score -= penalty
     return score
 

@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Sequence
 from .canon import canonical_dumps, canonical_object, digest_of, sha256_hex
 from .errors import ConfigError, TypingError
 from .fields import (
-    Fields, array, boolean, concept, concepts, finite, first_of, float_integer, integer, mapping, number, one_of, row,
-    text,
+    Fields, array, boolean, concept, concepts, distinct, finite, first_of, float_integer, integer, mapping, number,
+    one_of, row, text,
 )
 from .ontology import (
     AssertionBase,
@@ -142,8 +142,10 @@ class RawPlatformState:
     @classmethod
     def from_data(cls, data: Mapping) -> "RawPlatformState":
         r = Fields(data)
-        agents = r.get("agents", array(row(text, concept, boolean, number, text, into=AgentState)), ())
-        components = r.get("components", array(row(text, concept, one_of(*HEALTH), into=ComponentState)), ())
+        agent = row(text, concept, boolean, number, text, into=AgentState)
+        component = row(text, concept, one_of(*HEALTH), into=ComponentState)
+        agents = r.get("agents", distinct(array(agent), 0), ())
+        components = r.get("components", distinct(array(component), 0), ())
         time, request = r.get("time", integer, 0), r.get("request", ServiceRequest.from_data)
         network, flags = r.get("network", mapping(number), {}), r.get("safety_flags", array(text), ())
         environment = r.get("environment", mapping(array(concept)), {})
@@ -733,7 +735,8 @@ class Hypothesis:
     @classmethod
     def from_data(cls, data: Mapping) -> "Hypothesis":
         r = Fields(data)
-        roles, edges = r.get("roles", array(Role.from_data), ()), r.get("edges", array(Edge.from_data), ())
+        roles = r.get("roles", distinct(array(Role.from_data), "id"), ())
+        edges = r.get("edges", array(Edge.from_data), ())
         assignment = r.get("assignment", mapping(Component.from_data), {})
         policy = r.get("policy", array(PolicyRule.from_data), ())
         constraints = r.get("constraints", mapping(number), {})

@@ -113,8 +113,9 @@ class OrchestratorConfig:
             raise ConfigError("capacity budget must be positive")
         if self.drift_bound < 0:
             raise ConfigError("global drift bound must be nonnegative")
-        if self.transport_max_distance < 0:
-            raise ConfigError("transport_max_distance must be nonnegative")
+        for name in ("reuse_bonus", "reuse_penalty", "transport_max_distance"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if self.fallback is None:
             raise ConfigError("a supervision fallback subservice must be configured")
         if not self.grammar.rule("add_subservice").enabled:
@@ -299,18 +300,15 @@ class Orchestrator:
     def _screen(self, tau: Transformation, step: StepFacts, tick: int) -> tuple[CandidateTrace, Hypothesis]:
         """One candidate screened in ``step`` (built by ``StepFacts.screening``)
         against the run's ledger: its trace, which holds the verdict, the
-        reuse term read from the step's store (0 with the memory gate off)
-        and the candidate's score, and the configuration it reaches (``h``
-        itself when ``tau`` is not applicable)."""
+        reuse term read from the step's store (the empty store, so 0, with
+        the memory gate off) and the candidate's score, and the
+        configuration it reaches (``h`` itself when ``tau`` is not
+        applicable)."""
         cfg, e = self.cfg, step.e
         facts = step.candidate(tau)
         verdict = admissible(tau, step.h, step.z, e, step.store, cfg, ledger=self.ledger, tick=tick, facts=facts)
-        environment = step.context.environment_digest
-        reuse = (
-            reuse_score(step.store, facts.h2, e.label, environment, cfg.reuse_bonus, cfg.reuse_penalty, facts.failures)
-            if cfg.flags.memory
-            else 0.0
-        )
+        environment, bonus, penalty = step.context.environment_digest, cfg.reuse_bonus, cfg.reuse_penalty
+        reuse = reuse_score(step.store, facts.h2, e.label, environment, bonus, penalty, facts.failures)
         return CandidateTrace(tau, verdict, facts.score(reuse), reuse, facts.complexity), facts.h2
 
     def step(

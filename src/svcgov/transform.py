@@ -25,9 +25,9 @@ from .ontology import OntologySchema
 
 class _Transformation:
     """Base of the transformation variants: keeps ``transformation_key``
-    once computed, for the variants that keep it.  The instance is
-    immutable, so the key never goes stale; it is not a dataclass field, so
-    it takes no part in equality, hashing or repr."""
+    once computed.  The instance is immutable, so the key never goes stale;
+    it is not a dataclass field, so it takes no part in equality, hashing
+    or repr."""
 
     _key: str | None = None
 
@@ -148,17 +148,17 @@ def transformation_key(tau: Transformation) -> str:
     ``transformation_to_data(tau)`` without the rationale, composed (keys
     in sorted order) from the cached canonical texts of the component or
     the added part, so a fresh candidate does not serialize the component
-    it binds.  A substitution or a rebinding, built afresh for each
-    candidate, composes its key on every call: kept on the instance, the
-    key would live as long as the trace that records the candidate.  The
-    other variants keep it once computed."""
-    if isinstance(tau, (Substitute, Rebind)):
-        new, role = tau.new_component.canonical_text(), canonical_string(tau.role_id)
-        if isinstance(tau, Rebind):
-            return f'{{"new":{new},"role":{role},"variant":"rebind"}}'
-        return f'{{"new":{new},"old":{canonical_string(tau.old_component_id)},"role":{role},"variant":"substitute"}}'
+    it binds.  Every variant keeps its key once computed, so a candidate's
+    key is composed once however often it is read."""
     if tau._key is None:
-        if isinstance(tau, AddSubservice):
+        if isinstance(tau, (Substitute, Rebind)):
+            new, role = tau.new_component.canonical_text(), canonical_string(tau.role_id)
+            if isinstance(tau, Rebind):
+                key = f'{{"new":{new},"role":{role},"variant":"rebind"}}'
+            else:
+                old = canonical_string(tau.old_component_id)
+                key = f'{{"new":{new},"old":{old},"role":{role},"variant":"substitute"}}'
+        elif isinstance(tau, AddSubservice):
             attach = canonical_dumps([a.to_data() for a in tau.attach])
             key = f'{{"attach":{attach},"part":{tau.part.canonical_text()},"variant":"add_subservice"}}'
         elif isinstance(tau, RemoveSubservice):

@@ -371,13 +371,33 @@ class TestAdmissible:
             built.append(h.digest())
             return commitments(h, *args)
 
-        commitments = evaluation._commitments
-        monkeypatch.setattr(evaluation, "_commitments", counting)
-        monkeypatch.setattr(certify, "_commitments", counting)
+        commitments = evaluation.commitments_of
+        monkeypatch.setattr(evaluation, "commitments_of", counting)
+        monkeypatch.setattr(certify, "commitments_of", counting)
         tau = Substitute("r1", "ua", UNIT_A1)
         verdict = admissible(tau, simple_h, z, regime(), EMPTY_STORE, make_config(schema, assertions))
         assert verdict.passed
         assert sorted(built) == sorted([simple_h.digest(), apply(tau, simple_h).digest()])
+
+    def test_memory_gate_off_reads_the_empty_store(self, schema, assertions, simple_h, z):
+        # the store holds a closure certificate about h2, a success of h2 and
+        # a failure signature whose motif occurs in h2: with the gate on, A1
+        # is transported and reuse scores the bonus less the penalty; with
+        # it off, the step's store is the empty store, so neither is read
+        from svcgov.orchestrator import GateFlags, Orchestrator
+
+        tau = Substitute("r1", "ua", UNIT_A1)
+        h2 = apply(tau, simple_h)
+        env = environment_digest(z, schema)
+        cert = Certificate("closure", h2.digest(), CertContext("base", env), (("ok", True),), 0)
+        signature = FailureSignature("base", env, Motif.build({"s": cid("t:UnitA1")}), "runtime-failure")
+        store = record(EMPTY_STORE, MemoryRecord("base", h2.digest(), cert, "success", None))
+        store = record(store, MemoryRecord("base", simple_h.digest(), None, "failed", signature))
+        for memory, transported, reuse in ((True, 1, -1.0), (False, 0, 0.0)):
+            cfg = make_config(schema, assertions, flags=GateFlags(memory=memory))
+            assert admissible(tau, simple_h, z, regime(), store, cfg).transported == transported
+            trace, _ = Orchestrator(cfg)._screen(tau, StepFacts.screening(simple_h, z, regime(), store, cfg), 0)
+            assert trace.reuse == reuse
 
     def test_verdict_reports_every_obligation_with_evidence(self, schema, assertions, simple_h, z):
         cfg = make_config(schema, assertions)
@@ -747,7 +767,7 @@ class TestStepFactsAreComputedOnce:
 
         monkeypatch.setattr(bench, "admissible", screening)
         monkeypatch.setattr(bench, "_oracle", reading)
-        counted = {"commitments": [(certify, "_commitments"), (evaluation, "_commitments")]}
+        counted = {"commitments": [(certify, "commitments_of"), (evaluation, "commitments_of")]}
         screened, totals = self.screened_with_counts(monkeypatch, self.family_runs(), counted)
         steps = {id(facts.step): facts.step for v, facts, _ in screened if not v.error}
         multi_site = sum(
@@ -792,8 +812,8 @@ class TestStepFactsAreComputedOnce:
         created = []
         candidate = StepFacts.candidate
 
-        def creating(step, tau, key=None):
-            facts = candidate(step, tau, key)
+        def creating(step, tau):
+            facts = candidate(step, tau)
             created.append(facts)
             return facts
 

@@ -17,6 +17,7 @@ from svcgov.evaluation import (
     SafetyPredicate,
     ScoreBreakdown,
     StructuralPrior,
+    commitments_of,
     core_value,
     detect_regime,
     evaluate,
@@ -177,7 +178,7 @@ class TestIdentity:
         # FB (also the output) is untouched
         broken = apply(Substitute("r1", "ua", UNIT_C), simple_h)
         spec = identity_spec()
-        breakdown = identity_breakdown(spec, simple_h, broken, z, schema)
+        breakdown = identity_breakdown(spec, commitments_of(simple_h, z, schema), commitments_of(broken, z, schema))
         assert breakdown.request_class == 0.5  # one of two required functions kept
         assert breakdown.outputs == 1.0
         assert breakdown.total == pytest.approx(1 - spec.request_class_weight * 0.5)
@@ -194,14 +195,16 @@ class TestIdentity:
 
     def test_safety_constraint_loosening_costs_the_safety_subscore(self, schema, z, simple_h):
         loosened = apply(UpdateConstraint("safety.margin", 5.0), simple_h)
-        breakdown = identity_breakdown(identity_spec(), simple_h, loosened, z, schema)
+        before = commitments_of(simple_h, z, schema)
+        breakdown = identity_breakdown(identity_spec(), before, commitments_of(loosened, z, schema))
         assert breakdown.safety == 0.0
         tightened = apply(UpdateConstraint("safety.margin", 0.5), simple_h)
-        assert identity_breakdown(identity_spec(), simple_h, tightened, z, schema).safety == 1.0
+        assert identity_breakdown(identity_spec(), before, commitments_of(tightened, z, schema)).safety == 1.0
 
     def test_obligation_drop_costs_the_interaction_subscore(self, schema, z, simple_h):
         stripped = apply(RemoveSubservice(frozenset({"r2"})), simple_h)
-        breakdown = identity_breakdown(identity_spec(), simple_h, stripped, z, schema)
+        before, after = commitments_of(simple_h, z, schema), commitments_of(stripped, z, schema)
+        breakdown = identity_breakdown(identity_spec(), before, after)
         assert breakdown.interactions < 1.0
 
     def test_weights_must_sum_to_one(self):
@@ -213,14 +216,14 @@ class TestIdentity:
 
 class TestCore:
     def test_maximal_core_value(self, schema, z, simple_h):
-        report = core_value(invariant_core(), simple_h, z, schema)
+        report = core_value(invariant_core(), simple_h, z, schema, commitments_of(simple_h, z, schema))
         assert report.value == pytest.approx(2.0)
         assert report.passed
 
     def test_threshold_is_inclusive_at_eta(self, schema, z, simple_h):
         # absolute identity of simple_h is exactly 1.0; a core with eta = 1.0
         # must still pass (inclusive comparison)
-        report = core_value(invariant_core(threshold=1.0), simple_h, z, schema)
+        report = core_value(invariant_core(threshold=1.0), simple_h, z, schema, commitments_of(simple_h, z, schema))
         assert report.identity_value == pytest.approx(1.0)
         assert report.passed
 
@@ -229,14 +232,14 @@ class TestCore:
         stripped = Hypothesis.build(
             simple_h.roles, [], simple_h.assignment_map(), (), simple_h.constraint_map()
         )
-        report = core_value(invariant_core(), stripped, z, schema)
+        report = core_value(invariant_core(), stripped, z, schema, commitments_of(stripped, z, schema))
         assert not report.passed
         assert dict(report.predicate_results)["obligations-honored"] is False
 
     def test_dead_component_fails_components_live(self, schema, assertions, simple_h):
         raw = make_raw_state(components=(("ua", "t:UnitA", "failed"), ("ub", "t:UnitB", "ok")))
         z = semantic_lift(raw, schema, assertions)
-        report = core_value(invariant_core(), simple_h, z, schema)
+        report = core_value(invariant_core(), simple_h, z, schema, commitments_of(simple_h, z, schema))
         assert dict(report.predicate_results)["components-live"] is False
         assert not report.passed
 
@@ -244,8 +247,9 @@ class TestCore:
         # strip every provider of the FB output: absolute identity drops
         broken = apply(Substitute("r2", "ub", UNIT_C), simple_h)
         z = semantic_lift(make_raw_state(), schema, assertions)
-        gated = core_value(invariant_core(), broken, z, schema)
-        ungated = core_value(invariant_core(include_identity=False), broken, z, schema)
+        commitments = commitments_of(broken, z, schema)
+        gated = core_value(invariant_core(), broken, z, schema, commitments)
+        ungated = core_value(invariant_core(include_identity=False), broken, z, schema, commitments)
         assert not gated.passed
         assert ungated.passed  # predicates alone hold
         assert ungated.identity_value < 0.9
@@ -258,17 +262,17 @@ class TestCore:
         raw = make_raw_state(flags=("estop",))
         z = semantic_lift(raw, schema, assertions)
         absent = SafetyPredicate("no-estop", "flag-absent", (("flag", "estop"),))
-        assert absent.check(simple_h, z, schema) is False
+        assert absent.check(simple_h, z, schema, commitments_of(simple_h, z, schema)) is False
         needs = SafetyPredicate(
             "estop-needs-oversight",
             "flag-requires-function",
             (("flag", "estop"), ("function", "t:FOversight")),
         )
-        assert needs.check(simple_h, z, schema) is False
+        assert needs.check(simple_h, z, schema, commitments_of(simple_h, z, schema)) is False
         from conftest import FALLBACK
 
         supervised = apply(FALLBACK, simple_h)
-        assert needs.check(supervised, z, schema) is True
+        assert needs.check(supervised, z, schema, commitments_of(supervised, z, schema)) is True
 
     @pytest.mark.parametrize(
         "kind, params",
@@ -295,7 +299,7 @@ class TestCore:
         )
         absent = SafetyPredicate("no-estop", "flag-absent", (("flag", "estop"),))
         z = semantic_lift(make_raw_state(flags=("estop",)), schema, assertions)
-        assert [absent.check(simple_h, z, schema) for _ in range(3)] == [False] * 3
+        assert [absent.check(simple_h, z, schema, commitments_of(simple_h, z, schema)) for _ in range(3)] == [False] * 3
         assert built == [{"flag": "estop"}]
         assert absent == SafetyPredicate("no-estop", "flag-absent", (("flag", "estop"),))
         assert "_check" not in repr(absent) and "_check" not in absent.to_data()

@@ -650,7 +650,7 @@ def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
         monkeypatch, environment_digest, lambda z, _: inputs.setdefault(("environment", z.environment_descriptors), z)
     )
 
-    def meeting(h, tau, schema, key=None):
+    def meeting(h, tau, schema):
         inputs.setdefault(("transition", h.digest(), transformation_key(tau)), (h, tau))
 
     spy_everywhere(monkeypatch, transition, meeting)
@@ -696,9 +696,8 @@ def test_memoised_transitions_match_plain_apply(monkeypatch):
             cases += [(f"{family}/{seed}/{subject}", *generated, subject) for subject in baselines.SUBJECTS]
     served = []
 
-    def serving(h, tau, schema, key=None):
-        assert key in (None, transformation_key(tau))
-        reached = transition(h, tau, schema, key)
+    def serving(h, tau, schema):
+        reached = transition(h, tau, schema)
         served.append((h, tau, reached))
         return reached
 
@@ -1403,6 +1402,35 @@ class TestCli:
         assert "error validation" in err and path in err
         assert "Traceback" not in err and "unhashable" not in err and "too large" not in err
 
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (
+                lambda d: d["initial_hypothesis"]["roles"].append({"id": "r_nav", "requires": ["fn:ItemPickup"]}),
+                "initial_hypothesis.roles[4] key 'id'",
+            ),
+            (lambda d: d["assertions"]["individuals"].append(["f.nav", "fn:ItemPickup"]), "assertions.individuals[8][0]"),
+            (lambda d: d["registry"].append(dict(d["registry"][3], provides=[])), "registry[8] key 'component'"),
+            (
+                lambda d: d["initial_state"]["agents"].append(["R1", "ag:DeliveryRobot", True, 0.5, "ward"]),
+                "initial_state.agents[5][0]",
+            ),
+            (
+                lambda d: d["initial_state"].update(components=[["r1_nav", "ag:NavUnitMk1", "ok"]] * 2),
+                "initial_state.components[1][0]",
+            ),
+        ],
+        ids=["role", "individual", "registry-component", "agent", "state-component"],
+    )
+    def test_run_refuses_a_repeated_id_by_its_path(self, tmp_path, capsys, edit, path):
+        # a repeated id is not a second entry: soundness would read only the
+        # first role, and the last individual, registry entry or agent would win
+        assert self.run_edited_hospital(tmp_path, edit) == 3
+        err = capsys.readouterr().err
+        assert "error validation" in err and path in err and "repeats" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def run_edited_hospital_config(self, tmp_path, edit) -> int:
         """``svcgov run`` of the hospital scenario with a copy of its config that ``edit`` changed."""
         data = hospital_config_data()
@@ -1411,6 +1439,29 @@ class TestCli:
         config.write_text(json.dumps(data), encoding="utf-8")
         scenario = pack_dir("hospital") / "scenario.json"
         return cli_main(["run", "--scenario", str(scenario), "--config", str(config), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (
+                lambda d: d["core"]["identity"].update(
+                    weights={"request_class": -0.5, "outputs": 1.5, "safety": 0, "interactions": 0}
+                ),
+                "weights must be nonnegative: request_class",
+            ),
+            (lambda d: d.update(reuse_penalty=-2), "reuse_penalty must be nonnegative"),
+            (lambda d: d.update(reuse_bonus=-1), "reuse_bonus must be nonnegative"),
+        ],
+        ids=["identity-weight", "reuse-penalty", "reuse-bonus"],
+    )
+    def test_run_refuses_a_config_value_whose_sign_inverts_its_rule(self, tmp_path, capsys, edit, key):
+        # a negative identity weight scores a dropped function above 1; a
+        # negative penalty rewards matched failures, a negative bonus punishes
+        # successes
+        assert self.run_edited_hospital_config(tmp_path, edit) == 4
+        err = capsys.readouterr().err
+        assert "error config" in err and key in err
+        assert "Traceback" not in err
 
     def test_run_refuses_a_prior_weight_whose_complexity_overflows(self, tmp_path, capsys):
         # each weight is finite, but 1e308 per role is past the largest float

@@ -117,13 +117,16 @@ class TestRecord:
 
 class TestReuseScore:
     def test_empty_store_scores_zero(self, schema, z, simple_h):
-        assert reuse_score(EMPTY_STORE, simple_h, "base", environment_digest(z, schema)) == 0.0
+        env = environment_digest(z, schema)
+        failures = match_failure(EMPTY_STORE, simple_h, env)
+        assert reuse_score(EMPTY_STORE, simple_h, "base", env, 1.0, 2.0, failures) == 0.0
 
     def test_one_prior_success_scores_plus_bonus(self, schema, z, simple_h):
         rec = MemoryRecord("base", simple_h.digest(), None, "success", None)
         store = record(EMPTY_STORE, rec)
-        assert reuse_score(store, simple_h, "base", environment_digest(z, schema), bonus=1.5) == 1.5
-        assert reuse_score(store, simple_h, "other", environment_digest(z, schema)) == 0.0  # regime-qualified
+        env = environment_digest(z, schema)
+        assert reuse_score(store, simple_h, "base", env, 1.5, 2.0, match_failure(store, simple_h, env)) == 1.5
+        assert reuse_score(store, simple_h, "other", env, 1.0, 2.0, match_failure(store, simple_h, env)) == 0.0
 
     def test_two_failures_of_a_contained_motif_score_minus_two_penalties(self, schema, z, simple_h):
         motif = Motif.build({"s": cid("t:UnitA")})
@@ -131,7 +134,8 @@ class TestReuseScore:
         for _ in range(2):
             rec = MemoryRecord("base", simple_h.digest(), None, "failed", failure(z, schema, motif))
             store = record(store, rec)
-        assert reuse_score(store, simple_h, "base", environment_digest(z, schema), penalty=2.0) == -4.0
+        env = environment_digest(z, schema)
+        assert reuse_score(store, simple_h, "base", env, 1.0, 2.0, match_failure(store, simple_h, env)) == -4.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reuse_score_equals_linear_scan(self, schema, assertions, simple_h, seed):
@@ -159,7 +163,7 @@ class TestReuseScore:
                         sig = rec.failure_signature
                         if sig is not None and sig.environment_digest == env and sig.motif.matches(h):
                             expected -= 0.7
-                    assert reuse_score(store, h, label, env, bonus=1.5, penalty=0.7) == expected
+                    assert reuse_score(store, h, label, env, 1.5, 0.7, match_failure(store, h, env)) == expected
 
     def test_penalty_is_environment_qualified(self, schema, assertions, simple_h):
         noisy = semantic_lift(
@@ -169,8 +173,9 @@ class TestReuseScore:
         motif = Motif.build({"s": cid("t:UnitA")})
         rec = MemoryRecord("base", simple_h.digest(), None, "failed", failure(noisy, schema, motif))
         store = record(EMPTY_STORE, rec)
-        assert reuse_score(store, simple_h, "base", environment_digest(noisy, schema)) == -2.0
-        assert reuse_score(store, simple_h, "base", environment_digest(quiet, schema)) == 0.0
+        for z, expected in ((noisy, -2.0), (quiet, 0.0)):
+            env = environment_digest(z, schema)
+            assert reuse_score(store, simple_h, "base", env, 1.0, 2.0, match_failure(store, simple_h, env)) == expected
 
 
 def brute_force_matches(motif: Motif, h) -> bool:
@@ -563,8 +568,9 @@ class TestIndexedReadsEqualTheLinearScans:
                     assert match_failure(store, target, env) == match_failure(twin, target, env) == matched
                     for regime in ("base", "noisy"):
                         expected = linear_reuse_score(store, target, regime, env, 1.5, 0.7)
-                        assert reuse_score(store, target, regime, env, 1.5, 0.7) == expected
-                        assert reuse_score(twin, target, regime, env, 1.5, 0.7) == expected
+                        assert reuse_score(store, target, regime, env, 1.5, 0.7, matched) == expected
+                        twin_matched = match_failure(twin, target, env)
+                        assert reuse_score(twin, target, regime, env, 1.5, 0.7, twin_matched) == expected
                         for distance in (0, 2):
                             for kind in ("closure", "capacity", "stability"):
                                 args = (kind, target, env, distance, regime)
@@ -588,7 +594,7 @@ class TestIndexedReadsEqualTheLinearScans:
         matched = match_failure(store, simple_h, env)
         assert [sig.motif for sig in matched] == [first, second, first, first, second]
         assert matched == linear_match_failure(store, simple_h, env)
-        assert reuse_score(store, simple_h, "base", env, penalty=2.0) == -10.0
+        assert reuse_score(store, simple_h, "base", env, 1.0, 2.0, matched) == -10.0
 
     def test_each_distinct_motif_is_checked_once_per_call(self, schema, z, simple_h, monkeypatch):
         first, second, third = failure_motifs()
@@ -612,7 +618,9 @@ class TestIndexedReadsEqualTheLinearScans:
         assert find_transportable(base, "closure", simple_h, env, 0, "base") is None
         assert find_transportable(grown, "closure", simple_h, env, 0, "base") == cert.as_transported(simple_h.digest(), 0)
         assert find_transportable(branch, "closure", simple_h, env, 0, "base") is None
-        assert [reuse_score(s, simple_h, "base", env) for s in (base, grown, branch)] == [1.0, 2.0, 1.0]
+        stores = (base, grown, branch)
+        scores = [reuse_score(s, simple_h, "base", env, 1.0, 2.0, match_failure(s, simple_h, env)) for s in stores]
+        assert scores == [1.0, 2.0, 1.0]
         # certificates may arrive as any iterable, read once
         loose = record(base, MemoryRecord("base", simple_h.digest(), None, "success", None), certificates=iter((cert,)))
         assert loose.certificates == (cert,) and loose.has_certificate(cert)

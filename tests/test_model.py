@@ -14,7 +14,7 @@ from svcgov.canon import canonical_dumps, digest_of
 from svcgov.certificates import CertContext, environment_digest
 from svcgov.certify import admissible, certify_substitution
 from svcgov.errors import IncompatibleInterface, TypingError, UnknownSite
-from svcgov.evaluation import IdentityBreakdown, absolute_identity, identity_breakdown
+from svcgov.evaluation import IdentityBreakdown, absolute_identity, commitments_of, identity_breakdown
 from svcgov.memory import EMPTY_STORE
 from svcgov.model import (
     GUARD_OPS,
@@ -524,8 +524,9 @@ class TestAdmissibilityRulesMatchTheirReferences:
         h0 = h = scenario.initial_hypothesis
         for _ in range(data.draw(st.integers(1, 6))):
             h = _edit(data, h, registry, concepts)
-            assert absolute_identity(spec, h, z, schema) == reference_absolute_identity(spec, h, z, schema)
-            assert identity_breakdown(spec, h0, h, z, schema) == reference_identity_breakdown(spec, h0, h, z, schema)
+            before, after = commitments_of(h0, z, schema), commitments_of(h, z, schema)
+            assert absolute_identity(spec, z, after) == reference_absolute_identity(spec, h, z, schema)
+            assert identity_breakdown(spec, before, after) == reference_identity_breakdown(spec, h0, h, z, schema)
             boundary = InterfaceContract(*(data.draw(st.frozensets(concepts, max_size=2)) for _ in range(3)))
             assert interface_compatible(h0, h, boundary, schema) == reference_interface_compatible(
                 h0, h, boundary, schema

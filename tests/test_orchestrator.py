@@ -10,7 +10,7 @@ import pytest
 from svcgov import certify, model, orchestrator
 from svcgov.certify import StepFacts, admissible, structural_charge, transition
 from svcgov.errors import ConfigError, UnknownSite
-from svcgov.evaluation import core_value
+from svcgov.evaluation import commitments_of, core_value
 from svcgov.harness import bench
 from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift
@@ -117,7 +117,8 @@ class TestHospitalRun:
         scenario, cfg = hospital
         result = run(scenario, cfg)
         for tick, h, z, _ in replay_deployments(scenario, cfg, result.traces):
-            assert core_value(cfg.core, h, z, cfg.schema).passed, f"core violated at tick {tick}"
+            commitments = commitments_of(h, z, cfg.schema)
+            assert core_value(cfg.core, h, z, cfg.schema, commitments).passed, f"core violated at tick {tick}"
 
     def test_selection_soundness(self, hospital):
         scenario, cfg = hospital
@@ -315,10 +316,10 @@ class TestTransitionMemo:
             applied.append((h.digest(), transformation_key(tau)))
             return apply(tau, h)
 
-        def requesting(h, tau, schema, key=None):
-            assert key in (None, transformation_key(tau)) and schema is cfg.schema
+        def requesting(h, tau, schema):
+            assert schema is cfg.schema
             requested.append((h.digest(), transformation_key(tau)))
-            return transition(h, tau, schema, key)
+            return transition(h, tau, schema)
 
         for module in (certify, orchestrator):
             monkeypatch.setattr(module, "apply", counting)

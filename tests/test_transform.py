@@ -473,3 +473,19 @@ def test_signed_zero_and_integer_bounds_key_apart():
     assert zero == negative and hash(zero) == hash(negative)
     assert transformation_key(zero) != transformation_key(negative)
     assert transformation_key(UpdateConstraint("v", 3)) != transformation_key(UpdateConstraint("v", 3.0))
+
+
+def test_a_substitution_composes_its_key_once(monkeypatch, schema, simple_h):
+    # the key is kept on the instance: the memo lookup of its transition,
+    # and every later read, take it from there
+    from svcgov import transform
+    from svcgov.certify import transition
+
+    quoted, quote = [], transform.canonical_string
+    monkeypatch.setattr(transform, "canonical_string", lambda text: quoted.append(text) or quote(text))
+    tau = Substitute("r1", "ua", UNIT_A1, rationale="swap")
+    key = transformation_key(tau)
+    assert sorted(quoted) == ["r1", "ua"] and key == reference_key(tau)
+    assert vars(tau)["_key"] is key
+    transition(simple_h, tau, schema)
+    assert transformation_key(tau) is key and len(quoted) == 2
