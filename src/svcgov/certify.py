@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .certificates import CertContext, Certificate, Violation, environment_digest
@@ -223,6 +222,22 @@ def _charge_parts(h: Hypothesis, h2: Hypothesis) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 
 
+class kept:
+    """A fact computed on its first read and kept in the instance's
+    ``__dict__`` under its own name, where every later read finds it
+    without reaching this descriptor: ``functools.cached_property``
+    without the lock that it takes on each first read before Python 3.12."""
+
+    def __init__(self, compute: Callable):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, facts: object, owner: type | None = None):
+        if facts is None:
+            return self
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
+
+
 @dataclass(eq=False)
 class StepFacts:
     """What one screening step fixes for every candidate it screens: the
@@ -282,12 +297,12 @@ class StepFacts:
         The transition is read through ``transition`` on the step's schema."""
         return CandidateFacts(transition(self.h, tau, self.schema), self)
 
-    @cached_property
+    @kept
     def commitments(self) -> Commitments:
         """What ``h`` commits to under ``z``: the before side of identity."""
         return commitments_of(self.h, self.z, self.schema)
 
-    @cached_property
+    @kept
     def assignment(self) -> dict[str, Component]:
         return self.h.assignment_map()
 
@@ -337,7 +352,7 @@ def transition(h: Hypothesis, tau: Transformation, schema: OntologySchema) -> Tr
 class CandidateFacts:
     """The configuration ``h2`` that a candidate reaches in a screening
     ``step``, and the facts about it that the obligations and the ranking
-    read.  Each fact is computed on first use and then kept, so every
+    read.  Each fact is computed on first use and then ``kept``, so every
     reader sees the same value and a fact nobody reads costs nothing.
     ``error`` says why the candidate's transformation is not applicable;
     ``h2`` is then the step's ``h``.  Both are read once from the
@@ -348,39 +363,39 @@ class CandidateFacts:
         self.h2: Hypothesis = transition.h2
         self.error: str | None = transition.error
 
-    @cached_property
+    @kept
     def soundness(self) -> SoundnessReport:
         return type_soundness(self.h2, self.step.schema)
 
-    @cached_property
+    @kept
     def commitments(self) -> Commitments:
         """What ``h2`` commits to under ``z``; both identity measures and the
         core predicates read it."""
         return commitments_of(self.h2, self.step.z, self.step.schema)
 
-    @cached_property
+    @kept
     def core_report(self) -> CoreReport:
         step = self.step
         return core_value(step.core, self.h2, step.z, step.schema, self.commitments)
 
-    @cached_property
+    @kept
     def identity(self) -> IdentityBreakdown:
         return identity_breakdown(self.step.core.identity, self.step.commitments, self.commitments)
 
-    @cached_property
+    @kept
     def core_certified(self) -> bool:
         """A4's pass test, which S3 reads too: the invariant core holds on
         ``h2``, and identity reaches the threshold when it is part of the
         core."""
         return self.core_report.passed and self.step.core.identity_holds(self.identity.total)
 
-    @property
+    @kept
     def charge(self) -> float:
         """``structural_charge`` of reaching ``h2`` from ``h``: the
         transition's parts priced on the step's switch model."""
         return self.step.model.structural(*self.transition.parts)
 
-    @cached_property
+    @kept
     def entry(self) -> LedgerEntry:
         """The A2 charge of reaching ``h2`` on the step's switch, as the
         ledger entry it adds: the cost is the structural charge plus the
@@ -400,11 +415,11 @@ class CandidateFacts:
         step = self.step
         return evaluate(step.e, self.h2, step.z, reuse, self.soundness, switching_cost=self.entry.charge)
 
-    @cached_property
+    @kept
     def complexity(self) -> float:
         return prior_complexity(self.step.prior, self.h2)
 
-    @cached_property
+    @kept
     def failures(self) -> list[FailureSignature]:
         """The stored failure signatures whose motif occurs in ``h2``, in the
         step's environment class; S5 and the reuse score read them."""
@@ -416,25 +431,26 @@ class CandidateFacts:
 # ---------------------------------------------------------------------------
 
 
-def _closure(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> tuple[dict, str | None]:
+#: What a rule finds: its evidence as ``(key, value)`` pairs in key order,
+#: and why the obligation fails, or None.
+Finding = tuple[tuple[tuple[str, object], ...], str | None]
+
+
+def _closure(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
     """A1: the transformed graph is type-sound and the transformation lies
     inside the grammar."""
     report = facts.soundness
     in_grammar = facts.step.grammar.allows(tau)
-    evidence: dict[str, object] = {
-        "sound": report.sound,
-        "in_grammar": in_grammar,
-        "variant": variant_name(tau),
-    }
+    evidence = (("in_grammar", in_grammar), ("sound", report.sound), ("variant", variant_name(tau)))
     if report.sound and in_grammar:
         return evidence, None
-    evidence["violations"] = report.messages()
+    evidence += (("violations", report.messages()),)
     if not report.sound:
         return evidence, f"transformed graph is not type-sound: {report.messages()[0]}"
     return evidence, f"{variant_name(tau)} transformation lies outside the grammar"
 
 
-def _stability(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> tuple[dict, str | None]:
+def _stability(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
     """A2: the candidate's charge (``facts.entry``: structural drift plus the
     declared switch cost and residual of the step's switch) fits both the
     cumulative bound and the destination regime's switching budget."""
@@ -442,17 +458,17 @@ def _stability(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) 
     entry = facts.entry
     charge = entry.charge
     budget = e2.budgets.switching_cost
-    evidence: dict[str, object] = {
-        "structural": facts.charge,
-        "switch_cost": facts.step.model.cost(e.label, e2.label),
-        "residual": entry.residual,
-        "charge": charge,
-        "ledger_before": ledger.total,
-        "ledger_bound": ledger.bound,
-        "switching_budget": budget,
-        "from_regime": e.label,
-        "to_regime": e2.label,
-    }
+    evidence = (
+        ("charge", charge),
+        ("from_regime", e.label),
+        ("ledger_before", ledger.total),
+        ("ledger_bound", ledger.bound),
+        ("residual", entry.residual),
+        ("structural", facts.charge),
+        ("switch_cost", facts.step.model.cost(e.label, e2.label)),
+        ("switching_budget", budget),
+        ("to_regime", e2.label),
+    )
     if not ledger.total + charge <= ledger.bound + BOUND_EPS:
         return evidence, f"cumulative drift {ledger.total + charge:.6g} exceeds bound {ledger.bound:.6g}"
     if not charge <= budget + BOUND_EPS:
@@ -460,35 +476,35 @@ def _stability(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) 
     return evidence, None
 
 
-def _capacity(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> tuple[dict, str | None]:
+def _capacity(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
     """A3: structural complexity within the step's (inclusive) budget."""
     budget = facts.step.capacity_budget
     if budget <= 0:
         raise ConfigError("capacity budget must be positive")
     complexity = facts.complexity
-    evidence: dict[str, object] = {"complexity": complexity, "budget": budget}
+    evidence = (("budget", budget), ("complexity", complexity))
     if complexity <= budget + BOUND_EPS:
         return evidence, None
     return evidence, f"complexity {complexity:.6g} exceeds budget {budget:.6g}"
 
 
-def _invariance(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> tuple[dict, str | None]:
+def _invariance(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
     """A4: the invariant core holds on the transformed hypothesis, and
     identity is preserved at or above the threshold whenever identity is
     part of the core."""
     core = facts.step.core
     report = facts.core_report
     breakdown = facts.identity
-    evidence: dict[str, object] = {
-        "core_value": report.value,
-        "core_passed": report.passed,
-        "predicates": {name: ok for name, ok in report.predicate_results},
-        "identity_score": breakdown.total,
-        "identity_subscores": breakdown.to_data(),
-        "identity_threshold": core.identity.threshold,
-        "identity_gated": core.include_identity,
-        "absolute_identity": report.identity_value,
-    }
+    evidence = (
+        ("absolute_identity", report.identity_value),
+        ("core_passed", report.passed),
+        ("core_value", report.value),
+        ("identity_gated", core.include_identity),
+        ("identity_score", breakdown.total),
+        ("identity_subscores", breakdown.to_data()),
+        ("identity_threshold", core.identity.threshold),
+        ("predicates", {name: ok for name, ok in report.predicate_results}),
+    )
     if facts.core_certified:
         return evidence, None
     failed = [name for name, ok in report.predicate_results if not ok]
@@ -505,7 +521,7 @@ class Obligation(NamedTuple):
 
     kind: str
     code: str
-    rule: Callable[[CandidateFacts, Transformation, DriftLedger], tuple[dict, str | None]]
+    rule: Callable[[CandidateFacts, Transformation, DriftLedger], Finding]
 
 
 #: A1-A4 in the order that ``admissible`` screens and reports them.
@@ -521,15 +537,15 @@ _A2 = next(i for i, obligation in enumerate(OBLIGATIONS) if obligation.rule is _
 
 
 def _outcome(
-    kind: str, code: str | None, facts: CandidateFacts, tick: int, evidence: dict, message: str | None
+    kind: str, code: str | None, facts: CandidateFacts, tick: int, evidence: tuple, message: str | None
 ) -> Certificate | Violation:
     """The certificate of ``kind`` about the candidate's ``h2`` in the step's
     context when ``message`` is None; else the violation ``code`` that
-    ``message`` explains.  Either carries ``evidence``, sorted."""
-    items = tuple(sorted(evidence.items()))
+    ``message`` explains.  Either carries ``evidence``, which every rule
+    gives in key order, the order that certificates keep and compare."""
     if message is None:
-        return Certificate(kind, facts.h2.digest(), facts.step.context, items, tick)
-    return Violation(code, message, items)
+        return Certificate(kind, facts.h2.digest(), facts.step.context, evidence, tick)
+    return Violation(code, message, evidence)
 
 
 def _certify(
@@ -650,15 +666,15 @@ def _substitution(
         ("S4", "transition-budget", facts.charge <= facts.step.e.budgets.switching_cost + BOUND_EPS),
         ("S5", "memory-consistent", not facts.failures),
     )
-    evidence: dict[str, object] = {
-        "old_component": c1.component_id,
-        "new_component": c2.component_id,
-        "sites": sorted(sites),
-        "conditions": {code: ok for code, _, ok in conditions},
-        "transition_charge": facts.charge,
-        "identity_score": facts.identity.total,
-        "matched_failures": len(facts.failures),
-    }
+    evidence = (
+        ("conditions", {code: ok for code, _, ok in conditions}),
+        ("identity_score", facts.identity.total),
+        ("matched_failures", len(facts.failures)),
+        ("new_component", c2.component_id),
+        ("old_component", c1.component_id),
+        ("sites", sorted(sites)),
+        ("transition_charge", facts.charge),
+    )
     code, name = next(((code, name) for code, name, ok in conditions if not ok), (None, None))
     message = None if code is None else f"substitution condition {code} ({name}) failed"
     return _outcome("substitution", code, facts, tick, evidence, message)
@@ -696,8 +712,8 @@ class ObligationResult:
 
 def _as_result(code: str, outcome: Certificate | Violation, gated: bool) -> ObligationResult:
     if isinstance(outcome, Certificate):
-        return ObligationResult(code, certified=True, gated=gated, certificate=outcome)
-    return ObligationResult(code, certified=False, gated=gated, violation=outcome)
+        return ObligationResult(code, True, gated, outcome)
+    return ObligationResult(code, False, gated, None, outcome)
 
 
 @dataclass(frozen=True)
@@ -779,23 +795,8 @@ def admissible(
 
     if facts.error is not None:
         violation = Violation(OBLIGATIONS[0].code, f"transformation not applicable: {facts.error}")
-        refusals = tuple(
-            (code, ObligationResult(code, certified=False, gated=True, violation=violation))
-            for _, code, _ in OBLIGATIONS
-        )
-        return AdmissibilityVerdict(
-            passed=False,
-            obligations=refusals,
-            substitution=None,
-            identity_score=0.0,
-            identity_passed=False,
-            certificates=(),
-            updated_ledger=ledger,
-            transported=0,
-            before_digest=h.digest(),
-            after_digest="",
-            error=facts.error,
-        )
+        refusals = tuple((code, ObligationResult(code, False, True, None, violation)) for _, code, _ in OBLIGATIONS)
+        return AdmissibilityVerdict(False, refusals, None, 0.0, False, (), ledger, 0, h.digest(), "", facts.error)
     h2 = facts.h2
 
     environment = step.context.environment_digest
@@ -833,16 +834,16 @@ def admissible(
     passed = all(result.passed for result in results)
     identity_score = facts.identity.total
     return AdmissibilityVerdict(
-        passed=passed,
-        obligations=tuple(obligations),
-        substitution=substitution_result,
-        identity_score=identity_score,
-        identity_passed=cfg.core.identity.admits(identity_score),
-        certificates=tuple(result.certificate for result in results if result.certified),
-        updated_ledger=ledger.charged(facts.entry) if passed and results[_A2].certified else ledger,
-        transported=transported,
-        before_digest=h.digest(),
-        after_digest=h2.digest(),
+        passed,
+        tuple(obligations),
+        substitution_result,
+        identity_score,
+        cfg.core.identity.admits(identity_score),
+        tuple(result.certificate for result in results if result.certified),
+        ledger.charged(facts.entry) if passed and results[_A2].certified else ledger,
+        transported,
+        h.digest(),
+        h2.digest(),
     )
 
 

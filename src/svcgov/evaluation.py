@@ -48,6 +48,15 @@ def _clamp(value: float, low: float = 0.0, high: float = 1.0) -> float:
     return max(low, min(high, value))
 
 
+def _named(pairs: Sequence[tuple[str, float]], name: str, default: float) -> float:
+    """The value under ``name`` in ``pairs`` of distinct names, as
+    ``dict(pairs).get(name, default)`` reads it, without building the dict."""
+    for key, value in pairs:
+        if key == name:
+            return value
+    return default
+
+
 # ---------------------------------------------------------------------------
 # Regimes
 # ---------------------------------------------------------------------------
@@ -542,10 +551,10 @@ def evaluate(
     stability charge of reaching ``h`` and feeds the cost score."""
     total = sum(rule.latency for rule in h.policy)
     latency = float(total) if total <= sys.float_info.max else math.inf
-    speed = h.constraint_map().get("speed", 1.0)
+    speed = _named(h.constraints, "speed", 1.0)
     if speed > 0:
         latency = latency / speed
-    deadline = z.signals().get("deadline", 0.0)
+    deadline = _named(z.regime_signals, "deadline", 0.0)
     effective = min(deadline, e.budgets.latency)
     j_task = _clamp((effective - latency) / (effective + 1.0))
 

@@ -1,12 +1,13 @@
 """The one strict reader behind every loader: ``Fields.get`` reads a key of
 a JSON object as a kind (``number``, ``array(concept)``, another loader),
 ``Fields.build`` makes the object once every key was read without a problem,
-and ``read`` raises a document's problems (missing or unknown keys, wrong
-JSON types, refused values), each under its JSON path, as one error."""
+and ``read`` raises a document's problems (missing, unknown or repeated keys,
+wrong JSON types, refused values), each under its JSON path, as one error."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Callable, Mapping
 from sys import float_info
 
@@ -53,11 +54,33 @@ def read(error: type, doc: str, loader: Callable, data: object):
         raise _raised(error, [render(doc, *p) for p in exc.problems]) from None
 
 
+class Repeats(dict):
+    """A decoded JSON object that names some key more than once: each key
+    with its last value, as ``json.loads`` keeps it, and ``repeated``, the
+    keys named again, which every reader of the object refuses."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        self.repeated = sorted(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+
+
+def _object(pairs: list) -> dict:
+    data = dict(pairs)
+    return data if len(data) == len(pairs) else Repeats(pairs)
+
+
+def _repeats(value: object) -> list:
+    """A problem for each key that the decoded object ``value`` repeats."""
+    return [((key,), "value", "is named more than once") for key in value.repeated] if type(value) is Repeats else []
+
+
 def decode(error: type, what: str, document: str) -> object:
     """``document`` decoded as JSON; text that is not JSON, or that nests
-    too deeply to decode, raised as one ``error`` naming ``what``."""
+    too deeply to decode, raised as one ``error`` naming ``what``.  An object
+    that repeats a key decodes as ``Repeats``, so that its reader refuses
+    the key under its JSON path with the document's own error."""
     try:
-        return json.loads(document)
+        return json.loads(document, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         raise _raised(error, [f"malformed {what}: {exc}"]) from exc
 
@@ -81,7 +104,7 @@ class Fields:
     def __init__(self, data: object):
         if type(data) is not dict and not isinstance(data, Mapping):
             raise wrong(data, "an object")
-        self.data, self.seen, self.problems = data, set(), []
+        self.data, self.seen, self.problems = data, set(), _repeats(data)
 
     def get(self, key: str, kind: Callable, default: object = ...):
         """The value under ``key`` read as ``kind``; ``default`` when absent, unless ``...`` (required)."""
@@ -151,6 +174,11 @@ def concept(value: object) -> ConceptId:
 
 
 def anything(value: object) -> object:
+    """Any JSON value, as it is; one that holds an object repeating a key is refused."""
+    if isinstance(value, Mapping):
+        mapping(anything)(value)
+    elif isinstance(value, list):
+        array(anything)(value)
     return value
 
 
@@ -211,9 +239,12 @@ def mapping(kind: Callable, into: Callable = dict) -> Callable:
         if not isinstance(value, Mapping):
             raise wrong(value, "an object")
         try:
-            return into({key: kind(item) for key, item in value.items()})
+            items = into({key: kind(item) for key, item in value.items()})
         except GovernanceError:
-            raise Malformed(_problems((key, kind, item) for key, item in value.items())) from None
+            raise Malformed(_repeats(value) + _problems((key, kind, item) for key, item in value.items())) from None
+        if type(value) is Repeats:
+            raise Malformed(_repeats(value))
+        return items
 
     return read_mapping
 

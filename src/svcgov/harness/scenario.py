@@ -20,6 +20,7 @@ memory kept grows with ``ticks``.
 from __future__ import annotations
 
 from bisect import bisect_right
+from copy import copy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -47,6 +48,11 @@ PATCH_ARGS = {
     "deadline": (float_integer,), "flag+": (text,), "flag-": (text,), "zone+": (text, concept),
     "zone-": (text, concept), "health": (text, one_of(*HEALTH)), "fail": (text, one_of(*OBLIGATION_CODES)),
 }
+
+
+#: Patch operations whose target must be an agent or a component of the
+#: state; a zone or a bandwidth target may name a new zone.
+PATCH_TARGETS = {"battery": "agent", "availability": "agent", "health": "component", "fail": "component"}
 
 
 def _patch(value: object) -> tuple:
@@ -212,6 +218,17 @@ def _parts_from_data(data: Mapping) -> dict:
     """The scenario's fields as read, before its ontology is loaded."""
     r = Fields(data)
     registry = r.get("registry", distinct(array(Component.from_data, _by_component_id), "component"), ())
+    state = r.get("initial_state", lambda d: RawPlatformState.from_data(_with_components(d, registry)))
+    events = r.get("events", array(ScenarioEvent.from_data), ())
+    if state is not None and events:
+        # no patch adds an agent or a component, so a target that the
+        # initial state lacks would match nothing on every tick
+        ids = {"agent": {a.agent_id for a in state.agents}, "component": {c.component_id for c in state.components}}
+        for i, event in enumerate(events):
+            for j, (op, target, *_) in enumerate(event.patches):
+                kind = PATCH_TARGETS.get(op)
+                if kind is not None and target not in ids[kind]:
+                    r.refuse(("events", i, "patches", j, 1), f"{target!r} is no {kind} of the initial state")
     return r.build(
         dict,
         ontology_text=r.get("ontology_text", text, None),
@@ -219,10 +236,10 @@ def _parts_from_data(data: Mapping) -> dict:
         name=r.get("name", _file_name, "scenario"),
         registry=registry,
         assertions=r.get("assertions", assertions_from_data, AssertionBase({}, (), ())),
-        initial_state=r.get("initial_state", lambda d: RawPlatformState.from_data(_with_components(d, registry))),
+        initial_state=state,
         initial_hypothesis=r.get("initial_hypothesis", Hypothesis.from_data),
         ticks=r.get("ticks", integer, 1),
-        events=r.get("events", array(ScenarioEvent.from_data), ()),
+        events=events,
         annotations=r.get("annotations", mapping(anything, sorted_items), ()),
     )
 
@@ -241,10 +258,13 @@ def _by_component_id(registry: list[Component]) -> tuple[Component, ...]:
 
 
 def _with_components(state: object, registry: Sequence[Component] | None) -> object:
-    """A state that lists no components starts with every registry entry healthy."""
+    """A state that lists no components starts with every registry entry
+    healthy; it is copied as decoded, so a key that it repeats is refused."""
     if not isinstance(state, Mapping) or "components" in state:
         return state
-    return {**state, "components": [[c.component_id, str(c.concept), "ok"] for c in registry or ()]}
+    filled = copy(state)
+    filled["components"] = [[c.component_id, str(c.concept), "ok"] for c in registry or ()]
+    return filled
 
 
 def assertions_from_data(data: Mapping) -> AssertionBase:

@@ -279,7 +279,10 @@ def reuse_score(
 def match_failure(store: MemoryStore, h: Hypothesis, environment: str) -> list[FailureSignature]:
     """All stored signatures whose motif occurs in ``h`` and whose
     environment class digest is ``environment``; log order, each distinct
-    motif checked once."""
+    motif checked once.  A store without records, the store of a step with
+    the memory gate off, holds no signature, and its index is not read."""
+    if not store.records:
+        return []
     index = store.index()
     motifs = [motif for motif in index.get(("motifs", environment), ()) if motif.matches(h)]
     return [sig for _, sig in sorted([hit for motif in motifs for hit in index[("failure", environment, motif)]])]
@@ -342,8 +345,10 @@ def find_transportable(
     ``max_distance`` 0 only a certificate about ``h2`` itself can transport
     (the edit distance is 0 only between equal graphs), so no other subject
     is measured; a certificate of another kind, regime or environment class
-    never transports, so none is read."""
-    if kind not in TRANSPORTABLE_KINDS:
+    never transports, so none is read; nor is the index of a store that
+    holds no records and no certificates, such as a step's store with the
+    memory gate off."""
+    if kind not in TRANSPORTABLE_KINDS or not (store.records or store.certificates):
         return None
     key = (kind, regime_label, environment) + ((h2.digest(),) if max_distance == 0 else ())
     distances: dict[str, int | CertRefusal] = {}

@@ -399,6 +399,30 @@ class TestAdmissible:
             trace, _ = Orchestrator(cfg)._screen(tau, StepFacts.screening(simple_h, z, regime(), store, cfg), 0)
             assert trace.reuse == reuse
 
+    def test_memory_gate_off_never_reads_a_store_index(self, monkeypatch, schema, assertions, simple_h, z):
+        # with the gate off the step's store is the empty store: transport,
+        # the failure match and the reuse score return at once, and the
+        # candidate's trace is the one that reading an index that holds
+        # nothing for it gives (a store whose one record is a success of
+        # another graph in another regime)
+        from svcgov.memory import MemoryStore
+        from svcgov.orchestrator import GateFlags, Orchestrator
+
+        inert = record(EMPTY_STORE, MemoryRecord("other", "0" * 64, None, "success", None))
+        reads = []
+        index = MemoryStore.index
+        monkeypatch.setattr(MemoryStore, "index", lambda store: reads.append(store) or index(store))
+        cfg = make_config(schema, assertions, flags=GateFlags(memory=False), transport=2)
+        for tau in (Substitute("r1", "ua", UNIT_A1), Substitute("r1", "ua", UNIT_C), FALLBACK):
+            step = StepFacts.screening(simple_h, z, regime(), inert, cfg)
+            assert step.store is EMPTY_STORE
+            trace, _ = Orchestrator(cfg)._screen(tau, step, 0)
+            assert reads == []
+            full, _ = Orchestrator(cfg)._screen(tau, dataclasses.replace(step, store=inert), 0)
+            assert reads and all(store is inert for store in reads)
+            assert full == trace
+            reads.clear()
+
     def test_verdict_reports_every_obligation_with_evidence(self, schema, assertions, simple_h, z):
         cfg = make_config(schema, assertions)
         verdict = admissible(Substitute("r1", "ua", UNIT_B), simple_h, z, regime(), EMPTY_STORE, cfg)
@@ -827,12 +851,103 @@ class TestStepFactsAreComputedOnce:
         assert all("entry" in vars(facts) for facts in created)
         assert len(applicable) > 100 and totals["residual"] == len(applicable)
 
+    def test_each_fact_once_per_candidate(self, monkeypatch):
+        # one decision-step screening reads each fact of its candidate once,
+        # plus the before side of identity once per step; a substitution
+        # that touches more sites than the candidate's role reads the facts
+        # of the substituted graph too
+        from collections import Counter
+
+        from svcgov import certify, evaluation, memory, orchestrator
+
+        calls = Counter()
+        counted = {
+            "commitments_of": (certify, evaluation),
+            "core_value": (certify, evaluation),
+            "identity_breakdown": (certify, evaluation),
+            "prior_complexity": (certify, evaluation),
+            "match_failure": (certify, memory),
+            "structural": (RegimeSwitchModel,),
+        }
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, owners in counted.items():
+            for owner in owners:
+                monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        screened = []
+        screen = orchestrator.Orchestrator._screen
+
+        def screening(self, tau, step, tick):
+            before = calls.copy()
+            trace, h2 = screen(self, tau, step, tick)
+            screened.append((trace.verdict, step, calls - before))
+            return trace, h2
+
+        monkeypatch.setattr(orchestrator.Orchestrator, "_screen", screening)
+        for scenario, cfg, store in self.family_runs():
+            orchestrator.run(scenario, cfg, store)
+        steps, applicable = set(), []
+        for verdict, step, counts in screened:
+            substitution = verdict.substitution
+            outcome = substitution and (substitution.certificate or substitution.violation)
+            graphs = 1 + (outcome is not None and len(outcome.evidence_map()["sites"]) > 1)
+            first_of_step = not verdict.error and id(step) not in steps
+            if not verdict.error:
+                steps.add(id(step))
+                applicable.append(counts)
+            assert counts["commitments_of"] <= graphs + first_of_step, counts
+            assert counts["prior_complexity"] <= 1, counts
+            for name in ("core_value", "identity_breakdown", "match_failure", "structural"):
+                assert counts[name] <= graphs, (name, counts)
+        # every applicable candidate is charged, by A2 or by its score
+        assert len(applicable) > 100 and all(counts["structural"] for counts in applicable)
+
     def test_ledger_charged_only_for_passing_candidates_with_a2_certified(self, monkeypatch):
         counted = {"charged": [(DriftLedger, "charged")]}
         screened, _ = self.screened_with_counts(monkeypatch, self.family_runs(), counted)
         charged = [counts["charged"] for _, _, counts in screened]
         expected = [int(v.passed and v.obligation("A2").certified) for v, _, _ in screened]
         assert charged == expected and 0 < sum(charged) < len(charged)
+
+
+# ---------------------------------------------------------------------------
+# Evidence order
+# ---------------------------------------------------------------------------
+
+
+def test_every_rule_gives_its_evidence_in_key_order(schema, assertions, simple_h, z):
+    # certificates keep and compare their evidence in key order, which each
+    # rule builds itself; the reference is the sort that it replaces
+    from svcgov.certify import OBLIGATIONS, _substitution
+
+    cases = [
+        (Substitute("r1", "ua", UNIT_A1), {}, 50.0),  # passes every rule
+        (Substitute("r1", "ua", UNIT_C), {}, 50.0),  # A4 and S1 fail
+        (Substitute("r2", "ub", UNIT_C), {}, 50.0),  # A1 fails
+        (Substitute("r1", "ua", UNIT_A1), {}, 0.5),  # A2: a charge of 1 over the bound
+        (FALLBACK, {"capacity": prior_complexity(StructuralPrior(), simple_h)}, 50.0),  # A3 fails
+    ]
+    seen = set()
+    for tau, options, bound in cases:
+        cfg = make_config(schema, assertions, **options)
+        facts = StepFacts.screening(simple_h, z, regime(), EMPTY_STORE, cfg).candidate(tau)
+        findings = [(kind, *rule(facts, tau, DriftLedger(bound=bound))) for kind, _, rule in OBLIGATIONS]
+        if isinstance(tau, Substitute):
+            outcome = _substitution(simple_h.binding(tau.role_id), tau.new_component, (tau.role_id,), facts, 0)
+            findings.append(("substitution", outcome.evidence, getattr(outcome, "message", None)))
+        for kind, evidence, failure in findings:
+            keys = [key for key, _ in evidence]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (kind, keys)
+            assert tuple(sorted(evidence)) == evidence
+            seen.add((kind, failure is None))
+    kinds = [obligation.kind for obligation in OBLIGATIONS] + ["substitution"]
+    assert seen == {(kind, passed) for kind in kinds for passed in (True, False)}
 
 
 # ---------------------------------------------------------------------------

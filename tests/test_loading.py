@@ -31,7 +31,7 @@ from svcgov.fields import Fields, array, integer, number, read, row, text
 from svcgov.harness import bench
 from svcgov.harness.cli import _fail
 from svcgov.harness.cli import main as cli_main
-from svcgov.harness.packs import load_pack, pack_dir
+from svcgov.harness.packs import PACK_NAMES, load_pack, pack_dir
 from svcgov.harness.scenario import (
     ScenarioEvent,
     assertions_from_data,
@@ -355,6 +355,16 @@ SCENARIO_TYPOS = {
         _set(("initial_state", "components"), [["r1_nav", "ag:NavUnitMk1", "fine"]]),
         "initial_state.components[0][2] must be one of 'ok', 'degraded', 'failed', got 'fine'",
     ),
+    # no patch adds an agent or a component, so a patch of one that the
+    # state lacks would change nothing on any tick
+    "patch-unknown-agent": (
+        lambda d: d["events"][0]["patches"].append(["battery", "R9", 0.1]),
+        "'R9' is no agent of the initial state (at events[0].patches[2][1])",
+    ),
+    "patch-unknown-component": (
+        lambda d: d["events"][0]["patches"].append(["health", "nope", "failed"]),
+        "'nope' is no component of the initial state (at events[0].patches[2][1])",
+    ),
 }
 
 
@@ -423,6 +433,58 @@ def test_deeply_nested_json_is_refused_with_its_exit_code(tmp_path, capsys, read
     status, err = _cli(capsys, argv)
     assert status == code
     assert "maximum recursion depth" in err and err.count("\n") == 1
+
+
+def _named_twice(data: dict, path: tuple, key: str, value) -> str:
+    """``data`` as JSON text in which the object at ``path`` names ``key``
+    a second time, with ``value``, after its first value."""
+    target = data
+    for step in path:
+        target = target[step]
+    target[f"{key}~twin"] = value
+    return json.dumps(data).replace(json.dumps(f"{key}~twin"), json.dumps(key))
+
+
+@pytest.mark.parametrize("reader", ["scenario", "config", "report", "store"])
+def test_a_key_named_twice_is_refused_with_its_exit_code(tmp_path, capsys, persisted_store, reader):
+    # the decoder would keep the last value, so each reader refuses the key
+    # under its JSON path; the scenario binds r_nav to r1_nav, then r2_nav
+    path = tmp_path / reader
+    scenario, config = (pack_dir("hospital") / name for name in ("scenario.json", "config.json"))
+    if reader == "scenario":
+        data = pack_json("hospital", "scenario.json")
+        data["ontology"] = str(pack_dir("hospital") / "ontology.txt")
+        twin = next(c for c in data["registry"] if c["component"] == "r2_nav")
+        document = _named_twice(data, ("initial_hypothesis", "assignment"), "r_nav", twin)
+        expected = "initial_hypothesis.assignment key 'r_nav' is named more than once"
+        argv = ["validate", "--scenario", str(path), "--config", str(config)]
+    elif reader == "config":
+        document = _named_twice(pack_json("hospital", "config.json"), (), "drift_bound", 1e9)
+        expected = "configuration key 'drift_bound' is named more than once"
+        argv = ["validate", "--scenario", str(scenario), "--config", str(path)]
+    elif reader == "report":
+        document = _named_twice(ROUND_TRIP_REPORT.to_data(), ("metrics",), "structural_regret", 9.0)
+        expected = "metrics key 'structural_regret' is named more than once"
+        argv = ["compare", str(path), str(path)]
+    else:
+        _, header, entries = persisted_store
+        first = _named_twice(copy.deepcopy(entries[0]), ("record",), "reuse_tag", "twin")
+        body = "\n".join([header, first, *(json.dumps(e) for e in entries[1:])]) + "\n"
+        document = body + f"checksum sha256:{sha256_hex(body)}\n"
+        expected = "record key 'reuse_tag' is named more than once"
+        argv = ["run", "--pack", "retail", "--store", str(path)]
+    path.write_text(document, encoding="utf-8")
+    status, err = _cli(capsys, argv)
+    assert status == EXIT_CODES[reader]
+    assert expected in err
+
+
+@pytest.mark.parametrize("name", PACK_NAMES)
+def test_no_shipped_pack_names_a_key_twice(name):
+    objects = []
+    for file in ("scenario.json", "config.json"):
+        json.loads((pack_dir(name) / file).read_text(encoding="utf-8"), object_pairs_hook=objects.append)
+    assert objects and all(len(dict(pairs)) == len(pairs) for pairs in objects)
 
 
 # ---------------------------------------------------------------------------
