@@ -10,7 +10,7 @@ refinement depth fall into the same class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .canon import digest_of
 from .errors import MalformedRecord
@@ -54,8 +54,7 @@ class CertContext:
         return cls(*keyed(text, "regime", "environment")(data))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class _CertificateFields(NamedTuple):
     kind: str  # closure | stability | capacity | invariance | substitution | composite
     subject_digest: str
     context: CertContext
@@ -63,9 +62,33 @@ class Certificate:
     issued_at: int
     transported: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.evidence:
+
+class Certificate(_CertificateFields):
+    """A certificate of ``kind`` about the graph ``subject_digest``, issued
+    in ``context`` at tick ``issued_at``: a tuple, so it is built, compared
+    and hashed in C, that refuses empty evidence when built."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        subject_digest: str,
+        context: CertContext,
+        evidence: tuple[tuple[str, object], ...],
+        issued_at: int,
+        transported: bool = False,
+    ) -> "Certificate":
+        if not evidence:
             raise MalformedRecord("certificates require non-empty evidence")
+        # the base's generated ``__new__`` would only add a call
+        return tuple.__new__(cls, (kind, subject_digest, context, evidence, issued_at, transported))
+
+    @classmethod
+    def _make(cls, iterable) -> "Certificate":
+        """The certificate of the fields in ``iterable``; ``_replace`` builds
+        through here, so it refuses empty evidence too."""
+        return cls(*iterable)
 
     def evidence_map(self) -> dict[str, object]:
         return dict(self.evidence)
@@ -91,7 +114,8 @@ class Certificate:
         r = Fields(data)
         kind, subject, context = r.get("kind", text), r.get("subject", text), r.get("context", CertContext.from_data)
         evidence, issued_at = r.get("evidence", mapping(anything, sorted_items), ()), r.get("issued_at", integer, 0)
-        return r.build(cls, kind, subject, context, evidence, issued_at, r.get("transported", boolean, cls.transported))
+        transported = r.get("transported", boolean, cls._field_defaults["transported"])
+        return r.build(cls, kind, subject, context, evidence, issued_at, transported)
 
 
 @dataclass(frozen=True)
@@ -99,8 +123,7 @@ class CertRefusal:
     reason: str
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str  # one of OBLIGATION_CODES
     message: str
     evidence: tuple[tuple[str, object], ...] = ()

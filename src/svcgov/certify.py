@@ -74,8 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     from_regime: str
     to_regime: str
     cost: float
@@ -685,8 +684,7 @@ def _substitution(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObligationResult:
+class ObligationResult(NamedTuple):
     code: str
     certified: bool
     gated: bool
@@ -805,8 +803,11 @@ def admissible(
         outcome = None
         if kind in TRANSPORTABLE_KINDS:
             # a certificate transported from the step's store (the empty
-            # store with the memory gate off) stands in for the rule
+            # store with the memory gate off) stands in for the rule, a
+            # capacity certificate only when judged under the step's budget
             outcome = find_transportable(step.store, kind, h2, environment, cfg.transport_max_distance, e.label)
+            if outcome is not None and kind == "capacity":
+                outcome = outcome if outcome.evidence_map().get("budget") == step.capacity_budget else None
             transported += outcome is not None
         if outcome is None:
             evidence, message = rule(facts, tau, ledger)

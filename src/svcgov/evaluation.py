@@ -254,8 +254,7 @@ def commitments_of(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> C
     )
 
 
-@dataclass(frozen=True)
-class IdentityBreakdown:
+class IdentityBreakdown(NamedTuple):
     request_class: float
     outputs: float
     safety: float
@@ -459,8 +458,7 @@ class InvariantCore:
         return not self.include_identity or self.identity.admits(score)
 
 
-@dataclass(frozen=True)
-class CoreReport:
+class CoreReport(NamedTuple):
     value: float
     passed: bool
     identity_value: float
@@ -499,8 +497,7 @@ def core_value(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(NamedTuple):
     j_task: float
     j_safety: float
     j_semantic: float

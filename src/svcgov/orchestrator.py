@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .canon import canonical_dumps
 from .certificates import Certificate, environment_digest
@@ -222,8 +222,7 @@ def lift_table(scenario, cfg: OrchestratorConfig) -> LiftTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateTrace:
+class CandidateTrace(NamedTuple):
     transformation: Transformation
     verdict: AdmissibilityVerdict
     breakdown: ScoreBreakdown

@@ -331,6 +331,26 @@ class TestAdmissible:
         for code in ("A1", "A2", "A4"):
             assert verdict.obligation(code).certified
 
+    def test_a_capacity_certificate_stands_in_only_under_its_own_budget(self, schema, assertions, simple_h, z):
+        # a stored capacity certificate about h2, issued under budget 50,
+        # does not stand in for A3 under budget 1, where the rule refuses
+        # h2; under the budget it was judged under it still transports
+        from svcgov.memory import MemoryStore
+
+        tau = Substitute("r1", "ua", UNIT_A1)
+        h2 = apply(tau, simple_h)
+        prior, context = StructuralPrior(), ctx(schema, z)
+        assert 1.0 < prior_complexity(prior, h2) <= 50.0
+        store = MemoryStore(certificates=(certify_capacity(h2, prior, 50.0, context),))
+        tight = admissible(tau, simple_h, z, regime(), store, make_config(schema, assertions, capacity=1.0))
+        assert not tight.passed and tight.transported == 0
+        assert tight.violation_codes() == ("A3",)
+        refused = tight.obligation("A3").violation
+        assert refused.to_data() == certify_capacity(h2, prior, 1.0, context).to_data()
+        roomy = admissible(tau, simple_h, z, regime(), store, make_config(schema, assertions, capacity=50.0))
+        assert roomy.passed and roomy.transported == 1
+        assert roomy.obligation("A3").certificate.transported
+
     def test_all_pass_matches_conjunction_of_independent_certifiers(
         self, schema, assertions, simple_h, z
     ):
