@@ -93,11 +93,12 @@ class Certificate(_CertificateFields):
     def evidence_map(self) -> dict[str, object]:
         return dict(self.evidence)
 
-    def as_transported(self, new_subject: str, distance: int) -> "Certificate":
-        evidence = self.evidence_map()
-        evidence["transported_from"] = self.subject_digest
-        evidence["transport_distance"] = distance
-        return Certificate(self.kind, new_subject, self.context, tuple(sorted(evidence.items())), self.issued_at, True)
+    def as_transported(self) -> "Certificate":
+        """This certificate handed over from a store to its own subject:
+        marked transported, its evidence naming where it came from
+        (``transported_from``, its subject) and ``transport_distance`` 0."""
+        evidence = {**self.evidence_map(), "transported_from": self.subject_digest, "transport_distance": 0}
+        return self._replace(evidence=tuple(sorted(evidence.items())), transported=True)
 
     def to_data(self) -> dict:
         return {

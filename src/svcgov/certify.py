@@ -802,10 +802,10 @@ def admissible(
     for kind, code, rule in OBLIGATIONS:
         outcome = None
         if kind in TRANSPORTABLE_KINDS:
-            # a certificate transported from the step's store (the empty
-            # store with the memory gate off) stands in for the rule, a
-            # capacity certificate only when judged under the step's budget
-            outcome = find_transportable(step.store, kind, h2, environment, cfg.transport_max_distance, e.label)
+            # a certificate about h2 from the step's store (the empty store
+            # with the memory gate off) stands in for the rule, a capacity
+            # certificate only when judged under the step's budget
+            outcome = find_transportable(step.store, kind, h2, environment, e.label)
             if outcome is not None and kind == "capacity":
                 outcome = outcome if outcome.evidence_map().get("budget") == step.capacity_budget else None
             transported += outcome is not None

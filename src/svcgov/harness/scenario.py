@@ -367,7 +367,6 @@ def _config_from_data(data: Mapping) -> dict:
         drift_bound=r.get("drift_bound", number),
         reuse_bonus=r.get("reuse_bonus", number, defaults.reuse_bonus),
         reuse_penalty=r.get("reuse_penalty", number, defaults.reuse_penalty),
-        transport_max_distance=r.get("transport_max_distance", integer, defaults.transport_max_distance),
         fallback=r.get("fallback", _FALLBACK),
         flags=r.get("flags", GateFlags.from_data, defaults.flags),
     )

@@ -4,10 +4,12 @@ failure-motif quarantine, and controlled certificate transport.
 The store is append-only.  Records follow the tuple
 (regime, hypothesis digest, certificate, outcome, failure signature,
 reuse tag); failure signatures quarantine a graph motif within the
-environment class it failed in, never globally.  Certificates of kind
-closure or capacity may be transported to nearby graphs in a matching
-context; stability and invariance certificates are state-dependent and
-never transport.
+environment class it failed in, never globally.  A stored certificate of
+kind closure or capacity transports only onto the graph it is about, in
+a matching regime and environment class: a certificate about another
+graph, however near, would stand in for a rule that the candidate's own
+graph may fail.  Stability and invariance certificates are
+state-dependent and never transport.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, sha256_hex
 from .certificates import OBLIGATION_CODES, Certificate, CertRefusal
-from .errors import CorruptStore, MalformedRecord, NotReachable
+from .errors import CorruptStore, MalformedRecord
 from .fields import Fields, array, concept, decode, maybe, read, row, text
 from .model import Hypothesis
 from .ontology import ConceptId
-from .transform import edit_distance
 
 OUTCOMES = ("success", "degraded", "failed")
 
@@ -182,11 +183,6 @@ class MemoryStore:
     def __len__(self) -> int:
         return len(self.records)
 
-    def graph(self, digest: str) -> Hypothesis | None:
-        """The subject graph held under ``digest``, found by bisection."""
-        i = bisect_left(self.graphs, (digest,))
-        return self.graphs[i][1] if i < len(self.graphs) and self.graphs[i][0] == digest else None
-
     def index(self) -> dict[tuple, tuple]:
         if self._index is None:
             object.__setattr__(self, "_index", _extended({}, self.records, 0, self.certificates))
@@ -201,17 +197,14 @@ def _extended(index: dict, records: Sequence[MemoryRecord], position: int, loose
     """A copy of ``index`` that also holds ``records`` (logged from
     ``position`` on) and ``loose`` certificates, in log order: signatures by
     environment class and motif, successes by digest and regime, certificates
-    by pool, kind, regime, environment class (and subject)."""
+    by pool, kind, regime, environment class and subject."""
     grown = dict(index)
 
     def add(key: tuple, value: object) -> None:
         grown[key] = grown.get(key, ()) + (value,)
 
     for pool, cert in [("loose", c) for c in loose] + [("record", r.certificate) for r in records if r.certificate]:
-        key = (pool, cert.kind, cert.context.regime_label, cert.context.environment_digest)
-        add(key + (cert.subject_digest,), cert)
-        if cert.kind in TRANSPORTABLE_KINDS:
-            add(key, cert)
+        add((pool, cert.kind, cert.context.regime_label, cert.context.environment_digest, cert.subject_digest), cert)
     for position, rec in enumerate(records, position):
         cert, sig = rec.certificate, rec.failure_signature
         if rec.outcome == "success":  # each entry the environment class of its certificate, or None
@@ -288,12 +281,16 @@ def match_failure(store: MemoryStore, h: Hypothesis, environment: str) -> list[F
     return [sig for _, sig in sorted([hit for motif in motifs for hit in index[("failure", environment, motif)]])]
 
 
-def _transport(
-    cert: Certificate, h2: Hypothesis, environment: str, max_distance: int, regime_label: str, distance: int | CertRefusal
+def transport_certificate(
+    store: MemoryStore, cert: Certificate, h2: Hypothesis, environment: str, regime_label: str
 ) -> Certificate | CertRefusal:
-    """``cert`` moved onto ``h2`` in the current regime and environment class
-    (``environment`` is its digest), or the first transport rule that refuses
-    it; ``distance`` is ``_distance`` from its subject to ``h2``."""
+    """``cert``, held in ``store``, handed over to ``h2`` in the current
+    regime and environment class (``environment`` is its digest), or the
+    first transport rule that refuses it.  Only a closure or capacity
+    certificate about ``h2`` itself transports; stability and invariance
+    certificates are state-dependent and never do."""
+    if not store.has_certificate(cert):
+        return CertRefusal("certificate is not present in the store")
     if cert.kind not in TRANSPORTABLE_KINDS:
         return CertRefusal(f"non-transportable kind {cert.kind!r}")
     if cert.context.regime_label != regime_label:
@@ -302,64 +299,24 @@ def _transport(
         )
     if cert.context.environment_digest != environment:
         return CertRefusal("environment class mismatch")
-    if isinstance(distance, CertRefusal):
-        return distance
-    if distance > max_distance:
-        return CertRefusal(f"distance {distance} exceeds maximum {max_distance}")
-    return cert.as_transported(h2.digest(), distance)
-
-
-def _distance(store: MemoryStore, h2: Hypothesis, subject_digest: str) -> int | CertRefusal:
-    """Edit distance from the stored graph ``subject_digest`` to ``h2``, or
-    why it cannot be measured; the graph table is not read for ``h2`` itself."""
-    if subject_digest == h2.digest():
-        return 0
-    subject = store.graph(subject_digest)
-    if subject is None:
-        return CertRefusal("subject graph unknown; cannot measure distance")
-    try:
-        return edit_distance(subject, h2)
-    except NotReachable:
-        return CertRefusal("target graph unreachable from subject within the grammar")
-
-
-def transport_certificate(
-    store: MemoryStore, cert: Certificate, h2: Hypothesis, environment: str, max_distance: int, regime_label: str
-) -> Certificate | CertRefusal:
-    """Copy a stored closure/capacity certificate onto a nearby graph in a
-    matching context.  Stability and invariance certificates never
-    transport."""
-    if not store.has_certificate(cert):
-        return CertRefusal("certificate is not present in the store")
-    distance = _distance(store, h2, cert.subject_digest)
-    return _transport(cert, h2, environment, max_distance, regime_label, distance)
+    if cert.subject_digest != h2.digest():
+        return CertRefusal("certificate is about another graph")
+    return cert.as_transported()
 
 
 def find_transportable(
-    store: MemoryStore, kind: str, h2: Hypothesis, environment: str, max_distance: int, regime_label: str
+    store: MemoryStore, kind: str, h2: Hypothesis, environment: str, regime_label: str
 ) -> Certificate | None:
-    """First stored certificate of ``kind`` that transports onto ``h2``:
-    loose certificates first, then record certificates, in log order.
-
-    Each other subject is measured at most once per lookup.  At
-    ``max_distance`` 0 only a certificate about ``h2`` itself can transport
-    (the edit distance is 0 only between equal graphs), so no other subject
-    is measured; a certificate of another kind, regime or environment class
-    never transports, so none is read; nor is the index of a store that
+    """First stored certificate of ``kind`` about ``h2`` in the current
+    regime and environment class, handed over: loose certificates first,
+    then record certificates, in log order.  The index of a store that
     holds no records and no certificates, such as a step's store with the
-    memory gate off."""
+    memory gate off, is not read."""
     if kind not in TRANSPORTABLE_KINDS or not (store.records or store.certificates):
         return None
-    key = (kind, regime_label, environment) + ((h2.digest(),) if max_distance == 0 else ())
-    distances: dict[str, int | CertRefusal] = {}
-    for cert in store.index().get(("loose", *key), ()) + store.index().get(("record", *key), ()):
-        subject = cert.subject_digest
-        if subject not in distances:
-            distances[subject] = _distance(store, h2, subject)
-        moved = _transport(cert, h2, environment, max_distance, regime_label, distances[subject])
-        if isinstance(moved, Certificate):
-            return moved
-    return None
+    key, index = (kind, regime_label, environment, h2.digest()), store.index()
+    found = index.get(("loose", *key)) or index.get(("record", *key))
+    return found[0].as_transported() if found else None
 
 
 # ---------------------------------------------------------------------------

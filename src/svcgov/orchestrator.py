@@ -98,7 +98,6 @@ class OrchestratorConfig:
     drift_bound: float
     reuse_bonus: float = 1.0
     reuse_penalty: float = 2.0
-    transport_max_distance: int = 0
     fallback: AddSubservice | None = None
     flags: GateFlags = GateFlags()
 
@@ -113,7 +112,7 @@ class OrchestratorConfig:
             raise ConfigError("capacity budget must be positive")
         if self.drift_bound < 0:
             raise ConfigError("global drift bound must be nonnegative")
-        for name in ("reuse_bonus", "reuse_penalty", "transport_max_distance"):
+        for name in ("reuse_bonus", "reuse_penalty"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.fallback is None:

@@ -274,7 +274,6 @@ def make_config(
     regimes: tuple[Regime, ...] | None = None,
     model: RegimeSwitchModel | None = None,
     flags: GateFlags = GateFlags(),
-    transport: int = 0,
 ) -> OrchestratorConfig:
     return OrchestratorConfig(
         schema=schema,
@@ -286,7 +285,6 @@ def make_config(
         capacity_budget=capacity,
         switch_model=model if model is not None else RegimeSwitchModel(),
         drift_bound=drift_bound,
-        transport_max_distance=transport,
         fallback=FALLBACK,
         flags=flags,
     )

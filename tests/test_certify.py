@@ -6,7 +6,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from svcgov.canon import canonical_dumps
@@ -33,12 +33,15 @@ from svcgov.memory import (
     EMPTY_STORE,
     FailureSignature,
     MemoryRecord,
+    MemoryStore,
     Motif,
     find_transportable,
     record,
 )
-from svcgov.model import Hypothesis, type_soundness
+from svcgov.model import Hypothesis, InterfaceContract, Role, type_soundness
 from svcgov.transform import (
+    AddSubservice,
+    Attachment,
     Rebind,
     Substitute,
     UpdateConstraint,
@@ -52,6 +55,7 @@ from conftest import (
     UNIT_A1,
     UNIT_B,
     UNIT_C,
+    UNIT_SUP,
     chain_hypothesis,
     cid,
     invariant_core,
@@ -350,6 +354,12 @@ class TestAdmissible:
         roomy = admissible(tau, simple_h, z, regime(), store, make_config(schema, assertions, capacity=50.0))
         assert roomy.passed and roomy.transported == 1
         assert roomy.obligation("A3").certificate.transported
+        # the reference path applies the same budget rule
+        for capacity in (1.0, 50.0):
+            call = dict(tau=tau, h=simple_h, z=z, e=regime(), store=store)
+            call.update(cfg=make_config(schema, assertions, capacity=capacity))
+            call.update(ledger=None, from_regime=None, tick=0, facts=None)
+            check_against_standalone(call, admissible(**call))
 
     def test_all_pass_matches_conjunction_of_independent_certifiers(
         self, schema, assertions, simple_h, z
@@ -432,7 +442,7 @@ class TestAdmissible:
         reads = []
         index = MemoryStore.index
         monkeypatch.setattr(MemoryStore, "index", lambda store: reads.append(store) or index(store))
-        cfg = make_config(schema, assertions, flags=GateFlags(memory=False), transport=2)
+        cfg = make_config(schema, assertions, flags=GateFlags(memory=False))
         for tau in (Substitute("r1", "ua", UNIT_A1), Substitute("r1", "ua", UNIT_C), FALLBACK):
             step = StepFacts.screening(simple_h, z, regime(), inert, cfg)
             assert step.store is EMPTY_STORE
@@ -474,6 +484,78 @@ class TestAdmissible:
         a4 = verdict.obligation("A4")
         assert not a4.gated and a4.passed and a4.violation is not None
         assert not verdict.passed  # closure still gates
+
+
+#: Adds a role that requires a function its unit lacks: the graph it
+#: reaches, one edit from ``simple_h``, is not type-sound.
+UNSOUND_ADD = AddSubservice(
+    part=Hypothesis.build(
+        roles=[Role("r_x", frozenset({cid("t:FC"), cid("t:FOversight")}))],
+        assignment={"r_x": UNIT_SUP},
+    ),
+    attach=(Attachment("r2", "r_x", InterfaceContract(frozenset(), frozenset(), frozenset())),),
+    rationale="unsound",
+)
+
+#: One certificate drawn for the store: (kind, regime, environment matches,
+#: the grammar candidate whose graph it is about, the budget a capacity
+#: certificate is judged under, logged with a record rather than loose).
+ISSUED = st.tuples(
+    st.sampled_from(["closure", "capacity"]),
+    st.sampled_from(["base", "base", "noisy"]),
+    st.sampled_from([True, True, False]),
+    st.integers(0, 10),
+    st.sampled_from([4.0, 5.1, 50.0]),
+    st.booleans(),
+)
+
+
+class TestTransportCertifiesOnlyItsOwnGraph:
+    def test_certificates_about_a_nearby_graph_do_not_stand_in_for_a1(self, schema, assertions, simple_h, z):
+        # closure and capacity certificates about simple_h are in the store;
+        # the unsound addition reaches a graph one edit away, and A1 judges
+        # that graph instead of reusing them
+        context = ctx(schema, z)
+        closure = Certificate("closure", simple_h.digest(), context, (("ok", True),), 0)
+        capacity = certify_capacity(simple_h, StructuralPrior(), 50.0, context)
+        store = MemoryStore(certificates=(closure, capacity))
+        for kind in ("closure", "capacity"):  # both hand over onto simple_h itself
+            assert find_transportable(store, kind, simple_h, context.environment_digest, "base") is not None
+        cfg = make_config(schema, assertions, grammar=make_grammar(addable=(FALLBACK, UNSOUND_ADD)))
+        verdict = admissible(UNSOUND_ADD, simple_h, z, regime(), store, cfg)
+        assert verdict.transported == 0
+        a1 = verdict.obligation("A1")
+        assert not a1.certified and "not type-sound" in a1.violation.message
+
+    @given(issued=st.lists(ISSUED, max_size=8), capacity=st.sampled_from([4.0, 5.1, 50.0]))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reuse_never_certifies_what_the_rule_refutes(self, schema, assertions, simple_h, z, issued, capacity):
+        # the store holds certificates that the rules issued about grammar
+        # candidates' graphs, in drawn contexts; whatever A1 or A3 certifies
+        # with it, the rule certifies with the empty store
+        grammar = make_grammar(addable=(FALLBACK, UNSOUND_ADD))
+        cfg = make_config(schema, assertions, grammar=grammar, capacity=capacity)
+        candidates = generate_candidates(simple_h, z, grammar, [UNIT_A, UNIT_A1, UNIT_B, UNIT_C, UNIT_SUP])
+        env = environment_digest(z, schema)
+        loose, logged = [], []
+        for kind, regime_label, env_matches, which, budget, in_record in issued:
+            tau = candidates[which % len(candidates)]
+            h2, context = apply(tau, simple_h), CertContext(regime_label, env if env_matches else "elsewhere")
+            if kind == "closure":
+                out = certify_closure(h2, schema, grammar, tau, context)
+            else:
+                out = certify_capacity(h2, cfg.prior, budget, context)
+            if isinstance(out, Certificate):  # a refusal is never stored
+                if in_record:
+                    logged.append(MemoryRecord("base", h2.digest(), out, "success", None))
+                else:
+                    loose.append(out)
+        store = MemoryStore(records=tuple(logged), certificates=tuple(loose))
+        for tau in candidates:
+            reused = admissible(tau, simple_h, z, regime(), store, cfg)
+            alone = admissible(tau, simple_h, z, regime(), EMPTY_STORE, cfg)
+            for code in ("A1", "A3"):
+                assert alone.obligation(code).certified or not reused.obligation(code).certified, (tau, code)
 
 
 class TestLedgerAndCapacityMeasure:
@@ -561,15 +643,15 @@ def standalone_outcomes(tau, h, z, e, store, cfg, ledger, from_regime, tick, fac
     def transported(kind):
         if not cfg.flags.memory:
             return None
-        distance = cfg.transport_max_distance
-        return find_transportable(memory, kind, h2, context.environment_digest, distance, e.label)
+        return find_transportable(memory, kind, h2, context.environment_digest, e.label)
 
     closure = transported("closure")
     if closure is None:
         closure = certify_closure(h2, cfg.schema, cfg.grammar, tau, context, tick)
+    budget = min(cfg.capacity_budget, e.budgets.complexity)
     capacity = transported("capacity")
-    if capacity is None:
-        budget = min(cfg.capacity_budget, e.budgets.complexity)
+    # a capacity certificate stands in only under the budget it was judged under
+    if capacity is None or capacity.evidence_map().get("budget") != budget:
         capacity = certify_capacity(h2, cfg.prior, budget, context, tick)
     stability, charged = certify_stability(h, h2, ledger, cfg.switch_model, from_regime, e, context, tick)
     out = {

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import svcgov
 from svcgov import orchestrator
-from svcgov.certificates import environment_digest
+from svcgov.certificates import Certificate, environment_digest
 from svcgov.certify import StepFacts, Transition, _charge_parts, transition
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
 from svcgov.evaluation import detect_regime, evaluate
@@ -301,7 +301,6 @@ class TestConfigLoading:
             ("reuse_bonus", None),
             ("reuse_penalty", True),
             ("interface_charge", [0.5]),
-            ("transport_max_distance", 1.5),
             ("drift_bound", float("nan")),
         ],
     )
@@ -1089,12 +1088,12 @@ class TestHistoryFlatWork:
     def test_work_per_candidate_does_not_grow_with_history(self, monkeypatch):
         # the last six cycles (one period of the unit and deadline rotation)
         # of a 10-cycle and a 40-cycle run screen the same candidates with the
-        # same motif checks and the same certificates handed to the transport
-        # rules, although the longer store holds four times the history
+        # same motif checks and the same certificates handed over from the
+        # store, although the longer store holds four times the history
         from svcgov import memory
 
         counts = dict.fromkeys(("candidates", "motifs", "certificates"), 0)
-        matches, transport, admissible = memory.Motif.matches, memory._transport, orchestrator.admissible
+        matches, transport, admissible = memory.Motif.matches, Certificate.as_transported, orchestrator.admissible
 
         def counted(name, fn):
             def counting(*args, **kwargs):
@@ -1104,7 +1103,7 @@ class TestHistoryFlatWork:
 
         monkeypatch.setattr(orchestrator, "admissible", counted("candidates", admissible))
         monkeypatch.setattr(memory.Motif, "matches", counted("motifs", matches))
-        monkeypatch.setattr(memory, "_transport", counted("certificates", transport))
+        monkeypatch.setattr(Certificate, "as_transported", counted("certificates", transport))
         step = orchestrator.Orchestrator.step
         steps = []
 
@@ -1122,7 +1121,7 @@ class TestHistoryFlatWork:
             records.append(len(run(scenario, cfg).store.records))
             tails.append(steps[-36:])
         assert tails[0] == tails[1]
-        assert sum(n for n, _, _ in tails[0]) > 0 and sum(m for _, m, _ in tails[0]) > 0
+        assert all(sum(column) > 0 for column in zip(*tails[0]))  # candidates, motifs, certificates
         assert records[1] > 3 * records[0]
 
 

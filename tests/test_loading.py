@@ -316,7 +316,7 @@ CONFIG_TYPOS = {
         _set(("switch_model", "recipes"), [["routine", "emergency", []], ["routine", "emergency", [["speed", 0.5]]]]),
         "recipes declare a switch more than once: routine->emergency",
     ),
-    "transport-distance-negative": (_set(("transport_max_distance",), -1), "transport_max_distance must be nonnegative"),
+    "transport-distance-key": (_set(("transport_max_distance",), 0), "unknown configuration keys: transport_max_distance"),
 }
 
 SCENARIO_TYPOS = {

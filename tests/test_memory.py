@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from svcgov.canon import canonical_dumps
 from svcgov.certificates import CertContext, Certificate, CertRefusal, environment_digest
 from svcgov.errors import CorruptStore, MalformedRecord
-import svcgov.memory as memory_module
 from svcgov.memory import (
     EMPTY_STORE,
     TRANSPORTABLE_KINDS,
@@ -31,7 +30,7 @@ from svcgov.memory import (
     transport_certificate,
 )
 from svcgov.model import semantic_lift
-from svcgov.transform import Substitute, UpdateConstraint, apply, edit_distance
+from svcgov.transform import Substitute, UpdateConstraint, apply
 
 from conftest import (
     UNIT_A,
@@ -73,7 +72,7 @@ class TestRecord:
         rec = MemoryRecord("base", simple_h.digest(), None, "success", None, "tag")
         store = record(EMPTY_STORE, rec, graph=simple_h)
         assert len(store) == 1
-        assert store.graph(simple_h.digest()) == simple_h
+        assert store.graphs == ((simple_h.digest(), simple_h),)
         assert len(EMPTY_STORE) == 0  # prior store untouched
 
     def test_failed_record_requires_a_signature(self, simple_h):
@@ -105,8 +104,6 @@ class TestRecord:
             table.setdefault(g.digest(), g)
             reference = MemoryStore(reference.records + (rec,), tuple(sorted(table.items())))
             assert grown == reference
-            # the bisection lookup reads the table as the dict does
-            assert all(grown.graph(h.digest()) == table.get(h.digest()) for h in graphs)
             assert (grown.graphs is store.graphs) == (g.digest() in dict(store.graphs))
             store = grown
         assert len(store.graphs) == len(graphs)
@@ -246,7 +243,7 @@ class TestTransport:
     def test_identical_graph_same_context_transports_at_distance_zero(self, schema, z, simple_h):
         cert = make_cert("closure", simple_h.digest(), z, schema)
         store = MemoryStore(certificates=(cert,))
-        moved = transport_certificate(store, cert, simple_h, environment_digest(z, schema), 0, "base")
+        moved = transport_certificate(store, cert, simple_h, environment_digest(z, schema), "base")
         assert isinstance(moved, Certificate)
         assert moved.transported
         assert moved.evidence_map()["transport_distance"] == 0
@@ -255,49 +252,38 @@ class TestTransport:
     def test_stability_certificates_never_transport(self, schema, z, simple_h):
         cert = make_cert("stability", simple_h.digest(), z, schema)
         store = MemoryStore(certificates=(cert,))
-        out = transport_certificate(store, cert, simple_h, environment_digest(z, schema), 99, "base")
+        out = transport_certificate(store, cert, simple_h, environment_digest(z, schema), "base")
         assert isinstance(out, CertRefusal)
         assert "non-transportable" in out.reason
-
-    def test_one_substitution_away_within_max_distance(self, schema, z, simple_h):
-        cert = make_cert("closure", simple_h.digest(), z, schema)
-        rec = MemoryRecord("base", simple_h.digest(), cert, "success", None)
-        store = record(EMPTY_STORE, rec, graph=simple_h)
-        nearby = apply(Substitute("r1", "ua", UNIT_A1), simple_h)
-        moved = transport_certificate(store, cert, nearby, environment_digest(z, schema), 1, "base")
-        assert isinstance(moved, Certificate)
-        assert moved.evidence_map()["transport_distance"] == 1  # oracle: one-step diff
-        refused = transport_certificate(store, cert, nearby, environment_digest(z, schema), 0, "base")
-        assert isinstance(refused, CertRefusal)
 
     def test_context_mismatch_refuses(self, schema, assertions, z, simple_h):
         cert = make_cert("closure", simple_h.digest(), z, schema)
         store = MemoryStore(certificates=(cert,))
-        wrong_regime = transport_certificate(store, cert, simple_h, environment_digest(z, schema), 0, "noisy")
+        wrong_regime = transport_certificate(store, cert, simple_h, environment_digest(z, schema), "noisy")
         assert isinstance(wrong_regime, CertRefusal)
         noisy = semantic_lift(
             make_raw_state(zone_descriptors=("t:Zone", "t:LoudZone")), schema, assertions
         )
-        wrong_env = transport_certificate(store, cert, simple_h, environment_digest(noisy, schema), 0, "base")
+        wrong_env = transport_certificate(store, cert, simple_h, environment_digest(noisy, schema), "base")
         assert isinstance(wrong_env, CertRefusal)
 
     def test_unknown_certificate_refuses(self, schema, z, simple_h):
         cert = make_cert("closure", simple_h.digest(), z, schema)
-        out = transport_certificate(EMPTY_STORE, cert, simple_h, environment_digest(z, schema), 0, "base")
+        out = transport_certificate(EMPTY_STORE, cert, simple_h, environment_digest(z, schema), "base")
         assert isinstance(out, CertRefusal)
 
     def test_transport_conservatism_property(self, schema, z, simple_h):
         for kind in ("closure", "stability", "capacity", "invariance", "substitution", "composite"):
             cert = make_cert(kind, simple_h.digest(), z, schema)
             store = MemoryStore(certificates=(cert,))
-            out = transport_certificate(store, cert, simple_h, environment_digest(z, schema), 5, "base")
+            out = transport_certificate(store, cert, simple_h, environment_digest(z, schema), "base")
             if kind in ("closure", "capacity"):
                 assert isinstance(out, Certificate)
             else:
                 assert isinstance(out, CertRefusal)
 
 
-def reference_find_transportable(store, kind, h2, environment, max_distance, regime_label):
+def reference_find_transportable(store, kind, h2, environment, regime_label):
     """The pool scan that ``find_transportable`` replaced: every entry is
     deduplicated by its canonical text and run through the full
     ``transport_certificate``."""
@@ -310,7 +296,7 @@ def reference_find_transportable(store, kind, h2, environment, max_distance, reg
         if cert.kind != kind or key in seen:
             continue
         seen.add(key)
-        moved = transport_certificate(store, cert, h2, environment, max_distance, regime_label)
+        moved = transport_certificate(store, cert, h2, environment, regime_label)
         if isinstance(moved, Certificate):
             return moved
     return None
@@ -350,11 +336,10 @@ class TestFindTransportable:
         target=st.integers(0, 3),
         kind=st.sampled_from(["closure", "closure", "capacity", "stability"]),
         regime_label=st.sampled_from(["base", "base", "noisy"]),
-        max_distance=st.integers(0, 3),
     )
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_agrees_with_the_pool_scan(
-        self, schema, z, simple_h, loose, logged, kept, target, kind, regime_label, max_distance
+        self, schema, z, simple_h, loose, logged, kept, target, kind, regime_label
     ):
         graphs = transport_graphs(simple_h)
         subjects = [g.digest() for g in graphs] + ["0" * 64]  # the last is in no store
@@ -374,49 +359,22 @@ class TestFindTransportable:
             graphs=tuple(sorted((g.digest(), g) for g, keep in zip(graphs, kept) if keep)),
             certificates=tuple(cert(spec) for spec in loose),
         )
-        args = (kind, graphs[target], env, max_distance, regime_label)
+        args = (kind, graphs[target], env, regime_label)
         assert find_transportable(store, *args) == reference_find_transportable(store, *args)
 
     def test_first_hit_in_pool_order_wins(self, schema, z, simple_h):
-        g0, g1, g2, _ = transport_graphs(simple_h)
-        near = make_cert("closure", g1.digest(), z, schema, tick=1)
-        far = make_cert("closure", g2.digest(), z, schema, tick=2)
-        store = MemoryStore(
-            records=(MemoryRecord("base", g1.digest(), near, "success", None),),
-            graphs=tuple(sorted((g.digest(), g) for g in (g1, g2))),
-            certificates=(far,),
-        )
-        moved = find_transportable(store, "closure", g0, environment_digest(z, schema), 2, "base")
-        assert moved == far.as_transported(g0.digest(), 2)  # loose certificates come first
+        g0 = simple_h
+        logged = make_cert("closure", g0.digest(), z, schema, tick=1)
+        loose = make_cert("closure", g0.digest(), z, schema, tick=2)
+        store = MemoryStore(records=(MemoryRecord("base", g0.digest(), logged, "success", None),), certificates=(loose,))
+        moved = find_transportable(store, "closure", g0, environment_digest(z, schema), "base")
+        assert moved == loose.as_transported()  # loose certificates come first
 
-    def test_measures_each_subject_once(self, schema, z, simple_h, monkeypatch):
-        import svcgov.memory as memory
-
-        g0, g1, g2, g3 = transport_graphs(simple_h)
-        calls = []
-
-        def counting(subject, target):
-            calls.append(subject.digest())
-            return edit_distance(subject, target)
-
-        monkeypatch.setattr(memory, "edit_distance", counting)
-        certs = tuple(make_cert("closure", g.digest(), z, schema, tick=t) for t in range(3) for g in (g1, g2))
-        store = MemoryStore(graphs=tuple(sorted((g.digest(), g) for g in (g1, g2))), certificates=certs)
-        # g3 is two edits from g1 and three from g2, so nothing transports
-        assert find_transportable(store, "closure", g3, environment_digest(z, schema), 1, "base") is None
-        assert sorted(calls) == sorted([g1.digest(), g2.digest()])
-
-    def test_distance_zero_measures_no_other_subject(self, schema, z, simple_h, monkeypatch):
-        import svcgov.memory as memory
-
-        g0, g1, g2, g3 = transport_graphs(simple_h)
-        calls = []
-
-        def counting(subject, target):
-            calls.append(subject.digest())
-            return edit_distance(subject, target)
-
-        monkeypatch.setattr(memory, "edit_distance", counting)
+    def test_distance_zero_measures_no_other_subject(self, schema, z, simple_h):
+        # only the certificate about g0 itself transports; one about a graph
+        # one edit away, or about one that g0 is not reachable from, is
+        # refused with one reason
+        g0, g1, _, g3 = transport_graphs(simple_h)
         env = environment_digest(z, schema)
         other = make_cert("closure", g1.digest(), z, schema)
         unreachable = make_cert("closure", g3.digest(), z, schema)
@@ -425,31 +383,21 @@ class TestFindTransportable:
             graphs=tuple(sorted((g.digest(), g) for g in (g0, g1, g3))),
             certificates=(other, unreachable, same),
         )
-        assert find_transportable(store, "closure", g0, env, 0, "base") == same.as_transported(g0.digest(), 0)
-        assert calls == []
-        # transport_certificate still measures, and gives the reason
-        refused = transport_certificate(store, other, g0, env, 0, "base")
-        assert refused == CertRefusal("distance 1 exceeds maximum 0")
-        refused = transport_certificate(store, unreachable, g0, env, 0, "base")
-        assert refused == CertRefusal("target graph unreachable from subject within the grammar")
-        assert calls == [g1.digest(), g3.digest()]
+        assert find_transportable(store, "closure", g0, env, "base") == same.as_transported()
+        for cert in (other, unreachable):
+            assert transport_certificate(store, cert, g0, env, "base") == CertRefusal("certificate is about another graph")
 
-
-    def test_distance_zero_never_reads_the_graph_table(self, schema, z, simple_h, monkeypatch):
-        g0, g1, _, _ = transport_graphs(simple_h)
-        reads = []
-        graph = MemoryStore.graph
-        monkeypatch.setattr(MemoryStore, "graph", lambda store, digest: reads.append(store) or graph(store, digest))
+    def test_distance_zero_never_reads_the_graph_table(self, schema, z, simple_h):
+        # a store without its graph table transports the same certificates
+        g0, g1, _, g3 = transport_graphs(simple_h)
         env = environment_digest(z, schema)
         other = make_cert("closure", g1.digest(), z, schema)
         same = make_cert("closure", g0.digest(), z, schema, tick=1)
         store = MemoryStore(graphs=tuple(sorted((g.digest(), g) for g in (g0, g1))), certificates=(other, same))
-        assert find_transportable(store, "closure", g0, env, 0, "base") == same.as_transported(g0.digest(), 0)
-        assert find_transportable(store, "closure", g1, env, 0, "base") == other.as_transported(g1.digest(), 0)
-        assert reads == []
-        # measuring another subject reads the table, once for that subject
-        assert find_transportable(store, "closure", g0, env, 1, "base") == other.as_transported(g0.digest(), 1)
-        assert reads == [store]
+        for held in (store, MemoryStore(certificates=store.certificates)):
+            assert find_transportable(held, "closure", g0, env, "base") == same.as_transported()
+            assert find_transportable(held, "closure", g1, env, "base") == other.as_transported()
+            assert find_transportable(held, "closure", g3, env, "base") is None
 
 
 def linear_has_certificate(store, cert) -> bool:
@@ -477,25 +425,37 @@ def linear_reuse_score(store, h, e_label, environment, bonus, penalty) -> float:
     return score
 
 
-def linear_transport(store, cert, h2, environment, max_distance, regime_label):
+def transport_rules(cert, h2, environment, regime_label):
+    """The transport rules in order: ``cert`` handed over to ``h2``, or the
+    first rule that refuses it."""
+    if cert.kind not in TRANSPORTABLE_KINDS:
+        return CertRefusal(f"non-transportable kind {cert.kind!r}")
+    if cert.context.regime_label != regime_label:
+        return CertRefusal(
+            f"regime mismatch: certificate is for {cert.context.regime_label!r}, current is {regime_label!r}"
+        )
+    if cert.context.environment_digest != environment:
+        return CertRefusal("environment class mismatch")
+    if cert.subject_digest != h2.digest():
+        return CertRefusal("certificate is about another graph")
+    return cert.as_transported()
+
+
+def linear_transport(store, cert, h2, environment, regime_label):
     if not linear_has_certificate(store, cert):
         return CertRefusal("certificate is not present in the store")
-    distance = memory_module._distance(store, h2, cert.subject_digest)
-    return memory_module._transport(cert, h2, environment, max_distance, regime_label, distance)
+    return transport_rules(cert, h2, environment, regime_label)
 
 
-def linear_find_transportable(store, kind, h2, environment, max_distance, regime_label):
+def linear_find_transportable(store, kind, h2, environment, regime_label):
     """The pool scan that the certificate index replaced: loose
-    certificates, then record certificates, each in log order, each
-    subject measured afresh."""
+    certificates, then record certificates, each in log order, each run
+    through the transport rules."""
     if kind not in TRANSPORTABLE_KINDS:
         return None
     for cert in itertools.chain(store.certificates, (r.certificate for r in store.records)):
         if cert is not None and cert.kind == kind:
-            if max_distance == 0 and cert.subject_digest != h2.digest():
-                continue
-            distance = memory_module._distance(store, h2, cert.subject_digest)
-            moved = memory_module._transport(cert, h2, environment, max_distance, regime_label, distance)
+            moved = transport_rules(cert, h2, environment, regime_label)
             if isinstance(moved, Certificate):
                 return moved
     return None
@@ -571,15 +531,14 @@ class TestIndexedReadsEqualTheLinearScans:
                         assert reuse_score(store, target, regime, env, 1.5, 0.7, matched) == expected
                         twin_matched = match_failure(twin, target, env)
                         assert reuse_score(twin, target, regime, env, 1.5, 0.7, twin_matched) == expected
-                        for distance in (0, 2):
-                            for kind in ("closure", "capacity", "stability"):
-                                args = (kind, target, env, distance, regime)
-                                expected = linear_find_transportable(store, *args)
-                                assert find_transportable(store, *args) == expected
-                                assert find_transportable(twin, *args) == expected
-                            for c in pool[:4] + [outsider]:
-                                args = (c, target, env, distance, regime)
-                                assert transport_certificate(store, *args) == linear_transport(store, *args)
+                        for kind in ("closure", "capacity", "stability"):
+                            args = (kind, target, env, regime)
+                            expected = linear_find_transportable(store, *args)
+                            assert find_transportable(store, *args) == expected
+                            assert find_transportable(twin, *args) == expected
+                        for c in pool[:4] + [outsider]:
+                            args = (c, target, env, regime)
+                            assert transport_certificate(store, *args) == linear_transport(store, *args)
             for c in pool + [outsider]:
                 assert store.has_certificate(c) == twin.has_certificate(c) == linear_has_certificate(store, c)
 
@@ -615,16 +574,16 @@ class TestIndexedReadsEqualTheLinearScans:
         grown = record(base, MemoryRecord("base", simple_h.digest(), cert, "success", None), certificates=(cert,))
         branch = record(base, MemoryRecord("noisy", simple_h.digest(), None, "success", None))
         assert base.index() == index and base.index() is not grown.index()
-        assert find_transportable(base, "closure", simple_h, env, 0, "base") is None
-        assert find_transportable(grown, "closure", simple_h, env, 0, "base") == cert.as_transported(simple_h.digest(), 0)
-        assert find_transportable(branch, "closure", simple_h, env, 0, "base") is None
+        assert find_transportable(base, "closure", simple_h, env, "base") is None
+        assert find_transportable(grown, "closure", simple_h, env, "base") == cert.as_transported()
+        assert find_transportable(branch, "closure", simple_h, env, "base") is None
         stores = (base, grown, branch)
         scores = [reuse_score(s, simple_h, "base", env, 1.0, 2.0, match_failure(s, simple_h, env)) for s in stores]
         assert scores == [1.0, 2.0, 1.0]
         # certificates may arrive as any iterable, read once
         loose = record(base, MemoryRecord("base", simple_h.digest(), None, "success", None), certificates=iter((cert,)))
         assert loose.certificates == (cert,) and loose.has_certificate(cert)
-        assert find_transportable(loose, "closure", simple_h, env, 0, "base") == cert.as_transported(simple_h.digest(), 0)
+        assert find_transportable(loose, "closure", simple_h, env, "base") == cert.as_transported()
 
 
 class TestQuarantine:
@@ -741,8 +700,8 @@ class TestPersistence:
 
     def test_a_record_graph_without_the_record_digest_is_corrupt(self, tmp_path, simple_h):
         # ``record`` refuses this pair, so a store that holds it was edited;
-        # filed under the record's digest, the graph would stand in for
-        # another subject when transport measures distances
+        # filed under the record's digest, the graph table would hold a
+        # graph under another graph's digest
         store = record(EMPTY_STORE, MemoryRecord("base", simple_h.digest(), None, "success", None), graph=simple_h)
         entry = {"record": store.records[0].to_data(), "graph": simple_h.to_data()}
         entry["graph"]["constraints"]["latency"] = 11.0

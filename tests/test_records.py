@@ -199,7 +199,7 @@ def test_a_stored_certificate_without_a_transported_key_is_not_transported():
 
 @pytest.mark.parametrize("transported", [False, True], ids=["plain", "transported"])
 def test_a_certificate_survives_its_round_trip(transported):
-    cert = certificate().as_transported("ffff", 0) if transported else certificate()
+    cert = certificate().as_transported() if transported else certificate()
     assert cert.transported is transported
     again = Certificate.from_data(cert.to_data())
     assert again == cert and type(again) is Certificate
