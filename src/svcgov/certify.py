@@ -379,7 +379,13 @@ class CandidateFacts:
 
     @kept
     def identity(self) -> IdentityBreakdown:
-        return identity_breakdown(self.step.core.identity, self.step.commitments, self.commitments)
+        """``identity_breakdown`` of ``h2`` against ``h``, which reads both
+        sides' commitments and so only the two graphs and the required and
+        output functions of ``z``: kept in ``schema.memo`` under those."""
+        step = self.step
+        spec, before, after, z = step.core.identity, step.commitments, self.commitments, step.z
+        key = ("identity", spec, step.h.digest(), self.h2.digest(), z.required_functions, z.output_functions)
+        return step.schema.remembered(key, identity_breakdown, spec, before, after)
 
     @kept
     def core_certified(self) -> bool:

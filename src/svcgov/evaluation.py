@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
@@ -243,12 +244,20 @@ class Commitments(NamedTuple):
 def commitments_of(h: Hypothesis, z: SemanticState, schema: OntologySchema) -> Commitments:
     """What ``h`` commits to under ``z``, read from one provider mask.  The
     engine builds them only in ``certify``'s step and candidate facts; every
-    measure below reads them and never builds them."""
+    measure below reads them and never builds them.  They read only ``h``
+    and the required and output functions of ``z``, so they are kept in
+    ``schema.memo`` under those, and one value (``safety`` read-only) is
+    shared by every reader that meets the key."""
+    key = ("commitments", h.digest(), z.required_functions, z.output_functions)
+    return schema.remembered(key, _commitments, h, z.required_functions, z.output_functions, schema)
+
+
+def _commitments(h: Hypothesis, required: frozenset, outputs: frozenset, schema: OntologySchema) -> Commitments:
     provided = provider_mask(h, schema)
     return Commitments(
-        _covered(provided, z.required_functions, schema),
-        _covered(provided, z.output_functions, schema),
-        {n: b for n, b in h.constraints if n.startswith(SAFETY_CONSTRAINT_PREFIX)},
+        _covered(provided, required, schema),
+        _covered(provided, outputs, schema),
+        MappingProxyType({n: b for n, b in h.constraints if n.startswith(SAFETY_CONSTRAINT_PREFIX)}),
         h.propagated_obligations(),
         provided,
     )
@@ -483,7 +492,18 @@ def core_value(
     value = identity term + hard-safety term (1 when every predicate holds,
     else 0).  The report fails on any predicate failure, and on identity
     below threshold when identity is part of the core; the threshold
-    comparison is inclusive."""
+    comparison is inclusive.
+
+    The report reads ``core``, ``h`` and of ``z`` only its required and
+    output functions, pending obligations, live components and safety
+    flags, so it is kept in ``schema.memo`` under those."""
+    parts = z.required_functions, z.output_functions, z.pending_obligations(), z.live_component_ids(), z.safety_flags
+    return schema.remembered(("core", core, h.digest(), *parts), _core_value, core, h, z, schema, commitments)
+
+
+def _core_value(
+    core: InvariantCore, h: Hypothesis, z: SemanticState, schema: OntologySchema, commitments: Commitments
+) -> CoreReport:
     results = tuple((p.name, p.check(h, z, schema, commitments)) for p in core.predicates)
     all_safe = all(ok for _, ok in results)
     ident = absolute_identity(core.identity, z, commitments)

@@ -105,14 +105,16 @@ class OntologySchema:
     graph's soundness report (``model.type_soundness``), under
     ``("soundness", digest)``; each environment-class digest
     (``certificates.environment_digest``), under
-    ``("environment", descriptors)``; and each ``certify.transition``, the
+    ``("environment", descriptors)``; each ``certify.transition``, the
     configuration a transformation reaches from a graph and the model-free
-    parts of its charge, under ``("transition", digest, key)``.  An entry
-    is complete when stored and never goes stale, so every scenario on
-    the schema reads the entries of the others: a shipped pack's schema is
-    loaded once per process and shared by every scenario built from the
-    pack, and its memo then holds the facts of every value judged on it in
-    the process.
+    parts of its charge, under ``("transition", digest, key)``; and each
+    commitments, core report and identity breakdown of a candidate, under
+    a ``"commitments"``, ``"core"`` or ``"identity"`` key of exactly what
+    it reads.  An entry is complete when stored and never goes stale, so
+    every scenario on the schema reads the entries of the others: a shipped
+    pack's schema is loaded once per process and shared by every scenario
+    built from the pack, and its memo then holds the facts of every value
+    judged on it in the process.
     """
 
     concepts: Mapping[ConceptId, Category]

@@ -810,9 +810,13 @@ class TestSharedFactsMatchStandaloneCertifiers:
 
 
 class TestStepFactsAreComputedOnce:
-    """Run and scan fresh family instances (each loads its own schema, so
-    the soundness memo starts empty) and count, per screened candidate,
-    the work that the step's facts share."""
+    """Run and scan family instances and count, per screened candidate,
+    the work that the step's facts share.  The instances share their
+    pack's cached schema, and so its memo, with each other and with
+    earlier tests: ``commitments_of`` and ``core_value`` look their facts
+    up in ``schema.memo`` themselves, so each read is still one call,
+    while ``identity_breakdown`` runs only on a miss, so its count is
+    only bounded."""
 
     @staticmethod
     def screened_with_counts(monkeypatch, runs, counted):

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svcgov.errors import ConfigError
+from svcgov.errors import ConfigError, MalformedTransformation, UnknownSite
 from svcgov.evaluation import (
     EvaluatorWeights,
     IdentitySpec,
@@ -25,16 +27,30 @@ from svcgov.evaluation import (
     identity_score,
     prior_complexity,
 )
-from svcgov.model import Hypothesis, PolicyRule, SignalCondition, semantic_lift, type_soundness
-from svcgov.transform import RemoveSubservice, Substitute, UpdateConstraint, apply
+from svcgov.certify import CandidateFacts, StepFacts, Transition
+from svcgov.model import (
+    Hypothesis,
+    InteractionState,
+    PolicyRule,
+    SemanticState,
+    SignalCondition,
+    semantic_lift,
+    type_soundness,
+)
+from svcgov.ontology import OntologySchema, load_schema
+from svcgov.transform import Rebind, RemoveSubservice, Substitute, UpdateConstraint, apply
 
 from conftest import (
+    FALLBACK,
+    TEST_ONTOLOGY,
     UNIT_A,
     UNIT_A1,
     UNIT_B,
     UNIT_C,
+    UNIT_SUP,
     chain_hypothesis,
     cid,
+    contract,
     identity_spec,
     invariant_core,
     make_raw_state,
@@ -214,6 +230,16 @@ class TestIdentity:
             IdentitySpec(0.25, 0.25, 0.25, 0.25, 0.0)
 
 
+    def test_shared_commitments_are_read_only(self, schema, simple_h, z):
+        # one value is kept per key and read by every later step, run and
+        # scan that meets it, so no reader may write into its safety bounds
+        commitments = commitments_of(simple_h, z, schema)
+        assert commitments is commitments_of(simple_h, z, schema)
+        with pytest.raises(TypeError):
+            commitments.safety["safety.margin"] = 0.0
+        assert dict(commitments.safety) == {"safety.margin": 1.0}
+
+
 class TestCore:
     def test_maximal_core_value(self, schema, z, simple_h):
         report = core_value(invariant_core(), simple_h, z, schema, commitments_of(simple_h, z, schema))
@@ -303,6 +329,110 @@ class TestCore:
         assert built == [{"flag": "estop"}]
         assert absent == SafetyPredicate("no-estop", "flag-absent", (("flag", "estop"),))
         assert "_check" not in repr(absent) and "_check" not in absent.to_data()
+
+
+class TestFactsReadThroughTheMemo:
+    """Commitments, core reports and identity breakdowns are kept in
+    ``schema.memo`` under keys of exactly what they read.  Graphs reached
+    by random edit sequences, judged under random semantic states that
+    vary in every field, must get from the memo the facts that a
+    memo-free computation (``remembered`` bypassed) gives.  One schema is
+    shared by every draw, so each key is met again with other values of
+    the parts that it leaves out."""
+
+    SCHEMA = load_schema(TEST_ONTOLOGY)
+    UNITS = (UNIT_A, UNIT_A1, UNIT_B, UNIT_C, UNIT_SUP)
+    EDITS = st.one_of(
+        st.builds(Rebind, st.sampled_from(["r1", "r2", "r_sup"]), st.sampled_from(UNITS)),
+        st.builds(
+            UpdateConstraint,
+            st.sampled_from(["latency", "safety.margin", "safety.reach"]),
+            st.sampled_from([0.5, 1.0, 2.0]),
+        ),
+        st.sampled_from([FALLBACK, RemoveSubservice(frozenset({"r_sup"})), RemoveSubservice(frozenset({"r2"}))]),
+    )
+    OBLIGATIONS = st.frozensets(st.sampled_from([cid("t:ObTrace"), cid("t:ObNote")]))
+    CONCEPTS = st.sampled_from([cid(c) for c in ("t:FA", "t:FA1", "t:FB", "t:FC", "t:FOversight", "t:ObTrace")])
+    #: a strategy per ``SemanticState`` field
+    FIELDS = {
+        "request_class": st.sampled_from([cid("t:Req"), cid("t:FA")]),
+        "request_params": st.sampled_from([(), (("priority", 1),), (("priority", 2),)]),
+        "available_agents": st.frozensets(st.sampled_from([("bot", cid("t:UnitA")), ("arm", cid("t:UnitB"))])),
+        "component_functions": st.frozensets(
+            st.tuples(st.sampled_from([u.component_id for u in UNITS]), st.sampled_from([cid("t:FA"), cid("t:FB")]))
+        ),
+        "interaction_state": st.builds(
+            InteractionState,
+            st.sampled_from(["idle", "serving"]),
+            OBLIGATIONS.map(sorted).map(tuple),
+        ),
+        "environment_descriptors": st.sampled_from([(), (("z0", frozenset({cid("t:Zone")})),)]),
+        "regime_signals": st.sampled_from([(("deadline", 10.0),), (("battery", 0.2), ("deadline", 3.0))]),
+        "safety_flags": st.frozensets(st.sampled_from(["estop", "spill"])),
+        "required_functions": st.frozensets(CONCEPTS, max_size=3),
+        "output_functions": st.frozensets(CONCEPTS, max_size=3),
+    }
+    CORES = tuple(
+        InvariantCore(
+            identity=spec,
+            predicates=(
+                SafetyPredicate("obligations-honored", "obligations-honored"),
+                SafetyPredicate("components-live", "components-live"),
+                SafetyPredicate("no-estop", "flag-absent", (("flag", "estop"),)),
+                SafetyPredicate(
+                    "spill-needs-oversight", "flag-requires-function", (("flag", "spill"), ("function", "t:FOversight"))
+                ),
+            ),
+            include_identity=gated,
+        )
+        for spec, gated in (
+            (identity_spec(0.9), True),
+            (identity_spec(0.5), True),
+            (identity_spec(0.9), False),
+            (IdentitySpec(0.4, 0.3, 0.2, 0.1, 0.9), True),
+        )
+    )
+
+    @classmethod
+    def facts(cls, graphs, states):
+        """Every fact of every graph reached from every graph, as
+        (commitments, core report, identity breakdown) per pair, state and
+        core."""
+        out = []
+        for core, z in itertools.product(cls.CORES, states):
+            for h in graphs:
+                step = StepFacts(h, z, cls.SCHEMA, core)
+                for h2 in graphs:
+                    candidate = CandidateFacts(Transition.reached(h, h2), step)
+                    out.append((candidate.commitments, candidate.core_report, candidate.identity))
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_memo_gives_the_memo_free_facts(self, data):
+        graphs = [
+            chain_hypothesis(
+                [("r1", "t:FA", UNIT_A), ("r2", "t:FB", UNIT_B)],
+                edge_contract=contract(entities=("t:FA",), obligations=("t:ObTrace",)),
+                constraints={"safety.margin": 1.0},
+            )
+        ]
+        for edit in data.draw(st.lists(self.EDITS, min_size=1, max_size=6)):
+            try:
+                graphs.append(apply(edit, graphs[-1]))
+            except (UnknownSite, MalformedTransformation):
+                continue
+        graphs = list({h.digest(): h for h in graphs[-4:]}.values())
+        z = SemanticState(**{name: data.draw(fields) for name, fields in self.FIELDS.items()})
+        # each variant differs from the first state in one or two fields
+        states = [z]
+        changed = st.lists(st.sampled_from(sorted(self.FIELDS)), min_size=1, max_size=2)
+        for names in data.draw(st.lists(changed, max_size=3)):
+            states.append(replace(z, **{name: data.draw(self.FIELDS[name]) for name in names}))
+        memoised = self.facts(graphs, states)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(OntologySchema, "remembered", lambda schema, key, compute, *args: compute(*args))
+            assert memoised == self.facts(graphs, states)
 
 
 class TestPrior:

@@ -21,11 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svcgov
-from svcgov import orchestrator
+from svcgov import certify, orchestrator
 from svcgov.certificates import Certificate, environment_digest
-from svcgov.certify import StepFacts, Transition, _charge_parts, transition
+from svcgov.certify import CandidateFacts, StepFacts, Transition, _charge_parts, transition
 from svcgov.errors import ConfigError, IncomparableReports, ValidationError
-from svcgov.evaluation import detect_regime, evaluate
+from svcgov.evaluation import commitments_of, core_value, detect_regime, evaluate, identity_breakdown
 from svcgov.harness import baselines, bench, packs
 from svcgov.harness.cli import main as cli_main
 from svcgov.harness.demo import strict_extension
@@ -637,12 +637,13 @@ def spy_everywhere(monkeypatch, fn, seen):
 
 def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
     """After runs and scans of both packs and of every bench family (each
-    with the full stack and a baseline), every soundness report and
-    environment digest that a pack schema's memo keeps equals the one
-    worked out on that schema with its memo cleared, and every transition
-    it keeps equals a fresh ``Transition.of``: the same configuration
-    digest, refusal text and charge parts.  The memo holds these whole
-    facts and provider masks, nothing finer."""
+    with the full stack and a baseline), every soundness report,
+    environment digest, commitments, core report and identity breakdown
+    that a pack schema's memo keeps equals the one worked out on that
+    schema with its memo cleared, and every transition it keeps equals a
+    fresh ``Transition.of``: the same configuration digest, refusal text
+    and charge parts.  The memo holds these whole facts and provider masks,
+    nothing finer."""
     inputs = {}  # memo key -> what it was worked out from
     spy_everywhere(monkeypatch, type_soundness, lambda h, _: inputs.setdefault(("soundness", h.digest()), h))
     spy_everywhere(
@@ -653,6 +654,26 @@ def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
         inputs.setdefault(("transition", h.digest(), transformation_key(tau)), (h, tau))
 
     spy_everywhere(monkeypatch, transition, meeting)
+    spy_everywhere(
+        monkeypatch,
+        commitments_of,
+        lambda h, z, _: inputs.setdefault(("commitments", h.digest(), z.required_functions, z.output_functions), (h, z)),
+    )
+
+    def judging(core, h, z, schema, commitments):
+        parts = z.required_functions, z.output_functions, z.pending_obligations(), z.live_component_ids(), z.safety_flags
+        inputs.setdefault(("core", core, h.digest(), *parts), (core, h, z))
+
+    spy_everywhere(monkeypatch, core_value, judging)
+    shipped_identity = CandidateFacts.__dict__["identity"].compute
+
+    def identity(facts):  # kept under its own name, as the shipped fact is
+        step = facts.step
+        parts = step.h.digest(), facts.h2.digest(), step.z.required_functions, step.z.output_functions
+        inputs.setdefault(("identity", step.core.identity, *parts), (step.core.identity, step.h, facts.h2, step.z))
+        return shipped_identity(facts)
+
+    monkeypatch.setattr(CandidateFacts, "identity", certify.kept(identity))
     cases = [(*pack_scenario(name, pack_data(name)), None) for name in packs.PACK_NAMES]
     cases += [bench.FAMILY_GENERATORS[family](seed) for family in bench.FAMILIES for seed in range(2)]
     for scenario, cfg, store in cases:
@@ -661,15 +682,18 @@ def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
     schemas = {id(cfg.schema): cfg.schema for _, cfg, _ in cases}
     assert [packs._pack(name).schema for name in packs.PACK_NAMES] == list(schemas.values())
     monkeypatch.undo()
+    kinds = ("soundness", "environment", "transition", "commitments", "core", "identity")
     for schema in schemas.values():
         for key in schema.memo:
-            whole = type(key) is tuple and key[0] in ("soundness", "environment", "transition")
+            whole = type(key) is tuple and key[0] in kinds
             assert whole or type(key) is frozenset, key
         kept = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] in ("soundness", "environment")}
         reached = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] == "transition"}
+        judged = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] in kinds[3:]}
         tags = [key[0] for key in kept]
         assert tags.count("soundness") > 10 and tags.count("environment") > 1
         assert len(reached) > 10 and any(t.parts != (0.0, 0) for t in reached.values())
+        assert all([key[0] for key in judged].count(kind) > 10 for kind in kinds[3:])
         for key, value in kept.items():
             schema.memo.clear()
             fact = type_soundness if key[0] == "soundness" else environment_digest
@@ -679,6 +703,18 @@ def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
             fresh = Transition.of(tau, h)
             assert (value.h2.digest(), value.error) == (fresh.h2.digest(), fresh.error), key
             assert value.parts == fresh.parts == _charge_parts(h, fresh.h2), key
+        for key, value in judged.items():
+            schema.memo.clear()
+            if key[0] == "commitments":
+                h, z = inputs[key]
+                fresh = commitments_of(h, z, schema)
+            elif key[0] == "core":
+                core, h, z = inputs[key]
+                fresh = core_value(core, h, z, schema, commitments_of(h, z, schema))
+            else:
+                spec, h, h2, z = inputs[key]
+                fresh = identity_breakdown(spec, commitments_of(h, z, schema), commitments_of(h2, z, schema))
+            assert fresh == value, key
 
 
 def test_memoised_transitions_match_plain_apply(monkeypatch):
