@@ -135,16 +135,21 @@ class RegimeSwitchModel:
 
     def __post_init__(self) -> None:
         for a, b, c in self.costs:
-            if c < 0:
+            if not c >= 0:
                 raise ConfigError(f"switch cost C({a}, {b}) must be nonnegative")
             if a == b and c != 0:
                 raise ConfigError(f"C({a}, {a}) must be zero")
         for a, b, r in self.residuals:
-            if r < 0:
+            if not r >= 0:
                 raise ConfigError(f"residual bound for {a}->{b} must be nonnegative")
+            if a == b and r != 0:
+                raise ConfigError(f"residual bound for {a}->{a} must be zero")
             if self.cost(a, b) + r == math.inf:
                 raise ConfigError(f"switch cost C({a}, {b}) plus its residual bound overflows a float")
-        if self.reassignment_unit_cost < 0:
+        for a, b, _ in self.recipes:
+            if a == b:
+                raise ConfigError(f"recipe for {a}->{a} would never apply: a regime is entered only by a switch")
+        if not self.reassignment_unit_cost >= 0:
             raise ConfigError("reassignment unit cost must be nonnegative")
         for part, entries in (("costs", self.costs), ("residuals", self.residuals), ("recipes", self.recipes)):
             pairs = [(a, b) for a, b, _ in entries]
@@ -243,9 +248,9 @@ class StepFacts:
     configuration ``h`` that candidates start from, the semantic state
     ``z``, the parts of the config that the obligations read, the
     certificate context, the memory store and the regime switch
-    ``from_regime -> e`` that candidates are screened on.  The facts about
-    ``h`` are computed on first use and then kept, so every candidate reads
-    the same value.  This and ``CandidateFacts`` are the only engine
+    ``from_regime -> e`` that candidates are screened on.  The commitments
+    of ``h`` are computed on first use and then kept, so every candidate
+    reads the same value.  This and ``CandidateFacts`` are the only engine
     callers of ``commitments_of``.
 
     The memory gate is decided once, in ``screening``: with the gate off
@@ -300,10 +305,6 @@ class StepFacts:
     def commitments(self) -> Commitments:
         """What ``h`` commits to under ``z``: the before side of identity."""
         return commitments_of(self.h, self.z, self.schema)
-
-    @kept
-    def assignment(self) -> dict[str, Component]:
-        return self.h.assignment_map()
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -484,7 +485,7 @@ def _stability(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) 
 def _capacity(facts: CandidateFacts, tau: Transformation, ledger: DriftLedger) -> Finding:
     """A3: structural complexity within the step's (inclusive) budget."""
     budget = facts.step.capacity_budget
-    if budget <= 0:
+    if not budget > 0:
         raise ConfigError("capacity budget must be positive")
     complexity = facts.complexity
     evidence = (("budget", budget), ("complexity", complexity))
@@ -823,7 +824,7 @@ def admissible(
 
     substitution_result: ObligationResult | None = None
     if isinstance(tau, (Substitute, Rebind)):
-        current = step.assignment.get(tau.role_id)
+        current = h.binding(tau.role_id)
         if current is not None:
             sites = _substitution_sites(h, current)
             # Substituting ``current`` at its only site is exactly ``tau``,

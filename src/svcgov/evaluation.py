@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError
-from .fields import Fields, anything, array, boolean, concept, keyed, mapping, number, one_of, read, sorted_items, text
+from .fields import Fields, anything, array, boolean, concept, keyed, mapping, number, read, sorted_items, text
 from .model import (
     Hypothesis,
     SemanticState,
@@ -97,7 +97,7 @@ class RegimeBudgets:
     complexity: float
 
     def __post_init__(self) -> None:
-        if min(self.latency, self.switching_cost, self.complexity) <= 0:
+        if not all(budget > 0 for budget in (self.latency, self.switching_cost, self.complexity)):
             raise ConfigError("regime budgets must be positive")
 
     def to_data(self) -> dict:
@@ -170,7 +170,7 @@ class IdentitySpec:
 
     def __post_init__(self) -> None:
         weights = self.to_data()["weights"]
-        negative = [name for name, weight in weights.items() if weight < 0]
+        negative = [name for name, weight in weights.items() if not weight >= 0]
         if negative:
             raise ConfigError(f"identity sub-score weights must be nonnegative: {', '.join(negative)}")
         total = (
@@ -179,7 +179,7 @@ class IdentitySpec:
             + self.safety_weight
             + self.interactions_weight
         )
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ConfigError(f"identity sub-score weights must sum to 1, got {total}")
         if not (0.0 < self.threshold <= 1.0):
             raise ConfigError("identity threshold must lie in (0, 1]")
@@ -457,7 +457,6 @@ class InvariantCore:
     @classmethod
     def from_data(cls, data: Mapping) -> "InvariantCore":
         r = Fields(data)
-        r.get("mode", one_of("hard-fail"), "hard-fail")  # the only mode
         identity = r.get("identity", IdentitySpec.from_data)
         predicates = r.get("predicates", array(SafetyPredicate.from_data))
         return r.build(cls, identity, predicates, r.get("include_identity", boolean, cls.include_identity))
@@ -604,11 +603,11 @@ class StructuralPrior:
 
     def __post_init__(self) -> None:
         weights = (self.node_weight, self.edge_weight, self.rule_weight, self.constraint_weight)
-        if min(weights) <= 0:
+        if not all(weight > 0 for weight in weights):
             raise ConfigError("complexity weights must be positive")
         cap = min(weights)
         for digest, bonus in self.preferred:
-            if bonus < 0 or bonus >= cap:
+            if not 0 <= bonus < cap:
                 raise ConfigError(
                     f"preferred-structure bonus for {digest[:12]} must lie in [0, {cap}) "
                     "to keep complexity strictly increasing under growth"

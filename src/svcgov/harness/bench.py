@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from ..certify import DriftLedger, StepFacts, admissible
+from ..certify import StepFacts, admissible
 from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, decode, integer, keyed, number, read, text
@@ -167,12 +167,9 @@ def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[Decis
         true_regime = e_true
 
         deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
-        # Every input of the oracle but the tick: it reads the raw state only
-        # through its components (the registry), and the lift ``z`` carries
-        # the rest, the tick-0 phase included.  The tick can be left out
-        # because the oracle builds a fresh ledger every tick and screens
-        # against an empty store; it reads the tick only for the
-        # certificates' ``issued_at``, which it never returns.
+        # Every input of the oracle: it reads the raw state only through its
+        # components (the registry), the lift ``z`` carries the rest, the
+        # tick-0 phase included, and of the trace it reads only ``selected``.
         key = (x.components, z, h_before.digest(), e_true.label, from_true.label, deployed_key)
         score = scores.get(key)
         if score is None:
@@ -230,11 +227,10 @@ def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> Ti
         score = facts.score(0.0).total
         if score > achieved:
             above.append((score, tau, facts))
-    ledger = DriftLedger(bound=cfg.drift_bound)
     regret = 0.0
     # a stable sort keeps list order among equal scores
     for score, tau, facts in sorted(above, key=lambda kept: -kept[0]):
-        if admissible(tau, h_before, z, e_true, EMPTY_STORE, cfg, ledger=ledger, tick=trace.tick, facts=facts).passed:
+        if admissible(tau, h_before, z, e_true, EMPTY_STORE, cfg, facts=facts).passed:
             regret = score - achieved
             break
     if deployed is None:

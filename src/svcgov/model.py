@@ -639,7 +639,6 @@ class Hypothesis:
     policy: tuple[PolicyRule, ...]  # order significant
     constraints: tuple[tuple[str, float], ...]  # sorted by name
     _digest: str | None = field(default=None, init=False, repr=False, compare=False)
-    _obligations = None  # ``propagated_obligations()`` once computed; not a field
 
     @classmethod
     def build(
@@ -673,7 +672,10 @@ class Hypothesis:
         return dict(self.assignment)
 
     def binding(self, role_id: str) -> Component | None:
-        return self.assignment_map().get(role_id)
+        for rid, comp in self.assignment:
+            if rid == role_id:
+                return comp
+        return None
 
     def sites_of(self, component_id: str) -> tuple[str, ...]:
         """The roles bound to the component ``component_id``."""
@@ -691,17 +693,14 @@ class Hypothesis:
         return tuple(r for r in self.role_ids() if r not in with_in)
 
     def propagated_obligations(self) -> frozenset[ConceptId]:
-        """Obligations carried by contract edges plus notification actions,
-        computed on first use."""
-        if self._obligations is None:
-            out: set[ConceptId] = set()
-            for e in self.edges:
-                out |= e.contract.obligations
-            for rule in self.policy:
-                if rule.relation == "notifies":
-                    out.add(rule.action_concept)
-            object.__setattr__(self, "_obligations", frozenset(out))
-        return self._obligations
+        """Obligations carried by contract edges plus notification actions."""
+        out: set[ConceptId] = set()
+        for e in self.edges:
+            out |= e.contract.obligations
+        for rule in self.policy:
+            if rule.relation == "notifies":
+                out.add(rule.action_concept)
+        return frozenset(out)
 
     def entity_vocabulary(self) -> frozenset[ConceptId]:
         out: set[ConceptId] = set()

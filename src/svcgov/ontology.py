@@ -121,9 +121,8 @@ class OntologySchema:
     refinements: frozenset[tuple[ConceptId, ConceptId]]  # (child, parent)
     relations: Mapping[str, RelationDecl]
     parameter_decls: Mapping[ConceptId, tuple[ParamDecl, ...]]
-    #: concepts in topological order, and per concept (number, ancestor mask)
+    #: concepts and refinement ends in topological order: bit i stands for the i-th
     _order: tuple[ConceptId, ...] = field(init=False, repr=False, compare=False)
-    _closure: Mapping[ConceptId, tuple[int, int]] = field(init=False, repr=False, compare=False)
     #: per declared concept, its own bit and its ancestor mask
     _bits: Mapping[ConceptId, int] = field(init=False, repr=False, compare=False)
     _masks: Mapping[ConceptId, int] = field(init=False, repr=False, compare=False)
@@ -141,7 +140,6 @@ class OntologySchema:
         for c, cat in self.concepts.items():
             named[cat, c.local_name] = named.get((cat, c.local_name), 0) | bits[c]
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_closure", closure)
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_masks", {c: closure[c][1] for c in self.concepts})
         object.__setattr__(self, "_named", named)
@@ -156,11 +154,12 @@ class OntologySchema:
         return concept in self.concepts
 
     def ancestors(self, concept: ConceptId) -> frozenset[ConceptId]:
-        """Reflexive-transitive up-closure of the refinement order."""
-        entry = self._closure.get(concept)
-        if entry is None:
+        """Reflexive-transitive up-closure of the refinement order; an
+        undeclared concept's is the concept alone."""
+        mask = self._masks.get(concept)
+        if mask is None:
             return frozenset((concept,))
-        mask, out = entry[1], []
+        out = []
         while mask:
             low = mask & -mask
             out.append(self._order[low.bit_length() - 1])

@@ -59,6 +59,7 @@ from .transform import (
     apply,
     generate_candidates,
     transformation_to_data,
+    variant_name,
 )
 
 
@@ -108,12 +109,12 @@ class OrchestratorConfig:
         if self.regimes[-1] is not defaults[0]:
             raise ConfigError("the default regime must be declared last")
         self._check_regime_labels()
-        if self.capacity_budget <= 0:
+        if not self.capacity_budget > 0:
             raise ConfigError("capacity budget must be positive")
-        if self.drift_bound < 0:
+        if not self.drift_bound >= 0:
             raise ConfigError("global drift bound must be nonnegative")
         for name in ("reuse_bonus", "reuse_penalty"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.fallback is None:
             raise ConfigError("a supervision fallback subservice must be configured")
@@ -460,7 +461,7 @@ class RunResult:
             name = ""
             if t.selected_index is not None:
                 score = f"{t.candidates[t.selected_index].breakdown.total:.6f}"
-                name = transformation_to_data(t.selected).get("variant", "") if t.selected else ""
+                name = variant_name(t.selected) if t.selected else ""
             writer.writerow(
                 [t.tick, t.regime_label, len(t.candidates), survivors, t.kind, name, score, f"{t.ledger_total:.6f}"]
             )

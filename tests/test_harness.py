@@ -329,13 +329,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=key):
             config_from_data(data, scenario.schema, scenario.assertions)
 
-    def test_hard_fail_mode_may_be_named_or_left_out(self, hospital):
+    def test_naming_mode_is_refused_and_leaving_it_out_loads(self, hospital):
+        # hard-fail is the only mode, so nothing reads the key
         scenario, _ = hospital
         data = hospital_config_data()
-        assert data["core"]["mode"] == "hard-fail"
-        named = config_from_data(data, scenario.schema, scenario.assertions)
-        del data["core"]["mode"]
-        assert config_from_data(data, scenario.schema, scenario.assertions).core == named.core
+        assert "mode" not in data["core"]
+        config_from_data(data, scenario.schema, scenario.assertions)
+        data["core"]["mode"] = "hard-fail"
+        with pytest.raises(ConfigError, match="unknown core keys: mode"):
+            config_from_data(data, scenario.schema, scenario.assertions)
 
     def test_boolean_flags_load(self, hospital):
         scenario, _ = hospital
@@ -969,8 +971,18 @@ class TestOracleScreensInScoreOrder:
     @staticmethod
     def deploying(inputs, tau):
         """``inputs`` with the trace deploying ``tau`` instead: the oracle
-        reads only the trace's tick and selection."""
+        reads only the trace's selection."""
         return inputs[:-1] + (replace(inputs[-1], selected=tau),)
+
+    def test_the_findings_do_not_depend_on_the_tick(self):
+        # ``scan_run`` keys the findings it keeps without the tick
+        scenario, cfg, traces = self.family_run("environment-shift", 0, "full")
+        found = []
+        for inputs in oracle_calls(scenario, cfg, traces):
+            later = inputs[:-1] + (replace(inputs[-1], tick=inputs[-1].tick + 1),)
+            found.append(bench._oracle(cfg, *inputs))
+            assert bench._oracle(cfg, *later) == found[-1]
+        assert any(score.regret > 0 and score.deployed is not None for score in found)
 
     def test_the_top_scored_candidate_fails_and_a_lower_scored_one_passes(self, monkeypatch):
         scenario, cfg, traces = self.family_run("regime-switch", 0, "typed-planner-no-memory")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from svcgov.canon import sha256_hex
 from svcgov.certificates import CertContext, Certificate
-from svcgov.certify import RegimeSwitchModel
+from svcgov.certify import RegimeSwitchModel, certify_capacity
 from svcgov.errors import ConfigError, CorruptStore, GovernanceError, ParseError, ValidationError
 from svcgov.evaluation import (
     EvaluatorWeights,
@@ -317,6 +318,16 @@ CONFIG_TYPOS = {
         "recipes declare a switch more than once: routine->emergency",
     ),
     "transport-distance-key": (_set(("transport_max_distance",), 0), "unknown configuration keys: transport_max_distance"),
+    "core-mode": (_set(("core", "mode"), "hard-fail"), "unknown core keys: mode"),
+    "switch-self-residual": (
+        lambda d: d["switch_model"]["residuals"].append(["routine", "routine", 0.5]),
+        "residual bound for routine->routine must be zero (at configuration key 'switch_model')",
+    ),
+    "switch-self-recipe": (
+        _set(("switch_model", "recipes"), [["emergency", "emergency", [["speed", 0.5]]]]),
+        "recipe for emergency->emergency would never apply: a regime is entered only by a switch "
+        "(at configuration key 'switch_model')",
+    ),
 }
 
 SCENARIO_TYPOS = {
@@ -485,6 +496,38 @@ def test_no_shipped_pack_names_a_key_twice(name):
     for file in ("scenario.json", "config.json"):
         json.loads((pack_dir(name) / file).read_text(encoding="utf-8"), object_pairs_hook=objects.append)
     assert objects and all(len(dict(pairs)) == len(pairs) for pairs in objects)
+
+
+# ---------------------------------------------------------------------------
+# Values built directly: every range check refuses NaN, which the JSON
+# reader never lets through
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+NAN_VALUES = {
+    "identity-weight": lambda cfg: IdentitySpec(NAN, 0.4, 0.15, 0.2, 0.9),
+    "prior-weight": lambda cfg: StructuralPrior(node_weight=NAN),
+    "prior-bonus": lambda cfg: StructuralPrior(preferred=(("0" * 64, NAN),)),
+    "regime-budget": lambda cfg: RegimeBudgets(NAN, 1, 1),
+    "switch-cost": lambda cfg: RegimeSwitchModel(costs=(("a", "b", NAN),)),
+    "switch-residual": lambda cfg: RegimeSwitchModel(residuals=(("a", "b", NAN),)),
+    "reassignment-unit-cost": lambda cfg: RegimeSwitchModel(reassignment_unit_cost=NAN),
+    "capacity-certifier-budget": lambda cfg: certify_capacity(
+        cfg.fallback.part, cfg.prior, NAN, CertContext("routine", "")
+    ),
+    **{
+        name: lambda cfg, name=name: dataclasses.replace(cfg, **{name: NAN})
+        for name in ("capacity_budget", "drift_bound", "reuse_bonus", "reuse_penalty")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_VALUES))
+def test_a_nan_built_directly_is_a_config_error(case):
+    _, cfg = load_pack("hospital")
+    with pytest.raises(ConfigError):
+        NAN_VALUES[case](cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -842,6 +842,9 @@ class TestSerialization:
         )
         assert h.canonical_text() == canonical_dumps(h.to_data())
         assert h.digest() == digest_of(h.to_data())
+        # a binding is the assignment's entry, for bound and unbound role ids alike
+        for rid in (*h.role_ids(), *(rid for rid, _ in h.assignment), data.draw(text)):
+            assert h.binding(rid) is h.assignment_map().get(rid)
 
     def test_composed_digest_of_edge_cases(self):
         cases = [
@@ -866,9 +869,10 @@ class TestSerialization:
         assert "digest" not in repr(cached) and "_text" not in repr(cached)
 
     def test_fact_caches_take_no_part_in_the_value(self, schema, assertions, simple_h):
-        # the cached live-component and pending-obligation sets of a state,
-        # the propagated obligations of a hypothesis and the hashes of its
-        # elements are kept outside the dataclass fields
+        # the cached live-component and pending-obligation sets of a state
+        # and the hashes of a hypothesis's elements are kept outside the
+        # dataclass fields; a hypothesis works out its propagated
+        # obligations on each read, which must leave its value alone too
         lift = lambda: semantic_lift(make_raw_state(), schema, assertions)  # noqa: E731
         rebuilt = lambda: Hypothesis.from_data(simple_h.to_data())  # noqa: E731
         cases = [
