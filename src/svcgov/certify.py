@@ -50,7 +50,7 @@ from .evaluation import (
     identity_breakdown,
     prior_complexity,
 )
-from .fields import Fields, array, number, row, text
+from .fields import Fields, array, number, repeated, row, text
 from .memory import EMPTY_STORE, TRANSPORTABLE_KINDS, FailureSignature, MemoryStore, find_transportable, match_failure
 from .model import Component, Hypothesis, SemanticState, SoundnessReport, type_soundness, uncovered
 from .ontology import OntologySchema
@@ -152,10 +152,9 @@ class RegimeSwitchModel:
         if not self.reassignment_unit_cost >= 0:
             raise ConfigError("reassignment unit cost must be nonnegative")
         for part, entries in (("costs", self.costs), ("residuals", self.residuals), ("recipes", self.recipes)):
-            pairs = [(a, b) for a, b, _ in entries]
-            repeated = sorted({f"{a}->{b}" for i, (a, b) in enumerate(pairs) if (a, b) in pairs[:i]})
-            if repeated:
-                raise ConfigError(f"{part} declare a switch more than once: {', '.join(repeated)}")
+            if twice := repeated((a, b) for a, b, _ in entries):
+                switches = ", ".join(f"{a}->{b}" for a, b in twice)
+                raise ConfigError(f"{part} declare a switch more than once: {switches}")
 
     @staticmethod
     def _lookup(entries: tuple, from_label: str, to_label: str, default: object):

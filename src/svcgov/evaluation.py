@@ -35,6 +35,7 @@ from .model import (
     SignalCondition,
     SoundnessReport,
     declared_condition,
+    refuse_faults,
     some_clause_holds,
 )
 from .ontology import ConceptId, OntologySchema
@@ -117,6 +118,9 @@ class Regime:
     weights: EvaluatorWeights
     budgets: RegimeBudgets
     entry: tuple[tuple[SignalCondition, ...], ...] = ()
+
+    def __post_init__(self) -> None:
+        refuse_faults(self.entry)
 
     def matches(self, signals: Mapping[str, float]) -> bool:
         return not self.entry or some_clause_holds(self.entry, signals)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from sys import float_info
 
 from .errors import GovernanceError, ReportedError
@@ -54,6 +54,11 @@ def read(error: type, doc: str, loader: Callable, data: object):
         raise _raised(error, [render(doc, *p) for p in exc.problems]) from None
 
 
+def repeated(values: Iterable) -> list:
+    """The values named more than once, sorted."""
+    return sorted(value for value, count in Counter(values).items() if count > 1)
+
+
 class Repeats(dict):
     """A decoded JSON object that names some key more than once: each key
     with its last value, as ``json.loads`` keeps it, and ``repeated``, the
@@ -61,7 +66,7 @@ class Repeats(dict):
 
     def __init__(self, pairs: list):
         super().__init__(pairs)
-        self.repeated = sorted(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        self.repeated = repeated(key for key, _ in pairs)
 
 
 def _object(pairs: list) -> dict:

@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple, Sequence
 from ..certify import StepFacts, admissible
 from ..errors import GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
-from ..fields import Fields, array, decode, integer, keyed, number, read, text
+from ..fields import Fields, array, decode, integer, keyed, number, read, repeated, text
 from ..memory import EMPTY_STORE, MemoryStore
 from ..model import type_soundness
 from ..orchestrator import DecisionTrace, OrchestratorConfig, replay, run
@@ -364,12 +364,6 @@ FAMILY_GENERATORS = {
 # ---------------------------------------------------------------------------
 # Benchmark driver
 # ---------------------------------------------------------------------------
-
-
-def repeated(values: Sequence) -> list:
-    """The values named more than once, sorted: a repeated seed would count
-    its run twice, a repeated subject its column twice."""
-    return sorted({v for i, v in enumerate(values) if v in values[:i]})
 
 
 def run_benchmark(family: str, subject: str, seeds: Sequence[int]) -> MetricsReport:

@@ -13,7 +13,9 @@ digests are stable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
 from .canon import canonical_dumps, canonical_object, digest_of, sha256_hex
@@ -44,7 +46,9 @@ SIGNAL_NAMES = (
     "user_priority",
 )
 
-GUARD_OPS = ("<=", ">=", "<", ">", "==")
+#: Each guard operator's comparison of the signal (left) with the bound.
+_COMPARISONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "==": operator.eq}
+GUARD_OPS = tuple(_COMPARISONS)
 
 #: Environment descriptor concepts with these local names (or refinements
 #: of them) drive the noise/congestion signals for zones occupied by
@@ -539,16 +543,7 @@ class SignalCondition:
     value: float
 
     def holds(self, signals: Mapping[str, float]) -> bool:
-        left = float(signals.get(self.signal, 0.0))
-        if self.op == "<=":
-            return left <= self.value
-        if self.op == ">=":
-            return left >= self.value
-        if self.op == "<":
-            return left < self.value
-        if self.op == ">":
-            return left > self.value
-        return left == self.value
+        return _COMPARISONS[self.op](float(signals.get(self.signal, 0.0)), self.value)
 
     def to_data(self) -> dict:
         return {"signal": self.signal, "op": self.op, "value": self.value}
@@ -570,6 +565,13 @@ def declared_condition(data: Mapping) -> SignalCondition:
     if faults := cond.faults():
         raise ConfigError("; ".join(faults))
     return cond
+
+
+def refuse_faults(clauses: Sequence[Sequence[SignalCondition]]) -> None:
+    """Raise ConfigError when a condition of the DNF ``clauses`` (a regime's
+    entry, a variant's triggers) cannot be evaluated."""
+    if faults := [fault for clause in clauses for c in clause for fault in c.faults()]:
+        raise ConfigError("; ".join(faults))
 
 
 def conditions_hold(conditions: Sequence[SignalCondition], signals: Mapping[str, float]) -> bool:
@@ -828,10 +830,7 @@ def _judge_soundness(h: Hypothesis, schema: OntologySchema) -> SoundnessReport:
         for end in (e.from_role, e.to_role):
             if end not in roles:
                 violations.append(("edge-endpoint-missing", f"{where}: unknown role {end}"))
-        for c in sorted(e.contract.entity_types | e.contract.event_types):
-            _check_concept(violations, schema, c, None, f"{where} contract")
-        for ob in sorted(e.contract.obligations):
-            _check_concept(violations, schema, ob, Category.INTERACTION, f"{where} obligation")
+        _check_contract(violations, schema, e.contract, where)
 
     for idx, rule in enumerate(h.policy):
         if rule.relation not in ("executes", "notifies"):
@@ -863,6 +862,17 @@ def _check_concept(
     return True
 
 
+def _check_contract(
+    out: list[tuple[str, str]], schema: OntologySchema, contract: InterfaceContract, where: str
+) -> None:
+    """Append to ``out`` the violations of the concepts that ``contract``
+    names: each must be declared, and each obligation an Interaction."""
+    for c in sorted(contract.entity_types | contract.event_types):
+        _check_concept(out, schema, c, None, f"{where} contract")
+    for ob in sorted(contract.obligations):
+        _check_concept(out, schema, ob, Category.INTERACTION, f"{where} obligation")
+
+
 def uncovered(role: Role, comp: Component, schema: OntologySchema) -> list[ConceptId]:
     """The requirements of ``role``, sorted, that no function ``comp``
     provides is or refines; an undeclared requirement is never covered."""
@@ -871,33 +881,22 @@ def uncovered(role: Role, comp: Component, schema: OntologySchema) -> list[Conce
 
 
 def _graph_shape_violations(h: Hypothesis) -> tuple[tuple[str, str], ...]:
-    """Cycles and disconnection among the roles of ``h`` along its edges."""
+    """Cycles and disconnection among the roles of ``h`` along its edges
+    between declared roles: a cycle is what ``graphlib``'s ``prepare``
+    refuses, and connectivity is one depth-first search from the smallest
+    role over the edges taken both ways."""
     out: list[tuple[str, str]] = []
     role_ids = set(h.role_ids())
-    adj: dict[str, set[str]] = {r: set() for r in role_ids}
+    flow = TopologicalSorter()
     undirected: dict[str, set[str]] = {r: set() for r in role_ids}
     for e in h.edges:
         if e.from_role in role_ids and e.to_role in role_ids:
-            adj[e.from_role].add(e.to_role)
+            flow.add(e.to_role, e.from_role)
             undirected[e.from_role].add(e.to_role)
             undirected[e.to_role].add(e.from_role)
-
-    # cycle detection on service-flow edges: peel off roles with no
-    # incoming edge; a cycle is exactly what can never be peeled
-    indegree = {r: 0 for r in role_ids}
-    for targets in adj.values():
-        for nxt in targets:
-            indegree[nxt] += 1
-    ready = [r for r, d in indegree.items() if d == 0]
-    peeled = 0
-    while ready:
-        cur = ready.pop()
-        peeled += 1
-        for nxt in adj[cur]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    if peeled != len(role_ids):
+    try:
+        flow.prepare()
+    except CycleError:
         out.append(("graph-cycle", "service-flow edges form a cycle"))
 
     if role_ids:

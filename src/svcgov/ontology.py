@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import ParseError, UnknownConcept, ValidationError
@@ -131,17 +132,14 @@ class OntologySchema:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        order, closure, cycle = _refinement_closure(self.concepts, self.refinements)
-        if cycle:
-            names = ", ".join(str(c) for c in cycle)
-            raise ValidationError([f"refinement cycle through {{{names}}}"])
-        bits = {c: 1 << closure[c][0] for c in self.concepts}
+        order, masks = _refinement_closure(self.concepts, self.refinements)
+        bits = {c: 1 << bit for bit, c in enumerate(order) if c in self.concepts}
         named: dict[tuple[Category, str], int] = {}
         for c, cat in self.concepts.items():
             named[cat, c.local_name] = named.get((cat, c.local_name), 0) | bits[c]
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_masks", {c: closure[c][1] for c in self.concepts})
+        object.__setattr__(self, "_masks", {c: masks[c] for c in self.concepts})
         object.__setattr__(self, "_named", named)
 
     def category(self, concept: ConceptId) -> Category:
@@ -389,44 +387,34 @@ def load_schema(document: str) -> OntologySchema:
 
 def _refinement_closure(
     concepts: Mapping[ConceptId, Category], pairs: frozenset[tuple[ConceptId, ConceptId]]
-) -> tuple[tuple[ConceptId, ...], dict[ConceptId, tuple[int, int]], tuple[ConceptId, ...]]:
-    """Number every concept and refinement end in a topological order
-    (parents first) and give each its ancestor bitmask, by one iterative
-    depth-first search over the parent links.
+) -> tuple[tuple[ConceptId, ...], dict[ConceptId, int]]:
+    """Number every concept and refinement end in the topological order
+    (parents first) of ``graphlib.TopologicalSorter.static_order`` and give
+    each its ancestor bitmask: its own bit ORed with its parents' masks.
 
-    Returns (order, {concept: (number, mask)}, ()) when acyclic, and
-    ((), {}, members of one refinement cycle) otherwise.
+    Returns (order, {node: mask}).  Raises ValidationError naming the
+    members of one refinement cycle, along its parent links: the nodes
+    enter the sorter in name order, each with its parents in name order, so
+    the cycle is the one graphlib meets first from the smallest name,
+    whatever the order of the document's lines.
     """
-    parents: dict[ConceptId, list[ConceptId]] = {}
+    parents: dict[ConceptId, list[ConceptId]] = {c: [] for c in concepts}
     for child, parent in sorted(pairs):
         parents.setdefault(child, []).append(parent)
-    order: list[ConceptId] = []
-    closure: dict[ConceptId, tuple[int, int]] = {}
-    on_path: dict[ConceptId, int] = {}  # node -> its depth in the stack
-    # searches start in name order, so the cycle reported is the first found
-    # from the smallest name, whatever the order of the document's lines
-    for start in [*sorted(parents), *sorted(concepts)]:
-        if start in closure:
-            continue
-        stack = [(start, iter(parents.get(start, ())))]
-        on_path[start] = 0
-        while stack:
-            node, ups = stack[-1]
-            nxt = next(ups, None)
-            if nxt is None:
-                stack.pop()
-                del on_path[node]
-                mask = 1 << len(order)
-                for p in parents.get(node, ()):
-                    mask |= closure[p][1]
-                closure[node] = (len(order), mask)
-                order.append(node)
-            elif nxt in on_path:
-                return (), {}, tuple(n for n, _ in stack[on_path[nxt]:])
-            elif nxt not in closure:
-                on_path[nxt] = len(stack)
-                stack.append((nxt, iter(parents.get(nxt, ()))))
-    return tuple(order), closure, ()
+        parents.setdefault(parent, [])
+    try:
+        order = tuple(TopologicalSorter({node: parents[node] for node in sorted(parents)}).static_order())
+    except CycleError as exc:
+        # graphlib lists the cycle along child links, its first node again at the end
+        names = ", ".join(str(c) for c in exc.args[1][:0:-1])
+        raise ValidationError([f"refinement cycle through {{{names}}}"]) from None
+    masks: dict[ConceptId, int] = {}
+    for bit, node in enumerate(order):
+        mask = 1 << bit
+        for p in parents[node]:
+            mask |= masks[p]
+        masks[node] = mask
+    return order, masks
 
 
 # ---------------------------------------------------------------------------

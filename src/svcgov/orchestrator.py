@@ -32,7 +32,7 @@ from .evaluation import (
     StructuralPrior,
     detect_regime,
 )
-from .fields import Fields, boolean
+from .fields import Fields, boolean, repeated
 from .memory import (
     EMPTY_STORE,
     FailureSignature,
@@ -47,10 +47,13 @@ from .model import (
     Hypothesis,
     RawPlatformState,
     SemanticState,
+    _check_concept,
+    _check_contract,
     phase,
     semantic_lift,
+    type_soundness,
 )
-from .ontology import AssertionBase, OntologySchema
+from .ontology import AssertionBase, Category, ConceptId, OntologySchema
 from .transform import (
     AddSubservice,
     Transformation,
@@ -124,17 +127,38 @@ class OrchestratorConfig:
             raise ConfigError("the fallback attachment must be declared in the grammar")
         if not self.fallback.part.roles:
             raise ConfigError("the fallback subservice must contribute at least one role")
+        self._check_concepts()
 
     def _check_regime_labels(self) -> None:
         """Regime labels are unique, and the switch model names only declared ones."""
         labels, model = [regime.label for regime in self.regimes], self.switch_model
-        problems = [f"duplicate regime label {label!r}" for i, label in enumerate(labels) if label in labels[:i]]
+        problems = [f"duplicate regime label {label!r}" for label in repeated(labels)]
         for part, entries in (("costs", model.costs), ("residuals", model.residuals), ("recipes", model.recipes)):
             for i, (a, b, _) in enumerate(entries):
                 undeclared = [label for label in dict.fromkeys((a, b)) if label not in labels]
                 problems += [f"switch_model.{part}[{i}] names undeclared regime {label!r}" for label in undeclared]
         if problems:
             raise ConfigError("; ".join(problems))
+
+    def _check_concepts(self) -> None:
+        """The concepts that the safety predicates, the addable prototypes
+        and the fallback name are declared, each of its category: one that
+        is not would make a predicate never hold once its flag is raised,
+        or a prototype never type-sound."""
+        found: list[tuple[str, str]] = []
+        for p in self.core.predicates:
+            if p.kind == "flag-requires-function":
+                function = ConceptId.parse(dict(p.params)["function"])
+                _check_concept(found, self.schema, function, Category.FUNCTION, f"safety predicate {p.name!r} function")
+        prototypes = [(f"grammar.addable[{i}]", add) for i, add in enumerate(self.grammar.addable)]
+        for where, add in (*prototypes, ("fallback", self.fallback)):
+            soundness = type_soundness(add.part, self.schema)
+            misnamed = [v for v in soundness.violations if v[0] in ("unknown-concept", "category-mismatch")]
+            for e in add.attach:
+                _check_contract(misnamed, self.schema, e.contract, f"attachment {e.from_role}->{e.to_role}")
+            found += [(code, f"{where}: {message}") for code, message in misnamed]
+        if found:
+            raise ConfigError("; ".join(message for _, message in found))
 
     def default_regime(self) -> Regime:
         return self.regimes[-1]

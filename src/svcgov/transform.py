@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .canon import canonical_dumps, canonical_string
-from .errors import IncompatibleInterface, MalformedTransformation, NotReachable, UnknownSite
+from .errors import ConfigError, IncompatibleInterface, MalformedTransformation, NotReachable, UnknownSite
 from .fields import Fields, Malformed, array, boolean, integer, mapping, number, one_of, text
 from .model import (
     Component, Edge, Hypothesis, InterfaceContract, SemanticState, SignalCondition, declared_condition, interface_compatible,
-    some_clause_holds,
+    refuse_faults, some_clause_holds,
 )
 from .ontology import OntologySchema
 
@@ -175,6 +175,10 @@ def transformation_key(tau: Transformation) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Where a variant may act: at any site, or only at unhealthy ones.
+SITES = ("any", "unhealthy")
+
+
 @dataclass(frozen=True)
 class VariantRule:
     """Per-variant switch: whether the variant is enabled, where it may act,
@@ -182,8 +186,13 @@ class VariantRule:
     always)."""
 
     enabled: bool = False
-    sites: str = "any"  # "any" | "unhealthy"
+    sites: str = "any"  # one of SITES
     triggers: tuple[tuple[SignalCondition, ...], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.sites not in SITES:
+            raise ConfigError(f"variant sites must be one of {', '.join(map(repr, SITES))}, got {self.sites!r}")
+        refuse_faults(self.triggers)
 
     def active(self, signals: Mapping[str, float]) -> bool:
         return self.enabled and (not self.triggers or some_clause_holds(self.triggers, signals))
@@ -198,7 +207,7 @@ class VariantRule:
     @classmethod
     def from_data(cls, data: Mapping) -> "VariantRule":
         r = Fields(data)
-        enabled, sites = r.get("enabled", boolean, cls.enabled), r.get("sites", one_of("any", "unhealthy"), cls.sites)
+        enabled, sites = r.get("enabled", boolean, cls.enabled), r.get("sites", one_of(*SITES), cls.sites)
         return r.build(cls, enabled, sites, r.get("triggers", array(array(declared_condition)), ()))
 
 
@@ -212,6 +221,9 @@ class TransformationGrammar:
     _prototype_keys: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, _ in self.variants:
+            if name not in VARIANT_ORDER:
+                raise MalformedTransformation(f"unknown grammar variant {name!r}")
         if self.max_candidates < 1:
             raise MalformedTransformation("grammar max_candidates must be >= 1")
         keys = frozenset(transformation_key(p) for p in (*self.addable, *self.constraint_updates))
@@ -225,9 +237,6 @@ class TransformationGrammar:
         constraint_updates: Sequence[UpdateConstraint] = (),
         max_candidates: int = 16,
     ) -> "TransformationGrammar":
-        for name in variants:
-            if name not in VARIANT_ORDER:
-                raise MalformedTransformation(f"unknown grammar variant {name!r}")
         return cls(
             variants=tuple(sorted(variants.items())),
             addable=tuple(addable),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from svcgov.canon import sha256_hex
 from svcgov.certificates import CertContext, Certificate
 from svcgov.certify import RegimeSwitchModel, certify_capacity
-from svcgov.errors import ConfigError, CorruptStore, GovernanceError, ParseError, ValidationError
+from svcgov.errors import ConfigError, CorruptStore, GovernanceError, MalformedTransformation, ParseError, ValidationError
 from svcgov.evaluation import (
     EvaluatorWeights,
     IdentitySpec,
@@ -328,6 +328,22 @@ CONFIG_TYPOS = {
         "recipe for emergency->emergency would never apply: a regime is entered only by a switch "
         "(at configuration key 'switch_model')",
     ),
+    # a predicate whose function is undeclared never holds once its flag is raised
+    "predicate-function": (
+        lambda d: d["core"]["predicates"].append(
+            {"name": "oversight", "kind": "flag-requires-function", "params": {"flag": "x", "function": "fn:RemoteOversigt"}}
+        ),
+        "safety predicate 'oversight' function: undeclared concept fn:RemoteOversigt",
+    ),
+    # a fallback that is never type-sound could not be deployed at any step
+    "prototype-requirement": (
+        lambda d: [p["part"]["roles"][0].update(requires=["fn:RemoteOversigt"]) for p in (d["fallback"], *d["grammar"]["addable"])],
+        "fallback: role r_supervise requirement: undeclared concept fn:RemoteOversigt",
+    ),
+    "prototype-attachment": (
+        lambda d: [p["attach"][0]["contract"].update(events=["ia:Escalaton"]) for p in (d["fallback"], *d["grammar"]["addable"])],
+        "grammar.addable[0]: attachment r_confirm->r_supervise contract: undeclared concept ia:Escalaton",
+    ),
 }
 
 SCENARIO_TYPOS = {
@@ -528,6 +544,33 @@ def test_a_nan_built_directly_is_a_config_error(case):
     _, cfg = load_pack("hospital")
     with pytest.raises(ConfigError):
         NAN_VALUES[case](cfg)
+
+
+#: Values that each loader refuses first (``one_of``, ``declared_condition``,
+#: ``TransformationGrammar.build``), built directly, with the error each raises.
+UNCHECKED = SignalCondition("noise", "=>", 0.5)
+
+BAD_VALUES = {
+    "variant-sites": (lambda cfg: VariantRule(enabled=True, sites="unhealty"), ConfigError),
+    "variant-trigger-op": (lambda cfg: VariantRule(enabled=True, triggers=((UNCHECKED,),)), ConfigError),
+    "variant-trigger-signal": (
+        lambda cfg: VariantRule(enabled=True, triggers=((SignalCondition("nois", ">", 0.5),),)),
+        ConfigError,
+    ),
+    "regime-entry-op": (lambda cfg: dataclasses.replace(cfg.regimes[0], entry=((UNCHECKED,),)), ConfigError),
+    "grammar-variant": (
+        lambda cfg: TransformationGrammar(variants=(("bogus", VariantRule(enabled=True)),)),
+        MalformedTransformation,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_a_bad_value_built_directly_is_refused(case):
+    _, cfg = load_pack("hospital")
+    build, error = BAD_VALUES[case]
+    with pytest.raises(error):
+        build(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,29 @@ class TestTypeSoundness:
             assert ("graph-cycle" in codes) == ("cyclic" in name or name == "self-loop"), name
             assert ("graph-disconnected" in codes) == ("disconnected" in name), name
 
+    @given(st.sets(st.tuples(st.sampled_from("abcdexy"), st.sampled_from("abcdexy")), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_graph_cycle_is_a_role_reaching_itself(self, edges):
+        # roles a-e are declared; an edge to or from x or y dangles and is
+        # no service flow
+        roles = "abcde"
+        flow = {(a, b) for a, b in edges if a in roles and b in roles}
+
+        def reaches_itself(start):  # along one or more edges between declared roles
+            seen, stack = set(), [b for a, b in flow if a == start]
+            while stack:
+                cur = stack.pop()
+                if cur not in seen:
+                    seen.add(cur)
+                    stack.extend(b for a, b in flow if a == cur)
+            return start in seen
+
+        h = Hypothesis.build(
+            [Role(r, frozenset({cid("t:FA")})) for r in roles], [Edge(a, b, contract()) for a, b in sorted(edges)]
+        )
+        codes = [code for code, _ in _graph_shape_violations(h)]
+        assert ("graph-cycle" in codes) == any(reaches_itself(r) for r in roles)
+
     def test_long_chain_is_sound(self, schema):
         bindings = [(f"r{i:05d}", "t:FA", UNIT_A) for i in range(1500)]
         assert type_soundness(chain_hypothesis(bindings), schema).sound

@@ -60,6 +60,43 @@ class TestLoadSchema:
         for name in ("f:a", "f:b", "f:c"):
             assert name in message
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_refinement_cycle_names_one_cycle_whatever_the_line_order(self, data):
+        n = data.draw(st.integers(1, 10))
+        names = [f"d:c{i}" for i in data.draw(st.permutations(range(n)))]
+        # child index below parent index keeps the drawn set acyclic; the
+        # back edge (child index at or above its parent's) may close a cycle
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])))
+        pairs.add(data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] >= e[1])))
+        pairs = {(names[c], names[p]) for c, p in pairs}
+
+        def reaches_itself(start):  # along one or more parent links
+            seen, stack = set(), [p for c, p in pairs if c == start]
+            while stack:
+                cur = stack.pop()
+                if cur not in seen:
+                    seen.add(cur)
+                    stack.extend(p for c, p in pairs if c == cur)
+            return start in seen
+
+        lines = ["prefix d urn:dag", *(f"concept Function {name}" for name in names)]
+        lines += [f"refines {c} {p}" for c, p in sorted(pairs)]
+        on_cycle = {name for name in names if reaches_itself(name)}
+        if not on_cycle:
+            load_schema("\n".join(lines))
+            return
+        with pytest.raises(ValidationError) as err:
+            load_schema("\n".join(lines))
+        (message,) = err.value.violations
+        members = message.removeprefix("refinement cycle through {").removesuffix("}").split(", ")
+        # the members, in the order named, are one cycle along parent links
+        assert len(set(members)) == len(members) and set(members) <= on_cycle
+        assert all((c, p) in pairs for c, p in zip(members, members[1:] + members[:1]))
+        with pytest.raises(ValidationError) as again:
+            load_schema("\n".join(data.draw(st.permutations(lines))))
+        assert again.value.violations == [message]
+
     def test_deep_refinement_chain_loads(self):
         schema = load_schema(chain_ontology(5000))
         assert is_refinement(schema, cid("d:C00000"), cid("d:C05000"))
