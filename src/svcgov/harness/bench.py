@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from ..certify import StepFacts, admissible
-from ..errors import GovernanceError, IncomparableReports, ParseError
+from ..errors import ConfigError, GovernanceError, IncomparableReports, ParseError
 from ..evaluation import detect_regime, evaluate
 from ..fields import Fields, array, decode, integer, keyed, number, read, repeated, text
 from ..memory import EMPTY_STORE, MemoryStore
@@ -147,33 +147,55 @@ class TickScore(NamedTuple):
     deployed: tuple[float, bool, float] | None
 
 
+class _Law(tuple):
+    """The ``PARTS`` of a config, by value, hashed once: a scan keys every
+    tick by them."""
+
+    #: What the regret oracle reads of a config, ``StepFacts.screening`` and
+    #: ``admissible`` included, besides the schema, which keeps the scores,
+    #: and the gates, which ``scan_run`` requires to be armed.
+    PARTS = ("grammar", "regimes", "core", "prior", "capacity_budget", "switch_model", "drift_bound", "fallback")
+
+    def __new__(cls, cfg: OrchestratorConfig) -> "_Law":
+        law = super().__new__(cls, [getattr(cfg, name) for name in cls.PARTS])
+        law.hashed = tuple.__hash__(law)
+        return law
+
+    def __hash__(self) -> int:
+        return self.hashed
+
+
 def scan_run(scenario: Scenario, cfg: OrchestratorConfig, traces: Sequence[DecisionTrace]) -> RunScan:
     """Replay a run from the scenario script and recompute every metric
-    ingredient against the full governance law (``cfg`` must carry full
-    gates).  The deployed candidate's metrics are read from the oracle's
-    facts about it, never from the run's own verdicts.  The oracle is
-    called once per distinct replayed state, and the replay lifts through
-    ``lift_table(scenario, cfg)``."""
+    ingredient against the full governance law: ``cfg`` must arm every
+    gate, and a config that disarms one is refused.  The deployed
+    candidate's metrics are read from the oracle's facts about it, never
+    from the run's own verdicts.  Each tick's ``TickScore`` is kept in
+    ``schema.memo`` under exactly what the oracle reads: the law
+    (``_Law.PARTS``, by value), the tick's registry, the digests of its
+    lift and of ``h_before``, the true regime and the one before it, and
+    the deployed transformation's key.  It does not read the subject, so
+    every scan on the schema under an equal law shares the scores,
+    whichever subject wrote the trace; the digests keep an entry from
+    holding on to the lifts of scenarios long gone.  The replay lifts
+    through ``lift_table(scenario, cfg)``."""
+    if disarmed := [gate for gate, armed in cfg.flags.to_data().items() if not armed]:
+        raise ConfigError(f"the scanner judges under full gates; disarmed: {', '.join(disarmed)}")
+    law = _Law(cfg)
     true_regime = cfg.default_regime()
     deployments = identity_ok = violations = transported = 0
     max_switch_structural = 0.0
     regret = 0.0
-    exhaustive_grammar = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
-    scores: dict[tuple, TickScore] = {}
-    for trace, x, z, registry, h_before, _ in replay(scenario, cfg, traces):
+    exhaustive = dc_replace(cfg.grammar, max_candidates=_EXHAUSTIVE)
+    for trace, _, z, registry, h_before, _ in replay(scenario, cfg, traces):
         e_true = detect_regime(cfg.regimes, z)
         switched = e_true.label != true_regime.label
         from_true = true_regime
         true_regime = e_true
 
         deployed_key = transformation_key(trace.selected) if trace.selected is not None else None
-        # Every input of the oracle: it reads the raw state only through its
-        # components (the registry), the lift ``z`` carries the rest, the
-        # tick-0 phase included, and of the trace it reads only ``selected``.
-        key = (x.components, z, h_before.digest(), e_true.label, from_true.label, deployed_key)
-        score = scores.get(key)
-        if score is None:
-            score = scores[key] = _oracle(cfg, exhaustive_grammar, registry, z, h_before, e_true, from_true, trace)
+        key = ("oracle", law, registry, z.digest(), h_before.digest(), e_true.label, from_true.label, deployed_key)
+        score = cfg.schema.remembered(key, _oracle, cfg, exhaustive, registry, z, h_before, e_true, from_true, trace)
         if score.deployed is not None:
             identity, core_passed, charge = score.deployed
             deployments += 1
@@ -206,7 +228,8 @@ def _oracle(cfg, grammar, registry, z, h_before, e_true, from_true, trace) -> Ti
     scoring strictly above it are kept, and ``admissible`` screens them in
     descending score order, ties in list order, until one passes: no
     candidate below it can raise the regret.  ``registry`` is the
-    component registry of the tick's raw state."""
+    component registry of the tick's raw state.  Of ``cfg`` it reads the
+    schema and ``_Law.PARTS``, and of ``trace`` only ``selected``."""
     step = StepFacts.screening(h_before, z, e_true, EMPTY_STORE, cfg, from_true)
     deployed = deployed_key = None
     if trace.selected is not None:

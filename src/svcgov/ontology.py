@@ -108,10 +108,13 @@ class OntologySchema:
     (``certificates.environment_digest``), under
     ``("environment", descriptors)``; each ``certify.transition``, the
     configuration a transformation reaches from a graph and the model-free
-    parts of its charge, under ``("transition", digest, key)``; and each
+    parts of its charge, under ``("transition", digest, key)``; each
     commitments, core report and identity breakdown of a candidate, under
     a ``"commitments"``, ``"core"`` or ``"identity"`` key of exactly what
-    it reads.  An entry is complete when stored and never goes stale, so
+    it reads; and each tick score of the regret oracle
+    (``bench.scan_run``), under an ``"oracle"`` key of the law, by value,
+    and the replayed tick, whichever subject's trace it was found for.
+    An entry is complete when stored and never goes stale, so
     every scenario on the schema reads the entries of the others: a shipped
     pack's schema is loaded once per process and shared by every scenario
     built from the pack, and its memo then holds the facts of every value

@@ -19,6 +19,7 @@ from svcgov.evaluation import (
     StructuralPrior,
 )
 from svcgov.certify import RegimeSwitchModel
+from svcgov.harness import packs
 from svcgov.harness.packs import load_pack, pack_data, pack_dir, pack_scenario
 from svcgov.harness.scenario import scenario_from_data, scenario_to_data
 from svcgov.model import (
@@ -293,6 +294,16 @@ def make_config(
 @pytest.fixture()
 def config(schema, assertions):
     return make_config(schema, assertions)
+
+
+@pytest.fixture
+def cold_packs():
+    """The pack cache emptied before the test and after it: the packs that
+    the test loads, and the bench families that it generates, read fresh
+    schemas with empty memos."""
+    packs._pack.cache_clear()
+    yield packs._pack
+    packs._pack.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -748,10 +748,14 @@ def recorded_admissible_calls(monkeypatch, runs):
 
 
 class TestSharedFactsMatchStandaloneCertifiers:
-    def test_pack_and_family_runs(self, monkeypatch, hospital, retail):
+    def test_pack_and_family_runs(self, monkeypatch, cold_packs):
+        # on fresh pack schemas, so that no earlier scan has kept the tick
+        # scores of these scans and each oracle screens afresh
         from svcgov.harness import bench
         from svcgov.harness.baselines import FULL
+        from svcgov.harness.packs import load_pack
 
+        hospital, retail = load_pack("hospital"), load_pack("retail")
         runs = [(*hospital, EMPTY_STORE, FULL), (*retail, EMPTY_STORE, FULL)]
         runs += [(*bench.FAMILY_GENERATORS[family](0), FULL) for family in bench.FAMILIES]
         runs += [(*retail, EMPTY_STORE, "ontology-only")]
@@ -812,11 +816,13 @@ class TestSharedFactsMatchStandaloneCertifiers:
 class TestStepFactsAreComputedOnce:
     """Run and scan family instances and count, per screened candidate,
     the work that the step's facts share.  The instances share their
-    pack's cached schema, and so its memo, with each other and with
-    earlier tests: ``commitments_of`` and ``core_value`` look their facts
-    up in ``schema.memo`` themselves, so each read is still one call,
-    while ``identity_breakdown`` runs only on a miss, so its count is
-    only bounded."""
+    pack's cached schema, and so its memo, with each other and, unless the
+    test empties the pack cache first (``cold_packs``), with earlier tests:
+    ``commitments_of`` and ``core_value`` look their facts up in
+    ``schema.memo`` themselves, so each read is still one call, while
+    ``identity_breakdown`` runs only on a miss, so its count is only
+    bounded.  A scan's oracle runs only for a tick whose score no scan on
+    the schema has kept, so a test that counts oracle work runs cold."""
 
     @staticmethod
     def screened_with_counts(monkeypatch, runs, counted):
@@ -875,7 +881,7 @@ class TestStepFactsAreComputedOnce:
 
         return [bench.FAMILY_GENERATORS[family](seed) for family in bench.FAMILIES for seed in (0, 1)]
 
-    def test_commitments_once_per_candidate_and_once_per_step(self, monkeypatch):
+    def test_commitments_once_per_candidate_and_once_per_step(self, monkeypatch, cold_packs):
         from svcgov import certify, evaluation
         from svcgov.harness import bench
 

@@ -34,6 +34,7 @@ from svcgov.harness import scenario as scenario_module
 from svcgov.harness.scenario import ScenarioEvent, config_from_data, load_scenario, scenario_from_data
 from svcgov.memory import EMPTY_STORE
 from svcgov.model import semantic_lift, type_soundness
+from svcgov.ontology import OntologySchema
 from svcgov.orchestrator import (
     DecisionTrace, LiftTable, OrchestratorConfig, registry_from_state, replay, replay_deployments, run,
 )
@@ -201,14 +202,6 @@ class TestScenarioLoading:
     def test_pack_files_load_via_path_api(self):
         scenario = load_scenario(pack_dir("hospital") / "scenario.json")
         assert scenario.name == "hospital-delivery"
-
-
-@pytest.fixture
-def cold_packs():
-    """The pack cache emptied before the test and after it."""
-    packs._pack.cache_clear()
-    yield packs._pack
-    packs._pack.cache_clear()
 
 
 class TestPackCache:
@@ -432,6 +425,18 @@ class TestBenchmarks:
         with pytest.raises(ConfigError, match=message):
             bench.scan_run(scenario, cfg, traces)
 
+    def test_a_config_with_a_disarmed_gate_is_refused(self, retail):
+        # the scanner judges every trace under the full law, so a subject's
+        # own config, whose tick scores would be kept under the same law,
+        # is refused and its disarmed gates named
+        scenario, cfg = retail
+        traces = run(scenario, cfg).traces
+        disarmed = "stability, capacity, invariance, substitution, memory, regime_family"
+        with pytest.raises(ConfigError, match=f"disarmed: {disarmed}$"):
+            bench.scan_run(scenario, baselines.configure(cfg, "ontology-only"), traces)
+        with pytest.raises(ConfigError, match="disarmed: memory$"):
+            bench.scan_run(scenario, cfg.ablated(replace(cfg.flags, memory=False)), traces)
+
     def test_single_seed_report_shape(self):
         report = bench.run_benchmark("substitution", "full", [0])
         assert report.runs == 1
@@ -640,13 +645,21 @@ def spy_everywhere(monkeypatch, fn, seen):
 def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
     """After runs and scans of both packs and of every bench family (each
     with the full stack and a baseline), every soundness report,
-    environment digest, commitments, core report and identity breakdown
-    that a pack schema's memo keeps equals the one worked out on that
-    schema with its memo cleared, and every transition it keeps equals a
-    fresh ``Transition.of``: the same configuration digest, refusal text
+    environment digest, commitments, core report, identity breakdown and
+    tick score that a pack schema's memo keeps equals the one worked out on
+    that schema with its memo cleared, and every transition it keeps equals
+    a fresh ``Transition.of``: the same configuration digest, refusal text
     and charge parts.  The memo holds these whole facts and provider masks,
     nothing finer."""
     inputs = {}  # memo key -> what it was worked out from
+    remembered = OntologySchema.remembered
+
+    def scoring(schema, key, compute, *args):
+        if compute is bench._oracle:
+            inputs.setdefault(key, args)
+        return remembered(schema, key, compute, *args)
+
+    monkeypatch.setattr(OntologySchema, "remembered", scoring)
     spy_everywhere(monkeypatch, type_soundness, lambda h, _: inputs.setdefault(("soundness", h.digest()), h))
     spy_everywhere(
         monkeypatch, environment_digest, lambda z, _: inputs.setdefault(("environment", z.environment_descriptors), z)
@@ -684,18 +697,25 @@ def test_schema_memo_facts_match_a_cold_computation(monkeypatch, cold_packs):
     schemas = {id(cfg.schema): cfg.schema for _, cfg, _ in cases}
     assert [packs._pack(name).schema for name in packs.PACK_NAMES] == list(schemas.values())
     monkeypatch.undo()
-    kinds = ("soundness", "environment", "transition", "commitments", "core", "identity")
+    candidate_kinds = ("commitments", "core", "identity")
+    kinds = ("soundness", "environment", "transition", *candidate_kinds, "oracle")
     for schema in schemas.values():
         for key in schema.memo:
             whole = type(key) is tuple and key[0] in kinds
             assert whole or type(key) is frozenset, key
         kept = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] in ("soundness", "environment")}
         reached = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] == "transition"}
-        judged = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] in kinds[3:]}
+        judged = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] in candidate_kinds}
+        scored = {k: v for k, v in schema.memo.items() if isinstance(k, tuple) and k[0] == "oracle"}
         tags = [key[0] for key in kept]
         assert tags.count("soundness") > 10 and tags.count("environment") > 1
         assert len(reached) > 10 and any(t.parts != (0.0, 0) for t in reached.values())
-        assert all([key[0] for key in judged].count(kind) > 10 for kind in kinds[3:])
+        assert all([key[0] for key in judged].count(kind) > 10 for kind in candidate_kinds)
+        assert len(scored) > 10 and any(score.regret > 0.0 for score in scored.values())
+        assert any(score.deployed is not None for score in scored.values())
+        for key, value in scored.items():
+            schema.memo.clear()
+            assert bench._oracle(*inputs[key]) == value, key
         for key, value in kept.items():
             schema.memo.clear()
             fact = type_soundness if key[0] == "soundness" else environment_digest
@@ -910,6 +930,68 @@ class TestScanMatchesItsReference:
         assert dict(scenario.initial_state.request.params)["weight"] == (3.5, "kg")
         traces = run(scenario, cfg).traces
         assert bench.scan_run(scenario, cfg, traces) == reference_scan(scenario, cfg, traces)
+
+
+def slowed_escalation(tau, latency: int):
+    """The escalation prototype ``tau`` with every policy step taking ``latency`` ticks."""
+    policy = tuple(replace(rule, latency=latency) for rule in tau.part.policy)
+    return replace(tau, part=replace(tau.part, policy=policy), rationale=f"escalate-in-{latency}")
+
+
+def with_noisy_regime(cfg, change):
+    """``cfg`` with ``change`` applied to its regime ``noisy``."""
+    return replace(cfg, regimes=tuple(change(r) if r.label == "noisy" else r for r in cfg.regimes))
+
+
+#: Per part of the law that the regret oracle reads, a change to it alone
+#: that changes a scan of ``TestTickScoresReadThroughTheMemo``'s traces.
+LAW_VARIATIONS = {
+    "grammar prototype": lambda cfg: replace(
+        cfg, grammar=replace(cfg.grammar, addable=(cfg.fallback, slowed_escalation(cfg.fallback, 0)))
+    ),
+    "regime weights": lambda cfg: with_noisy_regime(cfg, lambda r: replace(r, weights=replace(r.weights, cost=8.0))),
+    "regime budgets": lambda cfg: with_noisy_regime(
+        cfg, lambda r: replace(r, budgets=replace(r.budgets, switching_cost=0.01))
+    ),
+    "identity threshold": lambda cfg: replace(
+        cfg, core=replace(cfg.core, identity=replace(cfg.core.identity, threshold=0.5))
+    ),
+    "core predicate": lambda cfg: replace(cfg, core=replace(cfg.core, predicates=cfg.core.predicates[:1])),
+    "prior weight": lambda cfg: replace(cfg, prior=replace(cfg.prior, node_weight=10.0)),
+    "capacity budget": lambda cfg: replace(cfg, capacity_budget=5.0),
+    "switch cost": lambda cfg: replace(
+        cfg, switch_model=replace(cfg.switch_model, costs=tuple((a, b, 3 * c) for a, b, c in cfg.switch_model.costs))
+    ),
+    "residual": lambda cfg: replace(
+        cfg, switch_model=replace(cfg.switch_model, residuals=(("quiet", "noisy", 2.5), ("noisy", "quiet", 2.5)))
+    ),
+    "unit cost": lambda cfg: replace(cfg, switch_model=replace(cfg.switch_model, reassignment_unit_cost=2.0)),
+    "drift bound": lambda cfg: replace(cfg, drift_bound=0.5),
+    "fallback": lambda cfg: replace(cfg, fallback=cfg.grammar.addable[1]),
+}
+
+
+class TestTickScoresReadThroughTheMemo:
+    """Tick scores are kept in ``schema.memo`` under the law that they were
+    found under, by value.  A baseline subject's traces on the cycling
+    retail scenario are scanned under the pack config, its grammar given a
+    second, slower escalation prototype, and then under a copy that differs
+    from it in one part of the law alone: each scan must equal the memo-free
+    reference scan, and the part must change that reference, so a key
+    without the part would hand the second scan the first one's scores."""
+
+    @pytest.mark.parametrize("part", list(LAW_VARIATIONS))
+    def test_each_part_of_the_law_keys_the_scores(self, part):
+        scenario, cfg = cyclic_retail(cycles=3)
+        addable = (cfg.fallback, slowed_escalation(cfg.fallback, 3))
+        cfg = replace(cfg, grammar=replace(cfg.grammar, addable=addable))
+        traces = run(scenario, baselines.configure(cfg, "typed-planner-no-memory")).traces
+        configs = cfg, LAW_VARIATIONS[part](cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(OntologySchema, "remembered", lambda schema, key, compute, *args: compute(*args))
+            expected = [reference_scan(scenario, c, traces) for c in configs]
+        assert expected[0] != expected[1]
+        assert [bench.scan_run(scenario, c, traces) for c in configs] == expected
 
 
 def oracle_calls(scenario, cfg, traces):

@@ -307,7 +307,9 @@ class TestTransitionMemo:
         # the noise onset recurs every six ticks, so the run's steps and
         # rewrites, and the scan's replay and oracle, meet the same pairs of
         # configuration and transformation again and again; the scan meets
-        # many of the run's pairs, and a second run and scan meet no new one
+        # many of the run's pairs, and a second run and scan meet no new one;
+        # the second scan reads every tick's score that the first one kept,
+        # so its oracle asks for nothing and only its replay asks
         scenario, cfg = cyclic_retail(cycles=10)
         cfg.schema.memo.clear()
         applied, requested = [], []
@@ -332,12 +334,15 @@ class TestTransitionMemo:
             bench.scan_run(scenario, cfg, traces)
             passes.append((applied[:], requested[:]))
             applied.clear(), requested.clear()
+        list(replay(scenario, cfg, traces))
+        replay_asked = requested[:]
         (in_run, run_asked), (in_scan, scan_asked), *again = passes
         assert len(in_run) == len(set(in_run)) and sorted(in_run) == sorted(set(run_asked))
         assert 3 * len(in_run) < len(run_asked)
         assert len(in_scan) == len(set(in_scan)) and sorted(in_scan) == sorted(set(scan_asked) - set(run_asked))
         assert 0 < len(in_scan) < len(set(scan_asked)) and 3 * len(set(scan_asked)) < len(scan_asked)
-        assert again == [([], run_asked), ([], scan_asked)]
+        assert applied == [] and set(replay_asked) <= set(scan_asked) and 0 < len(replay_asked) < len(scan_asked)
+        assert again == [([], run_asked), ([], replay_asked)]
 
     def test_signed_zero_bounds_reach_apart(self, retail):
         # equal and hash-equal updates whose configurations differ in digest
